@@ -1,0 +1,12 @@
+"""Puts the checkout's `src` and the benchmark's own modules on sys.path.
+
+Run from the repository root:  python3 -m pytest perfbench/tests
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT / "perfbench"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
