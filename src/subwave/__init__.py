@@ -39,7 +39,6 @@ from .propagator import (
     Regime,
     classify_regime,
     propagate_mode,
-    duhamel_kernel,
     decay_rate,
     LinearTrajectory,
     evolve_linear,

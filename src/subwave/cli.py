@@ -17,11 +17,13 @@ backend       {"kind": "heisenberg", "n": 1}
 grid          heisenberg only: {"lambda_min", "lambda_max", "nodes", "mu_max"}
 synth         heisenberg only: {"half_widths": [x,y,tau], "shape": [nx,ny,nt]}
 b, m          damping and mass, b > 0, m > 0
-data          {"kind": "packet", "carrier", "sigma_xy", "sigma_tau", "scale"}
-              | {"kind": "modes", "center", "width", "ladder", "scale"}
-              | {"kind": "gaussian", "width", "scale"}   (abelian)
+data          heisenberg: {"kind": "packet", "carrier", "sigma_xy",
+                           "sigma_tau", "scale"}
+                          | {"kind": "modes", "center", "width", "ladder",
+                             "scale"}
+              abelian, gaussian only: {"kind": "gaussian", "width", "scale"}
 horizon       {"T": 8.0, "samples": 65}
-nonlinearity  null | {"type": "power", "mu", "p"}
+nonlinearity  evolve-semilinear only, required: {"type": "power", "mu", "p"}
 znorm         optional {"delta_fraction": 0.999, "weight_exponent": -0.5}
 gn            gn-check only: {"n", "q_values": ["2","8/3",..],
                               "tuples": [[Q,a,r,p,q], ..], "random_tuples",
@@ -31,20 +33,20 @@ oracle        oracle-compare only: {"shape": [..], "safety", "tolerance",
 seed          integer, default 0 (--seed overrides)
 
 Every run writes <out>/<subcommand>.csv (UTF-8, header row, comma separator,
-floats via shortest round-trip repr) and <out>/manifest.json capturing the
-resolved parameters, content hashes of the config and outputs, and the pass
-verdict.  Identical config and seed give byte-identical CSV files.  Exit
-status: 0 pass, 1 acceptance failure, 2 config error.  --threads is recorded
-in the manifest as an advisory worker cap; the numeric kernels here are
-single-threaded apart from whatever the BLAS runtime does.  The strict
-tolerance profile halves every acceptance tolerance used by a subcommand.
+LF line ends, floats via shortest round-trip repr) and <out>/manifest.json
+capturing the resolved parameters, content hashes of the config and outputs,
+and the pass verdict.  Identical config and seed give byte-identical CSV
+files.  Exit status: 0 pass, 1 acceptance failure, 2 config error.  --threads
+is recorded in the manifest as an advisory worker cap; the numeric kernels
+here are single-threaded apart from whatever the BLAS runtime does.  The
+strict tolerance profile halves every acceptance tolerance used by a
+subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import sys
 from fractions import Fraction
@@ -60,7 +62,7 @@ from .propagator import decay_rate, evolve_linear, verify_decay
 from .semilinear import (PicardStatus, PowerNonlinearity, ZNormConfig,
                          picard_solve, verify_semilinear_decay)
 from .spectral import (AbelianSymbol, SpectralField, SubLaplacianSymbol,
-                       build_grid, l2_norm, sobolev_norm)
+                       _csv_bytes, build_grid, l2_norm, sobolev_norm)
 from .transform import (SpatialField, SpatialGrid, calibrate_plancherel,
                         forward_transform, from_function, synthesize_on_grid)
 
@@ -125,22 +127,6 @@ def _check_section(section, name, required, problems):
 
 def _hash_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
-
-
-def _csv_bytes(header, rows) -> bytes:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    return buf.getvalue().encode("utf-8")
 
 
 def _emit(out_dir, name, header, rows, manifest, config_path):
@@ -221,7 +207,7 @@ def _heisenberg_data(cfg, grid, synth, problems):
             problems.append("synth: required for packet data")
             return None
         packet = _packet_field(data, synth)
-        grid.plancherel_constant = calibrate_plancherel(packet, grid)
+        calibrate_plancherel(packet, grid)
         return forward_transform(packet, grid, boundary_tol=None)
     problems.append(f"data.kind: unknown kind {kind!r}")
     return None
@@ -232,13 +218,17 @@ def _abelian_setup(cfg, problems):
     for key in ("half_widths", "shape", "coefficients", "order"):
         if key not in backend:
             problems.append(f"backend.{key}: required for abelian runs")
+    data = cfg.get("data")
+    if (_check_section(data, "data", ("kind",), problems)
+            and data["kind"] != "gaussian"):
+        problems.append("data.kind: abelian runs take gaussian data, "
+                        f"got {data['kind']!r}")
     if problems:
         return None, None, None
     agrid = AbelianGrid(tuple(backend["half_widths"]), tuple(backend["shape"]))
     symbol = AbelianSymbol(np.asarray(backend["coefficients"], dtype=float),
                            order=int(backend["order"]),
                            radial=bool(backend.get("radial", True)))
-    data = cfg.get("data") or {}
     width = float(data.get("width", 1.0))
     scale = float(data.get("scale", 1.0))
     dim = len(agrid.shape)
@@ -464,7 +454,6 @@ def _calibrate(cfg, problems):
         raise ConfigError(["data.kind: calibrate needs packet data"])
     packet = _packet_field(data, synth)
     constant = calibrate_plancherel(packet, grid)
-    grid.plancherel_constant = constant
     F = forward_transform(packet, grid, boundary_tol=None)
     spectral = l2_norm(F)
     spatial = packet.l2_norm()

@@ -15,14 +15,14 @@ L^q factor by synthesis to a spatial box.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .abelian import (AbelianField, abelian_forward, abelian_homogeneous_norm)
-from .spectral import (AbelianSymbol, SpectralField, homogeneous_sobolev_norm)
+from .spectral import (AbelianSymbol, SpectralField, _csv_bytes,
+                       homogeneous_sobolev_norm)
 from .transform import SpatialGrid, synthesize_on_grid
 
 __all__ = [
@@ -230,9 +230,7 @@ def empirical_constant(family, exps, trials: int,
 
 def write_ratio_csv(reports, path: str):
     """One row per report; floats use shortest round-trip formatting."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["descriptor", "s", "ratio", "lq", "sobolev", "lp"])
-        for rep in reports:
-            writer.writerow([rep.descriptor, repr(rep.s), repr(rep.ratio),
-                             repr(rep.lq), repr(rep.sobolev), repr(rep.lp)])
+    rows = [(rep.descriptor, rep.s, rep.ratio, rep.lq, rep.sobolev, rep.lp)
+            for rep in reports]
+    with open(path, "wb") as fh:
+        fh.write(_csv_bytes(("descriptor", "s", "ratio", "lq", "sobolev", "lp"), rows))

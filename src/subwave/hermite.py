@@ -23,18 +23,13 @@ __all__ = [
 ]
 
 
-def hermite_function_table(order: int, w) -> np.ndarray:
-    """Table of psi_0..psi_{order-1} at the points w.
+def _normalized_recurrence(order: int, w: np.ndarray, row0) -> np.ndarray:
+    """Rows 0..order-1 of the normalized three-term recurrence from row0.
 
-    Returns an array of shape w.shape + (order,).  Uses the recurrence
-
-        psi_{m+1} = sqrt(2/(m+1)) w psi_m - sqrt(m/(m+1)) psi_{m-1}
+        r_{m+1} = sqrt(2/(m+1)) w r_m - sqrt(m/(m+1)) r_{m-1}
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    w = np.asarray(w, dtype=float)
     out = np.empty(w.shape + (order,))
-    out[..., 0] = np.pi ** (-0.25) * np.exp(-0.5 * w * w)
+    out[..., 0] = row0
     if order > 1:
         out[..., 1] = np.sqrt(2.0) * w * out[..., 0]
     for m in range(1, order - 1):
@@ -43,6 +38,14 @@ def hermite_function_table(order: int, w) -> np.ndarray:
             - np.sqrt(m / (m + 1.0)) * out[..., m - 1]
         )
     return out
+
+
+def hermite_function_table(order: int, w) -> np.ndarray:
+    """Table of psi_0..psi_{order-1} at the points w, shape w.shape + (order,)."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    w = np.asarray(w, dtype=float)
+    return _normalized_recurrence(order, w, np.pi ** (-0.25) * np.exp(-0.5 * w * w))
 
 
 def hermite_function(m: int, w) -> np.ndarray:
@@ -62,17 +65,7 @@ def hermite_polynomial_table(order: int, w) -> np.ndarray:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    w = np.asarray(w, dtype=float)
-    out = np.empty(w.shape + (order,))
-    out[..., 0] = np.pi ** (-0.25)
-    if order > 1:
-        out[..., 1] = np.sqrt(2.0) * w * out[..., 0]
-    for m in range(1, order - 1):
-        out[..., m + 1] = (
-            np.sqrt(2.0 / (m + 1)) * w * out[..., m]
-            - np.sqrt(m / (m + 1.0)) * out[..., m - 1]
-        )
-    return out
+    return _normalized_recurrence(order, np.asarray(w, dtype=float), np.pi ** (-0.25))
 
 
 def gauss_hermite_rule(count: int):

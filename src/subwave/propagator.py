@@ -22,21 +22,19 @@ derivative are
 
 from __future__ import annotations
 
-import csv
 import enum
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralField, l2_norm, sobolev_norm
+from .spectral import SpectralField, _csv_bytes, l2_norm, sobolev_norm
 
 __all__ = [
     "Regime",
     "DampedModeParams",
     "classify_regime",
     "propagate_mode",
-    "duhamel_kernel",
     "decay_rate",
     "evolve_linear",
     "LinearTrajectory",
@@ -124,31 +122,33 @@ def _sc_factors(delta, t):
     return S, C
 
 
+def _mode_factors(total, b, t):
+    """(A0, A1, D0, D1) with u(t) = A0 u0 + A1 u1 and u'(t) = D0 u0 + D1 u1.
+
+    total = omega^2 + m broadcasts against t.  This is the one place where
+    the envelope e^{-bt/2} is combined with S and C.
+    """
+    S, C = _sc_factors(total - 0.25 * b * b, t)
+    env = np.exp(-0.5 * b * t)
+    half_b = 0.5 * b
+    return (env * (C + half_b * S), env * S,
+            env * (-total * S), env * (C - half_b * S))
+
+
 def propagate_mode(params: DampedModeParams, u0, u1, t):
     """Closed-form mode solution: returns (value, derivative) at time t.
 
     Inputs broadcast; complex data is propagated componentwise since the ODE
-    is real-linear.
+    is real-linear.  With u0 = 0 this is the Duhamel kernel: the response to
+    unit impulse data (0, u1).
     """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("propagation time must be non-negative")
+    A0, A1, D0, D1 = _mode_factors(params.total, params.b, t)
     u0 = np.asarray(u0)
     u1 = np.asarray(u1)
-    S, C = _sc_factors(params.delta, t)
-    env = np.exp(-0.5 * params.b * t)
-    half_b = 0.5 * params.b
-    value = env * ((C + half_b * S) * u0 + S * u1)
-    deriv = env * (-params.total * S * u0 + (C - half_b * S) * u1)
-    return value, deriv
-
-
-def duhamel_kernel(params: DampedModeParams, g, t):
-    """Response at time t to unit impulse data (0, g): the Duhamel kernel.
-
-    Equals propagate_mode with u0 = 0, u1 = g; returned as (value, derivative).
-    """
-    return propagate_mode(params, np.zeros_like(np.asarray(g)), g, t)
+    return A0 * u0 + A1 * u1, D0 * u0 + D1 * u1
 
 
 def decay_rate(b: float, m: float) -> float:
@@ -182,23 +182,6 @@ class LinearTrajectory:
             raise ValueError("times and field lists must have equal length")
 
 
-def _mode_factors(grid, provider, b, m, t):
-    """(value, derivative) linear-combination factors per (node, k) at time t.
-
-    Returns the four arrays (A0, A1, D0, D1) with
-    u(t) = A0 u0 + A1 u1 and u'(t) = D0 u0 + D1 u1.
-    """
-    omega2 = provider.values(grid)
-    delta = (omega2 + m) - 0.25 * b * b
-    S, C = _sc_factors(delta, t)
-    env = np.exp(-0.5 * b * t)
-    A0 = env * (C + 0.5 * b * S)
-    A1 = env * S
-    D0 = env * (-(omega2 + m) * S)
-    D1 = env * (C - 0.5 * b * S)
-    return A0, A1, D0, D1
-
-
 def evolve_linear(u0: SpectralField, u1: SpectralField, b: float, m: float,
                   provider, times) -> LinearTrajectory:
     """Evolve Cauchy data modewise through the closed-form propagator."""
@@ -211,11 +194,12 @@ def evolve_linear(u0: SpectralField, u1: SpectralField, b: float, m: float,
     if np.any(times < 0):
         raise ValueError("sample times must be non-negative")
     grid = u0.grid
+    total = (provider.values(grid) + m)[:, :, None]
     fields, derivs = [], []
     for t in times:
-        A0, A1, D0, D1 = _mode_factors(grid, provider, b, m, float(t))
-        val = A0[:, :, None] * u0.coefficients + A1[:, :, None] * u1.coefficients
-        der = D0[:, :, None] * u0.coefficients + D1[:, :, None] * u1.coefficients
+        A0, A1, D0, D1 = _mode_factors(total, b, float(t))
+        val = A0 * u0.coefficients + A1 * u1.coefficients
+        der = D0 * u0.coefficients + D1 * u1.coefficients
         fields.append(SpectralField(grid, val))
         derivs.append(SpectralField(grid, der))
     return LinearTrajectory(times=times, fields=fields, derivatives=derivs, b=b, m=m)
@@ -280,11 +264,7 @@ def export_trajectory_csv(traj: LinearTrajectory, provider, s_values, path: str)
     delta0 = decay_rate(traj.b, traj.m)
     s_values = list(s_values)
     header = ["t", "l2"] + [f"h{s:g}" for s in s_values] + ["envelope"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, t in enumerate(traj.times):
-            row = [repr(float(t)), repr(float(l2_norm(traj.fields[i])))]
-            row += [repr(float(sobolev_norm(traj.fields[i], provider, s))) for s in s_values]
-            row.append(repr(float(np.exp(-delta0 * t))))
-            writer.writerow(row)
+    rows = [[t, l2_norm(f)] + [sobolev_norm(f, provider, s) for s in s_values]
+            + [np.exp(-delta0 * t)] for t, f in zip(traj.times, traj.fields)]
+    with open(path, "wb") as fh:
+        fh.write(_csv_bytes(header, rows))

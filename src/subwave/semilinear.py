@@ -14,6 +14,17 @@ the inverse FFT, with the tuple U = (u, R^{1/nu}u, ...) built from spectral
 multipliers).  Divergence is declared against a threshold proportional to
 the Z norm of the linear part, mirroring the contraction-ball radius
 L = r * C1 * (data norm) with r = 2 and C1 measured, not assumed.
+
+The solver sees a backend only through a model object, built from the
+state's type by `_make_model`, which works on raw coefficient arrays c:
+
+    factors(t)       closed-form (A0, A1, D0, D1): u(t) = A0 u0 + A1 u1,
+                     u'(t) = D0 u0 + D1 u1
+    l2(c)            L^2 norm
+    sobolev(c, s)    inhomogeneous norm with multiplier (1 + R)^{2s/nu}
+    frac(c, j)       homogeneous seminorm ||R^{j/nu} u||_{L^2}
+    nonlinearity(c, nl, strict)   coefficients of f(u)
+    wrap(c)          c as the backend's field type
 """
 
 from __future__ import annotations
@@ -27,15 +38,16 @@ import numpy as np
 from .abelian import (
     AbelianCoefficients,
     AbelianField,
+    _symbol_norm,
     abelian_forward,
-    abelian_homogeneous_norm,
     abelian_inverse,
     abelian_l2_norm,
     symbol_on_grid,
 )
-from .propagator import LinearTrajectory, _mode_factors, _sc_factors
+from .propagator import LinearTrajectory, _mode_factors
 from .spectral import (
     SpectralField,
+    SubLaplacianSymbol,
     homogeneous_sobolev_norm,
     l2_norm,
     sobolev_norm,
@@ -192,18 +204,29 @@ class PicardDiagnostics:
 # array plus a model object that knows factors, norms, and the nonlinearity
 
 
-class _HeisenbergModel:
-    def __init__(self, grid, provider, b, m, synth):
+class _Model:
+    """What both backends share: the symbol, evaluated once as total = R + m,
+    feeds the closed-form factors, and the data norm is H^{nu/2} x L^2."""
+
+    def __init__(self, grid, provider, b, total):
         self.grid = grid
         self.provider = provider
-        self.b = float(b)
-        self.m = float(m)
-        self.synth = synth
         self.nu = provider.nu
+        self.b = float(b)
+        self.total = total
 
     def factors(self, t):
-        A0, A1, D0, D1 = _mode_factors(self.grid, self.provider, self.b, self.m, t)
-        return (A0[:, :, None], A1[:, :, None], D0[:, :, None], D1[:, :, None])
+        return _mode_factors(self.total, self.b, t)
+
+    def data_norm(self, c0, c1):
+        return self.sobolev(c0, 0.5 * self.nu) + self.l2(c1)
+
+
+class _HeisenbergModel(_Model):
+    def __init__(self, grid, provider, b, m, synth):
+        super().__init__(grid, provider, b,
+                         (provider.values(grid) + float(m))[:, :, None])
+        self.synth = synth
 
     def wrap(self, c):
         return SpectralField(self.grid, c)
@@ -211,11 +234,11 @@ class _HeisenbergModel:
     def l2(self, c):
         return l2_norm(self.wrap(c))
 
+    def sobolev(self, c, s):
+        return sobolev_norm(self.wrap(c), self.provider, s)
+
     def frac(self, c, j):
         return homogeneous_sobolev_norm(self.wrap(c), self.provider, float(j))
-
-    def data_norm(self, c0, c1):
-        return sobolev_norm(self.wrap(c0), self.provider, 0.5 * self.nu) + self.l2(c1)
 
     def nonlinearity(self, c, nl, strict: bool = True):
         if not c.any():
@@ -225,23 +248,10 @@ class _HeisenbergModel:
                                   boundary_limit=limit).coefficients
 
 
-class _AbelianModel:
+class _AbelianModel(_Model):
     def __init__(self, grid, symbol, b, m):
-        self.grid = grid
-        self.symbol = symbol
-        self.b = float(b)
-        self.m = float(m)
-        self.nu = symbol.nu
         self.sym_vals = symbol_on_grid(grid, symbol)
-        self._delta = self.sym_vals + self.m - 0.25 * self.b * self.b
-
-    def factors(self, t):
-        S, C = _sc_factors(self._delta, t)
-        env = np.exp(-0.5 * self.b * t)
-        half_b = 0.5 * self.b
-        total = self.sym_vals + self.m
-        return (env * (C + half_b * S), env * S,
-                env * (-total * S), env * (C - half_b * S))
+        super().__init__(grid, symbol, b, self.sym_vals + float(m))
 
     def wrap(self, c):
         return AbelianCoefficients(self.grid, c)
@@ -249,13 +259,11 @@ class _AbelianModel:
     def l2(self, c):
         return abelian_l2_norm(self.wrap(c))
 
-    def frac(self, c, j):
-        return abelian_homogeneous_norm(self.wrap(c), self.symbol, float(j))
+    def sobolev(self, c, s):
+        return _symbol_norm(self.wrap(c), self.sym_vals, self.nu, s, mass=1.0)
 
-    def data_norm(self, c0, c1):
-        mult = (1.0 + self.sym_vals)
-        h = float(np.sqrt(np.sum(mult * np.abs(c0) ** 2) / self.grid.volume))
-        return h + self.l2(c1)
+    def frac(self, c, j):
+        return _symbol_norm(self.wrap(c), self.sym_vals, self.nu, float(j))
 
     def nonlinearity(self, c, nl, strict: bool = True):
         if not c.any():
@@ -275,12 +283,18 @@ class _AbelianModel:
         return abelian_forward(AbelianField(self.grid, out)).values
 
 
-def _make_model(u0, provider, b, m, synth):
-    if isinstance(u0, SpectralField):
-        return _HeisenbergModel(u0.grid, provider, b, m, synth), u0.coefficients
-    if isinstance(u0, AbelianCoefficients):
-        return _AbelianModel(u0.grid, provider, b, m), u0.values
-    raise TypeError(f"unsupported state type {type(u0).__name__}")
+def _make_model(state, provider, b, m, synth=None):
+    """The backend model for a state's type.  provider defaults to the
+    sub-Laplacian on the Heisenberg backend; abelian states need one."""
+    if isinstance(state, SpectralField):
+        if provider is None:
+            provider = SubLaplacianSymbol(power=1)
+        return _HeisenbergModel(state.grid, provider, b, m, synth)
+    if isinstance(state, AbelianCoefficients):
+        if provider is None:
+            raise ValueError("abelian trajectories need an explicit symbol provider")
+        return _AbelianModel(state.grid, provider, b, m)
+    raise TypeError(f"unsupported state type {type(state).__name__}")
 
 
 def _coeffs(state):
@@ -336,47 +350,57 @@ def _uniform_step(times: np.ndarray) -> float:
     return float(steps[0])
 
 
+def _duhamel_sum(val, der, i, stride, h, sources, lag_A1, lag_D1):
+    """Add the composite-trapezoid Duhamel sum at sample i to val and der.
+
+    The nodes are samples 0, stride, ..., i of a uniform grid of step h;
+    sources[j] holds f(u) at sample j, and lag_A1[l], lag_D1[l] hold the
+    factors A1, D1 at a lag of l samples.  val and der are updated in place;
+    der is skipped when it is None.  i must be a multiple of stride.
+    """
+    if i == 0:
+        return
+    hh = h * stride
+    for j in range(0, i + 1, stride):
+        w = hh if 0 < j < i else 0.5 * hh
+        val += w * lag_A1[i - j] * sources[j]
+        if der is not None:
+            der += w * lag_D1[i - j] * sources[j]
+
+
 def duhamel_step(source_history, b, m, provider, t, stride: int = 1):
-    """Composite-trapezoid Duhamel integral of a spectral source history.
+    """Composite-trapezoid Duhamel integral of a source history.
 
     source_history is a LinearTrajectory whose fields hold f(u(s)) at the
-    uniform sample times; t must coincide with one of them.  Returns a
-    DuhamelResult carrying the value, its time derivative, and a Richardson
-    half-step error estimate (nan when fewer than two strides fit).
+    uniform sample times; t must coincide with one of them, and with every
+    stride-th one.  Returns a DuhamelResult carrying the value, its time
+    derivative, and a Richardson error estimate against the quadrature with
+    twice the stride (nan when that stride does not reach t).
     """
     times = np.asarray(source_history.times, dtype=float)
     h = _uniform_step(times)
     idx = int(np.argmin(np.abs(times - t)))
     if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
         raise ValueError(f"time {t} is not on the source history grid")
-    grid = source_history.fields[0].grid
-    model = _HeisenbergModel(grid, provider, b, m, None)
+    if idx % stride:
+        raise ValueError(f"time {t} is sample {idx}, not a multiple of stride {stride}")
+    model = _make_model(source_history.fields[0], provider, b, m)
+    sources = [_coeffs(f) for f in source_history.fields]
+    lag_A1, lag_D1 = [], []
+    for l in range(idx + 1):
+        _, A1, _, D1 = model.factors(float(times[idx] - times[idx - l]))
+        lag_A1.append(A1)
+        lag_D1.append(D1)
 
-    def integrate(step_stride):
-        js = list(range(0, idx + 1, step_stride))
-        if js[-1] != idx:
-            return None, None
-        hh = h * step_stride
-        val = np.zeros(grid.field_shape(), dtype=complex)
-        der = np.zeros(grid.field_shape(), dtype=complex)
-        for j in js:
-            w = hh if 0 < j < idx else 0.5 * hh
-            if idx == 0:
-                w = 0.0
-            _, A1, _, D1 = model.factors(float(times[idx] - times[j]))
-            src = source_history.fields[j].coefficients
-            val += w * A1 * src
-            der += w * D1 * src
-        return val, der
-
-    val, der = integrate(stride)
+    val = np.zeros_like(sources[0])
+    der = np.zeros_like(sources[0])
+    _duhamel_sum(val, der, idx, stride, h, sources, lag_A1, lag_D1)
     rich = float("nan")
-    if idx >= 2 and idx % 2 == 0:
-        val2, _ = integrate(2 * stride)
-        if val2 is not None:
-            diff = l2_norm(SpectralField(grid, val - val2))
-            rich = diff / 3.0
-    return DuhamelResult(SpectralField(grid, val), SpectralField(grid, der), rich)
+    if idx >= 2 * stride and idx % (2 * stride) == 0:
+        val2 = np.zeros_like(sources[0])
+        _duhamel_sum(val2, None, idx, 2 * stride, h, sources, lag_A1, lag_D1)
+        rich = model.l2(val - val2) / 3.0
+    return DuhamelResult(model.wrap(val), model.wrap(der), rich)
 
 
 def _znorm_arrays(model, znorm, values, derivs, times):
@@ -400,19 +424,10 @@ def z_norm(trajectory, znorm: ZNormConfig, provider=None) -> float:
     provider defaults to the symbol the trajectory's fields were built with;
     it must be passed for fractional seminorms (and is required for abelian
     trajectories, whose fields carry no symbol)."""
-    times = np.asarray(trajectory.times, dtype=float)
-    first = trajectory.fields[0]
-    if isinstance(first, SpectralField):
-        if provider is None:
-            from .spectral import SubLaplacianSymbol
-            provider = SubLaplacianSymbol(power=1)
-        model = _HeisenbergModel(first.grid, provider, 1.0, 0.0, None)
-    else:
-        if provider is None:
-            raise ValueError("abelian trajectories need an explicit symbol provider")
-        model = _AbelianModel(first.grid, provider, 1.0, 0.0)
+    model = _make_model(trajectory.fields[0], provider, trajectory.b, trajectory.m)
     values = [_coeffs(f) for f in trajectory.fields]
     derivs = [_coeffs(f) for f in trajectory.derivatives]
+    times = np.asarray(trajectory.times, dtype=float)
     return _znorm_arrays(model, znorm, values, derivs, times)
 
 
@@ -430,8 +445,8 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
         raise ValueError("damping must be positive")
     if m < 0:
         raise ValueError("mass must be non-negative")
-    model, c0 = _make_model(u0, provider, b, m, synth)
-    c1 = _coeffs(u1)
+    model = _make_model(u0, provider, b, m, synth)
+    c0, c1 = _coeffs(u0), _coeffs(u1)
     if isinstance(model, _HeisenbergModel) and nl is not None and synth is None:
         raise ValueError("nonlinear Heisenberg runs need a synthesis grid")
     times = np.asarray(znorm.sample_times, dtype=float)
@@ -487,18 +502,10 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
     status = PicardStatus.MAX_ITER
     for it in range(1, max_iter + 1):
         sources = source_sweep(cur_val)
-        new_val, new_der = [], []
+        new_val = [v.copy() for v in lin_val]
+        new_der = [d.copy() for d in lin_der]
         for i in range(H):
-            val = lin_val[i].copy()
-            der = lin_der[i].copy()
-            if i > 0:
-                for j in range(i + 1):
-                    w = h if 0 < j < i else 0.5 * h
-                    lag = i - j
-                    val += w * lag_A1[lag] * sources[j]
-                    der += w * lag_D1[lag] * sources[j]
-            new_val.append(val)
-            new_der.append(der)
+            _duhamel_sum(new_val[i], new_der[i], i, 1, h, sources, lag_A1, lag_D1)
         inc = _znorm_arrays(model, znorm,
                             [nv - cv for nv, cv in zip(new_val, cur_val)],
                             [nd - cd for nd, cd in zip(new_der, cur_der)], times)
@@ -521,15 +528,10 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
     # Richardson half-step estimate of the Duhamel quadrature at the horizon
     if status is PicardStatus.CONVERGED and (H - 1) >= 2 and (H - 1) % 2 == 0:
         sources = source_sweep(cur_val)
-        i = H - 1
         acc_h = np.zeros_like(cur_val[0])
         acc_2h = np.zeros_like(cur_val[0])
-        for j in range(i + 1):
-            w = h if 0 < j < i else 0.5 * h
-            acc_h += w * lag_A1[i - j] * sources[j]
-        for j in range(0, i + 1, 2):
-            w = 2 * h if 0 < j < i else h
-            acc_2h += w * lag_A1[i - j] * sources[j]
+        _duhamel_sum(acc_h, None, H - 1, 1, h, sources, lag_A1, lag_D1)
+        _duhamel_sum(acc_2h, None, H - 1, 2, h, sources, lag_A1, lag_D1)
         diagnostics.quadrature_error = model.l2(acc_h - acc_2h) / 3.0
     return wrap_traj(cur_val, cur_der), diagnostics
 
@@ -594,16 +596,7 @@ def verify_semilinear_decay(trajectory, b, m, provider=None) -> SemilinearDecayR
     samples; passed means all three are negative.
     """
     times = np.asarray(trajectory.times, dtype=float)
-    first = trajectory.fields[0]
-    if isinstance(first, SpectralField):
-        if provider is None:
-            from .spectral import SubLaplacianSymbol
-            provider = SubLaplacianSymbol(power=1)
-        model = _HeisenbergModel(first.grid, provider, b, m, None)
-    else:
-        if provider is None:
-            raise ValueError("abelian trajectories need an explicit symbol provider")
-        model = _AbelianModel(first.grid, provider, b, m)
+    model = _make_model(trajectory.fields[0], provider, b, m)
     half = model.nu / 2.0
     series = {
         "l2": np.array([model.l2(_coeffs(f)) for f in trajectory.fields]),

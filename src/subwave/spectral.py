@@ -14,7 +14,9 @@ and stored on the grid, entering every quadrature weight.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -247,15 +249,6 @@ class AbelianSymbol:
         return np.tensordot(xi ** self.order, self.coefficients, axes=([-1], [0]))
 
 
-def symbol_value(provider, lam_or_xi, k=None):
-    """Single symbol evaluation for either provider flavor."""
-    if isinstance(provider, SubLaplacianSymbol):
-        if k is None:
-            raise ValueError("Hermite multi-index required for the sub-Laplacian symbol")
-        return provider.value(lam_or_xi, k)
-    return float(provider.value_at(np.asarray(lam_or_xi, dtype=float)))
-
-
 def _squared_mass(field: SpectralField, multiplier: np.ndarray | None = None) -> float:
     c2 = np.abs(field.coefficients) ** 2
     if multiplier is not None:
@@ -300,6 +293,25 @@ def weighted_inner(f: SpectralField, g: SpectralField) -> complex:
     f._check_compatible(g)
     prods = np.sum(np.conj(f.coefficients) * g.coefficients, axis=(1, 2))
     return complex(np.sum(f.grid.weights * prods))
+
+
+def _csv_bytes(header, rows) -> bytes:
+    """The package's one CSV format: a header row, floats as their shortest
+    round-trip repr, LF line ends, UTF-8."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def _fmt(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, np.integer):
+        return str(int(value))
+    return str(value)
 
 
 def save_spectral_field(field: SpectralField, path: str):

@@ -176,6 +176,15 @@ def test_evolve_semilinear_abelian(tmp_path):
     assert lines[0].startswith("iteration")
 
 
+def test_abelian_run_rejects_non_gaussian_data(tmp_path, capsys):
+    cfg = write_config(tmp_path, SEMILINEAR_CONFIG | {"data": {"kind": "packet"}})
+    code = main(["evolve-semilinear", "--config", cfg, "--out",
+                 str(tmp_path / "out")])
+    assert code == 2
+    assert "data.kind" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_manifest_records_run_metadata(tmp_path):
     cfg = write_config(tmp_path, LINEAR_CONFIG)
     out = tmp_path / "out"

@@ -289,3 +289,4 @@ def test_write_ratio_csv_round_trips(tmp_path, r3_exponents):
     for row, rep in zip(rows, reports):
         assert row["descriptor"] == rep.descriptor
         assert float(row["ratio"]) == rep.ratio
+    assert b"\r" not in path.read_bytes()

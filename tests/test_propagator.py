@@ -10,7 +10,6 @@ from subwave.propagator import (
     Regime,
     classify_regime,
     decay_rate,
-    duhamel_kernel,
     evolve_linear,
     export_trajectory_csv,
     propagate_mode,
@@ -97,13 +96,14 @@ def test_regime_continuity_at_critical_threshold():
 
 
 def test_duhamel_kernel_is_impulse_response():
+    # the Duhamel kernel is propagate_mode with data (0, g)
     p = DampedModeParams(0.9, 0.2, 4.0)
     g = 1.7
-    for t in (0.0, 0.6, 3.2):
-        kv, kd = duhamel_kernel(p, g, t)
-        pv, pd = propagate_mode(p, 0.0, g, t)
-        assert kv == pytest.approx(pv, abs=0.0)
-        assert kd == pytest.approx(pd, abs=0.0)
+    ts = np.array([0.0, 0.6, 3.2])
+    ref = ode_solution(p, 0.0, g, ts[-1], t_eval=ts)
+    kv, kd = propagate_mode(p, 0.0, g, ts)
+    assert np.allclose(kv, ref.y[0], rtol=1e-8, atol=1e-10)
+    assert np.allclose(kd, ref.y[1], rtol=1e-8, atol=1e-10)
 
 
 def test_duhamel_kernel_integrates_constant_source():
@@ -113,7 +113,7 @@ def test_duhamel_kernel_integrates_constant_source():
     g = 0.85
     t_end = 4.0
     s = np.linspace(0.0, t_end, 4001)
-    kernel_vals = np.array([duhamel_kernel(p, g, t_end - sj)[0] for sj in s])
+    kernel_vals = np.array([propagate_mode(p, 0.0, g, t_end - sj)[0] for sj in s])
     integral = np.trapezoid(kernel_vals, s)
     a0, _ = propagate_mode(p, 1.0, 0.0, t_end)
     closed = (g / p.total) * (1.0 - a0)
@@ -250,3 +250,4 @@ def test_export_trajectory_csv(tmp_path, grid):
     assert len(lines) == 8
     first = [float(tok) for tok in lines[1].split(",")]
     assert first[0] == 0.0 and first[-1] == 1.0
+    assert b"\r" not in path.read_bytes()

@@ -11,10 +11,13 @@ from subwave.abelian import (
     abelian_forward,
     abelian_from_function,
     abelian_l2_norm,
+    symbol_on_grid,
 )
 from subwave.propagator import (
     DampedModeParams,
     LinearTrajectory,
+    Regime,
+    classify_regime,
     decay_rate,
     evolve_linear,
     propagate_mode,
@@ -182,6 +185,11 @@ def test_duhamel_step_constant_source():
     coarse_err = abs(got - closed)
     # composite trapezoid halves the step: error drops about fourfold
     assert coarse_err / max(fine_err, 1e-18) == pytest.approx(4.0, rel=0.3)
+    # stride 2 is the same quadrature on every second sample
+    strided = duhamel_step(hist, b, m, sym, 2.0, stride=2)
+    thinned = duhamel_step(single_mode_history(grid, g, times[::2]), b, m, sym, 2.0)
+    assert strided.field.coefficients[0, 0, 0] == pytest.approx(
+        thinned.field.coefficients[0, 0, 0], rel=1e-12)
 
 
 def test_duhamel_step_validation():
@@ -193,6 +201,9 @@ def test_duhamel_step_validation():
     hist = single_mode_history(grid, 1.0, [0.0, 0.5, 1.0])
     with pytest.raises(ValueError, match="grid"):
         duhamel_step(hist, 1.0, 0.0, sym, 0.77)
+    # on the history grid but not on every second sample
+    with pytest.raises(ValueError, match=r"time 0\.5 .*stride 2"):
+        duhamel_step(hist, 1.0, 0.0, sym, 0.5, stride=2)
 
 
 # --------------------------------------------------------------------------
@@ -280,6 +291,46 @@ def test_picard_linear_matches_evolve_linear_exactly(calibrated_grid):
         assert np.array_equal(f.coefficients, g.coefficients)
     for f, g in zip(traj.derivatives, lin.derivatives):
         assert np.array_equal(f.coefficients, g.coefficients)
+
+
+def test_picard_linear_abelian_matches_propagate_mode(rng):
+    # half width pi puts the frequencies on the integers, so with b = 2 and
+    # m = 0 the modes |xi| = 0, 1, > 1 cover all three damping regimes
+    grid = AbelianGrid((np.pi, np.pi), (8, 8))
+    sym = AbelianSymbol(np.ones(2), order=2, radial=True)
+    b, m = 2.0, 0.0
+    u0 = abelian_forward(AbelianField(grid, rng.normal(size=grid.shape)))
+    u1 = abelian_forward(AbelianField(grid, rng.normal(size=grid.shape)))
+    cfg = ZNormConfig(delta=0.5, sample_times=tuple(np.linspace(0.0, 3.0, 7)))
+    traj, _ = picard_solve(u0, u1, None, b, m, sym, cfg)
+    vals = np.array([f.values for f in traj.fields])
+    ders = np.array([d.values for d in traj.derivatives])
+    omega2 = symbol_on_grid(grid, sym)
+    regimes = set()
+    for mode in np.ndindex(grid.shape):
+        p = DampedModeParams(b, m, float(omega2[mode]))
+        regimes.add(classify_regime(p))
+        val, der = propagate_mode(p, u0.values[mode], u1.values[mode], traj.times)
+        scale = abs(u0.values[mode]) + abs(u1.values[mode])
+        at = (slice(None),) + mode
+        assert np.max(np.abs(vals[at] - val)) <= 1e-14 * scale
+        assert np.max(np.abs(ders[at] - der)) <= 1e-14 * scale
+    assert regimes == set(Regime)
+
+
+@pytest.mark.parametrize("backend", ["heisenberg", "abelian"])
+def test_znorm_of_linear_picard_trajectory_is_its_first_z_norm(backend, calibrated_grid):
+    if backend == "heisenberg":
+        shape = calibrated_grid.field_shape()
+        gen = np.random.default_rng(8)
+        u0 = SpectralField(calibrated_grid, gen.normal(size=shape) * 1e-2)
+        u1 = SpectralField(calibrated_grid, gen.normal(size=shape) * 1e-2)
+        sym = SubLaplacianSymbol(power=1)
+    else:
+        _, sym, u0, u1 = abelian_setup(1e-3)
+    cfg = ZNormConfig(delta=0.9, sample_times=tuple(np.linspace(0.0, 4.0, 9)))
+    traj, diag = picard_solve(u0, u1, None, 2.0, 1.0, sym, cfg)
+    assert z_norm(traj, cfg, sym) == diag.z_norms[0]
 
 
 def test_picard_small_data_converges():

@@ -14,7 +14,6 @@ from subwave.spectral import (
     load_spectral_field,
     save_spectral_field,
     sobolev_norm,
-    symbol_value,
     weighted_inner,
 )
 
@@ -90,7 +89,7 @@ def test_sublaplacian_symbol_values(grid):
     sym = SubLaplacianSymbol(power=1)
     assert sym.nu == 2
     assert sym.value(-2.0, (1,)) == pytest.approx(6.0)
-    assert symbol_value(sym, 0.5, (2,)) == pytest.approx(2.5)
+    assert sym.value(0.5, (2,)) == pytest.approx(2.5)
     vals = sym.values(grid)
     assert vals.shape == (16, 5)
     assert np.allclose(vals, np.abs(grid.lambda_nodes)[:, None] * grid.mu_values)
