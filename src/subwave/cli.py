@@ -22,7 +22,7 @@ data          heisenberg: {"kind": "packet", "carrier", "sigma_xy",
                           | {"kind": "modes", "center", "width", "ladder",
                              "scale"}
               abelian, gaussian only: {"kind": "gaussian", "width", "scale"}
-horizon       {"T": 8.0, "samples": 65}
+horizon       {"T": 8.0, "samples": 65}, T > 0, samples an integer >= 2
 nonlinearity  evolve-semilinear only, required: {"type": "power", "mu", "p"}
 znorm         optional {"delta_fraction": 0.999, "weight_exponent": -0.5}
 gn            gn-check only: {"n", "q_values": ["2","8/3",..],
@@ -123,6 +123,24 @@ def _check_section(section, name, required, problems):
             problems.append(f"{name}.{key}: required")
             ok = False
     return ok
+
+
+def _horizon_times(cfg, problems):
+    """Sample times 0..T of the horizon section; None after noting problems."""
+    horizon = cfg["horizon"]
+    if not _check_section(horizon, "horizon", ("T", "samples"), problems):
+        return None
+    T, samples = horizon["T"], horizon["samples"]
+    ok = True
+    if (isinstance(T, bool) or not isinstance(T, (int, float))
+            or not 0 < T < float("inf")):
+        problems.append(f"horizon.T: must be a positive number, got {T!r}")
+        ok = False
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
+        problems.append(
+            f"horizon.samples: must be an integer >= 2, got {samples!r}")
+        ok = False
+    return np.linspace(0.0, float(T), samples) if ok else None
 
 
 def _hash_bytes(data: bytes) -> str:
@@ -249,8 +267,7 @@ def _linear_run(cfg, tol_factor, problems):
     if problems:
         raise ConfigError(problems)
     grid = _build_mode_grid(cfg, problems)
-    horizon = cfg["horizon"]
-    _check_section(horizon, "horizon", ("T", "samples"), problems)
+    times = _horizon_times(cfg, problems)
     if problems:
         raise ConfigError(problems)
     synth = _build_synth(cfg, problems) if cfg.get("synth") else None
@@ -259,7 +276,6 @@ def _linear_run(cfg, tol_factor, problems):
         raise ConfigError(problems)
     u1 = SpectralField.zeros(grid)
     b, m = float(cfg["b"]), float(cfg["m"])
-    times = np.linspace(0.0, float(horizon["T"]), int(horizon["samples"]))
     prov = SubLaplacianSymbol(1)
     traj = evolve_linear(u0, u1, b, m, prov, times)
     d0 = decay_rate(b, m)
@@ -294,15 +310,12 @@ def _semilinear_run(cfg, tol_factor, problems):
         raise ConfigError([f"nonlinearity.type: unknown type {nl_cfg['type']!r}"])
     nl = PowerNonlinearity(float(nl_cfg["mu"]), float(nl_cfg["p"]))
     b, m = float(cfg["b"]), float(cfg["m"])
-    horizon = cfg["horizon"]
-    _check_section(horizon, "horizon", ("T", "samples"), problems)
+    times = _horizon_times(cfg, problems)
     if problems:
         raise ConfigError(problems)
-    times = tuple(np.linspace(0.0, float(horizon["T"]),
-                              int(horizon["samples"])))
     zcfg = cfg.get("znorm") or {}
     delta = decay_rate(b, m) * float(zcfg.get("delta_fraction", 0.999))
-    znorm = ZNormConfig(delta=delta, sample_times=times,
+    znorm = ZNormConfig(delta=delta, sample_times=tuple(times),
                         weight_exponent=float(zcfg.get("weight_exponent", -0.5)))
     kind = cfg["backend"].get("kind")
     if kind == "abelian":
@@ -337,6 +350,9 @@ def _semilinear_run(cfg, tol_factor, problems):
         "ratios": diag.ratios,
         "threshold": diag.threshold,
         "data_norm": diag.data_norm,
+        # the Richardson estimate; null when H - 1 is odd or no convergence
+        "quadrature_error": (float(diag.quadrature_error)
+                             if np.isfinite(diag.quadrature_error) else None),
         "decay_slopes": rep.slopes,
         "passed": passed,
     }

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -172,8 +173,45 @@ def test_evolve_semilinear_abelian(tmp_path):
     results = read_manifest(out)["results"]
     assert results["status"] == "Converged"
     assert results["iterations"] >= 2
+    # 25 samples: 24 steps, so the stride-2 Richardson estimate exists
+    assert math.isfinite(results["quadrature_error"])
+    assert 0 < results["quadrature_error"] < 1e-6
     lines = (out / "evolve-semilinear.csv").read_text().strip().splitlines()
     assert lines[0].startswith("iteration")
+
+
+def test_evolve_semilinear_odd_step_count_has_null_quadrature_error(tmp_path):
+    horizon = {"T": 6.0, "samples": 24}
+    cfg = write_config(tmp_path, SEMILINEAR_CONFIG | {"horizon": horizon})
+    out = tmp_path / "out"
+    assert main(["evolve-semilinear", "--config", cfg, "--out", str(out)]) == 0
+    text = (out / "manifest.json").read_text()
+    assert "NaN" not in text
+    assert json.loads(text)["results"]["quadrature_error"] is None
+
+
+@pytest.mark.parametrize("subcommand, config", [
+    ("evolve-linear", LINEAR_CONFIG),
+    ("evolve-semilinear", SEMILINEAR_CONFIG),
+])
+@pytest.mark.parametrize("horizon, fields", [
+    pytest.param({"T": 2.0, "samples": 1}, ["horizon.samples"], id="one-sample"),
+    pytest.param({"T": 2.0, "samples": 8.5}, ["horizon.samples"], id="fractional"),
+    pytest.param({"T": 2.0, "samples": "9"}, ["horizon.samples"], id="string-samples"),
+    pytest.param({"T": 0.0, "samples": 9}, ["horizon.T"], id="zero-T"),
+    pytest.param({"T": "2", "samples": 9}, ["horizon.T"], id="string-T"),
+    pytest.param({"T": -1.0, "samples": 1}, ["horizon.T", "horizon.samples"],
+                 id="both"),
+])
+def test_malformed_horizon_is_a_config_error(tmp_path, capsys, subcommand,
+                                             config, horizon, fields):
+    cfg = write_config(tmp_path, config | {"horizon": horizon})
+    code = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    for field in fields:
+        assert f"{field}: must be" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_abelian_run_rejects_non_gaussian_data(tmp_path, capsys):

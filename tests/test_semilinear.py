@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from subwave.abelian import (
+    AbelianCoefficients,
     AbelianField,
     AbelianGrid,
     abelian_forward,
@@ -22,6 +23,7 @@ from subwave.propagator import (
     evolve_linear,
     propagate_mode,
 )
+from subwave import semilinear
 from subwave.semilinear import (
     GeneralNonlinearity,
     PicardStatus,
@@ -206,6 +208,58 @@ def test_duhamel_step_validation():
         duhamel_step(hist, 1.0, 0.0, sym, 0.5, stride=2)
 
 
+def direct_trapezoid(sources, times, b, m, omega2, idx, stride):
+    """O(H^2) reference: the composite-trapezoid sum at sample idx, every
+    lag factor evaluated by propagate_mode, one mode at a time."""
+    nodes = np.arange(0, idx + 1, stride)
+    hh = (times[1] - times[0]) * stride
+    w = np.full(nodes.size, hh)
+    w[[0, -1]] = 0.5 * hh
+    src = np.array([sources[j] for j in nodes])
+    val = np.zeros(src.shape[1:], dtype=complex)
+    der = np.zeros_like(val)
+    for mode in np.ndindex(val.shape):
+        p = DampedModeParams(b, m, float(omega2[mode]))
+        a1, d1 = propagate_mode(p, 0.0, 1.0, times[idx] - times[nodes])
+        at = (slice(None),) + mode
+        val[mode] = np.sum(w * a1 * src[at])
+        der[mode] = np.sum(w * d1 * src[at])
+    return val, der
+
+
+@pytest.mark.parametrize("b, m, regimes", [
+    (1.3, 0.7, {Regime.UNDERDAMPED}),
+    # |xi| < 2 overdamped, |xi| = 2 critical, |xi| > 2 underdamped
+    (4.0, 0.0, set(Regime)),
+    # xi = 0 exactly critical, every other mode underdamped
+    (2.0, 1.0, {Regime.CRITICAL, Regime.UNDERDAMPED}),
+])
+def test_duhamel_sweep_matches_direct_trapezoid_sum(b, m, regimes, rng):
+    # half width pi puts the frequencies on the integers
+    grid = AbelianGrid((np.pi,) * 3, (8, 8, 8))
+    sym = AbelianSymbol(np.ones(3), order=2, radial=True)
+    omega2 = symbol_on_grid(grid, sym)
+    assert {classify_regime(DampedModeParams(b, m, float(w)))
+            for w in omega2.ravel()} == regimes
+    times = np.linspace(0.0, 2.0, 33)
+    sources = [rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+               for _ in times]
+    fields = [AbelianCoefficients(grid, s) for s in sources]
+    hist = LinearTrajectory(times, fields, fields, b, m)
+
+    def rel(got, ref):
+        return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+    for stride in (1, 2):
+        out = duhamel_step(hist, b, m, sym, 2.0, stride=stride)
+        val, der = direct_trapezoid(sources, times, b, m, omega2, 32, stride)
+        coarse, _ = direct_trapezoid(sources, times, b, m, omega2, 32, 2 * stride)
+        assert rel(out.field.values, val) <= 1e-12
+        assert rel(out.derivative.values, der) <= 1e-12
+        expected = abelian_l2_norm(AbelianCoefficients(grid, val - coarse)) / 3.0
+        assert out.richardson_error == pytest.approx(expected, rel=1e-12)
+
+
 # --------------------------------------------------------------------------
 # nonlinearity application on the spectral side
 
@@ -347,6 +401,28 @@ def test_picard_small_data_converges():
     report = verify_semilinear_decay(traj, 2.0, 1.0, sym)
     assert report.passed and not report.trivial
     assert all(s < 0 for s in report.slopes.values())
+
+
+def test_picard_factor_work_is_linear_in_samples(monkeypatch):
+    # the Duhamel quadrature evaluates the one-step propagator once per
+    # sweep; per-lag factor tables would make 2H kernel calls
+    calls = []
+    kernel = semilinear._mode_factors
+
+    def counting(total, b, t):
+        calls.append(t)
+        return kernel(total, b, t)
+
+    monkeypatch.setattr(semilinear, "_mode_factors", counting)
+    _, sym, u0, u1 = abelian_setup(1e-3)
+    H = 41
+    cfg = ZNormConfig(delta=0.999 * decay_rate(2.0, 1.0),
+                      sample_times=tuple(np.linspace(0.0, 5.0, H)))
+    _, diag = picard_solve(u0, u1, PowerNonlinearity(1.0, 2.0),
+                           2.0, 1.0, sym, cfg, tol=1e-10)
+    assert diag.status is PicardStatus.CONVERGED
+    assert np.isfinite(diag.quadrature_error)
+    assert len(calls) <= H + diag.iterations + 2
 
 
 def test_picard_validation():
