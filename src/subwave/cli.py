@@ -22,14 +22,17 @@ data          heisenberg: {"kind": "packet", "carrier", "sigma_xy",
                           | {"kind": "modes", "center", "width", "ladder",
                              "scale"}
               abelian, gaussian only: {"kind": "gaussian", "width", "scale"}
-horizon       {"T": 8.0, "samples": 65}, T > 0, samples an integer >= 2
+horizon       {"T": 8.0, "samples": 65}, T > 0, samples an integer >= 2;
+              oracle-compare reads T only
 nonlinearity  evolve-semilinear only, required: {"type": "power", "mu", "p"}
 znorm         optional {"delta_fraction": 0.999, "weight_exponent": -0.5}
 gn            gn-check only: {"n", "q_values": ["2","8/3",..],
                               "tuples": [[Q,a,r,p,q], ..], "random_tuples",
                               "abelian_widths": [..]}
-oracle        oracle-compare only: {"shape": [..], "safety", "tolerance",
-                                    "snapshot_every"}
+oracle        oracle-compare only: {"shape": [nx,ny,nt], "safety",
+                                    "tolerance", "snapshot_every"}; shape three
+              integers >= 4, safety in (0, 1] (default 0.4), tolerance > 0,
+              snapshot_every a positive integer (default max(1, steps // 8))
 seed          integer, default 0 (--seed overrides)
 
 Every run writes <out>/<subcommand>.csv (UTF-8, header row, comma separator,
@@ -107,9 +110,19 @@ def _require(cfg: dict, fields, problems):
     return present
 
 
+def _is_positive_number(v) -> bool:
+    """A finite number > 0; JSON true/false are not numbers."""
+    return (not isinstance(v, bool) and isinstance(v, (int, float))
+            and 0 < v < float("inf"))
+
+
+def _is_integer(v) -> bool:
+    return not isinstance(v, bool) and isinstance(v, int)
+
+
 def _positive(cfg, name, problems):
     v = cfg.get(name)
-    if v is not None and (not isinstance(v, (int, float)) or v <= 0):
+    if v is not None and not _is_positive_number(v):
         problems.append(f"{name}: must be a positive number, got {v!r}")
 
 
@@ -125,22 +138,28 @@ def _check_section(section, name, required, problems):
     return ok
 
 
+def _horizon_T(horizon, problems):
+    """The horizon's end time T, a finite positive number; None after
+    noting a problem."""
+    T = horizon["T"]
+    if not _is_positive_number(T):
+        problems.append(f"horizon.T: must be a positive number, got {T!r}")
+        return None
+    return float(T)
+
+
 def _horizon_times(cfg, problems):
     """Sample times 0..T of the horizon section; None after noting problems."""
     horizon = cfg["horizon"]
     if not _check_section(horizon, "horizon", ("T", "samples"), problems):
         return None
-    T, samples = horizon["T"], horizon["samples"]
-    ok = True
-    if (isinstance(T, bool) or not isinstance(T, (int, float))
-            or not 0 < T < float("inf")):
-        problems.append(f"horizon.T: must be a positive number, got {T!r}")
-        ok = False
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
+    T, samples = _horizon_T(horizon, problems), horizon["samples"]
+    ok = T is not None
+    if not _is_integer(samples) or samples < 2:
         problems.append(
             f"horizon.samples: must be an integer >= 2, got {samples!r}")
         ok = False
-    return np.linspace(0.0, float(T), samples) if ok else None
+    return np.linspace(0.0, T, samples) if ok else None
 
 
 def _hash_bytes(data: bytes) -> str:
@@ -418,13 +437,46 @@ def _gn_check(cfg, rng, problems):
     return header, rows, results, passed
 
 
+def _check_oracle(oracle, problems):
+    """Note a problem for each malformed field of the oracle section and
+    return (shape, tolerance, safety, snapshot_every); snapshot_every is None
+    when absent, since its default depends on the step count."""
+    before = len(problems)
+    shape = oracle["shape"]
+    if (not isinstance(shape, list) or len(shape) != 3
+            or not all(_is_integer(s) and s >= 4 for s in shape)):
+        problems.append(
+            f"oracle.shape: must be three integers >= 4, got {shape!r}")
+    tol = oracle["tolerance"]
+    if not _is_positive_number(tol):
+        problems.append(
+            f"oracle.tolerance: must be a positive number, got {tol!r}")
+    safety = oracle.get("safety", 0.4)
+    if not _is_positive_number(safety) or safety > 1:
+        problems.append(f"oracle.safety: must lie in (0, 1], got {safety!r}")
+    every = oracle.get("snapshot_every")
+    if every is not None and (not _is_integer(every) or every < 1):
+        problems.append(
+            f"oracle.snapshot_every: must be a positive integer, got {every!r}")
+    if len(problems) > before:
+        return None
+    return tuple(shape), float(tol), float(safety), every
+
+
 def _oracle_compare(cfg, tol_factor, problems):
     _require(cfg, ("backend", "grid", "b", "m", "data", "horizon", "oracle"),
              problems)
+    _positive(cfg, "b", problems)
+    _positive(cfg, "m", problems)
     if problems:
         raise ConfigError(problems)
     oracle = cfg["oracle"]
-    _check_section(oracle, "oracle", ("shape", "tolerance"), problems)
+    checked = None
+    if _check_section(oracle, "oracle", ("shape", "tolerance"), problems):
+        checked = _check_oracle(oracle, problems)
+    T = None
+    if _check_section(cfg["horizon"], "horizon", ("T",), problems):
+        T = _horizon_T(cfg["horizon"], problems)
     grid = _build_mode_grid(cfg, problems)
     synth = _build_synth(cfg, problems)
     if problems:
@@ -432,13 +484,14 @@ def _oracle_compare(cfg, tol_factor, problems):
     u0 = _heisenberg_data(cfg, grid, synth, problems)
     if problems:
         raise ConfigError(problems)
+    shape, tol, safety, snap_every = checked
     b, m = float(cfg["b"]), float(cfg["m"])
-    T = float(cfg["horizon"]["T"])
-    fd_grid = SpatialGrid(synth.half_widths, tuple(oracle["shape"]))
-    dt = cfl_limit(fd_grid, float(oracle.get("safety", 0.4)))
+    fd_grid = SpatialGrid(synth.half_widths, shape)
+    dt = cfl_limit(fd_grid, safety)
     steps = int(np.ceil(T / dt))
     dt = T / steps
-    snap_every = int(oracle.get("snapshot_every", max(1, steps // 8)))
+    if snap_every is None:
+        snap_every = max(1, steps // 8)
     u0_fd = synthesize_on_grid(u0, fd_grid)
     v0_fd = SpatialField(fd_grid, np.zeros(fd_grid.shape, dtype=complex))
     fd = run_leapfrog(u0_fd, v0_fd, dt, steps, b, m,
@@ -446,7 +499,7 @@ def _oracle_compare(cfg, tol_factor, problems):
     prov = SubLaplacianSymbol(1)
     traj = evolve_linear(u0, SpectralField.zeros(grid), b, m, prov,
                          fd.snapshot_times)
-    tol = float(oracle["tolerance"]) * tol_factor
+    tol *= tol_factor
     report = compare_with_spectral(traj, fd, fd_grid, horizon=T,
                                    tolerance=tol)
     header = ("time", "relative_l2_discrepancy")

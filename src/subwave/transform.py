@@ -258,11 +258,11 @@ class _TransformPlan:
             self._tables[key] = (hp, hm, wdamp)
         return self._tables[key]
 
-    def phases(self, lam: float, sign: int) -> np.ndarray:
-        """exp(sign * i * gamma(x) * u_i) with shape (rule, Nx)."""
+    def phases(self, lam: float) -> np.ndarray:
+        """exp(-i * gamma(x) * u_i) with shape (rule, Nx)."""
         u = self.rule[0]
         gamma = np.sign(lam) * np.sqrt(abs(lam)) * self.spatial.axis(0)
-        return np.exp(1j * sign * np.outer(u, gamma))
+        return np.exp(-1j * np.outer(u, gamma))
 
 
 _PLAN_CACHE: dict = {}
@@ -311,7 +311,7 @@ def forward_transform(f: SpatialField, grid: ModeGrid,
     out = np.empty(grid.field_shape(), dtype=complex)
     for q, lam in enumerate(grid.lambda_nodes):
         hp, hm, wdamp = plan.tables(lam)
-        ph = plan.phases(lam, -1)
+        ph = plan.phases(lam)
         a = np.tensordot(ph, ft[:, :, q], axes=([1], [0]))  # (rule, Ny)
         wa = wdamp * a
         # f_hat_{kl}: k rides the (u - beta/2) table, l the (u + beta/2) one
@@ -323,26 +323,48 @@ def synthesize_on_grid(F: SpectralField, spatial: SpatialGrid) -> SpatialField:
     """Inverse transform sampled on a full spatial grid.
 
     Sum over lambda nodes of weight * Tr[F(lambda) M(lambda, x)] with the
-    calibrated grid weights.
+    calibrated grid weights.  Nodes with a nonzero block are grouped by
+    |lambda|, which fixes the plan's real Hermite tables and the real phase
+    tables C = cos(u sqrt|lambda| x), S = sin(u sqrt|lambda| x); the phase of
+    a node is C + i sign(lambda) S, so mirrored nodes share both.  Per group,
+    one real matmul contracts the l index against the real and imaginary
+    parts of every block, one einsum the k index, and two real matmuls
+    (C^T and S^T) the quadrature axis; each slab is then assembled with the
+    sign of its lambda.  A node without a mirror is a group of one.
     """
     grid = F.grid
     plan = _plan(grid, spatial)
     t_ax = spatial.axis(2)
+    x = spatial.axis(0)
     nx = spatial.shape[0]
     ny = spatial.shape[1]
-    slabs = np.zeros((grid.node_count, nx, ny), dtype=complex)
+    K = plan.order
+    u = plan.rule[0]
+    groups: dict = {}
     for q, lam in enumerate(grid.lambda_nodes):
-        if not F.coefficients[q].any():
-            continue
-        hp, hm, wdamp = plan.tables(lam)
-        ph = plan.phases(lam, +1)
-        # T[i,y] = sum_{kl} F_{kl} hp[i,y,l] hm[i,y,k]
-        v = np.tensordot(hp, F.coefficients[q], axes=([2], [1]))  # (i, y, k)
-        tiy = np.einsum("iyk,iyk->iy", v, hm)
-        slabs[q] = np.tensordot(ph, wdamp * tiy, axes=([0], [0]))
-    char = np.exp(1j * np.outer(t_ax, grid.lambda_nodes)) * grid.weights[None, :]
-    samples = np.tensordot(slabs, char, axes=([0], [1]))
-    return SpatialField(spatial, samples)
+        if F.coefficients[q].any():
+            groups.setdefault(float(abs(lam)), []).append(q)
+    slabs = np.zeros((nx, ny, grid.node_count), dtype=complex)
+    for key, qs in groups.items():
+        hp, hm, wdamp = plan.tables(key)
+        g = len(qs)
+        blocks = F.coefficients[qs]  # (g, k, l)
+        # rhs[l, (part, j, k)] = Re / Im F_j[k, l]
+        rhs = np.concatenate([blocks.real, blocks.imag]).transpose(2, 0, 1)
+        # T[i, y, (part, j)] = sum_{kl} F_j[k, l] hp[i, y, l] hm[i, y, k]
+        tiy = np.einsum("iypk,iyk->iyp",
+                        (hp.reshape(-1, K) @ rhs.reshape(K, 2 * g * K))
+                        .reshape(*hp.shape[:2], 2 * g, K), hm)
+        tw = (tiy * wdamp[:, :, None]).reshape(len(u), -1)
+        arg = np.outer(u, np.sqrt(key) * x)
+        cx = (np.cos(arg).T @ tw).reshape(nx, ny, 2, g)
+        sx = (np.sin(arg).T @ tw).reshape(nx, ny, 2, g)
+        sign = np.sign(grid.lambda_nodes[qs])
+        slabs[:, :, qs] = (cx[:, :, 0] - sign * sx[:, :, 1]
+                           + 1j * (cx[:, :, 1] + sign * sx[:, :, 0]))
+    char = np.exp(1j * np.outer(grid.lambda_nodes, t_ax)) * grid.weights[:, None]
+    samples = slabs.reshape(nx * ny, -1) @ char
+    return SpatialField(spatial, samples.reshape(nx, ny, -1))
 
 
 def inverse_transform(F: SpectralField, points) -> np.ndarray:

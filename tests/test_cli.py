@@ -50,6 +50,18 @@ CALIBRATE_CONFIG = {
              "sigma_tau": 1.3, "scale": 1.0},
 }
 
+ORACLE_CONFIG = {
+    "backend": {"kind": "heisenberg", "n": 1},
+    "grid": {"lambda_min": 0.3, "lambda_max": 3.0, "nodes": 24, "mu_max": 7.0},
+    "synth": {"half_widths": [5.0, 5.0, 8.5], "shape": [16, 16, 24]},
+    "b": 2.0,
+    "m": 2.0,
+    "data": {"kind": "packet", "carrier": 1.6, "sigma_xy": 0.8,
+             "sigma_tau": 1.35, "scale": 1.0},
+    "horizon": {"T": 0.5},
+    "oracle": {"shape": [16, 16, 24], "tolerance": 0.5},
+}
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -211,6 +223,54 @@ def test_malformed_horizon_is_a_config_error(tmp_path, capsys, subcommand,
     assert code == 2
     for field in fields:
         assert f"{field}: must be" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_oracle_compare_runs_with_defaults(tmp_path):
+    cfg = write_config(tmp_path, ORACLE_CONFIG)
+    out = tmp_path / "out"
+    assert main(["oracle-compare", "--config", cfg, "--out", str(out)]) == 0
+    results = read_manifest(out)["results"]
+    assert results["steps"] * results["dt"] == pytest.approx(0.5)
+    rows = (out / "oracle-compare.csv").read_text().splitlines()
+    # snapshot_every defaults to max(1, steps // 8): every step is compared
+    assert len(rows) == 1 + results["steps"] + 1
+
+
+def _oracle(**fields):
+    return ORACLE_CONFIG | {"oracle": ORACLE_CONFIG["oracle"] | fields}
+
+
+@pytest.mark.parametrize("config, field", [
+    pytest.param(ORACLE_CONFIG | {"horizon": {"T": 0.0}}, "horizon.T",
+                 id="zero-T"),
+    pytest.param(ORACLE_CONFIG | {"horizon": {"T": "0.5"}}, "horizon.T",
+                 id="string-T"),
+    pytest.param(ORACLE_CONFIG | {"b": -1.0}, "b", id="negative-damping"),
+    pytest.param(ORACLE_CONFIG | {"m": "2"}, "m", id="string-mass"),
+    pytest.param(ORACLE_CONFIG | {"b": True}, "b", id="bool-damping"),
+    pytest.param(_oracle(safety=0.0), "oracle.safety", id="zero-safety"),
+    pytest.param(_oracle(safety=1.5), "oracle.safety", id="safety-above-1"),
+    pytest.param(_oracle(snapshot_every=0), "oracle.snapshot_every",
+                 id="zero-snapshot-every"),
+    pytest.param(_oracle(snapshot_every=-2), "oracle.snapshot_every",
+                 id="negative-snapshot-every"),
+    pytest.param(_oracle(snapshot_every=2.5), "oracle.snapshot_every",
+                 id="fractional-snapshot-every"),
+    pytest.param(_oracle(shape=[16, 16]), "oracle.shape", id="two-axes"),
+    pytest.param(_oracle(shape=[3, 16, 24]), "oracle.shape", id="short-axis"),
+    pytest.param(_oracle(shape=[16.5, 16, 24]), "oracle.shape",
+                 id="fractional-shape"),
+    pytest.param(_oracle(tolerance=-0.1), "oracle.tolerance",
+                 id="negative-tolerance"),
+])
+def test_malformed_oracle_config_is_a_config_error(tmp_path, capsys, config,
+                                                   field):
+    cfg = write_config(tmp_path, config)
+    code = main(["oracle-compare", "--config", cfg, "--out",
+                 str(tmp_path / "out")])
+    assert code == 2
+    assert f"{field}: must" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -8,6 +8,7 @@ cells are compared because the scheme truncates with a Dirichlet ring.
 import numpy as np
 import pytest
 
+from subwave import fdoracle
 from subwave.fdoracle import (
     ComparisonReport,
     LeapfrogResult,
@@ -56,6 +57,30 @@ def test_sublaplacian_full_operator_on_polynomial(box):
     lap = apply_sublaplacian(from_function(box, f)).samples
     want = from_function(box, exact).samples
     assert np.allclose(lap[INTERIOR], want[INTERIOR], atol=1e-9)
+
+
+def reference_sublaplacian(f, grid):
+    """The stencil term by term, with one temporary per difference."""
+    hx, hy, ht = grid.spacings
+    x = grid.axis(0)[:, None, None]
+    y = grid.axis(1)[None, :, None]
+    p = np.pad(f, 1)
+    c = p[1:-1, 1:-1, 1:-1]
+    d2x = (p[2:, 1:-1, 1:-1] - 2 * c + p[:-2, 1:-1, 1:-1]) / (hx * hx)
+    d2y = (p[1:-1, 2:, 1:-1] - 2 * c + p[1:-1, :-2, 1:-1]) / (hy * hy)
+    d2t = (p[1:-1, 1:-1, 2:] - 2 * c + p[1:-1, 1:-1, :-2]) / (ht * ht)
+    dyt = (p[1:-1, 2:, 2:] - p[1:-1, 2:, :-2]
+           - p[1:-1, :-2, 2:] + p[1:-1, :-2, :-2]) / (4 * hy * ht)
+    dxt = (p[2:, 1:-1, 2:] - p[2:, 1:-1, :-2]
+           - p[:-2, 1:-1, 2:] + p[:-2, 1:-1, :-2]) / (4 * hx * ht)
+    return d2x + d2y + 0.25 * (x * x + y * y) * d2t + x * dyt - y * dxt
+
+
+def test_sublaplacian_matches_term_by_term_formula(box, rng):
+    f = rng.standard_normal(box.shape) + 1j * rng.standard_normal(box.shape)
+    want = reference_sublaplacian(f, box)
+    got = apply_sublaplacian(SpatialField(box, f)).samples
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_cfl_limit_scales_with_resolution():
@@ -131,6 +156,46 @@ def test_run_leapfrog_bookkeeping():
     with pytest.raises(ValueError, match="different grids"):
         run_leapfrog(u0, SpatialField(other, np.zeros(other.shape)), dt, 5,
                      b=1.0, m=0.0)
+
+
+def test_run_leapfrog_applies_the_stencil_once_per_step(monkeypatch):
+    box = SpatialGrid((3.0, 3.0, 3.0), (16, 16, 16))
+    u0, v0 = gaussian_data(box)
+    calls = []
+
+    def counting(field):
+        calls.append(1)
+        return apply_sublaplacian(field)
+
+    monkeypatch.setattr(fdoracle, "apply_sublaplacian", counting)
+    run_leapfrog(u0, v0, cfl_limit(box, 0.35), 7, b=1.0, m=0.5)
+    assert len(calls) == 7 + 1
+
+
+def test_run_leapfrog_matches_steps_without_shared_stencil():
+    box = SpatialGrid((3.0, 3.0, 3.0), (16, 14, 12))
+    b, m = 1.5, 0.8
+    solution, velocity, source = mms_fields(box, b, m, sigma=0.8)
+    u0, v0 = SpatialField(box, solution(0.0)), SpatialField(box, velocity(0.0))
+    dt, steps = cfl_limit(box, 0.35), 9
+    res = run_leapfrog(u0, v0, dt, steps, b, m, source_fn=source,
+                       snapshot_every=4)
+    # the same scheme with every stencil computed inside the two calls
+    u = u0.samples.copy()
+    acc0 = (apply_sublaplacian(u0).samples - m * u - b * v0.samples
+            + source(0.0))
+    u_prev = u - dt * v0.samples + 0.5 * dt * dt * acc0
+    energy, snaps = [], [u.copy()]
+    for j in range(steps):
+        u_next = step_leapfrog(u, u_prev, dt, b, m, box, source(j * dt))
+        energy.append(staggered_energy(u, u_next, dt, m, box))
+        u_prev, u = u, u_next
+        if (j + 1) % 4 == 0 or j + 1 == steps:
+            snaps.append(u.copy())
+    assert np.array_equal(res.energy_history, np.array(energy))
+    assert len(res.snapshots) == len(snaps)
+    for got, want in zip(res.snapshots, snaps):
+        assert np.array_equal(got.samples, want)
 
 
 def mms_error(shape_1d, b=1.5, m=0.8, t_end=0.4):
