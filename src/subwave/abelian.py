@@ -156,7 +156,7 @@ def abelian_sobolev_norm(coeffs: AbelianCoefficients, symbol: AbelianSymbol,
     if mass < 0:
         raise ValueError("mass must be non-negative")
     vals = symbol_on_grid(coeffs.grid, symbol)
-    return _symbol_norm(coeffs, vals, symbol.nu, s, mass)
+    return _multiplier_norm(coeffs, _norm_multiplier(vals, symbol.nu, s, mass))
 
 
 def abelian_homogeneous_norm(coeffs: AbelianCoefficients, symbol: AbelianSymbol,
@@ -164,14 +164,15 @@ def abelian_homogeneous_norm(coeffs: AbelianCoefficients, symbol: AbelianSymbol,
     """Homogeneous norm with multiplier R(xi)^{2a/nu}; the xi = 0 bin is
     excluded for a > 0 where the multiplier vanishes anyway, and rejected for
     a < 0 where it diverges."""
-    return _symbol_norm(coeffs, symbol_on_grid(coeffs.grid, symbol), symbol.nu, a)
+    vals = symbol_on_grid(coeffs.grid, symbol)
+    return _multiplier_norm(coeffs, _norm_multiplier(vals, symbol.nu, a))
 
 
-def _symbol_norm(coeffs: AbelianCoefficients, vals: np.ndarray, nu: int,
-                 order: float, mass: float | None = None) -> float:
-    """Norm under the multiplier (mass + R)^{2 order/nu}, or R^{2 order/nu}
-    when mass is None; vals holds R on the grid, so callers that keep it
-    skip re-evaluating the symbol."""
+def _norm_multiplier(vals: np.ndarray, nu: int, order: float,
+                     mass: float | None = None) -> np.ndarray:
+    """The multiplier (mass + R)^{2 order/nu}, or R^{2 order/nu} when mass
+    is None, from vals = R on the grid; callers that keep it skip
+    re-evaluating the symbol and the power."""
     if mass is None:
         if order < 0 and np.any(vals == 0):
             raise ValueError("negative homogeneous order is singular at xi = 0")
@@ -180,9 +181,12 @@ def _symbol_norm(coeffs: AbelianCoefficients, vals: np.ndarray, nu: int,
         mult[nz] = vals[nz] ** (2.0 * order / nu)
         if order == 0:
             mult[~nz] = 1.0
-    else:
-        if mass == 0 and np.any(vals == 0):
-            raise ValueError("mass-free multiplier is singular at xi = 0")
-        mult = (mass + vals) ** (2.0 * order / nu)
+        return mult
+    if mass == 0 and np.any(vals == 0):
+        raise ValueError("mass-free multiplier is singular at xi = 0")
+    return (mass + vals) ** (2.0 * order / nu)
+
+
+def _multiplier_norm(coeffs: AbelianCoefficients, mult: np.ndarray) -> float:
     total = np.sum(mult * np.abs(coeffs.values) ** 2) / coeffs.grid.volume
     return float(np.sqrt(total))

@@ -24,8 +24,10 @@ data          heisenberg: {"kind": "packet", "carrier", "sigma_xy",
               abelian, gaussian only: {"kind": "gaussian", "width", "scale"}
 horizon       {"T": 8.0, "samples": 65}, T > 0, samples an integer >= 2;
               oracle-compare reads T only
-nonlinearity  evolve-semilinear only, required: {"type": "power", "mu", "p"}
-znorm         optional {"delta_fraction": 0.999, "weight_exponent": -0.5}
+nonlinearity  evolve-semilinear only, required: {"type": "power", "mu", "p"};
+              mu a finite number, p a finite number > 1
+znorm         optional {"delta_fraction": 0.999, "weight_exponent": -0.5};
+              delta_fraction in (0, 1], weight_exponent a finite number
 gn            gn-check only: {"n", "q_values": ["2","8/3",..],
                               "tuples": [[Q,a,r,p,q], ..], "random_tuples",
                               "abelian_widths": [..]}
@@ -114,6 +116,12 @@ def _is_positive_number(v) -> bool:
     """A finite number > 0; JSON true/false are not numbers."""
     return (not isinstance(v, bool) and isinstance(v, (int, float))
             and 0 < v < float("inf"))
+
+
+def _is_finite_number(v) -> bool:
+    """A finite number; JSON true/false are not numbers."""
+    return (not isinstance(v, bool) and isinstance(v, (int, float))
+            and -float("inf") < v < float("inf"))
 
 
 def _is_integer(v) -> bool:
@@ -314,15 +322,54 @@ def _linear_run(cfg, tol_factor, problems):
     return header, rows, results, passed
 
 
+def _check_power(nl_cfg, problems):
+    """Note a problem for each malformed number of the power nonlinearity."""
+    mu, p = nl_cfg["mu"], nl_cfg["p"]
+    if not _is_finite_number(mu):
+        problems.append(
+            f"nonlinearity.mu: must be a finite number, got {mu!r}")
+    if not _is_finite_number(p) or p <= 1:
+        problems.append(
+            f"nonlinearity.p: must be a finite number > 1, got {p!r}")
+
+
+_ZNORM_DEFAULTS = {"delta_fraction": 0.999, "weight_exponent": -0.5}
+
+
+def _check_znorm(zcfg, problems):
+    """(delta_fraction, weight_exponent) of the optional znorm section, the
+    defaults filling absent keys; None after noting problems."""
+    if zcfg is None:
+        zcfg = {}
+    if not isinstance(zcfg, dict):
+        problems.append(f"znorm: must be an object, got {zcfg!r}")
+        return None
+    before = len(problems)
+    problems.extend(f"znorm.{k}: unknown key"
+                    for k in sorted(set(zcfg) - set(_ZNORM_DEFAULTS)))
+    zcfg = _ZNORM_DEFAULTS | zcfg
+    frac, expo = zcfg["delta_fraction"], zcfg["weight_exponent"]
+    if not _is_positive_number(frac) or frac > 1:
+        problems.append(
+            f"znorm.delta_fraction: must lie in (0, 1], got {frac!r}")
+    if not _is_finite_number(expo):
+        problems.append(
+            f"znorm.weight_exponent: must be a finite number, got {expo!r}")
+    if len(problems) > before:
+        return None
+    return float(frac), float(expo)
+
+
 def _semilinear_run(cfg, tol_factor, problems):
     _require(cfg, ("backend", "b", "m", "data", "horizon", "nonlinearity"),
              problems)
     _positive(cfg, "b", problems)
     _positive(cfg, "m", problems)
     nl_cfg = cfg.get("nonlinearity")
-    if nl_cfg is not None and not _check_section(
+    if nl_cfg is not None and _check_section(
             nl_cfg, "nonlinearity", ("type", "mu", "p"), problems):
-        nl_cfg = None
+        _check_power(nl_cfg, problems)
+    zparams = _check_znorm(cfg.get("znorm"), problems)
     if problems:
         raise ConfigError(problems)
     if nl_cfg["type"] != "power":
@@ -332,10 +379,10 @@ def _semilinear_run(cfg, tol_factor, problems):
     times = _horizon_times(cfg, problems)
     if problems:
         raise ConfigError(problems)
-    zcfg = cfg.get("znorm") or {}
-    delta = decay_rate(b, m) * float(zcfg.get("delta_fraction", 0.999))
-    znorm = ZNormConfig(delta=delta, sample_times=tuple(times),
-                        weight_exponent=float(zcfg.get("weight_exponent", -0.5)))
+    delta_fraction, weight_exponent = zparams
+    znorm = ZNormConfig(delta=decay_rate(b, m) * delta_fraction,
+                        sample_times=tuple(times),
+                        weight_exponent=weight_exponent)
     kind = cfg["backend"].get("kind")
     if kind == "abelian":
         _, symbol, pair = _abelian_setup(cfg, problems)

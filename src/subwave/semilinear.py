@@ -8,6 +8,13 @@ by the semigroup recursion of the one-step propagator (O(H) time, O(N) extra
 memory for N coefficients), measures contraction in a weighted sup-in-time
 Z norm, and exposes the smallness-threshold search.
 
+A Picard solve holds the linear part and one iterate, values and derivatives
+of each: 4H coefficient arrays.  Each sweep streams: the sources f(u_k) are
+made one node at a time as the quadrature pulls them, and as it yields node k
+the new value is formed, its terms and those of its difference to the old
+iterate enter the two Z norms, and it replaces the old iterate at k.  No
+source list, difference list or second iterate is ever held.
+
 Two coefficient backends are supported through one code path: SpectralField
 histories on a Heisenberg mode grid (nonlinearity applied by synthesis to a
 spatial box and re-analysis), and AbelianCoefficients on an FFT grid with a
@@ -27,6 +34,10 @@ state's type by `_make_model`, which works on raw coefficient arrays c:
     frac(c, j)       homogeneous seminorm ||R^{j/nu} u||_{L^2}
     nonlinearity(c, nl, strict)   coefficients of f(u)
     wrap(c)          c as the backend's field type
+
+The abelian model owns its norm multipliers: each (order, mass) multiplier
+is built once, on first use, and serves the norms and the R^{j/nu} factors
+of a GeneralNonlinearity's tuple for the rest of the model's life.
 """
 
 from __future__ import annotations
@@ -41,10 +52,9 @@ import numpy as np
 from .abelian import (
     AbelianCoefficients,
     AbelianField,
-    _symbol_norm,
+    _norm_multiplier,
     abelian_forward,
     abelian_inverse,
-    abelian_l2_norm,
     symbol_on_grid,
 )
 from .propagator import LinearTrajectory, _mode_factors
@@ -252,21 +262,36 @@ class _HeisenbergModel(_Model):
 
 
 class _AbelianModel(_Model):
+    """Norms are Parseval sums over the coefficients; each norm multiplier is
+    built once per (order, mass) and kept for the model's lifetime."""
+
     def __init__(self, grid, symbol, b, m):
         self.sym_vals = symbol_on_grid(grid, symbol)
         super().__init__(grid, symbol, b, self.sym_vals + float(m))
+        self.volume = grid.volume
+        self._mults = {}
+
+    def multiplier(self, order, mass=None):
+        """(mass + R)^{2 order/nu}, or R^{2 order/nu} when mass is None."""
+        key = (float(order), mass)
+        if key not in self._mults:
+            self._mults[key] = _norm_multiplier(self.sym_vals, self.nu, *key)
+        return self._mults[key]
 
     def wrap(self, c):
         return AbelianCoefficients(self.grid, c)
 
     def l2(self, c):
-        return abelian_l2_norm(self.wrap(c))
+        return float(np.sqrt(np.vdot(c, c).real / self.volume))
+
+    def _weighted(self, c, mult):
+        return float(np.sqrt(np.vdot(c, mult * c).real / self.volume))
 
     def sobolev(self, c, s):
-        return _symbol_norm(self.wrap(c), self.sym_vals, self.nu, s, mass=1.0)
+        return self._weighted(c, self.multiplier(s, 1.0))
 
     def frac(self, c, j):
-        return _symbol_norm(self.wrap(c), self.sym_vals, self.nu, float(j))
+        return self._weighted(c, self.multiplier(j))
 
     def nonlinearity(self, c, nl, strict: bool = True):
         if not c.any():
@@ -277,7 +302,8 @@ class _AbelianModel(_Model):
         else:
             comps = []
             for j in range(max(1, (self.nu + 1) // 2)):
-                cj = c if j == 0 else (self.sym_vals ** (j / self.nu)) * c
+                # R^{j/nu} is the multiplier of order j/2
+                cj = c if j == 0 else self.multiplier(0.5 * j) * c
                 comps.append(abelian_inverse(self.wrap(cj)).samples)
             out = nl.callback(tuple(comps))
         out = np.asarray(out, dtype=complex)
@@ -420,19 +446,26 @@ def duhamel_step(source_history, b, m, provider, t, stride: int = 1):
     return DuhamelResult(model.wrap(val), model.wrap(der), rich)
 
 
+def _znorm_node(model, znorm, t, val, der):
+    """(weighted Z-norm terms at time t, L^2 norm of val) for one node."""
+    l2 = model.l2(val)
+    total = l2 if znorm.include_l2 else 0.0
+    for j in znorm.fractional_orders:
+        total += model.frac(val, j)
+    if znorm.include_dt:
+        total += model.l2(der)
+    return znorm.weight(t) * total, l2
+
+
 def _znorm_arrays(model, znorm, values, derivs, times):
-    """Z norm from raw coefficient arrays (values/derivs lists)."""
-    best = 0.0
-    for i, t in enumerate(times):
-        total = 0.0
-        if znorm.include_l2:
-            total += model.l2(values[i])
-        for j in znorm.fractional_orders:
-            total += model.frac(values[i], j)
-        if znorm.include_dt:
-            total += model.l2(derivs[i])
-        best = max(best, znorm.weight(t) * total)
-    return best
+    """Z norm from raw coefficient arrays (values/derivs lists), and the
+    L^2 norm of every value."""
+    best, l2s = 0.0, []
+    for t, val, der in zip(times, values, derivs):
+        z, l2 = _znorm_node(model, znorm, t, val, der)
+        best = max(best, z)
+        l2s.append(l2)
+    return best, l2s
 
 
 def z_norm(trajectory, znorm: ZNormConfig, provider=None) -> float:
@@ -445,7 +478,7 @@ def z_norm(trajectory, znorm: ZNormConfig, provider=None) -> float:
     values = [_coeffs(f) for f in trajectory.fields]
     derivs = [_coeffs(f) for f in trajectory.derivatives]
     times = np.asarray(trajectory.times, dtype=float)
-    return _znorm_arrays(model, znorm, values, derivs, times)
+    return _znorm_arrays(model, znorm, values, derivs, times)[0]
 
 
 def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
@@ -479,7 +512,7 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
         lin_der.append(D0 * c0 + D1 * c1)
 
     data_norm = model.data_norm(c0, c1)
-    z_lin = _znorm_arrays(model, znorm, lin_val, lin_der, times)
+    z_lin, norms = _znorm_arrays(model, znorm, lin_val, lin_der, times)
     c1_const = z_lin / data_norm if data_norm > 0 else 0.0
     threshold = 4.0 * z_lin  # 2 * L with L = 2 * C1 * (data norm) = 2 * Z(u_lin)
 
@@ -496,37 +529,40 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
         diagnostics.increments.append(0.0)
         return wrap_traj(lin_val, lin_der), diagnostics
 
-    def source_sweep(vals):
+    # The iterate is replaced node by node as the sweep yields; the linear
+    # part is never written to, so cur starts out sharing its arrays.
+    cur_val, cur_der = list(lin_val), list(lin_der)
+
+    def sources(l2s):
         # Boundary-decay vetting only matters for fields that carry weight.
         # Entries far below the history peak synthesize to the noise floor,
         # where the relative boundary measure is meaningless; their |u|^p
-        # contribution is below quadrature resolution either way.
-        norms = [model.l2(v) for v in vals]
-        ref = max(norms) if norms else 0.0
-        return [model.nonlinearity(v, nl, strict=(nv >= 1e-2 * ref))
-                for v, nv in zip(vals, norms)]
+        # contribution is below quadrature resolution either way.  The sweep
+        # pulls source k before it yields node k, so f is applied to the
+        # iterate cur_val[k] holds before the loop below replaces it.
+        ref = max(l2s)
+        return (model.nonlinearity(cur_val[k], nl, strict=(nv >= 1e-2 * ref))
+                for k, nv in enumerate(l2s))
 
-    cur_val = [v.copy() for v in lin_val]
-    cur_der = [d.copy() for d in lin_der]
     prev_inc = None
     status = PicardStatus.MAX_ITER
     for it in range(1, max_iter + 1):
-        sources = source_sweep(cur_val)
-        new_val, new_der = [], []
-        for lv, ld, (dv, dd) in zip(lin_val, lin_der,
-                                    _duhamel_sweep(model, h, sources)):
-            new_val.append(lv + dv)
-            new_der.append(ld + dd)
-        inc = _znorm_arrays(model, znorm,
-                            [nv - cv for nv, cv in zip(new_val, cur_val)],
-                            [nd - cd for nd, cd in zip(new_der, cur_der)], times)
-        z_cur = _znorm_arrays(model, znorm, new_val, new_der, times)
+        inc = z_cur = 0.0
+        new_norms = []
+        for k, (dv, dd) in enumerate(_duhamel_sweep(model, h, sources(norms))):
+            new_val, new_der = lin_val[k] + dv, lin_der[k] + dd
+            z_diff, _ = _znorm_node(model, znorm, times[k], new_val - cur_val[k],
+                                    new_der - cur_der[k])
+            z_new, l2 = _znorm_node(model, znorm, times[k], new_val, new_der)
+            inc, z_cur = max(inc, z_diff), max(z_cur, z_new)
+            new_norms.append(l2)
+            cur_val[k], cur_der[k] = new_val, new_der
+        norms = new_norms
         diagnostics.increments.append(inc)
         diagnostics.z_norms.append(z_cur)
         if prev_inc is not None and prev_inc > 0:
             diagnostics.ratios.append(inc / prev_inc)
         prev_inc = inc
-        cur_val, cur_der = new_val, new_der
         diagnostics.iterations = it
         if not np.isfinite(z_cur) or z_cur > threshold:
             status = PicardStatus.DIVERGED
@@ -538,8 +574,7 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
     diagnostics.status = status
     # Richardson half-step estimate of the Duhamel quadrature at the horizon
     if status is PicardStatus.CONVERGED and (H - 1) >= 2 and (H - 1) % 2 == 0:
-        sources = source_sweep(cur_val)
-        diagnostics.quadrature_error = _richardson_error(model, h, sources)
+        diagnostics.quadrature_error = _richardson_error(model, h, sources(norms))
     return wrap_traj(cur_val, cur_der), diagnostics
 
 

@@ -135,12 +135,16 @@ class SpatialField:
 
     def boundary_decay(self) -> float:
         """Max boundary-face magnitude relative to the global max."""
-        s = np.abs(self.samples)
-        peak = s.max()
-        if peak == 0:
-            return 0.0
-        faces = [s[0], s[-1], s[:, 0], s[:, -1], s[:, :, 0], s[:, :, -1]]
-        return float(max(f.max() for f in faces) / peak)
+        return _boundary_ratio(np.abs(self.samples))
+
+
+def _boundary_ratio(mag: np.ndarray) -> float:
+    """Largest boundary-face entry of the magnitudes mag over their max."""
+    peak = mag.max()
+    if peak == 0:
+        return 0.0
+    faces = [mag[0], mag[-1], mag[:, 0], mag[:, -1], mag[:, :, 0], mag[:, :, -1]]
+    return float(max(f.max() for f in faces) / peak)
 
 
 def from_function(grid: SpatialGrid, fn) -> SpatialField:

@@ -274,6 +274,70 @@ def test_malformed_oracle_config_is_a_config_error(tmp_path, capsys, config,
     assert not (tmp_path / "out").exists()
 
 
+def _semilinear(section, **fields):
+    return SEMILINEAR_CONFIG | {section: SEMILINEAR_CONFIG.get(section, {}) | fields}
+
+
+@pytest.mark.parametrize("config, message", [
+    pytest.param(_semilinear("nonlinearity", mu="x"), "nonlinearity.mu: must",
+                 id="string-mu"),
+    pytest.param(_semilinear("nonlinearity", mu=True), "nonlinearity.mu: must",
+                 id="bool-mu"),
+    pytest.param(_semilinear("nonlinearity", mu=float("nan")),
+                 "nonlinearity.mu: must", id="nan-mu"),
+    pytest.param(_semilinear("nonlinearity", p=1.0), "nonlinearity.p: must",
+                 id="p-equal-1"),
+    pytest.param(_semilinear("nonlinearity", p=0.5), "nonlinearity.p: must",
+                 id="p-below-1"),
+    pytest.param(_semilinear("nonlinearity", p=True), "nonlinearity.p: must",
+                 id="bool-p"),
+    pytest.param(_semilinear("nonlinearity", p="2"), "nonlinearity.p: must",
+                 id="string-p"),
+    pytest.param(_semilinear("nonlinearity", p=float("inf")),
+                 "nonlinearity.p: must", id="infinite-p"),
+    pytest.param(SEMILINEAR_CONFIG | {"znorm": [0.5]}, "znorm: must",
+                 id="znorm-not-object"),
+    pytest.param(_semilinear("znorm", delta_fracton=0.5),
+                 "znorm.delta_fracton: unknown key", id="misspelt-znorm-key"),
+    pytest.param(_semilinear("znorm", delta_fraction=0), "znorm.delta_fraction: must",
+                 id="zero-delta-fraction"),
+    pytest.param(_semilinear("znorm", delta_fraction=1.5),
+                 "znorm.delta_fraction: must", id="delta-fraction-above-1"),
+    pytest.param(_semilinear("znorm", delta_fraction=True),
+                 "znorm.delta_fraction: must", id="bool-delta-fraction"),
+    pytest.param(_semilinear("znorm", weight_exponent="x"),
+                 "znorm.weight_exponent: must", id="string-weight-exponent"),
+    pytest.param(_semilinear("znorm", weight_exponent=float("nan")),
+                 "znorm.weight_exponent: must", id="nan-weight-exponent"),
+    pytest.param(_semilinear("znorm", weight_exponent=False),
+                 "znorm.weight_exponent: must", id="bool-weight-exponent"),
+])
+def test_malformed_semilinear_config_is_a_config_error(tmp_path, capsys, config,
+                                                       message):
+    cfg = write_config(tmp_path, config)
+    code = main(["evolve-semilinear", "--config", cfg, "--out",
+                 str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_semilinear_znorm_section_sets_the_z_norm(tmp_path):
+    out = {}
+    for name, znorm in (("default", None),
+                        ("explicit", {"delta_fraction": 0.999,
+                                      "weight_exponent": -0.5}),
+                        ("other", {"delta_fraction": 0.5})):
+        config = SEMILINEAR_CONFIG | ({"znorm": znorm} if znorm else {})
+        out[name] = tmp_path / name
+        assert main(["evolve-semilinear", "--config",
+                     write_config(tmp_path, config, f"{name}.json"),
+                     "--out", str(out[name])]) == 0
+    csv = {k: (v / "evolve-semilinear.csv").read_bytes() for k, v in out.items()}
+    assert csv["explicit"] == csv["default"]
+    assert csv["other"] != csv["default"]
+
+
 def test_abelian_run_rejects_non_gaussian_data(tmp_path, capsys):
     cfg = write_config(tmp_path, SEMILINEAR_CONFIG | {"data": {"kind": "packet"}})
     code = main(["evolve-semilinear", "--config", cfg, "--out",

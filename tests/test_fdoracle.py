@@ -198,6 +198,58 @@ def test_run_leapfrog_matches_steps_without_shared_stencil():
         assert np.array_equal(got.samples, want)
 
 
+def test_run_leapfrog_matches_the_loop_that_wraps_twice_per_step():
+    # the loop as it stood when every step wrapped u for the stencil and
+    # again for boundary_decay, and formed |u| for each of L2 and the flux
+    box = SpatialGrid((3.0, 3.0, 3.0), (16, 14, 12))
+    b, m = 1.5, 0.8
+    solution, velocity, source = mms_fields(box, b, m, sigma=0.8)
+    u0, v0 = SpatialField(box, solution(0.0)), SpatialField(box, velocity(0.0))
+    dt, steps, every = cfl_limit(box, 0.35), 9, 4
+    res = run_leapfrog(u0, v0, dt, steps, b, m, source_fn=source,
+                       snapshot_every=every)
+    vol = box.cell_volume
+    u = u0.samples.copy()
+    acc0 = (apply_sublaplacian(u0).samples - m * u - b * v0.samples
+            + source(0.0))
+    u_prev = u - dt * v0.samples + 0.5 * dt * dt * acc0
+    l2 = [np.sqrt(np.sum(np.abs(u) ** 2) * vol)]
+    energy, snaps = [], [u.copy()]
+    flux = SpatialField(box, u).boundary_decay()
+    for j in range(steps):
+        lap = apply_sublaplacian(SpatialField(box, u)).samples
+        u_next = step_leapfrog(u, u_prev, dt, b, m, box, source(j * dt), lap=lap)
+        energy.append(staggered_energy(u, u_next, dt, m, box, lap=lap))
+        u_prev, u = u, u_next
+        l2.append(np.sqrt(np.sum(np.abs(u) ** 2) * vol))
+        flux = max(flux, SpatialField(box, u).boundary_decay())
+        if (j + 1) % every == 0 or j + 1 == steps:
+            snaps.append(u.copy())
+    assert flux > 0
+    assert res.boundary_flux == flux
+    assert np.array_equal(res.l2_history, np.array(l2))
+    assert np.array_equal(res.energy_history, np.array(energy))
+    assert len(res.snapshots) == len(snaps)
+    for got, want in zip(res.snapshots, snaps):
+        assert np.array_equal(got.samples, want)
+
+
+def test_run_leapfrog_wraps_each_level_once(monkeypatch):
+    box = SpatialGrid((3.0, 3.0, 3.0), (16, 16, 16))
+    u0, v0 = gaussian_data(box)
+    wraps = []
+
+    def counting(grid, samples):
+        wraps.append(1)
+        return SpatialField(grid, samples)
+
+    monkeypatch.setattr(fdoracle, "SpatialField", counting)
+    steps = 7
+    run_leapfrog(u0, v0, cfl_limit(box, 0.35), steps, b=1.0, m=0.5)
+    # one wrap of each of the steps + 1 levels, one of each stencil result
+    assert len(wraps) == 2 * (steps + 1)
+
+
 def mms_error(shape_1d, b=1.5, m=0.8, t_end=0.4):
     # sigma 0.8 on a half-width 4.8 box keeps the manufactured Gaussian near
     # 1e-6 at the Dirichlet faces; a tighter box lets truncation error swamp

@@ -1,5 +1,6 @@
 """Nonlinearity plumbing, Z norms, Duhamel quadrature, and Picard iteration."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,9 @@ from subwave.abelian import (
     AbelianGrid,
     abelian_forward,
     abelian_from_function,
+    abelian_homogeneous_norm,
     abelian_l2_norm,
+    abelian_sobolev_norm,
     symbol_on_grid,
 )
 from subwave.propagator import (
@@ -423,6 +426,156 @@ def test_picard_factor_work_is_linear_in_samples(monkeypatch):
     assert diag.status is PicardStatus.CONVERGED
     assert np.isfinite(diag.quadrature_error)
     assert len(calls) <= H + diag.iterations + 2
+
+
+def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol):
+    """Reference: the Picard loop that holds every sweep's sources, both
+    iterates and both difference lists, with each Z norm taken from the
+    public abelian norms."""
+    grid = u0.grid
+    model = semilinear._make_model(u0, sym, b, m)
+    times = np.asarray(cfg.sample_times)
+    h = times[1] - times[0]
+
+    def l2(c):
+        return abelian_l2_norm(AbelianCoefficients(grid, c))
+
+    def znorm_of(vals, ders):
+        best = 0.0
+        for t, v, d in zip(times, vals, ders):
+            total = l2(v) + l2(d)
+            for j in cfg.fractional_orders:
+                total += abelian_homogeneous_norm(AbelianCoefficients(grid, v), sym, j)
+            best = max(best, cfg.weight(t) * total)
+        return best
+
+    def source_sweep(vals):
+        norms = [l2(v) for v in vals]
+        return [model.nonlinearity(v, nl, strict=(nv >= 1e-2 * max(norms)))
+                for v, nv in zip(vals, norms)]
+
+    lin_val, lin_der = [], []
+    for t in times:
+        A0, A1, D0, D1 = model.factors(float(t))
+        lin_val.append(A0 * u0.values + A1 * u1.values)
+        lin_der.append(D0 * u0.values + D1 * u1.values)
+    cur_val, cur_der = [v.copy() for v in lin_val], [d.copy() for d in lin_der]
+    z_norms, incs = [znorm_of(lin_val, lin_der)], []
+    for _ in range(25):
+        new_val, new_der = [], []
+        sweep = semilinear._duhamel_sweep(model, h, source_sweep(cur_val))
+        for lv, ld, (dv, dd) in zip(lin_val, lin_der, sweep):
+            new_val.append(lv + dv)
+            new_der.append(ld + dd)
+        incs.append(znorm_of([a - c for a, c in zip(new_val, cur_val)],
+                             [a - c for a, c in zip(new_der, cur_der)]))
+        z_norms.append(znorm_of(new_val, new_der))
+        cur_val, cur_der = new_val, new_der
+        if incs[-1] <= tol * z_norms[-1]:
+            break
+    flipped = [-s if k % 2 else s for k, s in enumerate(source_sweep(cur_val))]
+    val, _ = list(semilinear._duhamel_sweep(model, h, flipped))[-1]
+    return cur_val, cur_der, z_norms, incs, l2(val) / 3.0
+
+
+def order4_setup(scale, H):
+    grid = AbelianGrid((6.0,) * 3, (16, 16, 16))
+    sym = AbelianSymbol(np.ones(3), order=4, radial=True)
+    u0 = abelian_forward(abelian_from_function(
+        grid, lambda x, y, z: scale * np.exp(-(x * x + y * y + z * z) / 2.0)))
+    u1 = AbelianCoefficients(grid, 0.3 * u0.values)
+    cfg = ZNormConfig(delta=0.999 * decay_rate(2.0, 2.0),
+                      sample_times=tuple(np.linspace(0.0, 6.0, H)))
+    return sym, u0, u1, cfg
+
+
+@pytest.mark.parametrize("nl", [
+    PowerNonlinearity(1.0, 2.0),
+    # the tuple (u, R^{1/4} u) of the order-4 symbol
+    GeneralNonlinearity(lambda U: np.abs(U[0]) * U[0] + 0.5 * np.abs(U[1]) * U[1], 2.0),
+], ids=["power", "general"])
+def test_streaming_picard_matches_the_list_based_loop(nl):
+    sym, u0, u1, cfg = order4_setup(0.2, 25)
+    traj, diag = picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg, tol=1e-10)
+    vals, ders, z_norms, incs, quad = list_based_picard(u0, u1, nl, 2.0, 2.0,
+                                                        sym, cfg, tol=1e-10)
+    assert diag.status is PicardStatus.CONVERGED
+    assert diag.iterations == len(incs) >= 3
+    assert diag.increments[0] > 1e-3 * diag.z_norms[-1]  # f(u) is not negligible
+    for got, want in zip(traj.fields, vals):
+        assert np.linalg.norm(got.values - want) <= 1e-13 * np.linalg.norm(want)
+    for got, want in zip(traj.derivatives, ders):
+        assert np.linalg.norm(got.values - want) <= 1e-13 * np.linalg.norm(want)
+    assert diag.z_norms == pytest.approx(z_norms, rel=1e-12, abs=0)
+    assert diag.ratios == pytest.approx([b / a for a, b in zip(incs, incs[1:])],
+                                        rel=1e-12, abs=0)
+    assert diag.quadrature_error == pytest.approx(quad, rel=1e-12, abs=0)
+    assert diag.increments == pytest.approx(incs, rel=0,
+                                            abs=1e-12 * diag.z_norms[-1])
+
+
+def test_picard_holds_the_linear_part_and_one_iterate():
+    # 4H coefficient arrays: values and derivatives of the linear part and
+    # of the iterate; sources and differences are made one node at a time
+    sym, u0, u1, cfg = order4_setup(0.2, 41)
+    nbytes = u0.values.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, diag = picard_solve(u0, u1, PowerNonlinearity(1.0, 2.0), 2.0, 2.0,
+                               sym, cfg, tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert diag.status is PicardStatus.CONVERGED and diag.iterations >= 3
+    assert np.isfinite(diag.quadrature_error)
+    assert peak <= 5 * 41 * nbytes
+
+
+@pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 2.0])  # 2 = nu/2
+def test_abelian_model_norms_match_the_public_norms(order, rng):
+    grid = AbelianGrid((5.0,) * 3, (12, 12, 12))
+    sym = AbelianSymbol(np.ones(3), order=4, radial=True)
+    c = (rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
+    coeffs = AbelianCoefficients(grid, c)
+    model = semilinear._make_model(coeffs, sym, 2.0, 1.0)
+    assert model.l2(c) == pytest.approx(abelian_l2_norm(coeffs), rel=1e-14)
+    assert model.sobolev(c, order) == pytest.approx(
+        abelian_sobolev_norm(coeffs, sym, order, mass=1.0), rel=1e-14)
+    assert model.frac(c, order) == pytest.approx(
+        abelian_homogeneous_norm(coeffs, sym, order), rel=1e-14)
+
+
+def test_abelian_model_norms_at_the_zero_frequency():
+    grid = AbelianGrid((5.0,) * 3, (12, 12, 12))
+    sym = AbelianSymbol(np.ones(3), order=4, radial=True)
+    c = np.zeros(grid.shape, dtype=complex)
+    c[0, 0, 0] = 2.0  # xi = 0
+    model = semilinear._make_model(AbelianCoefficients(grid, c), sym, 2.0, 1.0)
+    assert model.frac(c, 1) == 0.0
+    assert model.frac(c, 0) == model.l2(c) > 0
+    assert model.sobolev(c, 1) == model.l2(c)  # (1 + 0)^s = 1
+    with pytest.raises(ValueError, match="singular at xi = 0"):
+        model.frac(c, -1)
+
+
+def test_norm_multipliers_are_built_once_per_key(monkeypatch):
+    built = []
+    helper = semilinear._norm_multiplier
+
+    def counting(vals, nu, order, mass=None):
+        built.append((order, mass))
+        return helper(vals, nu, order, mass)
+
+    monkeypatch.setattr(semilinear, "_norm_multiplier", counting)
+    sym, u0, u1, cfg = order4_setup(0.2, 25)
+    nl = GeneralNonlinearity(lambda U: np.abs(U[0]) * U[1], 2.0)
+    _, diag = picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg, tol=1e-10)
+    assert diag.iterations >= 3 and np.isfinite(diag.quadrature_error)
+    # data norm (nu/2, mass 1), Z norm R^{2/nu}, tuple factor R^{1/nu}
+    assert sorted(built, key=str) == sorted([(2.0, 1.0), (1.0, None), (0.5, None)],
+                                            key=str)
 
 
 def test_picard_validation():
