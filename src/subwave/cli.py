@@ -9,37 +9,44 @@ evolve-semilinear  Picard solve + diagnostics + decay fit
 gn-check           exponent tables and inequality ratio sweeps
 oracle-compare     spectral evolution against the finite-difference oracle
 
-Config schema (JSON, one object; unknown keys rejected)
---------------------------------------------------------
+Config schema (JSON, one object; unknown keys rejected at every level)
+----------------------------------------------------------------------
+kind and type are required; another field shown with a scalar or a formula
+defaults to it, and bare names and list shapes are required unless marked.
+JSON null counts as absent.  A subcommand checks only the sections it reads.
 backend       {"kind": "heisenberg", "n": 1}
-              or {"kind": "abelian", "half_widths": [..], "shape": [..],
-                  "coefficients": [..], "order": 2, "radial": true}
+              | {"kind": "abelian", "half_widths": [..], "shape": [..],
+                 "coefficients": [..], "order", "radial": true};
+              the abelian backend serves evolve-semilinear only
 grid          heisenberg only: {"lambda_min", "lambda_max", "nodes", "mu_max"}
 synth         heisenberg only: {"half_widths": [x,y,tau], "shape": [nx,ny,nt]}
-b, m          damping and mass, b > 0, m > 0
-data          heisenberg: {"kind": "packet", "carrier", "sigma_xy",
-                           "sigma_tau", "scale"}
-                          | {"kind": "modes", "center", "width", "ladder",
-                             "scale"}
-              abelian, gaussian only: {"kind": "gaussian", "width", "scale"}
-horizon       {"T": 8.0, "samples": 65}, T > 0, samples an integer >= 2;
+b, m          damping and mass, positive numbers
+data          heisenberg: {"kind": "packet", "carrier": 1.5, "sigma_xy": 0.8,
+                           "sigma_tau": 1.4, "scale": 1}
+                        | {"kind": "modes", "center": 1, "width": 0.5,
+                           "ladder": 0.5, "scale": 1}
+              abelian: {"kind": "gaussian", "width": 1, "scale": 1}
+              sigma_xy, sigma_tau, width and scale positive; calibrate takes
+              packet data only; packet data needs synth and n = 1 (the grid
+              transforms are n = 1 only)
+horizon       {"T", "samples"}, T > 0, samples an integer >= 2;
               oracle-compare reads T only
-nonlinearity  evolve-semilinear only, required: {"type": "power", "mu", "p"};
-              mu a finite number, p a finite number > 1
-znorm         optional {"delta_fraction": 0.999, "weight_exponent": -0.5};
-              delta_fraction in (0, 1], weight_exponent a finite number
+nonlinearity  evolve-semilinear only: {"type": "power", "mu", "p"}, mu finite,
+              p > 1
+znorm         evolve-semilinear only: {"delta_fraction": 0.999,
+              "weight_exponent": -0.5}, delta_fraction in (0, 1]
 gn            gn-check only: {"n", "q_values": ["2","8/3",..],
-                              "tuples": [[Q,a,r,p,q], ..], "random_tuples",
-                              "abelian_widths": [..]}
-oracle        oracle-compare only: {"shape": [nx,ny,nt], "safety",
-                                    "tolerance", "snapshot_every"}; shape three
-              integers >= 4, safety in (0, 1] (default 0.4), tolerance > 0,
-              snapshot_every a positive integer (default max(1, steps // 8))
-seed          integer, default 0 (--seed overrides)
+              "tuples": [[Q,a,r,p,q], ..] (default none), "random_tuples": 0,
+              "abelian_widths": [..] (default none)}
+oracle        oracle-compare only: {"shape": [nx,ny,nt], "tolerance",
+              "safety": 0.4, "snapshot_every": max(1, steps // 8)}, shape three
+              integers >= 4, tolerance > 0, safety in (0, 1]
+seed          an integer >= 0, default 0 (--seed overrides)
+The grid, box and symbol constructors check the relations between fields.
 
 Every run writes <out>/<subcommand>.csv (UTF-8, header row, comma separator,
 LF line ends, floats via shortest round-trip repr) and <out>/manifest.json
-capturing the resolved parameters, content hashes of the config and outputs,
+capturing the config as given, content hashes of the config and outputs,
 and the pass verdict.  Identical config and seed give byte-identical CSV
 files.  Exit status: 0 pass, 1 acceptance failure, 2 config error.  --threads
 is recorded in the manifest as an advisory worker cap; the numeric kernels
@@ -58,8 +65,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .abelian import (AbelianCoefficients, AbelianField, AbelianGrid,
-                      abelian_from_function, abelian_forward)
+from .abelian import (AbelianCoefficients, AbelianGrid, abelian_from_function,
+                      abelian_forward, symbol_on_grid)
 from .fdoracle import cfl_limit, compare_with_spectral, run_leapfrog
 from .gn import (gn_exponent_corollary, gn_exponent_graded,
                  gn_exponent_heisenberg, verify_inequality_abelian)
@@ -68,16 +75,10 @@ from .semilinear import (PicardStatus, PowerNonlinearity, ZNormConfig,
                          picard_solve, verify_semilinear_decay)
 from .spectral import (AbelianSymbol, SpectralField, SubLaplacianSymbol,
                        _csv_bytes, build_grid, l2_norm, sobolev_norm)
-from .transform import (SpatialField, SpatialGrid, calibrate_plancherel,
+from .transform import (SpatialField, SpatialGrid, _calibrate_on,
                         forward_transform, from_function, synthesize_on_grid)
 
 __all__ = ["main", "run", "ConfigError", "load_config"]
-
-_SUBCOMMANDS = ("calibrate", "evolve-linear", "verify-decay",
-                "evolve-semilinear", "gn-check", "oracle-compare")
-
-_KNOWN_KEYS = {"backend", "grid", "synth", "b", "m", "data", "horizon",
-               "nonlinearity", "znorm", "gn", "oracle", "seed"}
 
 
 class ConfigError(ValueError):
@@ -89,6 +90,118 @@ class ConfigError(ValueError):
             f"  - {p}" for p in self.problems))
 
 
+def _number(v) -> bool:
+    """A number finite as a float; JSON true/false are not numbers."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _rational(v) -> bool:
+    try:
+        Fraction(str(v))
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+def _list_of(item, length=None):
+    return lambda v: (isinstance(v, list) and length in (None, len(v))
+                      and all(map(item, v)))
+
+
+def _one_of(*names):
+    return (lambda v: v in names), "one of " + ", ".join(names), str
+
+
+# A check is (predicate, phrase, cast): a value that fails reads
+# "<path>: must be <phrase>, got <value>"; one that passes reaches the
+# numerics as cast(value).
+_FINITE = _number, "a finite number", float
+_POSITIVE = (lambda v: _number(v) and v > 0), "a positive number", float
+_UNIT = (lambda v: _number(v) and 0 < v <= 1), "a number in (0, 1]", float
+_ABOVE_ONE = (lambda v: _number(v) and v > 1), "a finite number > 1", float
+_INTEGER = _integer, "an integer", int
+_COUNT = (lambda v: _integer(v) and v >= 0), "an integer >= 0", int
+_POSITIVE_INT = (lambda v: _integer(v) and v >= 1), "a positive integer", int
+_SAMPLES = (lambda v: _integer(v) and v >= 2), "an integer >= 2", int
+_BOOL = (lambda v: isinstance(v, bool)), "true or false", bool
+_NUMBERS = (_list_of(_number), "a list of finite numbers",
+            lambda v: tuple(map(float, v)))
+_WIDTHS = (_list_of(lambda v: _number(v) and v > 0),
+           "a list of positive numbers", lambda v: tuple(map(float, v)))
+_INTEGERS = _list_of(_integer), "a list of integers", tuple
+_FD_SHAPE = (_list_of(lambda v: _integer(v) and v >= 4, 3),
+             "three integers >= 4", tuple)
+_RATIONALS = _list_of(_rational), 'a list of rationals such as "8/3"', tuple
+_TUPLES = (_list_of(_list_of(_rational, 5)),
+           "a list of [Q, a, r, p, q] lists of rationals", tuple)
+
+_REQUIRED = object()
+
+# Every field the config may hold: (check, default), or _REQUIRED in place of
+# the default.  A section with a "kind" entry maps each kind to its fields.
+_SCHEMA = {
+    "b": (_POSITIVE, _REQUIRED),
+    "m": (_POSITIVE, _REQUIRED),
+    "seed": (_COUNT, 0),
+    "backend": {"kind": {
+        "heisenberg": {"n": (_POSITIVE_INT, 1)},
+        "abelian": {"half_widths": (_NUMBERS, _REQUIRED),
+                    "shape": (_INTEGERS, _REQUIRED),
+                    "coefficients": (_NUMBERS, _REQUIRED),
+                    "order": (_INTEGER, _REQUIRED),
+                    "radial": (_BOOL, True)}}},
+    "grid": {"lambda_min": (_FINITE, _REQUIRED),
+             "lambda_max": (_FINITE, _REQUIRED),
+             "nodes": (_INTEGER, _REQUIRED), "mu_max": (_FINITE, _REQUIRED)},
+    "synth": {"half_widths": (_NUMBERS, _REQUIRED),
+              "shape": (_INTEGERS, _REQUIRED)},
+    "data": {"kind": {
+        "packet": {"carrier": (_FINITE, 1.5), "sigma_xy": (_POSITIVE, 0.8),
+                   "sigma_tau": (_POSITIVE, 1.4), "scale": (_POSITIVE, 1.0)},
+        "modes": {"center": (_FINITE, 1.0), "width": (_POSITIVE, 0.5),
+                  "ladder": (_FINITE, 0.5), "scale": (_POSITIVE, 1.0)},
+        "gaussian": {"width": (_POSITIVE, 1.0), "scale": (_POSITIVE, 1.0)}}},
+    "horizon": {"T": (_POSITIVE, _REQUIRED), "samples": (_SAMPLES, _REQUIRED)},
+    "nonlinearity": {"type": (_one_of("power"), _REQUIRED),
+                     "mu": (_FINITE, _REQUIRED), "p": (_ABOVE_ONE, _REQUIRED)},
+    "znorm": {"delta_fraction": (_UNIT, 0.999),
+              "weight_exponent": (_FINITE, ZNormConfig.weight_exponent)},
+    "gn": {"n": (_POSITIVE_INT, _REQUIRED), "q_values": (_RATIONALS, _REQUIRED),
+           "tuples": (_TUPLES, ()), "random_tuples": (_COUNT, 0),
+           "abelian_widths": (_WIDTHS, ())},
+    # safety defaults to cfl_limit's own default; snapshot_every to
+    # max(1, steps // 8), known once dt is
+    "oracle": {"shape": (_FD_SHAPE, _REQUIRED),
+               "tolerance": (_POSITIVE, _REQUIRED),
+               "safety": (_UNIT, cfl_limit.__defaults__[0]),
+               "snapshot_every": (_POSITIVE_INT, None)},
+}
+
+# subcommand -> backend kind -> (the top-level entries it reads, the data kinds
+# it takes).  "horizon.T" reads the horizon section with T alone required;
+# packet data also reads synth.  gn-check reads no backend.
+_HEISENBERG = ("modes", "packet")
+_LINEAR = {"heisenberg": (("grid", "b", "m", "data", "horizon"), _HEISENBERG)}
+_NEEDS = {
+    "calibrate": {"heisenberg": (("grid", "synth", "data"), ("packet",))},
+    "evolve-linear": _LINEAR,
+    "verify-decay": _LINEAR,
+    "evolve-semilinear": {
+        "heisenberg": (("grid", "synth", "b", "m", "data", "horizon",
+                        "nonlinearity", "znorm"), _HEISENBERG),
+        "abelian": (("b", "m", "data", "horizon", "nonlinearity", "znorm"),
+                    ("gaussian",))},
+    "gn-check": {None: (("gn",), ())},
+    "oracle-compare": {"heisenberg": (("grid", "synth", "b", "m", "data",
+                                       "horizon.T", "oracle"), _HEISENBERG)},
+}
+
+
 def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -97,77 +210,122 @@ def load_config(path: str) -> dict:
             raise ConfigError([f"not valid JSON: {exc}"])
     if not isinstance(cfg, dict):
         raise ConfigError(["top level must be an object"])
-    unknown = sorted(set(cfg) - _KNOWN_KEYS)
+    unknown = sorted(set(cfg) - set(_SCHEMA))
     if unknown:
         raise ConfigError([f"{k}: unknown key" for k in unknown])
     return cfg
 
 
-def _require(cfg: dict, fields, problems):
-    present = True
-    for name in fields:
-        if name not in cfg or cfg[name] is None:
+def _value(path, value, field, problems):
+    """One field's cast value, or its default when absent (JSON null counts
+    as absent); None after noting a problem."""
+    (ok, phrase, cast), default = field
+    if value is None:
+        if default is _REQUIRED:
+            problems.append(f"{path}: required")
+            return None
+        return default
+    if ok(value):
+        return cast(value)
+    problems.append(f"{path}: must be {phrase}, got {value!r}")
+    return None
+
+
+def _section(name, given, problems, kinds=(), only=""):
+    """Top-level entry `name` checked against _SCHEMA: a section's fields as a
+    dict (None for a bad field), or None when absent or not an object.  `kinds`
+    limit a kind-keyed section; with `only`, that field alone is required."""
+    table = _SCHEMA[name]
+    if isinstance(table, tuple):
+        return _value(name, given, table, problems)
+    if given is None:
+        if "kind" in table or any(d is _REQUIRED for _, d in table.values()):
             problems.append(f"{name}: required")
-            present = False
-    return present
-
-
-def _is_positive_number(v) -> bool:
-    """A finite number > 0; JSON true/false are not numbers."""
-    return (not isinstance(v, bool) and isinstance(v, (int, float))
-            and 0 < v < float("inf"))
-
-
-def _is_finite_number(v) -> bool:
-    """A finite number; JSON true/false are not numbers."""
-    return (not isinstance(v, bool) and isinstance(v, (int, float))
-            and -float("inf") < v < float("inf"))
-
-
-def _is_integer(v) -> bool:
-    return not isinstance(v, bool) and isinstance(v, int)
-
-
-def _positive(cfg, name, problems):
-    v = cfg.get(name)
-    if v is not None and not _is_positive_number(v):
-        problems.append(f"{name}: must be a positive number, got {v!r}")
-
-
-def _check_section(section, name, required, problems):
-    if not isinstance(section, dict):
-        problems.append(f"{name}: must be an object")
-        return False
-    ok = True
-    for key in required:
-        if key not in section:
-            problems.append(f"{name}.{key}: required")
-            ok = False
-    return ok
-
-
-def _horizon_T(horizon, problems):
-    """The horizon's end time T, a finite positive number; None after
-    noting a problem."""
-    T = horizon["T"]
-    if not _is_positive_number(T):
-        problems.append(f"horizon.T: must be a positive number, got {T!r}")
+            return None
+        given = {}
+    if not isinstance(given, dict):
+        problems.append(f"{name}: must be an object, got {given!r}")
         return None
-    return float(T)
+    values = {}
+    if "kind" in table:
+        kind = _value(f"{name}.kind", given.get("kind"),
+                      (_one_of(*kinds), _REQUIRED), problems)
+        if kind is None:
+            return None
+        values["kind"], table = kind, table["kind"][kind]
+    problems.extend(f"{name}.{k}: unknown key"
+                    for k in sorted(set(given) - set(table) - set(values)))
+    for key, (check, default) in table.items():
+        if only and key != only and default is _REQUIRED:
+            default = None
+        values[key] = _value(f"{name}.{key}", given.get(key),
+                             (check, default), problems)
+    return values
 
 
-def _horizon_times(cfg, problems):
-    """Sample times 0..T of the horizon section; None after noting problems."""
-    horizon = cfg["horizon"]
-    if not _check_section(horizon, "horizon", ("T", "samples"), problems):
+def _built(problems, name, make, *args):
+    """make(*args), whose constructors own the relations between fields; their
+    ValueError or TypeError becomes one problem of section `name`."""
+    try:
+        return make(*args)
+    except (ValueError, TypeError) as exc:
+        problems.append(f"{name}: {exc}")
         return None
-    T, samples = _horizon_T(horizon, problems), horizon["samples"]
-    ok = T is not None
-    if not _is_integer(samples) or samples < 2:
-        problems.append(
-            f"horizon.samples: must be an integer >= 2, got {samples!r}")
-        ok = False
-    return np.linspace(0.0, T, samples) if ok else None
+
+
+def _abelian_backend(be):
+    agrid = AbelianGrid(be["half_widths"], be["shape"])
+    symbol = AbelianSymbol(be["coefficients"], order=be["order"],
+                           radial=be["radial"])
+    symbol_on_grid(agrid, symbol)  # the symbol's and grid's dimensions agree
+    return agrid, symbol
+
+
+def _gn_exponents(gn):
+    """(q, theta) for each q value and the exponents of each tuple; the
+    exponent functions reject values outside their ranges."""
+    qs = [Fraction(str(q)) for q in gn["q_values"]]
+    return ([(q, gn_exponent_heisenberg(q, gn["n"])) for q in qs],
+            [gn_exponent_graded(*[Fraction(str(x)) for x in tup])
+             for tup in gn["tuples"]])
+
+
+def _validate(subcommand: str, cfg: dict) -> dict:
+    """Walk the config once against _SCHEMA and _NEEDS: the values the
+    subcommand reads, "grid" and "synth" built, "abelian" = (grid, symbol) and
+    "gn_exponents" where read.  Raises ConfigError listing every problem."""
+    problems: list = []
+    by_kind = _NEEDS[subcommand]
+    v = {"seed": _section("seed", cfg.get("seed"), problems)}
+    be = v["backend"] = None if None in by_kind else _section(
+        "backend", cfg.get("backend"), problems, tuple(by_kind))
+    # without a valid backend kind, check what its first kind reads
+    needs, data_kinds = by_kind.get(be and be["kind"],
+                                    next(iter(by_kind.values())))
+    for need in needs:
+        name, _, only = need.partition(".")
+        v[name] = _section(name, cfg.get(name), problems, data_kinds, only)
+    if (v.get("data") or {}).get("kind") == "packet":
+        if "synth" not in v:
+            v["synth"] = _section("synth", cfg.get("synth"), problems)
+        if be and be["n"] not in (None, 1):
+            problems.append("backend.n: must be 1 for packet data")
+    if not problems:
+        grid, synth = v.get("grid"), v.get("synth")
+        if grid:
+            v["grid"] = _built(problems, "grid", build_grid, grid["lambda_min"],
+                               grid["lambda_max"], grid["nodes"],
+                               grid["mu_max"], be["n"])
+        if synth:
+            v["synth"] = _built(problems, "synth", SpatialGrid,
+                                synth["half_widths"], synth["shape"])
+        if v.get("gn"):
+            v["gn_exponents"] = _built(problems, "gn", _gn_exponents, v["gn"])
+        if be and be["kind"] == "abelian":
+            v["abelian"] = _built(problems, "backend", _abelian_backend, be)
+    if problems:
+        raise ConfigError(problems)
+    return v
 
 
 def _hash_bytes(data: bytes) -> str:
@@ -186,124 +344,41 @@ def _emit(out_dir, name, header, rows, manifest, config_path):
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _tolerances(profile: str) -> float:
-    # every acceptance tolerance is multiplied by this factor
-    return 0.5 if profile == "strict" else 1.0
-
-
-def _build_mode_grid(cfg, problems):
-    grid = cfg.get("grid")
-    if not _check_section(grid, "grid",
-                          ("lambda_min", "lambda_max", "nodes", "mu_max"),
-                          problems):
-        return None
-    try:
-        return build_grid(grid["lambda_min"], grid["lambda_max"],
-                          grid["nodes"], grid["mu_max"],
-                          n=cfg.get("backend", {}).get("n", 1))
-    except (ValueError, TypeError) as exc:
-        problems.append(f"grid: {exc}")
-        return None
-
-
-def _build_synth(cfg, problems, key="synth"):
-    synth = cfg.get(key)
-    if not _check_section(synth, key, ("half_widths", "shape"), problems):
-        return None
-    try:
-        return SpatialGrid(tuple(synth["half_widths"]), tuple(synth["shape"]))
-    except (ValueError, TypeError) as exc:
-        problems.append(f"{key}: {exc}")
-        return None
-
-
 def _packet_field(data, synth):
-    w0 = float(data.get("carrier", 1.5))
-    sxy = float(data.get("sigma_xy", 0.8))
-    st = float(data.get("sigma_tau", 1.4))
-    scale = float(data.get("scale", 1.0))
+    w0, sxy, st, scale = (data[k] for k in
+                          ("carrier", "sigma_xy", "sigma_tau", "scale"))
     return from_function(
         synth, lambda x, y, t: scale * np.cos(w0 * t)
         * np.exp(-(x ** 2 + y ** 2) / (2 * sxy ** 2) - t ** 2 / (2 * st ** 2)))
 
 
-def _mode_data(data, grid):
+def _packet_transform(v):
+    """The packet data, its one forward transform, and the Plancherel
+    constant calibrated on both and stored on the grid."""
+    packet = _packet_field(v["data"], v["synth"])
+    F = forward_transform(packet, v["grid"])
+    return packet, F, _calibrate_on(packet, F)
+
+
+def _heisenberg_data(v):
+    data, grid = v["data"], v["grid"]
+    if data["kind"] == "packet":
+        return _packet_transform(v)[1]
     # analytic coefficient-space data: lambda-Gaussian on the Hermite diagonal
-    center = float(data.get("center", 1.0))
-    width = float(data.get("width", 0.5))
-    ladder = float(data.get("ladder", 0.5))
-    scale = float(data.get("scale", 1.0))
     c = np.zeros(grid.field_shape(), dtype=complex)
-    profile = np.exp(-(grid.lambda_nodes - center) ** 2 / (2 * width ** 2))
+    profile = np.exp(-(grid.lambda_nodes - data["center"]) ** 2
+                     / (2 * data["width"] ** 2))
     for k in range(grid.block_size):
-        c[:, k, k] = scale * profile * ladder ** k
+        c[:, k, k] = data["scale"] * profile * data["ladder"] ** k
     return SpectralField(grid, c)
 
 
-def _heisenberg_data(cfg, grid, synth, problems):
-    data = cfg.get("data")
-    if not _check_section(data, "data", ("kind",), problems):
-        return None
-    kind = data["kind"]
-    if kind == "modes":
-        return _mode_data(data, grid)
-    if kind == "packet":
-        if synth is None:
-            problems.append("synth: required for packet data")
-            return None
-        packet = _packet_field(data, synth)
-        calibrate_plancherel(packet, grid)
-        return forward_transform(packet, grid, boundary_tol=None)
-    problems.append(f"data.kind: unknown kind {kind!r}")
-    return None
-
-
-def _abelian_setup(cfg, problems):
-    backend = cfg["backend"]
-    for key in ("half_widths", "shape", "coefficients", "order"):
-        if key not in backend:
-            problems.append(f"backend.{key}: required for abelian runs")
-    data = cfg.get("data")
-    if (_check_section(data, "data", ("kind",), problems)
-            and data["kind"] != "gaussian"):
-        problems.append("data.kind: abelian runs take gaussian data, "
-                        f"got {data['kind']!r}")
-    if problems:
-        return None, None, None
-    agrid = AbelianGrid(tuple(backend["half_widths"]), tuple(backend["shape"]))
-    symbol = AbelianSymbol(np.asarray(backend["coefficients"], dtype=float),
-                           order=int(backend["order"]),
-                           radial=bool(backend.get("radial", True)))
-    width = float(data.get("width", 1.0))
-    scale = float(data.get("scale", 1.0))
-    dim = len(agrid.shape)
-
-    def gauss(*coords):
-        r2 = sum(c ** 2 for c in coords)
-        return scale * np.exp(-r2 / (2 * width ** 2))
-
-    u0 = abelian_forward(abelian_from_function(agrid, gauss))
-    u1 = AbelianCoefficients(agrid, np.zeros(agrid.shape, dtype=complex))
-    return agrid, symbol, (u0, u1)
-
-
-def _linear_run(cfg, tol_factor, problems):
-    _require(cfg, ("backend", "grid", "b", "m", "data", "horizon"), problems)
-    _positive(cfg, "b", problems)
-    _positive(cfg, "m", problems)
-    if problems:
-        raise ConfigError(problems)
-    grid = _build_mode_grid(cfg, problems)
-    times = _horizon_times(cfg, problems)
-    if problems:
-        raise ConfigError(problems)
-    synth = _build_synth(cfg, problems) if cfg.get("synth") else None
-    u0 = _heisenberg_data(cfg, grid, synth, problems)
-    if problems:
-        raise ConfigError(problems)
+def _linear_run(v, tol_factor):
+    grid, b, m = v["grid"], v["b"], v["m"]
+    u0 = _heisenberg_data(v)
     u1 = SpectralField.zeros(grid)
-    b, m = float(cfg["b"]), float(cfg["m"])
     prov = SubLaplacianSymbol(1)
+    times = np.linspace(0.0, v["horizon"]["T"], v["horizon"]["samples"])
     traj = evolve_linear(u0, u1, b, m, prov, times)
     d0 = decay_rate(b, m)
     tol = 0.05 * tol_factor
@@ -322,89 +397,26 @@ def _linear_run(cfg, tol_factor, problems):
     return header, rows, results, passed
 
 
-def _check_power(nl_cfg, problems):
-    """Note a problem for each malformed number of the power nonlinearity."""
-    mu, p = nl_cfg["mu"], nl_cfg["p"]
-    if not _is_finite_number(mu):
-        problems.append(
-            f"nonlinearity.mu: must be a finite number, got {mu!r}")
-    if not _is_finite_number(p) or p <= 1:
-        problems.append(
-            f"nonlinearity.p: must be a finite number > 1, got {p!r}")
-
-
-_ZNORM_DEFAULTS = {"delta_fraction": 0.999, "weight_exponent": -0.5}
-
-
-def _check_znorm(zcfg, problems):
-    """(delta_fraction, weight_exponent) of the optional znorm section, the
-    defaults filling absent keys; None after noting problems."""
-    if zcfg is None:
-        zcfg = {}
-    if not isinstance(zcfg, dict):
-        problems.append(f"znorm: must be an object, got {zcfg!r}")
-        return None
-    before = len(problems)
-    problems.extend(f"znorm.{k}: unknown key"
-                    for k in sorted(set(zcfg) - set(_ZNORM_DEFAULTS)))
-    zcfg = _ZNORM_DEFAULTS | zcfg
-    frac, expo = zcfg["delta_fraction"], zcfg["weight_exponent"]
-    if not _is_positive_number(frac) or frac > 1:
-        problems.append(
-            f"znorm.delta_fraction: must lie in (0, 1], got {frac!r}")
-    if not _is_finite_number(expo):
-        problems.append(
-            f"znorm.weight_exponent: must be a finite number, got {expo!r}")
-    if len(problems) > before:
-        return None
-    return float(frac), float(expo)
-
-
-def _semilinear_run(cfg, tol_factor, problems):
-    _require(cfg, ("backend", "b", "m", "data", "horizon", "nonlinearity"),
-             problems)
-    _positive(cfg, "b", problems)
-    _positive(cfg, "m", problems)
-    nl_cfg = cfg.get("nonlinearity")
-    if nl_cfg is not None and _check_section(
-            nl_cfg, "nonlinearity", ("type", "mu", "p"), problems):
-        _check_power(nl_cfg, problems)
-    zparams = _check_znorm(cfg.get("znorm"), problems)
-    if problems:
-        raise ConfigError(problems)
-    if nl_cfg["type"] != "power":
-        raise ConfigError([f"nonlinearity.type: unknown type {nl_cfg['type']!r}"])
-    nl = PowerNonlinearity(float(nl_cfg["mu"]), float(nl_cfg["p"]))
-    b, m = float(cfg["b"]), float(cfg["m"])
-    times = _horizon_times(cfg, problems)
-    if problems:
-        raise ConfigError(problems)
-    delta_fraction, weight_exponent = zparams
-    znorm = ZNormConfig(delta=decay_rate(b, m) * delta_fraction,
+def _semilinear_run(v, tol_factor):
+    b, m, nl_cfg, z = v["b"], v["m"], v["nonlinearity"], v["znorm"]
+    nl = PowerNonlinearity(nl_cfg["mu"], nl_cfg["p"])
+    times = np.linspace(0.0, v["horizon"]["T"], v["horizon"]["samples"])
+    znorm = ZNormConfig(delta=decay_rate(b, m) * z["delta_fraction"],
                         sample_times=tuple(times),
-                        weight_exponent=weight_exponent)
-    kind = cfg["backend"].get("kind")
-    if kind == "abelian":
-        _, symbol, pair = _abelian_setup(cfg, problems)
-        if problems:
-            raise ConfigError(problems)
-        u0, u1 = pair
-        traj, diag = picard_solve(u0, u1, nl, b, m, symbol, znorm)
-        rep = verify_semilinear_decay(traj, b, m, symbol)
-    elif kind == "heisenberg":
-        grid = _build_mode_grid(cfg, problems)
-        synth = _build_synth(cfg, problems)
-        if problems:
-            raise ConfigError(problems)
-        u0 = _heisenberg_data(cfg, grid, synth, problems)
-        if problems:
-            raise ConfigError(problems)
-        prov = SubLaplacianSymbol(1)
-        traj, diag = picard_solve(u0, SpectralField.zeros(grid), nl, b, m,
-                                  prov, znorm, synth=synth)
-        rep = verify_semilinear_decay(traj, b, m, prov)
+                        weight_exponent=z["weight_exponent"])
+    if v["backend"]["kind"] == "abelian":
+        agrid, symbol = v["abelian"]
+        width, scale = v["data"]["width"], v["data"]["scale"]
+        u0 = abelian_forward(abelian_from_function(
+            agrid, lambda *xs: scale
+            * np.exp(-sum(c ** 2 for c in xs) / (2 * width ** 2))))
+        u1 = AbelianCoefficients(agrid, np.zeros(agrid.shape, dtype=complex))
     else:
-        raise ConfigError([f"backend.kind: unknown kind {kind!r}"])
+        symbol = SubLaplacianSymbol(1)
+        u0, u1 = _heisenberg_data(v), SpectralField.zeros(v["grid"])
+    traj, diag = picard_solve(u0, u1, nl, b, m, symbol, znorm,
+                              synth=v.get("synth"))
+    rep = verify_semilinear_decay(traj, b, m, symbol)
     passed = (diag.status is PicardStatus.CONVERGED
               and all(r < 1.0 for r in diag.ratios) and rep.passed)
     header = ("iteration", "increment", "z_norm")
@@ -425,20 +437,16 @@ def _semilinear_run(cfg, tol_factor, problems):
     return header, rows, results, passed
 
 
-def _gn_check(cfg, rng, problems):
-    gn = cfg.get("gn")
-    if not _check_section(gn, "gn", ("n", "q_values"), problems):
-        raise ConfigError(problems)
-    n = int(gn["n"])
+def _gn_check(v, tol_factor):
+    gn, rng = v["gn"], np.random.default_rng(v["seed"])
+    n = gn["n"]
     rows, failures = [], 0
-    for q_str in gn["q_values"]:
-        q = Fraction(str(q_str))
-        theta = gn_exponent_heisenberg(q, n)
+    thetas, graded = v["gn_exponents"]
+    for q, theta in thetas:
         agree = gn_exponent_corollary(q, Fraction(2 * n + 2), 1) == theta
         failures += 0 if agree else 1
         rows.append((str(q), str(theta), float(theta), int(agree)))
-    for tup in gn.get("tuples", ()):
-        exps = gn_exponent_graded(*[Fraction(str(v)) for v in tup])
+    for tup, exps in zip(gn["tuples"], graded):
         if exps.degenerate:
             rows.append(("/".join(str(v) for v in tup), "degenerate",
                          float("nan"), 1))
@@ -449,8 +457,7 @@ def _gn_check(cfg, rng, problems):
         rows.append(("/".join(str(v) for v in tup), str(exps.s),
                      float(exps.s), int(ok)))
     sampled = 0
-    target = int(gn.get("random_tuples", 0))
-    while sampled < target:
+    while sampled < gn["random_tuples"]:
         Q = Fraction(int(rng.integers(2, 12)), int(rng.integers(1, 4)))
         a = Fraction(int(rng.integers(1, 6)), int(rng.integers(1, 6)))
         if Q / a <= 1:
@@ -468,9 +475,8 @@ def _gn_check(cfg, rng, problems):
             failures += 0 if ok else 1
         sampled += 1
     ratios = []
-    for width in gn.get("abelian_widths", ()):
+    for w in gn["abelian_widths"]:
         agrid = AbelianGrid((8.0, 8.0, 8.0), (32, 32, 32))
-        w = float(width)
         u = abelian_from_function(
             agrid, lambda x, y, z: np.exp(-(x**2 + y**2 + z**2) / (2 * w**2)))
         exps = gn_exponent_graded(3, 1, 2, 2, 3)
@@ -484,69 +490,22 @@ def _gn_check(cfg, rng, problems):
     return header, rows, results, passed
 
 
-def _check_oracle(oracle, problems):
-    """Note a problem for each malformed field of the oracle section and
-    return (shape, tolerance, safety, snapshot_every); snapshot_every is None
-    when absent, since its default depends on the step count."""
-    before = len(problems)
-    shape = oracle["shape"]
-    if (not isinstance(shape, list) or len(shape) != 3
-            or not all(_is_integer(s) and s >= 4 for s in shape)):
-        problems.append(
-            f"oracle.shape: must be three integers >= 4, got {shape!r}")
-    tol = oracle["tolerance"]
-    if not _is_positive_number(tol):
-        problems.append(
-            f"oracle.tolerance: must be a positive number, got {tol!r}")
-    safety = oracle.get("safety", 0.4)
-    if not _is_positive_number(safety) or safety > 1:
-        problems.append(f"oracle.safety: must lie in (0, 1], got {safety!r}")
-    every = oracle.get("snapshot_every")
-    if every is not None and (not _is_integer(every) or every < 1):
-        problems.append(
-            f"oracle.snapshot_every: must be a positive integer, got {every!r}")
-    if len(problems) > before:
-        return None
-    return tuple(shape), float(tol), float(safety), every
-
-
-def _oracle_compare(cfg, tol_factor, problems):
-    _require(cfg, ("backend", "grid", "b", "m", "data", "horizon", "oracle"),
-             problems)
-    _positive(cfg, "b", problems)
-    _positive(cfg, "m", problems)
-    if problems:
-        raise ConfigError(problems)
-    oracle = cfg["oracle"]
-    checked = None
-    if _check_section(oracle, "oracle", ("shape", "tolerance"), problems):
-        checked = _check_oracle(oracle, problems)
-    T = None
-    if _check_section(cfg["horizon"], "horizon", ("T",), problems):
-        T = _horizon_T(cfg["horizon"], problems)
-    grid = _build_mode_grid(cfg, problems)
-    synth = _build_synth(cfg, problems)
-    if problems:
-        raise ConfigError(problems)
-    u0 = _heisenberg_data(cfg, grid, synth, problems)
-    if problems:
-        raise ConfigError(problems)
-    shape, tol, safety, snap_every = checked
-    b, m = float(cfg["b"]), float(cfg["m"])
-    fd_grid = SpatialGrid(synth.half_widths, shape)
-    dt = cfl_limit(fd_grid, safety)
+def _oracle_compare(v, tol_factor):
+    b, m, T, oracle = v["b"], v["m"], v["horizon"]["T"], v["oracle"]
+    u0 = _heisenberg_data(v)
+    fd_grid = SpatialGrid(v["synth"].half_widths, oracle["shape"])
+    dt = cfl_limit(fd_grid, oracle["safety"])
     steps = int(np.ceil(T / dt))
     dt = T / steps
-    if snap_every is None:
-        snap_every = max(1, steps // 8)
+    snap_every = oracle["snapshot_every"] or max(1, steps // 8)
     u0_fd = synthesize_on_grid(u0, fd_grid)
     v0_fd = SpatialField(fd_grid, np.zeros(fd_grid.shape, dtype=complex))
     fd = run_leapfrog(u0_fd, v0_fd, dt, steps, b, m,
                       snapshot_every=snap_every)
     prov = SubLaplacianSymbol(1)
-    traj = evolve_linear(u0, SpectralField.zeros(grid), b, m, prov,
+    traj = evolve_linear(u0, SpectralField.zeros(u0.grid), b, m, prov,
                          fd.snapshot_times)
-    tol *= tol_factor
+    tol = oracle["tolerance"] * tol_factor
     report = compare_with_spectral(traj, fd, fd_grid, horizon=T,
                                    tolerance=tol)
     header = ("time", "relative_l2_discrepancy")
@@ -557,20 +516,8 @@ def _oracle_compare(cfg, tol_factor, problems):
     return header, rows, results, report.passed
 
 
-def _calibrate(cfg, problems):
-    _require(cfg, ("backend", "grid", "synth", "data"), problems)
-    if problems:
-        raise ConfigError(problems)
-    grid = _build_mode_grid(cfg, problems)
-    synth = _build_synth(cfg, problems)
-    if problems:
-        raise ConfigError(problems)
-    data = cfg["data"]
-    if data.get("kind") != "packet":
-        raise ConfigError(["data.kind: calibrate needs packet data"])
-    packet = _packet_field(data, synth)
-    constant = calibrate_plancherel(packet, grid)
-    F = forward_transform(packet, grid, boundary_tol=None)
+def _calibrate(v, tol_factor):
+    packet, F, constant = _packet_transform(v)
     spectral = l2_norm(F)
     spatial = packet.l2_norm()
     mismatch = abs(spectral - spatial) / spatial
@@ -582,39 +529,31 @@ def _calibrate(cfg, problems):
     return header, rows, results, True
 
 
+_RUNNERS = {"calibrate": _calibrate, "evolve-linear": _linear_run,
+            "verify-decay": _linear_run, "evolve-semilinear": _semilinear_run,
+            "gn-check": _gn_check, "oracle-compare": _oracle_compare}
+
+
 def run(subcommand: str, config_path: str, out_dir, seed=None, threads=None,
         profile: str = "default") -> int:
     """Execute one subcommand; returns the process exit status."""
     from pathlib import Path
 
     cfg = load_config(config_path)
-    if seed is None:
-        seed = int(cfg.get("seed", 0))
-    rng = np.random.default_rng(seed)
-    tol_factor = _tolerances(profile)
-    problems: list = []
-    if subcommand == "calibrate":
-        header, rows, results, passed = _calibrate(cfg, problems)
-    elif subcommand in ("evolve-linear", "verify-decay"):
-        header, rows, results, passed = _linear_run(cfg, tol_factor, problems)
-        if subcommand == "verify-decay":
-            rows = [(s, results["slopes"][s]) for s in sorted(results["slopes"])]
-            header = ("order", "slope")
-    elif subcommand == "evolve-semilinear":
-        header, rows, results, passed = _semilinear_run(cfg, tol_factor,
-                                                        problems)
-    elif subcommand == "gn-check":
-        header, rows, results, passed = _gn_check(cfg, rng, problems)
-    elif subcommand == "oracle-compare":
-        header, rows, results, passed = _oracle_compare(cfg, tol_factor,
-                                                        problems)
-    else:
+    if subcommand not in _NEEDS:
         raise ConfigError([f"unknown subcommand {subcommand!r}"])
+    # a seed passed here replaces the config's, so it is checked in its place
+    v = _validate(subcommand, cfg if seed is None else cfg | {"seed": seed})
+    tol_factor = 0.5 if profile == "strict" else 1.0  # scales every tolerance
+    header, rows, results, passed = _RUNNERS[subcommand](v, tol_factor)
+    if subcommand == "verify-decay":
+        rows = [(s, results["slopes"][s]) for s in sorted(results["slopes"])]
+        header = ("order", "slope")
 
     manifest = {
         "subcommand": subcommand,
         "parameters": cfg,
-        "seed": seed,
+        "seed": v["seed"],
         "threads": threads,
         "tolerance_profile": profile,
         "results": results,
@@ -627,7 +566,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="subwave",
         description="spectral damped-wave solver and verification harness")
-    parser.add_argument("subcommand", choices=_SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=tuple(_NEEDS))
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default="out")
     parser.add_argument("--seed", type=int, default=None)

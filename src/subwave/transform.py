@@ -409,16 +409,21 @@ def calibrate_plancherel(reference: SpatialField, grid: ModeGrid) -> float:
     representation convention and quadrature, not of the reference; the test
     suite checks stability across references.
     """
+    return _calibrate_on(reference, forward_transform(reference, grid))
+
+
+def _calibrate_on(reference: SpatialField, fhat: SpectralField) -> float:
+    """calibrate_plancherel from the reference and its transform fhat; the
+    constant is stored on fhat.grid."""
     spatial_sq = reference.l2_norm() ** 2
     if spatial_sq == 0.0:
         raise ValueError("reference field has zero norm; calibration is degenerate")
-    fhat = forward_transform(reference, grid)
     hs = np.sum(np.abs(fhat.coefficients) ** 2, axis=(1, 2))
-    raw = float(np.sum(grid.base_weights * hs))
+    raw = float(np.sum(fhat.grid.base_weights * hs))
     if raw == 0.0:
         raise ValueError("reference has no spectral mass on this grid")
     c = spatial_sq / raw
-    grid.plancherel_constant = c
+    fhat.grid.plancherel_constant = c
     return c
 
 

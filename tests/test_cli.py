@@ -237,6 +237,30 @@ def test_oracle_compare_runs_with_defaults(tmp_path):
     assert len(rows) == 1 + results["steps"] + 1
 
 
+# the calibration box clips the packet tails (see the calibrate test above)
+@pytest.mark.filterwarnings("ignore:boundary decay")
+@pytest.mark.parametrize("subcommand, config", [
+    ("calibrate", CALIBRATE_CONFIG),
+    ("oracle-compare", ORACLE_CONFIG),
+])
+def test_packet_set_up_transforms_the_packet_once(tmp_path, monkeypatch,
+                                                  subcommand, config):
+    from subwave import cli, transform
+
+    original, calls = transform.forward_transform, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "forward_transform", counting)
+    monkeypatch.setattr(cli, "forward_transform", counting)
+    cfg = write_config(tmp_path, config)
+    assert main([subcommand, "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
 def _oracle(**fields):
     return ORACLE_CONFIG | {"oracle": ORACLE_CONFIG["oracle"] | fields}
 
@@ -319,6 +343,72 @@ def test_malformed_semilinear_config_is_a_config_error(tmp_path, capsys, config,
                  str(tmp_path / "out")])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _edit(config, section, **fields):
+    return config | {section: config[section] | fields}
+
+
+@pytest.mark.parametrize("subcommand, config, message", [
+    pytest.param("evolve-linear", _edit(LINEAR_CONFIG, "backend", kind="banana"),
+                 "backend.kind: must be one of heisenberg", id="unknown-backend"),
+    pytest.param("gn-check", GN_CONFIG | {"seed": 1.5}, "seed: must",
+                 id="fractional-seed"),
+    pytest.param("evolve-linear", LINEAR_CONFIG | {"seed": "x"}, "seed: must",
+                 id="string-seed"),
+    pytest.param("evolve-semilinear",
+                 _edit(SEMILINEAR_CONFIG, "backend", order=4.5),
+                 "backend.order: must", id="fractional-order"),
+    pytest.param("evolve-semilinear",
+                 _edit(SEMILINEAR_CONFIG, "backend", radial="no"),
+                 "backend.radial: must", id="string-radial"),
+    pytest.param("evolve-semilinear",
+                 _edit(SEMILINEAR_CONFIG, "backend", shape=[16, 16]),
+                 "backend: half_widths and shape must have equal length",
+                 id="abelian-shape-length"),
+    pytest.param("calibrate", _edit(CALIBRATE_CONFIG, "backend", n=2),
+                 "backend.n: must be 1", id="packet-on-h2"),
+    pytest.param("evolve-linear", _edit(LINEAR_CONFIG, "data", bogus=1),
+                 "data.bogus: unknown key", id="unknown-data-key"),
+    pytest.param("evolve-linear", _edit(LINEAR_CONFIG, "horizon", bogus=1),
+                 "horizon.bogus: unknown key", id="unknown-horizon-key"),
+    pytest.param("calibrate", _edit(CALIBRATE_CONFIG, "data", sigma_yx=0.5),
+                 "data.sigma_yx: unknown key", id="misspelt-sigma-xy"),
+    pytest.param("calibrate", _edit(CALIBRATE_CONFIG, "data", carrier="x"),
+                 "data.carrier: must", id="string-carrier"),
+    pytest.param("oracle-compare", _edit(ORACLE_CONFIG, "data", scale="x"),
+                 "data.scale: must", id="string-scale"),
+    pytest.param("calibrate", _edit(CALIBRATE_CONFIG, "data", sigma_xy=0),
+                 "data.sigma_xy: must", id="zero-sigma-xy"),
+    pytest.param("evolve-semilinear", _edit(SEMILINEAR_CONFIG, "data", width=0),
+                 "data.width: must", id="zero-gaussian-width"),
+    pytest.param("gn-check", _edit(GN_CONFIG, "gn", n="x"), "gn.n: must",
+                 id="string-gn-n"),
+    pytest.param("gn-check", _edit(GN_CONFIG, "gn", q_values=5),
+                 "gn.q_values: must", id="scalar-q-values"),
+    pytest.param("gn-check", _edit(GN_CONFIG, "gn", q_values=["x"]),
+                 "gn.q_values: must", id="non-rational-q"),
+    pytest.param("gn-check", _edit(GN_CONFIG, "gn", random_tuples=2.7),
+                 "gn.random_tuples: must", id="fractional-random-tuples"),
+])
+def test_malformed_config_is_a_config_error(tmp_path, capsys, subcommand,
+                                            config, message):
+    cfg = write_config(tmp_path, config)
+    code = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    problems = [line for line in err.splitlines() if line.startswith("  - ")]
+    assert len(problems) == 1 and message in problems[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_flag_is_checked_like_the_config_seed(tmp_path, capsys):
+    cfg = write_config(tmp_path, GN_CONFIG)
+    code = main(["gn-check", "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--seed", "-1"])
+    assert code == 2
+    assert "seed: must" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

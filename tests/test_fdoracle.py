@@ -169,7 +169,7 @@ def test_run_leapfrog_applies_the_stencil_once_per_step(monkeypatch):
 
     monkeypatch.setattr(fdoracle, "apply_sublaplacian", counting)
     run_leapfrog(u0, v0, cfl_limit(box, 0.35), 7, b=1.0, m=0.5)
-    assert len(calls) == 7 + 1
+    assert len(calls) == 7
 
 
 def test_run_leapfrog_matches_steps_without_shared_stencil():
@@ -246,8 +246,8 @@ def test_run_leapfrog_wraps_each_level_once(monkeypatch):
     monkeypatch.setattr(fdoracle, "SpatialField", counting)
     steps = 7
     run_leapfrog(u0, v0, cfl_limit(box, 0.35), steps, b=1.0, m=0.5)
-    # one wrap of each of the steps + 1 levels, one of each stencil result
-    assert len(wraps) == 2 * (steps + 1)
+    # one wrap of each of the steps new levels, one of each stencil result
+    assert len(wraps) == 2 * steps
 
 
 def mms_error(shape_1d, b=1.5, m=0.8, t_end=0.4):
