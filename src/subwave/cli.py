@@ -355,7 +355,13 @@ def _packet_field(data, synth):
 def _packet_transform(v):
     """The packet data, its one forward transform, and the Plancherel
     constant calibrated on both and stored on the grid."""
-    packet = _packet_field(v["data"], v["synth"])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        try:  # a width that squares to 0 makes 0/0 at a grid point on an axis
+            packet = _packet_field(v["data"], v["synth"])
+        except ValueError:
+            packet = None
+    if packet is None or packet.l2_norm() == 0.0:
+        raise ConfigError(["data: the packet underflows to zero on the synth box"])
     F = forward_transform(packet, v["grid"])
     return packet, F, _calibrate_on(packet, F)
 

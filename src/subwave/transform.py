@@ -16,12 +16,15 @@ Matrix entries reduce to one-dimensional integrals
     beta = sqrt(|lambda|) y_j,  gamma = sign(lambda) sqrt(|lambda|) x_j,
 
 and M(lambda, g)_{kl} = e^{i lambda (t - x.y/2)} prod_j G_{k_j l_j}.
-Centering the Gauss-Hermite rule at beta/2 folds the full Gaussian factor of
-the integrand into the rule weight, so only Hermite polynomial tables and one
-oscillatory phase remain; the rule size grows like gamma_max^2 to keep the
-phase resolved.  In the forward and inverse grid transforms the e^{i lambda
-x.y/2} phases cancel algebraically against the centering phase, which the
-implementation exploits.
+G is the Fourier-Wigner transform of Hermite functions, in closed form
+(Folland, Harmonic Analysis in Phase Space, 1989; Thangavelu, Lectures on
+Hermite and Laguerre Expansions, 1993): G~ = G e^{-i gamma beta/2} is a
+polynomial in z = (beta + i gamma)/sqrt(2) and conj(z) times exp(-|z|^2/2).
+For n = 1 the phase gamma beta/2 is lambda x y/2, so M(lambda, g) =
+e^{i lambda t} G~ and -lambda conjugates G~; the grid transforms run on
+exact G~ tables, one per |lambda| (`_TransformPlan`).  `representation_matrix`
+(through `_g_block`) and `inverse_transform` integrate G with a Gauss-Hermite
+rule centred at beta/2 instead: a quadrature oracle independent of the tables.
 
 The Plancherel normalization of this convention is not hardcoded anywhere;
 `calibrate_plancherel` measures it once per grid and stores it on the grid.
@@ -219,54 +222,71 @@ def representation_matrix(lam: float, g: GroupElement, K: int,
     return phase * M
 
 
-class _TransformPlan:
-    """Per (mode grid, spatial grid) tables for the n=1 grid transforms.
+def _closed_form_tables(alphas: np.ndarray, x: np.ndarray, y: np.ndarray,
+                        K: int) -> np.ndarray:
+    """G~_{kl}(alpha y, alpha x) for k, l < K by the ladder recurrences.
 
-    Hermite tables depend on lambda only through |lambda|, so mirrored nodes
-    share entries.  Population is locked; reads after that are lock-free.
+    With z = alpha (y + i x) / sqrt(2): G~_00 = exp(-|z|^2 / 2),
+    G~_{k+1,0} = z G~_{k0} / sqrt(k+1) and
+    G~_{k,l+1} = (sqrt(k) G~_{k-1,l} - conj(z) G~_{kl}) / sqrt(l+1).
+    Shape (K, K, len(alphas), len(x), len(y)): the (k, l) axes lead, so each
+    step of the recurrence runs over contiguous slabs.
+    """
+    z = (alphas[:, None, None] / np.sqrt(2.0)) * (y[None, None, :] + 1j * x[None, :, None])
+    tab = np.empty((K, K) + z.shape, dtype=complex)
+    tab[0, 0] = np.exp(-0.5 * (z.real ** 2 + z.imag ** 2))
+    for k in range(1, K):
+        np.multiply(z, tab[k - 1, 0], out=tab[k, 0])
+        tab[k, 0] *= 1.0 / np.sqrt(k)
+    minus_zbar = -z.conj()
+    root = np.sqrt(np.arange(1, K))[:, None, None, None]
+    for l in range(K - 1):
+        nxt = tab[:, l + 1]
+        np.multiply(minus_zbar, tab[:, l], out=nxt)
+        nxt[1:] += root * tab[:-1, l]
+        nxt *= 1.0 / np.sqrt(l + 1)
+    return tab
+
+
+class _TransformPlan:
+    """Exact matrix coefficients of the n=1 grid transforms for one
+    (mode grid, spatial grid) pair, built once.
+
+    On a grid point g = (x, y, t), M(lambda, g)_{kl} = e^{i lambda t}
+    G~_{kl}(sqrt|lambda| y, sign(lambda) sqrt|lambda| x), where G~ is the
+    closed-form Fourier-Wigner transform of Hermite functions (Folland 1989;
+    Thangavelu 1993) of `_closed_form_tables`.  -lambda conjugates G~, so
+    the nodes +-lambda share one complex table: `table[p]` is the
+    (K^2, Nx*Ny) matrix of the p-th |lambda|, rows (k, l), columns (x, y).
+    The set holds (|lambda| count) * Nx * Ny * K^2 * 16 bytes and no
+    quadrature rule.  Node q reads `table[group[q]]`, conjugated when
+    column[q] is 1 (lambda < 0).
     """
 
-    def __init__(self, grid: ModeGrid, spatial: SpatialGrid, cache_bytes: int = 1 << 28):
+    def __init__(self, grid: ModeGrid, spatial: SpatialGrid):
         if grid.n != 1:
             raise NotImplementedError("grid transforms are implemented for n = 1")
-        self.grid = grid
-        self.spatial = spatial
-        self.order = int(max(k[0] for k in grid.multi_indices)) + 1
-        lam_max = float(np.max(np.abs(grid.lambda_nodes)))
-        alpha_max = np.sqrt(lam_max)
+        self.order = K = int(max(k[0] for k in grid.multi_indices)) + 1
+        absl, self.group = np.unique(np.abs(grid.lambda_nodes), return_inverse=True)
+        self.column = (grid.lambda_nodes < 0).astype(int)
         x, y, _ = spatial.axes
-        gamma_max = alpha_max * float(np.max(np.abs(x)))
-        self.rule_count = _rule_size(gamma_max, 2 * self.order)
-        self.rule = _rule(self.rule_count)
-        entry = self.rule_count * len(y) * self.order * 8 * 2 + self.rule_count * len(y) * 8
-        self.max_entries = max(2, int(cache_bytes // max(entry, 1)))
-        self._tables: dict = {}
-        self._lock = threading.Lock()
+        tab = _closed_form_tables(np.sqrt(absl), x, y, K)
+        self.table = tab.reshape(K * K, absl.size, -1).transpose(1, 0, 2)
 
-    def tables(self, lam: float):
-        """(HP, HM, wdamp) for |lam|: HP[i,y,l]=h_l(u_i+beta/2), wdamp[i,y]."""
-        key = float(abs(lam))
-        hit = self._tables.get(key)
-        if hit is not None:
-            return hit
-        u, wq = self.rule
-        beta = np.sqrt(key) * self.spatial.axis(1)
-        args_p = u[:, None] + 0.5 * beta[None, :]
-        args_m = u[:, None] - 0.5 * beta[None, :]
-        hp = hermite_polynomial_table(self.order, args_p)
-        hm = hermite_polynomial_table(self.order, args_m)
-        wdamp = wq[:, None] * np.exp(-0.25 * beta * beta)[None, :]
-        with self._lock:
-            if len(self._tables) >= self.max_entries:
-                self._tables.pop(next(iter(self._tables)))
-            self._tables[key] = (hp, hm, wdamp)
-        return self._tables[key]
+    def pair(self, vectors: np.ndarray) -> np.ndarray:
+        """Stack per-node vectors (Q, m) as (|lambda| count, m, 2), node q in
+        column column[q] of its group, conjugated when lambda < 0; a missing
+        mirror stays zero."""
+        out = np.zeros((self.table.shape[0], vectors.shape[1], 2), dtype=complex)
+        out[self.group, :, self.column] = vectors
+        out[..., 1] = out[..., 1].conj()
+        return out
 
-    def phases(self, lam: float) -> np.ndarray:
-        """exp(-i * gamma(x) * u_i) with shape (rule, Nx)."""
-        u = self.rule[0]
-        gamma = np.sign(lam) * np.sqrt(abs(lam)) * self.spatial.axis(0)
-        return np.exp(-1j * np.outer(u, gamma))
+    def unpair(self, stacked: np.ndarray) -> np.ndarray:
+        """Inverse of `pair`: the (Q, m) per-node vectors of stacked."""
+        return np.where(self.column[:, None] == 1,
+                        stacked[self.group, :, 1].conj(),
+                        stacked[self.group, :, 0])
 
 
 _PLAN_CACHE: dict = {}
@@ -294,7 +314,11 @@ def forward_transform(f: SpatialField, grid: ModeGrid,
                       boundary_tol: float = _BOUNDARY_DECAY) -> SpectralField:
     """Group Fourier transform: f_hat(lambda)_{kl} by spatial quadrature.
 
-    Computes the quadrature of f(g) conj(M(lambda, g)_{lk}) over the grid.
+    The trapezoid sum of f(g) conj(M(lambda, g)_{lk}) over the grid with the
+    plan's exact coefficients: the t axis first, one Fourier factor per
+    node, then one batched complex matmul of the |lambda| tables against the
+    paired (+lambda, conjugated -lambda) columns.  `representation_matrix`
+    gives the same entries by quadrature, independently of the tables.
     Warns when f fails the boundary-decay precondition; pass boundary_tol=None
     when the caller has already vetted the box.
     """
@@ -307,68 +331,34 @@ def forward_transform(f: SpatialField, grid: ModeGrid,
                 stacklevel=2,
             )
     plan = _plan(grid, f.grid)
-    t_ax = f.grid.axis(2)
+    K = plan.order
     fw = f.samples * f.grid.weight_cube()
-    # t-axis first: one nonuniform Fourier factor per lambda node
-    char = np.exp(-1j * np.outer(t_ax, grid.lambda_nodes))
-    ft = np.tensordot(fw, char, axes=([2], [0]))
-    out = np.empty(grid.field_shape(), dtype=complex)
-    for q, lam in enumerate(grid.lambda_nodes):
-        hp, hm, wdamp = plan.tables(lam)
-        ph = plan.phases(lam)
-        a = np.tensordot(ph, ft[:, :, q], axes=([1], [0]))  # (rule, Ny)
-        wa = wdamp * a
-        # f_hat_{kl}: k rides the (u - beta/2) table, l the (u + beta/2) one
-        out[q] = np.tensordot(wa[:, :, None] * hm, hp, axes=([0, 1], [0, 1]))
-    return SpectralField(grid, out)
+    char = np.exp(-1j * np.outer(f.grid.axis(2), grid.lambda_nodes))
+    ft = np.tensordot(fw, char, axes=([2], [0])).reshape(-1, grid.node_count)
+    # sum_g ft conj(G~) = conj(table @ conj(ft)); at -lambda the table is conj(G~)
+    rows = plan.unpair(plan.table @ plan.pair(ft.T.conj())).conj()
+    # rows run over (l, k): f_hat_{kl} pairs with G~_{lk}
+    return SpectralField(grid, rows.reshape(-1, K, K).transpose(0, 2, 1))
 
 
 def synthesize_on_grid(F: SpectralField, spatial: SpatialGrid) -> SpatialField:
     """Inverse transform sampled on a full spatial grid.
 
-    Sum over lambda nodes of weight * Tr[F(lambda) M(lambda, x)] with the
-    calibrated grid weights.  Nodes with a nonzero block are grouped by
-    |lambda|, which fixes the plan's real Hermite tables and the real phase
-    tables C = cos(u sqrt|lambda| x), S = sin(u sqrt|lambda| x); the phase of
-    a node is C + i sign(lambda) S, so mirrored nodes share both.  Per group,
-    one real matmul contracts the l index against the real and imaginary
-    parts of every block, one einsum the k index, and two real matmuls
-    (C^T and S^T) the quadrature axis; each slab is then assembled with the
-    sign of its lambda.  A node without a mirror is a group of one.
+    Sum over lambda nodes of weight * Tr[F(lambda) M(lambda, g)] with the
+    calibrated grid weights.  One batched complex matmul of the transposed
+    |lambda| tables against the paired (F(+lambda), conj F(-lambda))
+    columns gives every node's (x, y) slab, and one matmul the t axis.
+    `inverse_transform` evaluates the same sum pointwise by quadrature.
     """
     grid = F.grid
     plan = _plan(grid, spatial)
-    t_ax = spatial.axis(2)
-    x = spatial.axis(0)
-    nx = spatial.shape[0]
-    ny = spatial.shape[1]
     K = plan.order
-    u = plan.rule[0]
-    groups: dict = {}
-    for q, lam in enumerate(grid.lambda_nodes):
-        if F.coefficients[q].any():
-            groups.setdefault(float(abs(lam)), []).append(q)
-    slabs = np.zeros((nx, ny, grid.node_count), dtype=complex)
-    for key, qs in groups.items():
-        hp, hm, wdamp = plan.tables(key)
-        g = len(qs)
-        blocks = F.coefficients[qs]  # (g, k, l)
-        # rhs[l, (part, j, k)] = Re / Im F_j[k, l]
-        rhs = np.concatenate([blocks.real, blocks.imag]).transpose(2, 0, 1)
-        # T[i, y, (part, j)] = sum_{kl} F_j[k, l] hp[i, y, l] hm[i, y, k]
-        tiy = np.einsum("iypk,iyk->iyp",
-                        (hp.reshape(-1, K) @ rhs.reshape(K, 2 * g * K))
-                        .reshape(*hp.shape[:2], 2 * g, K), hm)
-        tw = (tiy * wdamp[:, :, None]).reshape(len(u), -1)
-        arg = np.outer(u, np.sqrt(key) * x)
-        cx = (np.cos(arg).T @ tw).reshape(nx, ny, 2, g)
-        sx = (np.sin(arg).T @ tw).reshape(nx, ny, 2, g)
-        sign = np.sign(grid.lambda_nodes[qs])
-        slabs[:, :, qs] = (cx[:, :, 0] - sign * sx[:, :, 1]
-                           + 1j * (cx[:, :, 1] + sign * sx[:, :, 0]))
-    char = np.exp(1j * np.outer(grid.lambda_nodes, t_ax)) * grid.weights[:, None]
-    samples = slabs.reshape(nx * ny, -1) @ char
-    return SpatialField(spatial, samples.reshape(nx, ny, -1))
+    # Tr[F G~] = sum over (l, k) of G~_{lk} F_{kl}
+    cols = F.coefficients.transpose(0, 2, 1).reshape(-1, K * K)
+    slabs = plan.unpair(plan.table.transpose(0, 2, 1) @ plan.pair(cols))
+    char = np.exp(1j * np.outer(grid.lambda_nodes, spatial.axis(2))) * grid.weights[:, None]
+    samples = slabs.T @ char
+    return SpatialField(spatial, samples.reshape(spatial.shape))
 
 
 def inverse_transform(F: SpectralField, points) -> np.ndarray:

@@ -261,6 +261,23 @@ def test_packet_set_up_transforms_the_packet_once(tmp_path, monkeypatch,
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("subcommand, config", [
+    ("calibrate", CALIBRATE_CONFIG),
+    ("oracle-compare", ORACLE_CONFIG),
+])
+def test_underflowing_packet_is_a_config_error(tmp_path, capsys, subcommand,
+                                               config):
+    # sigma_xy is positive, so the schema accepts it, but every sample of the
+    # packet underflows to 0 on the box
+    cfg = write_config(tmp_path, _edit(config, "data", sigma_xy=1e-200))
+    code = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    problems = [line for line in err.splitlines() if line.startswith("  - ")]
+    assert len(problems) == 1 and problems[0].startswith("  - data: ")
+    assert not (tmp_path / "out").exists()
+
+
 def _oracle(**fields):
     return ORACLE_CONFIG | {"oracle": ORACLE_CONFIG["oracle"] | fields}
 

@@ -8,7 +8,10 @@ import pytest
 from subwave.group import GroupElement, group_identity, group_multiply
 from subwave.spectral import ModeGrid, SpectralField, build_grid, l2_norm
 from subwave.transform import (
-    _plan,
+    _closed_form_tables,
+    _g_block,
+    _rule,
+    _rule_size,
     SpatialField,
     SpatialGrid,
     calibrate_plancherel,
@@ -144,40 +147,108 @@ def test_inverse_transform_matches_synthesis(calibrated_grid, synth_box):
     assert inverse_transform(F, []).shape == (0,)
 
 
-def per_node_synthesis(F, spatial):
-    """One lambda node at a time with explicit complex phases: the reference
-    for the |lambda|-grouped real arithmetic of synthesize_on_grid."""
-    grid = F.grid
-    plan = _plan(grid, spatial)
-    u = plan.rule[0]
-    slabs = np.zeros((grid.node_count,) + spatial.shape[:2], dtype=complex)
+def quadrature_blocks(grid, spatial):
+    """M(lambda_q, (x, y, 0)) for every node and (x, y) point, shape
+    (Q, Nx, Ny, K, K), from the Gauss-Hermite `_g_block` with the explicit
+    phase exp(-i lambda x y / 2): an oracle independent of the plan's
+    closed-form tables."""
+    K = grid.block_size
+    x, y, _ = spatial.axes
+    gmax = np.sqrt(np.max(np.abs(grid.lambda_nodes))) * np.max(np.abs(x))
+    rule = _rule(_rule_size(gmax, 2 * K))
+    out = np.empty((grid.node_count, x.size, y.size, K, K), dtype=complex)
     for q, lam in enumerate(grid.lambda_nodes):
-        hp, hm, wdamp = plan.tables(lam)
-        gamma = np.sign(lam) * np.sqrt(abs(lam)) * spatial.axis(0)
-        ph = np.exp(1j * np.outer(u, gamma))
-        v = np.tensordot(hp, F.coefficients[q], axes=([2], [1]))
-        tiy = np.einsum("iyk,iyk->iy", v, hm)
-        slabs[q] = np.tensordot(ph, wdamp * tiy, axes=([0], [0]))
+        alpha, sgn = np.sqrt(abs(lam)), np.sign(lam)
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                out[q, i, j] = (np.exp(-0.5j * lam * xi * yj)
+                                * _g_block(alpha * yj, sgn * alpha * xi, K, K, rule))
+    return out
+
+
+def per_node_synthesis(F, spatial):
+    """One lambda node at a time with explicit complex phases: the quadrature
+    reference for the batched closed-form synthesis."""
+    grid = F.grid
+    blocks = quadrature_blocks(grid, spatial)
+    # Tr[F M] = sum_{kl} F_kl M_lk
+    slabs = np.einsum("qkl,qxylk->qxy", F.coefficients, blocks)
     char = (np.exp(1j * np.outer(spatial.axis(2), grid.lambda_nodes))
             * grid.weights[None, :])
     return np.tensordot(slabs, char, axes=([0], [1]))
 
 
-def test_grouped_synthesis_matches_per_node_loop(rng):
-    # -0.5 has no mirror node, and the zero block at -1.0 leaves +1.0 alone
-    # in its |lambda| group; random complex blocks have no symmetry that
-    # could hide a wrong sign on the mirrored phases
+def _sparse_grid():
+    # -0.5 has no mirror node; random complex data has no symmetry that
+    # could hide a wrong sign on the mirrored (conjugated) tables
     nodes = np.array([-2.0, -1.0, -0.5, 1.0, 2.0])
-    grid = ModeGrid(n=1, lambda_nodes=nodes,
+    return ModeGrid(n=1, lambda_nodes=nodes,
                     base_weights=np.array([0.5, 0.4, 0.3, 0.4, 0.5]), mu_max=7.0)
+
+
+def test_grouped_synthesis_matches_per_node_loop(rng):
+    grid = _sparse_grid()
     spatial = SpatialGrid((4.0, 3.5, 5.0), (13, 11, 9))
     c = (rng.standard_normal(grid.field_shape())
          + 1j * rng.standard_normal(grid.field_shape()))
-    c[1] = 0.0
+    c[1] = 0.0  # +1.0 alone in its |lambda| pair
     F = SpectralField(grid, c)
     ref = per_node_synthesis(F, spatial)
     got = synthesize_on_grid(F, spatial).samples
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_forward_matches_quadrature_on_an_asymmetric_field():
+    # even packets cannot tell (k, l) from (l, k); this field is odd in x,
+    # off-centre in x and y and complex, so a transposed index order or a
+    # wrong mirrored sign misses by O(1)
+    grid = _sparse_grid()
+    spatial = SpatialGrid((4.0, 3.5, 5.0), (13, 11, 9))
+    f = from_function(spatial, lambda x, y, t: (1 + x + 0.3j * x * y + 0.2 * x * t)
+                      * np.exp(-((x - 0.7) ** 2 + (y + 0.4) ** 2) / 1.2 - t * t / 3))
+    blocks = quadrature_blocks(grid, spatial)
+    fw = f.samples * spatial.weight_cube()
+    ft = np.tensordot(fw, np.exp(-1j * np.outer(spatial.axis(2), grid.lambda_nodes)),
+                      axes=([2], [0]))
+    # f_hat(lambda)_{kl} = sum_g w f(g) conj(M(lambda, g)_{lk})
+    ref = np.einsum("xyq,qxylk->qkl", ft, blocks.conj())
+    got = forward_transform(f, grid, boundary_tol=None).coefficients
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("K, bound", [(8, 1e-13), (16, 1e-10)])
+def test_closed_form_tables_match_quadrature(K, bound):
+    # x carries gamma and y beta: both signs and |beta|, |gamma| up to 12.3
+    x = np.array([-12.3, -7.1, -2.2, -0.4, 0.0, 1.3, 5.6, 12.3])
+    y = np.array([-12.3, -3.3, -0.9, 0.0, 0.7, 4.4, 9.8, 12.3])
+    tab = _closed_form_tables(np.array([1.0]), x, y, K)[:, :, 0]
+    rule = _rule(_rule_size(12.3, 2 * K))
+    err = 0.0
+    for i, gamma in enumerate(x):
+        for j, beta in enumerate(y):
+            ref = _g_block(beta, gamma, K, K, rule) * np.exp(-0.5j * gamma * beta)
+            err = max(err, np.max(np.abs(tab[:, :, i, j] - ref)))
+    assert err <= bound
+
+
+def test_grid_transforms_do_not_touch_quadrature(monkeypatch, rng):
+    from subwave import transform
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature on the fast path")
+
+    monkeypatch.setattr(transform, "hermite_polynomial_table", refuse)
+    monkeypatch.setattr(transform, "_rule", refuse)
+    clear_plan_cache()
+    grid = _sparse_grid()
+    spatial = SpatialGrid((4.0, 3.5, 5.0), (13, 11, 9))
+    c = (rng.standard_normal(grid.field_shape())
+         + 1j * rng.standard_normal(grid.field_shape()))
+    F = SpectralField(grid, c)
+    f = synthesize_on_grid(F, spatial)
+    forward_transform(f, grid, boundary_tol=None)
+    with pytest.raises(AssertionError, match="quadrature"):
+        inverse_transform(F, [GroupElement([0.5], [0.2], 0.1)])
 
 
 def test_boundary_decay_warning():
