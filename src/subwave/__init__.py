@@ -61,6 +61,7 @@ from .semilinear import (
     check_admissible,
     ZNormConfig,
     z_norm,
+    NumericalFailure,
     PicardStatus,
     PicardDiagnostics,
     apply_nonlinearity,

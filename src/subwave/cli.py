@@ -17,7 +17,8 @@ JSON null counts as absent.  A subcommand checks only the sections it reads.
 backend       {"kind": "heisenberg", "n": 1}
               | {"kind": "abelian", "half_widths": [..], "shape": [..],
                  "coefficients": [..], "order", "radial": true};
-              the abelian backend serves evolve-semilinear only
+              the abelian backend serves evolve-linear, verify-decay and
+              evolve-semilinear
 grid          heisenberg only: {"lambda_min", "lambda_max", "nodes", "mu_max"}
 synth         heisenberg only: {"half_widths": [x,y,tau], "shape": [nx,ny,nt]}
 b, m          damping and mass, positive numbers
@@ -48,7 +49,10 @@ Every run writes <out>/<subcommand>.csv (UTF-8, header row, comma separator,
 LF line ends, floats via shortest round-trip repr) and <out>/manifest.json
 capturing the config as given, content hashes of the config and outputs,
 and the pass verdict.  Identical config and seed give byte-identical CSV
-files.  Exit status: 0 pass, 1 acceptance failure, 2 config error.  --threads
+files.  Exit status: 0 pass, 1 acceptance failure, 2 config error, 3
+numerical failure (a synthesized field fails the boundary-decay gate or a
+nonlinearity produces non-finite samples; one line on stderr, no output
+directory).  --threads
 is recorded in the manifest as an advisory worker cap; the numeric kernels
 here are single-threaded apart from whatever the BLAS runtime does.  The
 strict tolerance profile halves every acceptance tolerance used by a
@@ -70,11 +74,11 @@ from .abelian import (AbelianCoefficients, AbelianGrid, abelian_from_function,
 from .fdoracle import cfl_limit, compare_with_spectral, run_leapfrog
 from .gn import (gn_exponent_corollary, gn_exponent_graded,
                  gn_exponent_heisenberg, verify_inequality_abelian)
-from .propagator import decay_rate, evolve_linear, verify_decay
-from .semilinear import (PicardStatus, PowerNonlinearity, ZNormConfig,
-                         picard_solve, verify_semilinear_decay)
+from .propagator import _Model, decay_rate, evolve_linear, verify_decay
+from .semilinear import (NumericalFailure, PicardStatus, PowerNonlinearity,
+                         ZNormConfig, picard_solve, verify_semilinear_decay)
 from .spectral import (AbelianSymbol, SpectralField, SubLaplacianSymbol,
-                       _csv_bytes, build_grid, l2_norm, sobolev_norm)
+                       _csv_bytes, build_grid, l2_norm)
 from .transform import (SpatialField, SpatialGrid, _calibrate_on,
                         forward_transform, from_function, synthesize_on_grid)
 
@@ -186,16 +190,17 @@ _SCHEMA = {
 # it takes).  "horizon.T" reads the horizon section with T alone required;
 # packet data also reads synth.  gn-check reads no backend.
 _HEISENBERG = ("modes", "packet")
-_LINEAR = {"heisenberg": (("grid", "b", "m", "data", "horizon"), _HEISENBERG)}
+_LINEAR = {"heisenberg": (("grid", "b", "m", "data", "horizon"), _HEISENBERG),
+           "abelian": (("b", "m", "data", "horizon"), ("gaussian",))}
+# evolve-semilinear also reads these; the nonlinearity acts on the synth box
+_NONLINEAR = {"heisenberg": ("synth", "nonlinearity", "znorm"),
+              "abelian": ("nonlinearity", "znorm")}
 _NEEDS = {
     "calibrate": {"heisenberg": (("grid", "synth", "data"), ("packet",))},
     "evolve-linear": _LINEAR,
     "verify-decay": _LINEAR,
-    "evolve-semilinear": {
-        "heisenberg": (("grid", "synth", "b", "m", "data", "horizon",
-                        "nonlinearity", "znorm"), _HEISENBERG),
-        "abelian": (("b", "m", "data", "horizon", "nonlinearity", "znorm"),
-                    ("gaussian",))},
+    "evolve-semilinear": {kind: (needs + _NONLINEAR[kind], data_kinds)
+                          for kind, (needs, data_kinds) in _LINEAR.items()},
     "gn-check": {None: (("gn",), ())},
     "oracle-compare": {"heisenberg": (("grid", "synth", "b", "m", "data",
                                        "horizon.T", "oracle"), _HEISENBERG)},
@@ -366,33 +371,43 @@ def _packet_transform(v):
     return packet, F, _calibrate_on(packet, F)
 
 
-def _heisenberg_data(v):
-    data, grid = v["data"], v["grid"]
+def _cauchy_data(v):
+    """(u0, u1, symbol): the configured data at rest, on either backend."""
+    data = v["data"]
+    if v["backend"]["kind"] == "abelian":
+        agrid, symbol = v["abelian"]
+        width, scale = data["width"], data["scale"]
+        u0 = abelian_forward(abelian_from_function(
+            agrid, lambda *xs: scale
+            * np.exp(-sum(c ** 2 for c in xs) / (2 * width ** 2))))
+        return u0, AbelianCoefficients(agrid, np.zeros_like(u0.values)), symbol
+    grid = v["grid"]
     if data["kind"] == "packet":
-        return _packet_transform(v)[1]
-    # analytic coefficient-space data: lambda-Gaussian on the Hermite diagonal
-    c = np.zeros(grid.field_shape(), dtype=complex)
-    profile = np.exp(-(grid.lambda_nodes - data["center"]) ** 2
-                     / (2 * data["width"] ** 2))
-    for k in range(grid.block_size):
-        c[:, k, k] = data["scale"] * profile * data["ladder"] ** k
-    return SpectralField(grid, c)
+        u0 = _packet_transform(v)[1]
+    else:
+        # analytic coefficient-space data: lambda-Gaussian on the Hermite diagonal
+        c = np.zeros(grid.field_shape(), dtype=complex)
+        profile = np.exp(-(grid.lambda_nodes - data["center"]) ** 2
+                         / (2 * data["width"] ** 2))
+        for k in range(grid.block_size):
+            c[:, k, k] = data["scale"] * profile * data["ladder"] ** k
+        u0 = SpectralField(grid, c)
+    return u0, SpectralField.zeros(grid), SubLaplacianSymbol(1)
 
 
 def _linear_run(v, tol_factor):
-    grid, b, m = v["grid"], v["b"], v["m"]
-    u0 = _heisenberg_data(v)
-    u1 = SpectralField.zeros(grid)
-    prov = SubLaplacianSymbol(1)
+    b, m = v["b"], v["m"]
+    u0, u1, symbol = _cauchy_data(v)
     times = np.linspace(0.0, v["horizon"]["T"], v["horizon"]["samples"])
-    traj = evolve_linear(u0, u1, b, m, prov, times)
+    traj = evolve_linear(u0, u1, b, m, symbol, times)
     d0 = decay_rate(b, m)
     tol = 0.05 * tol_factor
-    reports = {s: verify_decay(traj, prov, s=s, slope_tolerance=tol)
+    reports = {s: verify_decay(traj, symbol, s=s, slope_tolerance=tol)
                for s in (0.0, 1.0)}
     passed = all(r.passed for r in reports.values())
-    rows = [(t, l2_norm(f), sobolev_norm(f, prov, 1.0))
-            for t, f in zip(traj.times, traj.fields)]
+    model = _Model(u0, symbol, b, m)
+    rows = [(t, model.l2(c), model.sobolev(c, 1.0))
+            for t, c in zip(traj.times, map(model.unwrap, traj.fields))]
     header = ("time", "l2", "h1")
     results = {
         "delta0": d0,
@@ -410,16 +425,7 @@ def _semilinear_run(v, tol_factor):
     znorm = ZNormConfig(delta=decay_rate(b, m) * z["delta_fraction"],
                         sample_times=tuple(times),
                         weight_exponent=z["weight_exponent"])
-    if v["backend"]["kind"] == "abelian":
-        agrid, symbol = v["abelian"]
-        width, scale = v["data"]["width"], v["data"]["scale"]
-        u0 = abelian_forward(abelian_from_function(
-            agrid, lambda *xs: scale
-            * np.exp(-sum(c ** 2 for c in xs) / (2 * width ** 2))))
-        u1 = AbelianCoefficients(agrid, np.zeros(agrid.shape, dtype=complex))
-    else:
-        symbol = SubLaplacianSymbol(1)
-        u0, u1 = _heisenberg_data(v), SpectralField.zeros(v["grid"])
+    u0, u1, symbol = _cauchy_data(v)
     traj, diag = picard_solve(u0, u1, nl, b, m, symbol, znorm,
                               synth=v.get("synth"))
     rep = verify_semilinear_decay(traj, b, m, symbol)
@@ -498,7 +504,7 @@ def _gn_check(v, tol_factor):
 
 def _oracle_compare(v, tol_factor):
     b, m, T, oracle = v["b"], v["m"], v["horizon"]["T"], v["oracle"]
-    u0 = _heisenberg_data(v)
+    u0, u1, symbol = _cauchy_data(v)
     fd_grid = SpatialGrid(v["synth"].half_widths, oracle["shape"])
     dt = cfl_limit(fd_grid, oracle["safety"])
     steps = int(np.ceil(T / dt))
@@ -508,9 +514,7 @@ def _oracle_compare(v, tol_factor):
     v0_fd = SpatialField(fd_grid, np.zeros(fd_grid.shape, dtype=complex))
     fd = run_leapfrog(u0_fd, v0_fd, dt, steps, b, m,
                       snapshot_every=snap_every)
-    prov = SubLaplacianSymbol(1)
-    traj = evolve_linear(u0, SpectralField.zeros(u0.grid), b, m, prov,
-                         fd.snapshot_times)
+    traj = evolve_linear(u0, u1, b, m, symbol, fd.snapshot_times)
     tol = oracle["tolerance"] * tol_factor
     report = compare_with_spectral(traj, fd, fd_grid, horizon=T,
                                    tolerance=tol)
@@ -586,6 +590,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

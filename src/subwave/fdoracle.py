@@ -98,17 +98,13 @@ def cfl_limit(grid: SpatialGrid, safety: float = 0.4) -> float:
 
 
 def step_leapfrog(u: np.ndarray, u_prev: np.ndarray, dt: float, b: float,
-                  m: float, grid: SpatialGrid, source=None,
-                  lap: np.ndarray | None = None) -> np.ndarray:
+                  m: float, lap: np.ndarray, source=None) -> np.ndarray:
     """One damped leapfrog step at time level j -> j+1.
 
     u_next = [2u - (1 - b dt/2) u_prev + dt^2 (L u - m u + source)] / (1 + b dt/2)
 
-    lap, when given, must hold the stencil L u (the samples of
-    apply_sublaplacian on u); it is computed here when omitted.
+    lap must hold the stencil L u (the samples of apply_sublaplacian on u).
     """
-    if lap is None:
-        lap = apply_sublaplacian(SpatialField(grid, u)).samples
     rhs = lap - m * u
     if source is not None:
         rhs = rhs + source
@@ -127,19 +123,16 @@ class LeapfrogResult:
 
 
 def staggered_energy(u: np.ndarray, u_next: np.ndarray, dt: float, m: float,
-                     grid: SpatialGrid, lap: np.ndarray | None = None) -> float:
+                     grid: SpatialGrid, lap: np.ndarray) -> float:
     """Staggered discrete energy conserved by the undamped leapfrog.
 
     E = 1/2 ||(u_next - u)/dt||^2 + 1/2 <(-L + m) u, u_next>; the stencil is
     symmetric so this is the exact conserved quantity at b = 0 and strictly
-    dissipated for b > 0 under the CFL bound.  lap, when given, must hold the
-    stencil L u, as passed to the step_leapfrog call that made u_next; it is
-    computed here when omitted.
+    dissipated for b > 0 under the CFL bound.  lap must hold the stencil L u,
+    as passed to the step_leapfrog call that made u_next.
     """
     vol = grid.cell_volume
     kin = 0.5 * np.sum(np.abs((u_next - u) / dt) ** 2) * vol
-    if lap is None:
-        lap = apply_sublaplacian(SpatialField(grid, u)).samples
     pot = 0.5 * np.real(np.sum(np.conj(-lap + m * u) * u_next)) * vol
     return float(kin + pot)
 
@@ -185,8 +178,8 @@ def run_leapfrog(u0: SpatialField, v0: SpatialField, dt: float, steps: int,
         src = source_fn(t_j) if source_fn is not None else None
         if j:
             lap = apply_sublaplacian(field).samples
-        u_next = step_leapfrog(u, u_prev, dt, b, m, grid, src, lap=lap)
-        energy[j] = staggered_energy(u, u_next, dt, m, grid, lap=lap)
+        u_next = step_leapfrog(u, u_prev, dt, b, m, lap, src)
+        energy[j] = staggered_energy(u, u_next, dt, m, grid, lap)
         u_prev, u = u, u_next
         field = SpatialField(grid, u)
         mag = np.abs(u)

@@ -18,6 +18,19 @@ derivative are
 
     u(t)  = e^{-bt/2} [ (C + (b/2) S) u0 + S u1 ]
     u'(t) = e^{-bt/2} [ -total S u0 + (C - (b/2) S) u1 ]
+
+Both backends reach these factors through one model, `_Model`: SpectralField
+coefficients on a Heisenberg mode grid and AbelianCoefficients on an FFT
+grid.  It is the only code that reads a backend's symbol layout and norm
+weighting, and it works on raw coefficient arrays c:
+
+    factors(t)        closed-form (A0, A1, D0, D1): u(t) = A0 u0 + A1 u1,
+                      u'(t) = D0 u0 + D1 u1
+    l2(c)             L^2 norm
+    sobolev(c, s)     inhomogeneous norm with multiplier (1 + R)^{2s/nu}
+    frac(c, j)        homogeneous seminorm ||R^{j/nu} u||_{L^2}
+    data_norm(c0, c1) the H^{nu/2} x L^2 norm of Cauchy data
+    wrap(c), unwrap(u)  between c and the backend's field type
 """
 
 from __future__ import annotations
@@ -28,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralField, _csv_bytes, l2_norm, sobolev_norm
+from .abelian import AbelianCoefficients, _norm_multiplier, symbol_on_grid
+from .spectral import SpectralField, SubLaplacianSymbol, _csv_bytes
 
 __all__ = [
     "Regime",
@@ -182,27 +196,107 @@ class LinearTrajectory:
             raise ValueError("times and field lists must have equal length")
 
 
-def evolve_linear(u0: SpectralField, u1: SpectralField, b: float, m: float,
-                  provider, times) -> LinearTrajectory:
-    """Evolve Cauchy data modewise through the closed-form propagator."""
-    if b <= 0:
-        raise ValueError("damping must be positive")
-    if m < 0:
-        raise ValueError("mass must be non-negative")
-    u0._check_compatible(u1)
+class _Model:
+    """One backend as the solvers see it; the methods are listed in the
+    module docstring.  Heisenberg (SpectralField): R = provider.values(grid)
+    on the row index k of each (node, k, l) block, the sub-Laplacian by
+    default, and each lambda node's Plancherel weight in the norms.  Abelian
+    (AbelianCoefficients): R = symbol_on_grid(grid, provider), provider
+    required, and the norms divided by the box volume.  Each norm multiplier
+    is built once per (order, mass) and kept for the model's lifetime.
+    """
+
+    def __init__(self, state, provider, b, m):
+        if b <= 0:
+            raise ValueError("damping must be positive")
+        if m < 0:
+            raise ValueError("mass must be non-negative")
+        if not isinstance(state, (SpectralField, AbelianCoefficients)):
+            raise TypeError(f"unsupported state type {type(state).__name__}")
+        grid = state.grid
+        if isinstance(state, SpectralField):
+            if provider is None:
+                provider = SubLaplacianSymbol(power=1)
+            self.sym = provider.values(grid)[:, :, None]
+            self.weights, self.volume = grid.weights[:, None, None], 1.0
+            self.field, self._attr = SpectralField, "coefficients"
+            self._same_grid = lambda g: g.stamp == grid.stamp
+        else:
+            if provider is None:
+                raise ValueError("abelian trajectories need an explicit symbol provider")
+            self.sym = symbol_on_grid(grid, provider)
+            self.weights, self.volume = None, grid.volume
+            self.field, self._attr = AbelianCoefficients, "values"
+            self._same_grid = lambda g: g == grid
+        self.grid, self.nu = grid, provider.nu
+        self.b, self.m = float(b), float(m)
+        self.total = self.sym + self.m
+        self._mults = {}
+
+    def factors(self, t):
+        return _mode_factors(self.total, self.b, t)
+
+    def wrap(self, c):
+        return self.field(self.grid, c)
+
+    def unwrap(self, u):
+        """The coefficients of u, which must be a field on the model's grid."""
+        if not (isinstance(u, self.field) and self._same_grid(u.grid)):
+            raise ValueError("fields live on different grids")
+        return getattr(u, self._attr)
+
+    def trajectory(self, times, values, derivs):
+        return LinearTrajectory(times, [self.wrap(v) for v in values],
+                                [self.wrap(d) for d in derivs], self.b, self.m)
+
+    def multiplier(self, order, mass=None):
+        """(mass + R)^{2 order/nu}, or R^{2 order/nu} when mass is None."""
+        key = (float(order), mass)
+        if key not in self._mults:
+            self._mults[key] = _norm_multiplier(self.sym, self.nu, *key)
+        return self._mults[key]
+
+    def _norm(self, c, mult=None):
+        if self.weights is not None:
+            mult = self.weights if mult is None else self.weights * mult
+        return float(np.sqrt(np.vdot(c, c if mult is None else mult * c).real
+                             / self.volume))
+
+    def l2(self, c):
+        return self._norm(c)
+
+    def sobolev(self, c, s):
+        return self._norm(c, self.multiplier(s, 1.0))
+
+    def frac(self, c, j):
+        return self._norm(c, self.multiplier(j))
+
+    def data_norm(self, c0, c1):
+        return self.sobolev(c0, 0.5 * self.nu) + self.l2(c1)
+
+
+def _linear_history(model, c0, c1, times):
+    """Closed-form values and derivatives of the data (c0, c1) at each time."""
+    values, derivs = [], []
+    for t in times:
+        A0, A1, D0, D1 = model.factors(float(t))
+        values.append(A0 * c0 + A1 * c1)
+        derivs.append(D0 * c0 + D1 * c1)
+    return values, derivs
+
+
+def evolve_linear(u0, u1, b: float, m: float, provider, times) -> LinearTrajectory:
+    """Evolve Cauchy data modewise through the closed-form propagator.
+
+    u0 and u1 are SpectralField on one mode grid or AbelianCoefficients on
+    one FFT grid; the abelian backend needs its symbol as provider.
+    """
+    model = _Model(u0, provider, b, m)
+    c0, c1 = model.unwrap(u0), model.unwrap(u1)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
         raise ValueError("sample times must be non-negative")
-    grid = u0.grid
-    total = (provider.values(grid) + m)[:, :, None]
-    fields, derivs = [], []
-    for t in times:
-        A0, A1, D0, D1 = _mode_factors(total, b, float(t))
-        val = A0 * u0.coefficients + A1 * u1.coefficients
-        der = D0 * u0.coefficients + D1 * u1.coefficients
-        fields.append(SpectralField(grid, val))
-        derivs.append(SpectralField(grid, der))
-    return LinearTrajectory(times=times, fields=fields, derivatives=derivs, b=b, m=m)
+    return model.trajectory(times, *_linear_history(model, c0, c1, times))
 
 
 @dataclass
@@ -225,11 +319,14 @@ def verify_decay(traj: LinearTrajectory, provider, s: float = 0.0,
     The slope of log ||u(t)||_{H^s} is fit by least squares over the last 60%
     of the samples, which must number at least 8 and span at least 3/delta0.
     The report passes when the fitted slope is at most -delta0 (1 - tol).
-    A zero-data trajectory is flagged trivial and passes vacuously.
+    A zero-data trajectory is flagged trivial and passes vacuously.  The
+    fields may be SpectralField or AbelianCoefficients.
     """
     delta0 = decay_rate(traj.b, traj.m)
-    norms = np.array([sobolev_norm(f, provider, s) for f in traj.fields])
-    data_scale = norms[0] + sobolev_norm(traj.derivatives[0], provider, s - 0.5 * provider.nu)
+    model = _Model(traj.fields[0], provider, traj.b, traj.m)
+    norms = np.array([model.sobolev(model.unwrap(f), s) for f in traj.fields])
+    data_scale = norms[0] + model.sobolev(model.unwrap(traj.derivatives[0]),
+                                          s - 0.5 * model.nu)
     if data_scale == 0.0:
         return DecayReport(delta0, 0.0, 0.0, traj.times[:0], norms[:0],
                            passed=True, trivial=True)
@@ -260,11 +357,14 @@ def verify_decay(traj: LinearTrajectory, provider, s: float = 0.0,
 
 
 def export_trajectory_csv(traj: LinearTrajectory, provider, s_values, path: str):
-    """Write per-time norms to CSV: t, L2, H^s columns, decay envelope."""
+    """Write per-time norms to CSV: t, L2, H^s columns, decay envelope.  The
+    fields may be SpectralField or AbelianCoefficients."""
     delta0 = decay_rate(traj.b, traj.m)
+    model = _Model(traj.fields[0], provider, traj.b, traj.m)
     s_values = list(s_values)
     header = ["t", "l2"] + [f"h{s:g}" for s in s_values] + ["envelope"]
-    rows = [[t, l2_norm(f)] + [sobolev_norm(f, provider, s) for s in s_values]
-            + [np.exp(-delta0 * t)] for t, f in zip(traj.times, traj.fields)]
+    rows = [[t, model.l2(c)] + [model.sobolev(c, s) for s in s_values]
+            + [np.exp(-delta0 * t)]
+            for t, c in zip(traj.times, map(model.unwrap, traj.fields))]
     with open(path, "wb") as fh:
         fh.write(_csv_bytes(header, rows))

@@ -24,20 +24,13 @@ multipliers).  Divergence is declared against a threshold proportional to
 the Z norm of the linear part, mirroring the contraction-ball radius
 L = r * C1 * (data norm) with r = 2 and C1 measured, not assumed.
 
-The solver sees a backend only through a model object, built from the
-state's type by `_make_model`, which works on raw coefficient arrays c:
-
-    factors(t)       closed-form (A0, A1, D0, D1): u(t) = A0 u0 + A1 u1,
-                     u'(t) = D0 u0 + D1 u1
-    l2(c)            L^2 norm
-    sobolev(c, s)    inhomogeneous norm with multiplier (1 + R)^{2s/nu}
-    frac(c, j)       homogeneous seminorm ||R^{j/nu} u||_{L^2}
-    nonlinearity(c, nl, strict)   coefficients of f(u)
-    wrap(c)          c as the backend's field type
-
-The abelian model owns its norm multipliers: each (order, mass) multiplier
-is built once, on first use, and serves the norms and the R^{j/nu} factors
-of a GeneralNonlinearity's tuple for the rest of the model's life.
+The solver sees a backend only through the model of `subwave.propagator`
+(symbol, factors, norms, wrap/unwrap; see its module docstring), to which
+`_make_model` adds the backend's nonlinearity(c, nl, strict): the
+coefficients of f(u).  On the abelian backend the R^{j/nu} factors of a
+GeneralNonlinearity's tuple come from the model's cached norm multipliers.
+A synthesized field that fails the boundary-decay gate, or a nonlinearity
+that produces non-finite samples, raises NumericalFailure.
 """
 
 from __future__ import annotations
@@ -49,22 +42,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .abelian import (
-    AbelianCoefficients,
-    AbelianField,
-    _norm_multiplier,
-    abelian_forward,
-    abelian_inverse,
-    symbol_on_grid,
-)
-from .propagator import LinearTrajectory, _mode_factors
-from .spectral import (
-    SpectralField,
-    SubLaplacianSymbol,
-    homogeneous_sobolev_norm,
-    l2_norm,
-    sobolev_norm,
-)
+from .abelian import AbelianField, abelian_forward, abelian_inverse
+from .propagator import _linear_history, _Model
+from .spectral import SpectralField
 from .transform import SpatialField, SpatialGrid, forward_transform, synthesize_on_grid
 
 __all__ = [
@@ -73,6 +53,7 @@ __all__ = [
     "Admissibility",
     "check_admissible",
     "ZNormConfig",
+    "NumericalFailure",
     "PicardStatus",
     "PicardDiagnostics",
     "apply_nonlinearity",
@@ -193,6 +174,11 @@ class ZNormConfig:
         return (1.0 + t) ** self.weight_exponent * np.exp(self.delta * t)
 
 
+class NumericalFailure(ValueError, FloatingPointError):
+    """A synthesized field fails the boundary-decay gate, or a nonlinearity
+    produces non-finite samples: the run's numerics, not its input, broke."""
+
+
 class PicardStatus(enum.Enum):
     CONVERGED = "Converged"
     DIVERGED = "Diverged"
@@ -212,46 +198,10 @@ class PicardDiagnostics:
     quadrature_error: float = float("nan")
 
 
-# ---------------------------------------------------------------------------
-# backend dispatch: everything below treats a "state" as a raw coefficient
-# array plus a model object that knows factors, norms, and the nonlinearity
-
-
-class _Model:
-    """What both backends share: the symbol, evaluated once as total = R + m,
-    feeds the closed-form factors, and the data norm is H^{nu/2} x L^2."""
-
-    def __init__(self, grid, provider, b, total):
-        self.grid = grid
-        self.provider = provider
-        self.nu = provider.nu
-        self.b = float(b)
-        self.total = total
-
-    def factors(self, t):
-        return _mode_factors(self.total, self.b, t)
-
-    def data_norm(self, c0, c1):
-        return self.sobolev(c0, 0.5 * self.nu) + self.l2(c1)
-
-
 class _HeisenbergModel(_Model):
-    def __init__(self, grid, provider, b, m, synth):
-        super().__init__(grid, provider, b,
-                         (provider.values(grid) + float(m))[:, :, None])
+    def __init__(self, state, provider, b, m, synth):
+        super().__init__(state, provider, b, m)
         self.synth = synth
-
-    def wrap(self, c):
-        return SpectralField(self.grid, c)
-
-    def l2(self, c):
-        return l2_norm(self.wrap(c))
-
-    def sobolev(self, c, s):
-        return sobolev_norm(self.wrap(c), self.provider, s)
-
-    def frac(self, c, j):
-        return homogeneous_sobolev_norm(self.wrap(c), self.provider, float(j))
 
     def nonlinearity(self, c, nl, strict: bool = True):
         if not c.any():
@@ -262,37 +212,6 @@ class _HeisenbergModel(_Model):
 
 
 class _AbelianModel(_Model):
-    """Norms are Parseval sums over the coefficients; each norm multiplier is
-    built once per (order, mass) and kept for the model's lifetime."""
-
-    def __init__(self, grid, symbol, b, m):
-        self.sym_vals = symbol_on_grid(grid, symbol)
-        super().__init__(grid, symbol, b, self.sym_vals + float(m))
-        self.volume = grid.volume
-        self._mults = {}
-
-    def multiplier(self, order, mass=None):
-        """(mass + R)^{2 order/nu}, or R^{2 order/nu} when mass is None."""
-        key = (float(order), mass)
-        if key not in self._mults:
-            self._mults[key] = _norm_multiplier(self.sym_vals, self.nu, *key)
-        return self._mults[key]
-
-    def wrap(self, c):
-        return AbelianCoefficients(self.grid, c)
-
-    def l2(self, c):
-        return float(np.sqrt(np.vdot(c, c).real / self.volume))
-
-    def _weighted(self, c, mult):
-        return float(np.sqrt(np.vdot(c, mult * c).real / self.volume))
-
-    def sobolev(self, c, s):
-        return self._weighted(c, self.multiplier(s, 1.0))
-
-    def frac(self, c, j):
-        return self._weighted(c, self.multiplier(j))
-
     def nonlinearity(self, c, nl, strict: bool = True):
         if not c.any():
             return np.zeros_like(c)
@@ -308,26 +227,15 @@ class _AbelianModel(_Model):
             out = nl.callback(tuple(comps))
         out = np.asarray(out, dtype=complex)
         if not np.all(np.isfinite(out.view(float))):
-            raise FloatingPointError("nonlinearity produced non-finite samples")
+            raise NumericalFailure("nonlinearity produced non-finite samples")
         return abelian_forward(AbelianField(self.grid, out)).values
 
 
 def _make_model(state, provider, b, m, synth=None):
-    """The backend model for a state's type.  provider defaults to the
-    sub-Laplacian on the Heisenberg backend; abelian states need one."""
+    """The backend model, with its nonlinearity, for a state's type."""
     if isinstance(state, SpectralField):
-        if provider is None:
-            provider = SubLaplacianSymbol(power=1)
-        return _HeisenbergModel(state.grid, provider, b, m, synth)
-    if isinstance(state, AbelianCoefficients):
-        if provider is None:
-            raise ValueError("abelian trajectories need an explicit symbol provider")
-        return _AbelianModel(state.grid, provider, b, m)
-    raise TypeError(f"unsupported state type {type(state).__name__}")
-
-
-def _coeffs(state):
-    return state.coefficients if isinstance(state, SpectralField) else state.values
+        return _HeisenbergModel(state, provider, b, m, synth)
+    return _AbelianModel(state, provider, b, m)
 
 
 def apply_nonlinearity(u: SpectralField, nl, synth: SpatialGrid,
@@ -336,11 +244,12 @@ def apply_nonlinearity(u: SpectralField, nl, synth: SpatialGrid,
     """Synthesize u to the box, apply the pointwise nonlinearity, re-analyze.
 
     For GeneralNonlinearity on this backend the tuple is U = (u,), since the
-    sub-Laplacian has nu = 2.  Raises when the synthesized field fails the
-    boundary-decay check (box too small for |u|^p) or powering produces
-    non-finite values.  boundary_limit=None skips the decay check; callers do
-    this for fields whose norm is negligible on the scale of the run, where
-    the relative boundary measure only reports the synthesis noise floor.
+    sub-Laplacian has nu = 2.  Raises NumericalFailure when the synthesized
+    field fails the boundary-decay check (box too small for |u|^p) or
+    powering produces non-finite values.  boundary_limit=None skips the decay
+    check; callers do this for fields whose norm is negligible on the scale
+    of the run, where the relative boundary measure only reports the
+    synthesis noise floor.
     """
     if not isinstance(synth, SpatialGrid):
         raise TypeError("synth must be a SpatialGrid for the Heisenberg backend")
@@ -348,7 +257,7 @@ def apply_nonlinearity(u: SpectralField, nl, synth: SpatialGrid,
     if boundary_limit is not None:
         decay = f.boundary_decay()
         if decay > boundary_limit:
-            raise ValueError(
+            raise NumericalFailure(
                 f"synthesized field has boundary decay {decay:.2e}; box too "
                 "small for a trustworthy nonlinearity quadrature")
     if isinstance(nl, PowerNonlinearity):
@@ -359,7 +268,7 @@ def apply_nonlinearity(u: SpectralField, nl, synth: SpatialGrid,
         raise TypeError(f"unsupported nonlinearity {type(nl).__name__}")
     g = np.asarray(g, dtype=complex)
     if not np.all(np.isfinite(g.view(float))):
-        raise FloatingPointError("nonlinearity produced non-finite samples")
+        raise NumericalFailure("nonlinearity produced non-finite samples")
     return forward_transform(SpatialField(synth, g), u.grid, boundary_tol=None)
 
 
@@ -437,8 +346,8 @@ def duhamel_step(source_history, b, m, provider, t, stride: int = 1):
         raise ValueError(f"time {t} is not on the source history grid")
     if idx % stride:
         raise ValueError(f"time {t} is sample {idx}, not a multiple of stride {stride}")
-    model = _make_model(source_history.fields[0], provider, b, m)
-    nodes = [_coeffs(f) for f in source_history.fields[:idx + 1:stride]]
+    model = _Model(source_history.fields[0], provider, b, m)
+    nodes = [model.unwrap(f) for f in source_history.fields[:idx + 1:stride]]
     val, der = deque(_duhamel_sweep(model, h * stride, nodes), maxlen=1)[0]
     rich = float("nan")
     if idx >= 2 * stride and idx % (2 * stride) == 0:
@@ -474,9 +383,9 @@ def z_norm(trajectory, znorm: ZNormConfig, provider=None) -> float:
     provider defaults to the symbol the trajectory's fields were built with;
     it must be passed for fractional seminorms (and is required for abelian
     trajectories, whose fields carry no symbol)."""
-    model = _make_model(trajectory.fields[0], provider, trajectory.b, trajectory.m)
-    values = [_coeffs(f) for f in trajectory.fields]
-    derivs = [_coeffs(f) for f in trajectory.derivatives]
+    model = _Model(trajectory.fields[0], provider, trajectory.b, trajectory.m)
+    values = [model.unwrap(f) for f in trajectory.fields]
+    derivs = [model.unwrap(f) for f in trajectory.derivatives]
     times = np.asarray(trajectory.times, dtype=float)
     return _znorm_arrays(model, znorm, values, derivs, times)[0]
 
@@ -491,12 +400,8 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
     Divergence is flagged when the iterate Z norm exceeds twice the measured
     threshold L = 2 * Z(linear part); it is a diagnostic, not an exception.
     """
-    if b <= 0:
-        raise ValueError("damping must be positive")
-    if m < 0:
-        raise ValueError("mass must be non-negative")
     model = _make_model(u0, provider, b, m, synth)
-    c0, c1 = _coeffs(u0), _coeffs(u1)
+    c0, c1 = model.unwrap(u0), model.unwrap(u1)
     if isinstance(model, _HeisenbergModel) and nl is not None and synth is None:
         raise ValueError("nonlinear Heisenberg runs need a synthesis grid")
     times = np.asarray(znorm.sample_times, dtype=float)
@@ -505,21 +410,11 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
     h = _uniform_step(times)
     H = times.size
 
-    lin_val, lin_der = [], []
-    for t in times:
-        A0, A1, D0, D1 = model.factors(float(t))
-        lin_val.append(A0 * c0 + A1 * c1)
-        lin_der.append(D0 * c0 + D1 * c1)
-
+    lin_val, lin_der = _linear_history(model, c0, c1, times)
     data_norm = model.data_norm(c0, c1)
     z_lin, norms = _znorm_arrays(model, znorm, lin_val, lin_der, times)
     c1_const = z_lin / data_norm if data_norm > 0 else 0.0
     threshold = 4.0 * z_lin  # 2 * L with L = 2 * C1 * (data norm) = 2 * Z(u_lin)
-
-    def wrap_traj(vals, ders):
-        fields = [model.wrap(v) for v in vals]
-        derivs = [model.wrap(d) for d in ders]
-        return LinearTrajectory(times, fields, derivs, b, m)
 
     diagnostics = PicardDiagnostics(0, [z_lin], [], [], PicardStatus.MAX_ITER,
                                     threshold, data_norm, c1_const)
@@ -527,7 +422,7 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
         diagnostics.status = PicardStatus.CONVERGED
         diagnostics.iterations = 1
         diagnostics.increments.append(0.0)
-        return wrap_traj(lin_val, lin_der), diagnostics
+        return model.trajectory(times, lin_val, lin_der), diagnostics
 
     # The iterate is replaced node by node as the sweep yields; the linear
     # part is never written to, so cur starts out sharing its arrays.
@@ -575,7 +470,7 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
     # Richardson half-step estimate of the Duhamel quadrature at the horizon
     if status is PicardStatus.CONVERGED and (H - 1) >= 2 and (H - 1) % 2 == 0:
         diagnostics.quadrature_error = _richardson_error(model, h, sources(norms))
-    return wrap_traj(cur_val, cur_der), diagnostics
+    return model.trajectory(times, cur_val, cur_der), diagnostics
 
 
 @dataclass
@@ -638,12 +533,13 @@ def verify_semilinear_decay(trajectory, b, m, provider=None) -> SemilinearDecayR
     samples; passed means all three are negative.
     """
     times = np.asarray(trajectory.times, dtype=float)
-    model = _make_model(trajectory.fields[0], provider, b, m)
+    model = _Model(trajectory.fields[0], provider, b, m)
     half = model.nu / 2.0
+    values = [model.unwrap(f) for f in trajectory.fields]
     series = {
-        "l2": np.array([model.l2(_coeffs(f)) for f in trajectory.fields]),
-        "half_operator": np.array([model.frac(_coeffs(f), half) for f in trajectory.fields]),
-        "dt": np.array([model.l2(_coeffs(d)) for d in trajectory.derivatives]),
+        "l2": np.array([model.l2(c) for c in values]),
+        "half_operator": np.array([model.frac(c, half) for c in values]),
+        "dt": np.array([model.l2(model.unwrap(d)) for d in trajectory.derivatives]),
     }
     peak = max(float(v.max()) for v in series.values())
     if peak == 0.0:

@@ -42,6 +42,12 @@ SEMILINEAR_CONFIG = {
     "seed": 5,
 }
 
+# the abelian backend's linear runs: the semilinear config without its
+# nonlinearity, over a horizon long enough for the decay fit
+ABELIAN_LINEAR_CONFIG = {k: v for k, v in SEMILINEAR_CONFIG.items()
+                         if k != "nonlinearity"}
+ABELIAN_LINEAR_CONFIG["horizon"] = {"T": 8.0, "samples": 33}
+
 CALIBRATE_CONFIG = {
     "backend": {"kind": "heisenberg", "n": 1},
     "grid": {"lambda_min": 0.3, "lambda_max": 3.0, "nodes": 24, "mu_max": 7.0},
@@ -190,6 +196,51 @@ def test_evolve_semilinear_abelian(tmp_path):
     assert 0 < results["quadrature_error"] < 1e-6
     lines = (out / "evolve-semilinear.csv").read_text().strip().splitlines()
     assert lines[0].startswith("iteration")
+
+
+@pytest.mark.parametrize("subcommand", ["evolve-linear", "verify-decay"])
+def test_abelian_linear_runs_pass(tmp_path, subcommand):
+    cfg = write_config(tmp_path, ABELIAN_LINEAR_CONFIG)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 0
+    results = read_manifest(out)["results"]
+    assert results["passed"] is True
+    assert set(results["slopes"]) == {"0.0", "1.0"}
+    for slope in results["slopes"].values():
+        assert slope <= results["slope_bound"] < 0
+
+
+# a box too small for the Heisenberg nonlinearity: the synthesized iterate
+# fails the boundary-decay gate
+HEISENBERG_SEMILINEAR_CONFIG = {
+    "backend": {"kind": "heisenberg", "n": 1},
+    "grid": {"lambda_min": 0.3, "lambda_max": 4.0, "nodes": 24, "mu_max": 7.0},
+    "synth": {"half_widths": [4.0, 4.0, 5.0], "shape": [24, 24, 24]},
+    "b": 2.0,
+    "m": 2.0,
+    "data": {"kind": "modes"},
+    "horizon": {"T": 4.0, "samples": 9},
+    "nonlinearity": {"type": "power", "mu": 1.0, "p": 2.0},
+}
+
+
+# the packet also overhangs the small box, which the transform warns about
+@pytest.mark.filterwarnings("ignore:boundary decay")
+@pytest.mark.parametrize("config", [
+    pytest.param(HEISENBERG_SEMILINEAR_CONFIG, id="modes"),
+    pytest.param(HEISENBERG_SEMILINEAR_CONFIG | {
+        "synth": {"half_widths": [2.0, 2.0, 2.0], "shape": [16, 16, 16]},
+        "data": {"kind": "packet"}}, id="packet"),
+])
+def test_numerical_failure_exits_3(tmp_path, capsys, config):
+    cfg = write_config(tmp_path, config)
+    code = main(["evolve-semilinear", "--config", cfg, "--out",
+                 str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: synthesized field has boundary decay")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_evolve_semilinear_odd_step_count_has_null_quadrature_error(tmp_path):
@@ -408,6 +459,14 @@ def _edit(config, section, **fields):
                  "gn.q_values: must", id="non-rational-q"),
     pytest.param("gn-check", _edit(GN_CONFIG, "gn", random_tuples=2.7),
                  "gn.random_tuples: must", id="fractional-random-tuples"),
+    pytest.param("calibrate",
+                 CALIBRATE_CONFIG | {"backend": SEMILINEAR_CONFIG["backend"]},
+                 "backend.kind: must be one of heisenberg",
+                 id="abelian-calibrate"),
+    pytest.param("oracle-compare",
+                 ORACLE_CONFIG | {"backend": SEMILINEAR_CONFIG["backend"]},
+                 "backend.kind: must be one of heisenberg",
+                 id="abelian-oracle-compare"),
 ])
 def test_malformed_config_is_a_config_error(tmp_path, capsys, subcommand,
                                             config, message):

@@ -15,7 +15,11 @@ from subwave.propagator import (
     propagate_mode,
     verify_decay,
 )
-from subwave.spectral import SpectralField, SubLaplacianSymbol, build_grid
+from subwave.abelian import (AbelianCoefficients, AbelianGrid, abelian_forward,
+                             abelian_from_function, abelian_l2_norm,
+                             abelian_sobolev_norm)
+from subwave.spectral import (AbelianSymbol, SpectralField, SubLaplacianSymbol,
+                              build_grid)
 
 
 def ode_solution(params, u0, u1, t_end, t_eval=None):
@@ -251,3 +255,24 @@ def test_export_trajectory_csv(tmp_path, grid):
     first = [float(tok) for tok in lines[1].split(",")]
     assert first[0] == 0.0 and first[-1] == 1.0
     assert b"\r" not in path.read_bytes()
+
+
+def test_verify_decay_and_csv_on_an_abelian_trajectory(tmp_path):
+    grid = AbelianGrid((6.0,) * 3, (16, 16, 16))
+    sym = AbelianSymbol(np.ones(3), order=4, radial=True)
+    u0 = abelian_forward(abelian_from_function(
+        grid, lambda x, y, z: np.exp(-(x * x + y * y + z * z) / 2.0)))
+    u1 = AbelianCoefficients(grid, 0.3 * u0.values)
+    traj = evolve_linear(u0, u1, 2.0, 2.0, sym, np.linspace(0.0, 12.0, 40))
+    for s in (0.0, 1.0):
+        report = verify_decay(traj, sym, s=s)
+        assert report.passed and not report.trivial
+        assert report.fitted_slope <= -0.95
+    path = tmp_path / "traj.csv"
+    export_trajectory_csv(traj, sym, [1.0], str(path))
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "t,l2,h1,envelope" and len(lines) == 41
+    for line, f in zip(lines[1:], traj.fields):
+        _, l2, h1, _ = map(float, line.split(","))
+        assert l2 == pytest.approx(abelian_l2_norm(f), rel=1e-14)
+        assert h1 == pytest.approx(abelian_sobolev_norm(f, sym, 1.0), rel=1e-14)

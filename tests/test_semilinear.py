@@ -26,7 +26,7 @@ from subwave.propagator import (
     evolve_linear,
     propagate_mode,
 )
-from subwave import semilinear
+from subwave import propagator, semilinear
 from subwave.semilinear import (
     GeneralNonlinearity,
     PicardStatus,
@@ -45,7 +45,9 @@ from subwave.spectral import (
     SpectralField,
     SubLaplacianSymbol,
     build_grid,
+    homogeneous_sobolev_norm,
     l2_norm,
+    sobolev_norm,
 )
 from subwave.transform import SpatialGrid, forward_transform, from_function
 
@@ -332,22 +334,42 @@ def abelian_setup(scale, grid=None):
     return grid, sym, u0, u1
 
 
-def test_picard_linear_matches_evolve_linear_exactly(calibrated_grid):
+@pytest.mark.parametrize("backend", ["heisenberg", "abelian"])
+def test_picard_linear_matches_evolve_linear_exactly(backend, calibrated_grid):
     # with no nonlinearity the iteration must return the linear trajectory
     rng = np.random.default_rng(8)
-    shape = calibrated_grid.field_shape()
-    u0 = SpectralField(calibrated_grid, rng.normal(size=shape) * 1e-2)
-    u1 = SpectralField(calibrated_grid, rng.normal(size=shape) * 1e-2)
-    sym = SubLaplacianSymbol(power=1)
+    if backend == "heisenberg":
+        shape = calibrated_grid.field_shape()
+        u0 = SpectralField(calibrated_grid, rng.normal(size=shape) * 1e-2)
+        u1 = SpectralField(calibrated_grid, rng.normal(size=shape) * 1e-2)
+        sym = SubLaplacianSymbol(power=1)
+    else:
+        grid, sym, u0, _ = abelian_setup(1e-3)
+        u1 = abelian_forward(AbelianField(grid, rng.normal(size=grid.shape) * 1e-3))
     cfg = ZNormConfig(delta=0.9, sample_times=tuple(np.linspace(0.0, 4.0, 9)))
     traj, diag = picard_solve(u0, u1, None, 2.0, 1.0, sym, cfg)
     assert diag.status is PicardStatus.CONVERGED
     assert diag.iterations == 1
     lin = evolve_linear(u0, u1, 2.0, 1.0, sym, cfg.sample_times)
-    for f, g in zip(traj.fields, lin.fields):
-        assert np.array_equal(f.coefficients, g.coefficients)
-    for f, g in zip(traj.derivatives, lin.derivatives):
-        assert np.array_equal(f.coefficients, g.coefficients)
+    model = propagator._Model(u0, sym, 2.0, 1.0)
+    for f, g in zip(traj.fields + traj.derivatives, lin.fields + lin.derivatives):
+        assert np.array_equal(model.unwrap(f), model.unwrap(g))
+
+
+@pytest.mark.parametrize("backend", ["heisenberg", "abelian"])
+def test_cauchy_data_on_two_grids_is_rejected(backend):
+    if backend == "heisenberg":
+        sym = SubLaplacianSymbol(power=1)
+        u0 = SpectralField.zeros(build_grid(0.3, 4.0, 8, 7.0))
+        u1 = SpectralField.zeros(build_grid(0.5, 4.0, 8, 7.0))
+    else:
+        _, sym, u0, _ = abelian_setup(1.0, AbelianGrid((6.0,) * 3, (8, 8, 8)))
+        u1 = abelian_setup(1.0, AbelianGrid((3.0,) * 3, (8, 8, 8)))[2]
+    cfg = ZNormConfig(delta=0.5, sample_times=(0.0, 0.5, 1.0))
+    with pytest.raises(ValueError, match="different grids"):
+        picard_solve(u0, u1, None, 2.0, 1.0, sym, cfg)
+    with pytest.raises(ValueError, match="different grids"):
+        evolve_linear(u0, u1, 2.0, 1.0, sym, cfg.sample_times)
 
 
 def test_picard_linear_abelian_matches_propagate_mode(rng):
@@ -410,13 +432,13 @@ def test_picard_factor_work_is_linear_in_samples(monkeypatch):
     # the Duhamel quadrature evaluates the one-step propagator once per
     # sweep; per-lag factor tables would make 2H kernel calls
     calls = []
-    kernel = semilinear._mode_factors
+    kernel = propagator._mode_factors
 
     def counting(total, b, t):
         calls.append(t)
         return kernel(total, b, t)
 
-    monkeypatch.setattr(semilinear, "_mode_factors", counting)
+    monkeypatch.setattr(propagator, "_mode_factors", counting)
     _, sym, u0, u1 = abelian_setup(1e-3)
     H = 41
     cfg = ZNormConfig(delta=0.999 * decay_rate(2.0, 1.0),
@@ -534,17 +556,29 @@ def test_picard_holds_the_linear_part_and_one_iterate():
 
 
 @pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 2.0])  # 2 = nu/2
-def test_abelian_model_norms_match_the_public_norms(order, rng):
+def test_abelian_model_norms_match_the_public_norms(order, rng, calibrated_grid):
+    # and, on the Heisenberg backend, the model's norms match the spectral ones
     grid = AbelianGrid((5.0,) * 3, (12, 12, 12))
     sym = AbelianSymbol(np.ones(3), order=4, radial=True)
     c = (rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
     coeffs = AbelianCoefficients(grid, c)
-    model = semilinear._make_model(coeffs, sym, 2.0, 1.0)
+    model = propagator._Model(coeffs, sym, 2.0, 1.0)
     assert model.l2(c) == pytest.approx(abelian_l2_norm(coeffs), rel=1e-14)
     assert model.sobolev(c, order) == pytest.approx(
         abelian_sobolev_norm(coeffs, sym, order, mass=1.0), rel=1e-14)
     assert model.frac(c, order) == pytest.approx(
         abelian_homogeneous_norm(coeffs, sym, order), rel=1e-14)
+
+    shape = calibrated_grid.field_shape()
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    field = SpectralField(calibrated_grid, c)
+    sub = SubLaplacianSymbol(power=1)
+    model = propagator._Model(field, sub, 2.0, 1.0)
+    assert model.l2(c) == pytest.approx(l2_norm(field), rel=1e-14)
+    assert model.sobolev(c, order) == pytest.approx(
+        sobolev_norm(field, sub, order), rel=1e-14)
+    assert model.frac(c, order) == pytest.approx(
+        homogeneous_sobolev_norm(field, sub, order), rel=1e-14)
 
 
 def test_abelian_model_norms_at_the_zero_frequency():
@@ -562,13 +596,13 @@ def test_abelian_model_norms_at_the_zero_frequency():
 
 def test_norm_multipliers_are_built_once_per_key(monkeypatch):
     built = []
-    helper = semilinear._norm_multiplier
+    helper = propagator._norm_multiplier
 
     def counting(vals, nu, order, mass=None):
         built.append((order, mass))
         return helper(vals, nu, order, mass)
 
-    monkeypatch.setattr(semilinear, "_norm_multiplier", counting)
+    monkeypatch.setattr(propagator, "_norm_multiplier", counting)
     sym, u0, u1, cfg = order4_setup(0.2, 25)
     nl = GeneralNonlinearity(lambda U: np.abs(U[0]) * U[1], 2.0)
     _, diag = picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg, tol=1e-10)
