@@ -38,7 +38,8 @@ znorm         evolve-semilinear only: {"delta_fraction": 0.999,
               "weight_exponent": -0.5}, delta_fraction in (0, 1]
 gn            gn-check only: {"n", "q_values": ["2","8/3",..],
               "tuples": [[Q,a,r,p,q], ..] (default none), "random_tuples": 0,
-              "abelian_widths": [..] (default none)}
+              "abelian_widths": [..] (default none)}; a tuple's ok column
+              reports GNExponents' own check of s, which raises on failure
 oracle        oracle-compare only: {"shape": [nx,ny,nt], "tolerance",
               "safety": 0.4, "snapshot_every": max(1, steps // 8)}, shape three
               integers >= 4, tolerance > 0, safety in (0, 1]
@@ -208,11 +209,13 @@ _NEEDS = {
 
 
 def load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"not valid JSON: {exc}"])
+    except OSError as exc:
+        raise ConfigError([f"cannot read {path}: {exc.strerror}"])
+    except ValueError as exc:  # JSONDecodeError, or text that is not UTF-8
+        raise ConfigError([f"not valid JSON: {exc}"])
     if not isinstance(cfg, dict):
         raise ConfigError(["top level must be an object"])
     unknown = sorted(set(cfg) - set(_SCHEMA))
@@ -458,16 +461,14 @@ def _gn_check(v, tol_factor):
         agree = gn_exponent_corollary(q, Fraction(2 * n + 2), 1) == theta
         failures += 0 if agree else 1
         rows.append((str(q), str(theta), float(theta), int(agree)))
+    # ok is GNExponents' check: its constructor raises on a bad s
     for tup, exps in zip(gn["tuples"], graded):
         if exps.degenerate:
             rows.append(("/".join(str(v) for v in tup), "degenerate",
                          float("nan"), 1))
             continue
-        lhs = exps.s * (exps.a / exps.Q + 1 / exps.p - 1 / exps.r)
-        ok = lhs == 1 / exps.p - 1 / exps.q and 0 <= exps.s <= 1
-        failures += 0 if ok else 1
         rows.append(("/".join(str(v) for v in tup), str(exps.s),
-                     float(exps.s), int(ok)))
+                     float(exps.s), 1))
     sampled = 0
     while sampled < gn["random_tuples"]:
         Q = Fraction(int(rng.integers(2, 12)), int(rng.integers(1, 4)))
@@ -480,11 +481,7 @@ def _gn_check(v, tol_factor):
         ceiling = r * Q / (Q - a * r)
         p = 1 + (ceiling - 1) * Fraction(int(rng.integers(0, 17)), 16)
         q = p + (ceiling - p) * Fraction(int(rng.integers(0, 17)), 16)
-        exps = gn_exponent_graded(Q, a, r, p, q)
-        if not exps.degenerate:
-            ok = (exps.s * (a / Q + 1 / p - 1 / r) == 1 / p - 1 / q
-                  and 0 <= exps.s <= 1)
-            failures += 0 if ok else 1
+        gn_exponent_graded(Q, a, r, p, q)
         sampled += 1
     ratios = []
     for w in gn["abelian_widths"]:

@@ -201,9 +201,9 @@ class ComparisonReport:
 
 
 def compare_with_spectral(traj, fd: LeapfrogResult, grid: SpatialGrid,
-                          horizon: float | None = None, norm: str = "l2",
+                          horizon: float | None = None,
                           tolerance: float = 1e-2) -> ComparisonReport:
-    """Relative discrepancy between a spectral trajectory and an fd run.
+    """Relative L^2 discrepancy between a spectral trajectory and an fd run.
 
     Both runs must start from the same data, with the fd side initialized
     from the synthesis of the spectral data onto its grid.  Every fd snapshot
@@ -214,8 +214,6 @@ def compare_with_spectral(traj, fd: LeapfrogResult, grid: SpatialGrid,
     # the one deliberate bridge to the spectral side; stencils stay independent
     from .transform import synthesize_on_grid
 
-    if norm not in ("l2", "max"):
-        raise ValueError(f"unsupported norm {norm!r}")
     times = np.asarray(traj.times, dtype=float)
     w = grid.weight_cube()
     sample_t, disc = [], []
@@ -227,12 +225,8 @@ def compare_with_spectral(traj, fd: LeapfrogResult, grid: SpatialGrid,
             continue
         ref = synthesize_on_grid(traj.fields[i], grid)
         delta = field_fd.samples - ref.samples
-        if norm == "l2":
-            num = np.sqrt(np.sum(w * np.abs(delta) ** 2))
-            den = np.sqrt(np.sum(w * np.abs(ref.samples) ** 2))
-        else:
-            num = np.abs(delta).max()
-            den = np.abs(ref.samples).max()
+        num = np.sqrt(np.sum(w * np.abs(delta) ** 2))
+        den = np.sqrt(np.sum(w * np.abs(ref.samples) ** 2))
         if den == 0.0:
             disc.append(0.0 if num == 0.0 else np.inf)
         else:

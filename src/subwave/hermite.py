@@ -78,15 +78,15 @@ def gauss_hermite_rule(count: int):
 class HermiteEvaluator:
     """Cached evaluator for the first `order` Hermite functions.
 
-    Bundles the truncation order with the quadrature rule sized to integrate
-    products psi_k psi_l exactly, which the orthonormality checks rely on.
+    Bundles the truncation order with a rule of quad_count = max(2 order + 1,
+    32) nodes, exact for the products psi_k psi_l the orthonormality checks use.
     """
 
-    def __init__(self, order: int, quad_count: int | None = None):
+    def __init__(self, order: int):
         if order < 1:
             raise ValueError("order must be >= 1")
         self.order = order
-        self.quad_count = int(quad_count) if quad_count is not None else max(2 * order + 1, 32)
+        self.quad_count = max(2 * order + 1, 32)
         self._rule = None
 
     @property

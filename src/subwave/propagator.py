@@ -57,7 +57,7 @@ __all__ = [
     "export_trajectory_csv",
 ]
 
-# relative half-width of the Delta-series window around the critical point
+# |Delta| below which a mode takes the series and counts as critical
 _CRITICAL_BAND = 1e-8
 
 
@@ -65,6 +65,14 @@ class Regime(enum.Enum):
     UNDERDAMPED = "underdamped"
     CRITICAL = "critical"
     OVERDAMPED = "overdamped"
+
+
+def _check_damping(b, m):
+    """The standing assumptions b > 0 and m >= 0."""
+    if not b > 0:
+        raise ValueError(f"damping must be positive, got b={b}")
+    if m < 0:
+        raise ValueError(f"mass must be non-negative, got m={m}")
 
 
 @dataclass(frozen=True)
@@ -76,10 +84,7 @@ class DampedModeParams:
     omega2: float
 
     def __post_init__(self):
-        if not self.b > 0:
-            raise ValueError(f"damping must be positive, got b={self.b}")
-        if self.m < 0:
-            raise ValueError(f"mass must be non-negative, got m={self.m}")
+        _check_damping(self.b, self.m)
         if self.omega2 < 0:
             raise ValueError(f"mode frequency omega^2 must be non-negative, got {self.omega2}")
 
@@ -93,9 +98,8 @@ class DampedModeParams:
 
 
 def classify_regime(params: DampedModeParams) -> Regime:
-    """Damping regime, with the series band counted as critical."""
-    band = _CRITICAL_BAND * params.b * params.b
-    if abs(params.delta) < band:
+    """Damping regime, with the kernel's series band counted as critical."""
+    if abs(params.delta) < _CRITICAL_BAND:
         return Regime.CRITICAL
     return Regime.UNDERDAMPED if params.delta > 0 else Regime.OVERDAMPED
 
@@ -103,8 +107,8 @@ def classify_regime(params: DampedModeParams) -> Regime:
 def _sc_factors(delta, t):
     """S(t), C(t) for arrays of Delta and t, all regimes, branch-stable.
 
-    Within |Delta| < _CRITICAL_BAND * scale the common 4-term Taylor series
-    in Delta t^2 is used; its truncation error there is far below 1e-12.
+    Within |Delta| < _CRITICAL_BAND the common 4-term Taylor series in
+    Delta t^2 is used; its truncation error there is far below 1e-12.
     """
     delta = np.asarray(delta, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -112,8 +116,7 @@ def _sc_factors(delta, t):
     S = np.empty(delta.shape)
     C = np.empty(delta.shape)
 
-    scale = np.maximum(np.abs(delta), 1.0)
-    series = np.abs(delta) < _CRITICAL_BAND * scale
+    series = np.abs(delta) < _CRITICAL_BAND
     osc = (~series) & (delta > 0)
     hyp = (~series) & (delta < 0)
 
@@ -171,10 +174,7 @@ def decay_rate(b: float, m: float) -> float:
     Infimum over omega^2 >= 0 of the per-mode envelope rates; the slowest
     mode is the bottom of the spectrum.
     """
-    if b <= 0:
-        raise ValueError("damping must be positive")
-    if m < 0:
-        raise ValueError("mass must be non-negative")
+    _check_damping(b, m)
     return 0.5 * b - np.sqrt(max(0.0, 0.25 * b * b - m))
 
 
@@ -207,10 +207,7 @@ class _Model:
     """
 
     def __init__(self, state, provider, b, m):
-        if b <= 0:
-            raise ValueError("damping must be positive")
-        if m < 0:
-            raise ValueError("mass must be non-negative")
+        _check_damping(b, m)
         if not isinstance(state, (SpectralField, AbelianCoefficients)):
             raise TypeError(f"unsupported state type {type(state).__name__}")
         grid = state.grid

@@ -94,21 +94,18 @@ class GeneralNonlinearity:
     """Pointwise callback on the tuple U = (u, R^{1/nu}u, ..., R^{(h-1)/nu}u).
 
     The callback receives h = ceil(nu/2) sample arrays and must return one
-    array of the same shape with F(0) = 0.  p and lipschitz feed the
-    admissibility check and the contraction heuristics only.
+    array of the same shape with F(0) = 0.  p is the order of F.  The
+    Heisenberg backend takes nu = 2 only, where U = (u,).
     """
 
     callback: object
     p: float
-    lipschitz: float = 1.0
 
     def __post_init__(self):
         if not callable(self.callback):
             raise ValueError("callback must be callable")
         if not self.p > 1:
             raise ValueError(f"nonlinearity order needs p > 1, got p={self.p}")
-        if self.lipschitz <= 0:
-            raise ValueError("lipschitz constant must be positive")
 
 
 @dataclass(frozen=True)
@@ -143,19 +140,17 @@ def check_admissible(p, n=None, Q=None) -> Admissibility:
 
 @dataclass(frozen=True)
 class ZNormConfig:
-    """Weighted sup-in-time norm: weight(t) = (1+t)^{weight_exponent} e^{delta t}.
+    """Weighted sup-in-time norm: Z(u) is the max over the sample times t of
+    weight(t) (||u|| + ||R^{1/nu} u|| + ||u_t||) at t, in L^2, with
+    weight(t) = (1+t)^{weight_exponent} e^{delta t}.
 
     sample_times must be sorted and start at 0; they double as the Picard
-    history grid.  fractional_orders lists the j for which the seminorm
-    ||R^{j/nu} u||_{L^2} is included (nu taken from the symbol provider).
+    history grid.
     """
 
     delta: float
     sample_times: tuple
     weight_exponent: float = -0.5
-    include_l2: bool = True
-    include_dt: bool = True
-    fractional_orders: tuple = (1,)
 
     def __post_init__(self):
         if not self.delta > 0:
@@ -168,7 +163,6 @@ class ZNormConfig:
         if times[0] < 0:
             raise ValueError("sample times must be non-negative")
         object.__setattr__(self, "sample_times", times)
-        object.__setattr__(self, "fractional_orders", tuple(int(j) for j in self.fractional_orders))
 
     def weight(self, t: float) -> float:
         return (1.0 + t) ** self.weight_exponent * np.exp(self.delta * t)
@@ -215,20 +209,29 @@ class _AbelianModel(_Model):
     def nonlinearity(self, c, nl, strict: bool = True):
         if not c.any():
             return np.zeros_like(c)
-        if isinstance(nl, PowerNonlinearity):
-            u = abelian_inverse(self.wrap(c)).samples
-            out = nl.evaluate(u)
-        else:
-            comps = []
-            for j in range(max(1, (self.nu + 1) // 2)):
-                # R^{j/nu} is the multiplier of order j/2
-                cj = c if j == 0 else self.multiplier(0.5 * j) * c
-                comps.append(abelian_inverse(self.wrap(cj)).samples)
-            out = nl.callback(tuple(comps))
-        out = np.asarray(out, dtype=complex)
-        if not np.all(np.isfinite(out.view(float))):
-            raise NumericalFailure("nonlinearity produced non-finite samples")
+
+        def samples(j):
+            # R^{j/nu} is the multiplier of order j/2
+            cj = c if j == 0 else self.multiplier(0.5 * j) * c
+            return abelian_inverse(self.wrap(cj)).samples
+
+        out = _evaluate(nl, samples, max(1, (self.nu + 1) // 2))
         return abelian_forward(AbelianField(self.grid, out)).values
+
+
+def _evaluate(nl, samples, count):
+    """f(u) from samples(j), the samples of R^{j/nu} u (the tuple j < count
+    for a GeneralNonlinearity); NumericalFailure on non-finite output."""
+    if isinstance(nl, PowerNonlinearity):
+        out = nl.evaluate(samples(0))
+    elif isinstance(nl, GeneralNonlinearity):
+        out = nl.callback(tuple(samples(j) for j in range(count)))
+    else:
+        raise TypeError(f"unsupported nonlinearity {type(nl).__name__}")
+    out = np.asarray(out, dtype=complex)
+    if not np.all(np.isfinite(out.view(float))):
+        raise NumericalFailure("nonlinearity produced non-finite samples")
+    return out
 
 
 def _make_model(state, provider, b, m, synth=None):
@@ -260,15 +263,7 @@ def apply_nonlinearity(u: SpectralField, nl, synth: SpatialGrid,
             raise NumericalFailure(
                 f"synthesized field has boundary decay {decay:.2e}; box too "
                 "small for a trustworthy nonlinearity quadrature")
-    if isinstance(nl, PowerNonlinearity):
-        g = nl.evaluate(f.samples)
-    elif isinstance(nl, GeneralNonlinearity):
-        g = nl.callback((f.samples,))
-    else:
-        raise TypeError(f"unsupported nonlinearity {type(nl).__name__}")
-    g = np.asarray(g, dtype=complex)
-    if not np.all(np.isfinite(g.view(float))):
-        raise NumericalFailure("nonlinearity produced non-finite samples")
+    g = _evaluate(nl, lambda j: f.samples, 1)
     return forward_transform(SpatialField(synth, g), u.grid, boundary_tol=None)
 
 
@@ -358,12 +353,7 @@ def duhamel_step(source_history, b, m, provider, t, stride: int = 1):
 def _znorm_node(model, znorm, t, val, der):
     """(weighted Z-norm terms at time t, L^2 norm of val) for one node."""
     l2 = model.l2(val)
-    total = l2 if znorm.include_l2 else 0.0
-    for j in znorm.fractional_orders:
-        total += model.frac(val, j)
-    if znorm.include_dt:
-        total += model.l2(der)
-    return znorm.weight(t) * total, l2
+    return znorm.weight(t) * (l2 + model.frac(val, 1) + model.l2(der)), l2
 
 
 def _znorm_arrays(model, znorm, values, derivs, times):
@@ -380,9 +370,8 @@ def _znorm_arrays(model, znorm, values, derivs, times):
 def z_norm(trajectory, znorm: ZNormConfig, provider=None) -> float:
     """Weighted sup-in-time norm of a trajectory.
 
-    provider defaults to the symbol the trajectory's fields were built with;
-    it must be passed for fractional seminorms (and is required for abelian
-    trajectories, whose fields carry no symbol)."""
+    provider defaults to the sub-Laplacian on Heisenberg trajectories and is
+    required for abelian ones, whose fields carry no symbol."""
     model = _Model(trajectory.fields[0], provider, trajectory.b, trajectory.m)
     values = [model.unwrap(f) for f in trajectory.fields]
     derivs = [model.unwrap(f) for f in trajectory.derivatives]
@@ -402,8 +391,12 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
     """
     model = _make_model(u0, provider, b, m, synth)
     c0, c1 = model.unwrap(u0), model.unwrap(u1)
-    if isinstance(model, _HeisenbergModel) and nl is not None and synth is None:
-        raise ValueError("nonlinear Heisenberg runs need a synthesis grid")
+    if isinstance(model, _HeisenbergModel) and nl is not None:
+        if synth is None:
+            raise ValueError("nonlinear Heisenberg runs need a synthesis grid")
+        if isinstance(nl, GeneralNonlinearity) and model.nu > 2:
+            raise ValueError("a Heisenberg GeneralNonlinearity needs nu = 2, "
+                             f"got nu = {model.nu}")
     times = np.asarray(znorm.sample_times, dtype=float)
     if times[0] != 0.0:
         raise ValueError("sample times must start at t = 0")

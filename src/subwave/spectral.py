@@ -314,14 +314,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def save_spectral_field(field: SpectralField, path: str):
-    """Write a field to the documented container format.
+def _write_container(path: str, magic: bytes, header: dict, array: np.ndarray):
+    """The package's one field container: the magic line, the 8-byte
+    little-endian length of the JSON header, the header, then the array as
+    raw row-major complex128 little-endian values."""
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(len(blob).to_bytes(8, "little"))
+        fh.write(blob)
+        fh.write(np.ascontiguousarray(array, dtype="<c16").tobytes())
 
-    Layout: magic line, 8-byte little-endian header length, JSON header with
-    the grid data (n, nodes, base weights, calibration constant, mu_max,
-    multi-indices, coefficient shape), then raw row-major complex128
-    little-endian coefficients.
-    """
+
+def _read_container(path: str, magic: bytes, kind: str):
+    """(header, flat complex payload) of a container written with magic."""
+    with open(path, "rb") as fh:
+        if fh.read(len(magic)) != magic:
+            raise ValueError(f"not a {kind} field container: {path}")
+        hlen = int.from_bytes(fh.read(8), "little")
+        header = json.loads(fh.read(hlen).decode("utf-8"))
+        payload = fh.read()
+    return header, np.frombuffer(payload, dtype="<c16").astype(complex)
+
+
+def save_spectral_field(field: SpectralField, path: str):
+    """Write a field to the package's container (`_write_container`), the
+    grid data and the coefficient shape in its header."""
     header = {
         "n": field.grid.n,
         "mu_max": field.grid.mu_max,
@@ -331,22 +349,11 @@ def save_spectral_field(field: SpectralField, path: str):
         "multi_indices": [list(k) for k in field.grid.multi_indices],
         "shape": list(field.coefficients.shape),
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(field.coefficients, dtype="<c16").tobytes())
+    _write_container(path, _MAGIC, header, field.coefficients)
 
 
 def load_spectral_field(path: str) -> SpectralField:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"not a spectral field container: {path}")
-        hlen = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        payload = fh.read()
+    header, payload = _read_container(path, _MAGIC, "spectral")
     grid = ModeGrid(
         n=header["n"],
         lambda_nodes=np.array(header["lambda_nodes"]),
@@ -355,6 +362,4 @@ def load_spectral_field(path: str) -> SpectralField:
         plancherel_constant=header["plancherel_constant"],
         multi_indices=tuple(tuple(k) for k in header["multi_indices"]),
     )
-    shape = tuple(header["shape"])
-    coeffs = np.frombuffer(payload, dtype="<c16").reshape(shape)
-    return SpectralField(grid, coeffs.astype(complex))
+    return SpectralField(grid, payload.reshape(tuple(header["shape"])))

@@ -40,7 +40,7 @@ import numpy as np
 
 from .group import GroupElement, enumerate_multi_indices
 from .hermite import gauss_hermite_rule, hermite_polynomial_table
-from .spectral import ModeGrid, SpectralField
+from .spectral import ModeGrid, SpectralField, _read_container, _write_container
 
 __all__ = [
     "SpatialGrid",
@@ -184,12 +184,12 @@ def _g_block(beta: float, gamma: float, rows: int, cols: int, rule) -> np.ndarra
 
 
 def representation_matrix(lam: float, g: GroupElement, K: int,
-                          rows: int | None = None, indices=None) -> np.ndarray:
+                          rows: int | None = None) -> np.ndarray:
     """Matrix block M_{kl} = (pi_lambda(g) e_l, e_k) in the scaled Hermite basis.
 
     For n=1 the indices are 0..K-1 (columns) and 0..rows-1; `rows` defaults
-    to K.  For n > 1 pass explicit multi-index tuples via `indices` (used for
-    both rows and columns); K is then ignored.  Extra rows let callers verify
+    to K.  For n > 1 both run over the multi-indices of degree < K, in the
+    order of `enumerate_multi_indices`.  Extra rows let callers verify
     column mass completeness, isolating quadrature error from truncation.
     """
     if lam == 0:
@@ -197,15 +197,11 @@ def representation_matrix(lam: float, g: GroupElement, K: int,
     n = g.n
     alpha = np.sqrt(abs(lam))
     sgn = 1.0 if lam > 0 else -1.0
-    if indices is None:
-        if n == 1:
-            row_idx = [(k,) for k in range(rows if rows is not None else K)]
-            col_idx = [(k,) for k in range(K)]
-        else:
-            idx = enumerate_multi_indices(n, 2 * (K - 1) + n)
-            row_idx = col_idx = idx
+    if n == 1:
+        row_idx = [(k,) for k in range(rows if rows is not None else K)]
+        col_idx = [(k,) for k in range(K)]
     else:
-        row_idx = col_idx = [tuple(k) for k in indices]
+        row_idx = col_idx = enumerate_multi_indices(n, 2 * (K - 1) + n)
     max_order = 1 + max(max(k) for k in row_idx + col_idx)
     gmax = alpha * float(np.max(np.abs(np.concatenate([g.x, g.y])))) if n else 0.0
     rule = _rule(_rule_size(gmax, 2 * max_order))
@@ -418,30 +414,13 @@ def _calibrate_on(reference: SpatialField, fhat: SpectralField) -> float:
 
 
 def save_spatial_field(field: SpatialField, path: str):
-    import json
-
-    header = {
-        "half_widths": list(field.grid.half_widths),
-        "shape": list(field.grid.shape),
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC_SP)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(field.samples, dtype="<c16").tobytes())
+    """Write a field to the container of `spectral._write_container`."""
+    header = {"half_widths": list(field.grid.half_widths),
+              "shape": list(field.grid.shape)}
+    _write_container(path, _MAGIC_SP, header, field.samples)
 
 
 def load_spatial_field(path: str) -> SpatialField:
-    import json
-
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC_SP))
-        if magic != _MAGIC_SP:
-            raise ValueError(f"not a spatial field container: {path}")
-        hlen = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        payload = fh.read()
+    header, payload = _read_container(path, _MAGIC_SP, "spatial")
     grid = SpatialGrid(tuple(header["half_widths"]), tuple(header["shape"]))
-    samples = np.frombuffer(payload, dtype="<c16").reshape(grid.shape)
-    return SpatialField(grid, samples.astype(complex))
+    return SpatialField(grid, payload.reshape(grid.shape))

@@ -108,6 +108,25 @@ def test_invalid_json_is_a_config_error(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read"),  # no such file
+    (b"\xff{}", "not valid JSON"),  # not UTF-8
+], ids=["missing", "not-utf8"])
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, content,
+                                                  message):
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ConfigError, match=message):
+        load_config(str(path))
+    out = tmp_path / "out"
+    code = main(["evolve-linear", "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_via_argparse(tmp_path):
     cfg = write_config(tmp_path, LINEAR_CONFIG)
     with pytest.raises(SystemExit):

@@ -50,6 +50,15 @@ def test_classify_regime():
     assert classify_regime(DampedModeParams(2.0, 1.0 + 1e-12, 0.0)) is Regime.CRITICAL
 
 
+@pytest.mark.parametrize("b, m, omega2, regime", [
+    (2.0, 1.0, 2e-8, Regime.UNDERDAMPED),  # Delta = 2e-8: the kernel's trig branch
+    (0.5, 0.0625, 5e-9, Regime.CRITICAL),  # Delta = 5e-9: the kernel's series
+])
+def test_classify_regime_uses_the_kernel_band(b, m, omega2, regime):
+    # the band is |Delta| < 1e-8 whatever b is, as in the mode-factor kernel
+    assert classify_regime(DampedModeParams(b, m, omega2)) is regime
+
+
 def test_initial_data_reproduced():
     p = DampedModeParams(1.7, 0.3, 2.2)
     val, der = propagate_mode(p, 0.8, -0.4, 0.0)

@@ -72,8 +72,6 @@ def test_general_nonlinearity_validation():
         GeneralNonlinearity("not-a-function", 2.0)
     with pytest.raises(ValueError, match="p > 1"):
         GeneralNonlinearity(lambda U: U[0], 1.0)
-    with pytest.raises(ValueError, match="lipschitz"):
-        GeneralNonlinearity(lambda U: U[0], 2.0, lipschitz=0.0)
 
 
 def test_admissibility_heisenberg():
@@ -428,6 +426,18 @@ def test_picard_small_data_converges():
     assert all(s < 0 for s in report.slopes.values())
 
 
+def test_picard_large_data_diverges():
+    # data scale 5 sends the first iterates past the 4 Z(u_lin) threshold
+    grid, sym, u0, u1 = abelian_setup(5.0)
+    cfg = ZNormConfig(delta=0.999 * decay_rate(2.0, 1.0),
+                      sample_times=tuple(np.linspace(0.0, 5.0, 21)))
+    _, diag = picard_solve(u0, u1, PowerNonlinearity(1.0, 2.0),
+                           2.0, 1.0, sym, cfg)
+    assert diag.status is PicardStatus.DIVERGED
+    assert diag.z_norms[-1] > diag.threshold
+    assert np.isnan(diag.quadrature_error)
+
+
 def test_picard_factor_work_is_linear_in_samples(monkeypatch):
     # the Duhamel quadrature evaluates the one-step propagator once per
     # sweep; per-lag factor tables would make 2H kernel calls
@@ -466,8 +476,7 @@ def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol):
         best = 0.0
         for t, v, d in zip(times, vals, ders):
             total = l2(v) + l2(d)
-            for j in cfg.fractional_orders:
-                total += abelian_homogeneous_norm(AbelianCoefficients(grid, v), sym, j)
+            total += abelian_homogeneous_norm(AbelianCoefficients(grid, v), sym, 1)
             best = max(best, cfg.weight(t) * total)
         return best
 
@@ -630,6 +639,22 @@ def test_picard_heisenberg_needs_synthesis_grid(calibrated_grid):
     with pytest.raises(ValueError, match="synthesis"):
         picard_solve(u0, u0, PowerNonlinearity(1.0, 2.0), 1.0, 1.0,
                      SubLaplacianSymbol(power=1), cfg)
+
+
+def test_picard_heisenberg_general_nonlinearity_needs_nu_2(calibrated_grid,
+                                                          synth_box):
+    # the Heisenberg backend hands the callback U = (u,), the tuple of nu = 2;
+    # the set-up rejects nu = 4 before any data is looked at
+    u0 = SpectralField.zeros(calibrated_grid)
+    cfg = ZNormConfig(delta=0.5, sample_times=(0.0, 0.5, 1.0))
+    sym4 = SubLaplacianSymbol(power=2)
+    nl = GeneralNonlinearity(lambda U: np.abs(U[0]) * U[0], 2.0)
+    with pytest.raises(ValueError, match="nu = 4"):
+        picard_solve(u0, u0, nl, 2.0, 1.0, sym4, cfg, synth=synth_box)
+    # a power nonlinearity reads no tuple
+    _, diag = picard_solve(u0, u0, PowerNonlinearity(1.0, 2.0), 2.0, 1.0,
+                           sym4, cfg, synth=synth_box)
+    assert diag.status is PicardStatus.CONVERGED
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from subwave.group import GroupElement, group_identity, group_multiply
+from subwave.group import (GroupElement, enumerate_multi_indices, group_identity,
+                           group_multiply)
 from subwave.spectral import ModeGrid, SpectralField, build_grid, l2_norm
 from subwave.transform import (
     _closed_form_tables,
@@ -90,6 +91,24 @@ def test_representation_homomorphism_interior_block():
     # truncating the matrix product loses mass in the outer rows/columns;
     # the interior block converges as K grows
     assert np.allclose(left[:6, :6], prod[:6, :6], atol=1e-6)
+
+
+def test_representation_matrix_factors_over_coordinates_for_n2():
+    # M(lambda, (x, y, t)) = e^{i lambda t} prod_j M1(lambda, (x_j, y_j, 0))
+    # entrywise over the multi-index pairs, M1 the n = 1 block
+    K = 4
+    idx = np.array(enumerate_multi_indices(2, 2 * (K - 1) + 2))
+    g = GroupElement([0.4, -0.7], [-0.3, 0.5], 0.6)
+    for lam in (0.9, -1.4):
+        M = representation_matrix(lam, g, K)
+        assert M.shape == (len(idx), len(idx))
+        expected = np.exp(1j * lam * g.t) * np.ones(M.shape, dtype=complex)
+        for j in range(2):
+            M1 = representation_matrix(lam, GroupElement([g.x[j]], [g.y[j]], 0.0), K)
+            expected *= M1[np.ix_(idx[:, j], idx[:, j])]
+        assert np.max(np.abs(M - expected)) < 1e-12
+        identity = representation_matrix(lam, group_identity(2), K)
+        assert np.allclose(identity, np.eye(len(idx)), rtol=0.0, atol=1e-12)
 
 
 def test_representation_rejects_zero_frequency():
