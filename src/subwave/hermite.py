@@ -7,12 +7,16 @@ The Hermite function of order m is
 an orthonormal basis of L^2(R).  Values are produced by the normalized
 three-term recurrence, which is stable for all orders, unlike evaluating the
 monomial form of H_m whose coefficients overflow near m ~ 85.
+
+Only the quadrature oracle (`transform.representation_matrix`,
+`transform.inverse_transform` and `HermiteEvaluator.rule`) needs a
+Gauss-Hermite rule, so SciPy loads on the first rule built, never on import:
+the grid transforms and every CLI subcommand run without it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import roots_hermite
 
 __all__ = [
     "hermite_function_table",
@@ -69,9 +73,17 @@ def hermite_polynomial_table(order: int, w) -> np.ndarray:
 
 
 def gauss_hermite_rule(count: int):
-    """Nodes and weights for integration against exp(-u^2) on R."""
+    """Nodes and weights for integration against exp(-u^2) on R.
+
+    `scipy.special.roots_hermite`, imported on the first call: only the
+    quadrature oracle builds rules.  NumPy's `hermgauss` is no substitute at
+    the oracle's sizes (96 nodes and up): past 150 nodes its nodes drift by
+    about 1e-14, and at 400 its weights are NaN.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
+    from scipy.special import roots_hermite
+
     return roots_hermite(count)
 
 

@@ -3,10 +3,20 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import subwave
 from subwave.cli import ConfigError, load_config, main
+from subwave.spectral import build_grid
+from subwave.transform import SpatialGrid, forward_transform, from_function
+
+from conftest import packet
 
 LINEAR_CONFIG = {
     "backend": {"kind": "heisenberg", "n": 1},
@@ -180,6 +190,19 @@ def test_calibrate_reports_tiny_mismatch(tmp_path):
     results = read_manifest(out)["results"]
     assert results["relative_mismatch"] < 1e-12
     assert results["plancherel_constant"] > 0
+    # the calibrated constant over the analytic (2 pi)^-2 of H^1, recomputed
+    # here from the trapezoid sums: ||f||^2 = c sum_q w_q ||f_hat(lambda_q)||^2
+    g, s, d = (CALIBRATE_CONFIG[k] for k in ("grid", "synth", "data"))
+    box = SpatialGrid(s["half_widths"], s["shape"])
+    f = from_function(box, packet(d["carrier"], d["sigma_xy"], d["sigma_tau"],
+                                  d["scale"]))
+    grid = build_grid(g["lambda_min"], g["lambda_max"], g["nodes"], g["mu_max"])
+    with pytest.warns(UserWarning, match="boundary decay"):
+        hs = np.sum(np.abs(forward_transform(f, grid).coefficients) ** 2,
+                    axis=(1, 2))
+    spatial = np.sum(box.weight_cube() * np.abs(f.samples) ** 2)
+    ratio = spatial / np.sum(grid.base_weights * hs) * (2 * np.pi) ** 2
+    assert results["analytic_ratio"] == pytest.approx(ratio, rel=1e-12)
 
 
 def test_gn_check_tables_and_seeded_sampling(tmp_path):
@@ -260,6 +283,56 @@ def test_numerical_failure_exits_3(tmp_path, capsys, config):
     assert err.startswith("numerical failure: synthesized field has boundary decay")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def _python(tmp_path, *args):
+    """Run `python *args` in a fresh interpreter that imports this subwave."""
+    src = str(Path(subwave.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("action, warning_lines", [("default", 1),
+                                                    ("ignore", 0)])
+def test_numerical_failure_prints_one_line_per_warning(tmp_path, action,
+                                                       warning_lines):
+    # the packet case above, in a process whose warning filters show (or
+    # ignore) the set-up's boundary-decay warning
+    config = HEISENBERG_SEMILINEAR_CONFIG | {
+        "synth": {"half_widths": [2.0, 2.0, 2.0], "shape": [16, 16, 16]},
+        "data": {"kind": "packet"}}
+    cfg = write_config(tmp_path, config)
+    proc = _python(tmp_path, "-W", action, "-m", "subwave.cli",
+                   "evolve-semilinear", "--config", cfg, "--out", "out")
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 3
+    assert len(lines) == warning_lines + 1
+    assert all(line.startswith("warning: boundary decay ") for line in lines[:-1])
+    assert lines[-1].startswith("numerical failure: synthesized field")
+
+
+def test_no_subcommand_imports_scipy(tmp_path):
+    # SciPy serves only the quadrature oracle's Gauss-Hermite rules
+    runs = [("evolve-semilinear", write_config(tmp_path, SEMILINEAR_CONFIG, "a.json")),
+            ("oracle-compare", write_config(tmp_path, ORACLE_CONFIG, "o.json"))]
+    script = f"""
+import json, sys
+import subwave, subwave.cli
+loaded = ["scipy" in sys.modules]
+codes = [subwave.cli.main([sub, "--config", cfg, "--out", sub])
+         for sub, cfg in {runs!r}]
+loaded.append("scipy" in sys.modules)
+subwave.gauss_hermite_rule(32)
+loaded.append("scipy" in sys.modules)
+print(json.dumps([codes, loaded]))
+"""
+    proc = _python(tmp_path, "-W", "ignore", "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [0, 0]
+    assert loaded == [False, False, True]
 
 
 def test_evolve_semilinear_odd_step_count_has_null_quadrature_error(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import roots_hermite
 
 from subwave.hermite import (
     HermiteEvaluator,
@@ -69,6 +70,15 @@ def test_gauss_hermite_rule_moments():
     assert np.sum(wq * u) == pytest.approx(0.0, abs=1e-13)
     with pytest.raises(ValueError):
         gauss_hermite_rule(0)
+
+
+@pytest.mark.parametrize("count", [32, 151, 400])
+def test_gauss_hermite_rule_is_scipys_bitwise(count):
+    # 32 runs SciPy's Golub-Welsch branch and 151, 400 its asymptotic one;
+    # numpy's hermgauss differs by ~1e-14 past 150 nodes and has NaN
+    # weights at 400
+    for ours, ref in zip(gauss_hermite_rule(count), roots_hermite(count)):
+        assert ours.tobytes() == ref.tobytes()
 
 
 def test_evaluator_defaults_and_validation():
