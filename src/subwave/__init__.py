@@ -6,23 +6,22 @@ coefficients, and homogeneous elliptic operators on R^n, handled through the
 ordinary FFT.  On top of the mode-wise damped-oscillator calculus sit a
 linear propagator with decay-rate verification, a Duhamel/Picard solver for
 semilinear problems, a finite-difference oracle for cross-validation, and a
-Gagliardo-Nirenberg inequality checker.
+Gagliardo-Nirenberg inequality checker.  Both backends reach the solvers
+through one model in `subwave.propagator`, which is also the one home of the
+homogeneous Sobolev norms ||R^{a/nu} u||.
 """
 
 from .group import (GroupElement, group_multiply, group_inverse,
                     group_identity, dilate, homogeneous_dimension,
                     oscillator_eigenvalue, enumerate_multi_indices)
 from .hermite import (hermite_function_table, hermite_function,
-                      gauss_hermite_rule, HermiteEvaluator)
+                      gauss_hermite_rule)
 from .spectral import (
     ModeGrid,
     SpectralField,
     SubLaplacianSymbol,
     AbelianSymbol,
     build_grid,
-    l2_norm,
-    sobolev_norm,
-    homogeneous_sobolev_norm,
 )
 from .transform import (
     SpatialGrid,
@@ -51,23 +50,17 @@ from .abelian import (
     abelian_from_function,
     abelian_forward,
     abelian_inverse,
-    abelian_l2_norm,
-    abelian_sobolev_norm,
-    abelian_homogeneous_norm,
 )
 from .semilinear import (
     PowerNonlinearity,
     GeneralNonlinearity,
-    check_admissible,
     ZNormConfig,
     z_norm,
     NumericalFailure,
     PicardStatus,
     PicardDiagnostics,
     apply_nonlinearity,
-    duhamel_step,
     picard_solve,
-    find_epsilon0,
     verify_semilinear_decay,
 )
 from .fdoracle import (
@@ -86,7 +79,6 @@ from .gn import (
     gn_exponent_corollary,
     verify_inequality_abelian,
     verify_inequality_heisenberg,
-    empirical_constant,
 )
 
 __version__ = "0.1.0"

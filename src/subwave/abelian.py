@@ -4,8 +4,9 @@ The damped wave machinery diagonalizes equally well over the classical
 Fourier transform: a positive homogeneous symbol R(xi) plays the role the
 oscillator eigenvalues play on the group side.  This module supplies the
 periodic FFT grid, continuum-normalized analysis/synthesis, exact discrete
-Parseval weights, and symbol-multiplier Sobolev norms, so the propagator and
-the fixed-point solver can run unchanged on R^d.
+Parseval weights, and the symbol on the dual grid, so the propagator and the
+fixed-point solver can run unchanged on R^d.  The symbol-multiplier Sobolev
+norms live in the backend model of `subwave.propagator`.
 
 Conventions: the box [-R_i, R_i)^d is sampled uniformly with N_i points per
 axis (endpoint excluded, the grid is periodic), coefficients approximate the
@@ -34,9 +35,6 @@ __all__ = [
     "abelian_forward",
     "abelian_inverse",
     "symbol_on_grid",
-    "abelian_l2_norm",
-    "abelian_sobolev_norm",
-    "abelian_homogeneous_norm",
 ]
 
 
@@ -143,50 +141,3 @@ def symbol_on_grid(grid: AbelianGrid, symbol: AbelianSymbol) -> np.ndarray:
     if symbol.dim != grid.dim:
         raise ValueError(f"symbol dimension {symbol.dim} != grid dimension {grid.dim}")
     return symbol.value_at(grid.freq_stack())
-
-
-def abelian_l2_norm(coeffs: AbelianCoefficients) -> float:
-    """Spectral-side L2 norm; equals the spatial norm exactly (Parseval)."""
-    return float(np.sqrt(np.sum(np.abs(coeffs.values) ** 2) / coeffs.grid.volume))
-
-
-def abelian_sobolev_norm(coeffs: AbelianCoefficients, symbol: AbelianSymbol,
-                         s: float, mass: float = 1.0) -> float:
-    """Inhomogeneous norm with multiplier (mass + R(xi))^{2s/nu}."""
-    if mass < 0:
-        raise ValueError("mass must be non-negative")
-    vals = symbol_on_grid(coeffs.grid, symbol)
-    return _multiplier_norm(coeffs, _norm_multiplier(vals, symbol.nu, s, mass))
-
-
-def abelian_homogeneous_norm(coeffs: AbelianCoefficients, symbol: AbelianSymbol,
-                             a: float) -> float:
-    """Homogeneous norm with multiplier R(xi)^{2a/nu}; the xi = 0 bin is
-    excluded for a > 0 where the multiplier vanishes anyway, and rejected for
-    a < 0 where it diverges."""
-    vals = symbol_on_grid(coeffs.grid, symbol)
-    return _multiplier_norm(coeffs, _norm_multiplier(vals, symbol.nu, a))
-
-
-def _norm_multiplier(vals: np.ndarray, nu: int, order: float,
-                     mass: float | None = None) -> np.ndarray:
-    """The multiplier (mass + R)^{2 order/nu}, or R^{2 order/nu} when mass
-    is None, from vals = R on the grid; callers that keep it skip
-    re-evaluating the symbol and the power."""
-    if mass is None:
-        if order < 0 and np.any(vals == 0):
-            raise ValueError("negative homogeneous order is singular at xi = 0")
-        mult = np.zeros_like(vals)
-        nz = vals > 0
-        mult[nz] = vals[nz] ** (2.0 * order / nu)
-        if order == 0:
-            mult[~nz] = 1.0
-        return mult
-    if mass == 0 and np.any(vals == 0):
-        raise ValueError("mass-free multiplier is singular at xi = 0")
-    return (mass + vals) ** (2.0 * order / nu)
-
-
-def _multiplier_norm(coeffs: AbelianCoefficients, mult: np.ndarray) -> float:
-    total = np.sum(mult * np.abs(coeffs.values) ** 2) / coeffs.grid.volume
-    return float(np.sqrt(total))

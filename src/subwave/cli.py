@@ -79,11 +79,11 @@ from .abelian import (AbelianCoefficients, AbelianGrid, abelian_from_function,
 from .fdoracle import cfl_limit, compare_with_spectral, run_leapfrog
 from .gn import (gn_exponent_corollary, gn_exponent_graded,
                  gn_exponent_heisenberg, verify_inequality_abelian)
-from .propagator import _Model, decay_rate, evolve_linear, verify_decay
+from .propagator import _Norms, decay_rate, evolve_linear, verify_decay
 from .semilinear import (NumericalFailure, PicardStatus, PowerNonlinearity,
                          ZNormConfig, picard_solve, verify_semilinear_decay)
 from .spectral import (AbelianSymbol, SpectralField, SubLaplacianSymbol,
-                       _csv_bytes, build_grid, l2_norm)
+                       _csv_bytes, build_grid)
 from .transform import (SpatialField, SpatialGrid, _calibrate_on,
                         forward_transform, from_function, synthesize_on_grid)
 
@@ -412,9 +412,9 @@ def _linear_run(v, tol_factor):
     reports = {s: verify_decay(traj, symbol, s=s, slope_tolerance=tol)
                for s in (0.0, 1.0)}
     passed = all(r.passed for r in reports.values())
-    model = _Model(u0, symbol, b, m)
-    rows = [(t, model.l2(c), model.sobolev(c, 1.0))
-            for t, c in zip(traj.times, map(model.unwrap, traj.fields))]
+    norms = _Norms(u0, symbol)
+    rows = [(t, norms.l2(c), norms.sobolev(c, 1.0))
+            for t, c in zip(traj.times, map(norms.unwrap, traj.fields))]
     header = ("time", "l2", "h1")
     results = {
         "delta0": d0,
@@ -529,7 +529,7 @@ def _oracle_compare(v, tol_factor):
 
 def _calibrate(v, tol_factor):
     packet, F, constant = _packet_transform(v)
-    spectral = l2_norm(F)
+    spectral = _Norms(F, None).l2(F.coefficients)
     spatial = packet.l2_norm()
     mismatch = abs(spectral - spatial) / spatial
     header = ("plancherel_constant", "l2_spectral", "l2_spatial",

@@ -20,9 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .abelian import (AbelianField, abelian_forward, abelian_homogeneous_norm)
-from .spectral import (AbelianSymbol, SpectralField, _csv_bytes,
-                       homogeneous_sobolev_norm)
+from .abelian import AbelianField, abelian_forward
+from .propagator import _Norms
+from .spectral import AbelianSymbol, SpectralField, SubLaplacianSymbol
 from .transform import SpatialGrid, synthesize_on_grid
 
 __all__ = [
@@ -33,9 +33,6 @@ __all__ = [
     "RatioReport",
     "verify_inequality_abelian",
     "verify_inequality_heisenberg",
-    "EmpiricalConstant",
-    "empirical_constant",
-    "write_ratio_csv",
 ]
 
 
@@ -164,7 +161,7 @@ def verify_inequality_abelian(u: AbelianField, exps: GNExponents,
     coeffs = abelian_forward(u)
     lq = u.lq_norm(float(exps.q))
     lp = u.lq_norm(float(exps.p))
-    sob = abelian_homogeneous_norm(coeffs, laplace, float(exps.a))
+    sob = _Norms(coeffs, laplace).frac(coeffs.values, float(exps.a))
     den = sob ** s * lp ** (1.0 - s)
     ratio = lq / den if den > 0 else np.inf
     return RatioReport(float(ratio), lq, sob, lp, s,
@@ -184,8 +181,7 @@ def verify_inequality_heisenberg(u: SpectralField, q, n: int,
     if n != u.grid.n:
         raise ValueError(f"field lives on H^{u.grid.n}, got n = {n}")
     theta = float(gn_exponent_heisenberg(q, n))
-    from .spectral import SubLaplacianSymbol
-    grad = homogeneous_sobolev_norm(u, SubLaplacianSymbol(1), 1.0)
+    grad = _Norms(u, SubLaplacianSymbol(1)).frac(u.coefficients, 1.0)
     f = synthesize_on_grid(u, synth)
     lq = f.lq_norm(float(Fraction(q)))
     l2 = f.lq_norm(2.0)
@@ -193,44 +189,3 @@ def verify_inequality_heisenberg(u: SpectralField, q, n: int,
     ratio = lq / den if den > 0 else np.inf
     return RatioReport(float(ratio), lq, grad, l2, theta,
                        bool(np.isfinite(ratio)), descriptor)
-
-
-@dataclass
-class EmpiricalConstant:
-    bound: float
-    argmax_descriptor: str
-    reports: list
-
-
-def empirical_constant(family, exps, trials: int,
-                       synth: SpatialGrid | None = None) -> EmpiricalConstant:
-    """Lower bound on the best constant: max ratio over a function family.
-
-    family(i) must return (u, descriptor) for i in range(trials), with u an
-    AbelianField or a SpectralField; the latter needs the synthesis box.
-    """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
-    reports = []
-    for i in range(trials):
-        u, desc = family(i)
-        if isinstance(u, AbelianField):
-            reports.append(verify_inequality_abelian(u, exps, desc))
-        elif isinstance(u, SpectralField):
-            if synth is None:
-                raise ValueError("spectral families need a synthesis box")
-            reports.append(verify_inequality_heisenberg(u, exps.q, u.grid.n,
-                                                        synth, desc))
-        else:
-            raise TypeError(f"unsupported sample type {type(u).__name__}")
-    best = max(range(trials), key=lambda i: reports[i].ratio)
-    return EmpiricalConstant(reports[best].ratio, reports[best].descriptor,
-                             reports)
-
-
-def write_ratio_csv(reports, path: str):
-    """One row per report; floats use shortest round-trip formatting."""
-    rows = [(rep.descriptor, rep.s, rep.ratio, rep.lq, rep.sobolev, rep.lp)
-            for rep in reports]
-    with open(path, "wb") as fh:
-        fh.write(_csv_bytes(("descriptor", "s", "ratio", "lq", "sobolev", "lp"), rows))

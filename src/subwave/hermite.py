@@ -8,10 +8,10 @@ an orthonormal basis of L^2(R).  Values are produced by the normalized
 three-term recurrence, which is stable for all orders, unlike evaluating the
 monomial form of H_m whose coefficients overflow near m ~ 85.
 
-Only the quadrature oracle (`transform.representation_matrix`,
-`transform.inverse_transform` and `HermiteEvaluator.rule`) needs a
-Gauss-Hermite rule, so SciPy loads on the first rule built, never on import:
-the grid transforms and every CLI subcommand run without it.
+Only the quadrature oracle (`transform.representation_matrix` and
+`transform.inverse_transform`) needs a Gauss-Hermite rule, so SciPy loads on
+the first rule built, never on import: the grid transforms and every CLI
+subcommand run without it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "hermite_function",
     "hermite_polynomial_table",
     "gauss_hermite_rule",
-    "HermiteEvaluator",
 ]
 
 
@@ -85,34 +84,3 @@ def gauss_hermite_rule(count: int):
     from scipy.special import roots_hermite
 
     return roots_hermite(count)
-
-
-class HermiteEvaluator:
-    """Cached evaluator for the first `order` Hermite functions.
-
-    Bundles the truncation order with a rule of quad_count = max(2 order + 1,
-    32) nodes, exact for the products psi_k psi_l the orthonormality checks use.
-    """
-
-    def __init__(self, order: int):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        self.order = order
-        self.quad_count = max(2 * order + 1, 32)
-        self._rule = None
-
-    @property
-    def rule(self):
-        if self._rule is None:
-            self._rule = gauss_hermite_rule(self.quad_count)
-        return self._rule
-
-    def table(self, w) -> np.ndarray:
-        return hermite_function_table(self.order, w)
-
-    def overlap_matrix(self) -> np.ndarray:
-        """Gram matrix int psi_k psi_l dw computed by the stored rule."""
-        u, wq = self.rule
-        polys = hermite_polynomial_table(self.order, u)
-        # psi_k psi_l = (c H_k)(c H_l) exp(-u^2); the rule weight carries exp(-u^2)
-        return np.einsum("i,ik,il->kl", wq, polys, polys)

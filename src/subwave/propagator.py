@@ -19,18 +19,25 @@ derivative are
     u(t)  = e^{-bt/2} [ (C + (b/2) S) u0 + S u1 ]
     u'(t) = e^{-bt/2} [ -total S u0 + (C - (b/2) S) u1 ]
 
-Both backends reach these factors through one model, `_Model`: SpectralField
-coefficients on a Heisenberg mode grid and AbelianCoefficients on an FFT
-grid.  It is the only code that reads a backend's symbol layout and norm
-weighting, and it works on raw coefficient arrays c:
+Both backends reach these factors through one model in two halves:
+SpectralField coefficients on a Heisenberg mode grid and AbelianCoefficients
+on an FFT grid.  It is the only code that reads a backend's symbol layout and
+norm weighting, and the package's one home for the homogeneous Sobolev norms
+||R^{a/nu} u||.  It works on raw coefficient arrays c.  The first half,
+`_Norms(state, provider)`, is the function space:
 
-    factors(t)        closed-form (A0, A1, D0, D1): u(t) = A0 u0 + A1 u1,
-                      u'(t) = D0 u0 + D1 u1
     l2(c)             L^2 norm
     sobolev(c, s)     inhomogeneous norm with multiplier (1 + R)^{2s/nu}
     frac(c, j)        homogeneous seminorm ||R^{j/nu} u||_{L^2}
     data_norm(c0, c1) the H^{nu/2} x L^2 norm of Cauchy data
     wrap(c), unwrap(u)  between c and the backend's field type
+
+The second half, `_Model(state, provider, b, m)`, adds the damping b, the
+mass m and the dynamics:
+
+    factors(t)        closed-form (A0, A1, D0, D1): u(t) = A0 u0 + A1 u1,
+                      u'(t) = D0 u0 + D1 u1
+    trajectory(times, values, derivs)  a LinearTrajectory of wrapped fields
 """
 
 from __future__ import annotations
@@ -41,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import AbelianCoefficients, _norm_multiplier, symbol_on_grid
-from .spectral import SpectralField, SubLaplacianSymbol, _csv_bytes
+from .abelian import AbelianCoefficients, symbol_on_grid
+from .spectral import SpectralField, SubLaplacianSymbol
 
 __all__ = [
     "Regime",
@@ -54,7 +61,6 @@ __all__ = [
     "LinearTrajectory",
     "verify_decay",
     "DecayReport",
-    "export_trajectory_csv",
 ]
 
 # |Delta| below which a mode takes the series and counts as critical
@@ -196,18 +202,37 @@ class LinearTrajectory:
             raise ValueError("times and field lists must have equal length")
 
 
-class _Model:
-    """One backend as the solvers see it; the methods are listed in the
-    module docstring.  Heisenberg (SpectralField): R = provider.values(grid)
-    on the row index k of each (node, k, l) block, the sub-Laplacian by
-    default, and each lambda node's Plancherel weight in the norms.  Abelian
-    (AbelianCoefficients): R = symbol_on_grid(grid, provider), provider
-    required, and the norms divided by the box volume.  Each norm multiplier
-    is built once per (order, mass) and kept for the model's lifetime.
+def _norm_multiplier(vals: np.ndarray, nu: int, order: float,
+                     mass: float | None = None) -> np.ndarray:
+    """The multiplier (mass + R)^{2 order/nu}, or R^{2 order/nu} when mass
+    is None, from vals = R on the coefficient layout.  R^0 is 1 everywhere;
+    a negative order without mass is singular where R vanishes."""
+    if mass is None:
+        if order < 0 and np.any(vals == 0):
+            raise ValueError("negative homogeneous order is singular at xi = 0")
+        mult = np.zeros_like(vals)
+        nz = vals > 0
+        mult[nz] = vals[nz] ** (2.0 * order / nu)
+        if order == 0:
+            mult[~nz] = 1.0
+        return mult
+    if mass == 0 and np.any(vals == 0):
+        raise ValueError("mass-free multiplier is singular at xi = 0")
+    return (mass + vals) ** (2.0 * order / nu)
+
+
+class _Norms:
+    """The first half of a backend model: layout, norms, wrap/unwrap (see
+    the module docstring).  Heisenberg (SpectralField): R =
+    provider.values(grid) on the row index k of each (node, k, l) block, the
+    sub-Laplacian by default, and each lambda node's Plancherel weight in
+    the norms.  Abelian (AbelianCoefficients): R = symbol_on_grid(grid,
+    provider), provider required, and the norms divided by the box volume.
+    Each norm multiplier is built once per (order, mass) and kept for the
+    object's lifetime.
     """
 
-    def __init__(self, state, provider, b, m):
-        _check_damping(b, m)
+    def __init__(self, state, provider):
         if not isinstance(state, (SpectralField, AbelianCoefficients)):
             raise TypeError(f"unsupported state type {type(state).__name__}")
         grid = state.grid
@@ -226,12 +251,7 @@ class _Model:
             self.field, self._attr = AbelianCoefficients, "values"
             self._same_grid = lambda g: g == grid
         self.grid, self.nu = grid, provider.nu
-        self.b, self.m = float(b), float(m)
-        self.total = self.sym + self.m
         self._mults = {}
-
-    def factors(self, t):
-        return _mode_factors(self.total, self.b, t)
 
     def wrap(self, c):
         return self.field(self.grid, c)
@@ -241,10 +261,6 @@ class _Model:
         if not (isinstance(u, self.field) and self._same_grid(u.grid)):
             raise ValueError("fields live on different grids")
         return getattr(u, self._attr)
-
-    def trajectory(self, times, values, derivs):
-        return LinearTrajectory(times, [self.wrap(v) for v in values],
-                                [self.wrap(d) for d in derivs], self.b, self.m)
 
     def multiplier(self, order, mass=None):
         """(mass + R)^{2 order/nu}, or R^{2 order/nu} when mass is None."""
@@ -270,6 +286,24 @@ class _Model:
 
     def data_norm(self, c0, c1):
         return self.sobolev(c0, 0.5 * self.nu) + self.l2(c1)
+
+
+class _Model(_Norms):
+    """The whole backend model: `_Norms` plus damping b, mass m, the
+    closed-form factors and the trajectory they sample."""
+
+    def __init__(self, state, provider, b, m):
+        _check_damping(b, m)
+        super().__init__(state, provider)
+        self.b, self.m = float(b), float(m)
+        self.total = self.sym + self.m
+
+    def factors(self, t):
+        return _mode_factors(self.total, self.b, t)
+
+    def trajectory(self, times, values, derivs):
+        return LinearTrajectory(times, [self.wrap(v) for v in values],
+                                [self.wrap(d) for d in derivs], self.b, self.m)
 
 
 def _linear_history(model, c0, c1, times):
@@ -320,7 +354,7 @@ def verify_decay(traj: LinearTrajectory, provider, s: float = 0.0,
     fields may be SpectralField or AbelianCoefficients.
     """
     delta0 = decay_rate(traj.b, traj.m)
-    model = _Model(traj.fields[0], provider, traj.b, traj.m)
+    model = _Norms(traj.fields[0], provider)
     norms = np.array([model.sobolev(model.unwrap(f), s) for f in traj.fields])
     data_scale = norms[0] + model.sobolev(model.unwrap(traj.derivatives[0]),
                                           s - 0.5 * model.nu)
@@ -351,17 +385,3 @@ def verify_decay(traj: LinearTrajectory, provider, s: float = 0.0,
             stacklevel=2,
         )
     return DecayReport(delta0, float(slope), float(envelope), tail_t, logn, passed)
-
-
-def export_trajectory_csv(traj: LinearTrajectory, provider, s_values, path: str):
-    """Write per-time norms to CSV: t, L2, H^s columns, decay envelope.  The
-    fields may be SpectralField or AbelianCoefficients."""
-    delta0 = decay_rate(traj.b, traj.m)
-    model = _Model(traj.fields[0], provider, traj.b, traj.m)
-    s_values = list(s_values)
-    header = ["t", "l2"] + [f"h{s:g}" for s in s_values] + ["envelope"]
-    rows = [[t, model.l2(c)] + [model.sobolev(c, s) for s in s_values]
-            + [np.exp(-delta0 * t)]
-            for t, c in zip(traj.times, map(model.unwrap, traj.fields))]
-    with open(path, "wb") as fh:
-        fh.write(_csv_bytes(header, rows))

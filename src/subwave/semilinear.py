@@ -5,8 +5,8 @@ where u_lin is the closed-form linear evolution and K is the Duhamel kernel
 of the damped mode system.  This module iterates Gamma on a uniform time
 grid with composite-trapezoid quadrature, evaluated at all H samples at once
 by the semigroup recursion of the one-step propagator (O(H) time, O(N) extra
-memory for N coefficients), measures contraction in a weighted sup-in-time
-Z norm, and exposes the smallness-threshold search.
+memory for N coefficients), and measures contraction in a weighted
+sup-in-time Z norm.
 
 A Picard solve holds the linear part and one iterate, values and derivatives
 of each: 4H coefficient arrays.  Each sweep streams: the sources f(u_k) are
@@ -38,7 +38,6 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -50,19 +49,13 @@ from .transform import SpatialField, SpatialGrid, forward_transform, synthesize_
 __all__ = [
     "PowerNonlinearity",
     "GeneralNonlinearity",
-    "Admissibility",
-    "check_admissible",
     "ZNormConfig",
     "NumericalFailure",
     "PicardStatus",
     "PicardDiagnostics",
     "apply_nonlinearity",
-    "duhamel_step",
-    "DuhamelResult",
     "z_norm",
     "picard_solve",
-    "find_epsilon0",
-    "Epsilon0Estimate",
     "verify_semilinear_decay",
     "SemilinearDecayReport",
 ]
@@ -94,48 +87,15 @@ class GeneralNonlinearity:
     """Pointwise callback on the tuple U = (u, R^{1/nu}u, ..., R^{(h-1)/nu}u).
 
     The callback receives h = ceil(nu/2) sample arrays and must return one
-    array of the same shape with F(0) = 0.  p is the order of F.  The
-    Heisenberg backend takes nu = 2 only, where U = (u,).
+    array of the same shape with F(0) = 0.  The Heisenberg backend takes
+    nu = 2 only, where U = (u,).
     """
 
     callback: object
-    p: float
 
     def __post_init__(self):
         if not callable(self.callback):
             raise ValueError("callback must be callable")
-        if not self.p > 1:
-            raise ValueError(f"nonlinearity order needs p > 1, got p={self.p}")
-
-
-@dataclass(frozen=True)
-class Admissibility:
-    admissible: bool
-    bound: Fraction
-    backend: str
-
-
-def check_admissible(p, n=None, Q=None) -> Admissibility:
-    """Small-data existence range for the power p.
-
-    Heisenberg branch (pass n): p <= 1 + 1/n.  General homogeneous branch
-    (pass Q): requires Q >= 3 and gives p <= 1 + 2/(Q-2).
-    """
-    p = Fraction(p) if not isinstance(p, float) else Fraction(p).limit_denominator(10 ** 9)
-    if not p > 1:
-        raise ValueError("admissibility is defined for p > 1")
-    if (n is None) == (Q is None):
-        raise ValueError("pass exactly one of n (Heisenberg) or Q (general)")
-    if n is not None:
-        if n < 1:
-            raise ValueError("Heisenberg index n must be >= 1")
-        bound = 1 + Fraction(1, int(n))
-        return Admissibility(p <= bound, bound, f"heisenberg(n={n})")
-    Q = Fraction(Q) if not isinstance(Q, float) else Fraction(Q).limit_denominator(10 ** 9)
-    if Q < 3:
-        raise ValueError(f"general admissibility needs homogeneous dimension Q >= 3, got {Q}")
-    bound = 1 + Fraction(2) / (Q - 2)
-    return Admissibility(p <= bound, bound, f"graded(Q={Q})")
 
 
 @dataclass(frozen=True)
@@ -267,13 +227,6 @@ def apply_nonlinearity(u: SpectralField, nl, synth: SpatialGrid,
     return forward_transform(SpatialField(synth, g), u.grid, boundary_tol=None)
 
 
-@dataclass
-class DuhamelResult:
-    field: SpectralField
-    derivative: SpectralField
-    richardson_error: float
-
-
 def _uniform_step(times: np.ndarray) -> float:
     steps = np.diff(times)
     if steps.size == 0:
@@ -321,33 +274,6 @@ def _richardson_error(model, hh, sources):
     flipped = (-src if k % 2 else src for k, src in enumerate(sources))
     val, _ = deque(_duhamel_sweep(model, hh, flipped), maxlen=1)[0]
     return model.l2(val) / 3.0
-
-
-def duhamel_step(source_history, b, m, provider, t, stride: int = 1):
-    """Composite-trapezoid Duhamel integral of a source history.
-
-    source_history is a LinearTrajectory whose fields hold f(u(s)) at the
-    uniform sample times; t must coincide with one of them, and with every
-    stride-th one.  Returns a DuhamelResult carrying the value, its time
-    derivative, and a Richardson error estimate against the quadrature with
-    twice the stride (nan when that stride does not reach t).  The trapezoid
-    sum over the H nodes up to t is evaluated by the propagator's semigroup
-    recursion in O(H) time and O(N) extra memory (N coefficients per field).
-    """
-    times = np.asarray(source_history.times, dtype=float)
-    h = _uniform_step(times)
-    idx = int(np.argmin(np.abs(times - t)))
-    if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"time {t} is not on the source history grid")
-    if idx % stride:
-        raise ValueError(f"time {t} is sample {idx}, not a multiple of stride {stride}")
-    model = _Model(source_history.fields[0], provider, b, m)
-    nodes = [model.unwrap(f) for f in source_history.fields[:idx + 1:stride]]
-    val, der = deque(_duhamel_sweep(model, h * stride, nodes), maxlen=1)[0]
-    rich = float("nan")
-    if idx >= 2 * stride and idx % (2 * stride) == 0:
-        rich = _richardson_error(model, h * stride, nodes)
-    return DuhamelResult(model.wrap(val), model.wrap(der), rich)
 
 
 def _znorm_node(model, znorm, t, val, der):
@@ -464,49 +390,6 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
     if status is PicardStatus.CONVERGED and (H - 1) >= 2 and (H - 1) % 2 == 0:
         diagnostics.quadrature_error = _richardson_error(model, h, sources(norms))
     return model.trajectory(times, cur_val, cur_der), diagnostics
-
-
-@dataclass
-class Epsilon0Estimate:
-    epsilon0: float
-    bracket: tuple
-    width: float
-    history: list
-
-
-def find_epsilon0(template, bracket, trials: int = 10) -> Epsilon0Estimate:
-    """Bisect the data scale between a converging and a diverging run.
-
-    template(eps) must return a PicardDiagnostics (or its status).  The
-    bracket is validated first: the low end must converge and the high end
-    must not (Diverged or MaxIter both count as failure to converge).
-    """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0 < lo < hi:
-        raise ValueError("bracket must satisfy 0 < lo < hi")
-
-    def status_of(eps):
-        out = template(eps)
-        return out.status if isinstance(out, PicardDiagnostics) else out
-
-    history = []
-    s_lo = status_of(lo)
-    history.append((lo, s_lo))
-    if s_lo is not PicardStatus.CONVERGED:
-        raise ValueError(f"bracket low end {lo} did not converge ({s_lo.value})")
-    s_hi = status_of(hi)
-    history.append((hi, s_hi))
-    if s_hi is PicardStatus.CONVERGED:
-        raise ValueError(f"bracket high end {hi} converged; no transition inside")
-    for _ in range(trials):
-        mid = float(np.sqrt(lo * hi))
-        s = status_of(mid)
-        history.append((mid, s))
-        if s is PicardStatus.CONVERGED:
-            lo = mid
-        else:
-            hi = mid
-    return Epsilon0Estimate(lo, (lo, hi), hi - lo, history)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Spectral grid, coefficient fields, operator symbols, and norms.
+"""Spectral grid, coefficient fields, operator symbols, and the CSV format.
 
 A mode grid discretizes the frequency side of the group Fourier transform on
 H^n: a finite set of nonzero lambda nodes (symmetric about 0, log-spaced in
@@ -9,7 +9,9 @@ symbols act as multipliers along the row index k.
 
 The overall Plancherel constant of the adopted transform convention is not
 hardcoded; it is measured once by `subwave.transform.calibrate_plancherel`
-and stored on the grid, entering every quadrature weight.
+and stored on the grid, entering every quadrature weight.  The norms weight
+the blocks with these quadrature weights; they are computed by the backend
+model of `subwave.propagator`, the one home of the package's norms.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,15 +31,7 @@ __all__ = [
     "SpectralField",
     "SubLaplacianSymbol",
     "AbelianSymbol",
-    "l2_norm",
-    "sobolev_norm",
-    "homogeneous_sobolev_norm",
-    "weighted_inner",
-    "save_spectral_field",
-    "load_spectral_field",
 ]
-
-_MAGIC = b"SUBWAVE-SF1\n"
 
 
 @dataclass
@@ -249,52 +242,6 @@ class AbelianSymbol:
         return np.tensordot(xi ** self.order, self.coefficients, axes=([-1], [0]))
 
 
-def _squared_mass(field: SpectralField, multiplier: np.ndarray | None = None) -> float:
-    c2 = np.abs(field.coefficients) ** 2
-    if multiplier is not None:
-        c2 = c2 * multiplier[:, :, None]
-    return float(np.sum(field.grid.weights * np.sum(c2, axis=(1, 2))))
-
-
-def l2_norm(field: SpectralField) -> float:
-    """Plancherel L^2 norm: weighted Hilbert-Schmidt mass of the blocks."""
-    return np.sqrt(_squared_mass(field))
-
-
-def sobolev_norm(field: SpectralField, provider, s: float, mass: float = 1.0) -> float:
-    """Inhomogeneous Sobolev norm of order s adapted to the provider.
-
-    Applies the multiplier (mass + symbol)^{2s/nu} to squared coefficients,
-    i.e. the norm of (mass + R)^{s/nu} u where R has homogeneity nu.  mass=1
-    is the standard inhomogeneous scale; mass=0 recovers the homogeneous one.
-    """
-    if mass < 0:
-        raise ValueError("mass must be non-negative")
-    sym = provider.values(field.grid)
-    if mass == 0.0 and s != 0 and np.any(sym == 0):
-        raise ValueError("zero symbol value with mass=0 gives a degenerate multiplier")
-    mult = (mass + sym) ** (2.0 * s / provider.nu)
-    return np.sqrt(_squared_mass(field, mult))
-
-
-def homogeneous_sobolev_norm(field: SpectralField, provider, a: float) -> float:
-    """Homogeneous seminorm of order a: the L^2 norm of R^{a/nu} u."""
-    sym = provider.values(field.grid)
-    if a < 0:
-        raise ValueError("order must be non-negative")
-    if a == 0:
-        return l2_norm(field)
-    mult = sym ** (2.0 * a / provider.nu)
-    return np.sqrt(_squared_mass(field, mult))
-
-
-def weighted_inner(f: SpectralField, g: SpectralField) -> complex:
-    """Plancherel inner product <f, g> with the grid weights."""
-    f._check_compatible(g)
-    prods = np.sum(np.conj(f.coefficients) * g.coefficients, axis=(1, 2))
-    return complex(np.sum(f.grid.weights * prods))
-
-
 def _csv_bytes(header, rows) -> bytes:
     """The package's one CSV format: a header row, floats as their shortest
     round-trip repr, LF line ends, UTF-8."""
@@ -312,54 +259,3 @@ def _fmt(value) -> str:
     if isinstance(value, np.integer):
         return str(int(value))
     return str(value)
-
-
-def _write_container(path: str, magic: bytes, header: dict, array: np.ndarray):
-    """The package's one field container: the magic line, the 8-byte
-    little-endian length of the JSON header, the header, then the array as
-    raw row-major complex128 little-endian values."""
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(array, dtype="<c16").tobytes())
-
-
-def _read_container(path: str, magic: bytes, kind: str):
-    """(header, flat complex payload) of a container written with magic."""
-    with open(path, "rb") as fh:
-        if fh.read(len(magic)) != magic:
-            raise ValueError(f"not a {kind} field container: {path}")
-        hlen = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        payload = fh.read()
-    return header, np.frombuffer(payload, dtype="<c16").astype(complex)
-
-
-def save_spectral_field(field: SpectralField, path: str):
-    """Write a field to the package's container (`_write_container`), the
-    grid data and the coefficient shape in its header."""
-    header = {
-        "n": field.grid.n,
-        "mu_max": field.grid.mu_max,
-        "lambda_nodes": field.grid.lambda_nodes.tolist(),
-        "base_weights": field.grid.base_weights.tolist(),
-        "plancherel_constant": field.grid.plancherel_constant,
-        "multi_indices": [list(k) for k in field.grid.multi_indices],
-        "shape": list(field.coefficients.shape),
-    }
-    _write_container(path, _MAGIC, header, field.coefficients)
-
-
-def load_spectral_field(path: str) -> SpectralField:
-    header, payload = _read_container(path, _MAGIC, "spectral")
-    grid = ModeGrid(
-        n=header["n"],
-        lambda_nodes=np.array(header["lambda_nodes"]),
-        base_weights=np.array(header["base_weights"]),
-        mu_max=header["mu_max"],
-        plancherel_constant=header["plancherel_constant"],
-        multi_indices=tuple(tuple(k) for k in header["multi_indices"]),
-    )
-    return SpectralField(grid, payload.reshape(tuple(header["shape"])))

@@ -40,22 +40,19 @@ import numpy as np
 
 from .group import GroupElement, enumerate_multi_indices
 from .hermite import gauss_hermite_rule, hermite_polynomial_table
-from .spectral import ModeGrid, SpectralField, _read_container, _write_container
+from .spectral import ModeGrid, SpectralField
 
 __all__ = [
     "SpatialGrid",
     "SpatialField",
+    "from_function",
     "representation_matrix",
     "forward_transform",
     "inverse_transform",
     "synthesize_on_grid",
     "calibrate_plancherel",
-    "save_spatial_field",
-    "load_spatial_field",
     "clear_plan_cache",
 ]
-
-_MAGIC_SP = b"SUBWAVE-SP1\n"
 
 _BOUNDARY_DECAY = 1e-8
 
@@ -411,16 +408,3 @@ def _calibrate_on(reference: SpatialField, fhat: SpectralField) -> float:
     c = spatial_sq / raw
     fhat.grid.plancherel_constant = c
     return c
-
-
-def save_spatial_field(field: SpatialField, path: str):
-    """Write a field to the container of `spectral._write_container`."""
-    header = {"half_widths": list(field.grid.half_widths),
-              "shape": list(field.grid.shape)}
-    _write_container(path, _MAGIC_SP, header, field.samples)
-
-
-def load_spatial_field(path: str) -> SpatialField:
-    header, payload = _read_container(path, _MAGIC_SP, "spatial")
-    grid = SpatialGrid(tuple(header["half_widths"]), tuple(header["shape"]))
-    return SpatialField(grid, payload.reshape(grid.shape))

@@ -1,4 +1,5 @@
-"""Periodic FFT backend: exact Parseval, round trips, and norm multipliers."""
+"""Periodic FFT backend: exact Parseval, round trips, and the backend model's
+norm multipliers."""
 
 import numpy as np
 import pytest
@@ -9,12 +10,10 @@ from subwave.abelian import (
     AbelianGrid,
     abelian_forward,
     abelian_from_function,
-    abelian_homogeneous_norm,
     abelian_inverse,
-    abelian_l2_norm,
-    abelian_sobolev_norm,
     symbol_on_grid,
 )
+from subwave.propagator import _Norms
 from subwave.spectral import AbelianSymbol
 
 
@@ -46,7 +45,8 @@ def test_parseval_exact(rng):
     grid = AbelianGrid((3.0, 2.0, 4.0), (16, 12, 20))
     f = random_field(grid, rng)
     coeffs = abelian_forward(f)
-    assert abelian_l2_norm(coeffs) == pytest.approx(f.l2_norm(), rel=1e-13)
+    norms = _Norms(coeffs, AbelianSymbol(np.ones(3), order=2))
+    assert norms.l2(coeffs.values) == pytest.approx(f.l2_norm(), rel=1e-13)
 
 
 def test_round_trip_exact(rng):
@@ -61,30 +61,27 @@ def test_plane_wave_multiplier_is_exact():
     xi0 = grid.freq_axis(0)[3]
     f = abelian_from_function(grid, lambda x: np.exp(1j * xi0 * x))
     coeffs = abelian_forward(f)
-    sym = AbelianSymbol([1.0], order=2)
-    base = abelian_l2_norm(coeffs)
-    for mass in (1.0, 0.3):
-        got = abelian_sobolev_norm(coeffs, sym, s=1.0, mass=mass)
-        assert got == pytest.approx(np.sqrt(mass + xi0 ** 2) * base, rel=1e-12)
-    assert abelian_homogeneous_norm(coeffs, sym, a=1.0) == pytest.approx(
-        abs(xi0) * base, rel=1e-12)
+    norms, c = _Norms(coeffs, AbelianSymbol([1.0], order=2)), coeffs.values
+    base = norms.l2(c)
+    assert norms.sobolev(c, 1.0) == pytest.approx(np.sqrt(1.0 + xi0 ** 2) * base,
+                                                  rel=1e-12)
+    got = norms._norm(c, norms.multiplier(1.0, 0.3))  # mass 0.3
+    assert got == pytest.approx(np.sqrt(0.3 + xi0 ** 2) * base, rel=1e-12)
+    assert norms.frac(c, 1.0) == pytest.approx(abs(xi0) * base, rel=1e-12)
 
 
 def test_homogeneous_norm_edge_cases(rng):
     grid = AbelianGrid((2.0, 2.0), (16, 16))
     sym = AbelianSymbol([1.0, 1.0], order=2, radial=True)
-    f = random_field(grid, rng)
-    coeffs = abelian_forward(f)
-    assert abelian_homogeneous_norm(coeffs, sym, a=0.0) == pytest.approx(
-        abelian_l2_norm(coeffs), rel=1e-13)
+    coeffs = abelian_forward(random_field(grid, rng))
+    norms, c = _Norms(coeffs, sym), coeffs.values
+    assert norms.frac(c, 0.0) == pytest.approx(norms.l2(c), rel=1e-13)
     const = abelian_forward(AbelianField(grid, np.ones(grid.shape)))
-    assert abelian_homogeneous_norm(const, sym, a=1.0) == pytest.approx(0.0, abs=1e-10)
+    assert norms.frac(const.values, 1.0) == pytest.approx(0.0, abs=1e-10)
     with pytest.raises(ValueError, match="singular"):
-        abelian_homogeneous_norm(coeffs, sym, a=-0.5)
+        norms.frac(c, -0.5)
     with pytest.raises(ValueError, match="singular"):
-        abelian_sobolev_norm(coeffs, sym, s=0.5, mass=0.0)
-    with pytest.raises(ValueError):
-        abelian_sobolev_norm(coeffs, sym, s=0.5, mass=-1.0)
+        norms.multiplier(0.5, 0.0)  # the mass-free Sobolev multiplier
 
 
 def test_symbol_on_grid_values():

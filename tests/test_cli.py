@@ -159,6 +159,7 @@ def test_evolve_linear_passes_and_is_deterministic(tmp_path):
         csv1).hexdigest()
     header = csv1.decode().splitlines()[0]
     assert header.split(",") == ["time", "l2", "h1"]
+    assert b"\r" not in csv1  # LF line ends
 
 
 def test_strict_profile_tightens_the_slope_gate(tmp_path):
@@ -250,6 +251,32 @@ def test_abelian_linear_runs_pass(tmp_path, subcommand):
     assert set(results["slopes"]) == {"0.0", "1.0"}
     for slope in results["slopes"].values():
         assert slope <= results["slope_bound"] < 0
+
+
+# the paper's own case: packet data on H^1 with p = 2 = 1 + 1/n, the endpoint
+# of the small-data existence range
+HEISENBERG_PICARD_CONFIG = {
+    "backend": {"kind": "heisenberg", "n": 1},
+    "grid": {"lambda_min": 0.25, "lambda_max": 6.0, "nodes": 48, "mu_max": 15.0},
+    "synth": {"half_widths": [5.0, 5.0, 8.5], "shape": [28, 28, 40]},
+    "b": 2.0,
+    "m": 2.0,
+    "data": {"kind": "packet", "carrier": 1.6, "sigma_xy": 0.8,
+             "sigma_tau": 1.35, "scale": 0.05},
+    "horizon": {"T": 4.0, "samples": 5},
+    "nonlinearity": {"type": "power", "mu": 1.0, "p": 2.0},
+}
+
+
+def test_evolve_semilinear_heisenberg_converges(tmp_path):
+    cfg = write_config(tmp_path, HEISENBERG_PICARD_CONFIG)
+    out = tmp_path / "out"
+    assert main(["evolve-semilinear", "--config", cfg, "--out", str(out)]) == 0
+    results = read_manifest(out)["results"]
+    assert results["status"] == "Converged" and results["iterations"] == 4
+    assert all(r < 1.0 for r in results["ratios"])
+    assert all(s < 0 for s in results["decay_slopes"].values())
+    assert 0 < results["quadrature_error"] < 1e-5
 
 
 # a box too small for the Heisenberg nonlinearity: the synthesized iterate

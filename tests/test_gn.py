@@ -6,7 +6,6 @@ dilation invariance, which the exponent identity makes exact in the
 continuum; discretization leaves a small drift that the assertions bound.
 """
 
-import csv
 from fractions import Fraction
 
 import numpy as np
@@ -14,16 +13,13 @@ import pytest
 
 from subwave.abelian import AbelianField, AbelianGrid, abelian_from_function
 from subwave.gn import (
-    EmpiricalConstant,
     GNExponents,
     RatioReport,
-    empirical_constant,
     gn_exponent_corollary,
     gn_exponent_graded,
     gn_exponent_heisenberg,
     verify_inequality_abelian,
     verify_inequality_heisenberg,
-    write_ratio_csv,
 )
 from subwave.transform import from_function
 
@@ -218,75 +214,18 @@ def test_heisenberg_ratio_finite_for_admissible_q(calibrated_grid, synth_box):
         assert report.s == pytest.approx(float(gn_exponent_heisenberg(q, 1)))
 
 
-# --------------------------------------------------------------------------
-# empirical constants and reporting
+def test_heisenberg_ratio_is_dilation_invariant(calibrated_grid, synth_box):
+    # f_r(x, y, tau) = f(r x, r y, r^2 tau): the exponent identity makes the
+    # ratio exact under the group dilations; a gradient of order k would
+    # give log ratio a slope theta (1 - k) in log r, -theta for k = 2
+    from subwave.transform import forward_transform
 
-
-def width_family(widths, grid=None):
-    def family(i):
-        return gaussian_field(widths[i], grid), f"width={widths[i]}"
-
-    return family
-
-
-def test_empirical_constant_tracks_maximum(r3_exponents):
-    widths = [0.5, 0.8, 1.1]
-    out = empirical_constant(width_family(widths), r3_exponents, 3)
-    assert isinstance(out, EmpiricalConstant)
-    assert len(out.reports) == 3
-    ratios = [r.ratio for r in out.reports]
-    assert out.bound == max(ratios)
-    assert out.argmax_descriptor == f"width={widths[int(np.argmax(ratios))]}"
-    # sweeping a sane family never produces wild outliers
-    assert out.bound <= 10.0 * float(np.median(ratios))
-    prefix = empirical_constant(width_family(widths), r3_exponents, 2)
-    assert out.bound >= prefix.bound
-
-
-def test_empirical_constant_deterministic_under_seed(r3_exponents):
-    def seeded_family(seed):
-        rng = np.random.default_rng(seed)
-        widths = rng.uniform(0.5, 1.4, 4)
-
-        def family(i):
-            return gaussian_field(widths[i]), f"w{i}"
-
-        return family
-
-    a = empirical_constant(seeded_family(7), r3_exponents, 4)
-    b = empirical_constant(seeded_family(7), r3_exponents, 4)
-    assert a.bound == b.bound
-    assert [r.ratio for r in a.reports] == [r.ratio for r in b.reports]
-
-
-def test_empirical_constant_validation(r3_exponents, calibrated_grid):
-    with pytest.raises(ValueError, match="trials"):
-        empirical_constant(width_family([0.8]), r3_exponents, 0)
-    from subwave.spectral import SpectralField
-
-    def spectral_family(i):
-        return SpectralField.zeros(calibrated_grid), "zero"
-
-    with pytest.raises(ValueError, match="synthesis"):
-        empirical_constant(spectral_family, r3_exponents, 1)
-
-    def bad_family(i):
-        return 42, "nope"
-
-    with pytest.raises(TypeError):
-        empirical_constant(bad_family, r3_exponents, 1)
-
-
-def test_write_ratio_csv_round_trips(tmp_path, r3_exponents):
-    reports = [verify_inequality_abelian(gaussian_field(w), r3_exponents,
-                                         f"w={w}")
-               for w in (0.6, 1.0)]
-    path = tmp_path / "ratios.csv"
-    write_ratio_csv(reports, str(path))
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 2
-    for row, rep in zip(rows, reports):
-        assert row["descriptor"] == rep.descriptor
-        assert float(row["ratio"]) == rep.ratio
-    assert b"\r" not in path.read_bytes()
+    fn, rs = packet(), (0.9, 1.0, 1.1)
+    fields = [forward_transform(
+        from_function(synth_box, lambda x, y, t, r=r: fn(r * x, r * y, r * r * t)),
+        calibrated_grid, boundary_tol=None) for r in rs]
+    for q in (Fraction(8, 3), 3, 4):
+        logs = [np.log(verify_inequality_heisenberg(u, q, 1, synth_box).ratio)
+                for u in fields]
+        slope = np.polyfit(np.log(rs), logs, 1)[0]
+        assert abs(slope) <= 0.25, (q, slope)

@@ -5,7 +5,6 @@ import pytest
 from scipy.special import roots_hermite
 
 from subwave.hermite import (
-    HermiteEvaluator,
     gauss_hermite_rule,
     hermite_function,
     hermite_function_table,
@@ -27,16 +26,26 @@ def test_table_matches_single_and_polynomial_form():
         assert np.allclose(table[:, m], hermite_function(m, w), atol=1e-14)
     polys = hermite_polynomial_table(12, w)
     assert np.allclose(polys * np.exp(-0.5 * w * w)[:, None], table, atol=1e-13)
+    with pytest.raises(ValueError):
+        hermite_function(-1, 0.0)
+
+
+def gram_matrix(order):
+    """int psi_k psi_l dw by a Gauss-Hermite rule of max(2 order + 1, 32)
+    nodes, exact for these products; the rule weight carries exp(-u^2)."""
+    u, wq = gauss_hermite_rule(max(2 * order + 1, 32))
+    polys = hermite_polynomial_table(order, u)
+    return np.einsum("i,ik,il->kl", wq, polys, polys)
 
 
 def test_orthonormality_low_order():
-    gram = HermiteEvaluator(16).overlap_matrix()
+    gram = gram_matrix(16)
     assert np.allclose(gram, np.eye(16), atol=1e-12)
 
 
 def test_orthonormality_high_order():
     # order 48 stresses the recurrence; the rule is sized for exactness
-    gram = HermiteEvaluator(48).overlap_matrix()
+    gram = gram_matrix(48)
     assert np.allclose(gram, np.eye(48), atol=1e-10)
 
 
@@ -79,14 +88,3 @@ def test_gauss_hermite_rule_is_scipys_bitwise(count):
     # weights at 400
     for ours, ref in zip(gauss_hermite_rule(count), roots_hermite(count)):
         assert ours.tobytes() == ref.tobytes()
-
-
-def test_evaluator_defaults_and_validation():
-    ev = HermiteEvaluator(4)
-    assert ev.quad_count == 32
-    assert HermiteEvaluator(40).quad_count == 81
-    assert ev.table(np.zeros(3)).shape == (3, 4)
-    with pytest.raises(ValueError):
-        HermiteEvaluator(0)
-    with pytest.raises(ValueError):
-        hermite_function(-1, 0.0)

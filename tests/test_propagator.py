@@ -11,13 +11,11 @@ from subwave.propagator import (
     classify_regime,
     decay_rate,
     evolve_linear,
-    export_trajectory_csv,
     propagate_mode,
     verify_decay,
 )
 from subwave.abelian import (AbelianCoefficients, AbelianGrid, abelian_forward,
-                             abelian_from_function, abelian_l2_norm,
-                             abelian_sobolev_norm)
+                             abelian_from_function)
 from subwave.spectral import (AbelianSymbol, SpectralField, SubLaplacianSymbol,
                               build_grid)
 
@@ -252,21 +250,7 @@ def test_verify_decay_trivial_and_short_tail(grid):
         verify_decay(cramped, sym)
 
 
-def test_export_trajectory_csv(tmp_path, grid):
-    sym = SubLaplacianSymbol(power=1)
-    traj = evolve_linear(diagonal_data(grid), SpectralField.zeros(grid),
-                         2.0, 1.0, sym, np.linspace(0.0, 3.0, 7))
-    path = tmp_path / "traj.csv"
-    export_trajectory_csv(traj, sym, [0.5, 1.0], str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,l2,h0.5,h1,envelope"
-    assert len(lines) == 8
-    first = [float(tok) for tok in lines[1].split(",")]
-    assert first[0] == 0.0 and first[-1] == 1.0
-    assert b"\r" not in path.read_bytes()
-
-
-def test_verify_decay_and_csv_on_an_abelian_trajectory(tmp_path):
+def test_verify_decay_on_an_abelian_trajectory():
     grid = AbelianGrid((6.0,) * 3, (16, 16, 16))
     sym = AbelianSymbol(np.ones(3), order=4, radial=True)
     u0 = abelian_forward(abelian_from_function(
@@ -277,11 +261,3 @@ def test_verify_decay_and_csv_on_an_abelian_trajectory(tmp_path):
         report = verify_decay(traj, sym, s=s)
         assert report.passed and not report.trivial
         assert report.fitted_slope <= -0.95
-    path = tmp_path / "traj.csv"
-    export_trajectory_csv(traj, sym, [1.0], str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,l2,h1,envelope" and len(lines) == 41
-    for line, f in zip(lines[1:], traj.fields):
-        _, l2, h1, _ = map(float, line.split(","))
-        assert l2 == pytest.approx(abelian_l2_norm(f), rel=1e-14)
-        assert h1 == pytest.approx(abelian_sobolev_norm(f, sym, 1.0), rel=1e-14)

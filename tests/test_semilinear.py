@@ -1,7 +1,7 @@
 """Nonlinearity plumbing, Z norms, Duhamel quadrature, and Picard iteration."""
 
 import tracemalloc
-from fractions import Fraction
+from collections import deque
 
 import numpy as np
 import pytest
@@ -12,9 +12,6 @@ from subwave.abelian import (
     AbelianGrid,
     abelian_forward,
     abelian_from_function,
-    abelian_homogeneous_norm,
-    abelian_l2_norm,
-    abelian_sobolev_norm,
     symbol_on_grid,
 )
 from subwave.propagator import (
@@ -33,9 +30,6 @@ from subwave.semilinear import (
     PowerNonlinearity,
     ZNormConfig,
     apply_nonlinearity,
-    check_admissible,
-    duhamel_step,
-    find_epsilon0,
     picard_solve,
     verify_semilinear_decay,
     z_norm,
@@ -45,17 +39,15 @@ from subwave.spectral import (
     SpectralField,
     SubLaplacianSymbol,
     build_grid,
-    homogeneous_sobolev_norm,
-    l2_norm,
-    sobolev_norm,
 )
-from subwave.transform import SpatialGrid, forward_transform, from_function
+from subwave.transform import (SpatialGrid, calibrate_plancherel,
+                              forward_transform, from_function)
 
 from conftest import packet
 
 
 # --------------------------------------------------------------------------
-# nonlinearity objects and admissibility
+# nonlinearity objects
 
 
 def test_power_nonlinearity():
@@ -69,41 +61,7 @@ def test_power_nonlinearity():
 
 def test_general_nonlinearity_validation():
     with pytest.raises(ValueError, match="callable"):
-        GeneralNonlinearity("not-a-function", 2.0)
-    with pytest.raises(ValueError, match="p > 1"):
-        GeneralNonlinearity(lambda U: U[0], 1.0)
-
-
-def test_admissibility_heisenberg():
-    result = check_admissible(2, n=1)
-    assert result.admissible and result.bound == Fraction(2)
-    assert check_admissible(Fraction(2, 1), n=1).admissible
-    assert not check_admissible(Fraction(201, 100), n=1).admissible
-    assert check_admissible(Fraction(3, 2), n=2).admissible
-    assert not check_admissible(Fraction(8, 5), n=2).admissible
-    assert check_admissible(Fraction(3, 2), n=2).bound == Fraction(3, 2)
-
-
-def test_admissibility_graded():
-    res = check_admissible(3, Q=3)
-    assert res.admissible and res.bound == Fraction(3)
-    assert not check_admissible(Fraction(7, 2), Q=3).admissible
-    assert check_admissible(2, Q=4).admissible
-    assert check_admissible(Fraction(5, 3), Q=5).admissible
-    assert not check_admissible(Fraction(51, 30), Q=5).admissible
-
-
-def test_admissibility_validation():
-    with pytest.raises(ValueError, match="exactly one"):
-        check_admissible(2, n=1, Q=4)
-    with pytest.raises(ValueError, match="exactly one"):
-        check_admissible(2)
-    with pytest.raises(ValueError, match="p > 1"):
-        check_admissible(1, n=1)
-    with pytest.raises(ValueError, match="Q >= 3"):
-        check_admissible(2, Q=2)
-    with pytest.raises(ValueError, match="n must be"):
-        check_admissible(2, n=0)
+        GeneralNonlinearity("not-a-function")
 
 
 # --------------------------------------------------------------------------
@@ -161,54 +119,33 @@ def test_znorm_abelian_requires_provider(rng):
 # Duhamel quadrature
 
 
-def single_mode_history(grid, value, times):
-    coeffs = np.zeros(grid.field_shape(), dtype=complex)
-    coeffs[0, 0, 0] = value
-    f = SpectralField(grid, coeffs)
-    return LinearTrajectory(np.asarray(times), [f] * len(times),
-                            [SpectralField.zeros(grid)] * len(times), 1.0, 0.0)
+def last_node(model, hh, sources):
+    """(value, derivative) of the trapezoid Duhamel sweep at its last node."""
+    return deque(semilinear._duhamel_sweep(model, hh, sources), maxlen=1)[0]
 
 
-def test_duhamel_step_constant_source():
+def test_duhamel_sweep_constant_source():
     grid = build_grid(0.5, 2.0, 4, 3.0, n=1)
-    sym = SubLaplacianSymbol(power=1)
     b, m = 1.3, 0.7
     g = 0.6
-    times = np.linspace(0.0, 2.0, 81)
-    hist = single_mode_history(grid, g, times)
-    out = duhamel_step(hist, b, m, sym, 2.0)
+    src = np.zeros(grid.field_shape(), dtype=complex)
+    src[0, 0, 0] = g
+    model = propagator._Model(SpectralField(grid, src),
+                              SubLaplacianSymbol(power=1), b, m)
+    val, _ = last_node(model, 2.0 / 80, [src] * 81)
     total = abs(grid.lambda_nodes[0]) * 1.0 + m
     a0, _ = propagate_mode(DampedModeParams(b, m, total - m), 1.0, 0.0, 2.0)
     closed = (g / total) * (1.0 - a0)
-    got = out.field.coefficients[0, 0, 0]
+    got = val[0, 0, 0]
     assert got == pytest.approx(closed, rel=2e-4)
-    assert np.isfinite(out.richardson_error)
-    assert out.richardson_error < 5e-4
-    finer = duhamel_step(single_mode_history(grid, g, np.linspace(0, 2, 161)),
-                         b, m, sym, 2.0)
-    fine_err = abs(finer.field.coefficients[0, 0, 0] - closed)
+    richardson = semilinear._richardson_error(model, 2.0 / 80, [src] * 81)
+    assert np.isfinite(richardson)
+    assert richardson < 5e-4
+    fine, _ = last_node(model, 2.0 / 160, [src] * 161)
+    fine_err = abs(fine[0, 0, 0] - closed)
     coarse_err = abs(got - closed)
     # composite trapezoid halves the step: error drops about fourfold
     assert coarse_err / max(fine_err, 1e-18) == pytest.approx(4.0, rel=0.3)
-    # stride 2 is the same quadrature on every second sample
-    strided = duhamel_step(hist, b, m, sym, 2.0, stride=2)
-    thinned = duhamel_step(single_mode_history(grid, g, times[::2]), b, m, sym, 2.0)
-    assert strided.field.coefficients[0, 0, 0] == pytest.approx(
-        thinned.field.coefficients[0, 0, 0], rel=1e-12)
-
-
-def test_duhamel_step_validation():
-    grid = build_grid(0.5, 2.0, 4, 3.0, n=1)
-    sym = SubLaplacianSymbol(power=1)
-    hist = single_mode_history(grid, 1.0, [0.0, 0.3, 0.9])
-    with pytest.raises(ValueError, match="uniform"):
-        duhamel_step(hist, 1.0, 0.0, sym, 0.9)
-    hist = single_mode_history(grid, 1.0, [0.0, 0.5, 1.0])
-    with pytest.raises(ValueError, match="grid"):
-        duhamel_step(hist, 1.0, 0.0, sym, 0.77)
-    # on the history grid but not on every second sample
-    with pytest.raises(ValueError, match=r"time 0\.5 .*stride 2"):
-        duhamel_step(hist, 1.0, 0.0, sym, 0.5, stride=2)
 
 
 def direct_trapezoid(sources, times, b, m, omega2, idx, stride):
@@ -247,20 +184,21 @@ def test_duhamel_sweep_matches_direct_trapezoid_sum(b, m, regimes, rng):
     times = np.linspace(0.0, 2.0, 33)
     sources = [rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
                for _ in times]
-    fields = [AbelianCoefficients(grid, s) for s in sources]
-    hist = LinearTrajectory(times, fields, fields, b, m)
+    model = propagator._Model(AbelianCoefficients(grid, sources[0]), sym, b, m)
 
     def rel(got, ref):
         return np.linalg.norm(got - ref) / np.linalg.norm(ref)
 
     for stride in (1, 2):
-        out = duhamel_step(hist, b, m, sym, 2.0, stride=stride)
+        hh = (times[1] - times[0]) * stride
+        got_val, got_der = last_node(model, hh, sources[::stride])
         val, der = direct_trapezoid(sources, times, b, m, omega2, 32, stride)
         coarse, _ = direct_trapezoid(sources, times, b, m, omega2, 32, 2 * stride)
-        assert rel(out.field.values, val) <= 1e-12
-        assert rel(out.derivative.values, der) <= 1e-12
-        expected = abelian_l2_norm(AbelianCoefficients(grid, val - coarse)) / 3.0
-        assert out.richardson_error == pytest.approx(expected, rel=1e-12)
+        assert rel(got_val, val) <= 1e-12
+        assert rel(got_der, der) <= 1e-12
+        expected = abelian_l2(grid, val - coarse) / 3.0
+        richardson = semilinear._richardson_error(model, hh, sources[::stride])
+        assert richardson == pytest.approx(expected, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -280,7 +218,7 @@ def test_apply_nonlinearity_scales_with_mu(calibrated_grid, synth_box):
     zero = apply_nonlinearity(SpectralField.zeros(calibrated_grid),
                               PowerNonlinearity(1.0, 2.0), synth_box,
                               boundary_limit=None)
-    assert l2_norm(zero) == 0.0
+    assert not zero.coefficients.any()
 
 
 def test_apply_nonlinearity_boundary_gate(calibrated_grid, synth_box):
@@ -309,7 +247,7 @@ def test_general_nonlinearity_tuple_length(rng):
     zero = abelian_forward(AbelianField(grid, np.zeros(grid.shape)))
     cfg = ZNormConfig(delta=0.5 * decay_rate(2.0, 1.0),
                       sample_times=tuple(np.linspace(0.0, 1.0, 5)))
-    nl = GeneralNonlinearity(probe, 2.0)
+    nl = GeneralNonlinearity(probe)
     picard_solve(u0, zero, nl, 2.0, 1.0, sym4, cfg, tol=1e-6, max_iter=2)
     assert recorded and set(recorded) == {2}  # nu=4 passes (u, R^{1/4}u)
 
@@ -438,6 +376,30 @@ def test_picard_large_data_diverges():
     assert np.isnan(diag.quadrature_error)
 
 
+def test_heisenberg_picard_converges_at_the_endpoint_power():
+    # the paper's own case: small packet data on H^1 with f(u) = |u| u, so
+    # p = 2 = 1 + 1/n, the endpoint of the small-data existence range; the
+    # heis-picard packet on a 48-node grid (at 32 nodes the boundary-decay
+    # gate fails)
+    grid = build_grid(0.25, 6.0, 48, 15.0, n=1)
+    box = SpatialGrid((5.0, 5.0, 8.5), (28, 28, 40))
+    f = from_function(box, packet(scale=0.05))
+    calibrate_plancherel(f, grid)
+    u0 = forward_transform(f, grid)
+    sym = SubLaplacianSymbol(power=1)
+    cfg = ZNormConfig(delta=0.999 * decay_rate(2.0, 2.0),
+                      sample_times=tuple(np.linspace(0.0, 4.0, 5)))
+    traj, diag = picard_solve(u0, SpectralField.zeros(grid),
+                              PowerNonlinearity(1.0, 2.0), 2.0, 2.0, sym, cfg,
+                              synth=box)
+    assert diag.status is PicardStatus.CONVERGED and diag.iterations == 4
+    assert diag.increments[0] > 1e-3 * diag.z_norms[-1]  # f(u) is not negligible
+    assert all(r < 1e-2 for r in diag.ratios)
+    assert 0 < diag.quadrature_error < 1e-5
+    report = verify_semilinear_decay(traj, 2.0, 2.0, sym)
+    assert report.passed and not report.trivial
+
+
 def test_picard_factor_work_is_linear_in_samples(monkeypatch):
     # the Duhamel quadrature evaluates the one-step propagator once per
     # sweep; per-lag factor tables would make 2H kernel calls
@@ -460,23 +422,29 @@ def test_picard_factor_work_is_linear_in_samples(monkeypatch):
     assert len(calls) <= H + diag.iterations + 2
 
 
+def abelian_l2(grid, c, mult=1.0):
+    """Reference norm ||M^{1/2} u||_{L^2} = sqrt(sum M |c|^2 / V) on an FFT
+    grid, independent of the backend model."""
+    return float(np.sqrt(np.sum(mult * np.abs(c) ** 2) / grid.volume))
+
+
 def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol):
     """Reference: the Picard loop that holds every sweep's sources, both
     iterates and both difference lists, with each Z norm taken from the
-    public abelian norms."""
+    reference norms."""
     grid = u0.grid
     model = semilinear._make_model(u0, sym, b, m)
     times = np.asarray(cfg.sample_times)
     h = times[1] - times[0]
+    root = symbol_on_grid(grid, sym) ** (2.0 / sym.nu)  # R^{2/nu}
 
     def l2(c):
-        return abelian_l2_norm(AbelianCoefficients(grid, c))
+        return abelian_l2(grid, c)
 
     def znorm_of(vals, ders):
         best = 0.0
         for t, v, d in zip(times, vals, ders):
-            total = l2(v) + l2(d)
-            total += abelian_homogeneous_norm(AbelianCoefficients(grid, v), sym, 1)
+            total = l2(v) + l2(d) + abelian_l2(grid, v, root)
             best = max(best, cfg.weight(t) * total)
         return best
 
@@ -523,7 +491,7 @@ def order4_setup(scale, H):
 @pytest.mark.parametrize("nl", [
     PowerNonlinearity(1.0, 2.0),
     # the tuple (u, R^{1/4} u) of the order-4 symbol
-    GeneralNonlinearity(lambda U: np.abs(U[0]) * U[0] + 0.5 * np.abs(U[1]) * U[1], 2.0),
+    GeneralNonlinearity(lambda U: np.abs(U[0]) * U[0] + 0.5 * np.abs(U[1]) * U[1]),
 ], ids=["power", "general"])
 def test_streaming_picard_matches_the_list_based_loop(nl):
     sym, u0, u1, cfg = order4_setup(0.2, 25)
@@ -565,29 +533,34 @@ def test_picard_holds_the_linear_part_and_one_iterate():
 
 
 @pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 2.0])  # 2 = nu/2
-def test_abelian_model_norms_match_the_public_norms(order, rng, calibrated_grid):
-    # and, on the Heisenberg backend, the model's norms match the spectral ones
+def test_model_norms_match_the_reference_norms(order, rng, calibrated_grid):
+    # sqrt(sum M |c|^2 / V) with M = (1 + R)^{2s/nu} or R^{2a/nu} on the FFT
+    # grid, and the Plancherel-weighted sums on the Heisenberg grid
     grid = AbelianGrid((5.0,) * 3, (12, 12, 12))
     sym = AbelianSymbol(np.ones(3), order=4, radial=True)
     c = (rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
-    coeffs = AbelianCoefficients(grid, c)
-    model = propagator._Model(coeffs, sym, 2.0, 1.0)
-    assert model.l2(c) == pytest.approx(abelian_l2_norm(coeffs), rel=1e-14)
+    R = symbol_on_grid(grid, sym)
+    model = propagator._Model(AbelianCoefficients(grid, c), sym, 2.0, 1.0)
+    assert model.l2(c) == pytest.approx(abelian_l2(grid, c), rel=1e-14)
     assert model.sobolev(c, order) == pytest.approx(
-        abelian_sobolev_norm(coeffs, sym, order, mass=1.0), rel=1e-14)
+        abelian_l2(grid, c, (1.0 + R) ** (order / 2)), rel=1e-14)
     assert model.frac(c, order) == pytest.approx(
-        abelian_homogeneous_norm(coeffs, sym, order), rel=1e-14)
+        abelian_l2(grid, c, R ** (order / 2)), rel=1e-14)
 
     shape = calibrated_grid.field_shape()
     c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    field = SpectralField(calibrated_grid, c)
     sub = SubLaplacianSymbol(power=1)
-    model = propagator._Model(field, sub, 2.0, 1.0)
-    assert model.l2(c) == pytest.approx(l2_norm(field), rel=1e-14)
-    assert model.sobolev(c, order) == pytest.approx(
-        sobolev_norm(field, sub, order), rel=1e-14)
-    assert model.frac(c, order) == pytest.approx(
-        homogeneous_sobolev_norm(field, sub, order), rel=1e-14)
+    R = sub.values(calibrated_grid)[:, :, None]
+    model = propagator._Model(SpectralField(calibrated_grid, c), sub, 2.0, 1.0)
+
+    def weighted(mult):
+        hs = np.sum(mult * np.abs(c) ** 2, axis=(1, 2))
+        return np.sqrt(np.sum(calibrated_grid.weights * hs))
+
+    assert model.l2(c) == pytest.approx(weighted(1.0), rel=1e-14)
+    assert model.sobolev(c, order) == pytest.approx(weighted((1.0 + R) ** order),
+                                                    rel=1e-14)
+    assert model.frac(c, order) == pytest.approx(weighted(R ** order), rel=1e-14)
 
 
 def test_abelian_model_norms_at_the_zero_frequency():
@@ -613,7 +586,7 @@ def test_norm_multipliers_are_built_once_per_key(monkeypatch):
 
     monkeypatch.setattr(propagator, "_norm_multiplier", counting)
     sym, u0, u1, cfg = order4_setup(0.2, 25)
-    nl = GeneralNonlinearity(lambda U: np.abs(U[0]) * U[1], 2.0)
+    nl = GeneralNonlinearity(lambda U: np.abs(U[0]) * U[1])
     _, diag = picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg, tol=1e-10)
     assert diag.iterations >= 3 and np.isfinite(diag.quadrature_error)
     # data norm (nu/2, mass 1), Z norm R^{2/nu}, tuple factor R^{1/nu}
@@ -631,6 +604,9 @@ def test_picard_validation():
     bad = ZNormConfig(delta=0.5, sample_times=(0.5, 1.0))
     with pytest.raises(ValueError, match="start at t = 0"):
         picard_solve(u0, u1, None, 1.0, 1.0, sym, bad)
+    uneven = ZNormConfig(delta=0.5, sample_times=(0.0, 0.3, 0.9))
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        picard_solve(u0, u1, None, 1.0, 1.0, sym, uneven)
 
 
 def test_picard_heisenberg_needs_synthesis_grid(calibrated_grid):
@@ -648,57 +624,13 @@ def test_picard_heisenberg_general_nonlinearity_needs_nu_2(calibrated_grid,
     u0 = SpectralField.zeros(calibrated_grid)
     cfg = ZNormConfig(delta=0.5, sample_times=(0.0, 0.5, 1.0))
     sym4 = SubLaplacianSymbol(power=2)
-    nl = GeneralNonlinearity(lambda U: np.abs(U[0]) * U[0], 2.0)
+    nl = GeneralNonlinearity(lambda U: np.abs(U[0]) * U[0])
     with pytest.raises(ValueError, match="nu = 4"):
         picard_solve(u0, u0, nl, 2.0, 1.0, sym4, cfg, synth=synth_box)
     # a power nonlinearity reads no tuple
     _, diag = picard_solve(u0, u0, PowerNonlinearity(1.0, 2.0), 2.0, 1.0,
                            sym4, cfg, synth=synth_box)
     assert diag.status is PicardStatus.CONVERGED
-
-
-# --------------------------------------------------------------------------
-# epsilon_0 bisection (exercised on a stub so the logic is isolated)
-
-
-class StubTemplate:
-    def __init__(self, threshold, max_iter_band=0.0):
-        self.threshold = threshold
-        self.max_iter_band = max_iter_band
-        self.calls = []
-
-    def __call__(self, eps):
-        self.calls.append(eps)
-        if eps <= self.threshold:
-            return PicardStatus.CONVERGED
-        if eps <= self.threshold + self.max_iter_band:
-            return PicardStatus.MAX_ITER
-        return PicardStatus.DIVERGED
-
-
-def test_find_epsilon0_bisects():
-    stub = StubTemplate(0.3)
-    est = find_epsilon0(stub, (1e-3, 1.0), trials=12)
-    assert est.epsilon0 <= 0.3 <= est.bracket[1]
-    assert est.bracket[1] / est.epsilon0 < 1.02
-    assert len(est.history) == 14
-    assert est.width == pytest.approx(est.bracket[1] - est.bracket[0])
-
-
-def test_find_epsilon0_counts_max_iter_as_failure():
-    stub = StubTemplate(0.3, max_iter_band=0.5)
-    est = find_epsilon0(stub, (1e-3, 1.0), trials=8)
-    assert est.epsilon0 <= 0.3
-    assert any(s is PicardStatus.MAX_ITER for _, s in est.history)
-
-
-def test_find_epsilon0_validates_bracket():
-    with pytest.raises(ValueError, match="0 < lo < hi"):
-        find_epsilon0(StubTemplate(0.3), (1.0, 0.5))
-    with pytest.raises(ValueError, match="did not converge"):
-        find_epsilon0(StubTemplate(1e-6), (1e-3, 1.0))
-    with pytest.raises(ValueError, match="converged; no transition"):
-        find_epsilon0(StubTemplate(10.0), (1e-3, 1.0))
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Mode grids, symbols, Plancherel-weighted norms, and field persistence."""
+"""Mode grids, symbols, and the backend model's Plancherel-weighted norms."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,8 @@ from subwave.spectral import (
     SpectralField,
     SubLaplacianSymbol,
     build_grid,
-    homogeneous_sobolev_norm,
-    l2_norm,
-    load_spectral_field,
-    save_spectral_field,
-    sobolev_norm,
-    weighted_inner,
 )
+from subwave.propagator import _Norms
 
 
 @pytest.fixture()
@@ -137,28 +132,23 @@ def test_field_arithmetic_and_compatibility(grid, rng):
 
 
 def test_l2_norm_is_weighted_hilbert_schmidt(grid, rng):
-    f = random_field(grid, rng)
-    hs = np.sum(np.abs(f.coefficients) ** 2, axis=(1, 2))
-    assert l2_norm(f) == pytest.approx(np.sqrt(np.sum(grid.weights * hs)), rel=1e-14)
-    assert l2_norm(2.0 * f) == pytest.approx(2.0 * l2_norm(f), rel=1e-14)
-    assert weighted_inner(f, f).real == pytest.approx(l2_norm(f) ** 2, rel=1e-13)
-    assert weighted_inner(f, f).imag == pytest.approx(0.0, abs=1e-12)
+    c = random_field(grid, rng).coefficients
+    hs = np.sum(np.abs(c) ** 2, axis=(1, 2))
+    norms = _Norms(SpectralField(grid, c), SubLaplacianSymbol(power=1))
+    assert norms.l2(c) == pytest.approx(np.sqrt(np.sum(grid.weights * hs)), rel=1e-14)
+    assert norms.l2(2.0 * c) == pytest.approx(2.0 * norms.l2(c), rel=1e-14)
 
 
 def test_sobolev_norm_special_cases(grid, rng):
     f = random_field(grid, rng)
-    sym = SubLaplacianSymbol(power=1)
-    assert sobolev_norm(f, sym, 0.0) == pytest.approx(l2_norm(f), rel=1e-14)
-    assert homogeneous_sobolev_norm(f, sym, 0.0) == pytest.approx(l2_norm(f), rel=1e-14)
+    norms, c = _Norms(f, SubLaplacianSymbol(power=1)), f.coefficients
+    assert norms.sobolev(c, 0.0) == pytest.approx(norms.l2(c), rel=1e-14)
+    assert norms.frac(c, 0.0) == pytest.approx(norms.l2(c), rel=1e-14)
     # H^1 dominates L^2 with mass 1 since the multiplier exceeds 1
-    assert sobolev_norm(f, sym, 1.0) > l2_norm(f)
+    assert norms.sobolev(c, 1.0) > norms.l2(c)
     # mass 0 is the homogeneous norm; the symbol never vanishes off lambda=0
-    assert sobolev_norm(f, sym, 1.0, mass=0.0) == pytest.approx(
-        homogeneous_sobolev_norm(f, sym, 1.0), rel=1e-14)
-    with pytest.raises(ValueError):
-        sobolev_norm(f, sym, 1.0, mass=-1.0)
-    with pytest.raises(ValueError):
-        homogeneous_sobolev_norm(f, sym, -0.5)
+    assert norms._norm(c, norms.multiplier(1.0, 0.0)) == pytest.approx(
+        norms.frac(c, 1.0), rel=1e-14)
 
 
 def test_single_mode_norms_by_hand(grid):
@@ -168,20 +158,8 @@ def test_single_mode_norms_by_hand(grid):
     f = SpectralField(grid, coeffs)
     w = grid.weights[q]
     amp = abs(coeffs[q, k, el])
-    assert l2_norm(f) == pytest.approx(np.sqrt(w) * amp, rel=1e-14)
-    sym = SubLaplacianSymbol(power=1)
+    norms = _Norms(f, SubLaplacianSymbol(power=1))
+    assert norms.l2(coeffs) == pytest.approx(np.sqrt(w) * amp, rel=1e-14)
     lam_mu = abs(grid.lambda_nodes[q]) * (2 * k + 1)
-    assert homogeneous_sobolev_norm(f, sym, 1.0) == pytest.approx(
+    assert norms.frac(coeffs, 1.0) == pytest.approx(
         np.sqrt(w * lam_mu) * amp, rel=1e-13)
-
-
-def test_save_load_round_trip(tmp_path, grid, rng):
-    f = random_field(grid, rng)
-    path = tmp_path / "field.npz"
-    save_spectral_field(f, str(path))
-    g = load_spectral_field(str(path))
-    assert np.array_equal(g.coefficients, f.coefficients)
-    assert g.grid.stamp == grid.stamp
-    assert g.grid.n == grid.n
-    assert g.grid.plancherel_constant == grid.plancherel_constant
-    assert np.array_equal(g.grid.lambda_nodes, grid.lambda_nodes)

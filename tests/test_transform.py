@@ -7,7 +7,8 @@ import pytest
 
 from subwave.group import (GroupElement, enumerate_multi_indices, group_identity,
                            group_multiply)
-from subwave.spectral import ModeGrid, SpectralField, build_grid, l2_norm
+from subwave.propagator import _Norms
+from subwave.spectral import ModeGrid, SpectralField, build_grid
 from subwave.transform import (
     _closed_form_tables,
     _g_block,
@@ -20,9 +21,7 @@ from subwave.transform import (
     forward_transform,
     from_function,
     inverse_transform,
-    load_spatial_field,
     representation_matrix,
-    save_spatial_field,
     synthesize_on_grid,
 )
 
@@ -125,7 +124,7 @@ def test_calibration_constant_near_analytic_normalization(calibrated_grid):
 def test_plancherel_stability_on_second_function(calibrated_grid, synth_box):
     f = from_function(synth_box, packet(carrier=1.9, sigma_xy=1.0, sigma_tau=1.1))
     F = forward_transform(f, calibrated_grid, boundary_tol=None)
-    assert l2_norm(F) == pytest.approx(f.l2_norm(), rel=2e-2)
+    assert _Norms(F, None).l2(F.coefficients) == pytest.approx(f.l2_norm(), rel=2e-2)
 
 
 def test_forward_is_linear(calibrated_grid, synth_box):
@@ -293,13 +292,3 @@ def test_calibration_rejects_degenerate_reference(calibrated_grid, synth_box):
     zero = SpatialField(synth_box, np.zeros(synth_box.shape))
     with pytest.raises(ValueError, match="zero norm"):
         calibrate_plancherel(zero, calibrated_grid)
-
-
-def test_spatial_save_load(tmp_path):
-    grid = SpatialGrid((1.0, 1.0, 1.0), (4, 4, 4))
-    f = SpatialField(grid, np.arange(64, dtype=float).reshape(4, 4, 4) * (1 + 1j))
-    path = tmp_path / "field.npz"
-    save_spatial_field(f, str(path))
-    g = load_spatial_field(str(path))
-    assert np.array_equal(g.samples, f.samples)
-    assert g.grid.signature() == grid.signature()
