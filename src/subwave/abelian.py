@@ -129,11 +129,17 @@ def abelian_from_function(grid: AbelianGrid, fn) -> AbelianField:
 
 
 def abelian_forward(field: AbelianField) -> AbelianCoefficients:
-    return AbelianCoefficients(field.grid, np.fft.fftn(field.samples) * field.grid.cell_volume)
+    # out= keeps the FFT to one array for all axes; scaling it in place
+    # gives the bits of fftn(samples) * cell_volume
+    out = np.fft.fftn(field.samples, out=np.empty(field.grid.shape, dtype=complex))
+    out *= field.grid.cell_volume
+    return AbelianCoefficients(field.grid, out)
 
 
 def abelian_inverse(coeffs: AbelianCoefficients) -> AbelianField:
-    return AbelianField(coeffs.grid, np.fft.ifftn(coeffs.values) / coeffs.grid.cell_volume)
+    out = np.fft.ifftn(coeffs.values, out=np.empty(coeffs.grid.shape, dtype=complex))
+    out /= coeffs.grid.cell_volume
+    return AbelianField(coeffs.grid, out)
 
 
 def symbol_on_grid(grid: AbelianGrid, symbol: AbelianSymbol) -> np.ndarray:

@@ -1,19 +1,21 @@
 """Picard fixed-point machinery for the semilinear damped wave equation.
 
 The mild-solution map is Gamma[u](t) = u_lin(t) + int_0^t K(t-s) f(u(s)) ds,
-where u_lin is the closed-form linear evolution and K is the Duhamel kernel
-of the damped mode system.  This module iterates Gamma on a uniform time
-grid with composite-trapezoid quadrature, evaluated at all H samples at once
-by the semigroup recursion of the one-step propagator (O(H) time, O(N) extra
-memory for N coefficients), and measures contraction in a weighted
-sup-in-time Z norm.
+where u_lin is the linear evolution and K is the Duhamel kernel of the damped
+mode system.  Both terms come from one semigroup.  This module iterates Gamma
+on a uniform time grid with composite-trapezoid quadrature, evaluated at all
+H samples at once by the semigroup recursion of the one-step propagator
+started from the Cauchy data (O(H) time, four arrays of N coefficients of
+extra memory), and measures contraction in a weighted sup-in-time Z norm.
 
-A Picard solve holds the linear part and one iterate, values and derivatives
-of each: 4H coefficient arrays.  Each sweep streams: the sources f(u_k) are
-made one node at a time as the quadrature pulls them, and as it yields node k
-the new value is formed, its terms and those of its difference to the old
-iterate enter the two Z norms, and it replaces the old iterate at k.  No
-source list, difference list or second iterate is ever held.
+A Picard solve holds one iterate, values and derivatives: 2H arrays, in
+place, the linear part carried by the recursion.  The linear history of
+`subwave.propagator._linear_history` is iterate 0, and each sweep yields the
+whole new iterate node by node: the sources f(u_k) are made one node at a
+time as the quadrature pulls them, and as it yields node k the terms of the
+new value and of its difference to the old iterate enter the two Z norms,
+and it is copied over the old iterate at k.  No source list, difference list,
+second iterate or stored linear part is ever held.
 
 Two coefficient backends are supported through one code path: SpectralField
 histories on a Heisenberg mode grid (nonlinearity applied by synthesis to a
@@ -104,8 +106,8 @@ class ZNormConfig:
     weight(t) (||u|| + ||R^{1/nu} u|| + ||u_t||) at t, in L^2, with
     weight(t) = (1+t)^{weight_exponent} e^{delta t}.
 
-    sample_times must be sorted and start at 0; they double as the Picard
-    history grid.
+    sample_times must be finite, strictly increasing and non-negative; they
+    double as the Picard history grid, which starts at 0.
     """
 
     delta: float
@@ -118,6 +120,8 @@ class ZNormConfig:
         times = tuple(float(t) for t in self.sample_times)
         if len(times) < 2:
             raise ValueError("need at least two sample times")
+        if not all(np.isfinite(times)):
+            raise ValueError("sample times must be finite")
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise ValueError("sample times must be strictly increasing")
         if times[0] < 0:
@@ -236,29 +240,45 @@ def _uniform_step(times: np.ndarray) -> float:
     return float(steps[0])
 
 
-def _duhamel_sweep(model, hh, sources):
-    """Yield the composite-trapezoid Duhamel integral at every node.
+def _duhamel_sweep(model, hh, sources, start=None):
+    """Yield Y_k plus the composite-trapezoid Duhamel integral at every node.
 
     sources yields f(u) at the nodes of a uniform grid of step hh; the k-th
-    item is (value, derivative) of int_0^{t_k} K(t_k - s) f(u(s)) ds.  The
+    item is (value, derivative) of P(t_k) start + int_0^{t_k} K(t_k - s)
+    f(u(s)) ds, with start = (c0, c1) or, by default, zero data.  The
     semigroup property P(a + b) = P(a) P(b) of the one-step propagator P(hh)
-    turns the sum into the recursion Y_0 = 0, Y_{k+1} = P(hh)(Y_k + c_k e_2 s_k)
-    (c_0 = hh/2, else hh), whose value at node k >= 1 is Y_k + (0, hh/2 s_k),
-    since P(0) e_2 = e_2; at node 0 it is 0.  The factors are evaluated once: O(H) time and O(N)
-    extra memory for H nodes of N coefficients.  The powers of P stay
-    bounded for b > 0, m >= 0, so the recursion does not amplify rounding.
+    turns the sum into the recursion Y_0 = start, Y_{k+1} = P(hh)(Y_k +
+    c_k e_2 s_k) (c_0 = hh/2, else hh), whose value at node k >= 1 is Y_k +
+    (0, hh/2 s_k), since P(0) e_2 = e_2; at node 0 it is start.  The
+    factors are evaluated once: O(H) time for H nodes of N coefficients.
+    The powers of P stay bounded for b > 0, m >= 0, so the recursion does
+    not amplify rounding.
+
+    The sweep updates four arrays of N coefficients in place and allocates
+    nothing per node: the yielded pair stays valid only until the next item
+    is pulled, and must not be written to.  Source k is pulled before node
+    k is yielded.
     """
     A0, A1, D0, D1 = model.factors(hh)
     sources = iter(sources)
     prev = next(sources)
-    val = np.zeros_like(prev)
-    der = np.zeros_like(prev)
+    if start is None:
+        val, der = np.zeros_like(prev), np.zeros_like(prev)
+    else:
+        val, der = start[0].copy(), start[1].copy()
+    tmp, out = np.empty_like(val), np.empty_like(val)
     yield val, der
     weight = 0.5 * hh
     for src in sources:
-        kick = der + weight * prev
-        val, der = A0 * val + A1 * kick, D0 * val + D1 * kick
-        yield val, der + 0.5 * hh * src
+        der += np.multiply(weight, prev, out=tmp)  # der is now the kick
+        np.multiply(D0, val, out=tmp)
+        val *= A0
+        val += np.multiply(A1, der, out=out)
+        der *= D1
+        der += tmp
+        np.multiply(0.5 * hh, src, out=out)
+        out += der
+        yield val, out
         prev, weight = src, hh
 
 
@@ -329,9 +349,11 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
     h = _uniform_step(times)
     H = times.size
 
-    lin_val, lin_der = _linear_history(model, c0, c1, times)
+    # iterate 0 is the linear part; each sweep starts from (c0, c1), so it
+    # yields whole new iterates, copied node by node into these arrays
+    cur_val, cur_der = zip(*_linear_history(model, c0, c1, times))
     data_norm = model.data_norm(c0, c1)
-    z_lin, norms = _znorm_arrays(model, znorm, lin_val, lin_der, times)
+    z_lin, norms = _znorm_arrays(model, znorm, cur_val, cur_der, times)
     c1_const = z_lin / data_norm if data_norm > 0 else 0.0
     threshold = 4.0 * z_lin  # 2 * L with L = 2 * C1 * (data norm) = 2 * Z(u_lin)
 
@@ -341,11 +363,9 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
         diagnostics.status = PicardStatus.CONVERGED
         diagnostics.iterations = 1
         diagnostics.increments.append(0.0)
-        return model.trajectory(times, lin_val, lin_der), diagnostics
+        return model.trajectory(times, cur_val, cur_der), diagnostics
 
-    # The iterate is replaced node by node as the sweep yields; the linear
-    # part is never written to, so cur starts out sharing its arrays.
-    cur_val, cur_der = list(lin_val), list(lin_der)
+    diff_val, diff_der = np.empty_like(c0), np.empty_like(c0)
 
     def sources(l2s):
         # Boundary-decay vetting only matters for fields that carry weight.
@@ -363,14 +383,16 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
     for it in range(1, max_iter + 1):
         inc = z_cur = 0.0
         new_norms = []
-        for k, (dv, dd) in enumerate(_duhamel_sweep(model, h, sources(norms))):
-            new_val, new_der = lin_val[k] + dv, lin_der[k] + dd
-            z_diff, _ = _znorm_node(model, znorm, times[k], new_val - cur_val[k],
-                                    new_der - cur_der[k])
+        sweep = _duhamel_sweep(model, h, sources(norms), start=(c0, c1))
+        for k, (new_val, new_der) in enumerate(sweep):
+            np.subtract(new_val, cur_val[k], out=diff_val)
+            np.subtract(new_der, cur_der[k], out=diff_der)
+            z_diff, _ = _znorm_node(model, znorm, times[k], diff_val, diff_der)
             z_new, l2 = _znorm_node(model, znorm, times[k], new_val, new_der)
             inc, z_cur = max(inc, z_diff), max(z_cur, z_new)
             new_norms.append(l2)
-            cur_val[k], cur_der[k] = new_val, new_der
+            cur_val[k][...] = new_val
+            cur_der[k][...] = new_der
         norms = new_norms
         diagnostics.increments.append(inc)
         diagnostics.z_norms.append(z_cur)

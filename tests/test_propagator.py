@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from subwave import propagator
 from subwave.propagator import (
     DampedModeParams,
     LinearTrajectory,
@@ -201,6 +202,92 @@ def test_evolve_linear_validation(grid):
         evolve_linear(u0, u0, 1.0, -0.1, sym, [0.0, 1.0])
     with pytest.raises(ValueError):
         evolve_linear(u0, u0, 1.0, 0.0, sym, [-0.5, 1.0])
+
+
+@pytest.mark.parametrize("times, match", [
+    ([0.0, np.nan, 1.0], "finite"),
+    ([0.0, np.inf], "finite"),
+    ([0.0, 2.0, 1.0], "non-decreasing"),
+])
+def test_evolve_linear_rejects_bad_time_grids(grid, times, match):
+    # the recursion steps from one time to the next, so a non-finite or
+    # decreasing grid is refused before any step is taken
+    sym = SubLaplacianSymbol(power=1)
+    u0 = diagonal_data(grid)
+    with pytest.raises(ValueError, match=match):
+        evolve_linear(u0, u0, 1.0, 0.0, sym, times)
+
+
+def test_evolve_linear_repeats_a_repeated_time(grid):
+    sym = SubLaplacianSymbol(power=1)
+    u0 = diagonal_data(grid)
+    traj = evolve_linear(u0, 0.5 * u0, 2.0, 1.0, sym, [0.0, 0.7, 0.7])
+    first, second = traj.fields[1].coefficients, traj.fields[2].coefficients
+    assert np.array_equal(first, second) and first is not second
+    assert traj.fields[0].coefficients is not u0.coefficients
+
+
+@pytest.mark.parametrize("times, evaluations", [
+    (np.linspace(0.0, 6.0, 129), 1),  # the step 3/64 is exact
+    (np.linspace(0.0, 12.0, 40), 5),  # the rounded steps take 5 values
+])
+def test_linear_history_evaluates_factors_once_per_distinct_gap(
+        grid, monkeypatch, times, evaluations):
+    calls = []
+    kernel = propagator._mode_factors
+
+    def counting(total, b, t):
+        calls.append(t)
+        return kernel(total, b, t)
+
+    monkeypatch.setattr(propagator, "_mode_factors", counting)
+    u0 = diagonal_data(grid)
+    evolve_linear(u0, u0, 2.0, 2.0, SubLaplacianSymbol(power=1), times)
+    assert len(calls) == len(set(np.diff(times))) == evaluations
+
+
+def _history_case(name, rng):
+    """(model, c0, c1) for the error-bound test: the three regime sets of
+    the Duhamel sweep test, the order-4 symbol of the abelian benchmark on
+    its 32^3 grid, and a Heisenberg mode grid."""
+    if name == "heisenberg":
+        hgrid = build_grid(0.3, 4.0, 16, 9.0, n=1)
+        shape, b, m = hgrid.field_shape(), 2.0, 2.0
+        state = SpectralField(hgrid, np.zeros(shape))
+        sym = SubLaplacianSymbol(power=1)
+    elif name == "order4-benchmark":
+        agrid = AbelianGrid((6.0,) * 3, (32, 32, 32))
+        shape, b, m = agrid.shape, 2.0, 2.0
+        state = AbelianCoefficients(agrid, np.zeros(shape))
+        sym = AbelianSymbol(np.ones(3), order=4, radial=True)
+    else:
+        b, m = {"underdamped": (1.3, 0.7), "all-regimes": (4.0, 0.0),
+                "critical-underdamped": (2.0, 1.0)}[name]
+        agrid = AbelianGrid((np.pi,) * 3, (8, 8, 8))
+        shape = agrid.shape
+        state = AbelianCoefficients(agrid, np.zeros(shape))
+        sym = AbelianSymbol(np.ones(3), order=2, radial=True)
+    c0, c1 = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+              for _ in range(2))
+    return propagator._Model(state, sym, b, m), c0, c1
+
+
+@pytest.mark.parametrize("H", [129, 513])
+@pytest.mark.parametrize("name", ["underdamped", "all-regimes",
+                                  "critical-underdamped", "order4-benchmark",
+                                  "heisenberg"])
+def test_linear_history_stays_within_4_H_eps_of_the_closed_form(name, H, rng):
+    # one rounding error per recursion step, none amplified: the bound
+    # evolve_linear states (measured at most 1.7 H eps)
+    model, c0, c1 = _history_case(name, rng)
+    times = np.linspace(0.0, 6.0, H)
+    bound = 4 * H * np.finfo(float).eps
+    for t, (val, der) in zip(times, propagator._linear_history(model, c0, c1,
+                                                               times)):
+        A0, A1, D0, D1 = model.factors(t)
+        for got, want in ((val, A0 * c0 + A1 * c1), (der, D0 * c0 + D1 * c1)):
+            err = got - want
+            assert np.vdot(err, err).real <= bound ** 2 * np.vdot(want, want).real
 
 
 def test_trajectory_validation(grid):

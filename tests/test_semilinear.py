@@ -83,6 +83,9 @@ def test_znorm_validation():
         ZNormConfig(delta=1.0, sample_times=(0.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="non-negative"):
         ZNormConfig(delta=1.0, sample_times=(-1.0, 1.0))
+    for times in ((0.0, np.inf), (0.0, np.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            ZNormConfig(delta=1.0, sample_times=times)
 
 
 def test_znorm_single_mode_by_hand():
@@ -401,8 +404,9 @@ def test_heisenberg_picard_converges_at_the_endpoint_power():
 
 
 def test_picard_factor_work_is_linear_in_samples(monkeypatch):
-    # the Duhamel quadrature evaluates the one-step propagator once per
-    # sweep; per-lag factor tables would make 2H kernel calls
+    # the linear part and every Duhamel sweep (the Richardson one too)
+    # evaluate the one-step propagator once each; per-lag factor tables
+    # would make 2H kernel calls, a closed-form linear part H
     calls = []
     kernel = propagator._mode_factors
 
@@ -419,7 +423,7 @@ def test_picard_factor_work_is_linear_in_samples(monkeypatch):
                            2.0, 1.0, sym, cfg, tol=1e-10)
     assert diag.status is PicardStatus.CONVERGED
     assert np.isfinite(diag.quadrature_error)
-    assert len(calls) <= H + diag.iterations + 2
+    assert len(calls) == 1 + diag.iterations + 1
 
 
 def abelian_l2(grid, c, mult=1.0):
@@ -428,10 +432,13 @@ def abelian_l2(grid, c, mult=1.0):
     return float(np.sqrt(np.sum(mult * np.abs(c) ** 2) / grid.volume))
 
 
-def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol):
+def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol, closed_form=False):
     """Reference: the Picard loop that holds every sweep's sources, both
     iterates and both difference lists, with each Z norm taken from the
-    reference norms."""
+    reference norms.  By default it forms each new iterate as the solver
+    does, by the sweep started at (c0, c1) from the linear part of
+    `_linear_history`; with closed_form=True it adds the zero-start sweep to
+    the closed-form linear part P(t) (c0, c1) instead."""
     grid = u0.grid
     model = semilinear._make_model(u0, sym, b, m)
     times = np.asarray(cfg.sample_times)
@@ -453,19 +460,30 @@ def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol):
         return [model.nonlinearity(v, nl, strict=(nv >= 1e-2 * max(norms)))
                 for v, nv in zip(vals, norms)]
 
-    lin_val, lin_der = [], []
-    for t in times:
-        A0, A1, D0, D1 = model.factors(float(t))
-        lin_val.append(A0 * u0.values + A1 * u1.values)
-        lin_der.append(D0 * u0.values + D1 * u1.values)
+    def sweep(sources, start=None):
+        # the sweep's yielded buffers live until the next pull: copy them
+        return [(v.copy(), d.copy())
+                for v, d in semilinear._duhamel_sweep(model, h, sources, start)]
+
+    if closed_form:
+        lin_val, lin_der = [], []
+        for t in times:
+            A0, A1, D0, D1 = model.factors(float(t))
+            lin_val.append(A0 * u0.values + A1 * u1.values)
+            lin_der.append(D0 * u0.values + D1 * u1.values)
+    else:
+        lin_val, lin_der = zip(*propagator._linear_history(
+            model, u0.values, u1.values, times))
     cur_val, cur_der = [v.copy() for v in lin_val], [d.copy() for d in lin_der]
     z_norms, incs = [znorm_of(lin_val, lin_der)], []
     for _ in range(25):
-        new_val, new_der = [], []
-        sweep = semilinear._duhamel_sweep(model, h, source_sweep(cur_val))
-        for lv, ld, (dv, dd) in zip(lin_val, lin_der, sweep):
-            new_val.append(lv + dv)
-            new_der.append(ld + dd)
+        if closed_form:
+            nodes = sweep(source_sweep(cur_val))
+            new_val = [lv + dv for lv, (dv, _) in zip(lin_val, nodes)]
+            new_der = [ld + dd for ld, (_, dd) in zip(lin_der, nodes)]
+        else:
+            nodes = sweep(source_sweep(cur_val), (u0.values, u1.values))
+            new_val, new_der = [v for v, _ in nodes], [d for _, d in nodes]
         incs.append(znorm_of([a - c for a, c in zip(new_val, cur_val)],
                              [a - c for a, c in zip(new_der, cur_der)]))
         z_norms.append(znorm_of(new_val, new_der))
@@ -473,7 +491,7 @@ def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol):
         if incs[-1] <= tol * z_norms[-1]:
             break
     flipped = [-s if k % 2 else s for k, s in enumerate(source_sweep(cur_val))]
-    val, _ = list(semilinear._duhamel_sweep(model, h, flipped))[-1]
+    val, _ = sweep(flipped)[-1]
     return cur_val, cur_der, z_norms, incs, l2(val) / 3.0
 
 
@@ -513,23 +531,77 @@ def test_streaming_picard_matches_the_list_based_loop(nl):
                                             abs=1e-12 * diag.z_norms[-1])
 
 
-def test_picard_holds_the_linear_part_and_one_iterate():
-    # 4H coefficient arrays: values and derivatives of the linear part and
-    # of the iterate; sources and differences are made one node at a time
-    sym, u0, u1, cfg = order4_setup(0.2, 41)
-    nbytes = u0.values.nbytes
+@pytest.mark.parametrize("nl", [
+    PowerNonlinearity(1.0, 2.0),
+    GeneralNonlinearity(lambda U: np.abs(U[0]) * U[0] + 0.5 * np.abs(U[1]) * U[1]),
+], ids=["power", "general"])
+def test_recursive_picard_matches_the_closed_form_linear_part(nl):
+    # the solver carries the linear part in the sweep's recursion; the old
+    # arithmetic added the zero-start sweep to the closed form P(t) (c0, c1).
+    # The two differ by rounding of order H eps in every node, so the
+    # increments agree to 1e-12 z, and a ratio of two increments is compared
+    # only where both exceed 1e-6 z, which bounds its relative error by
+    # about 2e-12 / 1e-6; below that the increments are rounding-bound.
+    sym, u0, u1, cfg = order4_setup(0.2, 25)
+    traj, diag = picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg, tol=1e-10)
+    vals, ders, z_norms, incs, quad = list_based_picard(
+        u0, u1, nl, 2.0, 2.0, sym, cfg, tol=1e-10, closed_form=True)
+    assert diag.status is PicardStatus.CONVERGED
+    assert diag.iterations == len(incs) >= 3
+    for got, want in zip(traj.fields + traj.derivatives, vals + ders):
+        assert np.linalg.norm(got.values - want) <= 1e-13 * np.linalg.norm(want)
+    assert diag.z_norms == pytest.approx(z_norms, rel=1e-12, abs=0)
+    z = diag.z_norms[-1]
+    assert diag.increments == pytest.approx(incs, rel=0, abs=1e-12 * z)
+    resolved = [(r, b / a) for r, a, b in zip(diag.ratios, incs, incs[1:])
+                if min(a, b) > 1e-6 * z]
+    assert len(resolved) >= 2
+    for got, want in resolved:
+        assert got == pytest.approx(want, rel=2.5e-6)
+    assert diag.quadrature_error == pytest.approx(quad, rel=1e-12, abs=0)
+
+
+def traced_peak(fn):
+    """(result of fn(), tracemalloc peak in bytes above the start)."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        _, diag = picard_solve(u0, u1, PowerNonlinearity(1.0, 2.0), 2.0, 2.0,
-                               sym, cfg, tol=1e-10)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("H", [41, 81])
+def test_picard_holds_one_iterate(H):
+    # 2H coefficient arrays: values and derivatives of the one iterate,
+    # which starts as the linear part; the sweep's state, sources and
+    # differences are a bounded number of arrays on top
+    sym, u0, u1, cfg = order4_setup(0.2, H)
+    diag, peak = traced_peak(lambda: picard_solve(
+        u0, u1, PowerNonlinearity(1.0, 2.0), 2.0, 2.0, sym, cfg, tol=1e-10)[1])
     assert diag.status is PicardStatus.CONVERGED and diag.iterations >= 3
     assert np.isfinite(diag.quadrature_error)
-    assert peak <= 5 * 41 * nbytes
+    assert peak <= (2 * H + 24) * u0.values.nbytes
+
+
+@pytest.mark.parametrize("start", [False, True], ids=["zero", "data"])
+def test_duhamel_sweep_memory_does_not_grow_with_the_nodes(start):
+    # the sweep updates a fixed set of arrays in place: a pass over 65
+    # nodes peaks where a pass over 17 does, within one array
+    sym, u0, u1, _ = order4_setup(0.2, 17)
+    model = semilinear._make_model(u0, sym, 2.0, 2.0)
+    sources = [(k + 1.0) * u0.values for k in range(65)]
+    init = (u0.values, u1.values) if start else None
+
+    def sweep_pass(H):
+        deque(semilinear._duhamel_sweep(model, 6.0 / (H - 1), sources[:H], init),
+              maxlen=0)
+
+    _, short = traced_peak(lambda: sweep_pass(17))
+    _, long = traced_peak(lambda: sweep_pass(65))
+    assert abs(long - short) <= u0.values.nbytes
 
 
 @pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 2.0])  # 2 = nu/2
