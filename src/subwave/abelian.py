@@ -129,8 +129,8 @@ def abelian_from_function(grid: AbelianGrid, fn) -> AbelianField:
 
 
 def abelian_forward(field: AbelianField) -> AbelianCoefficients:
-    # out= keeps the FFT to one array for all axes; scaling it in place
-    # gives the bits of fftn(samples) * cell_volume
+    # out= (NumPy >= 2.0) keeps the FFT to one array for all axes; scaling
+    # it in place gives the bits of fftn(samples) * cell_volume
     out = np.fft.fftn(field.samples, out=np.empty(field.grid.shape, dtype=complex))
     out *= field.grid.cell_volume
     return AbelianCoefficients(field.grid, out)

@@ -351,6 +351,8 @@ def evolve_linear(u0, u1, b: float, m: float, provider, times) -> LinearTrajecto
     model = _Model(u0, provider, b, m)
     c0, c1 = model.unwrap(u0), model.unwrap(u1)
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("need a non-empty 1-d array of sample times")
     if not np.all(np.isfinite(times)):
         raise ValueError("sample times must be finite")
     if np.any(times < 0):

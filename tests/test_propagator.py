@@ -208,6 +208,7 @@ def test_evolve_linear_validation(grid):
     ([0.0, np.nan, 1.0], "finite"),
     ([0.0, np.inf], "finite"),
     ([0.0, 2.0, 1.0], "non-decreasing"),
+    ([], "non-empty"),
 ])
 def test_evolve_linear_rejects_bad_time_grids(grid, times, match):
     # the recursion steps from one time to the next, so a non-finite or
