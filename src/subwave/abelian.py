@@ -120,9 +120,6 @@ class AbelianCoefficients:
         self.grid = grid
         self.values = values
 
-    def copy(self) -> "AbelianCoefficients":
-        return AbelianCoefficients(self.grid, self.values.copy())
-
 
 def abelian_from_function(grid: AbelianGrid, fn) -> AbelianField:
     return AbelianField(grid, np.asarray(fn(*grid.meshgrid()), dtype=complex))

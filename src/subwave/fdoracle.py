@@ -152,7 +152,7 @@ def run_leapfrog(u0: SpatialField, v0: SpatialField, dt: float, steps: int,
     L2 history and the boundary flux.
     """
     grid = u0.grid
-    if v0.grid.shape != grid.shape:
+    if v0.grid != grid:
         raise ValueError("data live on different grids")
     if dt <= 0 or steps < 1:
         raise ValueError("need dt > 0 and steps >= 1")
@@ -206,14 +206,16 @@ def compare_with_spectral(traj, fd: LeapfrogResult, grid: SpatialGrid,
     """Relative L^2 discrepancy between a spectral trajectory and an fd run.
 
     Both runs must start from the same data, with the fd side initialized
-    from the synthesis of the spectral data onto its grid.  Every fd snapshot
-    whose time also appears in the trajectory (and lies within the horizon,
-    when one is given) contributes one sample; two identical zero runs give
-    zero discrepancy.
+    from the synthesis of the spectral data onto grid, where its snapshots
+    must live.  Every fd snapshot whose time also appears in the trajectory
+    (and lies within the horizon, when one is given) contributes one sample;
+    two identical zero runs give zero discrepancy.
     """
     # the one deliberate bridge to the spectral side; stencils stay independent
     from .transform import synthesize_on_grid
 
+    if any(field_fd.grid != grid for field_fd in fd.snapshots):
+        raise ValueError("data live on different grids")
     times = np.asarray(traj.times, dtype=float)
     w = grid.weight_cube()
     sample_t, disc = [], []

@@ -65,9 +65,6 @@ class GroupElement:
     def n(self) -> int:
         return self.x.shape[0]
 
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.x, self.y, [self.t]])
-
 
 def group_multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     """Product a * b in H^n."""

@@ -39,9 +39,13 @@ mass m and the dynamics:
                       u'(t) = D0 u0 + D1 u1
     trajectory(times, values, derivs)  a LinearTrajectory of wrapped fields
 
-The linear evolution itself, `_linear_history`, steps these factors from
-sample to sample by the semigroup recursion rather than evaluating them at
-every sample time.
+The mild solution u(t) = P(t)(u0, u1) + int_0^t K(t - s) f(u(s)) ds, with
+P the propagator and K its velocity column, comes from one recursion,
+`_history`: it steps P from node to node and adds the composite-trapezoid
+kicks of the source f, so the linear evolution, every Picard sweep and the
+Richardson estimate share its arithmetic, its in-place buffers (a yielded
+node is valid until the next is pulled) and its error bound against the
+closed form, stated on `_history`.
 """
 
 from __future__ import annotations
@@ -310,32 +314,57 @@ class _Model(_Norms):
                                 [self.wrap(d) for d in derivs], self.b, self.m)
 
 
-def _linear_history(model, c0, c1, times):
-    """Yield (value, derivative) of the data (c0, c1) at each of the
-    non-decreasing times t_k >= 0, by the semigroup recursion
+def _history(model, gaps, start, sources=None):
+    """Yield node k = 0, 1, ... of the mild solution at t_k = g_0 + ... + g_k
+    for the gaps g_k >= 0, from the Cauchy data start = (c0, c1).
 
-        Y(t_k) = P(t_k - t_{k-1}) Y(t_{k-1}),    Y(0) = (c0, c1),  t_{-1} = 0,
+    With P the closed-form propagator, e_2 the velocity slot and f_k the k-th
+    item of sources, the composite trapezoid rule for the Duhamel integral
+    becomes the semigroup recursion
 
-    with P the closed-form propagator.  Its factors are evaluated once per
-    distinct gap; a zero gap copies the previous node.  Every node is a
-    fresh pair of arrays, which the caller may keep and write to.  The powers
-    of P stay bounded for b > 0, m >= 0, so node k carries about k rounding
-    errors of one step; the tests hold every node to a relative L^2 error of
-    4 H eps against the closed form P(t_k) (c0, c1) for H times.
+        Y_{-1} = start,  Y_k = P(g_k) (Y_{k-1} + (g_{k-1} + g_k)/2 e_2 f_{k-1}),
+
+    and node k is Y_k + (0, g_k/2 f_k), since P(0) e_2 = e_2.  Without sources
+    the kicks are skipped and node k is P(t_k) start.  P is evaluated once
+    per distinct nonzero gap; a zero gap takes no step.  Source k is pulled
+    before node k is yielded.
+
+    Four arrays are updated in place and nothing is allocated per node: the
+    yielded pair is valid only until the next node is pulled, and must not
+    be written to.
+
+    Error bound: the powers of P stay bounded for b > 0, m >= 0, so node k
+    carries about k rounding errors of one step.  Against the closed form
+    P(t_k) start, each of H nodes lies within a relative L^2 error of
+    (4 H + omega t_k) eps, where omega is the largest sqrt|Delta| of the
+    model: the second term is the closed form's own rounding of its phase.
+    On uniform grids whose step is exact in binary the tests hold 4 H eps.
     """
     factors = {}
-    val, der, prev = c0, c1, 0.0
-    for t in map(float, times):
-        gap = t - prev
-        if gap == 0.0:
-            val, der = val.copy(), der.copy()
-        else:
+    val, der = start[0].copy(), start[1].copy()
+    tmp, out = np.empty_like(val), np.empty_like(val)
+    if sources is not None:
+        sources = iter(sources)
+    src = last = None
+    for gap in map(float, gaps):
+        if src is not None:
+            der += np.multiply(0.5 * (last + gap), src, out=tmp)
+        if gap != 0.0:
             if gap not in factors:
                 factors[gap] = model.factors(gap)
             A0, A1, D0, D1 = factors[gap]
-            val, der = A0 * val + A1 * der, D0 * val + D1 * der
-        yield val, der
-        prev = t
+            np.multiply(D0, val, out=tmp)
+            val *= A0
+            val += np.multiply(A1, der, out=out)
+            der *= D1
+            der += tmp
+        if sources is None:
+            yield val, der
+        else:
+            src, last = next(sources), gap
+            np.multiply(0.5 * gap, src, out=out)
+            out += der
+            yield val, out
 
 
 def evolve_linear(u0, u1, b: float, m: float, provider, times) -> LinearTrajectory:
@@ -343,10 +372,10 @@ def evolve_linear(u0, u1, b: float, m: float, provider, times) -> LinearTrajecto
 
     u0 and u1 are SpectralField on one mode grid or AbelianCoefficients on
     one FFT grid; the abelian backend needs its symbol as provider.  The
-    times must be finite, non-negative and non-decreasing: the samples come
-    from the semigroup recursion of `_linear_history`, one propagator step
-    per gap, and each lies within a relative L^2 error of 4 H eps of the
-    closed form P(t) (u0, u1) for H times.
+    times must be finite, non-negative and non-decreasing: the samples are
+    copies of the nodes of `_history` on the gaps between them, so for H
+    times each lies within a relative L^2 error of (4 H + omega t) eps of
+    the closed form P(t) (u0, u1), omega being the largest sqrt|Delta|.
     """
     model = _Model(u0, provider, b, m)
     c0, c1 = model.unwrap(u0), model.unwrap(u1)
@@ -359,7 +388,9 @@ def evolve_linear(u0, u1, b: float, m: float, provider, times) -> LinearTrajecto
         raise ValueError("sample times must be non-negative")
     if np.any(np.diff(times) < 0):
         raise ValueError("sample times must be non-decreasing")
-    return model.trajectory(times, *zip(*_linear_history(model, c0, c1, times)))
+    nodes = _history(model, np.diff(times, prepend=0.0), (c0, c1))
+    return model.trajectory(times, *zip(*((v.copy(), d.copy())
+                                          for v, d in nodes)))
 
 
 @dataclass

@@ -2,20 +2,23 @@
 
 The mild-solution map is Gamma[u](t) = u_lin(t) + int_0^t K(t-s) f(u(s)) ds,
 where u_lin is the linear evolution and K is the Duhamel kernel of the damped
-mode system.  Both terms come from one semigroup.  This module iterates Gamma
-on a uniform time grid with composite-trapezoid quadrature, evaluated at all
-H samples at once by the semigroup recursion of the one-step propagator
-started from the Cauchy data (O(H) time, four arrays of N coefficients of
-extra memory), and measures contraction in a weighted sup-in-time Z norm.
+mode system.  Both terms come from one semigroup, and one recursion,
+`subwave.propagator._history`, computes them together: on the uniform time
+grid it steps the one-step propagator from the Cauchy data and adds the
+composite-trapezoid kicks of the sources (O(H) time, four arrays of N
+coefficients of extra memory, and the error bound stated there).
+This module iterates Gamma with it and measures contraction in a weighted
+sup-in-time Z norm.
 
 A Picard solve holds one iterate, values and derivatives: 2H arrays, in
-place, the linear part carried by the recursion.  The linear history of
-`subwave.propagator._linear_history` is iterate 0, and each sweep yields the
-whole new iterate node by node: the sources f(u_k) are made one node at a
-time as the quadrature pulls them, and as it yields node k the terms of the
+place.  Iterate 0 is the recursion without sources, and each sweep yields
+the whole new iterate node by node: the sources f(u_k) are made one node at
+a time as the recursion pulls them, and as it yields node k the terms of the
 new value and of its difference to the old iterate enter the two Z norms,
-and it is copied over the old iterate at k.  No source list, difference list,
-second iterate or stored linear part is ever held.
+and it is copied over the old iterate at k before the next node is pulled.
+No source list, difference list, second iterate or stored linear part is
+ever held.  The Richardson estimate of the quadrature error is one more
+pass of the same recursion.
 
 Two coefficient backends are supported through one code path: SpectralField
 histories on a Heisenberg mode grid (nonlinearity applied by synthesis to a
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abelian import AbelianField, abelian_forward, abelian_inverse
-from .propagator import _linear_history, _Model
+from .propagator import _history, _Model
 from .spectral import SpectralField
 from .transform import SpatialField, SpatialGrid, forward_transform, synthesize_on_grid
 
@@ -233,66 +236,23 @@ def apply_nonlinearity(u: SpectralField, nl, synth: SpatialGrid,
 
 def _uniform_step(times: np.ndarray) -> float:
     steps = np.diff(times)
-    if steps.size == 0:
-        return 0.0
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
         raise ValueError("history times must be uniformly spaced")
     return float(steps[0])
 
 
-def _duhamel_sweep(model, hh, sources, start=None):
-    """Yield Y_k plus the composite-trapezoid Duhamel integral at every node.
+def _richardson_error(model, gaps, sources, zero):
+    """Richardson estimate ||T_h - T_2h|| / 3 at the last of an odd number
+    of nodes, T_h being the trapezoid Duhamel value on the uniform gaps
+    [0, h, h, ...] and zero an array of zero coefficients.
 
-    sources yields f(u) at the nodes of a uniform grid of step hh; the k-th
-    item is (value, derivative) of P(t_k) start + int_0^{t_k} K(t_k - s)
-    f(u(s)) ds, with start = (c0, c1) or, by default, zero data.  The
-    semigroup property P(a + b) = P(a) P(b) of the one-step propagator P(hh)
-    turns the sum into the recursion Y_0 = start, Y_{k+1} = P(hh)(Y_k +
-    c_k e_2 s_k) (c_0 = hh/2, else hh), whose value at node k >= 1 is Y_k +
-    (0, hh/2 s_k), since P(0) e_2 = e_2; at node 0 it is start.  The
-    factors are evaluated once: O(H) time for H nodes of N coefficients.
-    The powers of P stay bounded for b > 0, m >= 0, so the recursion does
-    not amplify rounding.
-
-    The sweep updates four arrays of N coefficients in place and allocates
-    nothing per node: the yielded pair stays valid only until the next item
-    is pulled, and must not be written to.  Source k is pulled before node
-    k is yielded.
-    """
-    A0, A1, D0, D1 = model.factors(hh)
-    sources = iter(sources)
-    prev = next(sources)
-    if start is None:
-        val, der = np.zeros_like(prev), np.zeros_like(prev)
-    else:
-        val, der = start[0].copy(), start[1].copy()
-    tmp, out = np.empty_like(val), np.empty_like(val)
-    yield val, der
-    weight = 0.5 * hh
-    for src in sources:
-        der += np.multiply(weight, prev, out=tmp)  # der is now the kick
-        np.multiply(D0, val, out=tmp)
-        val *= A0
-        val += np.multiply(A1, der, out=out)
-        der *= D1
-        der += tmp
-        np.multiply(0.5 * hh, src, out=out)
-        out += der
-        yield val, out
-        prev, weight = src, hh
-
-
-def _richardson_error(model, hh, sources):
-    """Richardson estimate ||T_hh - T_2hh|| / 3 at the last of an odd number
-    of nodes, T_hh being the trapezoid Duhamel value on step hh.
-
-    T_hh - T_2hh is minus the T_hh value of the sources with alternating
-    signs, so one sweep forms the difference directly; subtracting two
-    separate sweeps would leave each one's rounding, which is relative to
-    the much larger T_hh, in the small difference.
+    T_h - T_2h is minus the T_h value of the sources with alternating
+    signs, so one sweep from zero data forms the difference directly;
+    subtracting two separate sweeps would leave each one's rounding, which
+    is relative to the much larger T_h, in the small difference.
     """
     flipped = (-src if k % 2 else src for k, src in enumerate(sources))
-    val, _ = deque(_duhamel_sweep(model, hh, flipped), maxlen=1)[0]
+    val, _ = deque(_history(model, gaps, (zero, zero), flipped), maxlen=1)[0]
     return model.l2(val) / 3.0
 
 
@@ -346,12 +306,13 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
     times = np.asarray(znorm.sample_times, dtype=float)
     if times[0] != 0.0:
         raise ValueError("sample times must start at t = 0")
-    h = _uniform_step(times)
     H = times.size
+    gaps = [0.0] + [_uniform_step(times)] * (H - 1)
 
     # iterate 0 is the linear part; each sweep starts from (c0, c1), so it
     # yields whole new iterates, copied node by node into these arrays
-    cur_val, cur_der = zip(*_linear_history(model, c0, c1, times))
+    cur_val, cur_der = zip(*((v.copy(), d.copy())
+                             for v, d in _history(model, gaps, (c0, c1))))
     data_norm = model.data_norm(c0, c1)
     z_lin, norms = _znorm_arrays(model, znorm, cur_val, cur_der, times)
     c1_const = z_lin / data_norm if data_norm > 0 else 0.0
@@ -383,7 +344,7 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
     for it in range(1, max_iter + 1):
         inc = z_cur = 0.0
         new_norms = []
-        sweep = _duhamel_sweep(model, h, sources(norms), start=(c0, c1))
+        sweep = _history(model, gaps, (c0, c1), sources(norms))
         for k, (new_val, new_der) in enumerate(sweep):
             np.subtract(new_val, cur_val[k], out=diff_val)
             np.subtract(new_der, cur_der[k], out=diff_der)
@@ -410,7 +371,8 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
     diagnostics.status = status
     # Richardson half-step estimate of the Duhamel quadrature at the horizon
     if status is PicardStatus.CONVERGED and (H - 1) >= 2 and (H - 1) % 2 == 0:
-        diagnostics.quadrature_error = _richardson_error(model, h, sources(norms))
+        diagnostics.quadrature_error = _richardson_error(
+            model, gaps, sources(norms), np.zeros_like(c0))
     return model.trajectory(times, cur_val, cur_der), diagnostics
 
 

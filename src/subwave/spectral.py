@@ -138,7 +138,7 @@ def build_grid(lambda_min: float, lambda_max: float, node_count: int,
 class SpectralField:
     """Complex coefficient tensor on a mode grid, indexed (node, k, l).
 
-    Treated as an immutable snapshot: operations return new fields.
+    Treated as an immutable snapshot.
     """
 
     grid: ModeGrid
@@ -158,26 +158,6 @@ class SpectralField:
     def zeros(cls, grid: ModeGrid) -> "SpectralField":
         return cls(grid, np.zeros(grid.field_shape(), dtype=complex))
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coefficients.copy())
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._check_compatible(other)
-        return SpectralField(self.grid, self.coefficients + other.coefficients)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._check_compatible(other)
-        return SpectralField(self.grid, self.coefficients - other.coefficients)
-
-    def __mul__(self, scalar) -> "SpectralField":
-        return SpectralField(self.grid, self.coefficients * scalar)
-
-    __rmul__ = __mul__
-
-    def _check_compatible(self, other: "SpectralField"):
-        if self.grid.stamp != other.grid.stamp:
-            raise ValueError("fields live on different grids")
-
 
 class SubLaplacianSymbol:
     """Symbol of (-L)^power on H^n: (|lambda| mu_k)^power.
@@ -193,11 +173,6 @@ class SubLaplacianSymbol:
     @property
     def nu(self) -> int:
         return 2 * self.power
-
-    def value(self, lam: float, k) -> float:
-        if lam == 0:
-            raise ValueError("symbol is undefined at lambda = 0")
-        return (abs(lam) * oscillator_eigenvalue(k)) ** self.power
 
     def values(self, grid: ModeGrid) -> np.ndarray:
         """Multiplier array of shape (node_count, block_size)."""

@@ -105,9 +105,6 @@ class SpatialGrid:
         wx, wy, wt = (self.axis_weights(i) for i in range(3))
         return wx[:, None, None] * wy[None, :, None] * wt[None, None, :]
 
-    def signature(self) -> tuple:
-        return (self.half_widths, self.shape)
-
 
 @dataclass
 class SpatialField:
@@ -287,7 +284,7 @@ _PLAN_LOCK = threading.Lock()
 
 
 def _plan(grid: ModeGrid, spatial: SpatialGrid) -> _TransformPlan:
-    key = (grid.stamp, spatial.signature())
+    key = (grid.stamp, spatial)
     with _PLAN_LOCK:
         plan = _PLAN_CACHE.get(key)
         if plan is None:

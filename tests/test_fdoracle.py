@@ -159,6 +159,15 @@ def test_run_leapfrog_bookkeeping():
                      b=1.0, m=0.0)
 
 
+def test_run_leapfrog_rejects_data_on_a_different_box():
+    # same 12^3 shape, different box: the stencil would take u0's spacings
+    u0, _ = gaussian_data(SpatialGrid((3.0, 3.0, 4.0), (12, 12, 12)))
+    other = SpatialGrid((5.0, 5.0, 9.0), (12, 12, 12))
+    v0 = SpatialField(other, np.zeros(other.shape))
+    with pytest.raises(ValueError, match="different grids"):
+        run_leapfrog(u0, v0, 0.01, 5, b=1.0, m=0.0)
+
+
 def test_run_leapfrog_applies_the_stencil_once_per_step(monkeypatch):
     box = SpatialGrid((3.0, 3.0, 3.0), (16, 16, 16))
     u0, v0 = gaussian_data(box)
@@ -309,3 +318,12 @@ def test_compare_with_spectral_requires_matching_times(calibrated_grid, synth_bo
                              fd.energy_history, 0.0)
     with pytest.raises(ValueError):
         compare_with_spectral(traj, shifted, synth_box)
+
+
+def test_compare_with_spectral_rejects_snapshots_on_another_grid(
+        calibrated_grid, synth_box):
+    # the fd snapshots share the shape of the comparison grid, not its box
+    traj, fd = zero_comparison_inputs(calibrated_grid, synth_box)
+    wider = SpatialGrid((6.0, 6.0, 9.0), synth_box.shape)
+    with pytest.raises(ValueError, match="different grids"):
+        compare_with_spectral(traj, fd, wider)

@@ -164,11 +164,13 @@ def diagonal_data(grid, ladder=0.4):
 def test_evolve_linear_time_zero_and_linearity(grid):
     sym = SubLaplacianSymbol(power=1)
     u0 = diagonal_data(grid)
-    u1 = 0.5 * diagonal_data(grid, ladder=0.7)
+    u1 = SpectralField(grid, 0.5 * diagonal_data(grid, ladder=0.7).coefficients)
     traj = evolve_linear(u0, u1, 2.0, 1.0, sym, [0.0, 1.0])
     assert np.allclose(traj.fields[0].coefficients, u0.coefficients, atol=1e-15)
     assert np.allclose(traj.derivatives[0].coefficients, u1.coefficients, atol=1e-15)
-    scaled = evolve_linear(3.0 * u0, 3.0 * u1, 2.0, 1.0, sym, [0.0, 1.0])
+    scaled = evolve_linear(SpectralField(grid, 3.0 * u0.coefficients),
+                           SpectralField(grid, 3.0 * u1.coefficients),
+                           2.0, 1.0, sym, [0.0, 1.0])
     assert np.allclose(scaled.fields[1].coefficients,
                        3.0 * traj.fields[1].coefficients, rtol=1e-13)
 
@@ -222,7 +224,8 @@ def test_evolve_linear_rejects_bad_time_grids(grid, times, match):
 def test_evolve_linear_repeats_a_repeated_time(grid):
     sym = SubLaplacianSymbol(power=1)
     u0 = diagonal_data(grid)
-    traj = evolve_linear(u0, 0.5 * u0, 2.0, 1.0, sym, [0.0, 0.7, 0.7])
+    u1 = SpectralField(grid, 0.5 * u0.coefficients)
+    traj = evolve_linear(u0, u1, 2.0, 1.0, sym, [0.0, 0.7, 0.7])
     first, second = traj.fields[1].coefficients, traj.fields[2].coefficients
     assert np.array_equal(first, second) and first is not second
     assert traj.fields[0].coefficients is not u0.coefficients
@@ -248,9 +251,9 @@ def test_linear_history_evaluates_factors_once_per_distinct_gap(
 
 
 def _history_case(name, rng):
-    """(model, c0, c1) for the error-bound test: the three regime sets of
-    the Duhamel sweep test, the order-4 symbol of the abelian benchmark on
-    its 32^3 grid, and a Heisenberg mode grid."""
+    """(model, symbol, c0, c1) for the error-bound tests: the three regime
+    sets of the Duhamel sweep test, the order-4 symbol of the abelian
+    benchmark on its 32^3 grid, and a Heisenberg mode grid."""
     if name == "heisenberg":
         hgrid = build_grid(0.3, 4.0, 16, 9.0, n=1)
         shape, b, m = hgrid.field_shape(), 2.0, 2.0
@@ -270,25 +273,51 @@ def _history_case(name, rng):
         sym = AbelianSymbol(np.ones(3), order=2, radial=True)
     c0, c1 = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
               for _ in range(2))
-    return propagator._Model(state, sym, b, m), c0, c1
+    return propagator._Model(state, sym, b, m), sym, c0, c1
 
 
-@pytest.mark.parametrize("H", [129, 513])
-@pytest.mark.parametrize("name", ["underdamped", "all-regimes",
-                                  "critical-underdamped", "order4-benchmark",
-                                  "heisenberg"])
-def test_linear_history_stays_within_4_H_eps_of_the_closed_form(name, H, rng):
-    # one rounding error per recursion step, none amplified: the bound
-    # evolve_linear states (measured at most 1.7 H eps)
-    model, c0, c1 = _history_case(name, rng)
-    times = np.linspace(0.0, 6.0, H)
-    bound = 4 * H * np.finfo(float).eps
-    for t, (val, der) in zip(times, propagator._linear_history(model, c0, c1,
-                                                               times)):
+_HISTORY_CASES = ["underdamped", "all-regimes", "critical-underdamped",
+                  "order4-benchmark", "heisenberg"]
+
+
+def assert_near_closed_form(model, c0, c1, times, nodes, omega=0.0):
+    """Every (value, derivative) node within a relative L^2 error of
+    (4 H + omega t) eps of the closed form P(t) (c0, c1) at its time t, for
+    H times."""
+    for t, (val, der) in zip(times, nodes):
+        bound = (4 * len(times) + omega * t) * np.finfo(float).eps
         A0, A1, D0, D1 = model.factors(t)
         for got, want in ((val, A0 * c0 + A1 * c1), (der, D0 * c0 + D1 * c1)):
             err = got - want
             assert np.vdot(err, err).real <= bound ** 2 * np.vdot(want, want).real
+
+
+@pytest.mark.parametrize("H", [129, 513])
+@pytest.mark.parametrize("name", _HISTORY_CASES)
+def test_linear_history_stays_within_4_H_eps_of_the_closed_form(name, H, rng):
+    # on a uniform grid whose step is exact, one rounding error per step,
+    # none amplified: 4 H eps (measured at most 1.7 H eps)
+    model, _, c0, c1 = _history_case(name, rng)
+    times = np.linspace(0.0, 6.0, H)
+    nodes = propagator._history(model, np.diff(times, prepend=0.0), (c0, c1))
+    assert_near_closed_form(model, c0, c1, times, nodes)
+
+
+@pytest.mark.parametrize("name", _HISTORY_CASES)
+def test_evolve_linear_from_a_late_first_time_stays_near_the_closed_form(
+        name, rng):
+    # the first gap is the first time itself and the repeated time a zero
+    # gap.  Off a uniform grid whose step is exact the closed form's own
+    # rounding of its phase, about omega t eps with omega the largest
+    # sqrt|Delta|, enters too: on the order-4 benchmark symbol (omega t up
+    # to 421 here) the error reaches 39 eps against 4 H eps = 16 eps
+    model, sym, c0, c1 = _history_case(name, rng)
+    omega = np.sqrt(np.abs(model.total - 0.25 * model.b ** 2)).max()
+    times = [0.7, 1.4, 1.4, 2.0]
+    traj = evolve_linear(model.wrap(c0), model.wrap(c1), model.b, model.m,
+                         sym, times)
+    nodes = zip(map(model.unwrap, traj.fields), map(model.unwrap, traj.derivatives))
+    assert_near_closed_form(model, c0, c1, times, nodes, omega)
 
 
 def test_trajectory_validation(grid):

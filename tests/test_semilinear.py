@@ -122,9 +122,22 @@ def test_znorm_abelian_requires_provider(rng):
 # Duhamel quadrature
 
 
+def uniform_gaps(hh, H):
+    """The gaps of H uniform nodes from t = 0, as the solver passes them."""
+    return [0.0] + [hh] * (H - 1)
+
+
 def last_node(model, hh, sources):
-    """(value, derivative) of the trapezoid Duhamel sweep at its last node."""
-    return deque(semilinear._duhamel_sweep(model, hh, sources), maxlen=1)[0]
+    """(value, derivative) of the zero-start trapezoid Duhamel sweep of
+    `_history` at its last node."""
+    zero = np.zeros_like(sources[0])
+    return deque(propagator._history(model, uniform_gaps(hh, len(sources)),
+                                     (zero, zero), sources), maxlen=1)[0]
+
+
+def richardson(model, hh, sources):
+    return semilinear._richardson_error(model, uniform_gaps(hh, len(sources)),
+                                        sources, np.zeros_like(sources[0]))
 
 
 def test_duhamel_sweep_constant_source():
@@ -141,9 +154,9 @@ def test_duhamel_sweep_constant_source():
     closed = (g / total) * (1.0 - a0)
     got = val[0, 0, 0]
     assert got == pytest.approx(closed, rel=2e-4)
-    richardson = semilinear._richardson_error(model, 2.0 / 80, [src] * 81)
-    assert np.isfinite(richardson)
-    assert richardson < 5e-4
+    estimate = richardson(model, 2.0 / 80, [src] * 81)
+    assert np.isfinite(estimate)
+    assert estimate < 5e-4
     fine, _ = last_node(model, 2.0 / 160, [src] * 161)
     fine_err = abs(fine[0, 0, 0] - closed)
     coarse_err = abs(got - closed)
@@ -200,8 +213,8 @@ def test_duhamel_sweep_matches_direct_trapezoid_sum(b, m, regimes, rng):
         assert rel(got_val, val) <= 1e-12
         assert rel(got_der, der) <= 1e-12
         expected = abelian_l2(grid, val - coarse) / 3.0
-        richardson = semilinear._richardson_error(model, hh, sources[::stride])
-        assert richardson == pytest.approx(expected, rel=1e-12)
+        estimate = richardson(model, hh, sources[::stride])
+        assert estimate == pytest.approx(expected, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -404,9 +417,11 @@ def test_heisenberg_picard_converges_at_the_endpoint_power():
 
 
 def test_picard_factor_work_is_linear_in_samples(monkeypatch):
-    # the linear part and every Duhamel sweep (the Richardson one too)
-    # evaluate the one-step propagator once each; per-lag factor tables
-    # would make 2H kernel calls, a closed-form linear part H
+    # iterate 0, every Duhamel sweep and the Richardson pass evaluate the
+    # one-step propagator once each; per-lag factor tables would make 2H
+    # kernel calls, a closed-form linear part H, and a linear part stepped
+    # through the rounded gaps t_k - t_{k-1} one per distinct rounded value
+    # (the step 0.15 of the order-4 grid at H = 41 is inexact: 13 calls)
     calls = []
     kernel = propagator._mode_factors
 
@@ -416,14 +431,17 @@ def test_picard_factor_work_is_linear_in_samples(monkeypatch):
 
     monkeypatch.setattr(propagator, "_mode_factors", counting)
     _, sym, u0, u1 = abelian_setup(1e-3)
-    H = 41
     cfg = ZNormConfig(delta=0.999 * decay_rate(2.0, 1.0),
-                      sample_times=tuple(np.linspace(0.0, 5.0, H)))
-    _, diag = picard_solve(u0, u1, PowerNonlinearity(1.0, 2.0),
-                           2.0, 1.0, sym, cfg, tol=1e-10)
-    assert diag.status is PicardStatus.CONVERGED
-    assert np.isfinite(diag.quadrature_error)
-    assert len(calls) == 1 + diag.iterations + 1
+                      sample_times=tuple(np.linspace(0.0, 5.0, 41)))
+    cases = [(sym, u0, u1, cfg, 1.0)]
+    cases += [order4_setup(0.2, H) + (2.0,) for H in (25, 41)]
+    for sym, u0, u1, cfg, m in cases:
+        calls.clear()
+        _, diag = picard_solve(u0, u1, PowerNonlinearity(1.0, 2.0),
+                               2.0, m, sym, cfg, tol=1e-10)
+        assert diag.status is PicardStatus.CONVERGED
+        assert np.isfinite(diag.quadrature_error)
+        assert len(calls) == diag.iterations + 2
 
 
 def abelian_l2(grid, c, mult=1.0):
@@ -437,12 +455,13 @@ def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol, closed_form=False):
     iterates and both difference lists, with each Z norm taken from the
     reference norms.  By default it forms each new iterate as the solver
     does, by the sweep started at (c0, c1) from the linear part of
-    `_linear_history`; with closed_form=True it adds the zero-start sweep to
-    the closed-form linear part P(t) (c0, c1) instead."""
+    `_history` without sources; with closed_form=True it adds the
+    zero-start sweep to the closed-form linear part P(t) (c0, c1) instead."""
     grid = u0.grid
     model = semilinear._make_model(u0, sym, b, m)
     times = np.asarray(cfg.sample_times)
-    h = times[1] - times[0]
+    gaps = uniform_gaps(times[1] - times[0], times.size)
+    zero = np.zeros_like(u0.values)
     root = symbol_on_grid(grid, sym) ** (2.0 / sym.nu)  # R^{2/nu}
 
     def l2(c):
@@ -460,10 +479,10 @@ def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol, closed_form=False):
         return [model.nonlinearity(v, nl, strict=(nv >= 1e-2 * max(norms)))
                 for v, nv in zip(vals, norms)]
 
-    def sweep(sources, start=None):
-        # the sweep's yielded buffers live until the next pull: copy them
+    def sweep(sources, start=(zero, zero)):
+        # the recursion's yielded buffers live until the next pull: copy them
         return [(v.copy(), d.copy())
-                for v, d in semilinear._duhamel_sweep(model, h, sources, start)]
+                for v, d in propagator._history(model, gaps, start, sources)]
 
     if closed_form:
         lin_val, lin_der = [], []
@@ -472,8 +491,7 @@ def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol, closed_form=False):
             lin_val.append(A0 * u0.values + A1 * u1.values)
             lin_der.append(D0 * u0.values + D1 * u1.values)
     else:
-        lin_val, lin_der = zip(*propagator._linear_history(
-            model, u0.values, u1.values, times))
+        lin_val, lin_der = zip(*sweep(None, (u0.values, u1.values)))
     cur_val, cur_der = [v.copy() for v in lin_val], [d.copy() for d in lin_der]
     z_norms, incs = [znorm_of(lin_val, lin_der)], []
     for _ in range(25):
@@ -506,11 +524,13 @@ def order4_setup(scale, H):
     return sym, u0, u1, cfg
 
 
-@pytest.mark.parametrize("nl", [
-    PowerNonlinearity(1.0, 2.0),
-    # the tuple (u, R^{1/4} u) of the order-4 symbol
-    GeneralNonlinearity(lambda U: np.abs(U[0]) * U[0] + 0.5 * np.abs(U[1]) * U[1]),
-], ids=["power", "general"])
+_POWER = PowerNonlinearity(1.0, 2.0)
+# the tuple (u, R^{1/4} u) of the order-4 symbol
+_GENERAL = GeneralNonlinearity(lambda U: np.abs(U[0]) * U[0]
+                               + 0.5 * np.abs(U[1]) * U[1])
+
+
+@pytest.mark.parametrize("nl", [_POWER, _GENERAL], ids=["power", "general"])
 def test_streaming_picard_matches_the_list_based_loop(nl):
     sym, u0, u1, cfg = order4_setup(0.2, 25)
     traj, diag = picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg, tol=1e-10)
@@ -531,18 +551,23 @@ def test_streaming_picard_matches_the_list_based_loop(nl):
                                             abs=1e-12 * diag.z_norms[-1])
 
 
-@pytest.mark.parametrize("nl", [
-    PowerNonlinearity(1.0, 2.0),
-    GeneralNonlinearity(lambda U: np.abs(U[0]) * U[0] + 0.5 * np.abs(U[1]) * U[1]),
-], ids=["power", "general"])
-def test_recursive_picard_matches_the_closed_form_linear_part(nl):
+@pytest.mark.parametrize("nl, H", [
+    pytest.param(_POWER, 25, id="power"),
+    pytest.param(_GENERAL, 25, id="general"),
+    # steps 0.15 and 0.075 are not exact in binary
+    pytest.param(_POWER, 41, id="power-41"),
+    pytest.param(_GENERAL, 41, id="general-41"),
+    pytest.param(_POWER, 81, id="power-81"),
+    pytest.param(_GENERAL, 81, id="general-81"),
+])
+def test_recursive_picard_matches_the_closed_form_linear_part(nl, H):
     # the solver carries the linear part in the sweep's recursion; the old
     # arithmetic added the zero-start sweep to the closed form P(t) (c0, c1).
     # The two differ by rounding of order H eps in every node, so the
     # increments agree to 1e-12 z, and a ratio of two increments is compared
     # only where both exceed 1e-6 z, which bounds its relative error by
     # about 2e-12 / 1e-6; below that the increments are rounding-bound.
-    sym, u0, u1, cfg = order4_setup(0.2, 25)
+    sym, u0, u1, cfg = order4_setup(0.2, H)
     traj, diag = picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg, tol=1e-10)
     vals, ders, z_norms, incs, quad = list_based_picard(
         u0, u1, nl, 2.0, 2.0, sym, cfg, tol=1e-10, closed_form=True)
@@ -588,16 +613,17 @@ def test_picard_holds_one_iterate(H):
 
 @pytest.mark.parametrize("start", [False, True], ids=["zero", "data"])
 def test_duhamel_sweep_memory_does_not_grow_with_the_nodes(start):
-    # the sweep updates a fixed set of arrays in place: a pass over 65
+    # the recursion updates a fixed set of arrays in place: a pass over 65
     # nodes peaks where a pass over 17 does, within one array
     sym, u0, u1, _ = order4_setup(0.2, 17)
     model = semilinear._make_model(u0, sym, 2.0, 2.0)
     sources = [(k + 1.0) * u0.values for k in range(65)]
-    init = (u0.values, u1.values) if start else None
+    zero = np.zeros_like(u0.values)
+    init = (u0.values, u1.values) if start else (zero, zero)
 
     def sweep_pass(H):
-        deque(semilinear._duhamel_sweep(model, 6.0 / (H - 1), sources[:H], init),
-              maxlen=0)
+        gaps = uniform_gaps(6.0 / (H - 1), H)
+        deque(propagator._history(model, gaps, init, sources[:H]), maxlen=0)
 
     _, short = traced_peak(lambda: sweep_pass(17))
     _, long = traced_peak(lambda: sweep_pass(65))

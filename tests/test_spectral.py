@@ -83,16 +83,16 @@ def test_grid_stamp_tracks_content(grid):
 def test_sublaplacian_symbol_values(grid):
     sym = SubLaplacianSymbol(power=1)
     assert sym.nu == 2
-    assert sym.value(-2.0, (1,)) == pytest.approx(6.0)
-    assert sym.value(0.5, (2,)) == pytest.approx(2.5)
+    # by hand: |lambda| mu_k with mu = 1, 3, 5 for k = 0, 1, 2
+    hand = ModeGrid(n=1, lambda_nodes=np.array([-2.0, 0.5]),
+                    base_weights=np.ones(2), mu_max=5.0)
+    assert np.array_equal(sym.values(hand), [[2.0, 6.0, 10.0], [0.5, 1.5, 2.5]])
     vals = sym.values(grid)
     assert vals.shape == (16, 5)
     assert np.allclose(vals, np.abs(grid.lambda_nodes)[:, None] * grid.mu_values)
     # the symbol rides the row (left Hermite) index
     sq = SubLaplacianSymbol(power=2)
     assert np.allclose(sq.values(grid), vals ** 2)
-    with pytest.raises(ValueError):
-        sym.value(0.0, (0,))
     with pytest.raises(ValueError):
         SubLaplacianSymbol(power=0)
 
@@ -119,16 +119,6 @@ def test_field_validation(grid):
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         SpectralField(grid, bad)
-
-
-def test_field_arithmetic_and_compatibility(grid, rng):
-    f = random_field(grid, rng)
-    g = random_field(grid, rng)
-    assert np.allclose((f + g).coefficients, f.coefficients + g.coefficients)
-    assert np.allclose((2.0 * f).coefficients, 2.0 * f.coefficients)
-    other = build_grid(0.3, 4.0, 16, 11.0, n=1)
-    with pytest.raises(ValueError, match="different grids"):
-        f + SpectralField.zeros(other)
 
 
 def test_l2_norm_is_weighted_hilbert_schmidt(grid, rng):
