@@ -7,6 +7,9 @@ of H^1,
 
 with second-order centered stencils and zero Dirichlet closure outside the
 box, and advances u'' + b u' + m u = L u + source with a damped leapfrog.
+The stencil reads contiguous shifts of one flat zero-padded buffer, block
+by cache-sized block, and the step and the energy work in place; all three
+give the bits of their textbook formulas (see apply_sublaplacian).
 Everything here is deliberately independent of the spectral machinery: no
 Hermite functions, no representation matrices; the only shared object is the
 spatial grid container.
@@ -33,51 +36,58 @@ __all__ = [
 ]
 
 
-def _padded(f: np.ndarray) -> np.ndarray:
-    out = np.zeros(tuple(s + 2 for s in f.shape), dtype=f.dtype)
-    out[1:-1, 1:-1, 1:-1] = f
-    return out
+# complex entries per block of whole x-slabs in apply_sublaplacian (256 kB)
+_BLOCK = 1 << 14
 
 
 def apply_sublaplacian(field: SpatialField) -> SpatialField:
     """Second-order stencil for L with Dirichlet truncation at the box.
 
-    The terms accumulate in place into one array through one scratch array,
-    with the coefficients 1/hx^2, 1/hy^2, (x^2 + y^2)/(4 ht^2), x/(4 hy ht)
-    and y/(4 hx ht) formed once per call.
+    One flat buffer holds the zero-padded box (one ghost layer) and a spare
+    entry at each end, so a neighbour of a run of cells is the run shifted
+    by +-1 (tau), +-(nt + 2) (y), +-(ny + 2)(nt + 2) (x) or a sum of these.
+    Blocks of whole x-slabs, ghost cells included, sum the terms in two
+    cache-sized scratch arrays; their real view (k, ny + 2, 2(nt + 2)) takes
+    the coefficients from at most (k, ny + 2, 1), and each block's interior
+    is copied into the result.  Every term keeps the slice form's operation
+    order from a zero start, so L u is bitwise the same.
     """
     grid = field.grid
+    nx, ny, nt = grid.shape
     hx, hy, ht = grid.spacings
+    sy, sx = nt + 2, (ny + 2) * (nt + 2)
+    k = max(1, _BLOCK // sx)
+    acc, tmp = np.empty(k * sx, dtype=complex), np.empty(k * sx, dtype=complex)
+    buf = np.zeros((nx + 2) * sx + 2, dtype=complex)
+    buf[1:-1].reshape(nx + 2, ny + 2, sy)[1:-1, 1:-1, 1:-1] = field.samples
     x = grid.axis(0)[:, None, None]
-    y = grid.axis(1)[None, :, None]
-    p = _padded(field.samples)
-    c = p[1:-1, 1:-1, 1:-1]
-    lap = np.zeros_like(c)
-    tmp = np.empty_like(c)
-    second = (
-        (p[2:, 1:-1, 1:-1], p[:-2, 1:-1, 1:-1], 1.0 / (hx * hx)),
-        (p[1:-1, 2:, 1:-1], p[1:-1, :-2, 1:-1], 1.0 / (hy * hy)),
-        (p[1:-1, 1:-1, 2:], p[1:-1, 1:-1, :-2], (x * x + y * y) * (0.25 / (ht * ht))),
-    )
-    for fwd, bwd, coef in second:
-        np.add(fwd, bwd, out=tmp)
-        tmp -= c
-        tmp -= c
-        tmp *= coef
-        lap += tmp
-    # mixed first derivatives, centered in both axes: x d_y d_tau - y d_x d_tau
-    mixed = (
-        (p[1:-1, 2:, 2:], p[1:-1, 2:, :-2], p[1:-1, :-2, 2:], p[1:-1, :-2, :-2],
-         x * (0.25 / (hy * ht))),
-        (p[2:, 1:-1, 2:], p[2:, 1:-1, :-2], p[:-2, 1:-1, 2:], p[:-2, 1:-1, :-2],
-         y * (-0.25 / (hx * ht))),
-    )
-    for pp, pm, mp, mm, coef in mixed:
-        np.subtract(pp, pm, out=tmp)
-        tmp -= mp
-        tmp += mm
-        tmp *= coef
-        lap += tmp
+    y = np.pad(grid.axis(1), 1)[None, :, None]
+    ctt = (x * x + y * y) * (0.25 / (ht * ht))
+    lap = np.empty(grid.shape, dtype=complex)
+    for i in range(0, nx, k):
+        kk = min(k, nx - i)
+        lo, n = 1 + (i + 1) * sx, kk * sx
+
+        def at(off):
+            return buf[lo + off:lo + off + n]
+
+        a, t = acc[:n], tmp[:n]
+        tv = t.view(float).reshape(kk, ny + 2, 2 * sy)
+        a[:] = 0.0
+        for off, coef in ((sx, 1.0 / (hx * hx)), (sy, 1.0 / (hy * hy)), (1, ctt[i:i + kk])):
+            np.add(at(off), at(-off), out=t)
+            t -= at(0)
+            t -= at(0)
+            tv *= coef
+            a += t
+        # mixed first derivatives, centered in both axes: x d_y d_tau - y d_x d_tau
+        for off, coef in ((sy, x[i:i + kk] * (0.25 / (hy * ht))), (sx, y * (-0.25 / (hx * ht)))):
+            np.subtract(at(off + 1), at(off - 1), out=t)
+            t -= at(1 - off)
+            t += at(-off - 1)
+            tv *= coef
+            a += t
+        lap[i:i + kk] = a.reshape(kk, ny + 2, sy)[:, 1:-1, 1:-1]
     return SpatialField(grid, lap)
 
 
@@ -104,12 +114,18 @@ def step_leapfrog(u: np.ndarray, u_prev: np.ndarray, dt: float, b: float,
     u_next = [2u - (1 - b dt/2) u_prev + dt^2 (L u - m u + source)] / (1 + b dt/2)
 
     lap must hold the stencil L u (the samples of apply_sublaplacian on u).
+    The formula runs in its own order, in place in the result and one
+    scratch array, both of the inputs' np.result_type.
     """
-    rhs = lap - m * u
+    dtype = np.result_type(u, u_prev, lap, 0.0 if source is None else source)
+    tmp = np.multiply(u_prev, 1.0 - 0.5 * b * dt, out=np.empty(u.shape, dtype))
+    out = np.multiply(u, 2.0, out=np.empty(u.shape, dtype))
+    out -= tmp
+    rhs = np.subtract(lap, np.multiply(u, m, out=tmp), out=tmp)
     if source is not None:
-        rhs = rhs + source
-    denom = 1.0 + 0.5 * b * dt
-    return (2.0 * u - (1.0 - 0.5 * b * dt) * u_prev + dt * dt * rhs) / denom
+        rhs += source
+    out += np.multiply(rhs, dt * dt, out=rhs)
+    return np.divide(out, 1.0 + 0.5 * b * dt, out=out)
 
 
 @dataclass
@@ -129,11 +145,16 @@ def staggered_energy(u: np.ndarray, u_next: np.ndarray, dt: float, m: float,
     E = 1/2 ||(u_next - u)/dt||^2 + 1/2 <(-L + m) u, u_next>; the stencil is
     symmetric so this is the exact conserved quantity at b = 0 and strictly
     dissipated for b > 0 under the CFL bound.  lap must hold the stencil L u,
-    as passed to the step_leapfrog call that made u_next.
+    as passed to the step_leapfrog call that made u_next.  Each term holds
+    one array at a time besides the moduli: NumPy elides the temporaries of
+    the kinetic term, and the potential one is formed in place.
     """
     vol = grid.cell_volume
     kin = 0.5 * np.sum(np.abs((u_next - u) / dt) ** 2) * vol
-    pot = 0.5 * np.real(np.sum(np.conj(-lap + m * u) * u_next)) * vol
+    w = m * u - lap  # -lap + m u, bit for bit
+    w = np.multiply(np.conjugate(w, out=w), u_next,
+                    out=w if w.dtype == np.result_type(w, u_next) else None)
+    pot = 0.5 * np.real(np.sum(w)) * vol
     return float(kin + pot)
 
 
@@ -149,13 +170,16 @@ def run_leapfrog(u0: SpatialField, v0: SpatialField, dt: float, steps: int,
     and staggered_energy; the first step reuses the stencil of the Taylor
     start, so there are `steps` stencil applications in all.  Each new level
     is wrapped (and so checked finite) once, and its magnitudes feed both the
-    L2 history and the boundary flux.
+    L2 history and the boundary flux.  snapshot_every = k > 0 keeps level 0,
+    every k-th level and the last one; 0 keeps none.
     """
     grid = u0.grid
     if v0.grid != grid:
         raise ValueError("data live on different grids")
     if dt <= 0 or steps < 1:
         raise ValueError("need dt > 0 and steps >= 1")
+    if not isinstance(snapshot_every, (int, np.integer)) or snapshot_every < 0:
+        raise ValueError("snapshot_every must be a non-negative integer")
     u = u0.samples.copy()
     src0 = source_fn(0.0) if source_fn is not None else None
     lap = apply_sublaplacian(u0).samples
@@ -168,10 +192,8 @@ def run_leapfrog(u0: SpatialField, v0: SpatialField, dt: float, steps: int,
     vol = grid.cell_volume
     mag = np.abs(u)
     l2[0] = np.sqrt(np.sum(mag ** 2) * vol)
-    snaps, snap_times = [], []
-    if snapshot_every:
-        snaps.append(SpatialField(grid, u.copy()))
-        snap_times.append(0.0)
+    snaps = [SpatialField(grid, u.copy())] if snapshot_every else []
+    kept = [0] if snapshot_every else []
     flux = _boundary_ratio(mag)
     for j in range(steps):
         t_j = j * dt
@@ -187,8 +209,8 @@ def run_leapfrog(u0: SpatialField, v0: SpatialField, dt: float, steps: int,
         flux = max(flux, _boundary_ratio(mag))
         if snapshot_every and ((j + 1) % snapshot_every == 0 or j + 1 == steps):
             snaps.append(SpatialField(grid, u.copy()))
-            snap_times.append((j + 1) * dt)
-    return LeapfrogResult(times, snaps, np.asarray(snap_times), l2, energy, flux)
+            kept.append(j + 1)
+    return LeapfrogResult(times, snaps, times[kept], l2, energy, flux)
 
 
 @dataclass

@@ -84,7 +84,10 @@ class PowerNonlinearity:
             raise ValueError(f"power nonlinearity needs p > 1, got p={self.p}")
 
     def evaluate(self, u: np.ndarray) -> np.ndarray:
-        return self.mu * np.abs(u) ** (self.p - 1.0) * u
+        w = np.abs(u)
+        w **= self.p - 1.0  # then times mu, then times u: in place where the dtype allows
+        w = np.multiply(w, self.mu, out=w if np.isrealobj(self.mu) else None)
+        return np.multiply(w, u, out=w if w.dtype == np.result_type(w, u) else None)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ second differences and centered mixed differences are exact; only interior
 cells are compared because the scheme truncates with a Dirichlet ring.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,81 @@ def test_sublaplacian_matches_term_by_term_formula(box, rng):
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def slice_sublaplacian(f, grid):
+    """The stencil as it stood before the flat buffer: every neighbour a
+    strided slice of a padded copy, the terms summed through one scratch."""
+    hx, hy, ht = grid.spacings
+    x = grid.axis(0)[:, None, None]
+    y = grid.axis(1)[None, :, None]
+    p = np.pad(f, 1)
+    c = p[1:-1, 1:-1, 1:-1]
+    lap = np.zeros_like(c)
+    tmp = np.empty_like(c)
+    second = (
+        (p[2:, 1:-1, 1:-1], p[:-2, 1:-1, 1:-1], 1.0 / (hx * hx)),
+        (p[1:-1, 2:, 1:-1], p[1:-1, :-2, 1:-1], 1.0 / (hy * hy)),
+        (p[1:-1, 1:-1, 2:], p[1:-1, 1:-1, :-2], (x * x + y * y) * (0.25 / (ht * ht))),
+    )
+    for fwd, bwd, coef in second:
+        np.add(fwd, bwd, out=tmp)
+        tmp -= c
+        tmp -= c
+        tmp *= coef
+        lap += tmp
+    mixed = (
+        (p[1:-1, 2:, 2:], p[1:-1, 2:, :-2], p[1:-1, :-2, 2:], p[1:-1, :-2, :-2],
+         x * (0.25 / (hy * ht))),
+        (p[2:, 1:-1, 2:], p[2:, 1:-1, :-2], p[:-2, 1:-1, 2:], p[:-2, 1:-1, :-2],
+         y * (-0.25 / (hx * ht))),
+    )
+    for pp, pm, mp, mm, coef in mixed:
+        np.subtract(pp, pm, out=tmp)
+        tmp -= mp
+        tmp += mm
+        tmp *= coef
+        lap += tmp
+    return lap
+
+
+def stencil_data(shape, kind, rng):
+    f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "real":
+        return f.real + 0j
+    if kind == "faces":
+        # mass on the six faces only, next to the Dirichlet ghost layer
+        g = np.zeros(shape, dtype=complex)
+        for axis in range(3):
+            for end in (0, -1):
+                idx = [slice(None)] * 3
+                idx[axis] = end
+                g[tuple(idx)] = f[tuple(idx)]
+        return g
+    return f
+
+
+@pytest.mark.parametrize("kind", ["complex", "real", "faces"])
+@pytest.mark.parametrize("shape", [(4, 4, 4), (5, 7, 9), (36, 36, 48), (40, 6, 5),
+                                   (41, 36, 48)])
+def test_sublaplacian_is_bitwise_the_slice_stencil(shape, kind, rng):
+    grid = SpatialGrid((5.0, 5.0, 8.5), shape)
+    f = stencil_data(shape, kind, rng)
+    got = apply_sublaplacian(SpatialField(grid, f)).samples
+    assert got.tobytes() == slice_sublaplacian(f, grid).tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 3 * 8 * 7, 5 * 8 * 7])
+def test_sublaplacian_is_bitwise_the_slice_stencil_in_any_blocks(block, rng,
+                                                                  monkeypatch):
+    # (40, 6, 5) has x-slabs of 8 * 7 padded cells: one, three and five slabs
+    # per block, the last block short in the first two cases
+    monkeypatch.setattr(fdoracle, "_BLOCK", block)
+    grid = SpatialGrid((3.0, 2.0, 4.0), (40, 6, 5))
+    for kind in ("complex", "faces"):
+        f = stencil_data(grid.shape, kind, rng)
+        got = apply_sublaplacian(SpatialField(grid, f)).samples
+        assert got.tobytes() == slice_sublaplacian(f, grid).tobytes()
+
+
 def test_cfl_limit_scales_with_resolution():
     coarse = SpatialGrid((3.0, 3.0, 3.0), (16, 16, 16))
     fine = SpatialGrid((3.0, 3.0, 3.0), (31, 31, 31))
@@ -101,6 +178,75 @@ def test_step_leapfrog_free_motion(box):
     nxt = step_leapfrog(u, u, 0.01, 0.0, 0.0, lap)
     inner = (slice(2, -2),) * 3
     assert np.allclose(nxt[inner], u[inner], atol=1e-12)
+
+
+def leapfrog_formula(u, u_prev, dt, b, m, lap, source=None):
+    rhs = lap - m * u
+    if source is not None:
+        rhs = rhs + source
+    denom = 1.0 + 0.5 * b * dt
+    return (2.0 * u - (1.0 - 0.5 * b * dt) * u_prev + dt * dt * rhs) / denom
+
+
+def energy_formula(u, u_next, dt, m, grid, lap):
+    vol = grid.cell_volume
+    kin = 0.5 * np.sum(np.abs((u_next - u) / dt) ** 2) * vol
+    pot = 0.5 * np.real(np.sum(np.conj(-lap + m * u) * u_next)) * vol
+    return float(kin + pot)
+
+
+def random_levels(shape, rng):
+    return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for _ in range(4)]
+
+
+@pytest.mark.parametrize("levels", ["complex", "real-u", "real"])
+@pytest.mark.parametrize("with_source", [False, True])
+def test_step_leapfrog_is_bitwise_the_formula(levels, with_source, box, rng):
+    u, u_prev, lap, source = random_levels(box.shape, rng)
+    if levels != "complex":
+        u = u.real.copy()
+    if levels == "real":
+        u_prev = u_prev.real.copy()
+    source = source if with_source else None
+    got = step_leapfrog(u, u_prev, 0.013, 2.0, 2.0, lap, source)
+    want = leapfrog_formula(u, u_prev, 0.013, 2.0, 2.0, lap, source)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("levels", ["complex", "real-u", "real", "real-lap"])
+def test_staggered_energy_is_bitwise_the_formula(levels, box, rng):
+    u, u_next, lap, _ = random_levels(box.shape, rng)
+    if levels in ("real-u", "real"):
+        u = u.real.copy()
+    if levels == "real":
+        u_next = u_next.real.copy()
+    if levels == "real-lap":
+        lap = lap.real.copy()
+    got = staggered_energy(u, u_next, 0.013, 2.0, box, lap)
+    assert got == energy_formula(u, u_next, 0.013, 2.0, box, lap)
+
+
+def test_fd_kernels_stay_within_their_scratch(synth_box, rng):
+    # tracemalloc peaks in complex grid arrays, Python objects included:
+    # the slice stencil, the step and the energy as one-line formulas
+    # measure 3.4, 3.0 and 2.0
+    u, u_prev, lap, source = random_levels(synth_box.shape, rng)
+    field = SpatialField(synth_box, u)
+    kernels = {
+        "stencil": (lambda: apply_sublaplacian(field), 3.0),
+        "step": (lambda: step_leapfrog(u, u_prev, 0.01, 2.0, 2.0, lap, source), 2.01),
+        "energy": (lambda: staggered_energy(u, u_prev, 0.01, 2.0, synth_box, lap), 1.51),
+    }
+    for name, (kernel, bound) in kernels.items():
+        tracemalloc.start()
+        try:
+            kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / u.nbytes <= bound, name
 
 
 def gaussian_data(box, sigma=0.7):
@@ -157,6 +303,21 @@ def test_run_leapfrog_bookkeeping():
     with pytest.raises(ValueError, match="different grids"):
         run_leapfrog(u0, SpatialField(other, np.zeros(other.shape)), dt, 5,
                      b=1.0, m=0.0)
+
+
+@pytest.mark.parametrize("every", [-3, 0.5, 2.5, "2", None])
+def test_run_leapfrog_rejects_a_bad_snapshot_interval(every):
+    box = SpatialGrid((3.0, 3.0, 3.0), (12, 12, 12))
+    u0, v0 = gaussian_data(box)
+    with pytest.raises(ValueError, match="snapshot_every"):
+        run_leapfrog(u0, v0, 0.01, 10, b=1.0, m=0.0, snapshot_every=every)
+
+
+def test_run_leapfrog_takes_a_numpy_snapshot_interval():
+    box = SpatialGrid((3.0, 3.0, 3.0), (12, 12, 12))
+    u0, v0 = gaussian_data(box)
+    res = run_leapfrog(u0, v0, 0.01, 10, b=1.0, m=0.0, snapshot_every=np.int64(4))
+    assert np.allclose(res.snapshot_times, [0.0, 0.04, 0.08, 0.1])
 
 
 def test_run_leapfrog_rejects_data_on_a_different_box():

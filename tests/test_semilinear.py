@@ -59,6 +59,18 @@ def test_power_nonlinearity():
         PowerNonlinearity(1.0, 1.0)
 
 
+@pytest.mark.parametrize("mu,p", [(1, 2), (0.7 - 0.2j, 1.5), (2, 3), (1, 7 / 3),
+                                  (1 + 0j, 2)])
+def test_power_nonlinearity_is_bitwise_the_formula(mu, p, rng):
+    u = rng.standard_normal((9, 10, 11)) + 1j * rng.standard_normal((9, 10, 11))
+    u[0, 0, 0] = 0.0
+    for samples in (u, u.real.copy()):
+        got = PowerNonlinearity(mu, p).evaluate(samples)
+        want = mu * np.abs(samples) ** (p - 1.0) * samples
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_general_nonlinearity_validation():
     with pytest.raises(ValueError, match="callable"):
         GeneralNonlinearity("not-a-function")
