@@ -53,14 +53,14 @@ and the pass verdict.  Identical config and seed give byte-identical CSV
 files.  Exit status: 0 pass, 1 acceptance failure, 2 config error, 3
 numerical failure (a synthesized field fails the boundary-decay gate or a
 nonlinearity produces non-finite samples; one line on stderr, no output
-directory).  --threads
-is recorded in the manifest as an advisory worker cap; the numeric kernels
-here are single-threaded apart from whatever the BLAS runtime does.  The
-strict tolerance profile halves every acceptance tolerance used by a
-subcommand.  Each warning the active filters let through prints as one
-"warning: <message>" line on stderr.  calibrate also reports analytic_ratio,
-the calibrated constant over the analytic (2 pi)^-(n+1).  No subcommand loads
-SciPy: only the quadrature oracle's Gauss-Hermite rules need it.
+directory).  The numeric kernels are single-threaded apart from whatever
+the BLAS runtime does.  The strict tolerance profile halves every
+acceptance tolerance used by a subcommand.  Each warning the active filters
+let through prints as one "warning: <message>" line on stderr.
+evolve-linear's rows are the L2 and H1 norms its two decay fits computed.
+calibrate also reports analytic_ratio, the calibrated constant over the
+analytic (2 pi)^-(n+1).  No subcommand loads SciPy: only the quadrature
+oracle's Gauss-Hermite rules need it.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ import numpy as np
 from .abelian import (AbelianCoefficients, AbelianGrid, abelian_from_function,
                       abelian_forward, symbol_on_grid)
 from .fdoracle import cfl_limit, compare_with_spectral, run_leapfrog
+from .group import homogeneous_dimension
 from .gn import (gn_exponent_corollary, gn_exponent_graded,
                  gn_exponent_heisenberg, verify_inequality_abelian)
 from .propagator import _Norms, decay_rate, evolve_linear, verify_decay
@@ -412,9 +413,8 @@ def _linear_run(v, tol_factor):
     reports = {s: verify_decay(traj, symbol, s=s, slope_tolerance=tol)
                for s in (0.0, 1.0)}
     passed = all(r.passed for r in reports.values())
-    norms = _Norms(u0, symbol)
-    rows = [(t, norms.l2(c), norms.sobolev(c, 1.0))
-            for t, c in zip(traj.times, map(norms.unwrap, traj.fields))]
+    # the H^0 norm is the L^2 norm: its multiplier (1 + R)^0 is exactly 1
+    rows = list(zip(traj.times, reports[0.0].norms, reports[1.0].norms))
     header = ("time", "l2", "h1")
     results = {
         "delta0": d0,
@@ -458,11 +458,10 @@ def _semilinear_run(v, tol_factor):
 
 def _gn_check(v, tol_factor):
     gn, rng = v["gn"], np.random.default_rng(v["seed"])
-    n = gn["n"]
     rows, failures = [], 0
     thetas, graded = v["gn_exponents"]
     for q, theta in thetas:
-        agree = gn_exponent_corollary(q, Fraction(2 * n + 2), 1) == theta
+        agree = gn_exponent_corollary(q, homogeneous_dimension(gn["n"]), 1) == theta
         failures += 0 if agree else 1
         rows.append((str(q), str(theta), float(theta), int(agree)))
     # ok is GNExponents' check: its constructor raises on a bad s
@@ -548,7 +547,7 @@ _RUNNERS = {"calibrate": _calibrate, "evolve-linear": _linear_run,
             "gn-check": _gn_check, "oracle-compare": _oracle_compare}
 
 
-def run(subcommand: str, config_path: str, out_dir, seed=None, threads=None,
+def run(subcommand: str, config_path: str, out_dir, seed=None,
         profile: str = "default") -> int:
     """Execute one subcommand; returns the process exit status."""
     from pathlib import Path
@@ -568,7 +567,6 @@ def run(subcommand: str, config_path: str, out_dir, seed=None, threads=None,
         "subcommand": subcommand,
         "parameters": cfg,
         "seed": v["seed"],
-        "threads": threads,
         "tolerance_profile": profile,
         "results": results,
     }
@@ -584,7 +582,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default="out")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--tolerance-profile", choices=("strict", "default"),
                         default="default")
     args = parser.parse_args(argv)
@@ -594,7 +591,7 @@ def main(argv=None) -> int:
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return run(args.subcommand, args.config, args.out, seed=args.seed,
-                   threads=args.threads, profile=args.tolerance_profile)
+                   profile=args.tolerance_profile)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

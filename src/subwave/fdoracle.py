@@ -7,12 +7,12 @@ of H^1,
 
 with second-order centered stencils and zero Dirichlet closure outside the
 box, and advances u'' + b u' + m u = L u + source with a damped leapfrog.
-The stencil reads contiguous shifts of one flat zero-padded buffer, block
-by cache-sized block, and the step and the energy work in place; all three
-give the bits of their textbook formulas (see apply_sublaplacian).
-Everything here is deliberately independent of the spectral machinery: no
-Hermite functions, no representation matrices; the only shared object is the
-spatial grid container.
+The stencil, step and energy work on sample arrays: the stencil reads
+contiguous shifts of one flat zero-padded buffer, block by cache-sized block,
+and the step and energy work in place; all three give the bits of their
+textbook formulas (see apply_sublaplacian).  Everything here is deliberately
+independent of the spectral machinery: no Hermite functions, no
+representation matrices; the only shared object is the spatial grid container.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ __all__ = [
 _BLOCK = 1 << 14
 
 
-def apply_sublaplacian(field: SpatialField) -> SpatialField:
-    """Second-order stencil for L with Dirichlet truncation at the box.
+def apply_sublaplacian(u: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """Second-order stencil for L with Dirichlet truncation at the box: the
+    complex samples of L u for samples u of shape grid.shape.
 
     One flat buffer holds the zero-padded box (one ghost layer) and a spare
     entry at each end, so a neighbour of a run of cells is the run shifted
@@ -52,14 +53,15 @@ def apply_sublaplacian(field: SpatialField) -> SpatialField:
     is copied into the result.  Every term keeps the slice form's operation
     order from a zero start, so L u is bitwise the same.
     """
-    grid = field.grid
+    if np.shape(u) != grid.shape:
+        raise ValueError(f"sample shape {np.shape(u)} does not match grid {grid.shape}")
     nx, ny, nt = grid.shape
     hx, hy, ht = grid.spacings
     sy, sx = nt + 2, (ny + 2) * (nt + 2)
     k = max(1, _BLOCK // sx)
     acc, tmp = np.empty(k * sx, dtype=complex), np.empty(k * sx, dtype=complex)
     buf = np.zeros((nx + 2) * sx + 2, dtype=complex)
-    buf[1:-1].reshape(nx + 2, ny + 2, sy)[1:-1, 1:-1, 1:-1] = field.samples
+    buf[1:-1].reshape(nx + 2, ny + 2, sy)[1:-1, 1:-1, 1:-1] = u
     x = grid.axis(0)[:, None, None]
     y = np.pad(grid.axis(1), 1)[None, :, None]
     ctt = (x * x + y * y) * (0.25 / (ht * ht))
@@ -88,7 +90,7 @@ def apply_sublaplacian(field: SpatialField) -> SpatialField:
             tv *= coef
             a += t
         lap[i:i + kk] = a.reshape(kk, ny + 2, sy)[:, 1:-1, 1:-1]
-    return SpatialField(grid, lap)
+    return lap
 
 
 def cfl_limit(grid: SpatialGrid, safety: float = 0.4) -> float:
@@ -113,7 +115,7 @@ def step_leapfrog(u: np.ndarray, u_prev: np.ndarray, dt: float, b: float,
 
     u_next = [2u - (1 - b dt/2) u_prev + dt^2 (L u - m u + source)] / (1 + b dt/2)
 
-    lap must hold the stencil L u (the samples of apply_sublaplacian on u).
+    lap must hold the stencil L u, as apply_sublaplacian returns it.
     The formula runs in its own order, in place in the result and one
     scratch array, both of the inputs' np.result_type.
     """
@@ -168,9 +170,10 @@ def run_leapfrog(u0: SpatialField, v0: SpatialField, dt: float, steps: int,
     magnitude seen relative to the global max, to flag Dirichlet pollution.
     Each step applies the stencil once and hands it to both step_leapfrog
     and staggered_energy; the first step reuses the stencil of the Taylor
-    start, so there are `steps` stencil applications in all.  Each new level
-    is wrapped (and so checked finite) once, and its magnitudes feed both the
-    L2 history and the boundary flux.  snapshot_every = k > 0 keeps level 0,
+    start, so there are `steps` stencil applications in all.  Each new
+    level's magnitudes feed both the L2 history and the boundary flux; a
+    level whose L2 norm is not finite (dt too large) raises ValueError.  Only
+    snapshots become SpatialFields: snapshot_every = k > 0 keeps level 0,
     every k-th level and the last one; 0 keeps none.
     """
     grid = u0.grid
@@ -182,7 +185,7 @@ def run_leapfrog(u0: SpatialField, v0: SpatialField, dt: float, steps: int,
         raise ValueError("snapshot_every must be a non-negative integer")
     u = u0.samples.copy()
     src0 = source_fn(0.0) if source_fn is not None else None
-    lap = apply_sublaplacian(u0).samples
+    lap = apply_sublaplacian(u, grid)
     acc0 = lap - m * u - b * v0.samples + (src0 if src0 is not None else 0.0)
     u_prev = u - dt * v0.samples + 0.5 * dt * dt * acc0
 
@@ -199,13 +202,14 @@ def run_leapfrog(u0: SpatialField, v0: SpatialField, dt: float, steps: int,
         t_j = j * dt
         src = source_fn(t_j) if source_fn is not None else None
         if j:
-            lap = apply_sublaplacian(field).samples
+            lap = apply_sublaplacian(u, grid)
         u_next = step_leapfrog(u, u_prev, dt, b, m, lap, src)
         energy[j] = staggered_energy(u, u_next, dt, m, grid, lap)
         u_prev, u = u, u_next
-        field = SpatialField(grid, u)
         mag = np.abs(u)
         l2[j + 1] = np.sqrt(np.sum(mag ** 2) * vol)
+        if not np.isfinite(l2[j + 1]):
+            raise ValueError(f"leapfrog level {j + 1} has a non-finite L2 norm")
         flux = max(flux, _boundary_ratio(mag))
         if snapshot_every and ((j + 1) % snapshot_every == 0 or j + 1 == steps):
             snaps.append(SpatialField(grid, u.copy()))

@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .abelian import AbelianField, abelian_forward
+from .group import homogeneous_dimension
 from .propagator import _Norms
 from .spectral import AbelianSymbol, SpectralField, SubLaplacianSymbol
 from .transform import SpatialGrid, synthesize_on_grid
@@ -85,7 +86,7 @@ def gn_exponent_heisenberg(q, n: int) -> Fraction:
     q = _rat(q, "q")
     if not (isinstance(n, int) and n >= 1):
         raise ValueError(f"need integer n >= 1, got {n!r}")
-    Q = Fraction(2 * n + 2)
+    Q = homogeneous_dimension(n)
     hi = 2 + Fraction(2, n)
     if not 2 <= q <= hi:
         raise ValueError(f"need 2 <= q <= 2 + 2/n = {hi}, got q = {q}")

@@ -395,13 +395,15 @@ def evolve_linear(u0, u1, b: float, m: float, provider, times) -> LinearTrajecto
 
 @dataclass
 class DecayReport:
-    """Least-squares decay diagnosis of a sampled trajectory."""
+    """Least-squares decay diagnosis of a sampled trajectory; norms holds the
+    fitted norm ||u(t)||_{H^s} at every sample time, tail or not."""
 
     delta0: float
     fitted_slope: float
     envelope_constant: float
     tail_times: np.ndarray
     tail_lognorms: np.ndarray
+    norms: np.ndarray
     passed: bool
     trivial: bool = False
 
@@ -422,7 +424,7 @@ def verify_decay(traj: LinearTrajectory, provider, s: float = 0.0,
     data_scale = norms[0] + model.sobolev(model.unwrap(traj.derivatives[0]),
                                           s - 0.5 * model.nu)
     if data_scale == 0.0:
-        return DecayReport(delta0, 0.0, 0.0, traj.times[:0], norms[:0],
+        return DecayReport(delta0, 0.0, 0.0, traj.times[:0], norms[:0], norms,
                            passed=True, trivial=True)
 
     start = int(np.floor(0.4 * len(traj.times)))
@@ -447,4 +449,5 @@ def verify_decay(traj: LinearTrajectory, provider, s: float = 0.0,
             f"{-delta0 * (1.0 - slope_tolerance):.6g}",
             stacklevel=2,
         )
-    return DecayReport(delta0, float(slope), float(envelope), tail_t, logn, passed)
+    return DecayReport(delta0, float(slope), float(envelope), tail_t, logn, norms,
+                       passed)

@@ -168,8 +168,6 @@ class _HeisenbergModel(_Model):
         self.synth = synth
 
     def nonlinearity(self, c, nl, strict: bool = True):
-        if not c.any():
-            return np.zeros_like(c)
         limit = _NL_BOUNDARY_LIMIT if strict else None
         return apply_nonlinearity(self.wrap(c), nl, self.synth,
                                   boundary_limit=limit).coefficients
@@ -177,9 +175,6 @@ class _HeisenbergModel(_Model):
 
 class _AbelianModel(_Model):
     def nonlinearity(self, c, nl, strict: bool = True):
-        if not c.any():
-            return np.zeros_like(c)
-
         def samples(j):
             # R^{j/nu} is the multiplier of order j/2
             cj = c if j == 0 else self.multiplier(0.5 * j) * c

@@ -23,8 +23,9 @@ polynomial in z = (beta + i gamma)/sqrt(2) and conj(z) times exp(-|z|^2/2).
 For n = 1 the phase gamma beta/2 is lambda x y/2, so M(lambda, g) =
 e^{i lambda t} G~ and -lambda conjugates G~; the grid transforms run on
 exact G~ tables, one per |lambda| (`_TransformPlan`).  `representation_matrix`
-(through `_g_block`) and `inverse_transform` integrate G with a Gauss-Hermite
-rule centred at beta/2 instead: a quadrature oracle independent of the tables.
+integrates G with a Gauss-Hermite rule centred at beta/2 instead (`_g_block`),
+and `inverse_transform` sums its traces against F: one quadrature oracle,
+independent of the tables.
 
 The Plancherel normalization of this convention is not hardcoded anywhere;
 `calibrate_plancherel` measures it once per grid and stores it on the grid.
@@ -352,33 +353,16 @@ def synthesize_on_grid(F: SpectralField, spatial: SpatialGrid) -> SpatialField:
 
 
 def inverse_transform(F: SpectralField, points) -> np.ndarray:
-    """Inverse transform at a list of GroupElements (n=1), direct evaluation."""
+    """Inverse transform at a list of GroupElements (n=1), direct evaluation:
+    the sum over nodes of weight * Tr[F(lambda) M(lambda, g)], each M from
+    `representation_matrix`, so by quadrature and not from the plan's tables."""
     grid = F.grid
     if grid.n != 1:
         raise NotImplementedError("pointwise inversion is implemented for n = 1")
-    pts = list(points)
-    if not pts:
-        return np.zeros(0, dtype=complex)
-    xs = np.array([p.x[0] for p in pts])
-    ys = np.array([p.y[0] for p in pts])
-    ts = np.array([p.t for p in pts])
-    order = int(max(k[0] for k in grid.multi_indices)) + 1
-    lam_max = float(np.max(np.abs(grid.lambda_nodes)))
-    gmax = np.sqrt(lam_max) * float(np.max(np.abs(xs), initial=0.0))
-    u, wq = _rule(_rule_size(gmax, 2 * order))
-    vals = np.zeros(len(pts), dtype=complex)
-    for q, lam in enumerate(grid.lambda_nodes):
-        alpha = np.sqrt(abs(lam))
-        beta = alpha * ys
-        gamma = np.sign(lam) * alpha * xs
-        hp = hermite_polynomial_table(order, u[None, :] + 0.5 * beta[:, None])
-        hm = hermite_polynomial_table(order, u[None, :] - 0.5 * beta[:, None])
-        osc = wq[None, :] * np.exp(1j * gamma[:, None] * u[None, :])
-        tr = np.einsum("kl,pil,pik,pi->p", F.coefficients[q], hp, hm, osc, optimize=True)
-        phase = np.exp(1j * lam * ts) * np.exp(0.5j * gamma * beta) \
-            * np.exp(-0.25 * beta * beta) * np.exp(-0.5j * lam * xs * ys)
-        vals += grid.weights[q] * phase * tr
-    return vals
+    nodes = list(zip(grid.lambda_nodes, grid.weights, F.coefficients))
+    # Tr[F M] = sum over (k, l) of F_kl M_lk
+    return np.array([sum(w * np.sum(c * representation_matrix(lam, g, len(c)).T)
+                         for lam, w, c in nodes) for g in points], dtype=complex)
 
 
 def calibrate_plancherel(reference: SpatialField, grid: ModeGrid) -> float:

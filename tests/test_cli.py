@@ -635,11 +635,9 @@ def test_abelian_run_rejects_non_gaussian_data(tmp_path, capsys):
 def test_manifest_records_run_metadata(tmp_path):
     cfg = write_config(tmp_path, LINEAR_CONFIG)
     out = tmp_path / "out"
-    assert main(["evolve-linear", "--config", cfg, "--out", str(out),
-                 "--threads", "4"]) == 0
+    assert main(["evolve-linear", "--config", cfg, "--out", str(out)]) == 0
     manifest = read_manifest(out)
     assert manifest["subcommand"] == "evolve-linear"
-    assert manifest["threads"] == 4
     assert manifest["tolerance_profile"] == "default"
     assert manifest["parameters"]["b"] == 2.0
     with open(cfg, "rb") as fh:

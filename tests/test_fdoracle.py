@@ -36,14 +36,16 @@ def box():
 
 def test_sublaplacian_exact_on_quadratic(box):
     f = from_function(box, lambda x, y, t: x * x + 0 * y + 0 * t)
-    lap = apply_sublaplacian(f).samples
+    lap = apply_sublaplacian(f.samples, box)
     assert np.allclose(lap[INTERIOR], 2.0, atol=1e-10)
 
 
 def test_sublaplacian_annihilates_constants(box):
-    f = SpatialField(box, np.full(box.shape, 3.7))
-    lap = apply_sublaplacian(f).samples
+    lap = apply_sublaplacian(np.full(box.shape, 3.7), box)
     assert np.allclose(lap[INTERIOR], 0.0, atol=1e-11)
+    # samples that would broadcast into the box are still the wrong shape
+    with pytest.raises(ValueError, match="does not match grid"):
+        apply_sublaplacian(np.full(box.shape[1:], 3.7), box)
 
 
 def test_sublaplacian_full_operator_on_polynomial(box):
@@ -56,7 +58,7 @@ def test_sublaplacian_full_operator_on_polynomial(box):
         # 2 + 4 + (x^2+y^2)/4 * 6 + x * (-2) - y * 1
         return 6.0 + 1.5 * (x * x + y * y) - 2.0 * x - y + 0 * t
 
-    lap = apply_sublaplacian(from_function(box, f)).samples
+    lap = apply_sublaplacian(from_function(box, f).samples, box)
     want = from_function(box, exact).samples
     assert np.allclose(lap[INTERIOR], want[INTERIOR], atol=1e-9)
 
@@ -81,7 +83,7 @@ def reference_sublaplacian(f, grid):
 def test_sublaplacian_matches_term_by_term_formula(box, rng):
     f = rng.standard_normal(box.shape) + 1j * rng.standard_normal(box.shape)
     want = reference_sublaplacian(f, box)
-    got = apply_sublaplacian(SpatialField(box, f)).samples
+    got = apply_sublaplacian(f, box)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -143,7 +145,7 @@ def stencil_data(shape, kind, rng):
 def test_sublaplacian_is_bitwise_the_slice_stencil(shape, kind, rng):
     grid = SpatialGrid((5.0, 5.0, 8.5), shape)
     f = stencil_data(shape, kind, rng)
-    got = apply_sublaplacian(SpatialField(grid, f)).samples
+    got = apply_sublaplacian(f, grid)
     assert got.tobytes() == slice_sublaplacian(f, grid).tobytes()
 
 
@@ -156,7 +158,7 @@ def test_sublaplacian_is_bitwise_the_slice_stencil_in_any_blocks(block, rng,
     grid = SpatialGrid((3.0, 2.0, 4.0), (40, 6, 5))
     for kind in ("complex", "faces"):
         f = stencil_data(grid.shape, kind, rng)
-        got = apply_sublaplacian(SpatialField(grid, f)).samples
+        got = apply_sublaplacian(f, grid)
         assert got.tobytes() == slice_sublaplacian(f, grid).tobytes()
 
 
@@ -174,7 +176,7 @@ def test_step_leapfrog_free_motion(box):
     # constant field, zero mass, zero damping: deep interior cells see a
     # vanishing stencil, so the update reduces to u_next = 2u - u_prev
     u = np.full(box.shape, 1.3)
-    lap = apply_sublaplacian(SpatialField(box, u)).samples
+    lap = apply_sublaplacian(u, box)
     nxt = step_leapfrog(u, u, 0.01, 0.0, 0.0, lap)
     inner = (slice(2, -2),) * 3
     assert np.allclose(nxt[inner], u[inner], atol=1e-12)
@@ -233,9 +235,8 @@ def test_fd_kernels_stay_within_their_scratch(synth_box, rng):
     # the slice stencil, the step and the energy as one-line formulas
     # measure 3.4, 3.0 and 2.0
     u, u_prev, lap, source = random_levels(synth_box.shape, rng)
-    field = SpatialField(synth_box, u)
     kernels = {
-        "stencil": (lambda: apply_sublaplacian(field), 3.0),
+        "stencil": (lambda: apply_sublaplacian(u, synth_box), 3.0),
         "step": (lambda: step_leapfrog(u, u_prev, 0.01, 2.0, 2.0, lap, source), 2.01),
         "energy": (lambda: staggered_energy(u, u_prev, 0.01, 2.0, synth_box, lap), 1.51),
     }
@@ -279,7 +280,7 @@ def test_staggered_energy_positive_for_small_steps():
     box = SpatialGrid((2.0, 2.0, 2.0), (16, 16, 16))
     u0, _ = gaussian_data(box, sigma=0.5)
     u = u0.samples
-    e = staggered_energy(u, u, 0.01, 0.5, box, apply_sublaplacian(u0).samples)
+    e = staggered_energy(u, u, 0.01, 0.5, box, apply_sublaplacian(u, box))
     assert e > 0
 
 
@@ -303,6 +304,16 @@ def test_run_leapfrog_bookkeeping():
     with pytest.raises(ValueError, match="different grids"):
         run_leapfrog(u0, SpatialField(other, np.zeros(other.shape)), dt, 5,
                      b=1.0, m=0.0)
+
+
+def test_run_leapfrog_rejects_an_unstable_step():
+    # three times the stability limit blows up: the L2 norm of level 120 is
+    # infinite long before the samples themselves overflow (near level 1000)
+    box = SpatialGrid((3.0, 3.0, 3.0), (8, 8, 8))
+    u0, v0 = gaussian_data(box)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="leapfrog level 120 "):
+            run_leapfrog(u0, v0, 3 * cfl_limit(box, 1.0), 200, b=0.5, m=0.5)
 
 
 @pytest.mark.parametrize("every", [-3, 0.5, 2.5, "2", None])
@@ -334,9 +345,9 @@ def test_run_leapfrog_applies_the_stencil_once_per_step(monkeypatch):
     u0, v0 = gaussian_data(box)
     calls = []
 
-    def counting(field):
+    def counting(u, grid):
         calls.append(1)
-        return apply_sublaplacian(field)
+        return apply_sublaplacian(u, grid)
 
     monkeypatch.setattr(fdoracle, "apply_sublaplacian", counting)
     run_leapfrog(u0, v0, cfl_limit(box, 0.35), 7, b=1.0, m=0.5)
@@ -353,16 +364,15 @@ def test_run_leapfrog_matches_steps_without_shared_stencil():
                        snapshot_every=4)
     # the same scheme with a stencil computed afresh for each of the two calls
     u = u0.samples.copy()
-    acc0 = (apply_sublaplacian(u0).samples - m * u - b * v0.samples
+    acc0 = (apply_sublaplacian(u, box) - m * u - b * v0.samples
             + source(0.0))
     u_prev = u - dt * v0.samples + 0.5 * dt * dt * acc0
     energy, snaps = [], [u.copy()]
     for j in range(steps):
-        u_next = step_leapfrog(u, u_prev, dt, b, m,
-                               apply_sublaplacian(SpatialField(box, u)).samples,
+        u_next = step_leapfrog(u, u_prev, dt, b, m, apply_sublaplacian(u, box),
                                source(j * dt))
         energy.append(staggered_energy(
-            u, u_next, dt, m, box, apply_sublaplacian(SpatialField(box, u)).samples))
+            u, u_next, dt, m, box, apply_sublaplacian(u, box)))
         u_prev, u = u, u_next
         if (j + 1) % 4 == 0 or j + 1 == steps:
             snaps.append(u.copy())
@@ -384,14 +394,14 @@ def test_run_leapfrog_matches_the_loop_that_wraps_twice_per_step():
                        snapshot_every=every)
     vol = box.cell_volume
     u = u0.samples.copy()
-    acc0 = (apply_sublaplacian(u0).samples - m * u - b * v0.samples
+    acc0 = (apply_sublaplacian(u, box) - m * u - b * v0.samples
             + source(0.0))
     u_prev = u - dt * v0.samples + 0.5 * dt * dt * acc0
     l2 = [np.sqrt(np.sum(np.abs(u) ** 2) * vol)]
     energy, snaps = [], [u.copy()]
     flux = SpatialField(box, u).boundary_decay()
     for j in range(steps):
-        lap = apply_sublaplacian(SpatialField(box, u)).samples
+        lap = apply_sublaplacian(u, box)
         u_next = step_leapfrog(u, u_prev, dt, b, m, lap, source(j * dt))
         energy.append(staggered_energy(u, u_next, dt, m, box, lap=lap))
         u_prev, u = u, u_next
@@ -420,8 +430,12 @@ def test_run_leapfrog_wraps_each_level_once(monkeypatch):
     monkeypatch.setattr(fdoracle, "SpatialField", counting)
     steps = 7
     run_leapfrog(u0, v0, cfl_limit(box, 0.35), steps, b=1.0, m=0.5)
-    # one wrap of each of the steps new levels, one of each stencil result
-    assert len(wraps) == 2 * steps
+    # the levels and the stencil results stay arrays
+    assert not wraps
+    # only a snapshot is wrapped; keeping every level wraps each one once
+    res = run_leapfrog(u0, v0, cfl_limit(box, 0.35), steps, b=1.0, m=0.5,
+                       snapshot_every=1)
+    assert len(wraps) == len(res.snapshots) == steps + 1
 
 
 def mms_error(shape_1d, b=1.5, m=0.8, t_end=0.4):

@@ -338,6 +338,12 @@ def test_verify_decay_passes_and_reports(grid):
         assert report.fitted_slope <= -0.95
         assert report.envelope_constant > 0
         assert report.tail_times.size == report.tail_lognorms.size >= 8
+        assert np.array_equal(np.log(report.norms[-report.tail_times.size:]),
+                              report.tail_lognorms)
+    # the H^0 series is the L^2 norm bit for bit, as the CLI's l2 column takes it
+    norms = propagator._Norms(u0, sym)
+    assert np.array_equal(verify_decay(traj, sym).norms,
+                          [norms.l2(f.coefficients) for f in traj.fields])
 
 
 def test_verify_decay_flags_slow_trajectory(grid):

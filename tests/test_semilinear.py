@@ -285,6 +285,28 @@ def test_general_nonlinearity_tuple_length(rng):
     assert recorded and set(recorded) == {1}
 
 
+# U[-1] is R^{1/4} u on the order-4 abelian symbol and u on H^1
+@pytest.mark.parametrize("nl", [
+    PowerNonlinearity(1.0, 2.0),
+    GeneralNonlinearity(lambda U: np.abs(U[0]) * U[-1]),
+], ids=["power", "general"])
+@pytest.mark.parametrize("backend", ["heisenberg", "abelian"])
+def test_model_nonlinearity_maps_zero_to_zero(backend, nl, calibrated_grid,
+                                              synth_box):
+    # zero coefficients take the full path: synthesis or inverse FFT, the
+    # pointwise map, analysis (the Heisenberg one signs some zeros negative)
+    if backend == "heisenberg":
+        zero, sym = SpectralField.zeros(calibrated_grid), SubLaplacianSymbol(1)
+    else:
+        grid = AbelianGrid((4.0,) * 3, (12, 12, 12))
+        zero = AbelianCoefficients(grid, np.zeros(grid.shape, dtype=complex))
+        sym = AbelianSymbol(np.ones(3), order=4, radial=True)
+    model = semilinear._make_model(zero, sym, 2.0, 1.0, synth_box)
+    c = model.unwrap(zero)
+    out = model.nonlinearity(c, nl)
+    assert out.shape == c.shape and out.dtype == c.dtype and not out.any()
+
+
 # --------------------------------------------------------------------------
 # Picard iteration
 
@@ -390,6 +412,19 @@ def test_picard_small_data_converges():
     report = verify_semilinear_decay(traj, 2.0, 1.0, sym)
     assert report.passed and not report.trivial
     assert all(s < 0 for s in report.slopes.values())
+
+
+def test_picard_from_rest_position_converges():
+    # u(0) = 0 with u_t(0) != 0: every sweep's first source is f(0)
+    grid, sym, u1, _ = abelian_setup(1e-3)
+    u0 = AbelianCoefficients(grid, np.zeros_like(u1.values))
+    cfg = ZNormConfig(delta=0.999 * decay_rate(2.0, 1.0),
+                      sample_times=tuple(np.linspace(0.0, 5.0, 21)))
+    traj, diag = picard_solve(u0, u1, PowerNonlinearity(1.0, 2.0),
+                              2.0, 1.0, sym, cfg, tol=1e-10)
+    assert diag.status is PicardStatus.CONVERGED and diag.iterations >= 2
+    assert not traj.fields[0].values.any()
+    assert traj.fields[-1].values.any()
 
 
 def test_picard_large_data_diverges():

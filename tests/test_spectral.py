@@ -32,6 +32,13 @@ def test_build_grid_validation():
         build_grid(0.1, 1.0, 7, 5.0)
 
 
+def test_build_grid_with_one_node_per_sign():
+    # the one node |lambda| = lambda_min carries the whole band
+    grid = build_grid(0.5, 2.0, 2, 5.0, n=2)
+    assert np.array_equal(grid.lambda_nodes, [-0.5, 0.5])
+    assert np.array_equal(grid.base_weights, [0.5 ** 2 * 1.5] * 2)
+
+
 def test_grid_nodes_symmetric_and_increasing(grid):
     nodes = grid.lambda_nodes
     assert nodes.size == 16

@@ -288,6 +288,19 @@ def test_plan_cache_clear_is_idempotent(calibrated_grid, synth_box):
     assert np.array_equal(before.coefficients, after.coefficients)
 
 
+def test_plan_cache_evicts_the_oldest_of_ten_plans():
+    from subwave import transform
+
+    clear_plan_cache()
+    grid = _sparse_grid()
+    boxes = [SpatialGrid((4.0, 3.5, 5.0 + i), (5, 5, 4)) for i in range(10)]
+    for box in boxes:
+        transform._plan(grid, box)
+    assert list(transform._PLAN_CACHE) == [(grid.stamp, box) for box in boxes[1:]]
+    clear_plan_cache()
+    assert not transform._PLAN_CACHE
+
+
 def test_calibration_rejects_degenerate_reference(calibrated_grid, synth_box):
     zero = SpatialField(synth_box, np.zeros(synth_box.shape))
     with pytest.raises(ValueError, match="zero norm"):
