@@ -21,8 +21,10 @@ G is the Fourier-Wigner transform of Hermite functions, in closed form
 Hermite and Laguerre Expansions, 1993): G~ = G e^{-i gamma beta/2} is a
 polynomial in z = (beta + i gamma)/sqrt(2) and conj(z) times exp(-|z|^2/2).
 For n = 1 the phase gamma beta/2 is lambda x y/2, so M(lambda, g) =
-e^{i lambda t} G~ and -lambda conjugates G~; the grid transforms run on
-exact G~ tables, one per |lambda| (`_TransformPlan`).  `representation_matrix`
+e^{i lambda t} G~ and -lambda conjugates G~.  The closed form also gives
+G~_{lk} = (-1)^{k+l} conj(G~_{kl}), with a real diagonal, so the grid
+transforms run on exact tables of the triangle k >= l, one per |lambda|
+(`_TransformPlan`), and read the rest by that symmetry.  `representation_matrix`
 integrates G with a Gauss-Hermite rule centred at beta/2 instead (`_g_block`),
 and `inverse_transform` sums its traces against F: one quadrature oracle,
 independent of the tables.
@@ -215,27 +217,38 @@ def representation_matrix(lam: float, g: GroupElement, K: int,
 
 def _closed_form_tables(alphas: np.ndarray, x: np.ndarray, y: np.ndarray,
                         K: int) -> np.ndarray:
-    """G~_{kl}(alpha y, alpha x) for k, l < K by the ladder recurrences.
+    """G~_{kl}(alpha y, alpha x) for l <= k < K by the ladder recurrences.
 
     With z = alpha (y + i x) / sqrt(2): G~_00 = exp(-|z|^2 / 2),
     G~_{k+1,0} = z G~_{k0} / sqrt(k+1) and
     G~_{k,l+1} = (sqrt(k) G~_{k-1,l} - conj(z) G~_{kl}) / sqrt(l+1).
-    Shape (K, K, len(alphas), len(x), len(y)): the (k, l) axes lead, so each
-    step of the recurrence runs over contiguous slabs.
+    The last reads only entries with k - 1 >= l, so the recurrence never
+    leaves the lower triangle k >= l.  The upper one follows from the closed
+    form sqrt(l!/k!) z^{k-l} L_l^{(k-l)}(|z|^2) e^{-|z|^2/2}:
+    G~_{lk} = (-1)^{k+l} conj(G~_{kl}), and the diagonal is real.
+    Shape (K(K+1)/2, len(alphas), len(x), len(y)), the triangle packed column
+    by column: column l holds k = l..K-1, the order of `np.triu_indices(K)`
+    read as (l, k).  The triangle axis leads, so each step of the recurrence
+    runs over contiguous slabs.
     """
     z = (alphas[:, None, None] / np.sqrt(2.0)) * (y[None, None, :] + 1j * x[None, :, None])
-    tab = np.empty((K, K) + z.shape, dtype=complex)
-    tab[0, 0] = np.exp(-0.5 * (z.real ** 2 + z.imag ** 2))
+    tab = np.empty((K * (K + 1) // 2,) + z.shape, dtype=complex)
+    tab[0] = np.exp(-0.5 * (z.real ** 2 + z.imag ** 2))
     for k in range(1, K):
-        np.multiply(z, tab[k - 1, 0], out=tab[k, 0])
-        tab[k, 0] *= 1.0 / np.sqrt(k)
-    minus_zbar = -z.conj()
-    root = np.sqrt(np.arange(1, K))[:, None, None, None]
+        np.multiply(z, tab[k - 1], out=tab[k])
+        tab[k] *= 1.0 / np.sqrt(k)
+    minus_zbar = np.negative(np.conjugate(z, out=z), out=z)  # z is done with
+    scratch = np.empty_like(z)
     for l in range(K - 1):
-        nxt = tab[:, l + 1]
-        np.multiply(minus_zbar, tab[:, l], out=nxt)
-        nxt[1:] += root * tab[:-1, l]
-        nxt *= 1.0 / np.sqrt(l + 1)
+        # (k, l) sits at base(l) + k, base(l) = l K - l (l + 1) / 2
+        col = l * K - l * (l + 1) // 2
+        nxt = col + K - l - 1
+        for k in range(l + 1, K):
+            out = tab[nxt + k]
+            np.multiply(minus_zbar, tab[col + k], out=out)
+            np.multiply(np.sqrt(k), tab[col + k - 1], out=scratch)
+            out += scratch
+            out *= 1.0 / np.sqrt(l + 1)
     return tab
 
 
@@ -247,37 +260,75 @@ class _TransformPlan:
     G~_{kl}(sqrt|lambda| y, sign(lambda) sqrt|lambda| x), where G~ is the
     closed-form Fourier-Wigner transform of Hermite functions (Folland 1989;
     Thangavelu 1993) of `_closed_form_tables`.  -lambda conjugates G~, so
-    the nodes +-lambda share one complex table: `table[p]` is the
-    (K^2, Nx*Ny) matrix of the p-th |lambda|, rows (k, l), columns (x, y).
-    The set holds (|lambda| count) * Nx * Ny * K^2 * 16 bytes and no
-    quadrature rule.  Node q reads `table[group[q]]`, conjugated when
-    column[q] is 1 (lambda < 0).
+    the nodes +-lambda share one table, and G~_{lk} = (-1)^{k+l}
+    conj(G~_{kl}) leaves only the triangle k >= l to store: `table[p]` is
+    the (K(K+1)/2, Nx*Ny) matrix of the p-th |lambda|, rows (k, l) with
+    k >= l in the packing of `_closed_form_tables`, columns (x, y).  The set
+    holds (|lambda| count) * K(K+1)/2 * Nx * Ny * 16 bytes and no quadrature
+    rule.  Node q reads `table[group[q]]`; column[q] is 1 when lambda < 0.
+
+    A K x K block enters as two triangle vectors (`fold`): lo_{kl} = F_{lk}
+    pairs with the stored G~_{kl}, up_{kl} = (-1)^{k+l} F_{kl} with the
+    mirrored G~_{lk}.  At +lambda G~ is the table on lo and its conjugate on
+    up; at -lambda the other way round.
     """
 
     def __init__(self, grid: ModeGrid, spatial: SpatialGrid):
         if grid.n != 1:
             raise NotImplementedError("grid transforms are implemented for n = 1")
-        self.order = K = int(max(k[0] for k in grid.multi_indices)) + 1
+        self.order = K = grid.block_size
         absl, self.group = np.unique(np.abs(grid.lambda_nodes), return_inverse=True)
         self.column = (grid.lambda_nodes < 0).astype(int)
+        self.slot = 2 * self.group + self.column
+        l, k = np.triu_indices(K)
+        self.lower = (k, l)
+        self.sign = np.where(k > l, (-1.0) ** (k + l), 0.0)
         x, y, _ = spatial.axes
         tab = _closed_form_tables(np.sqrt(absl), x, y, K)
-        self.table = tab.reshape(K * K, absl.size, -1).transpose(1, 0, 2)
+        self.table = tab.reshape(k.size, absl.size, -1).transpose(1, 0, 2)
 
-    def pair(self, vectors: np.ndarray) -> np.ndarray:
-        """Stack per-node vectors (Q, m) as (|lambda| count, m, 2), node q in
-        column column[q] of its group, conjugated when lambda < 0; a missing
-        mirror stays zero."""
-        out = np.zeros((self.table.shape[0], vectors.shape[1], 2), dtype=complex)
-        out[self.group, :, self.column] = vectors
-        out[..., 1] = out[..., 1].conj()
+    def fold(self, blocks: np.ndarray):
+        """The (lo, up) triangle vectors, each (Q, K(K+1)/2), of the (Q, K, K)
+        blocks; up is zero on the diagonal."""
+        k, l = self.lower
+        return blocks[:, l, k], self.sign * blocks[:, k, l]
+
+    def unfold(self, lo: np.ndarray, up: np.ndarray) -> np.ndarray:
+        """Inverse of `fold`: the (Q, K, K) blocks, the diagonal from lo."""
+        k, l = self.lower
+        blocks = np.empty((lo.shape[0], self.order, self.order), dtype=complex)
+        blocks[:, k, l] = self.sign * up
+        blocks[:, l, k] = lo
+        return blocks
+
+    def pair(self, lo: np.ndarray, up: np.ndarray) -> np.ndarray:
+        """Stack per-node vectors lo, up (Q, m) as (|lambda| count, 4, m):
+        slots 0 and 1 take +lambda's lo and conj(up), slots 2 and 3 take
+        -lambda's up and conj(lo), so that each node's slots pair with the
+        table and its conjugate; a missing mirror stays zero."""
+        out = np.zeros((self.table.shape[0], 4, lo.shape[1]), dtype=complex)
+        out[self.group, 3 * self.column] = lo
+        out[self.group, 1 + self.column] = up
+        odd = out[:, 1::2]
+        np.conjugate(odd, out=odd)
         return out
 
-    def unpair(self, stacked: np.ndarray) -> np.ndarray:
-        """Inverse of `pair`: the (Q, m) per-node vectors of stacked."""
-        return np.where(self.column[:, None] == 1,
-                        stacked[self.group, :, 1].conj(),
-                        stacked[self.group, :, 0])
+    def unpair(self, stacked: np.ndarray):
+        """Inverse of `pair`, conjugating the odd slots of stacked in place:
+        the per-node (lo, up), each (Q, m)."""
+        odd = stacked[:, 1::2]
+        np.conjugate(odd, out=odd)
+        return stacked[self.group, 3 * self.column], stacked[self.group, 1 + self.column]
+
+    def merge(self, stacked: np.ndarray) -> np.ndarray:
+        """lo + up of `unpair` without gathering the nodes: a (2 |lambda|
+        count, m) view of stacked, which it overwrites, with node q in row
+        slot[q] and a missing mirror's row zero."""
+        halves = stacked.reshape(-1, 2, stacked.shape[-1])
+        direct, conjugated = halves[:, 0], halves[:, 1]
+        np.conjugate(conjugated, out=conjugated)
+        direct += conjugated
+        return direct
 
 
 _PLAN_CACHE: dict = {}
@@ -307,11 +358,14 @@ def forward_transform(f: SpatialField, grid: ModeGrid,
 
     The trapezoid sum of f(g) conj(M(lambda, g)_{lk}) over the grid with the
     plan's exact coefficients: the t axis first, one Fourier factor per
-    node, then one batched complex matmul of the |lambda| tables against the
-    paired (+lambda, conjugated -lambda) columns.  `representation_matrix`
-    gives the same entries by quadrature, independently of the tables.
-    Warns when f fails the boundary-decay precondition; pass boundary_tol=None
-    when the caller has already vetted the box.
+    node, then one batched complex matmul of the |lambda| triangle tables
+    against four paired columns per |lambda| (each node's t-transform and
+    its conjugate, so that the stored G~_{kl} and the mirrored
+    G~_{lk} = (-1)^{k+l} conj(G~_{kl}) both come out).
+    `representation_matrix` gives the same entries by quadrature,
+    independently of the tables.  Warns when f fails the boundary-decay
+    precondition; pass boundary_tol=None when the caller has already vetted
+    the box.
     """
     if boundary_tol is not None:
         decay = f.boundary_decay()
@@ -322,32 +376,33 @@ def forward_transform(f: SpatialField, grid: ModeGrid,
                 stacklevel=2,
             )
     plan = _plan(grid, f.grid)
-    K = plan.order
     fw = f.samples * f.grid.weight_cube()
     char = np.exp(-1j * np.outer(f.grid.axis(2), grid.lambda_nodes))
     ft = np.tensordot(fw, char, axes=([2], [0])).reshape(-1, grid.node_count)
-    # sum_g ft conj(G~) = conj(table @ conj(ft)); at -lambda the table is conj(G~)
-    rows = plan.unpair(plan.table @ plan.pair(ft.T.conj())).conj()
-    # rows run over (l, k): f_hat_{kl} pairs with G~_{lk}
-    return SpectralField(grid, rows.reshape(-1, K, K).transpose(0, 2, 1))
+    # conj(f_hat_{kl}) = sum_g M_{lk} conj(ft), the synthesis' pairing of M
+    # run backwards: the matmul gives the (lo, up) triangles of conj(f_hat)
+    ftc = np.conjugate(ft, out=ft).T
+    stacked = plan.table @ plan.pair(ftc, ftc).transpose(0, 2, 1)
+    lo, up = plan.unpair(stacked.transpose(0, 2, 1))
+    return SpectralField(grid, plan.unfold(lo, up).conj())
 
 
 def synthesize_on_grid(F: SpectralField, spatial: SpatialGrid) -> SpatialField:
     """Inverse transform sampled on a full spatial grid.
 
     Sum over lambda nodes of weight * Tr[F(lambda) M(lambda, g)] with the
-    calibrated grid weights.  One batched complex matmul of the transposed
-    |lambda| tables against the paired (F(+lambda), conj F(-lambda))
-    columns gives every node's (x, y) slab, and one matmul the t axis.
-    `inverse_transform` evaluates the same sum pointwise by quadrature.
+    calibrated grid weights.  Tr[F G~] is the folded triangle of F against
+    the stored G~_{kl} and their mirrors G~_{lk} = (-1)^{k+l} conj(G~_{kl}):
+    one batched complex matmul of four paired rows per |lambda| against the
+    triangle tables gives every node's (x, y) slab, and one matmul the t
+    axis.  `inverse_transform` evaluates the same sum pointwise by quadrature.
     """
     grid = F.grid
     plan = _plan(grid, spatial)
-    K = plan.order
-    # Tr[F G~] = sum over (l, k) of G~_{lk} F_{kl}
-    cols = F.coefficients.transpose(0, 2, 1).reshape(-1, K * K)
-    slabs = plan.unpair(plan.table.transpose(0, 2, 1) @ plan.pair(cols))
-    char = np.exp(1j * np.outer(grid.lambda_nodes, spatial.axis(2))) * grid.weights[:, None]
+    slabs = plan.merge(plan.pair(*plan.fold(F.coefficients)) @ plan.table)
+    char = np.zeros((slabs.shape[0], spatial.shape[2]), dtype=complex)
+    char[plan.slot] = (np.exp(1j * np.outer(grid.lambda_nodes, spatial.axis(2)))
+                       * grid.weights[:, None])
     samples = slabs.T @ char
     return SpatialField(spatial, samples.reshape(spatial.shape))
 

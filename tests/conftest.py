@@ -5,6 +5,8 @@ The pair is deliberately modest (24 lambda nodes, 8 Hermite levels, a
 the production-sized configurations.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,18 @@ def packet(carrier=1.6, sigma_xy=0.8, sigma_tau=1.35, scale=1.0):
         return scale * np.cos(carrier * t) * env
 
     return fn
+
+
+def traced_peak(fn):
+    """(result of fn(), tracemalloc peak in bytes above the start)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -354,37 +354,10 @@ def test_run_leapfrog_applies_the_stencil_once_per_step(monkeypatch):
     assert len(calls) == 7
 
 
-def test_run_leapfrog_matches_steps_without_shared_stencil():
-    box = SpatialGrid((3.0, 3.0, 3.0), (16, 14, 12))
-    b, m = 1.5, 0.8
-    solution, velocity, source = mms_fields(box, b, m, sigma=0.8)
-    u0, v0 = SpatialField(box, solution(0.0)), SpatialField(box, velocity(0.0))
-    dt, steps = cfl_limit(box, 0.35), 9
-    res = run_leapfrog(u0, v0, dt, steps, b, m, source_fn=source,
-                       snapshot_every=4)
-    # the same scheme with a stencil computed afresh for each of the two calls
-    u = u0.samples.copy()
-    acc0 = (apply_sublaplacian(u, box) - m * u - b * v0.samples
-            + source(0.0))
-    u_prev = u - dt * v0.samples + 0.5 * dt * dt * acc0
-    energy, snaps = [], [u.copy()]
-    for j in range(steps):
-        u_next = step_leapfrog(u, u_prev, dt, b, m, apply_sublaplacian(u, box),
-                               source(j * dt))
-        energy.append(staggered_energy(
-            u, u_next, dt, m, box, apply_sublaplacian(u, box)))
-        u_prev, u = u, u_next
-        if (j + 1) % 4 == 0 or j + 1 == steps:
-            snaps.append(u.copy())
-    assert np.array_equal(res.energy_history, np.array(energy))
-    assert len(res.snapshots) == len(snaps)
-    for got, want in zip(res.snapshots, snaps):
-        assert np.array_equal(got.samples, want)
-
-
-def test_run_leapfrog_matches_the_loop_that_wraps_twice_per_step():
-    # the loop as it stood when every step wrapped u for the stencil and
-    # again for boundary_decay, and formed |u| for each of L2 and the flux
+def assert_matches_written_out_loop(share_stencil):
+    """run_leapfrog against the scheme written out, with every level wrapped
+    for boundary_decay and |u| formed for each of L2 and the flux; the step
+    and the energy share one stencil, or each computes it afresh."""
     box = SpatialGrid((3.0, 3.0, 3.0), (16, 14, 12))
     b, m = 1.5, 0.8
     solution, velocity, source = mms_fields(box, b, m, sigma=0.8)
@@ -403,7 +376,9 @@ def test_run_leapfrog_matches_the_loop_that_wraps_twice_per_step():
     for j in range(steps):
         lap = apply_sublaplacian(u, box)
         u_next = step_leapfrog(u, u_prev, dt, b, m, lap, source(j * dt))
-        energy.append(staggered_energy(u, u_next, dt, m, box, lap=lap))
+        if not share_stencil:
+            lap = apply_sublaplacian(u, box)
+        energy.append(staggered_energy(u, u_next, dt, m, box, lap))
         u_prev, u = u, u_next
         l2.append(np.sqrt(np.sum(np.abs(u) ** 2) * vol))
         flux = max(flux, SpatialField(box, u).boundary_decay())
@@ -416,6 +391,14 @@ def test_run_leapfrog_matches_the_loop_that_wraps_twice_per_step():
     assert len(res.snapshots) == len(snaps)
     for got, want in zip(res.snapshots, snaps):
         assert np.array_equal(got.samples, want)
+
+
+def test_run_leapfrog_matches_steps_without_shared_stencil():
+    assert_matches_written_out_loop(share_stencil=False)
+
+
+def test_run_leapfrog_matches_the_loop_that_wraps_twice_per_step():
+    assert_matches_written_out_loop(share_stencil=True)
 
 
 def test_run_leapfrog_wraps_each_level_once(monkeypatch):

@@ -1,6 +1,5 @@
 """Nonlinearity plumbing, Z norms, Duhamel quadrature, and Picard iteration."""
 
-import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -43,7 +42,7 @@ from subwave.spectral import (
 from subwave.transform import (SpatialGrid, calibrate_plancherel,
                               forward_transform, from_function)
 
-from conftest import packet
+from conftest import packet, traced_peak
 
 
 # --------------------------------------------------------------------------
@@ -631,18 +630,6 @@ def test_recursive_picard_matches_the_closed_form_linear_part(nl, H):
     for got, want in resolved:
         assert got == pytest.approx(want, rel=2.5e-6)
     assert diag.quadrature_error == pytest.approx(quad, rel=1e-12, abs=0)
-
-
-def traced_peak(fn):
-    """(result of fn(), tracemalloc peak in bytes above the start)."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = fn()
-        return out, tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("H", [41, 81])

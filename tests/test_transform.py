@@ -25,7 +25,7 @@ from subwave.transform import (
     synthesize_on_grid,
 )
 
-from conftest import packet
+from conftest import packet, traced_peak
 
 
 def test_spatial_grid_basics():
@@ -234,19 +234,71 @@ def test_forward_matches_quadrature_on_an_asymmetric_field():
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+# x carries gamma and y beta: both signs and |beta|, |gamma| up to 12.3
+TABLE_X = np.array([-12.3, -7.1, -2.2, -0.4, 0.0, 1.3, 5.6, 12.3])
+TABLE_Y = np.array([-12.3, -3.3, -0.9, 0.0, 0.7, 4.4, 9.8, 12.3])
+
+
+def g_tilde_by_quadrature(K):
+    """G~ = G exp(-i gamma beta / 2) at every (gamma, beta) = (x, y) point,
+    shape (len(x), len(y), K, K), from the Gauss-Hermite `_g_block` alone."""
+    rule = _rule(_rule_size(12.3, 2 * K))
+    return np.array([[_g_block(beta, gamma, K, K, rule) * np.exp(-0.5j * gamma * beta)
+                      for beta in TABLE_Y] for gamma in TABLE_X])
+
+
 @pytest.mark.parametrize("K, bound", [(8, 1e-13), (16, 1e-10)])
 def test_closed_form_tables_match_quadrature(K, bound):
-    # x carries gamma and y beta: both signs and |beta|, |gamma| up to 12.3
-    x = np.array([-12.3, -7.1, -2.2, -0.4, 0.0, 1.3, 5.6, 12.3])
-    y = np.array([-12.3, -3.3, -0.9, 0.0, 0.7, 4.4, 9.8, 12.3])
-    tab = _closed_form_tables(np.array([1.0]), x, y, K)[:, :, 0]
-    rule = _rule(_rule_size(12.3, 2 * K))
-    err = 0.0
-    for i, gamma in enumerate(x):
-        for j, beta in enumerate(y):
-            ref = _g_block(beta, gamma, K, K, rule) * np.exp(-0.5j * gamma * beta)
-            err = max(err, np.max(np.abs(tab[:, :, i, j] - ref)))
-    assert err <= bound
+    # the packed triangle k >= l: column l holds k = l..K-1
+    tab = _closed_form_tables(np.array([1.0]), TABLE_X, TABLE_Y, K)[:, 0]
+    l, k = np.triu_indices(K)
+    assert tab.shape == (k.size, TABLE_X.size, TABLE_Y.size)
+    ref = np.moveaxis(g_tilde_by_quadrature(K)[:, :, k, l], -1, 0)
+    assert np.max(np.abs(tab - ref)) <= bound
+
+
+@pytest.mark.parametrize("K", [8, 16])
+def test_fourier_wigner_blocks_mirror_across_the_diagonal(K):
+    # G~_{lk} = (-1)^{k+l} conj(G~_{kl}) with a real diagonal, the identity
+    # that lets the plan store the triangle alone; the quadrature meets it
+    # to 7e-16
+    g = g_tilde_by_quadrature(K)
+    idx = np.arange(K)
+    sign = (-1.0) ** (idx[:, None] + idx[None, :])
+    assert np.max(np.abs(g.swapaxes(2, 3) - sign * g.conj())) <= 1e-14
+    assert np.max(np.abs(np.diagonal(g, axis1=2, axis2=3).imag)) <= 1e-14
+
+
+def test_plan_builds_and_holds_only_the_triangle(calibrated_grid, synth_box):
+    # K(K+1)/2 rows per |lambda|; the build's scratch is a few (|lambda|,
+    # Nx, Ny) slabs (2.5 measured), never the K^2 rows of the full table
+    from subwave import transform
+
+    K = calibrated_grid.block_size
+    groups = np.unique(np.abs(calibrated_grid.lambda_nodes)).size
+    nx, ny, _ = synth_box.shape
+    slab = groups * nx * ny * 16
+    plan, peak = traced_peak(lambda: transform._TransformPlan(calibrated_grid, synth_box))
+    assert plan.table.nbytes == groups * K * (K + 1) // 2 * nx * ny * 16
+    assert peak <= plan.table.nbytes + 3 * slab
+
+
+def test_grid_transforms_allocate_a_few_boxes(calibrated_grid, synth_box, rng):
+    # with the plan built, a call holds the (|lambda|, 4, Nx Ny) stack of its
+    # one batched matmul, the result and, forward, the weighted samples and
+    # their t-transform, each about one box at 24 nodes on 48 t points:
+    # 2.1 boxes measured for a synthesis, 2.8 for a forward transform
+    from subwave import transform
+
+    transform._plan(calibrated_grid, synth_box)
+    c = (rng.standard_normal(calibrated_grid.field_shape())
+         + 1j * rng.standard_normal(calibrated_grid.field_shape()))
+    F = SpectralField(calibrated_grid, c)
+    f, synth_peak = traced_peak(lambda: synthesize_on_grid(F, synth_box))
+    _, forward_peak = traced_peak(
+        lambda: forward_transform(f, calibrated_grid, boundary_tol=None))
+    assert synth_peak <= 2.5 * f.samples.nbytes
+    assert forward_peak <= 3.0 * f.samples.nbytes
 
 
 def test_grid_transforms_do_not_touch_quadrature(monkeypatch, rng):
