@@ -68,7 +68,6 @@ from .fdoracle import (
     cfl_limit,
     step_leapfrog,
     run_leapfrog,
-    staggered_energy,
     compare_with_spectral,
     mms_fields,
 )

@@ -7,10 +7,13 @@ of H^1,
 
 with second-order centered stencils and zero Dirichlet closure outside the
 box, and advances u'' + b u' + m u = L u + source with a damped leapfrog.
-The stencil, step and energy work on sample arrays: the stencil reads
+The stencil and the step work on sample arrays.  The stencil reads
 contiguous shifts of one flat zero-padded buffer, block by cache-sized block,
-and the step and energy work in place; all three give the bits of their
-textbook formulas (see apply_sublaplacian).  Everything here is deliberately
+and gives the bits of its slice form (see apply_sublaplacian).  The step is
+the scheme's increment form: one in-place kernel writes the next level over
+the retired one and takes the staggered energy from two dot products, so it
+agrees with the textbook update and energy to rounding, not bit for bit
+(see step_leapfrog).  Everything here is deliberately
 independent of the spectral machinery: no Hermite functions, no
 representation matrices; the only shared object is the spatial grid container.
 """
@@ -29,7 +32,6 @@ __all__ = [
     "step_leapfrog",
     "run_leapfrog",
     "LeapfrogResult",
-    "staggered_energy",
     "compare_with_spectral",
     "ComparisonReport",
     "mms_fields",
@@ -110,24 +112,46 @@ def cfl_limit(grid: SpatialGrid, safety: float = 0.4) -> float:
 
 
 def step_leapfrog(u: np.ndarray, u_prev: np.ndarray, dt: float, b: float,
-                  m: float, lap: np.ndarray, source=None) -> np.ndarray:
-    """One damped leapfrog step at time level j -> j+1.
+                  m: float, lap: np.ndarray, vol: float, source=None,
+                  scratch: np.ndarray | None = None) -> float:
+    """One damped leapfrog step at time level j -> j+1, in increment form.
 
-    u_next = [2u - (1 - b dt/2) u_prev + dt^2 (L u - m u + source)] / (1 + b dt/2)
+    d = u_next - u = [c1 (u - u_prev) + r + dt^2 source] / (1 + b dt/2),
+    c1 = 1 - b dt/2, r = dt^2 (L u - m u);
 
-    lap must hold the stencil L u, as apply_sublaplacian returns it.
-    The formula runs in its own order, in place in the result and one
-    scratch array, both of the inputs' np.result_type.
+    this is u_next = [2u - c1 u_prev + dt^2 (L u - m u + source)] / (1 + b dt/2)
+    rearranged.  lap must hold the stencil L u, as apply_sublaplacian returns
+    it, and vol is the cell volume.  u_next is written over the retired level
+    u_prev, whose dtype must be np.result_type of the inputs (TypeError
+    otherwise).  Returns the step's staggered energy, conserved by the
+    undamped scheme and strictly dissipated for b > 0 under the CFL bound,
+
+        E = 1/2 ||d/dt||^2 + 1/2 Re <(m - L) u, u_next>,
+
+    from the dot products <d, d>, taken before u is added to d, and <r, u_next>;
+    the source kicks d alone and never enters the potential term.  r lives
+    in scratch (same shape and dtype as u_prev), or in one fresh array when
+    scratch is None; a source costs one more array for its dt^2 kick.
     """
     dtype = np.result_type(u, u_prev, lap, 0.0 if source is None else source)
-    tmp = np.multiply(u_prev, 1.0 - 0.5 * b * dt, out=np.empty(u.shape, dtype))
-    out = np.multiply(u, 2.0, out=np.empty(u.shape, dtype))
-    out -= tmp
-    rhs = np.subtract(lap, np.multiply(u, m, out=tmp), out=tmp)
+    r = np.empty_like(u_prev) if scratch is None else scratch
+    if u_prev.dtype != dtype or r.dtype != dtype or r.shape != u_prev.shape:
+        raise TypeError(f"the retired level and the scratch must be {dtype} arrays "
+                        f"of shape {np.shape(u)}")
+    dt2 = dt * dt
+    np.multiply(u, m, out=r)
+    np.subtract(lap, r, out=r)
+    r *= dt2
+    d = np.subtract(u, u_prev, out=u_prev)
+    d *= 1.0 - 0.5 * b * dt
+    d += r
     if source is not None:
-        rhs += source
-    out += np.multiply(rhs, dt * dt, out=rhs)
-    return np.divide(out, 1.0 + 0.5 * b * dt, out=out)
+        d += np.multiply(source, dt2)
+    d /= 1.0 + 0.5 * b * dt
+    kin = np.vdot(d, d).real
+    d += u
+    pot = np.vdot(r, d).real
+    return float((0.5 * vol / dt2) * (kin - pot))
 
 
 @dataclass
@@ -140,26 +164,6 @@ class LeapfrogResult:
     boundary_flux: float
 
 
-def staggered_energy(u: np.ndarray, u_next: np.ndarray, dt: float, m: float,
-                     grid: SpatialGrid, lap: np.ndarray) -> float:
-    """Staggered discrete energy conserved by the undamped leapfrog.
-
-    E = 1/2 ||(u_next - u)/dt||^2 + 1/2 <(-L + m) u, u_next>; the stencil is
-    symmetric so this is the exact conserved quantity at b = 0 and strictly
-    dissipated for b > 0 under the CFL bound.  lap must hold the stencil L u,
-    as passed to the step_leapfrog call that made u_next.  Each term holds
-    one array at a time besides the moduli: NumPy elides the temporaries of
-    the kinetic term, and the potential one is formed in place.
-    """
-    vol = grid.cell_volume
-    kin = 0.5 * np.sum(np.abs((u_next - u) / dt) ** 2) * vol
-    w = m * u - lap  # -lap + m u, bit for bit
-    w = np.multiply(np.conjugate(w, out=w), u_next,
-                    out=w if w.dtype == np.result_type(w, u_next) else None)
-    pot = 0.5 * np.real(np.sum(w)) * vol
-    return float(kin + pot)
-
-
 def run_leapfrog(u0: SpatialField, v0: SpatialField, dt: float, steps: int,
                  b: float, m: float, source_fn=None, snapshot_every: int = 0) -> LeapfrogResult:
     """Advance the damped leapfrog from data (u0, v0).
@@ -168,13 +172,16 @@ def run_leapfrog(u0: SpatialField, v0: SpatialField, dt: float, steps: int,
     level is built from a second-order Taylor expansion so the scheme keeps
     its global order.  Boundary flux is monitored as the largest boundary
     magnitude seen relative to the global max, to flag Dirichlet pollution.
-    Each step applies the stencil once and hands it to both step_leapfrog
-    and staggered_energy; the first step reuses the stencil of the Taylor
-    start, so there are `steps` stencil applications in all.  Each new
-    level's magnitudes feed both the L2 history and the boundary flux; a
-    level whose L2 norm is not finite (dt too large) raises ValueError.  Only
-    snapshots become SpatialFields: snapshot_every = k > 0 keeps level 0,
-    every k-th level and the last one; 0 keeps none.
+    The run holds two complex levels, the stencil, one scratch array for
+    step_leapfrog and one of magnitudes, whatever the step count.  Each step
+    applies the stencil once and calls step_leapfrog once, which writes the
+    next level over the retired one and returns the staggered energy; the
+    first step reuses the stencil of the Taylor start, so there are `steps`
+    stencil applications in all.  Each level's L2 norm comes from <u, u>,
+    and a level whose L2 norm is not finite (dt too large) raises
+    ValueError; its magnitudes, formed in place, feed the boundary flux.
+    Only snapshots become SpatialFields: snapshot_every = k > 0 keeps level
+    0, every k-th level and the last one; 0 keeps none.
     """
     grid = u0.grid
     if v0.grid != grid:
@@ -183,7 +190,8 @@ def run_leapfrog(u0: SpatialField, v0: SpatialField, dt: float, steps: int,
         raise ValueError("need dt > 0 and steps >= 1")
     if not isinstance(snapshot_every, (int, np.integer)) or snapshot_every < 0:
         raise ValueError("snapshot_every must be a non-negative integer")
-    u = u0.samples.copy()
+    # complex, as the two levels trade roles every step
+    u = u0.samples.astype(complex)
     src0 = source_fn(0.0) if source_fn is not None else None
     lap = apply_sublaplacian(u, grid)
     acc0 = lap - m * u - b * v0.samples + (src0 if src0 is not None else 0.0)
@@ -193,8 +201,9 @@ def run_leapfrog(u0: SpatialField, v0: SpatialField, dt: float, steps: int,
     l2 = np.empty(steps + 1)
     energy = np.empty(steps)
     vol = grid.cell_volume
+    r = np.empty_like(u)
     mag = np.abs(u)
-    l2[0] = np.sqrt(np.sum(mag ** 2) * vol)
+    l2[0] = np.sqrt(np.vdot(u, u).real * vol)
     snaps = [SpatialField(grid, u.copy())] if snapshot_every else []
     kept = [0] if snapshot_every else []
     flux = _boundary_ratio(mag)
@@ -203,14 +212,12 @@ def run_leapfrog(u0: SpatialField, v0: SpatialField, dt: float, steps: int,
         src = source_fn(t_j) if source_fn is not None else None
         if j:
             lap = apply_sublaplacian(u, grid)
-        u_next = step_leapfrog(u, u_prev, dt, b, m, lap, src)
-        energy[j] = staggered_energy(u, u_next, dt, m, grid, lap)
-        u_prev, u = u, u_next
-        mag = np.abs(u)
-        l2[j + 1] = np.sqrt(np.sum(mag ** 2) * vol)
+        energy[j] = step_leapfrog(u, u_prev, dt, b, m, lap, vol, src, r)
+        u_prev, u = u, u_prev
+        l2[j + 1] = np.sqrt(np.vdot(u, u).real * vol)
         if not np.isfinite(l2[j + 1]):
             raise ValueError(f"leapfrog level {j + 1} has a non-finite L2 norm")
-        flux = max(flux, _boundary_ratio(mag))
+        flux = max(flux, _boundary_ratio(np.abs(u, out=mag)))
         if snapshot_every and ((j + 1) % snapshot_every == 0 or j + 1 == steps):
             snaps.append(SpatialField(grid, u.copy()))
             kept.append(j + 1)

@@ -5,8 +5,6 @@ second differences and centered mixed differences are exact; only interior
 cells are compared because the scheme truncates with a Dirichlet ring.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -19,12 +17,13 @@ from subwave.fdoracle import (
     compare_with_spectral,
     mms_fields,
     run_leapfrog,
-    staggered_energy,
     step_leapfrog,
 )
 from subwave.propagator import LinearTrajectory
 from subwave.spectral import SpectralField
 from subwave.transform import SpatialField, SpatialGrid, from_function
+
+from conftest import traced_peak
 
 INTERIOR = (slice(1, -1),) * 3
 
@@ -177,7 +176,8 @@ def test_step_leapfrog_free_motion(box):
     # vanishing stencil, so the update reduces to u_next = 2u - u_prev
     u = np.full(box.shape, 1.3)
     lap = apply_sublaplacian(u, box)
-    nxt = step_leapfrog(u, u, 0.01, 0.0, 0.0, lap)
+    nxt = u.astype(complex)
+    step_leapfrog(u, nxt, 0.01, 0.0, 0.0, lap, box.cell_volume)
     inner = (slice(2, -2),) * 3
     assert np.allclose(nxt[inner], u[inner], atol=1e-12)
 
@@ -190,11 +190,24 @@ def leapfrog_formula(u, u_prev, dt, b, m, lap, source=None):
     return (2.0 * u - (1.0 - 0.5 * b * dt) * u_prev + dt * dt * rhs) / denom
 
 
-def energy_formula(u, u_next, dt, m, grid, lap):
-    vol = grid.cell_volume
+def energy_formula(u, u_next, dt, m, vol, lap):
     kin = 0.5 * np.sum(np.abs((u_next - u) / dt) ** 2) * vol
     pot = 0.5 * np.real(np.sum(np.conj(-lap + m * u) * u_next)) * vol
     return float(kin + pot)
+
+
+def kernel_formula(u, u_prev, dt, b, m, lap, vol, source=None):
+    """step_leapfrog's increment form, one operation at a time, out of place:
+    (u_next, staggered energy)."""
+    dt2 = dt * dt
+    r = (lap - u * m) * dt2
+    d = (u - u_prev) * (1.0 - 0.5 * b * dt) + r
+    if source is not None:
+        d = d + source * dt2
+    d = d / (1.0 + 0.5 * b * dt)
+    u_next = d + u
+    pot = np.vdot(r, u_next).real
+    return u_next, float((0.5 * vol / dt2) * (np.vdot(d, d).real - pot))
 
 
 def random_levels(shape, rng):
@@ -202,52 +215,72 @@ def random_levels(shape, rng):
             for _ in range(4)]
 
 
+def kernel_levels(levels, shape, rng):
+    """u, u_prev, lap, source; "real-u" and "real-lap" make that input real,
+    "real" makes all four real, so the next level is real too."""
+    u, u_prev, lap, source = random_levels(shape, rng)
+    if levels in ("real-u", "real"):
+        u = u.real.copy()
+    if levels in ("real-lap", "real"):
+        lap = lap.real.copy()
+    if levels == "real":
+        u_prev, source = u_prev.real.copy(), source.real.copy()
+    return u, u_prev, lap, source
+
+
 @pytest.mark.parametrize("levels", ["complex", "real-u", "real"])
 @pytest.mark.parametrize("with_source", [False, True])
 def test_step_leapfrog_is_bitwise_the_formula(levels, with_source, box, rng):
-    u, u_prev, lap, source = random_levels(box.shape, rng)
-    if levels != "complex":
-        u = u.real.copy()
-    if levels == "real":
-        u_prev = u_prev.real.copy()
+    u, u_prev, lap, source = kernel_levels(levels, box.shape, rng)
     source = source if with_source else None
-    got = step_leapfrog(u, u_prev, 0.013, 2.0, 2.0, lap, source)
-    want = leapfrog_formula(u, u_prev, 0.013, 2.0, 2.0, lap, source)
-    assert got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
+    want, energy = kernel_formula(u, u_prev, 0.013, 2.0, 2.0, lap,
+                                  box.cell_volume, source)
+    got = step_leapfrog(u, u_prev, 0.013, 2.0, 2.0, lap, box.cell_volume, source)
+    assert u_prev.dtype == want.dtype
+    assert u_prev.tobytes() == want.tobytes()
+    assert got == energy
 
 
 @pytest.mark.parametrize("levels", ["complex", "real-u", "real", "real-lap"])
 def test_staggered_energy_is_bitwise_the_formula(levels, box, rng):
-    u, u_next, lap, _ = random_levels(box.shape, rng)
-    if levels in ("real-u", "real"):
-        u = u.real.copy()
-    if levels == "real":
-        u_next = u_next.real.copy()
-    if levels == "real-lap":
-        lap = lap.real.copy()
-    got = staggered_energy(u, u_next, 0.013, 2.0, box, lap)
-    assert got == energy_formula(u, u_next, 0.013, 2.0, box, lap)
+    # the energy of a step that takes its scratch from the caller; the
+    # source enters the increment only, as in kernel_formula
+    u, u_prev, lap, source = kernel_levels(levels, box.shape, rng)
+    _, want = kernel_formula(u, u_prev, 0.013, 2.0, 2.0, lap, box.cell_volume, source)
+    scratch = np.empty_like(u_prev)
+    got = step_leapfrog(u, u_prev, 0.013, 2.0, 2.0, lap, box.cell_volume,
+                        source, scratch)
+    assert got == want
+
+
+def test_step_leapfrog_rejects_a_level_that_cannot_hold_the_next(box, rng):
+    u, u_prev, lap, _ = random_levels(box.shape, rng)
+    real_prev = u_prev.real.copy()
+    with pytest.raises(TypeError, match="complex128"):
+        step_leapfrog(u, real_prev, 0.013, 2.0, 2.0, lap, box.cell_volume)
+    assert np.array_equal(real_prev, u_prev.real)
+    for scratch in (np.empty(box.shape), np.empty(box.shape[1:], dtype=complex)):
+        with pytest.raises(TypeError, match="scratch"):
+            step_leapfrog(u, u_prev, 0.013, 2.0, 2.0, lap, box.cell_volume,
+                          scratch=scratch)
 
 
 def test_fd_kernels_stay_within_their_scratch(synth_box, rng):
     # tracemalloc peaks in complex grid arrays, Python objects included:
-    # the slice stencil, the step and the energy as one-line formulas
-    # measure 3.4, 3.0 and 2.0
+    # the slice stencil measures 3.4, the textbook step and energy as the
+    # one-line formulas leapfrog_formula and energy_formula 3.0 and 2.0.
+    # The kernel holds r in one array unless the caller lends it, and a
+    # source costs one more for its dt^2 kick.
     u, u_prev, lap, source = random_levels(synth_box.shape, rng)
-    kernels = {
-        "stencil": (lambda: apply_sublaplacian(u, synth_box), 3.0),
-        "step": (lambda: step_leapfrog(u, u_prev, 0.01, 2.0, 2.0, lap, source), 2.01),
-        "energy": (lambda: staggered_energy(u, u_prev, 0.01, 2.0, synth_box, lap), 1.51),
-    }
-    for name, (kernel, bound) in kernels.items():
-        tracemalloc.start()
-        try:
-            kernel()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / u.nbytes <= bound, name
+    vol = synth_box.cell_volume
+    _, peak = traced_peak(lambda: apply_sublaplacian(u, synth_box))
+    assert peak / u.nbytes <= 3.0, "stencil"
+    for src in (None, source):
+        for scratch in (None, np.empty_like(u)):
+            _, peak = traced_peak(lambda: step_leapfrog(
+                u, u_prev, 0.01, 2.0, 2.0, lap, vol, src, scratch))
+            boxes = (scratch is None) + (src is not None)
+            assert peak / u.nbytes <= boxes + 0.01, (boxes, src is None)
 
 
 def gaussian_data(box, sigma=0.7):
@@ -280,7 +313,8 @@ def test_staggered_energy_positive_for_small_steps():
     box = SpatialGrid((2.0, 2.0, 2.0), (16, 16, 16))
     u0, _ = gaussian_data(box, sigma=0.5)
     u = u0.samples
-    e = staggered_energy(u, u, 0.01, 0.5, box, apply_sublaplacian(u, box))
+    e = step_leapfrog(u, u.astype(complex), 0.01, 0.0, 0.5,
+                      apply_sublaplacian(u, box), box.cell_volume)
     assert e > 0
 
 
@@ -354,40 +388,58 @@ def test_run_leapfrog_applies_the_stencil_once_per_step(monkeypatch):
     assert len(calls) == 7
 
 
-def assert_matches_written_out_loop(share_stencil):
-    """run_leapfrog against the scheme written out, with every level wrapped
-    for boundary_decay and |u| formed for each of L2 and the flux; the step
-    and the energy share one stencil, or each computes it afresh."""
+def written_out_loop(step, with_source=True, share_stencil=True):
+    """The leapfrog on the manufactured solution, written out: every level
+    wrapped for boundary_decay, and step(u, u_prev, dt, b, m, lap, vol,
+    source) returns a fresh next level and the energy.  The first step
+    reuses the Taylor start's stencil or applies it afresh.  Returns
+    run_leapfrog's result and the loop's (L2 history, energies, snapshots,
+    flux)."""
     box = SpatialGrid((3.0, 3.0, 3.0), (16, 14, 12))
     b, m = 1.5, 0.8
     solution, velocity, source = mms_fields(box, b, m, sigma=0.8)
+    source = source if with_source else None
     u0, v0 = SpatialField(box, solution(0.0)), SpatialField(box, velocity(0.0))
     dt, steps, every = cfl_limit(box, 0.35), 9, 4
     res = run_leapfrog(u0, v0, dt, steps, b, m, source_fn=source,
                        snapshot_every=every)
+    src = source or (lambda t: None)
     vol = box.cell_volume
-    u = u0.samples.copy()
-    acc0 = (apply_sublaplacian(u, box) - m * u - b * v0.samples
-            + source(0.0))
+    # complex from the start, as the levels swap roles in run_leapfrog
+    u = u0.samples.astype(complex)
+    lap = apply_sublaplacian(u, box)
+    acc0 = lap - m * u - b * v0.samples + (0.0 if source is None else source(0.0))
     u_prev = u - dt * v0.samples + 0.5 * dt * dt * acc0
-    l2 = [np.sqrt(np.sum(np.abs(u) ** 2) * vol)]
+    l2 = [np.sqrt(np.vdot(u, u).real * vol)]
     energy, snaps = [], [u.copy()]
     flux = SpatialField(box, u).boundary_decay()
     for j in range(steps):
-        lap = apply_sublaplacian(u, box)
-        u_next = step_leapfrog(u, u_prev, dt, b, m, lap, source(j * dt))
-        if not share_stencil:
+        if j or not share_stencil:
             lap = apply_sublaplacian(u, box)
-        energy.append(staggered_energy(u, u_next, dt, m, box, lap))
+        u_next, e = step(u, u_prev, dt, b, m, lap, vol, src(j * dt))
+        energy.append(e)
         u_prev, u = u, u_next
-        l2.append(np.sqrt(np.sum(np.abs(u) ** 2) * vol))
+        l2.append(np.sqrt(np.vdot(u, u).real * vol))
         flux = max(flux, SpatialField(box, u).boundary_decay())
         if (j + 1) % every == 0 or j + 1 == steps:
             snaps.append(u.copy())
     assert flux > 0
+    return res, (np.array(l2), np.array(energy), snaps, flux)
+
+
+def kernel_step(u, u_prev, dt, b, m, lap, vol, source):
+    u_next = u_prev.copy()
+    return u_next, step_leapfrog(u, u_next, dt, b, m, lap, vol, source)
+
+
+def assert_matches_written_out_loop(share_stencil):
+    """run_leapfrog, bit for bit, against a loop of step_leapfrog that lends
+    it no scratch and never reuses a level's array."""
+    res, (l2, energy, snaps, flux) = written_out_loop(
+        kernel_step, share_stencil=share_stencil)
     assert res.boundary_flux == flux
-    assert np.array_equal(res.l2_history, np.array(l2))
-    assert np.array_equal(res.energy_history, np.array(energy))
+    assert np.array_equal(res.l2_history, l2)
+    assert np.array_equal(res.energy_history, energy)
     assert len(res.snapshots) == len(snaps)
     for got, want in zip(res.snapshots, snaps):
         assert np.array_equal(got.samples, want)
@@ -399,6 +451,48 @@ def test_run_leapfrog_matches_steps_without_shared_stencil():
 
 def test_run_leapfrog_matches_the_loop_that_wraps_twice_per_step():
     assert_matches_written_out_loop(share_stencil=True)
+
+
+def textbook_step(u, u_prev, dt, b, m, lap, vol, source):
+    u_next = leapfrog_formula(u, u_prev, dt, b, m, lap, source)
+    return u_next, energy_formula(u, u_next, dt, m, vol, lap)
+
+
+# Rounding bound between the increment form and the textbook formulas over
+# nine steps, relative to each quantity's largest magnitude: the two sum the
+# same terms in another order, about 1e-16 per operation; measured 6e-15.
+# Letting the source into the potential term moves the energies by about 0.3.
+TEXTBOOK_RTOL = 1e-12
+
+
+def rel_gap(got, want):
+    return np.max(np.abs(np.asarray(got) - np.asarray(want))) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("with_source", [False, True])
+def test_run_leapfrog_agrees_with_the_textbook_loop(with_source):
+    res, (l2, energy, snaps, flux) = written_out_loop(textbook_step, with_source)
+    assert rel_gap(res.l2_history, l2) <= TEXTBOOK_RTOL
+    assert rel_gap(res.energy_history, energy) <= TEXTBOOK_RTOL
+    assert rel_gap(res.boundary_flux, flux) <= TEXTBOOK_RTOL
+    assert len(res.snapshots) == len(snaps)
+    for got, want in zip(res.snapshots, snaps):
+        assert rel_gap(got.samples, want) <= TEXTBOOK_RTOL
+
+
+def test_run_leapfrog_memory_does_not_grow_with_the_steps():
+    # two levels, the stencil, the kernel's scratch and the magnitudes are
+    # made once; only the (steps + 1)-float histories grow, and the np.pad
+    # of each stencil call leaves about 160 bytes of cyclic garbage until
+    # the collector runs: 0.02 box over the 30 extra steps, where one array
+    # kept per step would add 30
+    box = SpatialGrid((3.0, 3.0, 3.0), (24, 24, 24))
+    u0, v0 = gaussian_data(box)
+    dt = cfl_limit(box, 0.35)
+    _, short = traced_peak(lambda: run_leapfrog(u0, v0, dt, 10, b=1.0, m=0.5))
+    _, long = traced_peak(lambda: run_leapfrog(u0, v0, dt, 40, b=1.0, m=0.5))
+    box_bytes = 16 * np.prod(box.shape)
+    assert long - short <= 0.1 * box_bytes
 
 
 def test_run_leapfrog_wraps_each_level_once(monkeypatch):

@@ -462,6 +462,79 @@ def test_heisenberg_picard_converges_at_the_endpoint_power():
     assert report.passed and not report.trivial
 
 
+# Small-data existence rests on the Lipschitz constant of the Duhamel map on
+# a ball of radius ~eps scaling like eps^(p-1), so the first contraction
+# ratio does too.  Measured |order - (p - 1)| between the scales 0.2, 0.1
+# and 0.05: at most 0.012 on the abelian backend (16^3, order-4 symbol,
+# H = 9) and 0.026 on the Heisenberg one (the endpoint test's grid and box,
+# H = 5), growing with eps.  The band is about twice the larger; a power
+# that ignores p is off by at least 0.5 at these p.
+ORDER_BAND = 0.05
+ORDER_SCALES = (0.2, 0.1, 0.05)
+
+
+def first_ratio_orders(ratio_at, scales=ORDER_SCALES):
+    """Observed orders in eps of the first contraction ratio between
+    consecutive scales."""
+    r = [ratio_at(eps) for eps in scales]
+    return [np.log(r[i] / r[i + 1]) / np.log(scales[i] / scales[i + 1])
+            for i in range(len(scales) - 1)]
+
+
+def within_band(orders, p):
+    return bool(np.all(np.abs(np.array(orders) - (p - 1.0)) <= ORDER_BAND))
+
+
+def abelian_first_ratio(nl):
+    grid = AbelianGrid((6.0,) * 3, (16, 16, 16))
+    sym = AbelianSymbol(np.ones(3), order=4, radial=True)
+    cfg = ZNormConfig(delta=0.999 * decay_rate(2.0, 2.0),
+                      sample_times=tuple(np.linspace(0.0, 4.0, 9)))
+
+    def ratio_at(eps):
+        u0 = abelian_forward(abelian_from_function(
+            grid, lambda x, y, z: eps * np.exp(-(x * x + y * y + z * z) / 2.0)))
+        u1 = AbelianCoefficients(grid, np.zeros_like(u0.values))
+        _, diag = picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg, tol=0.0, max_iter=2)
+        return diag.ratios[0]
+
+    return ratio_at
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_first_contraction_ratio_scales_like_eps_to_the_p_minus_1(p):
+    orders = first_ratio_orders(abelian_first_ratio(PowerNonlinearity(1.0, p)))
+    assert within_band(orders, p), orders
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_first_contraction_order_rejects_a_power_that_ignores_p(p):
+    # |u| u stands in for |u|^(p-1) u: its order is 1, outside either band
+    ignores_p = GeneralNonlinearity(lambda U: np.abs(U[0]) * U[0])
+    orders = first_ratio_orders(abelian_first_ratio(ignores_p))
+    assert not within_band(orders, p), orders
+
+
+def test_heisenberg_first_contraction_ratio_scales_like_eps():
+    # p = 2 = 1 + 1/n on H^1; grid and box of the endpoint test above
+    grid = build_grid(0.25, 6.0, 48, 15.0, n=1)
+    box = SpatialGrid((5.0, 5.0, 8.5), (28, 28, 40))
+    calibrate_plancherel(from_function(box, packet(scale=0.05)), grid)
+    sym = SubLaplacianSymbol(power=1)
+    cfg = ZNormConfig(delta=0.999 * decay_rate(2.0, 2.0),
+                      sample_times=tuple(np.linspace(0.0, 4.0, 5)))
+
+    def ratio_at(eps):
+        u0 = forward_transform(from_function(box, packet(scale=eps)), grid)
+        _, diag = picard_solve(u0, SpectralField.zeros(grid),
+                               PowerNonlinearity(1.0, 2.0), 2.0, 2.0, sym, cfg,
+                               tol=0.0, max_iter=2, synth=box)
+        return diag.ratios[0]
+
+    orders = first_ratio_orders(ratio_at)
+    assert within_band(orders, 2.0), orders
+
+
 def test_picard_factor_work_is_linear_in_samples(monkeypatch):
     # iterate 0, every Duhamel sweep and the Richardson pass evaluate the
     # one-step propagator once each; per-lag factor tables would make 2H
