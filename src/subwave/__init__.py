@@ -14,8 +14,7 @@ homogeneous Sobolev norms ||R^{a/nu} u||.
 from .group import (GroupElement, group_multiply, group_inverse,
                     group_identity, dilate, homogeneous_dimension,
                     oscillator_eigenvalue, enumerate_multi_indices)
-from .hermite import (hermite_function_table, hermite_function,
-                      gauss_hermite_rule)
+from .hermite import gauss_hermite_rule
 from .spectral import (
     ModeGrid,
     SpectralField,
@@ -34,10 +33,6 @@ from .transform import (
     calibrate_plancherel,
 )
 from .propagator import (
-    DampedModeParams,
-    Regime,
-    classify_regime,
-    propagate_mode,
     decay_rate,
     LinearTrajectory,
     evolve_linear,
@@ -55,7 +50,6 @@ from .semilinear import (
     PowerNonlinearity,
     GeneralNonlinearity,
     ZNormConfig,
-    z_norm,
     NumericalFailure,
     PicardStatus,
     PicardDiagnostics,

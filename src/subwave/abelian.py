@@ -101,9 +101,6 @@ class AbelianField:
         self.grid = grid
         self.samples = samples
 
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) * self.grid.cell_volume))
-
     def lq_norm(self, q: float) -> float:
         if q <= 0:
             raise ValueError("Lebesgue exponent must be positive")

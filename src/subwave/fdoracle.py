@@ -65,7 +65,8 @@ def apply_sublaplacian(u: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     buf = np.zeros((nx + 2) * sx + 2, dtype=complex)
     buf[1:-1].reshape(nx + 2, ny + 2, sy)[1:-1, 1:-1, 1:-1] = u
     x = grid.axis(0)[:, None, None]
-    y = np.pad(grid.axis(1), 1)[None, :, None]
+    y = np.zeros((1, ny + 2, 1))
+    y[0, 1:-1, 0] = grid.axis(1)
     ctt = (x * x + y * y) * (0.25 / (ht * ht))
     lap = np.empty(grid.shape, dtype=complex)
     for i in range(0, nx, k):

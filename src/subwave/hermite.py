@@ -1,10 +1,11 @@
-"""Normalized Hermite functions and Gauss-Hermite quadrature helpers.
+"""Normalized Hermite polynomials and Gauss-Hermite quadrature helpers.
 
 The Hermite function of order m is
 
     psi_m(w) = c_m H_m(w) exp(-w^2 / 2),   c_m = 2^{-m/2} (m!)^{-1/2} pi^{-1/4},
 
-an orthonormal basis of L^2(R).  Values are produced by the normalized
+an orthonormal basis of L^2(R): row m of `hermite_polynomial_table`, which
+holds c_m H_m(w), times exp(-w^2/2).  The table comes from the normalized
 three-term recurrence, which is stable for all orders, unlike evaluating the
 monomial form of H_m whose coefficients overflow near m ~ 85.
 
@@ -19,20 +20,28 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "hermite_function_table",
-    "hermite_function",
     "hermite_polynomial_table",
     "gauss_hermite_rule",
 ]
 
 
-def _normalized_recurrence(order: int, w: np.ndarray, row0) -> np.ndarray:
-    """Rows 0..order-1 of the normalized three-term recurrence from row0.
+def hermite_polynomial_table(order: int, w) -> np.ndarray:
+    """Table of c_m H_m(w) without the Gaussian factor, shape w.shape + (order,).
 
-        r_{m+1} = sqrt(2/(m+1)) w r_m - sqrt(m/(m+1)) r_{m-1}
+    psi_m(w) = table[..., m] * exp(-w^2/2).  The rows come from the
+    normalized three-term recurrence
+
+        r_0 = pi^{-1/4},  r_{m+1} = sqrt(2/(m+1)) w r_m - sqrt(m/(m+1)) r_{m-1}.
+
+    Used by quadrature code that folds the Gaussian into the weight; entries
+    grow with |w| so callers must keep |w| within the range where c_m H_m
+    stays representable (|w| ~ 40 is safe for order <= 65).
     """
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    w = np.asarray(w, dtype=float)
     out = np.empty(w.shape + (order,))
-    out[..., 0] = row0
+    out[..., 0] = np.pi ** (-0.25)
     if order > 1:
         out[..., 1] = np.sqrt(2.0) * w * out[..., 0]
     for m in range(1, order - 1):
@@ -41,34 +50,6 @@ def _normalized_recurrence(order: int, w: np.ndarray, row0) -> np.ndarray:
             - np.sqrt(m / (m + 1.0)) * out[..., m - 1]
         )
     return out
-
-
-def hermite_function_table(order: int, w) -> np.ndarray:
-    """Table of psi_0..psi_{order-1} at the points w, shape w.shape + (order,)."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    w = np.asarray(w, dtype=float)
-    return _normalized_recurrence(order, w, np.pi ** (-0.25) * np.exp(-0.5 * w * w))
-
-
-def hermite_function(m: int, w) -> np.ndarray:
-    """Single normalized Hermite function psi_m(w)."""
-    if m < 0:
-        raise ValueError("order must be non-negative")
-    return hermite_function_table(m + 1, w)[..., m]
-
-
-def hermite_polynomial_table(order: int, w) -> np.ndarray:
-    """Table of c_m H_m(w) without the Gaussian factor, shape w.shape + (order,).
-
-    Satisfies psi_m(w) = table[..., m] * exp(-w^2/2).  Used by quadrature
-    code that folds the Gaussian into the weight; entries grow with |w| so
-    callers must keep |w| within the range where c_m H_m stays representable
-    (|w| ~ 40 is safe for order <= 64).
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    return _normalized_recurrence(order, np.asarray(w, dtype=float), np.pi ** (-0.25))
 
 
 def gauss_hermite_rule(count: int):

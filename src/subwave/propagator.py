@@ -50,7 +50,6 @@ closed form, stated on `_history`.
 
 from __future__ import annotations
 
-import enum
 import warnings
 from dataclasses import dataclass
 
@@ -60,10 +59,6 @@ from .abelian import AbelianCoefficients, symbol_on_grid
 from .spectral import SpectralField, SubLaplacianSymbol
 
 __all__ = [
-    "Regime",
-    "DampedModeParams",
-    "classify_regime",
-    "propagate_mode",
     "decay_rate",
     "evolve_linear",
     "LinearTrajectory",
@@ -71,14 +66,9 @@ __all__ = [
     "DecayReport",
 ]
 
-# |Delta| below which a mode takes the series and counts as critical
+# |Delta| below which _sc_factors takes the power series in place of the
+# trigonometric or hyperbolic closed form
 _CRITICAL_BAND = 1e-8
-
-
-class Regime(enum.Enum):
-    UNDERDAMPED = "underdamped"
-    CRITICAL = "critical"
-    OVERDAMPED = "overdamped"
 
 
 def _check_damping(b, m):
@@ -89,40 +79,12 @@ def _check_damping(b, m):
         raise ValueError(f"mass must be non-negative, got m={m}")
 
 
-@dataclass(frozen=True)
-class DampedModeParams:
-    """Damping b > 0, mass m >= 0, and mode frequency omega^2 >= 0."""
-
-    b: float
-    m: float
-    omega2: float
-
-    def __post_init__(self):
-        _check_damping(self.b, self.m)
-        if self.omega2 < 0:
-            raise ValueError(f"mode frequency omega^2 must be non-negative, got {self.omega2}")
-
-    @property
-    def total(self) -> float:
-        return self.omega2 + self.m
-
-    @property
-    def delta(self) -> float:
-        return self.total - 0.25 * self.b * self.b
-
-
-def classify_regime(params: DampedModeParams) -> Regime:
-    """Damping regime, with the kernel's series band counted as critical."""
-    if abs(params.delta) < _CRITICAL_BAND:
-        return Regime.CRITICAL
-    return Regime.UNDERDAMPED if params.delta > 0 else Regime.OVERDAMPED
-
-
 def _sc_factors(delta, t):
     """S(t), C(t) for arrays of Delta and t, all regimes, branch-stable.
 
     Within |Delta| < _CRITICAL_BAND the common 4-term Taylor series in
-    Delta t^2 is used; its truncation error there is far below 1e-12.
+    Delta t^2 is used; for t <= 50 its truncation error there is far below
+    1e-12 relative to the closed forms.
     """
     delta = np.asarray(delta, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -164,22 +126,6 @@ def _mode_factors(total, b, t):
     half_b = 0.5 * b
     return (env * (C + half_b * S), env * S,
             env * (-total * S), env * (C - half_b * S))
-
-
-def propagate_mode(params: DampedModeParams, u0, u1, t):
-    """Closed-form mode solution: returns (value, derivative) at time t.
-
-    Inputs broadcast; complex data is propagated componentwise since the ODE
-    is real-linear.  With u0 = 0 this is the Duhamel kernel: the response to
-    unit impulse data (0, u1).
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("propagation time must be non-negative")
-    A0, A1, D0, D1 = _mode_factors(params.total, params.b, t)
-    u0 = np.asarray(u0)
-    u1 = np.asarray(u1)
-    return A0 * u0 + A1 * u1, D0 * u0 + D1 * u1
 
 
 def decay_rate(b: float, m: float) -> float:

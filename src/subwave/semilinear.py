@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abelian import AbelianField, abelian_forward, abelian_inverse
-from .propagator import _history, _Model
+from .propagator import _history, _Model, _Norms
 from .spectral import SpectralField
 from .transform import SpatialField, SpatialGrid, forward_transform, synthesize_on_grid
 
@@ -59,7 +59,6 @@ __all__ = [
     "PicardStatus",
     "PicardDiagnostics",
     "apply_nonlinearity",
-    "z_norm",
     "picard_solve",
     "verify_semilinear_decay",
     "SemilinearDecayReport",
@@ -271,18 +270,6 @@ def _znorm_arrays(model, znorm, values, derivs, times):
     return best, l2s
 
 
-def z_norm(trajectory, znorm: ZNormConfig, provider=None) -> float:
-    """Weighted sup-in-time norm of a trajectory.
-
-    provider defaults to the sub-Laplacian on Heisenberg trajectories and is
-    required for abelian ones, whose fields carry no symbol."""
-    model = _Model(trajectory.fields[0], provider, trajectory.b, trajectory.m)
-    values = [model.unwrap(f) for f in trajectory.fields]
-    derivs = [model.unwrap(f) for f in trajectory.derivatives]
-    times = np.asarray(trajectory.times, dtype=float)
-    return _znorm_arrays(model, znorm, values, derivs, times)[0]
-
-
 def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
                  tol: float = 1e-8, max_iter: int = 25, synth=None):
     """Iterate the mild-solution map to a fixed point on the Z-norm ball.
@@ -388,10 +375,14 @@ def verify_semilinear_decay(trajectory, b, m, provider=None) -> SemilinearDecayR
     The middle seminorm uses the homogeneous multiplier of order nu/2 (the
     square root of the operator), matching the gradient-type quantity of the
     linear decay statement.  Slopes are fitted on the trailing 60% of the
-    samples; passed means all three are negative.
+    samples; passed means all three are negative.  The slopes do not depend
+    on b and m, which must be the trajectory's own (ValueError otherwise).
     """
+    if (b, m) != (trajectory.b, trajectory.m):
+        raise ValueError(f"(b, m) = ({b}, {m}) is not the trajectory's "
+                         f"({trajectory.b}, {trajectory.m})")
     times = np.asarray(trajectory.times, dtype=float)
-    model = _Model(trajectory.fields[0], provider, b, m)
+    model = _Norms(trajectory.fields[0], provider)
     half = model.nu / 2.0
     values = [model.unwrap(f) for f in trajectory.fields]
     series = {

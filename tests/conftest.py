@@ -1,4 +1,5 @@
-"""Shared fixtures: a small calibrated transform pair reused across files.
+"""Shared fixtures: a small calibrated transform pair reused across files,
+and helpers for the wave packet, the closed-form mode and memory peaks.
 
 The pair is deliberately modest (24 lambda nodes, 8 Hermite levels, a
 36 x 36 x 48 box) so the whole suite stays fast; the acceptance tests pin
@@ -10,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from subwave import propagator
 from subwave.spectral import build_grid
 from subwave.transform import SpatialGrid, calibrate_plancherel, from_function
 
@@ -23,6 +25,13 @@ def packet(carrier=1.6, sigma_xy=0.8, sigma_tau=1.35, scale=1.0):
         return scale * np.cos(carrier * t) * env
 
     return fn
+
+
+def propagate_mode(b, m, omega2, u0, u1, t):
+    """(value, derivative) at times t of one mode with data (u0, u1): the
+    one kernel `propagator._mode_factors` at total = omega2 + m."""
+    A0, A1, D0, D1 = propagator._mode_factors(omega2 + m, b, np.asarray(t, dtype=float))
+    return A0 * u0 + A1 * u1, D0 * u0 + D1 * u1
 
 
 def traced_peak(fn):

@@ -5,6 +5,9 @@ second differences and centered mixed differences are exact; only interior
 cells are compared because the scheme truncates with a Dirichlet ring.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -283,6 +286,28 @@ def test_fd_kernels_stay_within_their_scratch(synth_box, rng):
             assert peak / u.nbytes <= boxes + 0.01, (boxes, src is None)
 
 
+def test_stencil_leaves_no_garbage_behind():
+    # with the collector off, cyclic garbage a call leaves stays on the
+    # traced heap: np.pad of the y axis left about 200 bytes a call, where
+    # the zero-padded y column built from the grid leaves 65
+    box = SpatialGrid((3.0, 3.0, 3.0), (24, 24, 24))
+    u = gaussian_data(box)[0].samples
+    apply_sublaplacian(u, box)
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(300):
+            lap = apply_sublaplacian(u, box)
+        grown = tracemalloc.get_traced_memory()[0] - base - lap.nbytes
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert grown < 100 * 300
+
+
 def gaussian_data(box, sigma=0.7):
     u0 = from_function(box, lambda x, y, t: np.exp(
         -(x * x + y * y + t * t) / (2 * sigma * sigma)))
@@ -482,10 +507,8 @@ def test_run_leapfrog_agrees_with_the_textbook_loop(with_source):
 
 def test_run_leapfrog_memory_does_not_grow_with_the_steps():
     # two levels, the stencil, the kernel's scratch and the magnitudes are
-    # made once; only the (steps + 1)-float histories grow, and the np.pad
-    # of each stencil call leaves about 160 bytes of cyclic garbage until
-    # the collector runs: 0.02 box over the 30 extra steps, where one array
-    # kept per step would add 30
+    # made once; only the (steps + 1)-float histories grow, where one array
+    # kept per step would add 30 boxes over the 30 extra steps
     box = SpatialGrid((3.0, 3.0, 3.0), (24, 24, 24))
     u0, v0 = gaussian_data(box)
     dt = cfl_limit(box, 0.35)

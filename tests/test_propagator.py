@@ -6,13 +6,9 @@ from scipy.integrate import solve_ivp
 
 from subwave import propagator
 from subwave.propagator import (
-    DampedModeParams,
     LinearTrajectory,
-    Regime,
-    classify_regime,
     decay_rate,
     evolve_linear,
-    propagate_mode,
     verify_decay,
 )
 from subwave.abelian import (AbelianCoefficients, AbelianGrid, abelian_forward,
@@ -20,51 +16,47 @@ from subwave.abelian import (AbelianCoefficients, AbelianGrid, abelian_forward,
 from subwave.spectral import (AbelianSymbol, SpectralField, SubLaplacianSymbol,
                               build_grid)
 
+from conftest import propagate_mode
 
-def ode_solution(params, u0, u1, t_end, t_eval=None):
+
+def ode_solution(b, total, u0, u1, t_end, t_eval=None):
     def rhs(_, y):
-        return [y[1], -params.b * y[1] - params.total * y[0]]
+        return [y[1], -b * y[1] - total * y[0]]
 
     return solve_ivp(rhs, (0.0, t_end), [u0, u1], t_eval=t_eval,
                      method="DOP853", rtol=1e-11, atol=1e-13)
 
 
-def test_params_validation():
-    with pytest.raises(ValueError, match="damping"):
-        DampedModeParams(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match="mass"):
-        DampedModeParams(1.0, -1.0, 1.0)
-    with pytest.raises(ValueError, match="frequency"):
-        DampedModeParams(1.0, 1.0, -1.0)
-    p = DampedModeParams(2.0, 0.5, 1.5)
-    assert p.total == pytest.approx(2.0)
-    assert p.delta == pytest.approx(1.0)
-
-
-def test_classify_regime():
-    assert classify_regime(DampedModeParams(2.0, 0.0, 2.0)) is Regime.UNDERDAMPED
-    assert classify_regime(DampedModeParams(2.0, 0.0, 0.5)) is Regime.OVERDAMPED
-    assert classify_regime(DampedModeParams(2.0, 1.0, 0.0)) is Regime.CRITICAL
-    # within the series band the branch is counted as critical
-    assert classify_regime(DampedModeParams(2.0, 1.0 + 1e-12, 0.0)) is Regime.CRITICAL
-
-
-@pytest.mark.parametrize("b, m, omega2, regime", [
-    (2.0, 1.0, 2e-8, Regime.UNDERDAMPED),  # Delta = 2e-8: the kernel's trig branch
-    (0.5, 0.0625, 5e-9, Regime.CRITICAL),  # Delta = 5e-9: the kernel's series
-])
-def test_classify_regime_uses_the_kernel_band(b, m, omega2, regime):
-    # the band is |Delta| < 1e-8 whatever b is, as in the mode-factor kernel
-    assert classify_regime(DampedModeParams(b, m, omega2)) is regime
+@pytest.mark.parametrize("delta", [0.0, 0.5e-8, -0.5e-8, 0.99e-8, -0.99e-8,
+                                   1e-6, -1e-6, 0.99e-4, -0.99e-4])
+def test_mode_factors_match_the_closed_forms_across_the_series_band(delta):
+    # within |Delta| < 1e-8 the kernel sums the power series in Delta t^2,
+    # outside it takes sin or sinh; up to t = 50 both must agree with the
+    # closed forms to 1e-13 relative (measured 7e-16 in the band), which a
+    # band widened to 1e-4 fails (2e-7 at Delta = 0.99e-4).  With b = 0.02
+    # no factor changes sign for 0 < t <= 50, so the bound is pointwise.
+    b = 0.02
+    total = 0.25 * b * b + delta
+    delta = total - 0.25 * b * b  # the Delta the kernel sees
+    t = np.linspace(0.0, 50.0, 201)
+    a = np.sqrt(abs(delta))
+    if delta > 0:
+        S, C = np.sin(a * t) / a, np.cos(a * t)
+    elif delta < 0:
+        S, C = np.sinh(a * t) / a, np.cosh(a * t)
+    else:
+        S, C = t, np.ones_like(t)
+    env = np.exp(-0.5 * b * t)
+    want = (env * (C + 0.5 * b * S), env * S, env * (-total * S),
+            env * (C - 0.5 * b * S))
+    for got, ref in zip(propagator._mode_factors(total, b, t), want):
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
 
 def test_initial_data_reproduced():
-    p = DampedModeParams(1.7, 0.3, 2.2)
-    val, der = propagate_mode(p, 0.8, -0.4, 0.0)
+    val, der = propagate_mode(1.7, 0.3, 2.2, 0.8, -0.4, 0.0)
     assert val == pytest.approx(0.8, abs=0.0)
     assert der == pytest.approx(-0.4, abs=0.0)
-    with pytest.raises(ValueError):
-        propagate_mode(p, 1.0, 0.0, -0.1)
 
 
 def test_against_ode_integrator():
@@ -76,9 +68,8 @@ def test_against_ode_integrator():
         om2 = rng.uniform(0.0, 25.0)
         u0, u1 = rng.uniform(-1, 1, 2)
         t = rng.uniform(0.05, 8.0)
-        p = DampedModeParams(b, m, om2)
-        sol = ode_solution(p, u0, u1, t)
-        val, der = propagate_mode(p, u0, u1, t)
+        sol = ode_solution(b, om2 + m, u0, u1, t)
+        val, der = propagate_mode(b, m, om2, u0, u1, t)
         scale = max(1.0, abs(u0), abs(u1))
         worst = max(worst, abs(val - sol.y[0, -1]) / scale,
                     abs(der - sol.y[1, -1]) / scale)
@@ -86,11 +77,11 @@ def test_against_ode_integrator():
 
 
 def test_complex_data_propagates_componentwise():
-    p = DampedModeParams(1.2, 0.7, 3.0)
+    p = (1.2, 0.7, 3.0)
     zr, zi = 0.3, -0.9
-    vc, dc = propagate_mode(p, zr + 1j * zi, 0.5 - 0.25j, 2.0)
-    vr, dr = propagate_mode(p, zr, 0.5, 2.0)
-    vi, di = propagate_mode(p, zi, -0.25, 2.0)
+    vc, dc = propagate_mode(*p, zr + 1j * zi, 0.5 - 0.25j, 2.0)
+    vr, dr = propagate_mode(*p, zr, 0.5, 2.0)
+    vi, di = propagate_mode(*p, zi, -0.25, 2.0)
     assert vc == pytest.approx(vr + 1j * vi, rel=1e-13)
     assert dc == pytest.approx(dr + 1j * di, rel=1e-13)
 
@@ -98,22 +89,20 @@ def test_complex_data_propagates_componentwise():
 def test_regime_continuity_at_critical_threshold():
     b = 2.0
     t = np.linspace(0.0, 10.0, 501)
-    crit = DampedModeParams(b, 0.5, 0.5)
     for sign in (+1.0, -1.0):
-        near = DampedModeParams(b, 0.5, 0.5 + sign * 1e-6)
         for u0, u1 in ((1.0, 0.0), (0.0, 1.0), (0.3, -0.7)):
-            v_crit, _ = propagate_mode(crit, u0, u1, t)
-            v_near, _ = propagate_mode(near, u0, u1, t)
+            v_crit, _ = propagate_mode(b, 0.5, 0.5, u0, u1, t)
+            v_near, _ = propagate_mode(b, 0.5, 0.5 + sign * 1e-6, u0, u1, t)
             assert np.max(np.abs(v_crit - v_near)) < 1e-5
 
 
 def test_duhamel_kernel_is_impulse_response():
-    # the Duhamel kernel is propagate_mode with data (0, g)
-    p = DampedModeParams(0.9, 0.2, 4.0)
+    # the Duhamel kernel is the mode propagator with data (0, g)
+    b, m, om2 = 0.9, 0.2, 4.0
     g = 1.7
     ts = np.array([0.0, 0.6, 3.2])
-    ref = ode_solution(p, 0.0, g, ts[-1], t_eval=ts)
-    kv, kd = propagate_mode(p, 0.0, g, ts)
+    ref = ode_solution(b, om2 + m, 0.0, g, ts[-1], t_eval=ts)
+    kv, kd = propagate_mode(b, m, om2, 0.0, g, ts)
     assert np.allclose(kv, ref.y[0], rtol=1e-8, atol=1e-10)
     assert np.allclose(kd, ref.y[1], rtol=1e-8, atol=1e-10)
 
@@ -121,14 +110,14 @@ def test_duhamel_kernel_is_impulse_response():
 def test_duhamel_kernel_integrates_constant_source():
     # u'' + b u' + T u = g with zero data settles by u = (g/T)(1 - A0(t)),
     # A0 being the position response to data (1, 0)
-    p = DampedModeParams(1.4, 0.6, 2.4)
+    p = (1.4, 0.6, 2.4)
     g = 0.85
     t_end = 4.0
     s = np.linspace(0.0, t_end, 4001)
-    kernel_vals = np.array([propagate_mode(p, 0.0, g, t_end - sj)[0] for sj in s])
+    kernel_vals = np.array([propagate_mode(*p, 0.0, g, t_end - sj)[0] for sj in s])
     integral = np.trapezoid(kernel_vals, s)
-    a0, _ = propagate_mode(p, 1.0, 0.0, t_end)
-    closed = (g / p.total) * (1.0 - a0)
+    a0, _ = propagate_mode(*p, 1.0, 0.0, t_end)
+    closed = (g / (p[1] + p[2])) * (1.0 - a0)
     assert integral == pytest.approx(closed, rel=1e-6)
 
 
@@ -187,9 +176,9 @@ def test_evolve_linear_symbol_rides_row_index(grid):
     t = 1.3
     traj = evolve_linear(u0, u1, 1.1, 0.4, sym, [0.0, t])
     om2_row = abs(grid.lambda_nodes[q]) * (2 * k + 1)
-    expected, _ = propagate_mode(DampedModeParams(1.1, 0.4, om2_row), 1.0, 0.0, t)
+    expected, _ = propagate_mode(1.1, 0.4, om2_row, 1.0, 0.0, t)
     om2_col = abs(grid.lambda_nodes[q]) * (2 * el + 1)
-    wrong, _ = propagate_mode(DampedModeParams(1.1, 0.4, om2_col), 1.0, 0.0, t)
+    wrong, _ = propagate_mode(1.1, 0.4, om2_col, 1.0, 0.0, t)
     got = traj.fields[1].coefficients[q, k, el]
     assert got == pytest.approx(expected, rel=1e-12)
     assert abs(got - wrong) > 1e-3

@@ -13,15 +13,7 @@ from subwave.abelian import (
     abelian_from_function,
     symbol_on_grid,
 )
-from subwave.propagator import (
-    DampedModeParams,
-    LinearTrajectory,
-    Regime,
-    classify_regime,
-    decay_rate,
-    evolve_linear,
-    propagate_mode,
-)
+from subwave.propagator import LinearTrajectory, decay_rate, evolve_linear
 from subwave import propagator, semilinear
 from subwave.semilinear import (
     GeneralNonlinearity,
@@ -31,7 +23,6 @@ from subwave.semilinear import (
     apply_nonlinearity,
     picard_solve,
     verify_semilinear_decay,
-    z_norm,
 )
 from subwave.spectral import (
     AbelianSymbol,
@@ -42,7 +33,7 @@ from subwave.spectral import (
 from subwave.transform import (SpatialGrid, calibrate_plancherel,
                               forward_transform, from_function)
 
-from conftest import packet, traced_peak
+from conftest import packet, propagate_mode, traced_peak
 
 
 # --------------------------------------------------------------------------
@@ -99,6 +90,14 @@ def test_znorm_validation():
             ZNormConfig(delta=1.0, sample_times=times)
 
 
+def z_of(traj, cfg, provider=None):
+    """Z norm of a trajectory, by the solver's own `_znorm_arrays`."""
+    model = propagator._Model(traj.fields[0], provider, traj.b, traj.m)
+    return semilinear._znorm_arrays(
+        model, cfg, [model.unwrap(f) for f in traj.fields],
+        [model.unwrap(d) for d in traj.derivatives], traj.times)[0]
+
+
 def test_znorm_single_mode_by_hand():
     grid = build_grid(0.3, 4.0, 16, 9.0, n=1)
     sym = SubLaplacianSymbol(power=1)
@@ -114,7 +113,7 @@ def test_znorm_single_mode_by_hand():
     lam_mu = abs(grid.lambda_nodes[q]) * (2 * k + 1)
     per_time = amp * (1.0 + np.sqrt(lam_mu))  # L2 plus R^{1/2} seminorm
     expected = max(cfg.weight(t) * per_time for t in times)
-    assert z_norm(traj, cfg, sym) == pytest.approx(expected, rel=1e-12)
+    assert z_of(traj, cfg, sym) == pytest.approx(expected, rel=1e-12)
 
 
 def test_znorm_abelian_requires_provider(rng):
@@ -124,9 +123,9 @@ def test_znorm_abelian_requires_provider(rng):
     traj = LinearTrajectory(times, [c, c], [c, c], 1.0, 0.0)
     cfg = ZNormConfig(delta=0.5, sample_times=(0.0, 1.0))
     with pytest.raises(ValueError, match="provider"):
-        z_norm(traj, cfg)
+        z_of(traj, cfg)
     sym = AbelianSymbol([1.0], order=2)
-    assert z_norm(traj, cfg, sym) > 0
+    assert z_of(traj, cfg, sym) > 0
 
 
 # --------------------------------------------------------------------------
@@ -161,7 +160,7 @@ def test_duhamel_sweep_constant_source():
                               SubLaplacianSymbol(power=1), b, m)
     val, _ = last_node(model, 2.0 / 80, [src] * 81)
     total = abs(grid.lambda_nodes[0]) * 1.0 + m
-    a0, _ = propagate_mode(DampedModeParams(b, m, total - m), 1.0, 0.0, 2.0)
+    a0, _ = propagate_mode(b, m, total - m, 1.0, 0.0, 2.0)
     closed = (g / total) * (1.0 - a0)
     got = val[0, 0, 0]
     assert got == pytest.approx(closed, rel=2e-4)
@@ -175,9 +174,17 @@ def test_duhamel_sweep_constant_source():
     assert coarse_err / max(fine_err, 1e-18) == pytest.approx(4.0, rel=0.3)
 
 
+def damping_regimes(omega2, b, m):
+    """The modes' regimes as the sign of Delta = omega2 + m - b^2/4: 1
+    underdamped, -1 overdamped, 0 critical (the kernel's series band)."""
+    delta = omega2 + m - 0.25 * b * b
+    delta[np.abs(delta) < propagator._CRITICAL_BAND] = 0.0
+    return {int(v) for v in np.sign(delta).ravel()}
+
+
 def direct_trapezoid(sources, times, b, m, omega2, idx, stride):
     """O(H^2) reference: the composite-trapezoid sum at sample idx, every
-    lag factor evaluated by propagate_mode, one mode at a time."""
+    lag factor evaluated by the closed-form mode, one mode at a time."""
     nodes = np.arange(0, idx + 1, stride)
     hh = (times[1] - times[0]) * stride
     w = np.full(nodes.size, hh)
@@ -186,8 +193,8 @@ def direct_trapezoid(sources, times, b, m, omega2, idx, stride):
     val = np.zeros(src.shape[1:], dtype=complex)
     der = np.zeros_like(val)
     for mode in np.ndindex(val.shape):
-        p = DampedModeParams(b, m, float(omega2[mode]))
-        a1, d1 = propagate_mode(p, 0.0, 1.0, times[idx] - times[nodes])
+        a1, d1 = propagate_mode(b, m, float(omega2[mode]), 0.0, 1.0,
+                                times[idx] - times[nodes])
         at = (slice(None),) + mode
         val[mode] = np.sum(w * a1 * src[at])
         der[mode] = np.sum(w * d1 * src[at])
@@ -195,19 +202,18 @@ def direct_trapezoid(sources, times, b, m, omega2, idx, stride):
 
 
 @pytest.mark.parametrize("b, m, regimes", [
-    (1.3, 0.7, {Regime.UNDERDAMPED}),
+    (1.3, 0.7, {1}),
     # |xi| < 2 overdamped, |xi| = 2 critical, |xi| > 2 underdamped
-    (4.0, 0.0, set(Regime)),
+    (4.0, 0.0, {-1, 0, 1}),
     # xi = 0 exactly critical, every other mode underdamped
-    (2.0, 1.0, {Regime.CRITICAL, Regime.UNDERDAMPED}),
+    (2.0, 1.0, {0, 1}),
 ])
 def test_duhamel_sweep_matches_direct_trapezoid_sum(b, m, regimes, rng):
     # half width pi puts the frequencies on the integers
     grid = AbelianGrid((np.pi,) * 3, (8, 8, 8))
     sym = AbelianSymbol(np.ones(3), order=2, radial=True)
     omega2 = symbol_on_grid(grid, sym)
-    assert {classify_regime(DampedModeParams(b, m, float(w)))
-            for w in omega2.ravel()} == regimes
+    assert damping_regimes(omega2, b, m) == regimes
     times = np.linspace(0.0, 2.0, 33)
     sources = [rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
                for _ in times]
@@ -370,16 +376,14 @@ def test_picard_linear_abelian_matches_propagate_mode(rng):
     vals = np.array([f.values for f in traj.fields])
     ders = np.array([d.values for d in traj.derivatives])
     omega2 = symbol_on_grid(grid, sym)
-    regimes = set()
     for mode in np.ndindex(grid.shape):
-        p = DampedModeParams(b, m, float(omega2[mode]))
-        regimes.add(classify_regime(p))
-        val, der = propagate_mode(p, u0.values[mode], u1.values[mode], traj.times)
+        val, der = propagate_mode(b, m, float(omega2[mode]), u0.values[mode],
+                                  u1.values[mode], traj.times)
         scale = abs(u0.values[mode]) + abs(u1.values[mode])
         at = (slice(None),) + mode
         assert np.max(np.abs(vals[at] - val)) <= 1e-14 * scale
         assert np.max(np.abs(ders[at] - der)) <= 1e-14 * scale
-    assert regimes == set(Regime)
+    assert damping_regimes(omega2, b, m) == {-1, 0, 1}
 
 
 @pytest.mark.parametrize("backend", ["heisenberg", "abelian"])
@@ -394,7 +398,7 @@ def test_znorm_of_linear_picard_trajectory_is_its_first_z_norm(backend, calibrat
         _, sym, u0, u1 = abelian_setup(1e-3)
     cfg = ZNormConfig(delta=0.9, sample_times=tuple(np.linspace(0.0, 4.0, 9)))
     traj, diag = picard_solve(u0, u1, None, 2.0, 1.0, sym, cfg)
-    assert z_norm(traj, cfg, sym) == diag.z_norms[0]
+    assert z_of(traj, cfg, sym) == diag.z_norms[0]
 
 
 def test_picard_small_data_converges():
@@ -848,6 +852,17 @@ def test_verify_semilinear_decay_trivial():
     traj = LinearTrajectory(times, [u1] * 7, [u1] * 7, 2.0, 1.0)
     report = verify_semilinear_decay(traj, 2.0, 1.0, sym)
     assert report.trivial and report.passed
+
+
+def test_verify_semilinear_decay_rejects_b_and_m_not_the_trajectorys():
+    # the slopes read only the norms, so b and m other than the
+    # trajectory's would be accepted silently with the same slopes
+    _, sym, u0, u1 = abelian_setup(1e-3)
+    traj = evolve_linear(u0, u1, 2.0, 2.0, sym, np.linspace(0.0, 6.0, 13))
+    for b, m in ((50.0, 2.0), (2.0, 0.0)):
+        with pytest.raises(ValueError, match="trajectory"):
+            verify_semilinear_decay(traj, b, m, sym)
+    assert verify_semilinear_decay(traj, 2, 2, sym).passed
 
 
 def test_picard_status_labels():
