@@ -148,7 +148,7 @@ def step_leapfrog(u: np.ndarray, u_prev: np.ndarray, dt: float, b: float,
     d += r
     if source is not None:
         d += np.multiply(source, dt2)
-    d /= 1.0 + 0.5 * b * dt
+    d *= 1.0 / (1.0 + 0.5 * b * dt)  # complex d: the bits of the division, cheaper
     kin = np.vdot(d, d).real
     d += u
     pot = np.vdot(r, d).real

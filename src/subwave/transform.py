@@ -22,9 +22,13 @@ Hermite and Laguerre Expansions, 1993): G~ = G e^{-i gamma beta/2} is a
 polynomial in z = (beta + i gamma)/sqrt(2) and conj(z) times exp(-|z|^2/2).
 For n = 1 the phase gamma beta/2 is lambda x y/2, so M(lambda, g) =
 e^{i lambda t} G~ and -lambda conjugates G~.  The closed form also gives
-G~_{lk} = (-1)^{k+l} conj(G~_{kl}), with a real diagonal, so the grid
-transforms run on exact tables of the triangle k >= l, one per |lambda|
-(`_TransformPlan`), and read the rest by that symmetry.  `representation_matrix`
+G~_{lk} = (-1)^{k+l} conj(G~_{kl}), with a real diagonal, and
+G~_{kl}(-z) = (-1)^{k-l} G~_{kl}(z).  So the grid transforms run on exact
+tables of the triangle k >= l over half the (x, y) plane, one per |lambda|
+(`_TransformPlan`): (|lambda| count) * ceil(Nx Ny / 2) * K(K+1)/2 * 16
+bytes, rows even in k - l first, then odd.  They read the rest by the
+symmetries, the mirrored half through the row parity, on exactly
+antisymmetric axes (`SpatialGrid.axis`).  `representation_matrix`
 integrates G with a Gauss-Hermite rule centred at beta/2 instead (`_g_block`),
 and `inverse_transform` sums its traces against F: one quadrature oracle,
 independent of the tables.
@@ -84,7 +88,15 @@ class SpatialGrid:
         object.__setattr__(self, "shape", sh)
 
     def axis(self, i: int) -> np.ndarray:
-        return np.linspace(-self.half_widths[i], self.half_widths[i], self.shape[i])
+        """The i-th axis, exactly antisymmetric: axis[::-1] == -axis bitwise,
+        with an odd axis' centre exactly 0.0, so that the point reflection
+        (x, y) -> (-x, -y) maps grid points onto grid points."""
+        n = self.shape[i]
+        a = np.linspace(-self.half_widths[i], self.half_widths[i], n)
+        a[n - n // 2:] = -a[n // 2 - 1::-1]
+        if n % 2:
+            a[n // 2] = 0.0
+        return a
 
     @property
     def axes(self):
@@ -215,41 +227,68 @@ def representation_matrix(lam: float, g: GroupElement, K: int,
     return phase * M
 
 
+def _triangle(K: int):
+    """(k, l) of the stored triangle k >= l: the rows with k - l even first,
+    then the odd ones, each parity column by column (l, then k, ascending)."""
+    l, k = np.triu_indices(K)
+    order = np.argsort((k - l) % 2, kind="stable")
+    return k[order], l[order]
+
+
 def _closed_form_tables(alphas: np.ndarray, x: np.ndarray, y: np.ndarray,
                         K: int) -> np.ndarray:
-    """G~_{kl}(alpha y, alpha x) for l <= k < K by the ladder recurrences.
+    """G~_{kl}(alpha y, alpha x) for l <= k < K at the points (x[j], y[j]),
+    by the ladder recurrences.
 
     With z = alpha (y + i x) / sqrt(2): G~_00 = exp(-|z|^2 / 2),
     G~_{k+1,0} = z G~_{k0} / sqrt(k+1) and
     G~_{k,l+1} = (sqrt(k) G~_{k-1,l} - conj(z) G~_{kl}) / sqrt(l+1).
     The last reads only entries with k - 1 >= l, so the recurrence never
-    leaves the lower triangle k >= l.  The upper one follows from the closed
-    form sqrt(l!/k!) z^{k-l} L_l^{(k-l)}(|z|^2) e^{-|z|^2/2}:
-    G~_{lk} = (-1)^{k+l} conj(G~_{kl}), and the diagonal is real.
-    Shape (K(K+1)/2, len(alphas), len(x), len(y)), the triangle packed column
-    by column: column l holds k = l..K-1, the order of `np.triu_indices(K)`
-    read as (l, k).  The triangle axis leads, so each step of the recurrence
-    runs over contiguous slabs.
+    leaves the lower triangle k >= l.  The closed form
+    sqrt(l!/k!) z^{k-l} L_l^{(k-l)}(|z|^2) e^{-|z|^2/2} gives the upper one,
+    G~_{lk} = (-1)^{k+l} conj(G~_{kl}) with a real diagonal, and the point
+    reflection G~_{kl}(-z) = (-1)^{k-l} G~_{kl}(z), which every step of the
+    recurrence keeps bitwise.
+    Shape (len(alphas), len(x), K(K+1)/2), the triangle last in the order of
+    `_triangle`.  (k, l+1) reads (k-1, l), of its own parity, and (k, l), of
+    the other, so each parity of column l+1 is one vectorized step over the
+    two parity blocks of column l.  The recurrence runs on chunks of
+    len(alphas) len(x) / (K(K+1)/2) points, each in a contiguous
+    (K(K+1)/2, chunk) scratch the size of one (alphas, x) slab, and writes
+    them transposed into place.
     """
-    z = (alphas[:, None, None] / np.sqrt(2.0)) * (y[None, None, :] + 1j * x[None, :, None])
-    tab = np.empty((K * (K + 1) // 2,) + z.shape, dtype=complex)
-    tab[0] = np.exp(-0.5 * (z.real ** 2 + z.imag ** 2))
-    for k in range(1, K):
-        np.multiply(z, tab[k - 1], out=tab[k])
-        tab[k] *= 1.0 / np.sqrt(k)
-    minus_zbar = np.negative(np.conjugate(z, out=z), out=z)  # z is done with
-    scratch = np.empty_like(z)
-    for l in range(K - 1):
-        # (k, l) sits at base(l) + k, base(l) = l K - l (l + 1) / 2
-        col = l * K - l * (l + 1) // 2
-        nxt = col + K - l - 1
-        for k in range(l + 1, K):
-            out = tab[nxt + k]
-            np.multiply(minus_zbar, tab[col + k], out=out)
-            np.multiply(np.sqrt(k), tab[col + k - 1], out=scratch)
-            out += scratch
-            out *= 1.0 / np.sqrt(l + 1)
-    return tab
+    k, l = _triangle(K)
+    rows = k.size
+    pos = np.zeros((K, K), dtype=int)
+    pos[k, l] = np.arange(rows)
+    root = np.sqrt(np.arange(K))[:, None]
+    points = ((alphas[:, None] / np.sqrt(2.0)) * (y + 1j * x)[None, :]).ravel()
+    out = np.empty((alphas.size, x.size, rows), dtype=complex)
+    flat = out.reshape(-1, rows)
+    size = -(-points.size // rows)
+    tab = np.empty((rows, size), dtype=complex)
+    scratch = np.empty((K // 2, size), dtype=complex)
+    for start in range(0, points.size, size):
+        z = points[start:start + size]
+        t = tab[:, :z.size]
+        t[pos[0, 0]] = np.exp(-0.5 * (z.real ** 2 + z.imag ** 2))
+        for kk in range(1, K):
+            np.multiply(z, t[pos[kk - 1, 0]], out=t[pos[kk, 0]])
+            t[pos[kk, 0]] *= 1.0 / np.sqrt(kk)
+        minus_zbar = np.negative(np.conjugate(z, out=z), out=z)  # z is done with
+        for ll in range(K - 1):
+            for k0 in (ll + 1, ll + 2):  # k = k0, k0 + 2, ... < K
+                n = (K - k0 + 1) // 2
+                if n == 0:
+                    continue
+                dst = t[pos[k0, ll + 1]:pos[k0, ll + 1] + n]
+                np.multiply(minus_zbar, t[pos[k0, ll]:pos[k0, ll] + n], out=dst)
+                below = scratch[:n, :z.size]
+                np.multiply(root[k0::2], t[pos[k0 - 1, ll]:pos[k0 - 1, ll] + n], out=below)
+                dst += below
+                dst *= 1.0 / np.sqrt(ll + 1)
+        flat[start:start + z.size] = t.T
+    return out
 
 
 class _TransformPlan:
@@ -259,18 +298,27 @@ class _TransformPlan:
     On a grid point g = (x, y, t), M(lambda, g)_{kl} = e^{i lambda t}
     G~_{kl}(sqrt|lambda| y, sign(lambda) sqrt|lambda| x), where G~ is the
     closed-form Fourier-Wigner transform of Hermite functions (Folland 1989;
-    Thangavelu 1993) of `_closed_form_tables`.  -lambda conjugates G~, so
-    the nodes +-lambda share one table, and G~_{lk} = (-1)^{k+l}
-    conj(G~_{kl}) leaves only the triangle k >= l to store: `table[p]` is
-    the (K(K+1)/2, Nx*Ny) matrix of the p-th |lambda|, rows (k, l) with
-    k >= l in the packing of `_closed_form_tables`, columns (x, y).  The set
-    holds (|lambda| count) * K(K+1)/2 * Nx * Ny * 16 bytes and no quadrature
-    rule.  Node q reads `table[group[q]]`; column[q] is 1 when lambda < 0.
+    Thangavelu 1993) of `_closed_form_tables`.  Three identities shrink what
+    is stored: -lambda conjugates G~, so the nodes +-lambda share one table;
+    G~_{lk} = (-1)^{k+l} conj(G~_{kl}) leaves the triangle k >= l; and
+    G~_{kl}(-z) = (-1)^{k-l} G~_{kl}(z) leaves half the (x, y) plane, since
+    the exactly antisymmetric axes map the flattened point j to N - 1 - j,
+    N = Nx * Ny.  `table[p]` is the (ceil(N/2), K(K+1)/2) matrix of the p-th
+    |lambda|: points j < ceil(N/2), triangle rows (k, l) in the order of
+    `_triangle`, even k - l first (`even` real columns of `real`, the
+    table's real view), so that each parity is one column block.  The set
+    holds (|lambda| count) * ceil(N/2) * K(K+1)/2 * 16 bytes and no
+    quadrature rule.  Node q reads `table[group[q]]`; column[q] is 1 when
+    lambda < 0.
 
-    A K x K block enters as two triangle vectors (`fold`): lo_{kl} = F_{lk}
-    pairs with the stored G~_{kl}, up_{kl} = (-1)^{k+l} F_{kl} with the
-    mirrored G~_{lk}.  At +lambda G~ is the table on lo and its conjugate on
-    up; at -lambda the other way round.
+    A mirrored point j' = N - 1 - j reads the stored j with the sign
+    (-1)^{k-l}: a sum over all points is the even rows against
+    f(j) + f(j') and the odd rows against f(j) - f(j'), and a field on all
+    points is E + O at j and E - O at j'.  The odd rows vanish at the
+    centre point of an odd N, its own mirror, which is counted once.  Both
+    grid transforms contract the real view of the table against real
+    operands, which leaves out the products of the real parts of G~ with
+    the imaginary parts of the other factor that neither needs.
     """
 
     def __init__(self, grid: ModeGrid, spatial: SpatialGrid):
@@ -280,55 +328,42 @@ class _TransformPlan:
         absl, self.group = np.unique(np.abs(grid.lambda_nodes), return_inverse=True)
         self.column = (grid.lambda_nodes < 0).astype(int)
         self.slot = 2 * self.group + self.column
-        l, k = np.triu_indices(K)
-        self.lower = (k, l)
+        k, l = self.lower = _triangle(K)
         self.sign = np.where(k > l, (-1.0) ** (k + l), 0.0)
+        self.even = 2 * np.count_nonzero((k - l) % 2 == 0)
         x, y, _ = spatial.axes
-        tab = _closed_form_tables(np.sqrt(absl), x, y, K)
-        self.table = tab.reshape(k.size, absl.size, -1).transpose(1, 0, 2)
+        self.points = x.size * y.size
+        half = -(-self.points // 2)
+        self.table = _closed_form_tables(np.sqrt(absl), np.repeat(x, y.size)[:half],
+                                         np.tile(y, x.size)[:half], K)
+        self.real = self.table.view(float)
 
-    def fold(self, blocks: np.ndarray):
-        """The (lo, up) triangle vectors, each (Q, K(K+1)/2), of the (Q, K, K)
-        blocks; up is zero on the diagonal."""
+    def weights(self, blocks: np.ndarray) -> np.ndarray:
+        """The synthesis operand of the (Q, K, K) blocks, real
+        (|lambda| count, K(K+1), 4).  Over the triangle, Tr[F G~] is
+        lo . G~ + up . conj(G~) at +lambda and up . G~ + lo . conj(G~) at
+        -lambda, lo_{kl} = F_{lk}, up_{kl} = (-1)^{k+l} F_{kl} (zero on the
+        diagonal): (lo + up) . Re G~ + i b . Im G~ with b = +-(lo - up).
+        Row 2r + c pairs with column 2r + c of `real` (c = 0 the real part,
+        1 the imaginary one) and holds lo + up, resp. i b; columns 2s and
+        2s + 1 are the real and imaginary parts at slot s (+lambda, -lambda);
+        a missing mirror's columns stay zero."""
         k, l = self.lower
-        return blocks[:, l, k], self.sign * blocks[:, k, l]
+        lo = blocks[:, l, k]
+        up = self.sign * blocks[:, k, l]
+        w = np.zeros((self.table.shape[0], k.size, 2, 2), dtype=complex)
+        w[self.group, :, 0, self.column] = lo + up
+        w[self.group, :, 1, self.column] = (1j - 2j * self.column)[:, None] * (lo - up)
+        return w.view(float).reshape(w.shape[0], -1, 4)
 
     def unfold(self, lo: np.ndarray, up: np.ndarray) -> np.ndarray:
-        """Inverse of `fold`: the (Q, K, K) blocks, the diagonal from lo."""
+        """The (Q, K, K) blocks with B_{lk} = lo_{kl} (the diagonal too) and
+        B_{kl} = (-1)^{k+l} up_{kl} over the triangle k > l."""
         k, l = self.lower
         blocks = np.empty((lo.shape[0], self.order, self.order), dtype=complex)
         blocks[:, k, l] = self.sign * up
         blocks[:, l, k] = lo
         return blocks
-
-    def pair(self, lo: np.ndarray, up: np.ndarray) -> np.ndarray:
-        """Stack per-node vectors lo, up (Q, m) as (|lambda| count, 4, m):
-        slots 0 and 1 take +lambda's lo and conj(up), slots 2 and 3 take
-        -lambda's up and conj(lo), so that each node's slots pair with the
-        table and its conjugate; a missing mirror stays zero."""
-        out = np.zeros((self.table.shape[0], 4, lo.shape[1]), dtype=complex)
-        out[self.group, 3 * self.column] = lo
-        out[self.group, 1 + self.column] = up
-        odd = out[:, 1::2]
-        np.conjugate(odd, out=odd)
-        return out
-
-    def unpair(self, stacked: np.ndarray):
-        """Inverse of `pair`, conjugating the odd slots of stacked in place:
-        the per-node (lo, up), each (Q, m)."""
-        odd = stacked[:, 1::2]
-        np.conjugate(odd, out=odd)
-        return stacked[self.group, 3 * self.column], stacked[self.group, 1 + self.column]
-
-    def merge(self, stacked: np.ndarray) -> np.ndarray:
-        """lo + up of `unpair` without gathering the nodes: a (2 |lambda|
-        count, m) view of stacked, which it overwrites, with node q in row
-        slot[q] and a missing mirror's row zero."""
-        halves = stacked.reshape(-1, 2, stacked.shape[-1])
-        direct, conjugated = halves[:, 0], halves[:, 1]
-        np.conjugate(conjugated, out=conjugated)
-        direct += conjugated
-        return direct
 
 
 _PLAN_CACHE: dict = {}
@@ -357,11 +392,14 @@ def forward_transform(f: SpatialField, grid: ModeGrid,
     """Group Fourier transform: f_hat(lambda)_{kl} by spatial quadrature.
 
     The trapezoid sum of f(g) conj(M(lambda, g)_{lk}) over the grid with the
-    plan's exact coefficients: the t axis first, one Fourier factor per
-    node, then one batched complex matmul of the |lambda| triangle tables
-    against four paired columns per |lambda| (each node's t-transform and
-    its conjugate, so that the stored G~_{kl} and the mirrored
-    G~_{lk} = (-1)^{k+l} conj(G~_{kl}) both come out).
+    plan's exact coefficients.  The samples are folded across the origin of
+    the (x, y) plane, f(j) + f(j') for the even rows and f(j) - f(j') for
+    the odd ones; one real matmul per fold takes the t axis, with one row
+    per slot (the real and imaginary parts of each node's t-transform), and
+    one batched real matmul per parity contracts the slots with the
+    half-plane tables.  sum_j G~ ft and sum_j G~ conj(ft) follow from the
+    two parts, so that the stored G~_{kl} and the mirrored
+    G~_{lk} = (-1)^{k+l} conj(G~_{kl}) both come out.
     `representation_matrix` gives the same entries by quadrature,
     independently of the tables.  Warns when f fails the boundary-decay
     precondition; pass boundary_tol=None when the caller has already vetted
@@ -376,15 +414,38 @@ def forward_transform(f: SpatialField, grid: ModeGrid,
                 stacklevel=2,
             )
     plan = _plan(grid, f.grid)
-    fw = f.samples * f.grid.weight_cube()
-    char = np.exp(-1j * np.outer(f.grid.axis(2), grid.lambda_nodes))
-    ft = np.tensordot(fw, char, axes=([2], [0])).reshape(-1, grid.node_count)
-    # conj(f_hat_{kl}) = sum_g M_{lk} conj(ft), the synthesis' pairing of M
-    # run backwards: the matmul gives the (lo, up) triangles of conj(f_hat)
-    ftc = np.conjugate(ft, out=ft).T
-    stacked = plan.table @ plan.pair(ftc, ftc).transpose(0, 2, 1)
-    lo, up = plan.unpair(stacked.transpose(0, 2, 1))
-    return SpectralField(grid, plan.unfold(lo, up).conj())
+    table, e = plan.real, plan.even
+    groups, half, _ = table.shape
+    mirrored = plan.points - half
+    fw = (f.samples * f.grid.weight_cube()).reshape(plan.points, -1)
+    # fold the points: fw[:half] gets f(j) + f(j'), odd f(j) - f(j')
+    mirror = fw[::-1][:mirrored]
+    odd = fw[:mirrored] - mirror
+    fw[:mirrored] += mirror
+    # the t axis as one real row per slot: Re and Im of the t-transform
+    # ft(lambda) = sum_t fw e^{-i lambda t}, at +lambda then -lambda, acting
+    # on the real view (re, im, re, ...) of the samples
+    phase = np.exp(1j * np.outer(grid.lambda_nodes, f.grid.axis(2)))
+    char = np.zeros((groups, 2, 2, phase.shape[1]), dtype=complex)
+    char[plan.group, plan.column, 0] = phase
+    char[plan.group, plan.column, 1] = 1j * phase
+    char = char.view(float).reshape(4 * groups, -1)
+    # p, q = sum_j G~ Re ft, sum_j G~ Im ft as the complex view of pq
+    pq = np.empty((groups, 4, table.shape[2]))
+    folded = (char @ fw[:half].view(float).T).reshape(groups, 4, half)
+    np.matmul(folded, table[:, :, :e], out=pq[:, :, :e])
+    folded = (char @ odd.view(float).T).reshape(groups, 4, mirrored)
+    np.matmul(folded, table[:, :mirrored, e:], out=pq[:, :, e:])
+    pq = pq.view(complex)
+    p, q = pq[plan.group, 2 * plan.column], pq[plan.group, 2 * plan.column + 1]
+    # f_hat_{kl} = sum_g w f(g) conj(M(lambda, g)_{lk}): at +lambda the
+    # triangle's mirror f_hat_{lk} is conj(sum_j G~ conj(ft)) and f_hat_{kl}
+    # is (-1)^{k+l} sum_j G~ ft; -lambda swaps the two
+    along = p + 1j * q
+    across = np.conjugate(p) + 1j * np.conjugate(q)
+    minus = plan.column[:, None] == 1
+    return SpectralField(grid, plan.unfold(np.where(minus, along, across),
+                                           np.where(minus, across, along)))
 
 
 def synthesize_on_grid(F: SpectralField, spatial: SpatialGrid) -> SpatialField:
@@ -392,18 +453,33 @@ def synthesize_on_grid(F: SpectralField, spatial: SpatialGrid) -> SpatialField:
 
     Sum over lambda nodes of weight * Tr[F(lambda) M(lambda, g)] with the
     calibrated grid weights.  Tr[F G~] is the folded triangle of F against
-    the stored G~_{kl} and their mirrors G~_{lk} = (-1)^{k+l} conj(G~_{kl}):
-    one batched complex matmul of four paired rows per |lambda| against the
-    triangle tables gives every node's (x, y) slab, and one matmul the t
-    axis.  `inverse_transform` evaluates the same sum pointwise by quadrature.
+    the stored G~_{kl} and their mirrors G~_{lk} = (-1)^{k+l} conj(G~_{kl})
+    (`_TransformPlan.weights`): per parity, one batched real matmul against
+    the half-plane tables gives every node's (x, y) slab there, E for the
+    even rows and O for the odd ones, and one matmul takes each to the t
+    axis; a point gets E + O and its mirror E - O.
+    `inverse_transform` evaluates the same sum pointwise by quadrature.
     """
     grid = F.grid
     plan = _plan(grid, spatial)
-    slabs = plan.merge(plan.pair(*plan.fold(F.coefficients)) @ plan.table)
-    char = np.zeros((slabs.shape[0], spatial.shape[2]), dtype=complex)
+    table, e = plan.real, plan.even
+    groups, half, _ = table.shape
+    mirrored = plan.points - half
+    w = plan.weights(F.coefficients)
+    char = np.zeros((2 * groups, spatial.shape[2]), dtype=complex)
     char[plan.slot] = (np.exp(1j * np.outer(grid.lambda_nodes, spatial.axis(2)))
                        * grid.weights[:, None])
-    samples = slabs.T @ char
+    # real (half, |lambda|, 4) = complex (half, 2 |lambda|) slabs, node q in
+    # column slot[q]; the odd rows reuse the first `mirrored` points of it
+    slabs = np.empty((half, groups, 4))
+    np.matmul(table[:, :, :e], w[:, :e], out=slabs.transpose(1, 0, 2))
+    samples = np.empty((plan.points, char.shape[1]), dtype=complex)
+    np.matmul(slabs.view(complex).reshape(half, -1), char, out=samples[:half])
+    slabs = slabs[:mirrored]
+    np.matmul(table[:, :mirrored, e:], w[:, e:], out=slabs.transpose(1, 0, 2))
+    odd = slabs.view(complex).reshape(mirrored, -1) @ char
+    np.subtract(samples[:mirrored], odd, out=samples[half:][::-1])
+    samples[:mirrored] += odd
     return SpatialField(spatial, samples.reshape(spatial.shape))
 
 

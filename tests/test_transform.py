@@ -11,6 +11,7 @@ from subwave.propagator import _Norms
 from subwave.spectral import ModeGrid, SpectralField, build_grid
 from subwave.transform import (
     _closed_form_tables,
+    _triangle,
     _g_block,
     _rule,
     _rule_size,
@@ -204,9 +205,14 @@ def _sparse_grid():
                     base_weights=np.array([0.5, 0.4, 0.3, 0.4, 0.5]), mu_max=7.0)
 
 
-def test_grouped_synthesis_matches_per_node_loop(rng):
+# the half-plane tables on an odd Nx * Ny, whose centre point is its own
+# mirror, and on an even one
+ODD_PLANE = SpatialGrid((4.0, 3.5, 5.0), (13, 11, 9))
+EVEN_PLANE = SpatialGrid((4.0, 3.5, 5.0), (12, 11, 9))
+
+
+def check_grouped_synthesis(spatial, rng):
     grid = _sparse_grid()
-    spatial = SpatialGrid((4.0, 3.5, 5.0), (13, 11, 9))
     c = (rng.standard_normal(grid.field_shape())
          + 1j * rng.standard_normal(grid.field_shape()))
     c[1] = 0.0  # +1.0 alone in its |lambda| pair
@@ -216,12 +222,11 @@ def test_grouped_synthesis_matches_per_node_loop(rng):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_forward_matches_quadrature_on_an_asymmetric_field():
+def check_forward_on_an_asymmetric_field(spatial):
     # even packets cannot tell (k, l) from (l, k); this field is odd in x,
     # off-centre in x and y and complex, so a transposed index order or a
     # wrong mirrored sign misses by O(1)
     grid = _sparse_grid()
-    spatial = SpatialGrid((4.0, 3.5, 5.0), (13, 11, 9))
     f = from_function(spatial, lambda x, y, t: (1 + x + 0.3j * x * y + 0.2 * x * t)
                       * np.exp(-((x - 0.7) ** 2 + (y + 0.4) ** 2) / 1.2 - t * t / 3))
     blocks = quadrature_blocks(grid, spatial)
@@ -234,27 +239,70 @@ def test_forward_matches_quadrature_on_an_asymmetric_field():
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_grouped_synthesis_matches_per_node_loop(rng):
+    check_grouped_synthesis(ODD_PLANE, rng)
+
+
+def test_grouped_synthesis_matches_per_node_loop_on_an_even_plane(rng):
+    check_grouped_synthesis(EVEN_PLANE, rng)
+
+
+def test_forward_matches_quadrature_on_an_asymmetric_field():
+    check_forward_on_an_asymmetric_field(ODD_PLANE)
+
+
+def test_forward_matches_quadrature_on_an_even_plane():
+    check_forward_on_an_asymmetric_field(EVEN_PLANE)
+
+
 # x carries gamma and y beta: both signs and |beta|, |gamma| up to 12.3
 TABLE_X = np.array([-12.3, -7.1, -2.2, -0.4, 0.0, 1.3, 5.6, 12.3])
 TABLE_Y = np.array([-12.3, -3.3, -0.9, 0.0, 0.7, 4.4, 9.8, 12.3])
 
 
-def g_tilde_by_quadrature(K):
+def g_tilde_by_quadrature(K, xs=TABLE_X, ys=TABLE_Y):
     """G~ = G exp(-i gamma beta / 2) at every (gamma, beta) = (x, y) point,
     shape (len(x), len(y), K, K), from the Gauss-Hermite `_g_block` alone."""
     rule = _rule(_rule_size(12.3, 2 * K))
     return np.array([[_g_block(beta, gamma, K, K, rule) * np.exp(-0.5j * gamma * beta)
-                      for beta in TABLE_Y] for gamma in TABLE_X])
+                      for beta in ys] for gamma in xs])
+
+
+def table_points():
+    """TABLE_X x TABLE_Y flattened into the paired points of
+    `_closed_form_tables`, x major."""
+    x, y = np.meshgrid(TABLE_X, TABLE_Y, indexing="ij")
+    return x.ravel(), y.ravel()
 
 
 @pytest.mark.parametrize("K, bound", [(8, 1e-13), (16, 1e-10)])
 def test_closed_form_tables_match_quadrature(K, bound):
-    # the packed triangle k >= l: column l holds k = l..K-1
-    tab = _closed_form_tables(np.array([1.0]), TABLE_X, TABLE_Y, K)[:, 0]
-    l, k = np.triu_indices(K)
-    assert tab.shape == (k.size, TABLE_X.size, TABLE_Y.size)
-    ref = np.moveaxis(g_tilde_by_quadrature(K)[:, :, k, l], -1, 0)
+    # the triangle k >= l, last, in the order of `_triangle`
+    tab = _closed_form_tables(np.array([1.0]), *table_points(), K)[0]
+    k, l = _triangle(K)
+    assert tab.shape == (TABLE_X.size * TABLE_Y.size, k.size)
+    ref = g_tilde_by_quadrature(K)[:, :, k, l].reshape(tab.shape)
     assert np.max(np.abs(tab - ref)) <= bound
+
+
+def test_triangle_order_puts_each_parity_in_one_block():
+    k, l = _triangle(5)
+    assert sorted(zip(k, l)) == [(a, b) for a in range(5) for b in range(a + 1)]
+    assert list((k - l) % 2) == [0] * 9 + [1] * 6
+    # within a parity, column by column and k ascending
+    assert list(zip(k[:4], l[:4])) == [(0, 0), (2, 0), (4, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("K", [8, 16])
+def test_closed_form_tables_reflect_through_the_origin_bitwise(K):
+    # G~_{kl}(-z) = (-1)^{k-l} G~_{kl}(z): every step of the recurrence is
+    # odd or even in z, so the mirrored point carries the exact sign
+    x, y = table_points()
+    alphas = np.array([0.5, 1.0, 2.45])
+    tab = _closed_form_tables(alphas, x, y, K)
+    mirrored = _closed_form_tables(alphas, -x, -y, K)
+    k, l = _triangle(K)
+    assert np.array_equal(mirrored, (-1.0) ** (k - l) * tab)
 
 
 @pytest.mark.parametrize("K", [8, 16])
@@ -269,25 +317,51 @@ def test_fourier_wigner_blocks_mirror_across_the_diagonal(K):
     assert np.max(np.abs(np.diagonal(g, axis1=2, axis2=3).imag)) <= 1e-14
 
 
+@pytest.mark.parametrize("K", [8, 16])
+def test_fourier_wigner_blocks_reflect_through_the_origin(K):
+    # G~_{kl}(-z) = (-1)^{k-l} G~_{kl}(z), the identity that lets the plan
+    # store half the (x, y) plane, from the quadrature alone
+    g = g_tilde_by_quadrature(K)
+    reflected = g_tilde_by_quadrature(K, -TABLE_X, -TABLE_Y)
+    idx = np.arange(K)
+    sign = (-1.0) ** (idx[:, None] - idx[None, :])
+    assert np.max(np.abs(reflected - sign * g)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 5, 36, 37])
+def test_axes_are_exactly_antisymmetric(n):
+    grid = SpatialGrid((2.0, 3.7, 8.5), (n, n + 2, n))
+    for i in range(3):
+        a = grid.axis(i)
+        assert np.array_equal(a[::-1], -a)
+        assert a[0] == -grid.half_widths[i] and a[-1] == grid.half_widths[i]
+        assert np.allclose(np.diff(a), grid.spacings[i], rtol=1e-13, atol=0.0)
+        if a.size % 2:
+            assert a[a.size // 2] == 0.0
+
+
 def test_plan_builds_and_holds_only_the_triangle(calibrated_grid, synth_box):
-    # K(K+1)/2 rows per |lambda|; the build's scratch is a few (|lambda|,
-    # Nx, Ny) slabs (2.5 measured), never the K^2 rows of the full table
+    # K(K+1)/2 rows per |lambda| on the ceil(Nx Ny / 2) points of the half
+    # plane; the build's scratch is a few (|lambda|, half plane) slabs (2.5
+    # measured), never the K^2 rows or the full plane
     from subwave import transform
 
     K = calibrated_grid.block_size
     groups = np.unique(np.abs(calibrated_grid.lambda_nodes)).size
     nx, ny, _ = synth_box.shape
-    slab = groups * nx * ny * 16
+    half = -(-nx * ny // 2)
+    half_slab = groups * half * 16
     plan, peak = traced_peak(lambda: transform._TransformPlan(calibrated_grid, synth_box))
-    assert plan.table.nbytes == groups * K * (K + 1) // 2 * nx * ny * 16
-    assert peak <= plan.table.nbytes + 3 * slab
+    assert plan.table.nbytes == groups * K * (K + 1) // 2 * half * 16
+    assert peak <= plan.table.nbytes + 3 * half_slab
 
 
 def test_grid_transforms_allocate_a_few_boxes(calibrated_grid, synth_box, rng):
-    # with the plan built, a call holds the (|lambda|, 4, Nx Ny) stack of its
-    # one batched matmul, the result and, forward, the weighted samples and
-    # their t-transform, each about one box at 24 nodes on 48 t points:
-    # 2.1 boxes measured for a synthesis, 2.8 for a forward transform
+    # with the plan built, a synthesis holds the result, its half-plane
+    # slabs and the odd rows' t-contraction; a forward transform the weighted
+    # samples, their odd fold and the two folded t-transforms (a box is
+    # Nx Ny Nt complex; 24 nodes on 48 t points): 1.9 boxes measured for a
+    # synthesis, 2.1 for a forward transform
     from subwave import transform
 
     transform._plan(calibrated_grid, synth_box)
@@ -311,7 +385,7 @@ def test_grid_transforms_do_not_touch_quadrature(monkeypatch, rng):
     monkeypatch.setattr(transform, "_rule", refuse)
     clear_plan_cache()
     grid = _sparse_grid()
-    spatial = SpatialGrid((4.0, 3.5, 5.0), (13, 11, 9))
+    spatial = ODD_PLANE
     c = (rng.standard_normal(grid.field_shape())
          + 1j * rng.standard_normal(grid.field_shape()))
     F = SpectralField(grid, c)
