@@ -8,70 +8,18 @@ linear propagator with decay-rate verification, a Duhamel/Picard solver for
 semilinear problems, a finite-difference oracle for cross-validation, and a
 Gagliardo-Nirenberg inequality checker.  Both backends reach the solvers
 through one model in `subwave.propagator`, which is also the one home of the
-homogeneous Sobolev norms ||R^{a/nu} u||.
+homogeneous Sobolev norms ||R^{a/nu} u||.  The package root re-exports each
+library module's `__all__`; the command line lives in `subwave.cli`.
 """
 
-from .group import (GroupElement, group_multiply, group_inverse,
-                    group_identity, dilate, homogeneous_dimension,
-                    oscillator_eigenvalue, enumerate_multi_indices)
-from .hermite import gauss_hermite_rule
-from .spectral import (
-    ModeGrid,
-    SpectralField,
-    SubLaplacianSymbol,
-    AbelianSymbol,
-    build_grid,
-)
-from .transform import (
-    SpatialGrid,
-    SpatialField,
-    from_function,
-    representation_matrix,
-    forward_transform,
-    inverse_transform,
-    synthesize_on_grid,
-    calibrate_plancherel,
-)
-from .propagator import (
-    decay_rate,
-    LinearTrajectory,
-    evolve_linear,
-    verify_decay,
-)
-from .abelian import (
-    AbelianGrid,
-    AbelianField,
-    AbelianCoefficients,
-    abelian_from_function,
-    abelian_forward,
-    abelian_inverse,
-)
-from .semilinear import (
-    PowerNonlinearity,
-    GeneralNonlinearity,
-    ZNormConfig,
-    NumericalFailure,
-    PicardStatus,
-    PicardDiagnostics,
-    apply_nonlinearity,
-    picard_solve,
-    verify_semilinear_decay,
-)
-from .fdoracle import (
-    apply_sublaplacian,
-    cfl_limit,
-    step_leapfrog,
-    run_leapfrog,
-    compare_with_spectral,
-    mms_fields,
-)
-from .gn import (
-    GNExponents,
-    gn_exponent_heisenberg,
-    gn_exponent_graded,
-    gn_exponent_corollary,
-    verify_inequality_abelian,
-    verify_inequality_heisenberg,
-)
+from .group import *
+from .hermite import *
+from .spectral import *
+from .transform import *
+from .propagator import *
+from .abelian import *
+from .semilinear import *
+from .fdoracle import *
+from .gn import *
 
 __version__ = "0.1.0"

@@ -3,10 +3,12 @@
 The damped wave machinery diagonalizes equally well over the classical
 Fourier transform: a positive homogeneous symbol R(xi) plays the role the
 oscillator eigenvalues play on the group side.  This module supplies the
-periodic FFT grid, continuum-normalized analysis/synthesis, exact discrete
-Parseval weights, and the symbol on the dual grid, so the propagator and the
-fixed-point solver can run unchanged on R^d.  The symbol-multiplier Sobolev
-norms live in the backend model of `subwave.propagator`.
+periodic FFT grid, continuum-normalized analysis/synthesis and exact discrete
+Parseval weights, so the propagator and the fixed-point solver can run
+unchanged on R^d.  The symbol on the dual grid is
+`subwave.spectral.AbelianSymbol.values`; the symbol-multiplier Sobolev norms
+live in the backend model of `subwave.propagator`.  The module imports no
+other part of the package.
 
 Conventions: the box [-R_i, R_i)^d is sampled uniformly with N_i points per
 axis (endpoint excluded, the grid is periodic), coefficients approximate the
@@ -25,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import AbelianSymbol
-
 __all__ = [
     "AbelianGrid",
     "AbelianField",
@@ -34,7 +34,6 @@ __all__ = [
     "abelian_from_function",
     "abelian_forward",
     "abelian_inverse",
-    "symbol_on_grid",
 ]
 
 
@@ -110,12 +109,13 @@ class AbelianField:
 class AbelianCoefficients:
     """Continuum-normalized DFT coefficients on the dual grid."""
 
-    def __init__(self, grid: AbelianGrid, values: np.ndarray):
-        values = np.asarray(values, dtype=complex)
-        if values.shape != grid.shape:
-            raise ValueError(f"coefficient shape {values.shape} != grid shape {grid.shape}")
+    def __init__(self, grid: AbelianGrid, coefficients: np.ndarray):
+        coefficients = np.asarray(coefficients, dtype=complex)
+        if coefficients.shape != grid.shape:
+            raise ValueError(f"coefficient shape {coefficients.shape} "
+                             f"!= grid shape {grid.shape}")
         self.grid = grid
-        self.values = values
+        self.coefficients = coefficients
 
 
 def abelian_from_function(grid: AbelianGrid, fn) -> AbelianField:
@@ -131,14 +131,8 @@ def abelian_forward(field: AbelianField) -> AbelianCoefficients:
 
 
 def abelian_inverse(coeffs: AbelianCoefficients) -> AbelianField:
-    out = np.fft.ifftn(coeffs.values, out=np.empty(coeffs.grid.shape, dtype=complex))
+    out = np.fft.ifftn(coeffs.coefficients, out=np.empty(coeffs.grid.shape, dtype=complex))
     # NumPy divides complex by real as this product, bit for bit, but slower
     out *= 1.0 / coeffs.grid.cell_volume
     return AbelianField(coeffs.grid, out)
 
-
-def symbol_on_grid(grid: AbelianGrid, symbol: AbelianSymbol) -> np.ndarray:
-    """R(xi) sampled on the dual grid; shape == grid.shape."""
-    if symbol.dim != grid.dim:
-        raise ValueError(f"symbol dimension {symbol.dim} != grid dimension {grid.dim}")
-    return symbol.value_at(grid.freq_stack())

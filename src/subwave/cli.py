@@ -75,7 +75,7 @@ from fractions import Fraction
 import numpy as np
 
 from .abelian import (AbelianCoefficients, AbelianGrid, abelian_from_function,
-                      abelian_forward, symbol_on_grid)
+                      abelian_forward)
 from .fdoracle import cfl_limit, compare_with_spectral, run_leapfrog
 from .group import homogeneous_dimension
 from .gn import (gn_exponent_corollary, gn_exponent_graded,
@@ -290,7 +290,7 @@ def _abelian_backend(be):
     agrid = AbelianGrid(be["half_widths"], be["shape"])
     symbol = AbelianSymbol(be["coefficients"], order=be["order"],
                            radial=be["radial"])
-    symbol_on_grid(agrid, symbol)  # the symbol's and grid's dimensions agree
+    symbol.values(agrid)  # raises unless the symbol's and grid's dimensions agree
     return agrid, symbol
 
 
@@ -388,7 +388,7 @@ def _cauchy_data(v):
         u0 = abelian_forward(abelian_from_function(
             agrid, lambda *xs: scale
             * np.exp(-sum(c ** 2 for c in xs) / (2 * width ** 2))))
-        return u0, AbelianCoefficients(agrid, np.zeros_like(u0.values)), symbol
+        return u0, AbelianCoefficients(agrid, np.zeros_like(u0.coefficients)), symbol
     grid = v["grid"]
     if data["kind"] == "packet":
         u0 = _packet_transform(v)[1]

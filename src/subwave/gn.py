@@ -162,7 +162,7 @@ def verify_inequality_abelian(u: AbelianField, exps: GNExponents,
     coeffs = abelian_forward(u)
     lq = u.lq_norm(float(exps.q))
     lp = u.lq_norm(float(exps.p))
-    sob = _Norms(coeffs, laplace).frac(coeffs.values, float(exps.a))
+    sob = _Norms(coeffs, laplace).frac(coeffs.coefficients, float(exps.a))
     den = sob ** s * lp ** (1.0 - s)
     ratio = lq / den if den > 0 else np.inf
     return RatioReport(float(ratio), lq, sob, lp, s,

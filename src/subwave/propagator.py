@@ -21,9 +21,10 @@ derivative are
 
 Both backends reach these factors through one model in two halves:
 SpectralField coefficients on a Heisenberg mode grid and AbelianCoefficients
-on an FFT grid.  It is the only code that reads a backend's symbol layout and
-norm weighting, and the package's one home for the homogeneous Sobolev norms
-||R^{a/nu} u||.  It works on raw coefficient arrays c.  The first half,
+on an FFT grid, each symbol giving its values on its own layout.  It is the
+only code that reads a backend's norm weighting, and the package's one home
+for the homogeneous Sobolev norms ||R^{a/nu} u||.  It works on raw
+coefficient arrays c.  The first half,
 `_Norms(state, provider)`, is the function space:
 
     l2(c)             L^2 norm
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import AbelianCoefficients, symbol_on_grid
+from .abelian import AbelianCoefficients
 from .spectral import SpectralField, SubLaplacianSymbol
 
 __all__ = [
@@ -99,12 +100,12 @@ def _sc_factors(delta, t):
     if np.any(osc):
         a = np.sqrt(delta[osc])
         at = a * t[osc]
-        S[osc] = np.where(at == 0.0, t[osc], np.sin(at) / np.where(a == 0, 1.0, a))
+        S[osc] = np.sin(at) / a
         C[osc] = np.cos(at)
     if np.any(hyp):
         c = np.sqrt(-delta[hyp])
         ct = c * t[hyp]
-        S[hyp] = np.where(ct == 0.0, t[hyp], np.sinh(ct) / c)
+        S[hyp] = np.sinh(ct) / c
         C[hyp] = np.cosh(ct)
     if np.any(series):
         d = delta[series]
@@ -177,34 +178,27 @@ def _norm_multiplier(vals: np.ndarray, nu: int, order: float,
 
 class _Norms:
     """The first half of a backend model: layout, norms, wrap/unwrap (see
-    the module docstring).  Heisenberg (SpectralField): R =
-    provider.values(grid) on the row index k of each (node, k, l) block, the
+    the module docstring).  Both backends answer one protocol: the symbol
+    provider's values(grid) is R on the coefficient layout, and a field
+    holds its grid and its coefficients.  Heisenberg (SpectralField): the
     sub-Laplacian by default, and each lambda node's Plancherel weight in
-    the norms.  Abelian (AbelianCoefficients): R = symbol_on_grid(grid,
-    provider), provider required, and the norms divided by the box volume.
-    Each norm multiplier is built once per (order, mass) and kept for the
-    object's lifetime.
+    the norms.  Abelian (AbelianCoefficients): provider required, and the
+    norms divided by the box volume.  Each norm multiplier is built once per
+    (order, mass) and kept for the object's lifetime.
     """
 
     def __init__(self, state, provider):
-        if not isinstance(state, (SpectralField, AbelianCoefficients)):
-            raise TypeError(f"unsupported state type {type(state).__name__}")
-        grid = state.grid
         if isinstance(state, SpectralField):
-            if provider is None:
-                provider = SubLaplacianSymbol(power=1)
-            self.sym = provider.values(grid)[:, :, None]
-            self.weights, self.volume = grid.weights[:, None, None], 1.0
-            self.field, self._attr = SpectralField, "coefficients"
-            self._same_grid = lambda g: g.stamp == grid.stamp
-        else:
+            provider = provider or SubLaplacianSymbol(power=1)
+            self.weights, self.volume = state.grid.weights[:, None, None], 1.0
+        elif isinstance(state, AbelianCoefficients):
             if provider is None:
                 raise ValueError("abelian trajectories need an explicit symbol provider")
-            self.sym = symbol_on_grid(grid, provider)
-            self.weights, self.volume = None, grid.volume
-            self.field, self._attr = AbelianCoefficients, "values"
-            self._same_grid = lambda g: g == grid
-        self.grid, self.nu = grid, provider.nu
+            self.weights, self.volume = None, state.grid.volume
+        else:
+            raise TypeError(f"unsupported state type {type(state).__name__}")
+        self.grid, self.nu, self.field = state.grid, provider.nu, type(state)
+        self.sym = provider.values(self.grid)
         self._mults = {}
 
     def wrap(self, c):
@@ -212,9 +206,9 @@ class _Norms:
 
     def unwrap(self, u):
         """The coefficients of u, which must be a field on the model's grid."""
-        if not (isinstance(u, self.field) and self._same_grid(u.grid)):
+        if not (isinstance(u, self.field) and u.grid == self.grid):
             raise ValueError("fields live on different grids")
-        return getattr(u, self._attr)
+        return u.coefficients
 
     def multiplier(self, order, mass=None):
         """(mass + R)^{2 order/nu}, or R^{2 order/nu} when mass is None."""

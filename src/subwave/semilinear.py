@@ -180,7 +180,7 @@ class _AbelianModel(_Model):
             return abelian_inverse(self.wrap(cj)).samples
 
         out = _evaluate(nl, samples, max(1, (self.nu + 1) // 2))
-        return abelian_forward(AbelianField(self.grid, out)).values
+        return abelian_forward(AbelianField(self.grid, out)).coefficients
 
 
 def _evaluate(nl, samples, count):
@@ -274,15 +274,15 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
                  tol: float = 1e-8, max_iter: int = 25, synth=None):
     """Iterate the mild-solution map to a fixed point on the Z-norm ball.
 
-    u0, u1 are SpectralField (synth: SpatialGrid required when nl is not
-    None) or AbelianCoefficients.  Returns (trajectory, diagnostics); the
+    u0, u1 are SpectralField (synth: SpatialGrid required) or
+    AbelianCoefficients.  Returns (trajectory, diagnostics); the
     trajectory holds values and exact-derivative fields at the sample times.
     Divergence is flagged when the iterate Z norm exceeds twice the measured
     threshold L = 2 * Z(linear part); it is a diagnostic, not an exception.
     """
     model = _make_model(u0, provider, b, m, synth)
     c0, c1 = model.unwrap(u0), model.unwrap(u1)
-    if isinstance(model, _HeisenbergModel) and nl is not None:
+    if isinstance(model, _HeisenbergModel):
         if synth is None:
             raise ValueError("nonlinear Heisenberg runs need a synthesis grid")
         if isinstance(nl, GeneralNonlinearity) and model.nu > 2:
@@ -305,7 +305,7 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
 
     diagnostics = PicardDiagnostics(0, [z_lin], [], [], PicardStatus.MAX_ITER,
                                     threshold, data_norm, c1_const)
-    if nl is None or data_norm == 0.0:
+    if data_norm == 0.0:
         diagnostics.status = PicardStatus.CONVERGED
         diagnostics.iterations = 1
         diagnostics.increments.append(0.0)

@@ -4,8 +4,10 @@ A mode grid discretizes the frequency side of the group Fourier transform on
 H^n: a finite set of nonzero lambda nodes (symmetric about 0, log-spaced in
 magnitude) with trapezoid quadrature weights carrying the Plancherel measure
 |lambda|^n d lambda, and a truncated set of Hermite multi-indices.  Spectral
-fields hold one complex matrix block per node, indexed (node, k, l); operator
-symbols act as multipliers along the row index k.
+fields hold one complex matrix block per node, indexed (node, k, l).  Both
+operator symbols answer `values(grid)` with their values on the coefficient
+layout of their backend: the sub-Laplacian's as multipliers along the row
+index k of each block, a symbol on R^d on the FFT dual grid.
 
 The overall Plancherel constant of the adopted transform convention is not
 hardcoded; it is measured once by `subwave.transform.calibrate_plancherel`
@@ -34,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class ModeGrid:
     """Frequency-side discretization: lambda nodes, weights, Hermite block.
 
@@ -51,6 +53,10 @@ class ModeGrid:
         Hermite truncation; indices k with mu_k <= mu_max are retained.
     plancherel_constant : float
         Multiplies base_weights; 1.0 until calibrated.
+    multi_indices, stamp
+        Computed: the retained Hermite indices, and a digest of the data
+        above except the constant.  Grids are equal when their stamps are,
+        and the stamp keys the transform-side caches.
     """
 
     n: int
@@ -58,8 +64,8 @@ class ModeGrid:
     base_weights: np.ndarray
     mu_max: float
     plancherel_constant: float = 1.0
-    multi_indices: tuple = field(default=None)
-    stamp: str = field(default=None)
+    multi_indices: tuple = field(init=False)
+    stamp: str = field(init=False)
 
     def __post_init__(self):
         self.lambda_nodes = np.asarray(self.lambda_nodes, dtype=float)
@@ -74,17 +80,19 @@ class ModeGrid:
             raise ValueError("weights and nodes must have matching shapes")
         if np.any(self.base_weights <= 0):
             raise ValueError("quadrature weights must be positive")
-        if self.multi_indices is None:
-            self.multi_indices = tuple(enumerate_multi_indices(self.n, self.mu_max))
-        if self.stamp is None:
-            # stamp keys transform-side caches; changing any grid data changes it
-            digest = hashlib.sha256()
-            digest.update(np.int64(self.n).tobytes())
-            digest.update(np.float64(self.mu_max).tobytes())
-            digest.update(self.lambda_nodes.tobytes())
-            digest.update(self.base_weights.tobytes())
-            self.stamp = "grid-" + digest.hexdigest()[:12]
+        self.multi_indices = tuple(enumerate_multi_indices(self.n, self.mu_max))
+        digest = hashlib.sha256()
+        digest.update(np.int64(self.n).tobytes())
+        digest.update(np.float64(self.mu_max).tobytes())
+        digest.update(self.lambda_nodes.tobytes())
+        digest.update(self.base_weights.tobytes())
+        self.stamp = "grid-" + digest.hexdigest()[:12]
         self.mu_values = np.array([oscillator_eigenvalue(k) for k in self.multi_indices], dtype=float)
+
+    def __eq__(self, other):
+        if not isinstance(other, ModeGrid):
+            return NotImplemented
+        return self.stamp == other.stamp
 
     @property
     def node_count(self) -> int:
@@ -175,8 +183,9 @@ class SubLaplacianSymbol:
         return 2 * self.power
 
     def values(self, grid: ModeGrid) -> np.ndarray:
-        """Multiplier array of shape (node_count, block_size)."""
-        base = np.abs(grid.lambda_nodes)[:, None] * grid.mu_values[None, :]
+        """The symbol on the coefficient layout: a multiplier along the row
+        index k, shape (node_count, block_size, 1)."""
+        base = np.abs(grid.lambda_nodes)[:, None, None] * grid.mu_values[None, :, None]
         return base ** self.power
 
 
@@ -215,6 +224,12 @@ class AbelianSymbol:
         if self.radial:
             return (np.tensordot(xi * xi, self.coefficients, axes=([-1], [0]))) ** (self.order // 2)
         return np.tensordot(xi ** self.order, self.coefficients, axes=([-1], [0]))
+
+    def values(self, grid) -> np.ndarray:
+        """R(xi) on the FFT dual grid of an AbelianGrid; shape == grid.shape."""
+        if self.dim != grid.dim:
+            raise ValueError(f"symbol dimension {self.dim} != grid dimension {grid.dim}")
+        return self.value_at(grid.freq_stack())
 
 
 def _csv_bytes(header, rows) -> bytes:

@@ -11,7 +11,6 @@ from subwave.abelian import (
     abelian_forward,
     abelian_from_function,
     abelian_inverse,
-    symbol_on_grid,
 )
 from subwave.propagator import _Norms
 from subwave.spectral import AbelianSymbol
@@ -46,7 +45,7 @@ def test_parseval_exact(rng):
     f = random_field(grid, rng)
     coeffs = abelian_forward(f)
     norms = _Norms(coeffs, AbelianSymbol(np.ones(3), order=2))
-    assert norms.l2(coeffs.values) == pytest.approx(f.lq_norm(2.0), rel=1e-13)
+    assert norms.l2(coeffs.coefficients) == pytest.approx(f.lq_norm(2.0), rel=1e-13)
 
 
 def test_round_trip_exact(rng):
@@ -61,11 +60,11 @@ def test_fft_wrappers_are_bitwise_the_scaled_numpy_transforms(rng):
     # place; the bits must be those of the plain expressions
     grid = AbelianGrid((3.0, 2.0, 4.0), (16, 12, 20))
     f = random_field(grid, rng)
-    assert np.array_equal(abelian_forward(f).values,
+    assert np.array_equal(abelian_forward(f).coefficients,
                           np.fft.fftn(f.samples) * grid.cell_volume)
     c = AbelianCoefficients(grid, random_field(grid, rng).samples)
     assert np.array_equal(abelian_inverse(c).samples,
-                          np.fft.ifftn(c.values) / grid.cell_volume)
+                          np.fft.ifftn(c.coefficients) / grid.cell_volume)
 
 
 def test_plane_wave_multiplier_is_exact():
@@ -73,7 +72,7 @@ def test_plane_wave_multiplier_is_exact():
     xi0 = grid.freq_axis(0)[3]
     f = abelian_from_function(grid, lambda x: np.exp(1j * xi0 * x))
     coeffs = abelian_forward(f)
-    norms, c = _Norms(coeffs, AbelianSymbol([1.0], order=2)), coeffs.values
+    norms, c = _Norms(coeffs, AbelianSymbol([1.0], order=2)), coeffs.coefficients
     base = norms.l2(c)
     assert norms.sobolev(c, 1.0) == pytest.approx(np.sqrt(1.0 + xi0 ** 2) * base,
                                                   rel=1e-12)
@@ -86,10 +85,10 @@ def test_homogeneous_norm_edge_cases(rng):
     grid = AbelianGrid((2.0, 2.0), (16, 16))
     sym = AbelianSymbol([1.0, 1.0], order=2, radial=True)
     coeffs = abelian_forward(random_field(grid, rng))
-    norms, c = _Norms(coeffs, sym), coeffs.values
+    norms, c = _Norms(coeffs, sym), coeffs.coefficients
     assert norms.frac(c, 0.0) == pytest.approx(norms.l2(c), rel=1e-13)
     const = abelian_forward(AbelianField(grid, np.ones(grid.shape)))
-    assert norms.frac(const.values, 1.0) == pytest.approx(0.0, abs=1e-10)
+    assert norms.frac(const.coefficients, 1.0) == pytest.approx(0.0, abs=1e-10)
     with pytest.raises(ValueError, match="singular"):
         norms.frac(c, -0.5)
     with pytest.raises(ValueError, match="singular"):
@@ -99,17 +98,20 @@ def test_homogeneous_norm_edge_cases(rng):
 def test_symbol_on_grid_values():
     grid = AbelianGrid((2.0, 3.0), (8, 8))
     sym = AbelianSymbol([1.0, 2.0], order=2)
-    vals = symbol_on_grid(grid, sym)
+    vals = sym.values(grid)
     assert vals.shape == grid.shape
     xi = grid.freq_stack()
+    assert np.array_equal(vals, sym.value_at(xi))
     assert np.allclose(vals, xi[..., 0] ** 2 + 2.0 * xi[..., 1] ** 2)
     assert vals[0, 0] == 0.0
+    with pytest.raises(ValueError, match="dimension"):
+        AbelianSymbol(np.ones(3), order=2).values(grid)
 
 
 def test_bilaplacian_symbol_matches_square():
     grid = AbelianGrid((2.0, 2.0, 2.0), (8, 8, 8))
-    lap = symbol_on_grid(grid, AbelianSymbol(np.ones(3), order=2, radial=True))
-    bilap = symbol_on_grid(grid, AbelianSymbol(np.ones(3), order=4, radial=True))
+    lap = AbelianSymbol(np.ones(3), order=2, radial=True).values(grid)
+    bilap = AbelianSymbol(np.ones(3), order=4, radial=True).values(grid)
     assert np.allclose(bilap, lap ** 2, rtol=1e-12)
 
 

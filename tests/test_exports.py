@@ -1,6 +1,7 @@
 """The public surface: each module's __all__ lists exactly what it defines in
-public, the package root imports only exported names, and every name the
-benchmark in perfbench/ reads still exists."""
+public, the package root is the union of the library modules' __all__, the
+import graph keeps its leaves, and every name the benchmark in perfbench/
+reads still exists."""
 
 import ast
 import importlib
@@ -24,13 +25,47 @@ def test_every_public_definition_is_exported():
         assert [k for k in mod.__all__ if not hasattr(mod, k)] == [], name
 
 
-def test_package_root_imports_only_exported_names():
-    tree = ast.parse(Path(subwave.__file__).read_text(encoding="utf-8"))
+LIBRARY = [name for name in MODULES if name != "cli"]
+SRC = Path(subwave.__file__).parent
+
+
+def test_package_root_star_imports_every_library_module():
+    # each public name is declared once, in its module's __all__; the root
+    # re-exports them all, and no two modules export one name
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        exported = importlib.import_module(f"subwave.{node.module}").__all__
-        assert [a.name for a in node.names if a.name not in exported] == [], node.module
+    assert all(node.level == 1 and [a.name for a in node.names] == ["*"]
+               for node in imports)
+    assert sorted(node.module for node in imports) == LIBRARY
+    exported = [k for name in LIBRARY
+                for k in importlib.import_module(f"subwave.{name}").__all__]
+    assert len(exported) == len(set(exported))
+    public = {k for k in vars(subwave) if not k.startswith("_")} - set(MODULES)
+    assert public == set(exported)
+
+
+def _subwave_imports(name):
+    """The subwave modules that src/subwave/<name>.py imports anywhere in
+    its syntax tree, as names relative to the package."""
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from .x or from .
+            found.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            mods = [node.module] if isinstance(node, ast.ImportFrom) else [
+                a.name for a in node.names]
+            found.update(m.removeprefix("subwave").lstrip(".") or "subwave"
+                         for m in mods if m.split(".")[0] == "subwave")
+    return found
+
+
+def test_import_graph():
+    # the two foundations stand alone, and the CLI is a leaf
+    assert _subwave_imports("abelian") == set()
+    assert _subwave_imports("group") == set()
+    for name in LIBRARY:
+        assert "cli" not in _subwave_imports(name), name
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -53,6 +53,15 @@ def test_mode_factors_match_the_closed_forms_across_the_series_band(delta):
         assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
 
+@pytest.mark.parametrize("delta", [2.0, 1e-4, 0.5e-8, 0.0, -0.5e-8, -1e-4, -2.0])
+def test_sc_factors_at_signed_zero_time(delta):
+    # in every regime S(+-0) = +-0 with the sign of t and C(+-0) = 1: the
+    # closed forms sin(a t)/a and sinh(c t)/c keep t's signed zero unguarded
+    S, C = propagator._sc_factors(np.full(2, delta), np.array([0.0, -0.0]))
+    assert np.array_equal(S, [0.0, 0.0]) and np.array_equal(C, [1.0, 1.0])
+    assert list(np.signbit(S)) == [False, True]
+
+
 def test_initial_data_reproduced():
     val, der = propagate_mode(1.7, 0.3, 2.2, 0.8, -0.4, 0.0)
     assert val == pytest.approx(0.8, abs=0.0)
@@ -367,7 +376,7 @@ def test_verify_decay_on_an_abelian_trajectory():
     sym = AbelianSymbol(np.ones(3), order=4, radial=True)
     u0 = abelian_forward(abelian_from_function(
         grid, lambda x, y, z: np.exp(-(x * x + y * y + z * z) / 2.0)))
-    u1 = AbelianCoefficients(grid, 0.3 * u0.values)
+    u1 = AbelianCoefficients(grid, 0.3 * u0.coefficients)
     traj = evolve_linear(u0, u1, 2.0, 2.0, sym, np.linspace(0.0, 12.0, 40))
     for s in (0.0, 1.0):
         report = verify_decay(traj, sym, s=s)

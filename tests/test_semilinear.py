@@ -11,7 +11,6 @@ from subwave.abelian import (
     AbelianGrid,
     abelian_forward,
     abelian_from_function,
-    symbol_on_grid,
 )
 from subwave.propagator import LinearTrajectory, decay_rate, evolve_linear
 from subwave import propagator, semilinear
@@ -212,7 +211,7 @@ def test_duhamel_sweep_matches_direct_trapezoid_sum(b, m, regimes, rng):
     # half width pi puts the frequencies on the integers
     grid = AbelianGrid((np.pi,) * 3, (8, 8, 8))
     sym = AbelianSymbol(np.ones(3), order=2, radial=True)
-    omega2 = symbol_on_grid(grid, sym)
+    omega2 = sym.values(grid)
     assert damping_regimes(omega2, b, m) == regimes
     times = np.linspace(0.0, 2.0, 33)
     sources = [rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
@@ -326,28 +325,6 @@ def abelian_setup(scale, grid=None):
 
 
 @pytest.mark.parametrize("backend", ["heisenberg", "abelian"])
-def test_picard_linear_matches_evolve_linear_exactly(backend, calibrated_grid):
-    # with no nonlinearity the iteration must return the linear trajectory
-    rng = np.random.default_rng(8)
-    if backend == "heisenberg":
-        shape = calibrated_grid.field_shape()
-        u0 = SpectralField(calibrated_grid, rng.normal(size=shape) * 1e-2)
-        u1 = SpectralField(calibrated_grid, rng.normal(size=shape) * 1e-2)
-        sym = SubLaplacianSymbol(power=1)
-    else:
-        grid, sym, u0, _ = abelian_setup(1e-3)
-        u1 = abelian_forward(AbelianField(grid, rng.normal(size=grid.shape) * 1e-3))
-    cfg = ZNormConfig(delta=0.9, sample_times=tuple(np.linspace(0.0, 4.0, 9)))
-    traj, diag = picard_solve(u0, u1, None, 2.0, 1.0, sym, cfg)
-    assert diag.status is PicardStatus.CONVERGED
-    assert diag.iterations == 1
-    lin = evolve_linear(u0, u1, 2.0, 1.0, sym, cfg.sample_times)
-    model = propagator._Model(u0, sym, 2.0, 1.0)
-    for f, g in zip(traj.fields + traj.derivatives, lin.fields + lin.derivatives):
-        assert np.array_equal(model.unwrap(f), model.unwrap(g))
-
-
-@pytest.mark.parametrize("backend", ["heisenberg", "abelian"])
 def test_cauchy_data_on_two_grids_is_rejected(backend):
     if backend == "heisenberg":
         sym = SubLaplacianSymbol(power=1)
@@ -357,13 +334,14 @@ def test_cauchy_data_on_two_grids_is_rejected(backend):
         _, sym, u0, _ = abelian_setup(1.0, AbelianGrid((6.0,) * 3, (8, 8, 8)))
         u1 = abelian_setup(1.0, AbelianGrid((3.0,) * 3, (8, 8, 8)))[2]
     cfg = ZNormConfig(delta=0.5, sample_times=(0.0, 0.5, 1.0))
+    # the model rejects u1 before picard_solve asks for a synthesis grid
     with pytest.raises(ValueError, match="different grids"):
-        picard_solve(u0, u1, None, 2.0, 1.0, sym, cfg)
+        picard_solve(u0, u1, PowerNonlinearity(1.0, 2.0), 2.0, 1.0, sym, cfg)
     with pytest.raises(ValueError, match="different grids"):
         evolve_linear(u0, u1, 2.0, 1.0, sym, cfg.sample_times)
 
 
-def test_picard_linear_abelian_matches_propagate_mode(rng):
+def test_evolve_linear_abelian_matches_propagate_mode(rng):
     # half width pi puts the frequencies on the integers, so with b = 2 and
     # m = 0 the modes |xi| = 0, 1, > 1 cover all three damping regimes
     grid = AbelianGrid((np.pi, np.pi), (8, 8))
@@ -372,14 +350,14 @@ def test_picard_linear_abelian_matches_propagate_mode(rng):
     u0 = abelian_forward(AbelianField(grid, rng.normal(size=grid.shape)))
     u1 = abelian_forward(AbelianField(grid, rng.normal(size=grid.shape)))
     cfg = ZNormConfig(delta=0.5, sample_times=tuple(np.linspace(0.0, 3.0, 7)))
-    traj, _ = picard_solve(u0, u1, None, b, m, sym, cfg)
-    vals = np.array([f.values for f in traj.fields])
-    ders = np.array([d.values for d in traj.derivatives])
-    omega2 = symbol_on_grid(grid, sym)
+    traj = evolve_linear(u0, u1, b, m, sym, cfg.sample_times)
+    vals = np.array([f.coefficients for f in traj.fields])
+    ders = np.array([d.coefficients for d in traj.derivatives])
+    omega2 = sym.values(grid)
     for mode in np.ndindex(grid.shape):
-        val, der = propagate_mode(b, m, float(omega2[mode]), u0.values[mode],
-                                  u1.values[mode], traj.times)
-        scale = abs(u0.values[mode]) + abs(u1.values[mode])
+        val, der = propagate_mode(b, m, float(omega2[mode]), u0.coefficients[mode],
+                                  u1.coefficients[mode], traj.times)
+        scale = abs(u0.coefficients[mode]) + abs(u1.coefficients[mode])
         at = (slice(None),) + mode
         assert np.max(np.abs(vals[at] - val)) <= 1e-14 * scale
         assert np.max(np.abs(ders[at] - der)) <= 1e-14 * scale
@@ -387,18 +365,25 @@ def test_picard_linear_abelian_matches_propagate_mode(rng):
 
 
 @pytest.mark.parametrize("backend", ["heisenberg", "abelian"])
-def test_znorm_of_linear_picard_trajectory_is_its_first_z_norm(backend, calibrated_grid):
+def test_znorm_of_linear_picard_trajectory_is_its_first_z_norm(backend):
+    # iterate 0 of the Picard solve is the linear evolution, bit for bit
+    box = None
     if backend == "heisenberg":
-        shape = calibrated_grid.field_shape()
-        gen = np.random.default_rng(8)
-        u0 = SpectralField(calibrated_grid, gen.normal(size=shape) * 1e-2)
-        u1 = SpectralField(calibrated_grid, gen.normal(size=shape) * 1e-2)
+        # the packet and box of the endpoint test, which pass the
+        # synthesis boundary-decay gate
+        grid = build_grid(0.25, 6.0, 48, 15.0, n=1)
+        box = SpatialGrid((5.0, 5.0, 8.5), (28, 28, 40))
+        f = from_function(box, packet(scale=0.05))
+        calibrate_plancherel(f, grid)
+        u0, u1 = forward_transform(f, grid), SpectralField.zeros(grid)
         sym = SubLaplacianSymbol(power=1)
     else:
         _, sym, u0, u1 = abelian_setup(1e-3)
     cfg = ZNormConfig(delta=0.9, sample_times=tuple(np.linspace(0.0, 4.0, 9)))
-    traj, diag = picard_solve(u0, u1, None, 2.0, 1.0, sym, cfg)
-    assert z_of(traj, cfg, sym) == diag.z_norms[0]
+    _, diag = picard_solve(u0, u1, PowerNonlinearity(1.0, 2.0), 2.0, 1.0, sym,
+                           cfg, max_iter=1, synth=box)
+    lin = evolve_linear(u0, u1, 2.0, 1.0, sym, cfg.sample_times)
+    assert z_of(lin, cfg, sym) == diag.z_norms[0]
 
 
 def test_picard_small_data_converges():
@@ -420,14 +405,14 @@ def test_picard_small_data_converges():
 def test_picard_from_rest_position_converges():
     # u(0) = 0 with u_t(0) != 0: every sweep's first source is f(0)
     grid, sym, u1, _ = abelian_setup(1e-3)
-    u0 = AbelianCoefficients(grid, np.zeros_like(u1.values))
+    u0 = AbelianCoefficients(grid, np.zeros_like(u1.coefficients))
     cfg = ZNormConfig(delta=0.999 * decay_rate(2.0, 1.0),
                       sample_times=tuple(np.linspace(0.0, 5.0, 21)))
     traj, diag = picard_solve(u0, u1, PowerNonlinearity(1.0, 2.0),
                               2.0, 1.0, sym, cfg, tol=1e-10)
     assert diag.status is PicardStatus.CONVERGED and diag.iterations >= 2
-    assert not traj.fields[0].values.any()
-    assert traj.fields[-1].values.any()
+    assert not traj.fields[0].coefficients.any()
+    assert traj.fields[-1].coefficients.any()
 
 
 def test_picard_large_data_diverges():
@@ -498,7 +483,7 @@ def abelian_first_ratio(nl):
     def ratio_at(eps):
         u0 = abelian_forward(abelian_from_function(
             grid, lambda x, y, z: eps * np.exp(-(x * x + y * y + z * z) / 2.0)))
-        u1 = AbelianCoefficients(grid, np.zeros_like(u0.values))
+        u1 = AbelianCoefficients(grid, np.zeros_like(u0.coefficients))
         _, diag = picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg, tol=0.0, max_iter=2)
         return diag.ratios[0]
 
@@ -584,8 +569,8 @@ def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol, closed_form=False):
     model = semilinear._make_model(u0, sym, b, m)
     times = np.asarray(cfg.sample_times)
     gaps = uniform_gaps(times[1] - times[0], times.size)
-    zero = np.zeros_like(u0.values)
-    root = symbol_on_grid(grid, sym) ** (2.0 / sym.nu)  # R^{2/nu}
+    zero = np.zeros_like(u0.coefficients)
+    root = sym.values(grid) ** (2.0 / sym.nu)  # R^{2/nu}
 
     def l2(c):
         return abelian_l2(grid, c)
@@ -611,10 +596,10 @@ def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol, closed_form=False):
         lin_val, lin_der = [], []
         for t in times:
             A0, A1, D0, D1 = model.factors(float(t))
-            lin_val.append(A0 * u0.values + A1 * u1.values)
-            lin_der.append(D0 * u0.values + D1 * u1.values)
+            lin_val.append(A0 * u0.coefficients + A1 * u1.coefficients)
+            lin_der.append(D0 * u0.coefficients + D1 * u1.coefficients)
     else:
-        lin_val, lin_der = zip(*sweep(None, (u0.values, u1.values)))
+        lin_val, lin_der = zip(*sweep(None, (u0.coefficients, u1.coefficients)))
     cur_val, cur_der = [v.copy() for v in lin_val], [d.copy() for d in lin_der]
     z_norms, incs = [znorm_of(lin_val, lin_der)], []
     for _ in range(25):
@@ -623,7 +608,7 @@ def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol, closed_form=False):
             new_val = [lv + dv for lv, (dv, _) in zip(lin_val, nodes)]
             new_der = [ld + dd for ld, (_, dd) in zip(lin_der, nodes)]
         else:
-            nodes = sweep(source_sweep(cur_val), (u0.values, u1.values))
+            nodes = sweep(source_sweep(cur_val), (u0.coefficients, u1.coefficients))
             new_val, new_der = [v for v, _ in nodes], [d for _, d in nodes]
         incs.append(znorm_of([a - c for a, c in zip(new_val, cur_val)],
                              [a - c for a, c in zip(new_der, cur_der)]))
@@ -641,7 +626,7 @@ def order4_setup(scale, H):
     sym = AbelianSymbol(np.ones(3), order=4, radial=True)
     u0 = abelian_forward(abelian_from_function(
         grid, lambda x, y, z: scale * np.exp(-(x * x + y * y + z * z) / 2.0)))
-    u1 = AbelianCoefficients(grid, 0.3 * u0.values)
+    u1 = AbelianCoefficients(grid, 0.3 * u0.coefficients)
     cfg = ZNormConfig(delta=0.999 * decay_rate(2.0, 2.0),
                       sample_times=tuple(np.linspace(0.0, 6.0, H)))
     return sym, u0, u1, cfg
@@ -663,9 +648,9 @@ def test_streaming_picard_matches_the_list_based_loop(nl):
     assert diag.iterations == len(incs) >= 3
     assert diag.increments[0] > 1e-3 * diag.z_norms[-1]  # f(u) is not negligible
     for got, want in zip(traj.fields, vals):
-        assert np.linalg.norm(got.values - want) <= 1e-13 * np.linalg.norm(want)
+        assert np.linalg.norm(got.coefficients - want) <= 1e-13 * np.linalg.norm(want)
     for got, want in zip(traj.derivatives, ders):
-        assert np.linalg.norm(got.values - want) <= 1e-13 * np.linalg.norm(want)
+        assert np.linalg.norm(got.coefficients - want) <= 1e-13 * np.linalg.norm(want)
     assert diag.z_norms == pytest.approx(z_norms, rel=1e-12, abs=0)
     assert diag.ratios == pytest.approx([b / a for a, b in zip(incs, incs[1:])],
                                         rel=1e-12, abs=0)
@@ -697,7 +682,7 @@ def test_recursive_picard_matches_the_closed_form_linear_part(nl, H):
     assert diag.status is PicardStatus.CONVERGED
     assert diag.iterations == len(incs) >= 3
     for got, want in zip(traj.fields + traj.derivatives, vals + ders):
-        assert np.linalg.norm(got.values - want) <= 1e-13 * np.linalg.norm(want)
+        assert np.linalg.norm(got.coefficients - want) <= 1e-13 * np.linalg.norm(want)
     assert diag.z_norms == pytest.approx(z_norms, rel=1e-12, abs=0)
     z = diag.z_norms[-1]
     assert diag.increments == pytest.approx(incs, rel=0, abs=1e-12 * z)
@@ -719,7 +704,7 @@ def test_picard_holds_one_iterate(H):
         u0, u1, PowerNonlinearity(1.0, 2.0), 2.0, 2.0, sym, cfg, tol=1e-10)[1])
     assert diag.status is PicardStatus.CONVERGED and diag.iterations >= 3
     assert np.isfinite(diag.quadrature_error)
-    assert peak <= (2 * H + 24) * u0.values.nbytes
+    assert peak <= (2 * H + 24) * u0.coefficients.nbytes
 
 
 @pytest.mark.parametrize("start", [False, True], ids=["zero", "data"])
@@ -728,9 +713,9 @@ def test_duhamel_sweep_memory_does_not_grow_with_the_nodes(start):
     # nodes peaks where a pass over 17 does, within one array
     sym, u0, u1, _ = order4_setup(0.2, 17)
     model = semilinear._make_model(u0, sym, 2.0, 2.0)
-    sources = [(k + 1.0) * u0.values for k in range(65)]
-    zero = np.zeros_like(u0.values)
-    init = (u0.values, u1.values) if start else (zero, zero)
+    sources = [(k + 1.0) * u0.coefficients for k in range(65)]
+    zero = np.zeros_like(u0.coefficients)
+    init = (u0.coefficients, u1.coefficients) if start else (zero, zero)
 
     def sweep_pass(H):
         gaps = uniform_gaps(6.0 / (H - 1), H)
@@ -738,7 +723,7 @@ def test_duhamel_sweep_memory_does_not_grow_with_the_nodes(start):
 
     _, short = traced_peak(lambda: sweep_pass(17))
     _, long = traced_peak(lambda: sweep_pass(65))
-    assert abs(long - short) <= u0.values.nbytes
+    assert abs(long - short) <= u0.coefficients.nbytes
 
 
 @pytest.mark.parametrize("order", [0.0, 0.5, 1.0, 2.0])  # 2 = nu/2
@@ -748,7 +733,7 @@ def test_model_norms_match_the_reference_norms(order, rng, calibrated_grid):
     grid = AbelianGrid((5.0,) * 3, (12, 12, 12))
     sym = AbelianSymbol(np.ones(3), order=4, radial=True)
     c = (rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
-    R = symbol_on_grid(grid, sym)
+    R = sym.values(grid)
     model = propagator._Model(AbelianCoefficients(grid, c), sym, 2.0, 1.0)
     assert model.l2(c) == pytest.approx(abelian_l2(grid, c), rel=1e-14)
     assert model.sobolev(c, order) == pytest.approx(
@@ -759,7 +744,7 @@ def test_model_norms_match_the_reference_norms(order, rng, calibrated_grid):
     shape = calibrated_grid.field_shape()
     c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     sub = SubLaplacianSymbol(power=1)
-    R = sub.values(calibrated_grid)[:, :, None]
+    R = sub.values(calibrated_grid)
     model = propagator._Model(SpectralField(calibrated_grid, c), sub, 2.0, 1.0)
 
     def weighted(mult):
@@ -806,16 +791,17 @@ def test_norm_multipliers_are_built_once_per_key(monkeypatch):
 def test_picard_validation():
     grid, sym, u0, u1 = abelian_setup(1e-3)
     cfg = ZNormConfig(delta=0.5, sample_times=(0.0, 0.5, 1.0))
+    nl = PowerNonlinearity(1.0, 2.0)
     with pytest.raises(ValueError, match="damping"):
-        picard_solve(u0, u1, None, 0.0, 1.0, sym, cfg)
+        picard_solve(u0, u1, nl, 0.0, 1.0, sym, cfg)
     with pytest.raises(ValueError, match="mass"):
-        picard_solve(u0, u1, None, 1.0, -1.0, sym, cfg)
+        picard_solve(u0, u1, nl, 1.0, -1.0, sym, cfg)
     bad = ZNormConfig(delta=0.5, sample_times=(0.5, 1.0))
     with pytest.raises(ValueError, match="start at t = 0"):
-        picard_solve(u0, u1, None, 1.0, 1.0, sym, bad)
+        picard_solve(u0, u1, nl, 1.0, 1.0, sym, bad)
     uneven = ZNormConfig(delta=0.5, sample_times=(0.0, 0.3, 0.9))
     with pytest.raises(ValueError, match="uniformly spaced"):
-        picard_solve(u0, u1, None, 1.0, 1.0, sym, uneven)
+        picard_solve(u0, u1, nl, 1.0, 1.0, sym, uneven)
 
 
 def test_picard_heisenberg_needs_synthesis_grid(calibrated_grid):

@@ -81,10 +81,19 @@ def test_mode_grid_validation():
 
 
 def test_grid_stamp_tracks_content(grid):
+    # grids compare by their stamps
     same = build_grid(0.3, 4.0, 16, 9.0, n=1)
-    assert same.stamp == grid.stamp
+    assert same.stamp == grid.stamp and same == grid
     other = build_grid(0.3, 4.0, 16, 11.0, n=1)
-    assert other.stamp != grid.stamp
+    assert other.stamp != grid.stamp and other != grid
+    assert grid != object() and not grid == object()
+    # the stamp keys the plan cache, so it is always derived from the data
+    with pytest.raises(TypeError):
+        ModeGrid(n=1, lambda_nodes=np.array([0.5, 1.0]), base_weights=np.ones(2),
+                 mu_max=5.0, stamp="x")
+    with pytest.raises(TypeError):
+        ModeGrid(n=1, lambda_nodes=np.array([0.5, 1.0]), base_weights=np.ones(2),
+                 mu_max=5.0, multi_indices=((0,),))
 
 
 def test_sublaplacian_symbol_values(grid):
@@ -93,11 +102,11 @@ def test_sublaplacian_symbol_values(grid):
     # by hand: |lambda| mu_k with mu = 1, 3, 5 for k = 0, 1, 2
     hand = ModeGrid(n=1, lambda_nodes=np.array([-2.0, 0.5]),
                     base_weights=np.ones(2), mu_max=5.0)
-    assert np.array_equal(sym.values(hand), [[2.0, 6.0, 10.0], [0.5, 1.5, 2.5]])
+    assert np.array_equal(sym.values(hand)[:, :, 0], [[2.0, 6.0, 10.0], [0.5, 1.5, 2.5]])
+    # the symbol rides the row (left Hermite) index of each (node, k, l) block
     vals = sym.values(grid)
-    assert vals.shape == (16, 5)
-    assert np.allclose(vals, np.abs(grid.lambda_nodes)[:, None] * grid.mu_values)
-    # the symbol rides the row (left Hermite) index
+    assert vals.shape == (16, 5, 1)
+    assert np.allclose(vals[:, :, 0], np.abs(grid.lambda_nodes)[:, None] * grid.mu_values)
     sq = SubLaplacianSymbol(power=2)
     assert np.allclose(sq.values(grid), vals ** 2)
     with pytest.raises(ValueError):
