@@ -18,6 +18,17 @@ Parseval identity
     sum |f|^2 dV = sum_xi |f^(xi)|^2 / V_total
 
 is exact for the DFT pair, so no calibration step is needed here.
+
+Layouts: real samples are analyzed by `numpy.fft.rfftn` onto the half
+spectrum, shape `grid.half_shape` = shape[:-1] + (N_d // 2 + 1,), which
+holds every coefficient once up to the Hermitian symmetry
+f^(-xi) = conj f^(xi) of real data; complex samples keep the full DFT
+layout, shape `grid.shape`.  A coefficient array's shape is its layout, and
+the inverse transform returns real samples from the half layout.  The
+backend model of `subwave.propagator` takes one layout for a whole solve:
+the half one when every datum is real, that is on the half layout or on
+the full layout and exactly Hermitian; else the full one, onto which a half
+datum is completed.  `_relayout` is the one conversion between the two.
 """
 
 from __future__ import annotations
@@ -82,6 +93,11 @@ class AbelianGrid:
     def meshgrid(self):
         return np.meshgrid(*(self.axis(i) for i in range(self.dim)), indexing="ij")
 
+    @property
+    def half_shape(self) -> tuple:
+        """The half-spectrum (rfftn) layout of real fields."""
+        return self.shape[:-1] + (self.shape[-1] // 2 + 1,)
+
     def freq_stack(self) -> np.ndarray:
         """Frequency vectors, shape grid.shape + (dim,)."""
         mesh = np.meshgrid(*(self.freq_axis(i) for i in range(self.dim)), indexing="ij")
@@ -89,10 +105,12 @@ class AbelianGrid:
 
 
 class AbelianField:
-    """Complex samples on an AbelianGrid."""
+    """Samples on an AbelianGrid: float64 when real, else complex."""
 
     def __init__(self, grid: AbelianGrid, samples: np.ndarray):
-        samples = np.asarray(samples, dtype=complex)
+        samples = np.asarray(samples)
+        samples = samples.astype(complex if np.iscomplexobj(samples) else float,
+                                 copy=False)
         if samples.shape != grid.shape:
             raise ValueError(f"samples shape {samples.shape} != grid shape {grid.shape}")
         if not np.all(np.isfinite(samples.view(float))):
@@ -107,32 +125,74 @@ class AbelianField:
 
 
 class AbelianCoefficients:
-    """Continuum-normalized DFT coefficients on the dual grid."""
+    """Continuum-normalized DFT coefficients on the dual grid, on the full
+    layout (shape grid.shape) or the half spectrum of a real field (shape
+    grid.half_shape)."""
 
     def __init__(self, grid: AbelianGrid, coefficients: np.ndarray):
         coefficients = np.asarray(coefficients, dtype=complex)
-        if coefficients.shape != grid.shape:
-            raise ValueError(f"coefficient shape {coefficients.shape} "
-                             f"!= grid shape {grid.shape}")
+        if coefficients.shape not in (grid.shape, grid.half_shape):
+            raise ValueError(f"coefficient shape {coefficients.shape} is neither "
+                             f"grid shape {grid.shape} nor its half {grid.half_shape}")
         self.grid = grid
         self.coefficients = coefficients
 
+    @property
+    def real(self) -> bool:
+        """Whether the coefficients are the half spectrum of a real field."""
+        return self.coefficients.shape != self.grid.shape
+
 
 def abelian_from_function(grid: AbelianGrid, fn) -> AbelianField:
-    return AbelianField(grid, np.asarray(fn(*grid.meshgrid()), dtype=complex))
+    return AbelianField(grid, fn(*grid.meshgrid()))
 
 
 def abelian_forward(field: AbelianField) -> AbelianCoefficients:
     # out= (NumPy >= 2.0) keeps the FFT to one array for all axes; scaling
-    # it in place gives the bits of fftn(samples) * cell_volume
-    out = np.fft.fftn(field.samples, out=np.empty(field.grid.shape, dtype=complex))
-    out *= field.grid.cell_volume
-    return AbelianCoefficients(field.grid, out)
+    # it in place gives the bits of (r)fftn(samples) * cell_volume
+    grid = field.grid
+    if np.isrealobj(field.samples):
+        out = np.fft.rfftn(field.samples, out=np.empty(grid.half_shape, dtype=complex))
+    else:
+        out = np.fft.fftn(field.samples, out=np.empty(grid.shape, dtype=complex))
+    out *= grid.cell_volume
+    return AbelianCoefficients(grid, out)
 
 
 def abelian_inverse(coeffs: AbelianCoefficients) -> AbelianField:
-    out = np.fft.ifftn(coeffs.coefficients, out=np.empty(coeffs.grid.shape, dtype=complex))
+    grid = coeffs.grid
+    if coeffs.real:
+        # axes with s, or NumPy 2 warns
+        out = np.fft.irfftn(coeffs.coefficients, s=grid.shape,
+                            axes=tuple(range(grid.dim)), out=np.empty(grid.shape))
+    else:
+        out = np.fft.ifftn(coeffs.coefficients, out=np.empty(grid.shape, dtype=complex))
     # NumPy divides complex by real as this product, bit for bit, but slower
-    out *= 1.0 / coeffs.grid.cell_volume
-    return AbelianField(coeffs.grid, out)
+    out *= 1.0 / grid.cell_volume
+    return AbelianField(grid, out)
+
+
+def _reflect(a: np.ndarray) -> np.ndarray:
+    """a at -xi: index i -> -i mod N_i on every axis."""
+    return np.roll(np.flip(a), 1, axis=tuple(range(a.ndim)))
+
+
+def _relayout(c: np.ndarray, grid: AbelianGrid, real: bool):
+    """The coefficient array c on the half layout when real, else on the
+    full one; c itself when it is on that layout already.
+
+    Half to full is the Hermitian completion c(-xi) = conj c(xi).  Full to
+    half keeps the first N_d // 2 + 1 columns, and only of an exactly
+    Hermitian c (zeros are): otherwise the result is None, since dropping
+    the other columns would change the field.
+    """
+    if (c.shape == grid.half_shape) == real:
+        return c
+    h = grid.half_shape[-1]
+    if real:
+        return c[..., :h].copy() if np.array_equal(c, np.conj(_reflect(c))) else None
+    full = np.zeros(grid.shape, dtype=complex)
+    full[..., :h] = c
+    full[..., h:] = np.conj(_reflect(full)[..., h:])
+    return full
 

@@ -162,7 +162,8 @@ def verify_inequality_abelian(u: AbelianField, exps: GNExponents,
     coeffs = abelian_forward(u)
     lq = u.lq_norm(float(exps.q))
     lp = u.lq_norm(float(exps.p))
-    sob = _Norms(coeffs, laplace).frac(coeffs.coefficients, float(exps.a))
+    norms = _Norms(coeffs, laplace)
+    sob = norms.frac(norms.unwrap(coeffs), float(exps.a))
     den = sob ** s * lp ** (1.0 - s)
     ratio = lq / den if den > 0 else np.inf
     return RatioReport(float(ratio), lq, sob, lp, s,

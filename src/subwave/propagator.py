@@ -24,8 +24,9 @@ SpectralField coefficients on a Heisenberg mode grid and AbelianCoefficients
 on an FFT grid, each symbol giving its values on its own layout.  It is the
 only code that reads a backend's norm weighting, and the package's one home
 for the homogeneous Sobolev norms ||R^{a/nu} u||.  It works on raw
-coefficient arrays c.  The first half,
-`_Norms(state, provider)`, is the function space:
+coefficient arrays c on one layout, which on the abelian backend is the
+half spectrum when the data are real (see `subwave.abelian`).  The first
+half, `_Norms(data, provider)`, is the function space:
 
     l2(c)             L^2 norm
     sobolev(c, s)     inhomogeneous norm with multiplier (1 + R)^{2s/nu}
@@ -33,7 +34,7 @@ coefficient arrays c.  The first half,
     data_norm(c0, c1) the H^{nu/2} x L^2 norm of Cauchy data
     wrap(c), unwrap(u)  between c and the backend's field type
 
-The second half, `_Model(state, provider, b, m)`, adds the damping b, the
+The second half, `_Model(data, provider, b, m)`, adds the damping b, the
 mass m and the dynamics:
 
     factors(t)        closed-form (A0, A1, D0, D1): u(t) = A0 u0 + A1 u1,
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import AbelianCoefficients
+from .abelian import AbelianCoefficients, _relayout
 from .spectral import SpectralField, SubLaplacianSymbol
 
 __all__ = [
@@ -185,30 +186,64 @@ class _Norms:
     the norms.  Abelian (AbelianCoefficients): provider required, and the
     norms divided by the box volume.  Each norm multiplier is built once per
     (order, mass) and kept for the object's lifetime.
+
+    data is one field or the Cauchy data (u0, u1); the model's grid and type
+    are those of its first field.  The abelian layout is taken once, from
+    all of data, by the rule of `subwave.abelian`: the half spectrum when
+    real is true and every datum is real, else the full DFT layout.  On the
+    half layout the weights slot holds the Hermitian multiplicities, 2 for
+    a column xi_d that stands for itself and for -xi_d, 1 for xi_d = 0 and,
+    at even N_d, the Nyquist column; the symbol is R at the rfft
+    frequencies, the first columns of the full values since every
+    AbelianSymbol is even in each coordinate.  `unwrap` puts any field on
+    the model's layout.
     """
 
-    def __init__(self, state, provider):
+    def __init__(self, data, provider, real=True):
+        data = data if isinstance(data, tuple) else (data,)
+        state = data[0]
+        self.grid, self.field = state.grid, type(state)
+        self.real = None  # the abelian layout; None on the Heisenberg backend
         if isinstance(state, SpectralField):
             provider = provider or SubLaplacianSymbol(power=1)
             self.weights, self.volume = state.grid.weights[:, None, None], 1.0
         elif isinstance(state, AbelianCoefficients):
             if provider is None:
                 raise ValueError("abelian trajectories need an explicit symbol provider")
+            self.real = real and all(_relayout(self._coefficients(u), self.grid, True)
+                                     is not None for u in data)
             self.weights, self.volume = None, state.grid.volume
         else:
             raise TypeError(f"unsupported state type {type(state).__name__}")
-        self.grid, self.nu, self.field = state.grid, provider.nu, type(state)
+        self.nu = provider.nu
         self.sym = provider.values(self.grid)
+        if self.real:
+            h = self.grid.half_shape[-1]
+            self.sym = np.ascontiguousarray(self.sym[..., :h])
+            # the columns that stand for themselves: xi_d = 0, Nyquist if N_d is even
+            self._lone = (0, h - 1) if self.grid.shape[-1] % 2 == 0 else (0,)
+            self.weights = np.full(h, 2.0)
+            self.weights[list(self._lone)] = 1.0
         self._mults = {}
 
     def wrap(self, c):
         return self.field(self.grid, c)
 
-    def unwrap(self, u):
-        """The coefficients of u, which must be a field on the model's grid."""
+    def _coefficients(self, u):
         if not (isinstance(u, self.field) and u.grid == self.grid):
             raise ValueError("fields live on different grids")
         return u.coefficients
+
+    def unwrap(self, u):
+        """The coefficients of u on the model's layout; u must be a field on
+        the model's grid, and real if the model is."""
+        c = self._coefficients(u)
+        if self.real is not None:
+            c = _relayout(c, self.grid, self.real)
+            if c is None:
+                raise ValueError("a non-Hermitian field on a real model: "
+                                 "pass every datum as complex samples")
+        return c
 
     def multiplier(self, order, mass=None):
         """(mass + R)^{2 order/nu}, or R^{2 order/nu} when mass is None."""
@@ -218,6 +253,12 @@ class _Norms:
         return self._mults[key]
 
     def _norm(self, c, mult=None):
+        if mult is None and self.real:
+            # the weighted sum without a product pass: every column twice,
+            # less the lone columns once
+            sq = 2.0 * np.vdot(c, c).real - sum(np.vdot(c[..., k], c[..., k]).real
+                                                for k in self._lone)
+            return float(np.sqrt(sq / self.volume))
         if self.weights is not None:
             mult = self.weights if mult is None else self.weights * mult
         return float(np.sqrt(np.vdot(c, c if mult is None else mult * c).real
@@ -240,9 +281,9 @@ class _Model(_Norms):
     """The whole backend model: `_Norms` plus damping b, mass m, the
     closed-form factors and the trajectory they sample."""
 
-    def __init__(self, state, provider, b, m):
+    def __init__(self, data, provider, b, m, real=True):
         _check_damping(b, m)
-        super().__init__(state, provider)
+        super().__init__(data, provider, real)
         self.b, self.m = float(b), float(m)
         self.total = self.sym + self.m
 
@@ -317,7 +358,7 @@ def evolve_linear(u0, u1, b: float, m: float, provider, times) -> LinearTrajecto
     times each lies within a relative L^2 error of (4 H + omega t) eps of
     the closed form P(t) (u0, u1), omega being the largest sqrt|Delta|.
     """
-    model = _Model(u0, provider, b, m)
+    model = _Model((u0, u1), provider, b, m)
     c0, c1 = model.unwrap(u0), model.unwrap(u1)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1 or times.size == 0:
@@ -359,7 +400,7 @@ def verify_decay(traj: LinearTrajectory, provider, s: float = 0.0,
     fields may be SpectralField or AbelianCoefficients.
     """
     delta0 = decay_rate(traj.b, traj.m)
-    model = _Norms(traj.fields[0], provider)
+    model = _Norms((*traj.fields, *traj.derivatives), provider)
     norms = np.array([model.sobolev(model.unwrap(f), s) for f in traj.fields])
     data_scale = norms[0] + model.sobolev(model.unwrap(traj.derivatives[0]),
                                           s - 0.5 * model.nu)

@@ -10,14 +10,21 @@ coefficients of extra memory, and the error bound stated there).
 This module iterates Gamma with it and measures contraction in a weighted
 sup-in-time Z norm.
 
-A Picard solve holds one iterate, values and derivatives: 2H arrays, in
-place.  Iterate 0 is the recursion without sources, and each sweep yields
-the whole new iterate node by node: the sources f(u_k) are made one node at
-a time as the recursion pulls them, and as it yields node k the terms of the
-new value and of its difference to the old iterate enter the two Z norms,
-and it is copied over the old iterate at k before the next node is pulled.
-No source list, difference list, second iterate or stored linear part is
-ever held.  The Richardson estimate of the quadrature error is one more
+A Picard solve holds one iterate, values and derivatives: 2H arrays on the
+data's coefficient layout, in place.  On the abelian backend real data
+(with a real mu, if f is a PowerNonlinearity) take the half spectrum of
+`subwave.abelian`, N_1...N_{d-1}(N_d/2 + 1) entries per array instead of
+N, and the solve stays real: a GeneralNonlinearity that returns non-real
+samples for real data is a ValueError, mended by passing the data as
+complex samples.
+
+Iterate 0 is the recursion without sources, and each sweep yields the whole
+new iterate node by node: the sources f(u_k) are made one node at a time as
+the recursion pulls them, and as it yields node k the terms of the new
+value and of its difference to the old iterate enter the two Z norms, and
+it is copied over the old iterate at k before the next node is pulled.  No
+source list, difference list, second iterate or stored linear part is ever
+held.  The Richardson estimate of the quadrature error is one more
 pass of the same recursion.
 
 Two coefficient backends are supported through one code path: SpectralField
@@ -162,8 +169,8 @@ class PicardDiagnostics:
 
 
 class _HeisenbergModel(_Model):
-    def __init__(self, state, provider, b, m, synth):
-        super().__init__(state, provider, b, m)
+    def __init__(self, data, provider, b, m, synth):
+        super().__init__(data, provider, b, m)
         self.synth = synth
 
     def nonlinearity(self, c, nl, strict: bool = True):
@@ -180,6 +187,14 @@ class _AbelianModel(_Model):
             return abelian_inverse(self.wrap(cj)).samples
 
         out = _evaluate(nl, samples, max(1, (self.nu + 1) // 2))
+        if not self.real:
+            out = out.astype(complex, copy=False)
+        elif np.iscomplexobj(out):
+            # a real mu typed complex gives zero imaginary parts
+            if np.any(out.imag):
+                raise ValueError("the nonlinearity returned non-real samples for "
+                                 "real data; pass the data as complex samples")
+            out = out.real
         return abelian_forward(AbelianField(self.grid, out)).coefficients
 
 
@@ -192,17 +207,20 @@ def _evaluate(nl, samples, count):
         out = nl.callback(tuple(samples(j) for j in range(count)))
     else:
         raise TypeError(f"unsupported nonlinearity {type(nl).__name__}")
-    out = np.asarray(out, dtype=complex)
+    out = np.asarray(out)
+    out = out.astype(complex if np.iscomplexobj(out) else float, copy=False)
     if not np.all(np.isfinite(out.view(float))):
         raise NumericalFailure("nonlinearity produced non-finite samples")
     return out
 
 
-def _make_model(state, provider, b, m, synth=None):
-    """The backend model, with its nonlinearity, for a state's type."""
-    if isinstance(state, SpectralField):
-        return _HeisenbergModel(state, provider, b, m, synth)
-    return _AbelianModel(state, provider, b, m)
+def _make_model(data, provider, b, m, synth=None, real=True):
+    """The backend model, with its nonlinearity, for the type of data (one
+    field or the Cauchy data); real=False keeps the full abelian layout."""
+    first = data[0] if isinstance(data, tuple) else data
+    if isinstance(first, SpectralField):
+        return _HeisenbergModel(data, provider, b, m, synth)
+    return _AbelianModel(data, provider, b, m, real)
 
 
 def apply_nonlinearity(u: SpectralField, nl, synth: SpatialGrid,
@@ -280,7 +298,10 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
     Divergence is flagged when the iterate Z norm exceeds twice the measured
     threshold L = 2 * Z(linear part); it is a diagnostic, not an exception.
     """
-    model = _make_model(u0, provider, b, m, synth)
+    # a complex mu makes f(u) complex for real u: the solve stays on the
+    # full layout of the abelian backend
+    real = not (isinstance(nl, PowerNonlinearity) and np.imag(nl.mu) != 0)
+    model = _make_model((u0, u1), provider, b, m, synth, real)
     c0, c1 = model.unwrap(u0), model.unwrap(u1)
     if isinstance(model, _HeisenbergModel):
         if synth is None:
@@ -382,7 +403,7 @@ def verify_semilinear_decay(trajectory, b, m, provider=None) -> SemilinearDecayR
         raise ValueError(f"(b, m) = ({b}, {m}) is not the trajectory's "
                          f"({trajectory.b}, {trajectory.m})")
     times = np.asarray(trajectory.times, dtype=float)
-    model = _Norms(trajectory.fields[0], provider)
+    model = _Norms((*trajectory.fields, *trajectory.derivatives), provider)
     half = model.nu / 2.0
     values = [model.unwrap(f) for f in trajectory.fields]
     series = {

@@ -55,8 +55,9 @@ class ModeGrid:
         Multiplies base_weights; 1.0 until calibrated.
     multi_indices, stamp
         Computed: the retained Hermite indices, and a digest of the data
-        above except the constant.  Grids are equal when their stamps are,
-        and the stamp keys the transform-side caches.
+        above except the constant.  Grids are equal when their stamps and
+        constants are; the stamp alone keys the transform-side caches,
+        whose tables do not depend on the constant.
     """
 
     n: int
@@ -92,7 +93,8 @@ class ModeGrid:
     def __eq__(self, other):
         if not isinstance(other, ModeGrid):
             return NotImplemented
-        return self.stamp == other.stamp
+        return (self.stamp == other.stamp
+                and self.plancherel_constant == other.plancherel_constant)
 
     @property
     def node_count(self) -> int:

@@ -39,7 +39,6 @@ The Plancherel normalization of this convention is not hardcoded anywhere;
 
 from __future__ import annotations
 
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -167,14 +166,12 @@ def from_function(grid: SpatialGrid, fn) -> SpatialField:
 
 
 _RULE_CACHE: dict = {}
-_RULE_LOCK = threading.Lock()
 
 
 def _rule(count: int):
-    with _RULE_LOCK:
-        if count not in _RULE_CACHE:
-            _RULE_CACHE[count] = gauss_hermite_rule(count)
-        return _RULE_CACHE[count]
+    if count not in _RULE_CACHE:
+        _RULE_CACHE[count] = gauss_hermite_rule(count)
+    return _RULE_CACHE[count]
 
 
 def _rule_size(gamma_max: float, order: int) -> int:
@@ -367,24 +364,21 @@ class _TransformPlan:
 
 
 _PLAN_CACHE: dict = {}
-_PLAN_LOCK = threading.Lock()
 
 
 def _plan(grid: ModeGrid, spatial: SpatialGrid) -> _TransformPlan:
     key = (grid.stamp, spatial)
-    with _PLAN_LOCK:
-        plan = _PLAN_CACHE.get(key)
-        if plan is None:
-            plan = _TransformPlan(grid, spatial)
-            if len(_PLAN_CACHE) > 8:
-                _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
-            _PLAN_CACHE[key] = plan
+    plan = _PLAN_CACHE.get(key)
+    if plan is None:
+        plan = _TransformPlan(grid, spatial)
+        if len(_PLAN_CACHE) > 8:
+            _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
+        _PLAN_CACHE[key] = plan
     return plan
 
 
 def clear_plan_cache():
-    with _PLAN_LOCK:
-        _PLAN_CACHE.clear()
+    _PLAN_CACHE.clear()
 
 
 def forward_transform(f: SpatialField, grid: ModeGrid,

@@ -11,6 +11,7 @@ from subwave.abelian import (
     abelian_forward,
     abelian_from_function,
     abelian_inverse,
+    _relayout,
 )
 from subwave.propagator import _Norms
 from subwave.spectral import AbelianSymbol
@@ -65,6 +66,37 @@ def test_fft_wrappers_are_bitwise_the_scaled_numpy_transforms(rng):
     c = AbelianCoefficients(grid, random_field(grid, rng).samples)
     assert np.array_equal(abelian_inverse(c).samples,
                           np.fft.ifftn(c.coefficients) / grid.cell_volume)
+    # real samples: the half spectrum, and real samples back
+    x = rng.normal(size=grid.shape)
+    assert np.array_equal(abelian_forward(AbelianField(grid, x)).coefficients,
+                          np.fft.rfftn(x) * grid.cell_volume)
+    half = rng.normal(size=grid.half_shape) + 1j * rng.normal(size=grid.half_shape)
+    back = abelian_inverse(AbelianCoefficients(grid, half)).samples
+    assert back.dtype == float
+    assert np.array_equal(back, np.fft.irfftn(half, s=grid.shape, axes=(0, 1, 2))
+                          * (1.0 / grid.cell_volume))
+
+
+@pytest.mark.parametrize("shape", [(16, 12, 20), (12, 10, 9)], ids=["even", "odd"])
+def test_layouts_convert_by_hermitian_completion(shape, rng):
+    grid = AbelianGrid((3.0, 2.0, 4.0), shape)
+    x = rng.normal(size=shape)
+    half = abelian_forward(AbelianField(grid, x)).coefficients
+    full = abelian_forward(AbelianField(grid, x.astype(complex))).coefficients
+    assert half.shape == grid.half_shape and full.shape == grid.shape
+    completed = _relayout(half, grid, False)
+    assert np.array_equal(completed[..., :grid.half_shape[-1]], half)
+    assert np.allclose(completed, full, rtol=0, atol=1e-13 * np.abs(full).max())
+    assert _relayout(half, grid, True) is half and _relayout(full, grid, False) is full
+    # only an exactly Hermitian array folds to the half layout, and back
+    a = random_field(grid, rng).samples
+    assert _relayout(a, grid, True) is None
+    herm = 0.5 * (a + np.conj(np.roll(np.flip(a), 1, axis=(0, 1, 2))))
+    folded = _relayout(herm, grid, True)
+    assert np.array_equal(folded, herm[..., :grid.half_shape[-1]])
+    assert np.array_equal(_relayout(folded, grid, False), herm)
+    zero = _relayout(np.zeros(shape, dtype=complex), grid, True)
+    assert zero.shape == grid.half_shape and not zero.any()
 
 
 def test_plane_wave_multiplier_is_exact():
@@ -87,8 +119,9 @@ def test_homogeneous_norm_edge_cases(rng):
     coeffs = abelian_forward(random_field(grid, rng))
     norms, c = _Norms(coeffs, sym), coeffs.coefficients
     assert norms.frac(c, 0.0) == pytest.approx(norms.l2(c), rel=1e-13)
+    # a real constant has the half layout; the complex model completes it
     const = abelian_forward(AbelianField(grid, np.ones(grid.shape)))
-    assert norms.frac(const.coefficients, 1.0) == pytest.approx(0.0, abs=1e-10)
+    assert norms.frac(norms.unwrap(const), 1.0) == pytest.approx(0.0, abs=1e-10)
     with pytest.raises(ValueError, match="singular"):
         norms.frac(c, -0.5)
     with pytest.raises(ValueError, match="singular"):
@@ -123,6 +156,13 @@ def test_field_and_coefficient_validation():
         AbelianField(grid, np.full(8, np.nan))
     with pytest.raises(ValueError, match="shape"):
         AbelianCoefficients(grid, np.zeros(9))
+    # the layout is the shape: N entries, or N // 2 + 1 for a real field
+    assert AbelianCoefficients(grid, np.zeros(5)).real
+    assert not AbelianCoefficients(grid, np.zeros(8)).real
+    with pytest.raises(ValueError, match="shape"):
+        AbelianCoefficients(grid, np.zeros(4))
+    assert AbelianField(grid, np.arange(8)).samples.dtype == float
+    assert AbelianField(grid, np.ones(8, dtype=complex)).samples.dtype == complex
     f = AbelianField(grid, np.ones(8))
     with pytest.raises(ValueError):
         f.lq_norm(0.0)

@@ -253,25 +253,24 @@ def _history_case(name, rng):
     sets of the Duhamel sweep test, the order-4 symbol of the abelian
     benchmark on its 32^3 grid, and a Heisenberg mode grid."""
     if name == "heisenberg":
-        hgrid = build_grid(0.3, 4.0, 16, 9.0, n=1)
-        shape, b, m = hgrid.field_shape(), 2.0, 2.0
-        state = SpectralField(hgrid, np.zeros(shape))
+        grid = build_grid(0.3, 4.0, 16, 9.0, n=1)
+        shape, b, m, field = grid.field_shape(), 2.0, 2.0, SpectralField
         sym = SubLaplacianSymbol(power=1)
     elif name == "order4-benchmark":
-        agrid = AbelianGrid((6.0,) * 3, (32, 32, 32))
-        shape, b, m = agrid.shape, 2.0, 2.0
-        state = AbelianCoefficients(agrid, np.zeros(shape))
+        grid = AbelianGrid((6.0,) * 3, (32, 32, 32))
+        shape, b, m, field = grid.shape, 2.0, 2.0, AbelianCoefficients
         sym = AbelianSymbol(np.ones(3), order=4, radial=True)
     else:
         b, m = {"underdamped": (1.3, 0.7), "all-regimes": (4.0, 0.0),
                 "critical-underdamped": (2.0, 1.0)}[name]
-        agrid = AbelianGrid((np.pi,) * 3, (8, 8, 8))
-        shape = agrid.shape
-        state = AbelianCoefficients(agrid, np.zeros(shape))
+        grid = AbelianGrid((np.pi,) * 3, (8, 8, 8))
+        shape, field = grid.shape, AbelianCoefficients
         sym = AbelianSymbol(np.ones(3), order=2, radial=True)
+    # complex data on the full layout: the model takes its layout from them
     c0, c1 = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
               for _ in range(2))
-    return propagator._Model(state, sym, b, m), sym, c0, c1
+    data = (field(grid, c0), field(grid, c1))
+    return propagator._Model(data, sym, b, m), sym, c0, c1
 
 
 _HISTORY_CASES = ["underdamped", "all-regimes", "critical-underdamped",

@@ -324,12 +324,18 @@ def abelian_setup(scale, grid=None):
     return grid, sym, u0, u1
 
 
-@pytest.mark.parametrize("backend", ["heisenberg", "abelian"])
+@pytest.mark.parametrize("backend", ["heisenberg", "heisenberg-constant",
+                                     "abelian"])
 def test_cauchy_data_on_two_grids_is_rejected(backend):
-    if backend == "heisenberg":
+    if backend.startswith("heisenberg"):
         sym = SubLaplacianSymbol(power=1)
         u0 = SpectralField.zeros(build_grid(0.3, 4.0, 8, 7.0))
         u1 = SpectralField.zeros(build_grid(0.5, 4.0, 8, 7.0))
+        if backend == "heisenberg-constant":
+            # a twin grid but for its Plancherel constant: accepted, u1's
+            # norms would take u0's weights
+            u1 = SpectralField.zeros(build_grid(0.3, 4.0, 8, 7.0))
+            u1.grid.plancherel_constant = 2.0
     else:
         _, sym, u0, _ = abelian_setup(1.0, AbelianGrid((6.0,) * 3, (8, 8, 8)))
         u1 = abelian_setup(1.0, AbelianGrid((3.0,) * 3, (8, 8, 8)))[2]
@@ -343,25 +349,32 @@ def test_cauchy_data_on_two_grids_is_rejected(backend):
 
 def test_evolve_linear_abelian_matches_propagate_mode(rng):
     # half width pi puts the frequencies on the integers, so with b = 2 and
-    # m = 0 the modes |xi| = 0, 1, > 1 cover all three damping regimes
+    # m = 0 the modes |xi| = 0, 1, > 1 cover all three damping regimes; real
+    # samples take the half spectrum, complex ones the full layout
     grid = AbelianGrid((np.pi, np.pi), (8, 8))
     sym = AbelianSymbol(np.ones(2), order=2, radial=True)
     b, m = 2.0, 0.0
-    u0 = abelian_forward(AbelianField(grid, rng.normal(size=grid.shape)))
-    u1 = abelian_forward(AbelianField(grid, rng.normal(size=grid.shape)))
     cfg = ZNormConfig(delta=0.5, sample_times=tuple(np.linspace(0.0, 3.0, 7)))
-    traj = evolve_linear(u0, u1, b, m, sym, cfg.sample_times)
-    vals = np.array([f.coefficients for f in traj.fields])
-    ders = np.array([d.coefficients for d in traj.derivatives])
-    omega2 = sym.values(grid)
-    for mode in np.ndindex(grid.shape):
-        val, der = propagate_mode(b, m, float(omega2[mode]), u0.coefficients[mode],
-                                  u1.coefficients[mode], traj.times)
-        scale = abs(u0.coefficients[mode]) + abs(u1.coefficients[mode])
-        at = (slice(None),) + mode
-        assert np.max(np.abs(vals[at] - val)) <= 1e-14 * scale
-        assert np.max(np.abs(ders[at] - der)) <= 1e-14 * scale
-    assert damping_regimes(omega2, b, m) == {-1, 0, 1}
+
+    def samples(imag):
+        x = rng.normal(size=grid.shape)
+        return x + 1j * rng.normal(size=grid.shape) if imag else x
+
+    for imag, shape in ((False, grid.half_shape), (True, grid.shape)):
+        u0, u1 = (abelian_forward(AbelianField(grid, samples(imag))) for _ in range(2))
+        assert u0.coefficients.shape == u1.coefficients.shape == shape
+        traj = evolve_linear(u0, u1, b, m, sym, cfg.sample_times)
+        vals = np.array([f.coefficients for f in traj.fields])
+        ders = np.array([d.coefficients for d in traj.derivatives])
+        omega2 = sym.values(grid)[..., :shape[-1]]
+        for mode in np.ndindex(shape):
+            val, der = propagate_mode(b, m, float(omega2[mode]), u0.coefficients[mode],
+                                      u1.coefficients[mode], traj.times)
+            scale = abs(u0.coefficients[mode]) + abs(u1.coefficients[mode])
+            at = (slice(None),) + mode
+            assert np.max(np.abs(vals[at] - val)) <= 1e-14 * scale
+            assert np.max(np.abs(ders[at] - der)) <= 1e-14 * scale
+        assert damping_regimes(omega2, b, m) == {-1, 0, 1}
 
 
 @pytest.mark.parametrize("backend", ["heisenberg", "abelian"])
@@ -552,9 +565,23 @@ def test_picard_factor_work_is_linear_in_samples(monkeypatch):
         assert len(calls) == diag.iterations + 2
 
 
+def full_layout(grid, c):
+    """c on the full DFT layout: a half spectrum is completed entry by entry
+    by c(-xi) = conj c(xi), independent of `subwave.abelian`."""
+    if c.shape == grid.shape:
+        return c
+    idx = np.indices(grid.shape)
+    own = idx[-1] < c.shape[-1]
+    full = np.empty(grid.shape, dtype=complex)
+    full[own] = c[tuple(i[own] for i in idx)]
+    full[~own] = np.conj(c[tuple((-i[~own]) % n for i, n in zip(idx, grid.shape))])
+    return full
+
+
 def abelian_l2(grid, c, mult=1.0):
     """Reference norm ||M^{1/2} u||_{L^2} = sqrt(sum M |c|^2 / V) on an FFT
-    grid, independent of the backend model."""
+    grid, with M on the full layout, independent of the backend model."""
+    c = full_layout(grid, c)
     return float(np.sqrt(np.sum(mult * np.abs(c) ** 2) / grid.volume))
 
 
@@ -566,10 +593,11 @@ def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol, closed_form=False):
     `_history` without sources; with closed_form=True it adds the
     zero-start sweep to the closed-form linear part P(t) (c0, c1) instead."""
     grid = u0.grid
-    model = semilinear._make_model(u0, sym, b, m)
+    model = semilinear._make_model((u0, u1), sym, b, m)
+    c0, c1 = model.unwrap(u0), model.unwrap(u1)
     times = np.asarray(cfg.sample_times)
     gaps = uniform_gaps(times[1] - times[0], times.size)
-    zero = np.zeros_like(u0.coefficients)
+    zero = np.zeros_like(c0)
     root = sym.values(grid) ** (2.0 / sym.nu)  # R^{2/nu}
 
     def l2(c):
@@ -596,10 +624,10 @@ def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol, closed_form=False):
         lin_val, lin_der = [], []
         for t in times:
             A0, A1, D0, D1 = model.factors(float(t))
-            lin_val.append(A0 * u0.coefficients + A1 * u1.coefficients)
-            lin_der.append(D0 * u0.coefficients + D1 * u1.coefficients)
+            lin_val.append(A0 * c0 + A1 * c1)
+            lin_der.append(D0 * c0 + D1 * c1)
     else:
-        lin_val, lin_der = zip(*sweep(None, (u0.coefficients, u1.coefficients)))
+        lin_val, lin_der = zip(*sweep(None, (c0, c1)))
     cur_val, cur_der = [v.copy() for v in lin_val], [d.copy() for d in lin_der]
     z_norms, incs = [znorm_of(lin_val, lin_der)], []
     for _ in range(25):
@@ -608,7 +636,7 @@ def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol, closed_form=False):
             new_val = [lv + dv for lv, (dv, _) in zip(lin_val, nodes)]
             new_der = [ld + dd for ld, (_, dd) in zip(lin_der, nodes)]
         else:
-            nodes = sweep(source_sweep(cur_val), (u0.coefficients, u1.coefficients))
+            nodes = sweep(source_sweep(cur_val), (c0, c1))
             new_val, new_der = [v for v, _ in nodes], [d for _, d in nodes]
         incs.append(znorm_of([a - c for a, c in zip(new_val, cur_val)],
                              [a - c for a, c in zip(new_der, cur_der)]))
@@ -621,11 +649,14 @@ def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol, closed_form=False):
     return cur_val, cur_der, z_norms, incs, l2(val) / 3.0
 
 
-def order4_setup(scale, H):
+def order4_setup(scale, H, dtype=float):
+    """Gaussian data on the half layout, or on the full one as the complex
+    twin with dtype=complex."""
     grid = AbelianGrid((6.0,) * 3, (16, 16, 16))
     sym = AbelianSymbol(np.ones(3), order=4, radial=True)
-    u0 = abelian_forward(abelian_from_function(
-        grid, lambda x, y, z: scale * np.exp(-(x * x + y * y + z * z) / 2.0)))
+    gauss = abelian_from_function(
+        grid, lambda x, y, z: scale * np.exp(-(x * x + y * y + z * z) / 2.0))
+    u0 = abelian_forward(AbelianField(grid, gauss.samples.astype(dtype)))
     u1 = AbelianCoefficients(grid, 0.3 * u0.coefficients)
     cfg = ZNormConfig(delta=0.999 * decay_rate(2.0, 2.0),
                       sample_times=tuple(np.linspace(0.0, 6.0, H)))
@@ -707,6 +738,132 @@ def test_picard_holds_one_iterate(H):
     assert peak <= (2 * H + 24) * u0.coefficients.nbytes
 
 
+# --------------------------------------------------------------------------
+# the half-spectrum layout of real data on the abelian backend
+
+
+def test_mass_shift_oracle_has_time_order_2_on_both_layouts():
+    # f(u) = c u makes the mild solution the linear evolution with mass
+    # m - c, one closed-form step to T.  The trapezoid Duhamel rule is second
+    # order in the step: measured errors at T 1.94e-2, 4.80e-3, 1.20e-3 and
+    # 2.99e-4 at H = 9, 17, 33, 65 (orders 2.01, 2.00, 2.00) on both layouts,
+    # which agree to 3e-15 relative; wrong Hermitian weights would move the
+    # half layout's norms by O(1)
+    grid = AbelianGrid((6.0,) * 3, (16, 16, 16))
+    sym = AbelianSymbol(np.ones(3), order=2, radial=True)
+    b, m, c, T = 2.0, 2.0, 0.5, 4.0
+    shift = GeneralNonlinearity(lambda U: c * U[0])
+    gauss = abelian_from_function(
+        grid, lambda x, y, z: np.exp(-(x * x + y * y + z * z) / 2.0))
+    errors = {}
+    for layout, dtype in (("half", float), ("full", complex)):
+        u0 = abelian_forward(AbelianField(grid, gauss.samples.astype(dtype)))
+        u1 = AbelianCoefficients(grid, np.zeros_like(u0.coefficients))
+        model = semilinear._make_model((u0, u1), sym, b, m)
+        want = model.unwrap(evolve_linear(u0, u1, b, m - c, sym, [0.0, T]).fields[-1])
+        assert want.shape == (grid.half_shape if layout == "half" else grid.shape)
+        errors[layout] = []
+        for H in (9, 17, 33, 65):
+            cfg = ZNormConfig(delta=0.999 * decay_rate(b, m),
+                              sample_times=tuple(np.linspace(0.0, T, H)))
+            traj, diag = picard_solve(u0, u1, shift, b, m, sym, cfg, tol=1e-13)
+            assert diag.status is PicardStatus.CONVERGED
+            got = traj.fields[-1].coefficients
+            errors[layout].append(model.l2(got - want) / model.l2(want))
+        errs = np.array(errors[layout])
+        orders = np.log2(errs[:-1] / errs[1:])
+        assert np.all(np.abs(orders - 2.0) <= 0.05), (layout, orders)
+    assert errors["half"] == pytest.approx(errors["full"], rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("nl", [_POWER, _GENERAL], ids=["power", "general"])
+def test_real_data_and_their_complex_twin_agree(nl):
+    # real samples take the half spectrum, the same samples typed complex the
+    # full layout; the two solves differ by rounding (measured: Z norms 6e-16
+    # relative, increments 3e-17 z, trajectory 9e-16), bounded as in the
+    # closed-form comparison above
+    runs = []
+    for dtype in (float, complex):
+        sym, u0, u1, cfg = order4_setup(0.2, 25, dtype)
+        runs.append(picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg, tol=1e-10))
+    (traj, diag), (twin, tdiag) = runs
+    grid = u0.grid
+    assert traj.fields[0].coefficients.shape == grid.half_shape
+    assert twin.fields[0].coefficients.shape == grid.shape
+    assert diag.status is tdiag.status is PicardStatus.CONVERGED
+    assert diag.iterations == tdiag.iterations >= 3
+    for got, want in zip(traj.fields + traj.derivatives,
+                         twin.fields + twin.derivatives):
+        err = full_layout(grid, got.coefficients) - want.coefficients
+        assert np.linalg.norm(err) <= 1e-13 * np.linalg.norm(want.coefficients)
+    assert diag.z_norms == pytest.approx(tdiag.z_norms, rel=1e-12, abs=0)
+    assert diag.data_norm == pytest.approx(tdiag.data_norm, rel=1e-12, abs=0)
+    assert diag.quadrature_error == pytest.approx(tdiag.quadrature_error,
+                                                  rel=1e-12, abs=0)
+    z = tdiag.z_norms[-1]
+    assert diag.increments == pytest.approx(tdiag.increments, rel=0, abs=1e-12 * z)
+    incs = tdiag.increments
+    resolved = [(r, t) for r, t, a, b in zip(diag.ratios, tdiag.ratios, incs, incs[1:])
+                if min(a, b) > 1e-6 * z]
+    assert len(resolved) >= 2
+    for got, want in resolved:
+        assert got == pytest.approx(want, rel=2.5e-6)
+
+
+def test_zero_velocity_on_either_layout_gives_the_same_bits():
+    # the benchmark passes a full-layout zero velocity, the CLI a zero on the
+    # data's half layout: zeros are Hermitian, so both solves are real
+    sym, u0, _, cfg = order4_setup(0.2, 25)
+    grid = u0.grid
+    (traj, diag), (other, odiag) = (
+        picard_solve(u0, AbelianCoefficients(grid, np.zeros(shape, dtype=complex)),
+                     _POWER, 2.0, 2.0, sym, cfg, tol=1e-10)
+        for shape in (grid.shape, grid.half_shape))
+    assert diag.status is PicardStatus.CONVERGED and diag == odiag
+    for a, b in zip(traj.fields + traj.derivatives, other.fields + other.derivatives):
+        assert a.coefficients.shape == grid.half_shape
+        assert np.array_equal(a.coefficients, b.coefficients)
+
+
+def test_real_data_take_under_0_6_of_the_complex_twins_peak():
+    # the iterate's 2H arrays and the nonlinearity's samples shrink to
+    # N_1 N_2 (N_3/2 + 1) of N entries, 9/16 on 16^3: measured 0.563
+    peaks = []
+    for dtype in (float, complex):
+        sym, u0, u1, cfg = order4_setup(0.2, 41, dtype)
+        diag, peak = traced_peak(lambda: picard_solve(
+            u0, u1, _POWER, 2.0, 2.0, sym, cfg, tol=1e-10)[1])
+        assert diag.status is PicardStatus.CONVERGED
+        peaks.append(peak)
+    assert peaks[0] <= 0.6 * peaks[1]
+
+
+def test_non_real_general_nonlinearity_on_real_data_is_rejected():
+    # a real solve stays on the half layout; complex data lift the limit
+    rotate = GeneralNonlinearity(lambda U: 1j * np.abs(U[0]) * U[0])
+    for dtype in (float, complex):
+        sym, u0, u1, cfg = order4_setup(0.2, 9, dtype)
+        if dtype is float:
+            with pytest.raises(ValueError, match="complex samples"):
+                picard_solve(u0, u1, rotate, 2.0, 2.0, sym, cfg)
+        else:
+            _, diag = picard_solve(u0, u1, rotate, 2.0, 2.0, sym, cfg)
+            assert np.isfinite(diag.z_norms[-1])
+
+
+def test_complex_mu_keeps_real_data_on_the_full_layout():
+    # from rest: the trajectory's first value is zero, and Hermitian, while
+    # the later ones are complex; the decay report reads them all as they are
+    sym, u1, _, cfg = order4_setup(0.2, 9)
+    u0 = AbelianCoefficients(u1.grid, np.zeros_like(u1.coefficients))
+    traj, diag = picard_solve(u0, u1, PowerNonlinearity(1.0 + 0.5j, 2.0),
+                              2.0, 2.0, sym, cfg)
+    assert traj.fields[-1].coefficients.shape == u1.grid.shape
+    assert np.isfinite(diag.z_norms[-1])
+    report = verify_semilinear_decay(traj, 2.0, 2.0, sym)
+    assert all(np.isfinite(v) for v in report.slopes.values())
+
+
 @pytest.mark.parametrize("start", [False, True], ids=["zero", "data"])
 def test_duhamel_sweep_memory_does_not_grow_with_the_nodes(start):
     # the recursion updates a fixed set of arrays in place: a pass over 65
@@ -740,6 +897,18 @@ def test_model_norms_match_the_reference_norms(order, rng, calibrated_grid):
         abelian_l2(grid, c, (1.0 + R) ** (order / 2)), rel=1e-14)
     assert model.frac(c, order) == pytest.approx(
         abelian_l2(grid, c, R ** (order / 2)), rel=1e-14)
+    # the half spectrum, with and without a Nyquist column, against the
+    # reference norms of its completion
+    for grid in (grid, AbelianGrid((5.0,) * 3, (12, 12, 11))):
+        half = (rng.normal(size=grid.half_shape)
+                + 1j * rng.normal(size=grid.half_shape))
+        R = sym.values(grid)
+        model = propagator._Model(AbelianCoefficients(grid, half), sym, 2.0, 1.0)
+        assert model.l2(half) == pytest.approx(abelian_l2(grid, half), rel=1e-14)
+        assert model.sobolev(half, order) == pytest.approx(
+            abelian_l2(grid, half, (1.0 + R) ** (order / 2)), rel=1e-14)
+        assert model.frac(half, order) == pytest.approx(
+            abelian_l2(grid, half, R ** (order / 2)), rel=1e-14)
 
     shape = calibrated_grid.field_shape()
     c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -761,8 +930,10 @@ def test_abelian_model_norms_at_the_zero_frequency():
     grid = AbelianGrid((5.0,) * 3, (12, 12, 12))
     sym = AbelianSymbol(np.ones(3), order=4, radial=True)
     c = np.zeros(grid.shape, dtype=complex)
-    c[0, 0, 0] = 2.0  # xi = 0
-    model = semilinear._make_model(AbelianCoefficients(grid, c), sym, 2.0, 1.0)
+    c[0, 0, 0] = 2.0  # xi = 0: Hermitian, so the model takes the half layout
+    state = AbelianCoefficients(grid, c)
+    model = semilinear._make_model(state, sym, 2.0, 1.0)
+    c = model.unwrap(state)
     assert model.frac(c, 1) == 0.0
     assert model.frac(c, 0) == model.l2(c) > 0
     assert model.sobolev(c, 1) == model.l2(c)  # (1 + 0)^s = 1

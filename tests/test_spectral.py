@@ -81,9 +81,11 @@ def test_mode_grid_validation():
 
 
 def test_grid_stamp_tracks_content(grid):
-    # grids compare by their stamps
+    # grids compare by their stamps and Plancherel constants
     same = build_grid(0.3, 4.0, 16, 9.0, n=1)
     assert same.stamp == grid.stamp and same == grid
+    same.plancherel_constant = 2.0 * grid.plancherel_constant
+    assert same.stamp == grid.stamp and same != grid
     other = build_grid(0.3, 4.0, 16, 11.0, n=1)
     assert other.stamp != grid.stamp and other != grid
     assert grid != object() and not grid == object()
