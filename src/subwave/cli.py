@@ -511,7 +511,7 @@ def _oracle_compare(v, tol_factor):
     dt = T / steps
     snap_every = oracle["snapshot_every"] or max(1, steps // 8)
     u0_fd = synthesize_on_grid(u0, fd_grid)
-    v0_fd = SpatialField(fd_grid, np.zeros(fd_grid.shape, dtype=complex))
+    v0_fd = SpatialField(fd_grid, np.zeros(fd_grid.shape))
     fd = run_leapfrog(u0_fd, v0_fd, dt, steps, b, m,
                       snapshot_every=snap_every)
     traj = evolve_linear(u0, u1, b, m, symbol, fd.snapshot_times)

@@ -7,9 +7,12 @@ of H^1,
 
 with second-order centered stencils and zero Dirichlet closure outside the
 box, and advances u'' + b u' + m u = L u + source with a damped leapfrog.
-The stencil and the step work on sample arrays.  The stencil reads
-contiguous shifts of one flat zero-padded buffer, block by cache-sized block,
-and gives the bits of its slice form (see apply_sublaplacian).  The step is
+The stencil and the step work on sample arrays of either dtype.  L has real
+coefficients, so real data and sources keep the levels real: the leapfrog
+steps float64 levels unless a datum is non-real (see run_leapfrog).  The
+stencil reads contiguous shifts of one flat zero-padded buffer, block by
+cache-sized block, and gives the bits of its slice form (see
+apply_sublaplacian).  The step is
 the scheme's increment form: one in-place kernel writes the next level over
 the retired one and takes the staggered energy from two dot products, so it
 agrees with the textbook update and energy to rounding, not bit for bit
@@ -38,22 +41,25 @@ __all__ = [
 ]
 
 
-# complex entries per block of whole x-slabs in apply_sublaplacian (256 kB)
+# entries per block of whole x-slabs in apply_sublaplacian (256 kB complex)
 _BLOCK = 1 << 14
 
 
 def apply_sublaplacian(u: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Second-order stencil for L with Dirichlet truncation at the box: the
-    complex samples of L u for samples u of shape grid.shape.
+    samples of L u for samples u of shape grid.shape, float64 for real u
+    and complex for complex u.
 
     One flat buffer holds the zero-padded box (one ghost layer) and a spare
     entry at each end, so a neighbour of a run of cells is the run shifted
     by +-1 (tau), +-(nt + 2) (y), +-(ny + 2)(nt + 2) (x) or a sum of these.
     Blocks of whole x-slabs, ghost cells included, sum the terms in two
-    cache-sized scratch arrays; their real view (k, ny + 2, 2(nt + 2)) takes
-    the coefficients from at most (k, ny + 2, 1), and each block's interior
-    is copied into the result.  Every term keeps the slice form's operation
-    order from a zero start, so L u is bitwise the same.
+    cache-sized scratch arrays; their real view (k, ny + 2, nt + 2), or
+    2(nt + 2) reals wide for complex samples, takes the coefficients from at
+    most (k, ny + 2, 1), so each part of complex samples gets the bits of the
+    real stencil.  Each block's interior is copied into the result.  Every
+    term keeps the slice form's operation order from a zero start, so L u is
+    bitwise the same.
     """
     if np.shape(u) != grid.shape:
         raise ValueError(f"sample shape {np.shape(u)} does not match grid {grid.shape}")
@@ -61,14 +67,15 @@ def apply_sublaplacian(u: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     hx, hy, ht = grid.spacings
     sy, sx = nt + 2, (ny + 2) * (nt + 2)
     k = max(1, _BLOCK // sx)
-    acc, tmp = np.empty(k * sx, dtype=complex), np.empty(k * sx, dtype=complex)
-    buf = np.zeros((nx + 2) * sx + 2, dtype=complex)
+    dtype = complex if np.iscomplexobj(u) else float
+    acc, tmp = np.empty(k * sx, dtype=dtype), np.empty(k * sx, dtype=dtype)
+    buf = np.zeros((nx + 2) * sx + 2, dtype=dtype)
     buf[1:-1].reshape(nx + 2, ny + 2, sy)[1:-1, 1:-1, 1:-1] = u
     x = grid.axis(0)[:, None, None]
     y = np.zeros((1, ny + 2, 1))
     y[0, 1:-1, 0] = grid.axis(1)
     ctt = (x * x + y * y) * (0.25 / (ht * ht))
-    lap = np.empty(grid.shape, dtype=complex)
+    lap = np.empty(grid.shape, dtype=dtype)
     for i in range(0, nx, k):
         kk = min(k, nx - i)
         lo, n = 1 + (i + 1) * sx, kk * sx
@@ -77,7 +84,7 @@ def apply_sublaplacian(u: np.ndarray, grid: SpatialGrid) -> np.ndarray:
             return buf[lo + off:lo + off + n]
 
         a, t = acc[:n], tmp[:n]
-        tv = t.view(float).reshape(kk, ny + 2, 2 * sy)
+        tv = t.view(float).reshape(kk, ny + 2, -1)
         a[:] = 0.0
         for off, coef in ((sx, 1.0 / (hx * hx)), (sy, 1.0 / (hy * hy)), (1, ctt[i:i + kk])):
             np.add(at(off), at(-off), out=t)
@@ -155,6 +162,11 @@ def step_leapfrog(u: np.ndarray, u_prev: np.ndarray, dt: float, b: float,
     return float((0.5 * vol / dt2) * (kin - pot))
 
 
+def _imaginary(a) -> bool:
+    """Whether samples a (or None) have a nonzero imaginary part."""
+    return a is not None and np.iscomplexobj(a) and bool(np.any(np.imag(a)))
+
+
 @dataclass
 class LeapfrogResult:
     times: np.ndarray
@@ -169,16 +181,21 @@ def run_leapfrog(u0: SpatialField, v0: SpatialField, dt: float, steps: int,
                  b: float, m: float, source_fn=None, snapshot_every: int = 0) -> LeapfrogResult:
     """Advance the damped leapfrog from data (u0, v0).
 
-    source_fn(t) must return samples on the grid (or None).  The first back
-    level is built from a second-order Taylor expansion so the scheme keeps
-    its global order.  Boundary flux is monitored as the largest boundary
-    magnitude seen relative to the global max, to flag Dirichlet pollution.
-    The run holds two complex levels, the stencil, one scratch array for
-    step_leapfrog and one of magnitudes, whatever the step count.  Each step
+    source_fn(t) must return samples on the grid (or None).  The levels are
+    float64 when u0, v0 and source_fn(0) have no nonzero imaginary part,
+    whatever their dtype, and complex otherwise; as L has real coefficients,
+    the real and imaginary parts of complex levels step as two real runs
+    would.  A later source with a nonzero imaginary part on float64 levels
+    raises ValueError.  The first back level is built from a second-order
+    Taylor expansion so the scheme keeps its global order.  Boundary flux is
+    monitored as the largest boundary magnitude seen relative to the global
+    max, to flag Dirichlet pollution.  The run holds two levels, the
+    stencil, one scratch array for step_leapfrog (all of the levels' dtype)
+    and one of float64 magnitudes, whatever the step count.  Each step
     applies the stencil once and calls step_leapfrog once, which writes the
     next level over the retired one and returns the staggered energy; the
-    first step reuses the stencil of the Taylor start, so there are `steps`
-    stencil applications in all.  Each level's L2 norm comes from <u, u>,
+    first step reuses the stencil and the source sample of the Taylor start,
+    so there are `steps` stencil applications and source samples in all.  Each level's L2 norm comes from <u, u>,
     and a level whose L2 norm is not finite (dt too large) raises
     ValueError; its magnitudes, formed in place, feed the boundary flux.
     Only snapshots become SpatialFields: snapshot_every = k > 0 keeps level
@@ -191,12 +208,25 @@ def run_leapfrog(u0: SpatialField, v0: SpatialField, dt: float, steps: int,
         raise ValueError("need dt > 0 and steps >= 1")
     if not isinstance(snapshot_every, (int, np.integer)) or snapshot_every < 0:
         raise ValueError("snapshot_every must be a non-negative integer")
-    # complex, as the two levels trade roles every step
-    u = u0.samples.astype(complex)
     src0 = source_fn(0.0) if source_fn is not None else None
+    real = not any(map(_imaginary, (u0.samples, v0.samples, src0)))
+
+    def level(a, t):
+        """Samples a for the levels: on float64 levels its real part, which
+        must be all of it."""
+        if not real or a is None:
+            return a
+        if _imaginary(a):
+            raise ValueError(f"the source at t = {t} is not real, but the data "
+                             "were; pass complex data")
+        return np.real(a)
+
+    # one dtype for both, as the two levels trade roles every step
+    u = level(u0.samples, 0.0).astype(float if real else complex)
+    v, src0 = level(v0.samples, 0.0), level(src0, 0.0)
     lap = apply_sublaplacian(u, grid)
-    acc0 = lap - m * u - b * v0.samples + (src0 if src0 is not None else 0.0)
-    u_prev = u - dt * v0.samples + 0.5 * dt * dt * acc0
+    acc0 = lap - m * u - b * v + (src0 if src0 is not None else 0.0)
+    u_prev = u - dt * v + 0.5 * dt * dt * acc0
 
     times = dt * np.arange(steps + 1)
     l2 = np.empty(steps + 1)
@@ -210,7 +240,7 @@ def run_leapfrog(u0: SpatialField, v0: SpatialField, dt: float, steps: int,
     flux = _boundary_ratio(mag)
     for j in range(steps):
         t_j = j * dt
-        src = source_fn(t_j) if source_fn is not None else None
+        src = src0 if not j or source_fn is None else level(source_fn(t_j), t_j)
         if j:
             lap = apply_sublaplacian(u, grid)
         energy[j] = step_leapfrog(u, u_prev, dt, b, m, lap, vol, src, r)

@@ -16,7 +16,10 @@ data's coefficient layout, in place.  On the abelian backend real data
 `subwave.abelian`, N_1...N_{d-1}(N_d/2 + 1) entries per array instead of
 N, and the solve stays real: a GeneralNonlinearity that returns non-real
 samples for real data is a ValueError, mended by passing the data as
-complex samples.
+complex samples.  On the Heisenberg backend the transform of real samples
+is an exactly Hermitian field, whose synthesis is float64 samples
+(`subwave.transform`), so with a real f every sweep from real data stays
+real.
 
 Iterate 0 is the recursion without sources, and each sweep yields the whole
 new iterate node by node: the sources f(u_k) are made one node at a time as

@@ -33,6 +33,15 @@ integrates G with a Gauss-Hermite rule centred at beta/2 instead (`_g_block`),
 and `inverse_transform` sums its traces against F: one quadrature oracle,
 independent of the tables.
 
+Real fields.  pi_{-lambda}(g) is the complex conjugate of pi_lambda(g) in
+this basis, so the transform of real samples is Hermitian,
+F(-lambda) = conj F(lambda).  Spatial samples are float64 when real-typed and
+complex otherwise, and both grid transforms treat a complex field as its
+real and imaginary parts: `forward_transform` analyzes each part at
++|lambda| alone and reads -lambda as the conjugate, so real samples give an
+exactly Hermitian field, and `synthesize_on_grid` returns float64 samples
+for an exactly Hermitian field.
+
 The Plancherel normalization of this convention is not hardcoded anywhere;
 `calibrate_plancherel` measures it once per grid and stores it on the grid.
 """
@@ -122,13 +131,15 @@ class SpatialGrid:
 
 @dataclass
 class SpatialField:
-    """Complex samples over a SpatialGrid."""
+    """Samples over a SpatialGrid: float64 when real-typed, else complex."""
 
     grid: SpatialGrid
     samples: np.ndarray
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=complex)
+        samples = np.asarray(self.samples)
+        self.samples = samples.astype(complex if np.iscomplexobj(samples) else float,
+                                      copy=False)
         if self.samples.shape != self.grid.shape:
             raise ValueError(
                 f"sample shape {self.samples.shape} does not match grid {self.grid.shape}"
@@ -316,6 +327,15 @@ class _TransformPlan:
     grid transforms contract the real view of the table against real
     operands, which leaves out the products of the real parts of G~ with
     the imaginary parts of the other factor that neither needs.
+
+    Both treat a field as c = 1 or 2 real parts, interleaved as the real
+    view of the samples, (point, t, part).  `rows[c]` takes the t axis:
+    row (|lambda|, part, Re/Im) holds cos(|lambda| t), resp.
+    -sin(|lambda| t), the real and imaginary parts of e^{-i |lambda| t}, on
+    the columns of its own part.  The trapezoid weights factor as
+    w_x w_y w_t: `weighted_rows[c]` are the rows times w_t, and
+    `plane_weights` holds w_x w_y on the stored half plane, which the point
+    reflection leaves fixed.
     """
 
     def __init__(self, grid: ModeGrid, spatial: SpatialGrid):
@@ -324,43 +344,55 @@ class _TransformPlan:
         self.order = K = grid.block_size
         absl, self.group = np.unique(np.abs(grid.lambda_nodes), return_inverse=True)
         self.column = (grid.lambda_nodes < 0).astype(int)
-        self.slot = 2 * self.group + self.column
         k, l = self.lower = _triangle(K)
         self.sign = np.where(k > l, (-1.0) ** (k + l), 0.0)
         self.even = 2 * np.count_nonzero((k - l) % 2 == 0)
-        x, y, _ = spatial.axes
+        x, y, t = spatial.axes
         self.points = x.size * y.size
         half = -(-self.points // 2)
         self.table = _closed_form_tables(np.sqrt(absl), np.repeat(x, y.size)[:half],
                                          np.tile(y, x.size)[:half], K)
         self.real = self.table.view(float)
+        phase = np.outer(absl, t)
+        rows = np.stack([np.cos(phase), -np.sin(phase)], axis=1)
+        weighted = rows * spatial.axis_weights(2)
+        self.rows = {c: _for_parts(rows, c) for c in (1, 2)}
+        self.weighted_rows = {c: _for_parts(weighted, c) for c in (1, 2)}
+        self.plane_weights = np.outer(spatial.axis_weights(0),
+                                      spatial.axis_weights(1)).ravel()[:half]
 
-    def weights(self, blocks: np.ndarray) -> np.ndarray:
-        """The synthesis operand of the (Q, K, K) blocks, real
-        (|lambda| count, K(K+1), 4).  Over the triangle, Tr[F G~] is
-        lo . G~ + up . conj(G~) at +lambda and up . G~ + lo . conj(G~) at
-        -lambda, lo_{kl} = F_{lk}, up_{kl} = (-1)^{k+l} F_{kl} (zero on the
-        diagonal): (lo + up) . Re G~ + i b . Im G~ with b = +-(lo - up).
-        Row 2r + c pairs with column 2r + c of `real` (c = 0 the real part,
-        1 the imaginary one) and holds lo + up, resp. i b; columns 2s and
-        2s + 1 are the real and imaginary parts at slot s (+lambda, -lambda);
-        a missing mirror's columns stay zero."""
+    def operand(self, parts: np.ndarray) -> np.ndarray:
+        """The synthesis operand of the (c, |lambda| count, K, K) parts P,
+        real (|lambda| count, K(K+1), 2c).  Over the triangle,
+        Tr[P G~] = lo . G~ + up . conj(G~), lo_{kl} = P_{lk},
+        up_{kl} = (-1)^{k+l} P_{kl} (zero on the diagonal), that is
+        (lo + up) . Re G~ + i (lo - up) . Im G~.  Row 2r + c' pairs with
+        column 2r + c' of `real` (c' = 0 the real part, 1 the imaginary one)
+        and holds lo + up, resp. i (lo - up); columns 2p and 2p + 1 are the
+        real and imaginary parts of part p's trace."""
         k, l = self.lower
-        lo = blocks[:, l, k]
-        up = self.sign * blocks[:, k, l]
-        w = np.zeros((self.table.shape[0], k.size, 2, 2), dtype=complex)
-        w[self.group, :, 0, self.column] = lo + up
-        w[self.group, :, 1, self.column] = (1j - 2j * self.column)[:, None] * (lo - up)
-        return w.view(float).reshape(w.shape[0], -1, 4)
+        lo = parts[..., l, k]
+        up = self.sign * parts[..., k, l]
+        w = np.empty(lo.shape[1:] + (2, lo.shape[0]), dtype=complex)
+        w[..., 0, :] = np.moveaxis(lo + up, 0, -1)
+        w[..., 1, :] = np.moveaxis(1j * (lo - up), 0, -1)
+        return w.view(float).reshape(w.shape[0], -1, 2 * lo.shape[0])
 
     def unfold(self, lo: np.ndarray, up: np.ndarray) -> np.ndarray:
-        """The (Q, K, K) blocks with B_{lk} = lo_{kl} (the diagonal too) and
+        """The (..., K, K) blocks with B_{lk} = lo_{kl} (the diagonal too) and
         B_{kl} = (-1)^{k+l} up_{kl} over the triangle k > l."""
         k, l = self.lower
-        blocks = np.empty((lo.shape[0], self.order, self.order), dtype=complex)
-        blocks[:, k, l] = self.sign * up
-        blocks[:, l, k] = lo
+        blocks = np.empty(lo.shape[:-1] + (self.order, self.order), dtype=complex)
+        blocks[..., k, l] = self.sign * up
+        blocks[..., l, k] = lo
         return blocks
+
+
+def _for_parts(rows: np.ndarray, c: int) -> np.ndarray:
+    """The (|lambda| count, 2, Nt) rows for c real parts interleaved as
+    (t, part): (2c |lambda| count, c Nt), each row on its own part alone."""
+    nt = rows.shape[-1]
+    return (rows[:, None, :, :, None] * np.eye(c)[:, None, None, :]).reshape(-1, nt * c)
 
 
 _PLAN_CACHE: dict = {}
@@ -386,14 +418,20 @@ def forward_transform(f: SpatialField, grid: ModeGrid,
     """Group Fourier transform: f_hat(lambda)_{kl} by spatial quadrature.
 
     The trapezoid sum of f(g) conj(M(lambda, g)_{lk}) over the grid with the
-    plan's exact coefficients.  The samples are folded across the origin of
-    the (x, y) plane, f(j) + f(j') for the even rows and f(j) - f(j') for
-    the odd ones; one real matmul per fold takes the t axis, with one row
-    per slot (the real and imaginary parts of each node's t-transform), and
-    one batched real matmul per parity contracts the slots with the
-    half-plane tables.  sum_j G~ ft and sum_j G~ conj(ft) follow from the
-    two parts, so that the stored G~_{kl} and the mirrored
-    G~_{lk} = (-1)^{k+l} conj(G~_{kl}) both come out.
+    plan's exact coefficients, taken for the real part of f and, when f is
+    complex, its imaginary part, as c real parts.  Since
+    M(-lambda, g) = conj M(lambda, g), a real part's transform is Hermitian:
+    it is computed at +|lambda| alone and read at -lambda as its conjugate,
+    so float64 samples give an exactly Hermitian field.  The real view of
+    the samples is folded across the origin of the (x, y) plane into fresh
+    arrays, w_x w_y (f(j) + f(j')) for the even rows and
+    w_x w_y (f(j) - f(j')) for the odd ones; one real matmul per fold takes
+    the t axis with the plan's `weighted_rows` (the real and imaginary parts
+    of each part's t-transform ft at each |lambda|), and one batched real
+    matmul per parity contracts them with the half-plane tables.
+    sum_j G~ ft and sum_j G~ conj(ft) follow from the two parts of ft, so
+    that the stored G~_{kl} and the mirrored G~_{lk} = (-1)^{k+l} conj(G~_{kl})
+    both come out.
     `representation_matrix` gives the same entries by quadrature,
     independently of the tables.  Warns when f fails the boundary-decay
     precondition; pass boundary_tol=None when the caller has already vetted
@@ -411,47 +449,51 @@ def forward_transform(f: SpatialField, grid: ModeGrid,
     table, e = plan.real, plan.even
     groups, half, _ = table.shape
     mirrored = plan.points - half
-    fw = (f.samples * f.grid.weight_cube()).reshape(plan.points, -1)
-    # fold the points: fw[:half] gets f(j) + f(j'), odd f(j) - f(j')
-    mirror = fw[::-1][:mirrored]
-    odd = fw[:mirrored] - mirror
-    fw[:mirrored] += mirror
-    # the t axis as one real row per slot: Re and Im of the t-transform
-    # ft(lambda) = sum_t fw e^{-i lambda t}, at +lambda then -lambda, acting
-    # on the real view (re, im, re, ...) of the samples
-    phase = np.exp(1j * np.outer(grid.lambda_nodes, f.grid.axis(2)))
-    char = np.zeros((groups, 2, 2, phase.shape[1]), dtype=complex)
-    char[plan.group, plan.column, 0] = phase
-    char[plan.group, plan.column, 1] = 1j * phase
-    char = char.view(float).reshape(4 * groups, -1)
-    # p, q = sum_j G~ Re ft, sum_j G~ Im ft as the complex view of pq
-    pq = np.empty((groups, 4, table.shape[2]))
-    folded = (char @ fw[:half].view(float).T).reshape(groups, 4, half)
-    np.matmul(folded, table[:, :, :e], out=pq[:, :, :e])
-    folded = (char @ odd.view(float).T).reshape(groups, 4, mirrored)
-    np.matmul(folded, table[:, :mirrored, e:], out=pq[:, :, e:])
-    pq = pq.view(complex)
-    p, q = pq[plan.group, 2 * plan.column], pq[plan.group, 2 * plan.column + 1]
-    # f_hat_{kl} = sum_g w f(g) conj(M(lambda, g)_{lk}): at +lambda the
-    # triangle's mirror f_hat_{lk} is conj(sum_j G~ conj(ft)) and f_hat_{kl}
-    # is (-1)^{k+l} sum_j G~ ft; -lambda swaps the two
-    along = p + 1j * q
-    across = np.conjugate(p) + 1j * np.conjugate(q)
-    minus = plan.column[:, None] == 1
-    return SpectralField(grid, plan.unfold(np.where(minus, along, across),
-                                           np.where(minus, across, along)))
+    c = 2 if np.iscomplexobj(f.samples) else 1
+    # the parts interleaved, (point, t, part), folded into fresh arrays
+    parts = np.ascontiguousarray(f.samples).reshape(plan.points, -1).view(float)
+    mirror = parts[::-1][:mirrored]
+    even = np.empty((half, parts.shape[1]))
+    np.add(parts[:mirrored], mirror, out=even[:mirrored])
+    even[mirrored:] = parts[mirrored:half]
+    odd = parts[:mirrored] - mirror
+    even *= plan.plane_weights[:, None]
+    odd *= plan.plane_weights[:mirrored, None]
+    # p, q = sum_j G~ Re ft, sum_j G~ Im ft of each part: rows (part, Re/Im)
+    rows = plan.weighted_rows[c]
+    pq = np.empty((groups, 2 * c, table.shape[2]))
+    np.matmul((rows @ even.T).reshape(groups, 2 * c, half), table[:, :, :e],
+              out=pq[:, :, :e])
+    np.matmul((rows @ odd.T).reshape(groups, 2 * c, mirrored), table[:, :mirrored, e:],
+              out=pq[:, :, e:])
+    pq = pq.view(complex).reshape(groups, c, 2, -1)
+    p, q = pq[:, :, 0], pq[:, :, 1]
+    # f_hat_{kl} = sum_g w f(g) conj(M(lambda, g)_{lk}): at +|lambda| each
+    # part's mirror f_hat_{lk} is conj(sum_j G~ conj(ft)) and f_hat_{kl} is
+    # (-1)^{k+l} sum_j G~ ft; at -|lambda| the conjugate
+    plus = plan.unfold(np.conjugate(p) + 1j * np.conjugate(q), p + 1j * q)
+    blocks = np.stack([plus, np.conjugate(plus)])[plan.column, plan.group]
+    coefficients = blocks[:, 0] if c == 1 else blocks[:, 0] + 1j * blocks[:, 1]
+    return SpectralField(grid, coefficients)
 
 
 def synthesize_on_grid(F: SpectralField, spatial: SpatialGrid) -> SpatialField:
     """Inverse transform sampled on a full spatial grid.
 
     Sum over lambda nodes of weight * Tr[F(lambda) M(lambda, g)] with the
-    calibrated grid weights.  Tr[F G~] is the folded triangle of F against
-    the stored G~_{kl} and their mirrors G~_{lk} = (-1)^{k+l} conj(G~_{kl})
-    (`_TransformPlan.weights`): per parity, one batched real matmul against
-    the half-plane tables gives every node's (x, y) slab there, E for the
-    even rows and O for the odd ones, and one matmul takes each to the t
-    axis; a point gets E + O and its mirror E - O.
+    calibrated grid weights.  Fold the weights in, G = w F, with a missing
+    mirror node read as zero.  Since M(-lambda, g) = conj M(lambda, g), the
+    nodes +-lambda sum to Re Tr[A M] + i Re Tr[B M] at +|lambda|, where
+    A = G(lambda) + conj G(-lambda) and B = (G(lambda) - conj G(-lambda)) / i.
+    An exactly Hermitian field has B = 0 and float64 samples; otherwise A
+    and B are the c = 2 parts.  Tr[P G~] is the folded triangle of each
+    part P against the stored G~_{kl} and their mirrors
+    G~_{lk} = (-1)^{k+l} conj(G~_{kl}) (`_TransformPlan.operand`): per
+    parity, one batched real matmul against the half-plane tables gives
+    every |lambda|'s (x, y) slab there, E for the even rows and O for the
+    odd ones, and one real matmul with the plan's `rows` takes each to the
+    t axis, into the real view of the samples; a point gets E + O and its
+    mirror E - O.
     `inverse_transform` evaluates the same sum pointwise by quadrature.
     """
     grid = F.grid
@@ -459,21 +501,27 @@ def synthesize_on_grid(F: SpectralField, spatial: SpatialGrid) -> SpatialField:
     table, e = plan.real, plan.even
     groups, half, _ = table.shape
     mirrored = plan.points - half
-    w = plan.weights(F.coefficients)
-    char = np.zeros((2 * groups, spatial.shape[2]), dtype=complex)
-    char[plan.slot] = (np.exp(1j * np.outer(grid.lambda_nodes, spatial.axis(2)))
-                       * grid.weights[:, None])
-    # real (half, |lambda|, 4) = complex (half, 2 |lambda|) slabs, node q in
-    # column slot[q]; the odd rows reuse the first `mirrored` points of it
-    slabs = np.empty((half, groups, 4))
+    g = np.zeros((2, groups) + F.coefficients.shape[1:], dtype=complex)
+    g[plan.column, plan.group] = grid.weights[:, None, None] * F.coefficients
+    mirror = np.conjugate(g[1])
+    herm, anti = g[0] + mirror, -1j * (g[0] - mirror)
+    parts = np.stack([herm, anti]) if anti.any() else herm[None]
+    c = parts.shape[0]
+    w = plan.operand(parts)
+    rows = plan.rows[c]
+    slabs = np.empty((half, groups, 2 * c))
     np.matmul(table[:, :, :e], w[:, :e], out=slabs.transpose(1, 0, 2))
-    samples = np.empty((plan.points, char.shape[1]), dtype=complex)
-    np.matmul(slabs.view(complex).reshape(half, -1), char, out=samples[:half])
+    # the parts interleaved, (point, t, part): the real view of the samples
+    samples = np.empty((plan.points, rows.shape[1]))
+    np.matmul(slabs.reshape(half, -1), rows, out=samples[:half])
+    # the odd rows reuse the first `mirrored` points of the slabs
     slabs = slabs[:mirrored]
     np.matmul(table[:, :mirrored, e:], w[:, e:], out=slabs.transpose(1, 0, 2))
-    odd = slabs.view(complex).reshape(mirrored, -1) @ char
+    odd = slabs.reshape(mirrored, -1) @ rows
     np.subtract(samples[:mirrored], odd, out=samples[half:][::-1])
     samples[:mirrored] += odd
+    if c == 2:
+        samples = samples.view(complex)
     return SpatialField(spatial, samples.reshape(spatial.shape))
 
 

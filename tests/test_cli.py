@@ -407,6 +407,35 @@ def test_oracle_compare_runs_with_defaults(tmp_path):
     assert len(rows) == 1 + results["steps"] + 1
 
 
+def test_benchmark_oracle_compare_steps_float64_levels(tmp_path, monkeypatch):
+    # the benchmark's own oracle-compare config, read and not changed: its
+    # packet is real, so the FD data and every snapshot are float64, and a
+    # fall-back to complex levels (twice the FD work) cannot go unnoticed
+    import importlib.util
+
+    from subwave import cli
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    subcommand, config = workloads.cli_config(
+        "oracle-compare", workloads.params("oracle-compare", 0))
+    runs, run_leapfrog = [], cli.run_leapfrog
+
+    def recording(u0, v0, *args, **kwargs):
+        runs.append((u0, v0, run_leapfrog(u0, v0, *args, **kwargs)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(cli, "run_leapfrog", recording)
+    # exit 1: the 0.05 verdict fails at this resolution (ROADMAP item 1)
+    assert cli.run(subcommand, write_config(tmp_path, config), tmp_path / "out") in (0, 1)
+    (u0, v0, fd), = runs
+    assert u0.samples.dtype == v0.samples.dtype == np.float64
+    assert len(fd.snapshots) > 2
+    assert all(snap.samples.dtype == np.float64 for snap in fd.snapshots)
+
+
 # the calibration box clips the packet tails (see the calibrate test above)
 @pytest.mark.filterwarnings("ignore:boundary decay")
 @pytest.mark.parametrize("subcommand, config", [

@@ -999,6 +999,50 @@ def test_picard_heisenberg_general_nonlinearity_needs_nu_2(calibrated_grid,
     assert diag.status is PicardStatus.CONVERGED
 
 
+def test_heisenberg_picard_commutes_with_i(monkeypatch):
+    # f(u) = c u is complex linear, so solve(i u0) = i solve(u0).  The real
+    # packet's syntheses are float64 in every sweep, those of i u0 complex
+    # with a zero real part: both branches of the synthesis and the forward
+    # transform run through the whole nonlinear path.  The two solves may
+    # differ by the order in which BLAS sums the t axis of one part or of
+    # two, a rounding per synthesis of about 1e-16 relative (7e-17 seen on
+    # a 12 x 12 x 10 box); here they agree bitwise
+    dtypes = []
+    synthesize = semilinear.synthesize_on_grid
+
+    def recording(u, synth):
+        f = synthesize(u, synth)
+        dtypes.append(f.samples.dtype)
+        assert not np.iscomplexobj(f.samples) or not np.any(f.samples.real)
+        return f
+
+    monkeypatch.setattr(semilinear, "synthesize_on_grid", recording)
+    c, b, m = 0.5, 2.0, 2.0
+    shift = GeneralNonlinearity(lambda U: c * U[0])
+    # the grid, box and packet of the endpoint test above
+    grid = build_grid(0.25, 6.0, 48, 15.0, n=1)
+    box = SpatialGrid((5.0, 5.0, 8.5), (28, 28, 40))
+    f = from_function(box, packet(scale=0.05))
+    calibrate_plancherel(f, grid)
+    packet_hat = forward_transform(f, grid)
+    cfg = ZNormConfig(delta=0.999 * decay_rate(b, m),
+                      sample_times=tuple(np.linspace(0.0, 4.0, 5)))
+    runs = []
+    for unit in (1.0, 1j):
+        dtypes.clear()
+        u0 = SpectralField(grid, unit * packet_hat.coefficients)
+        runs.append(picard_solve(u0, SpectralField.zeros(grid), shift, b, m,
+                                 SubLaplacianSymbol(1), cfg, synth=box))
+        assert dtypes and set(dtypes) == {np.dtype(float if unit == 1.0 else complex)}
+    (traj, diag), (twin, tdiag) = runs
+    assert diag.status is tdiag.status is PicardStatus.CONVERGED
+    assert diag.iterations == tdiag.iterations >= 3
+    for got, want in zip(twin.fields + twin.derivatives, traj.fields + traj.derivatives):
+        err = got.coefficients - 1j * want.coefficients
+        assert np.linalg.norm(err) <= 1e-14 * np.linalg.norm(want.coefficients)
+    assert tdiag.z_norms == pytest.approx(diag.z_norms, rel=1e-13, abs=0)
+
+
 # --------------------------------------------------------------------------
 # decay report on trivial data
 

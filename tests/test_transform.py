@@ -44,6 +44,8 @@ def test_spatial_grid_basics():
 
 def test_spatial_field_validation_and_norms():
     grid = SpatialGrid((1.0, 1.0, 1.0), (4, 4, 4))
+    assert SpatialField(grid, np.ones(grid.shape, dtype=int)).samples.dtype == np.float64
+    assert SpatialField(grid, np.ones(grid.shape) + 0j).samples.dtype == np.complex128
     with pytest.raises(ValueError, match="match"):
         SpatialField(grid, np.zeros((4, 4, 5)))
     with pytest.raises(ValueError, match="finite"):
@@ -225,18 +227,71 @@ def check_grouped_synthesis(spatial, rng):
 def check_forward_on_an_asymmetric_field(spatial):
     # even packets cannot tell (k, l) from (l, k); this field is odd in x,
     # off-centre in x and y and complex, so a transposed index order or a
-    # wrong mirrored sign misses by O(1)
+    # wrong mirrored sign misses by O(1); its real part takes the float64
+    # path, which reads -lambda as the conjugate of +|lambda|
     grid = _sparse_grid()
     f = from_function(spatial, lambda x, y, t: (1 + x + 0.3j * x * y + 0.2 * x * t)
                       * np.exp(-((x - 0.7) ** 2 + (y + 0.4) ** 2) / 1.2 - t * t / 3))
     blocks = quadrature_blocks(grid, spatial)
-    fw = f.samples * spatial.weight_cube()
-    ft = np.tensordot(fw, np.exp(-1j * np.outer(spatial.axis(2), grid.lambda_nodes)),
-                      axes=([2], [0]))
-    # f_hat(lambda)_{kl} = sum_g w f(g) conj(M(lambda, g)_{lk})
-    ref = np.einsum("xyq,qxylk->qkl", ft, blocks.conj())
-    got = forward_transform(f, grid, boundary_tol=None).coefficients
+    for field in (f, SpatialField(spatial, f.samples.real)):
+        fw = field.samples * spatial.weight_cube()
+        ft = np.tensordot(fw, np.exp(-1j * np.outer(spatial.axis(2), grid.lambda_nodes)),
+                          axes=([2], [0]))
+        # f_hat(lambda)_{kl} = sum_g w f(g) conj(M(lambda, g)_{lk})
+        ref = np.einsum("xyq,qxylk->qkl", ft, blocks.conj())
+        got = forward_transform(field, grid, boundary_tol=None).coefficients
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def hermitian_field(grid, rng):
+    """Random coefficients with F(-lambda) = conj F(lambda) bitwise, zero at
+    a node without a mirror."""
+    nodes = grid.lambda_nodes
+    c = (rng.standard_normal(grid.field_shape())
+         + 1j * rng.standard_normal(grid.field_shape()))
+    for q, lam in enumerate(nodes):
+        mirror = np.flatnonzero(nodes == -lam)
+        if not mirror.size:
+            c[q] = 0.0
+        elif lam < 0:
+            c[q] = np.conjugate(c[mirror[0]])
+    return SpectralField(grid, c)
+
+
+@pytest.mark.parametrize("spatial", [ODD_PLANE, EVEN_PLANE], ids=["odd", "even"])
+def test_hermitian_fields_synthesize_to_float64(spatial, rng):
+    F = hermitian_field(_sparse_grid(), rng)
+    ref = per_node_synthesis(F, spatial)
+    got = synthesize_on_grid(F, spatial).samples
+    assert got.dtype == np.float64
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("spatial", [ODD_PLANE, EVEN_PLANE], ids=["odd", "even"])
+def test_i_times_a_hermitian_field_synthesizes_to_i_times_its_samples(spatial, rng):
+    # i F has a zero Hermitian part, so the real part of its samples is
+    # exactly 0, and its anti-Hermitian part is F's Hermitian part
+    # bitwise.  Its t-axis matmul spans both parts, which BLAS may sum in
+    # another order than the one-part matmul: bitwise here and on the
+    # benchmark's 36 x 36 x 48 box, 7e-17 relative measured for a 24-node
+    # grid on a 12 x 12 x 10 box
+    F = hermitian_field(_sparse_grid(), rng)
+    samples = synthesize_on_grid(F, spatial).samples
+    got = synthesize_on_grid(SpectralField(F.grid, 1j * F.coefficients), spatial).samples
+    assert got.dtype == np.complex128
+    assert not np.any(got.real)
+    assert np.max(np.abs(got.imag - samples)) <= 1e-15 * np.max(np.abs(samples))
+
+
+@pytest.mark.parametrize("spatial", [ODD_PLANE, EVEN_PLANE], ids=["odd", "even"])
+def test_forward_transform_of_real_samples_is_exactly_hermitian(spatial, rng):
+    # so that a real Picard solve stays real from sweep to sweep: its
+    # syntheses take the float64 path
+    grid = build_grid(0.25, 6.0, 24, 15.0, n=1)
+    f = SpatialField(spatial, rng.standard_normal(spatial.shape))
+    F = forward_transform(f, grid, boundary_tol=None)
+    assert np.array_equal(F.coefficients[::-1], np.conjugate(F.coefficients))
+    assert synthesize_on_grid(F, spatial).samples.dtype == np.float64
 
 
 def test_grouped_synthesis_matches_per_node_loop(rng):
@@ -358,10 +413,11 @@ def test_plan_builds_and_holds_only_the_triangle(calibrated_grid, synth_box):
 
 def test_grid_transforms_allocate_a_few_boxes(calibrated_grid, synth_box, rng):
     # with the plan built, a synthesis holds the result, its half-plane
-    # slabs and the odd rows' t-contraction; a forward transform the weighted
-    # samples, their odd fold and the two folded t-transforms (a box is
+    # slabs and the odd rows' t-contraction; a forward transform the two
+    # weighted folds of the samples and the folded t-transforms (a box is
     # Nx Ny Nt complex; 24 nodes on 48 t points): 1.9 boxes measured for a
-    # synthesis, 2.1 for a forward transform
+    # synthesis, 1.3 for a forward transform, and a Hermitian field's
+    # float64 synthesis takes 1.0
     from subwave import transform
 
     transform._plan(calibrated_grid, synth_box)
@@ -372,7 +428,10 @@ def test_grid_transforms_allocate_a_few_boxes(calibrated_grid, synth_box, rng):
     _, forward_peak = traced_peak(
         lambda: forward_transform(f, calibrated_grid, boundary_tol=None))
     assert synth_peak <= 2.5 * f.samples.nbytes
-    assert forward_peak <= 3.0 * f.samples.nbytes
+    assert forward_peak <= 1.5 * f.samples.nbytes
+    H = hermitian_field(calibrated_grid, rng)
+    _, real_peak = traced_peak(lambda: synthesize_on_grid(H, synth_box))
+    assert real_peak <= 1.25 * f.samples.nbytes
 
 
 def test_grid_transforms_do_not_touch_quadrature(monkeypatch, rng):
