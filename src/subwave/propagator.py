@@ -177,6 +177,15 @@ def _norm_multiplier(vals: np.ndarray, nu: int, order: float,
     return (mass + vals) ** (2.0 * order / nu)
 
 
+def _re_dot(a, b):
+    """Re <a, b> for two arrays of one shape and dtype: one einsum over their
+    float views.  np.vdot would call BLAS, whose threaded zdotc spins a
+    second core, with no gain at these sizes, while a Picard sweep runs its
+    nonlinearity on another thread."""
+    a, b = (np.ascontiguousarray(v).view(float).ravel() for v in (a, b))
+    return float(np.einsum("i,i->", a, b))
+
+
 class _Norms:
     """The first half of a backend model: layout, norms, wrap/unwrap (see
     the module docstring).  Both backends answer one protocol: the symbol
@@ -256,12 +265,12 @@ class _Norms:
         if mult is None and self.real:
             # the weighted sum without a product pass: every column twice,
             # less the lone columns once
-            sq = 2.0 * np.vdot(c, c).real - sum(np.vdot(c[..., k], c[..., k]).real
-                                                for k in self._lone)
+            sq = 2.0 * _re_dot(c, c) - sum(_re_dot(c[..., k], c[..., k])
+                                           for k in self._lone)
             return float(np.sqrt(sq / self.volume))
         if self.weights is not None:
             mult = self.weights if mult is None else self.weights * mult
-        return float(np.sqrt(np.vdot(c, c if mult is None else mult * c).real
+        return float(np.sqrt(_re_dot(c, c if mult is None else mult * c)
                              / self.volume))
 
     def l2(self, c):
@@ -307,8 +316,13 @@ def _history(model, gaps, start, sources=None):
 
     and node k is Y_k + (0, g_k/2 f_k), since P(0) e_2 = e_2.  Without sources
     the kicks are skipped and node k is P(t_k) start.  P is evaluated once
-    per distinct nonzero gap; a zero gap takes no step.  Source k is pulled
-    before node k is yielded.
+    per distinct nonzero gap; a zero gap takes no step.
+
+    Pull before yield: source k is pulled before node k is yielded.  A
+    caller whose source k reads slot k of some array may therefore write
+    over that slot once node k is yielded: source k is complete by then,
+    and a source made ahead of the pulls reads a later slot.  The lookahead
+    of the Picard sweep in `subwave.semilinear` relies on this.
 
     Four arrays are updated in place and nothing is allocated per node: the
     yielded pair is valid only until the next node is pulled, and must not

@@ -1,5 +1,8 @@
 """Nonlinearity plumbing, Z norms, Duhamel quadrature, and Picard iteration."""
 
+import sys
+import threading
+import time
 from collections import deque
 
 import numpy as np
@@ -739,6 +742,102 @@ def test_picard_holds_one_iterate(H):
 
 
 # --------------------------------------------------------------------------
+# the sweep's lookahead: sources made on a helper thread
+
+
+def counting(fn, calls, sleep_rng=None):
+    """A GeneralNonlinearity that records each call's tuple and, given
+    sleep_rng, sleeps 0-2 ms first."""
+
+    def callback(U):
+        if sleep_rng is not None:
+            time.sleep(sleep_rng.uniform(0.0, 2e-3))
+        calls.append(U)
+        return fn(U)
+
+    return GeneralNonlinearity(callback)
+
+
+def test_helper_timing_and_one_cpu_leave_every_bit_in_place(monkeypatch):
+    # sleeps and a short switch interval move the helper against the sweep,
+    # and a process held to one CPU makes the sources on the calling thread;
+    # the arithmetic and its order do not move
+    sym, u0, u1, cfg = order4_setup(0.2, 25)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for cpus, sleep_rng in ((2, None), (2, np.random.default_rng(7)), (1, None)):
+            monkeypatch.setattr(semilinear, "_usable_cpus", lambda: cpus)
+            threads = set()
+
+            def fn(U):
+                threads.add(threading.current_thread())
+                return _GENERAL.callback(U)
+
+            runs.append(picard_solve(u0, u1, counting(fn, [], sleep_rng), 2.0, 2.0,
+                                     sym, cfg, tol=1e-10))
+            assert (threads == {threading.main_thread()}) == (cpus == 1)
+    finally:
+        sys.setswitchinterval(interval)
+    (traj, diag), *others = runs
+    assert diag.status is PicardStatus.CONVERGED
+    assert np.isfinite(diag.quadrature_error)
+    for other, odiag in others:
+        assert odiag == diag
+        for a, b in zip(traj.fields + traj.derivatives,
+                        other.fields + other.derivatives):
+            assert np.array_equal(a.coefficients, b.coefficients)
+
+
+def test_each_sweep_makes_one_source_per_node():
+    # H per Picard sweep and H for the Richardson sweep, in the caller's
+    # np.errstate
+    sym, u0, u1, cfg = order4_setup(0.2, 25)
+    calls, states = [], []
+
+    def fn(U):
+        states.append(np.geterr()["over"])
+        return _GENERAL.callback(U)
+
+    with np.errstate(over="raise"):
+        _, diag = picard_solve(u0, u1, counting(fn, calls), 2.0, 2.0, sym, cfg,
+                               tol=1e-10)
+    assert diag.status is PicardStatus.CONVERGED
+    assert np.isfinite(diag.quadrature_error)
+    assert len(calls) == 25 * (diag.iterations + 1)
+    assert set(states) == {"raise"}
+
+
+def test_a_non_finite_source_fails_the_solve_when_pulled():
+    # call 37 is node 11 of the second sweep; the helper makes at most the
+    # lookahead's sources past it before the failure reaches the sweep
+    sym, u0, u1, cfg = order4_setup(0.2, 25)
+    calls = []
+
+    def fn(U):
+        out = _GENERAL.callback(U)
+        return np.full_like(out, np.inf) if len(calls) == 37 else out
+
+    with pytest.raises(semilinear.NumericalFailure, match="non-finite"):
+        picard_solve(u0, u1, counting(fn, calls), 2.0, 2.0, sym, cfg, tol=1e-10)
+    assert 37 <= len(calls) <= 37 + semilinear._LOOKAHEAD
+
+
+def test_heisenberg_boundary_failure_surfaces_from_the_helper(calibrated_grid,
+                                                              synth_box):
+    # the box of the boundary-gate test above is too small for the packet
+    tight = SpatialGrid((1.5, 1.5, 2.0), (16, 16, 16))
+    u0 = forward_transform(from_function(synth_box, packet(scale=0.05)),
+                           calibrated_grid, boundary_tol=None)
+    cfg = ZNormConfig(delta=0.999 * decay_rate(2.0, 2.0),
+                      sample_times=tuple(np.linspace(0.0, 4.0, 5)))
+    with pytest.raises(semilinear.NumericalFailure, match="boundary decay"):
+        picard_solve(u0, SpectralField.zeros(calibrated_grid), _POWER, 2.0, 2.0,
+                     SubLaplacianSymbol(1), cfg, synth=tight)
+
+
+# --------------------------------------------------------------------------
 # the half-spectrum layout of real data on the abelian backend
 
 
@@ -774,6 +873,30 @@ def test_mass_shift_oracle_has_time_order_2_on_both_layouts():
         orders = np.log2(errs[:-1] / errs[1:])
         assert np.all(np.abs(orders - 2.0) <= 0.05), (layout, orders)
     assert errors["half"] == pytest.approx(errors["full"], rel=1e-10, abs=0)
+
+
+def test_richardson_estimate_tracks_the_true_horizon_error():
+    # on the mass-shift oracle above, quadrature_error and the true error at
+    # T are both absolute L^2 norms through the model; measured ratios
+    # 1.061, 0.934, 0.914, 0.909 at H = 9, 17, 33, 65 (0.908 at H = 129)
+    grid = AbelianGrid((6.0,) * 3, (16, 16, 16))
+    sym = AbelianSymbol(np.ones(3), order=2, radial=True)
+    b, m, c, T = 2.0, 2.0, 0.5, 4.0
+    u0 = abelian_forward(abelian_from_function(
+        grid, lambda x, y, z: np.exp(-(x * x + y * y + z * z) / 2.0)))
+    u1 = AbelianCoefficients(grid, np.zeros_like(u0.coefficients))
+    model = semilinear._make_model((u0, u1), sym, b, m)
+    want = model.unwrap(evolve_linear(u0, u1, b, m - c, sym, [0.0, T]).fields[-1])
+    ratios = []
+    for H in (9, 17, 33, 65):
+        cfg = ZNormConfig(delta=0.999 * decay_rate(b, m),
+                          sample_times=tuple(np.linspace(0.0, T, H)))
+        traj, diag = picard_solve(u0, u1, GeneralNonlinearity(lambda U: c * U[0]),
+                                  b, m, sym, cfg, tol=1e-13)
+        assert diag.status is PicardStatus.CONVERGED
+        error = model.l2(model.unwrap(traj.fields[-1]) - want)
+        ratios.append(diag.quadrature_error / error)
+    assert all(0.8 <= r <= 1.25 for r in ratios), ratios
 
 
 @pytest.mark.parametrize("nl", [_POWER, _GENERAL], ids=["power", "general"])
