@@ -159,12 +159,23 @@ def abelian_forward(field: AbelianField) -> AbelianCoefficients:
     return AbelianCoefficients(grid, out)
 
 
-def abelian_inverse(coeffs: AbelianCoefficients) -> AbelianField:
+def abelian_inverse(coeffs: AbelianCoefficients, work=None) -> AbelianField:
+    """The samples of coeffs, bit for bit (i)rfftn / cell_volume.
+
+    From the half layout these are irfftn's passes, one axis at a time: the
+    leading axes in place in work, a complex array of the coefficients'
+    shape (a new one if None), where irfftn makes a new array per axis.  A
+    caller that passes the same work on every call keeps those passes in
+    one hot array.
+    """
     grid = coeffs.grid
     if coeffs.real:
-        # axes with s, or NumPy 2 warns
-        out = np.fft.irfftn(coeffs.coefficients, s=grid.shape,
-                            axes=tuple(range(grid.dim)), out=np.empty(grid.shape))
+        c = coeffs.coefficients
+        if work is None:
+            work = np.empty(c.shape, dtype=complex)
+        for axis in range(grid.dim - 1):
+            c = np.fft.ifft(c, axis=axis, out=work)
+        out = np.fft.irfft(c, n=grid.shape[-1], axis=-1, out=np.empty(grid.shape))
     else:
         out = np.fft.ifftn(coeffs.coefficients, out=np.empty(grid.shape, dtype=complex))
     # NumPy divides complex by real as this product, bit for bit, but slower

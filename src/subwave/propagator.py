@@ -177,15 +177,6 @@ def _norm_multiplier(vals: np.ndarray, nu: int, order: float,
     return (mass + vals) ** (2.0 * order / nu)
 
 
-def _re_dot(a, b):
-    """Re <a, b> for two arrays of one shape and dtype: one einsum over their
-    float views.  np.vdot would call BLAS, whose threaded zdotc spins a
-    second core, with no gain at these sizes, while a Picard sweep runs its
-    nonlinearity on another thread."""
-    a, b = (np.ascontiguousarray(v).view(float).ravel() for v in (a, b))
-    return float(np.einsum("i,i->", a, b))
-
-
 class _Norms:
     """The first half of a backend model: layout, norms, wrap/unwrap (see
     the module docstring).  Both backends answer one protocol: the symbol
@@ -193,8 +184,9 @@ class _Norms:
     holds its grid and its coefficients.  Heisenberg (SpectralField): the
     sub-Laplacian by default, and each lambda node's Plancherel weight in
     the norms.  Abelian (AbelianCoefficients): provider required, and the
-    norms divided by the box volume.  Each norm multiplier is built once per
-    (order, mass) and kept for the object's lifetime.
+    norms divided by the box volume.  Each norm multiplier, and its product
+    with the weights, is built once per (order, mass) and kept for the
+    object's lifetime.
 
     data is one field or the Cauchy data (u0, u1); the model's grid and type
     are those of its first field.  The abelian layout is taken once, from
@@ -233,7 +225,7 @@ class _Norms:
             self._lone = (0, h - 1) if self.grid.shape[-1] % 2 == 0 else (0,)
             self.weights = np.full(h, 2.0)
             self.weights[list(self._lone)] = 1.0
-        self._mults = {}
+        self._mults, self._weighted_mults = {}, {}
 
     def wrap(self, c):
         return self.field(self.grid, c)
@@ -261,26 +253,39 @@ class _Norms:
             self._mults[key] = _norm_multiplier(self.sym, self.nu, *key)
         return self._mults[key]
 
+    def _weighted(self, order, mass=None):
+        """The weights times multiplier(order, mass), built once per key."""
+        key = (float(order), mass)
+        if key not in self._weighted_mults:
+            mult = self.multiplier(order, mass)
+            self._weighted_mults[key] = (mult if self.weights is None
+                                         else self.weights * mult)
+        return self._weighted_mults[key]
+
     def _norm(self, c, mult=None):
         if mult is None and self.real:
             # the weighted sum without a product pass: every column twice,
             # less the lone columns once
-            sq = 2.0 * _re_dot(c, c) - sum(_re_dot(c[..., k], c[..., k])
-                                           for k in self._lone)
+            sq = 2.0 * np.vdot(c, c).real - sum(np.vdot(c[..., k], c[..., k]).real
+                                                for k in self._lone)
             return float(np.sqrt(sq / self.volume))
         if self.weights is not None:
             mult = self.weights if mult is None else self.weights * mult
-        return float(np.sqrt(_re_dot(c, c if mult is None else mult * c)
+        return self._reduce(c, mult)
+
+    def _reduce(self, c, w):
+        """sqrt(Re <c, w c> / volume); w None is 1."""
+        return float(np.sqrt(np.vdot(c, c if w is None else w * c).real
                              / self.volume))
 
     def l2(self, c):
         return self._norm(c)
 
     def sobolev(self, c, s):
-        return self._norm(c, self.multiplier(s, 1.0))
+        return self._reduce(c, self._weighted(s, 1.0))
 
     def frac(self, c, j):
-        return self._norm(c, self.multiplier(j))
+        return self._reduce(c, self._weighted(j))
 
     def data_norm(self, c0, c1):
         return self.sobolev(c0, 0.5 * self.nu) + self.l2(c1)
@@ -320,9 +325,8 @@ def _history(model, gaps, start, sources=None):
 
     Pull before yield: source k is pulled before node k is yielded.  A
     caller whose source k reads slot k of some array may therefore write
-    over that slot once node k is yielded: source k is complete by then,
-    and a source made ahead of the pulls reads a later slot.  The lookahead
-    of the Picard sweep in `subwave.semilinear` relies on this.
+    over that slot once node k is yielded; `subwave.semilinear.picard_solve`
+    relies on this.
 
     Four arrays are updated in place and nothing is allocated per node: the
     yielded pair is valid only until the next node is pulled, and must not

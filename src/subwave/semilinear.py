@@ -11,11 +11,10 @@ This module iterates Gamma with it and measures contraction in a weighted
 sup-in-time Z norm.
 
 A Picard solve holds one iterate, values and derivatives: 2H arrays on the
-data's coefficient layout, in place.  On top of them come the recursion's
-four arrays, at most _LOOKAHEAD + 2 sources (those made ahead, the one
-being pulled and the one the recursion holds) and the samples the helper
-thread below works on.  On the abelian backend real data (with a real mu,
-if f is a PowerNonlinearity) take the half spectrum of
+data's coefficient layout, in place, plus the recursion's four arrays, the
+source it holds and, on the abelian backend, the model's work array for
+the inverse FFT.  On the abelian backend real data
+(with a real mu, if f is a PowerNonlinearity) take the half spectrum of
 `subwave.abelian`, N_1...N_{d-1}(N_d/2 + 1) entries per array instead of
 N, and the solve stays real: a GeneralNonlinearity that returns non-real
 samples for real data is a ValueError, mended by passing the data as
@@ -25,21 +24,13 @@ is an exactly Hermitian field, whose synthesis is float64 samples
 real.
 
 Iterate 0 is the recursion without sources, and each sweep yields the whole
-new iterate node by node.  Two threads share a sweep.  The calling thread
-runs the recursion, and as it yields node k it writes old - new into the
-old iterate's slot k, takes the Z-norm terms of that difference there and
-those of the new value, and copies the new node over the slot.  One helper
-thread makes the sources f(u_j) of the old iterate in order, up to
-_LOOKAHEAD nodes ahead of the pulls; the FFTs, transforms and ufuncs of
-NumPy release the GIL, so the nonlinearity runs alongside the recursion and
-the norms.  The recursion pulls source k before it yields node k (see
-`subwave.propagator._history`), so the helper only reads slots that the
-sweep has not written yet, and the arithmetic and its order are those of
-one thread: no result depends on the helper's timing.  A process held to
-one CPU starts no helper and makes each source as it is pulled.  No source
-list, difference list, second iterate or stored linear part is ever held.
-The Richardson estimate of the quadrature error is one more pass of the
-same recursion, fed the same way.
+new iterate node by node: the sources f(u_k) are made one node at a time as
+the recursion pulls them.  As it yields node k, old - new is written into
+the old iterate's slot k, the Z-norm terms of that difference and of the
+new value are taken, and the new node is copied over the slot before the
+next node is pulled.  No source list, difference list, second iterate or
+stored linear part is ever held.  The Richardson estimate of the quadrature
+error is one more pass of the same recursion.
 
 Two coefficient backends are supported through one code path: SpectralField
 histories on a Heisenberg mode grid (nonlinearity applied by synthesis to a
@@ -61,14 +52,9 @@ that produces non-finite samples, raises NumericalFailure.
 
 from __future__ import annotations
 
-import contextvars
 import enum
-import os
-import threading
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -95,10 +81,6 @@ __all__ = [
 # decay to the transform noise floor, where the relative boundary measure
 # rises while the absolute source contribution becomes negligible
 _NL_BOUNDARY_LIMIT = 0.25
-
-# nodes ahead of the sweep whose sources the helper thread of picard_solve
-# makes while the sweep works on the current node
-_LOOKAHEAD = 2
 
 
 @dataclass(frozen=True)
@@ -203,11 +185,16 @@ class _HeisenbergModel(_Model):
 
 
 class _AbelianModel(_Model):
+    def __init__(self, data, provider, b, m, real=True):
+        super().__init__(data, provider, b, m, real)
+        # the passes of the inverse FFT over the leading axes, in place
+        self._work = np.empty(self.sym.shape, dtype=complex)
+
     def nonlinearity(self, c, nl, strict: bool = True):
         def samples(j):
             # R^{j/nu} is the multiplier of order j/2
             cj = c if j == 0 else self.multiplier(0.5 * j) * c
-            return abelian_inverse(self.wrap(cj)).samples
+            return abelian_inverse(self.wrap(cj), work=self._work).samples
 
         out = _evaluate(nl, samples, max(1, (self.nu + 1) // 2))
         if not self.real:
@@ -311,92 +298,6 @@ def _znorm_arrays(model, znorm, values, derivs, times):
     return best, l2s
 
 
-def _usable_cpus():
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class _Lookahead:
-    """One helper thread that makes a stream's items ahead of their pulls.
-
-    stream(thunks) yields thunk() for each of thunks in order.  When item k
-    is pulled, the thunks up to k + depth are queued, and the helper
-    evaluates them in order while the caller works on item k.  An
-    exception raised by a thunk is raised again, the same object, by the
-    pull of its item.  The thunks run in a copy of the context of the
-    thread that made the object, so its np.errstate holds there too.
-    Leaving the with block drops the queued thunks and joins the helper.
-
-    A process held to one CPU has no core to overlap on, and there two
-    threads only trade the GIL and the caches: with a helper, a benchmark
-    worker pinned to one CPU ran up to a third slower.  There no helper
-    starts and each thunk runs when its item is pulled, on the pulling
-    thread.
-    """
-
-    def __init__(self, depth):
-        self.depth = depth
-        self._context = contextvars.copy_context()
-        self._changed = threading.Condition()
-        self._queue = deque()  # jobs [thunk, (value, error) or None]
-        self._open = True
-        self._thread = None
-        if _usable_cpus() > 1:
-            self._thread = threading.Thread(target=self._serve, daemon=True,
-                                            name="subwave-lookahead")
-
-    def __enter__(self):
-        if self._thread is not None:
-            self._thread.start()
-        return self
-
-    def __exit__(self, *exc):
-        if self._thread is None:
-            return
-        with self._changed:
-            self._open = False
-            self._queue.clear()
-            self._changed.notify_all()
-        self._thread.join()
-
-    def _serve(self):
-        while True:
-            with self._changed:
-                self._changed.wait_for(lambda: self._queue or not self._open)
-                if not self._open:
-                    return
-                job = self._queue.popleft()
-            try:
-                outcome = self._context.run(job[0]), None
-            except BaseException as exc:  # raised again on the pulling thread
-                outcome = None, exc
-            with self._changed:
-                job[1] = outcome
-                self._changed.notify_all()
-
-    def stream(self, thunks):
-        if self._thread is None:
-            yield from (thunk() for thunk in thunks)
-            return
-        thunks, pending = iter(thunks), deque()
-        while True:
-            with self._changed:
-                for thunk in islice(thunks, self.depth + 1 - len(pending)):
-                    pending.append([thunk, None])
-                    self._queue.append(pending[-1])
-                if not pending:
-                    return
-                self._changed.notify_all()
-                job = pending.popleft()
-                self._changed.wait_for(lambda: job[1] is not None)
-            value, error = job[1]
-            if error is not None:
-                raise error
-            yield value
-
-
 def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
                  tol: float = 1e-8, max_iter: int = 25, synth=None):
     """Iterate the mild-solution map to a fixed point on the Z-norm ball.
@@ -406,14 +307,6 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
     trajectory holds values and exact-derivative fields at the sample times.
     Divergence is flagged when the iterate Z norm exceeds twice the measured
     threshold L = 2 * Z(linear part); it is a diagnostic, not an exception.
-
-    The calling thread runs the sweeps and the Z norms.  One helper thread,
-    joined before this returns or raises, evaluates the nonlinearity up to
-    _LOOKAHEAD nodes ahead of each sweep, in the caller's context (so its
-    np.errstate holds there); a process held to one CPU starts none.  An
-    exception raised on the helper, NumericalFailure or the ValueError of a
-    non-real source, is raised here when its source is pulled.  The memory
-    budget is in the module docstring.
     """
     # a complex mu makes f(u) complex for real u: the solve stays on the
     # full layout of the abelian backend
@@ -453,50 +346,50 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
         # Boundary-decay vetting only matters for fields that carry weight.
         # Entries far below the history peak synthesize to the noise floor,
         # where the relative boundary measure is meaningless; their |u|^p
-        # contribution is below quadrature resolution either way.
+        # contribution is below quadrature resolution either way.  The sweep
+        # pulls source k before it yields node k, so f is applied to the
+        # iterate cur_val[k] holds before the loop below replaces it.
         ref = max(l2s)
-        return (partial(model.nonlinearity, cur_val[k], nl,
-                        strict=(nv >= 1e-2 * ref))
+        return (model.nonlinearity(cur_val[k], nl, strict=(nv >= 1e-2 * ref))
                 for k, nv in enumerate(l2s))
 
     prev_inc = None
     status = PicardStatus.MAX_ITER
-    with _Lookahead(_LOOKAHEAD) as ahead:
-        for it in range(1, max_iter + 1):
-            inc = z_cur = 0.0
-            new_norms = []
-            sweep = _history(model, gaps, (c0, c1), ahead.stream(sources(norms)))
-            for k, (new_val, new_der) in enumerate(sweep):
-                # source k is made, so slot k is free: it takes old - new
-                # for the increment's norms, then the new node
-                old_val, old_der = cur_val[k], cur_der[k]
-                old_val -= new_val
-                old_der -= new_der
-                z_diff, _ = _znorm_node(model, znorm, times[k], old_val, old_der)
-                z_new, l2 = _znorm_node(model, znorm, times[k], new_val, new_der)
-                inc, z_cur = max(inc, z_diff), max(z_cur, z_new)
-                new_norms.append(l2)
-                old_val[...] = new_val
-                old_der[...] = new_der
-            norms = new_norms
-            diagnostics.increments.append(inc)
-            diagnostics.z_norms.append(z_cur)
-            if prev_inc is not None and prev_inc > 0:
-                diagnostics.ratios.append(inc / prev_inc)
-            prev_inc = inc
-            diagnostics.iterations = it
-            if not np.isfinite(z_cur) or z_cur > threshold:
-                status = PicardStatus.DIVERGED
-                break
-            if inc <= tol * max(z_cur, 1e-300):
-                status = PicardStatus.CONVERGED
-                break
+    for it in range(1, max_iter + 1):
+        inc = z_cur = 0.0
+        new_norms = []
+        sweep = _history(model, gaps, (c0, c1), sources(norms))
+        for k, (new_val, new_der) in enumerate(sweep):
+            # source k is made, so slot k is free: it takes old - new for
+            # the increment's norms (negation is exact), then the new node
+            old_val, old_der = cur_val[k], cur_der[k]
+            old_val -= new_val
+            old_der -= new_der
+            z_diff, _ = _znorm_node(model, znorm, times[k], old_val, old_der)
+            z_new, l2 = _znorm_node(model, znorm, times[k], new_val, new_der)
+            inc, z_cur = max(inc, z_diff), max(z_cur, z_new)
+            new_norms.append(l2)
+            old_val[...] = new_val
+            old_der[...] = new_der
+        norms = new_norms
+        diagnostics.increments.append(inc)
+        diagnostics.z_norms.append(z_cur)
+        if prev_inc is not None and prev_inc > 0:
+            diagnostics.ratios.append(inc / prev_inc)
+        prev_inc = inc
+        diagnostics.iterations = it
+        if not np.isfinite(z_cur) or z_cur > threshold:
+            status = PicardStatus.DIVERGED
+            break
+        if inc <= tol * max(z_cur, 1e-300):
+            status = PicardStatus.CONVERGED
+            break
 
-        diagnostics.status = status
-        # Richardson half-step estimate of the Duhamel quadrature at the horizon
-        if status is PicardStatus.CONVERGED and (H - 1) >= 2 and (H - 1) % 2 == 0:
-            diagnostics.quadrature_error = _richardson_error(
-                model, gaps, ahead.stream(sources(norms)), np.zeros_like(c0))
+    diagnostics.status = status
+    # Richardson half-step estimate of the Duhamel quadrature at the horizon
+    if status is PicardStatus.CONVERGED and (H - 1) >= 2 and (H - 1) % 2 == 0:
+        diagnostics.quadrature_error = _richardson_error(
+            model, gaps, sources(norms), np.zeros_like(c0))
     return model.trajectory(times, cur_val, cur_der), diagnostics
 
 

@@ -1,13 +1,11 @@
 """Shared fixtures: a small calibrated transform pair reused across files,
-helpers for the wave packet, the closed-form mode and memory peaks, and a
-guard that fails any test which leaves a thread running.
+and helpers for the wave packet, the closed-form mode and memory peaks.
 
 The pair is deliberately modest (24 lambda nodes, 8 Hermite levels, a
 36 x 36 x 48 box) so the whole suite stays fast; the acceptance tests pin
 the production-sized configurations.
 """
 
-import threading
 import tracemalloc
 
 import numpy as np
@@ -46,16 +44,6 @@ def traced_peak(fn):
         return out, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-
-
-@pytest.fixture(autouse=True)
-def no_thread_left_running():
-    # the Picard sweep's helper thread must be joined before the solve
-    # returns or raises
-    before = set(threading.enumerate())
-    yield
-    left = [t.name for t in threading.enumerate() if t not in before]
-    assert not left, f"threads left running: {left}"
 
 
 @pytest.fixture(scope="session")

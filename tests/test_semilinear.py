@@ -1,8 +1,5 @@
 """Nonlinearity plumbing, Z norms, Duhamel quadrature, and Picard iteration."""
 
-import sys
-import threading
-import time
 from collections import deque
 
 import numpy as np
@@ -742,76 +739,32 @@ def test_picard_holds_one_iterate(H):
 
 
 # --------------------------------------------------------------------------
-# the sweep's lookahead: sources made on a helper thread
+# the sweep's sources and its failures
 
 
-def counting(fn, calls, sleep_rng=None):
-    """A GeneralNonlinearity that records each call's tuple and, given
-    sleep_rng, sleeps 0-2 ms first."""
+def counting(fn, calls):
+    """A GeneralNonlinearity that records each call's tuple."""
 
     def callback(U):
-        if sleep_rng is not None:
-            time.sleep(sleep_rng.uniform(0.0, 2e-3))
         calls.append(U)
         return fn(U)
 
     return GeneralNonlinearity(callback)
 
 
-def test_helper_timing_and_one_cpu_leave_every_bit_in_place(monkeypatch):
-    # sleeps and a short switch interval move the helper against the sweep,
-    # and a process held to one CPU makes the sources on the calling thread;
-    # the arithmetic and its order do not move
-    sym, u0, u1, cfg = order4_setup(0.2, 25)
-    runs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for cpus, sleep_rng in ((2, None), (2, np.random.default_rng(7)), (1, None)):
-            monkeypatch.setattr(semilinear, "_usable_cpus", lambda: cpus)
-            threads = set()
-
-            def fn(U):
-                threads.add(threading.current_thread())
-                return _GENERAL.callback(U)
-
-            runs.append(picard_solve(u0, u1, counting(fn, [], sleep_rng), 2.0, 2.0,
-                                     sym, cfg, tol=1e-10))
-            assert (threads == {threading.main_thread()}) == (cpus == 1)
-    finally:
-        sys.setswitchinterval(interval)
-    (traj, diag), *others = runs
-    assert diag.status is PicardStatus.CONVERGED
-    assert np.isfinite(diag.quadrature_error)
-    for other, odiag in others:
-        assert odiag == diag
-        for a, b in zip(traj.fields + traj.derivatives,
-                        other.fields + other.derivatives):
-            assert np.array_equal(a.coefficients, b.coefficients)
-
-
 def test_each_sweep_makes_one_source_per_node():
-    # H per Picard sweep and H for the Richardson sweep, in the caller's
-    # np.errstate
+    # H per Picard sweep and H for the Richardson sweep
     sym, u0, u1, cfg = order4_setup(0.2, 25)
-    calls, states = [], []
-
-    def fn(U):
-        states.append(np.geterr()["over"])
-        return _GENERAL.callback(U)
-
-    with np.errstate(over="raise"):
-        _, diag = picard_solve(u0, u1, counting(fn, calls), 2.0, 2.0, sym, cfg,
-                               tol=1e-10)
+    calls = []
+    _, diag = picard_solve(u0, u1, counting(_GENERAL.callback, calls), 2.0, 2.0,
+                           sym, cfg, tol=1e-10)
     assert diag.status is PicardStatus.CONVERGED
     assert np.isfinite(diag.quadrature_error)
     assert len(calls) == 25 * (diag.iterations + 1)
-    assert set(states) == {"raise"}
 
 
 def test_a_non_finite_source_fails_the_solve_when_pulled():
-    # call 37 is node 11 of the second sweep; the helper makes at most the
-    # lookahead's sources past it before the failure reaches the sweep
+    # call 37 is node 11 of the second sweep; no source is made past it
     sym, u0, u1, cfg = order4_setup(0.2, 25)
     calls = []
 
@@ -821,11 +774,10 @@ def test_a_non_finite_source_fails_the_solve_when_pulled():
 
     with pytest.raises(semilinear.NumericalFailure, match="non-finite"):
         picard_solve(u0, u1, counting(fn, calls), 2.0, 2.0, sym, cfg, tol=1e-10)
-    assert 37 <= len(calls) <= 37 + semilinear._LOOKAHEAD
+    assert len(calls) == 37
 
 
-def test_heisenberg_boundary_failure_surfaces_from_the_helper(calibrated_grid,
-                                                              synth_box):
+def test_heisenberg_boundary_failure_fails_the_solve(calibrated_grid, synth_box):
     # the box of the boundary-gate test above is too small for the packet
     tight = SpatialGrid((1.5, 1.5, 2.0), (16, 16, 16))
     u0 = forward_transform(from_function(synth_box, packet(scale=0.05)),
