@@ -3,7 +3,9 @@
 The exponent layer is exact rational arithmetic throughout: admissibility of
 a tuple (Q, a, r, p, q) and the interpolation exponent s live on equality
 boundaries (degenerate denominator, endpoint q), so floating point is never
-allowed to decide them.  The numeric layer evaluates the inequality ratio
+allowed to decide them.  One function, gn_exponent_graded, computes s on
+every graded group; the Heisenberg theta(q) and the p = r = 2 corollary are
+its special cases.  The numeric layer evaluates the inequality ratio
 
     ||u||_{L^q} / (||u||_{H^a-dot}^s ||u||_{L^p}^{1-s})
 
@@ -28,9 +30,7 @@ from .transform import SpatialGrid, synthesize_on_grid
 
 __all__ = [
     "GNExponents",
-    "gn_exponent_heisenberg",
     "gn_exponent_graded",
-    "gn_exponent_corollary",
     "RatioReport",
     "verify_inequality_abelian",
     "verify_inequality_heisenberg",
@@ -61,36 +61,28 @@ class GNExponents:
     p: Fraction
     q: Fraction
     s: Fraction | None
-    degenerate: bool
+
+    @property
+    def degenerate(self) -> bool:
+        return self.s is None
 
     def __post_init__(self):
         denom = self.a / self.Q + 1 / self.p - 1 / self.r
         if self.degenerate:
-            if denom != 0 or self.s is not None:
-                raise ValueError("degenerate tuples have zero denominator and "
-                                 "unconstrained s")
+            if denom != 0:
+                raise ValueError("s = None needs the zero denominator of a "
+                                 "degenerate tuple")
             ceiling = self.r * self.Q / (self.Q - self.a * self.r)
             if self.p != ceiling or self.q != ceiling:
                 raise ValueError("degenerate case forces p = q = rQ/(Q - ar)")
         else:
             if denom == 0:
-                raise ValueError("zero denominator requires the degenerate flag")
+                raise ValueError("zero denominator leaves s unconstrained: "
+                                 "pass s = None")
             if self.s * denom != 1 / self.p - 1 / self.q:
                 raise ValueError("s does not satisfy its defining identity")
             if not 0 <= self.s <= 1:
                 raise ValueError(f"exponent s = {self.s} escaped [0, 1]")
-
-
-def gn_exponent_heisenberg(q, n: int) -> Fraction:
-    """Interpolation exponent theta(q) = Q(q-2)/(2q) on H^n, Q = 2n + 2."""
-    q = _rat(q, "q")
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"need integer n >= 1, got {n!r}")
-    Q = homogeneous_dimension(n)
-    hi = 2 + Fraction(2, n)
-    if not 2 <= q <= hi:
-        raise ValueError(f"need 2 <= q <= 2 + 2/n = {hi}, got q = {q}")
-    return Q * (q - 2) / (2 * q)
 
 
 def gn_exponent_graded(Q, a, r, p, q) -> GNExponents:
@@ -98,7 +90,8 @@ def gn_exponent_graded(Q, a, r, p, q) -> GNExponents:
 
     s solves s (a/Q + 1/p - 1/r) = 1/p - 1/q exactly.  Every admissibility
     violation raises with the constraint named; the degenerate denominator
-    returns s = None with the flag set.
+    returns s = None.  On H^n, Q = 2n + 2, a = 1 and p = r = 2 give the
+    Heisenberg exponent theta(q) = Q(q - 2)/(2q).
     """
     Q, a, r, p, q = (_rat(v, k) for v, k in
                      zip((Q, a, r, p, q), ("Q", "a", "r", "p", "q")))
@@ -116,20 +109,8 @@ def gn_exponent_graded(Q, a, r, p, q) -> GNExponents:
                          f"got q = {q}")
     denom = a / Q + 1 / p - 1 / r
     if denom == 0:
-        return GNExponents(Q, a, r, p, q, None, True)
-    s = (1 / p - 1 / q) / denom
-    return GNExponents(Q, a, r, p, q, s, False)
-
-
-def gn_exponent_corollary(q, Q, a) -> Fraction:
-    """Special case p = r = 2: s = (Q/a)(1/2 - 1/q)."""
-    q, Q, a = _rat(q, "q"), _rat(Q, "Q"), _rat(a, "a")
-    if Q <= 2 * a:
-        raise ValueError(f"need Q > 2a, got Q = {Q}, a = {a}")
-    hi = 2 * Q / (Q - 2 * a)
-    if not 2 <= q <= hi:
-        raise ValueError(f"need 2 <= q <= 2Q/(Q - 2a) = {hi}, got q = {q}")
-    return (Q / a) * (Fraction(1, 2) - 1 / q)
+        return GNExponents(Q, a, r, p, q, None)
+    return GNExponents(Q, a, r, p, q, (1 / p - 1 / q) / denom)
 
 
 @dataclass
@@ -139,8 +120,11 @@ class RatioReport:
     sobolev: float
     lp: float
     s: float
-    finite: bool
     descriptor: str = ""
+
+    @property
+    def finite(self) -> bool:
+        return bool(np.isfinite(self.ratio))
 
 
 def verify_inequality_abelian(u: AbelianField, exps: GNExponents,
@@ -166,28 +150,31 @@ def verify_inequality_abelian(u: AbelianField, exps: GNExponents,
     sob = norms.frac(norms.unwrap(coeffs), float(exps.a))
     den = sob ** s * lp ** (1.0 - s)
     ratio = lq / den if den > 0 else np.inf
-    return RatioReport(float(ratio), lq, sob, lp, s,
-                       bool(np.isfinite(ratio)), descriptor)
+    return RatioReport(float(ratio), lq, sob, lp, s, descriptor)
 
 
-def verify_inequality_heisenberg(u: SpectralField, q, n: int,
+def verify_inequality_heisenberg(u: SpectralField, exps: GNExponents,
                                  synth: SpatialGrid,
                                  descriptor: str = "") -> RatioReport:
     """Measure ||u||_{L^q} / (||grad_H u||^theta ||u||_{L^2}^{1-theta}) on H^n.
+
+    exps is the tuple of H^n itself, Q = 2n + 2, a = 1 and p = r = 2, with
+    theta = exps.s; n is the field's.
 
     The horizontal-gradient factor is computed spectrally (the order-1
     homogeneous norm of the operator calculus, which equals ||grad_H u||_{L^2}
     by integration by parts); the L^q and L^2 factors are quadratures of the
     synthesized field on the same box, so q = 2 gives ratio 1 identically.
     """
-    if n != u.grid.n:
-        raise ValueError(f"field lives on H^{u.grid.n}, got n = {n}")
-    theta = float(gn_exponent_heisenberg(q, n))
+    Q = homogeneous_dimension(u.grid.n)
+    if (exps.Q, exps.a, exps.p, exps.r) != (Q, 1, 2, 2):
+        raise ValueError(f"a field on H^{u.grid.n} needs Q = {Q}, a = 1 and "
+                         f"p = r = 2, got {exps}")
+    theta = float(exps.s)
     grad = _Norms(u, SubLaplacianSymbol(1)).frac(u.coefficients, 1.0)
     f = synthesize_on_grid(u, synth)
-    lq = f.lq_norm(float(Fraction(q)))
+    lq = f.lq_norm(float(exps.q))
     l2 = f.lq_norm(2.0)
     den = grad ** theta * l2 ** (1.0 - theta)
     ratio = lq / den if den > 0 else np.inf
-    return RatioReport(float(ratio), lq, grad, l2, theta,
-                       bool(np.isfinite(ratio)), descriptor)
+    return RatioReport(float(ratio), lq, grad, l2, theta, descriptor)

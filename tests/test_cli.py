@@ -26,7 +26,6 @@ LINEAR_CONFIG = {
     "data": {"kind": "modes", "center": 1.0, "width": 0.5, "ladder": 0.5,
              "scale": 1.0},
     "horizon": {"T": 8.0, "samples": 33},
-    "seed": 3,
 }
 
 GN_CONFIG = {
@@ -34,10 +33,8 @@ GN_CONFIG = {
         "n": 1,
         "q_values": ["2", "8/3", "3", "4"],
         "tuples": [["4", "1", "2", "2", "4"], ["4", "1", "2", "4", "4"]],
-        "random_tuples": 100,
         "abelian_widths": [0.7, 1.0, 1.6],
     },
-    "seed": 11,
 }
 
 SEMILINEAR_CONFIG = {
@@ -49,7 +46,6 @@ SEMILINEAR_CONFIG = {
     "data": {"kind": "gaussian", "width": 1.0, "scale": 0.001},
     "horizon": {"T": 6.0, "samples": 25},
     "nonlinearity": {"type": "power", "mu": 1.0, "p": 2.0},
-    "seed": 5,
 }
 
 # the abelian backend's linear runs: the semilinear config without its
@@ -206,25 +202,25 @@ def test_calibrate_reports_tiny_mismatch(tmp_path):
     assert results["analytic_ratio"] == pytest.approx(ratio, rel=1e-12)
 
 
-def test_gn_check_tables_and_seeded_sampling(tmp_path):
+def test_gn_check_tables_are_deterministic(tmp_path):
     cfg = write_config(tmp_path, GN_CONFIG)
-    out1, out2, out3 = (tmp_path / d for d in ("a", "b", "c"))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["gn-check", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["gn-check", "--config", cfg, "--out", str(out2)]) == 0
     bytes1 = (out1 / "gn-check.csv").read_bytes()
     assert bytes1 == (out2 / "gn-check.csv").read_bytes()
-    # the CSV table is deterministic; the seed only drives the random
-    # identity sweep, which reports through the manifest
-    assert main(["gn-check", "--config", cfg, "--out", str(out3),
-                 "--seed", "12"]) == 0
-    assert bytes1 == (out3 / "gn-check.csv").read_bytes()
-    assert read_manifest(out3)["seed"] == 12
-    text = bytes1.decode()
-    assert "2/3" in text  # theta(3) on H^1
+    rows = [line.split(",") for line in bytes1.decode().splitlines()[1:]]
+    # theta(q) on H^1 at q = 2, 8/3, 3, 4, then the two tuples' s; the
+    # second tuple's denominator a/Q + 1/p - 1/r is 0
+    assert [r[:2] for r in rows[:6]] == [
+        ["2", "0"], ["8/3", "1/2"], ["3", "2/3"], ["4", "1"],
+        ["4/1/2/2/4", "1"], ["4/1/2/4/4", "degenerate"]]
+    assert all(r[3] == "1" for r in rows)
     manifest = read_manifest(out1)
-    assert manifest["results"]["identity_failures"] == 0
-    assert manifest["results"]["random_tuples"] > 0
-    assert manifest["seed"] == 11
+    assert set(manifest) == {"subcommand", "parameters", "tolerance_profile",
+                             "results", "inputs", "outputs"}
+    assert set(manifest["results"]) == {"ratios", "passed"}
+    assert len(manifest["results"]["ratios"]) == 3
 
 
 def test_evolve_semilinear_abelian(tmp_path):
@@ -360,6 +356,24 @@ print(json.dumps([codes, loaded]))
     codes, loaded = json.loads(proc.stdout)
     assert codes == [0, 0]
     assert loaded == [False, False, True]
+
+
+def _raise(constant):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def test_manifest_writes_a_slope_that_is_not_finite_as_null(tmp_path):
+    # three samples leave two usable points for the dt fit, whose slope is
+    # -inf; what the verdict makes of it is ROADMAP item 9's
+    horizon = {"T": 6.0, "samples": 3}
+    cfg = write_config(tmp_path, SEMILINEAR_CONFIG | {"horizon": horizon})
+    out = tmp_path / "out"
+    assert main(["evolve-semilinear", "--config", cfg, "--out", str(out)]) in (0, 1)
+    text = (out / "manifest.json").read_text()
+    results = json.loads(text, parse_constant=_raise)["results"]
+    assert results["decay_slopes"]["dt"] is None
+    assert all(math.isfinite(v) for k, v in results["decay_slopes"].items()
+               if k != "dt")
 
 
 def test_evolve_semilinear_odd_step_count_has_null_quadrature_error(tmp_path):
@@ -566,13 +580,18 @@ def _edit(config, section, **fields):
     return config | {section: config[section] | fields}
 
 
+def _short_abelian(horizon):
+    """The abelian linear config at order 2 over `horizon`."""
+    return _edit(ABELIAN_LINEAR_CONFIG, "backend", order=2) | {"horizon": horizon}
+
+
 @pytest.mark.parametrize("subcommand, config, message", [
     pytest.param("evolve-linear", _edit(LINEAR_CONFIG, "backend", kind="banana"),
                  "backend.kind: must be one of heisenberg", id="unknown-backend"),
-    pytest.param("gn-check", GN_CONFIG | {"seed": 1.5}, "seed: must",
+    pytest.param("gn-check", GN_CONFIG | {"seed": 1.5}, "seed: unknown key",
                  id="fractional-seed"),
-    pytest.param("evolve-linear", LINEAR_CONFIG | {"seed": "x"}, "seed: must",
-                 id="string-seed"),
+    pytest.param("evolve-linear", LINEAR_CONFIG | {"seed": "x"},
+                 "seed: unknown key", id="string-seed"),
     pytest.param("evolve-semilinear",
                  _edit(SEMILINEAR_CONFIG, "backend", order=4.5),
                  "backend.order: must", id="fractional-order"),
@@ -606,7 +625,16 @@ def _edit(config, section, **fields):
     pytest.param("gn-check", _edit(GN_CONFIG, "gn", q_values=["x"]),
                  "gn.q_values: must", id="non-rational-q"),
     pytest.param("gn-check", _edit(GN_CONFIG, "gn", random_tuples=2.7),
-                 "gn.random_tuples: must", id="fractional-random-tuples"),
+                 "gn.random_tuples: unknown key", id="fractional-random-tuples"),
+    # horizons on which the decay fit cannot run
+    pytest.param("evolve-linear", _short_abelian({"T": 0.5, "samples": 33}),
+                 "horizon: tail spans 0.297 but the fit needs at least 3",
+                 id="short-horizon"),
+    pytest.param("verify-decay", _short_abelian({"T": 8.0, "samples": 9}),
+                 "horizon: need at least 8 tail samples", id="sparse-horizon"),
+    pytest.param("evolve-linear", _short_abelian({"T": 2000.0, "samples": 41}),
+                 "horizon: trajectory norm vanished on the tail",
+                 id="vanishing-tail"),
     pytest.param("calibrate",
                  CALIBRATE_CONFIG | {"backend": SEMILINEAR_CONFIG["backend"]},
                  "backend.kind: must be one of heisenberg",
@@ -627,13 +655,22 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, subcommand,
     assert not (tmp_path / "out").exists()
 
 
-def test_seed_flag_is_checked_like_the_config_seed(tmp_path, capsys):
-    cfg = write_config(tmp_path, GN_CONFIG)
-    code = main(["gn-check", "--config", cfg, "--out", str(tmp_path / "out"),
-                 "--seed", "-1"])
-    assert code == 2
-    assert "seed: must" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+def test_every_config_key_is_read_by_a_subcommand():
+    # a key, backend kind or data kind that no subcommand reads would be a
+    # knob that drives nothing
+    from subwave.cli import _NEEDS, _SCHEMA
+
+    keys, backends, data_kinds = set(), set(), set()
+    for by_kind in _NEEDS.values():
+        for kind, (needs, kinds) in by_kind.items():
+            keys.update(need.partition(".")[0] for need in needs)
+            if kind is not None:
+                keys.add("backend")
+                backends.add(kind)
+            data_kinds.update(kinds)
+    assert keys == set(_SCHEMA)
+    assert backends == set(_SCHEMA["backend"]["kind"])
+    assert data_kinds == set(_SCHEMA["data"]["kind"])
 
 
 def test_semilinear_znorm_section_sets_the_z_norm(tmp_path):

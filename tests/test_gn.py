@@ -15,12 +15,11 @@ from subwave.abelian import AbelianField, AbelianGrid, abelian_from_function
 from subwave.gn import (
     GNExponents,
     RatioReport,
-    gn_exponent_corollary,
     gn_exponent_graded,
-    gn_exponent_heisenberg,
     verify_inequality_abelian,
     verify_inequality_heisenberg,
 )
+from subwave.group import homogeneous_dimension
 from subwave.transform import from_function
 
 from conftest import packet
@@ -30,23 +29,29 @@ from conftest import packet
 # exact exponent algebra
 
 
+def heisenberg(q, n=1):
+    """The exponents of H^n: Q = 2n + 2, a = 1, p = r = 2."""
+    return gn_exponent_graded(homogeneous_dimension(n), 1, 2, 2, q)
+
+
 def test_heisenberg_theta_values():
-    assert gn_exponent_heisenberg(2, 1) == Fraction(0)
-    assert gn_exponent_heisenberg(4, 1) == Fraction(1)
-    assert gn_exponent_heisenberg(3, 1) == Fraction(2, 3)
-    assert gn_exponent_heisenberg(Fraction(8, 3), 1) == Fraction(1, 2)
-    assert gn_exponent_heisenberg(3, 2) == Fraction(1, 1)
+    assert heisenberg(2).s == Fraction(0)
+    assert heisenberg(4).s == Fraction(1)
+    assert heisenberg(3).s == Fraction(2, 3)
+    assert heisenberg(Fraction(8, 3)).s == Fraction(1, 2)
+    assert heisenberg(3, n=2).s == Fraction(1, 1)
 
 
 def test_heisenberg_theta_validation():
-    with pytest.raises(ValueError):
-        gn_exponent_heisenberg(Fraction(9, 2), 1)
-    with pytest.raises(ValueError):
-        gn_exponent_heisenberg(1, 1)
-    with pytest.raises(ValueError):
-        gn_exponent_heisenberg(2, 0)
-    with pytest.raises(TypeError):
-        gn_exponent_heisenberg(2.5, 1)
+    # q runs over [2, 2 + 2/n], the Sobolev ceiling 2Q/(Q - 2) of H^n
+    with pytest.raises(ValueError, match="Sobolev ceiling"):
+        heisenberg(Fraction(9, 2))
+    with pytest.raises(ValueError, match="1 <= p <= q"):
+        heisenberg(1)
+    with pytest.raises(ValueError, match="positive integer"):
+        heisenberg(2, n=0)
+    with pytest.raises(TypeError, match="exact"):
+        heisenberg(2.5)
 
 
 def test_graded_exponent_examples():
@@ -79,18 +84,20 @@ def test_graded_validation_messages():
 
 
 def test_corollary_matches_graded_l2_case():
+    # the corollary p = r = 2: s = (Q/a)(1/2 - 1/q)
     for q_num in range(21, 40):
         q = Fraction(q_num, 10)  # 2.1 .. 3.9 < Sobolev ceiling 4
-        s_cor = gn_exponent_corollary(q, 4, 1)
-        s_full = gn_exponent_graded(4, 1, 2, 2, q).s
-        assert s_cor == s_full
-        assert s_cor == Fraction(4, 1) * (Fraction(1, 2) - Fraction(1) / q)
+        assert gn_exponent_graded(4, 1, 2, 2, q).s == 4 * (Fraction(1, 2) - 1 / q)
+    for q_num in range(21, 30):
+        q = Fraction(q_num, 10)  # Q = 6, a = 2: ceiling 6
+        assert gn_exponent_graded(6, 2, 2, 2, q).s == 3 * (Fraction(1, 2) - 1 / q)
 
 
 def test_heisenberg_theta_is_graded_s_on_h1():
+    # theta(q) = Q(q - 2)/(2q) with Q = 4
     for q_num in (2, 5, 3, 7):
         q = Fraction(2 * q_num + 1, q_num)  # values in (2, 3]
-        assert gn_exponent_heisenberg(q, 1) == gn_exponent_graded(4, 1, 2, 2, q).s
+        assert heisenberg(q).s == 4 * (q - 2) / (2 * q)
 
 
 def random_admissible_tuple(rng):
@@ -112,29 +119,53 @@ def random_admissible_tuple(rng):
     return Q, a, r, p, q
 
 
+def small_q_tuple(rng):
+    """The draws the gn-check sweep once made: Q = i/j with i in [2, 12) and
+    j in [1, 4), a from fifths, r from twentieths."""
+    Q = Fraction(int(rng.integers(2, 12)), int(rng.integers(1, 4)))
+    a = Fraction(int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+    if Q / a <= 1:
+        return None
+    r = Fraction(int(rng.integers(2, 40)), int(rng.integers(1, 20)))
+    if not 1 < r < Q / a:
+        return None
+    ceiling = r * Q / (Q - a * r)
+    p = 1 + (ceiling - 1) * Fraction(int(rng.integers(0, 17)), 16)
+    q = p + (ceiling - p) * Fraction(int(rng.integers(0, 17)), 16)
+    return Q, a, r, p, q
+
+
 def test_random_tuples_satisfy_identity():
-    rng = np.random.default_rng(99)
-    checked = 0
-    while checked < 500:
-        tup = random_admissible_tuple(rng)
-        if tup is None:
-            continue
-        Q, a, r, p, q = tup
-        exps = gn_exponent_graded(Q, a, r, p, q)
-        if exps.degenerate:
-            assert p == q == r * Q / (Q - a * r)
-        else:
-            s = exps.s
-            assert 0 <= s <= 1
-            assert s * (a / Q + 1 / p - 1 / r) == 1 / p - 1 / q
-        checked += 1
+    for sample, seed in ((random_admissible_tuple, 99), (small_q_tuple, 11)):
+        rng = np.random.default_rng(seed)
+        checked = 0
+        while checked < 500:
+            tup = sample(rng)
+            if tup is None:
+                continue
+            Q, a, r, p, q = tup
+            exps = gn_exponent_graded(Q, a, r, p, q)
+            if exps.degenerate:
+                assert p == q == r * Q / (Q - a * r)
+            else:
+                s = exps.s
+                assert 0 <= s <= 1
+                assert s * (a / Q + 1 / p - 1 / r) == 1 / p - 1 / q
+            checked += 1
 
 
 def test_exponents_post_init_rejects_inconsistent_values():
-    with pytest.raises(ValueError):
-        GNExponents(Q=Fraction(4), a=Fraction(1), r=Fraction(2),
-                    p=Fraction(2), q=Fraction(3), s=Fraction(1, 3),
-                    degenerate=False)
+    def exponents(p, q, s, Q=4, a=1, r=2):
+        return GNExponents(*map(Fraction, (Q, a, r, p, q)), s)
+
+    with pytest.raises(ValueError, match="defining identity"):
+        exponents(2, 3, Fraction(1, 3))
+    with pytest.raises(ValueError, match="zero denominator"):
+        exponents(6, 6, Fraction(1, 2), Q=6, r=3)
+    with pytest.raises(ValueError, match="s = None"):
+        exponents(2, 3, None)
+    assert exponents(6, 6, None, Q=6, r=3).degenerate
+    assert not exponents(2, 3, Fraction(2, 3)).degenerate
 
 
 # --------------------------------------------------------------------------
@@ -159,6 +190,8 @@ def test_abelian_ratio_gaussian(r3_exponents):
     assert 0.3 < report.ratio < 1.0
     assert report.lq > 0 and report.sobolev > 0 and report.lp > 0
     assert report.descriptor == "g0.8"
+    zero = AbelianField(AbelianGrid((6.0,) * 3, (8, 8, 8)), np.zeros((8, 8, 8)))
+    assert not verify_inequality_abelian(zero, r3_exponents).finite
 
 
 def test_abelian_ratio_scale_invariant(r3_exponents):
@@ -198,9 +231,14 @@ def test_heisenberg_ratio_q2_is_exactly_interpolation_free(calibrated_grid,
     from subwave.transform import forward_transform
 
     u = forward_transform(f, calibrated_grid, boundary_tol=None)
-    report = verify_inequality_heisenberg(u, 2, 1, synth_box)
+    report = verify_inequality_heisenberg(u, heisenberg(2), synth_box)
     # theta(2) = 0: numerator and denominator are the same L^2 quantity
     assert report.ratio == pytest.approx(1.0, rel=1e-12)
+    # only the tuple of H^1 itself is what the numerics compute
+    for other in (heisenberg(3, n=2), gn_exponent_graded(4, 1, 2, 3, 3),
+                  gn_exponent_graded(4, Fraction(1, 2), 2, 2, Fraction(5, 2))):
+        with pytest.raises(ValueError, match="a field on H\\^1 needs"):
+            verify_inequality_heisenberg(u, other, synth_box)
 
 
 def test_heisenberg_ratio_finite_for_admissible_q(calibrated_grid, synth_box):
@@ -209,9 +247,9 @@ def test_heisenberg_ratio_finite_for_admissible_q(calibrated_grid, synth_box):
     f = from_function(synth_box, packet())
     u = forward_transform(f, calibrated_grid, boundary_tol=None)
     for q in (Fraction(8, 3), 3, 4):
-        report = verify_inequality_heisenberg(u, q, 1, synth_box)
+        report = verify_inequality_heisenberg(u, heisenberg(q), synth_box)
         assert report.finite and report.ratio > 0
-        assert report.s == pytest.approx(float(gn_exponent_heisenberg(q, 1)))
+        assert report.s == float(heisenberg(q).s)
 
 
 def test_heisenberg_ratio_is_dilation_invariant(calibrated_grid, synth_box):
@@ -225,7 +263,7 @@ def test_heisenberg_ratio_is_dilation_invariant(calibrated_grid, synth_box):
         from_function(synth_box, lambda x, y, t, r=r: fn(r * x, r * y, r * r * t)),
         calibrated_grid, boundary_tol=None) for r in rs]
     for q in (Fraction(8, 3), 3, 4):
-        logs = [np.log(verify_inequality_heisenberg(u, q, 1, synth_box).ratio)
+        logs = [np.log(verify_inequality_heisenberg(u, heisenberg(q), synth_box).ratio)
                 for u in fields]
         slope = np.polyfit(np.log(rs), logs, 1)[0]
         assert abs(slope) <= 0.25, (q, slope)

@@ -30,7 +30,8 @@ from subwave.spectral import (
     build_grid,
 )
 from subwave.transform import (SpatialGrid, calibrate_plancherel,
-                              forward_transform, from_function)
+                              forward_transform, from_function,
+                              synthesize_on_grid)
 
 from conftest import packet, propagate_mode, traced_peak
 
@@ -849,6 +850,38 @@ def test_richardson_estimate_tracks_the_true_horizon_error():
         error = model.l2(model.unwrap(traj.fields[-1]) - want)
         ratios.append(diag.quadrature_error / error)
     assert all(0.8 <= r <= 1.25 for r in ratios), ratios
+
+
+def test_heisenberg_mass_shift_error_is_bounded_by_the_grid_loss(synth_box):
+    # the mass-shift oracle on H^1: the error at T against the closed-form
+    # linear evolution with mass m - c, over the loss ||F S u0 - u0||/||u0||
+    # of one round trip of the data through the mode grid.  Measured on 48
+    # nodes: loss 0.0279, error 0.0246 (0.0204 at H = 17: the grid, not the
+    # time step, sets it); with lambda_min = 1 loss 0.169, error 0.141.  The
+    # conftest's 24-node grid fails the nonlinearity's boundary gate here
+    b, m, c, T, H = 2.0, 2.0, 0.5, 4.0, 9
+    sym = SubLaplacianSymbol(1)
+    f = from_function(synth_box, packet())
+    cfg = ZNormConfig(delta=0.999 * decay_rate(b, m),
+                      sample_times=tuple(np.linspace(0.0, T, H)))
+    errors = {}
+    for lambda_min in (0.25, 1.0):
+        grid = build_grid(lambda_min, 6.0, 48, 15.0)
+        calibrate_plancherel(f, grid)
+        u0 = forward_transform(f, grid)
+        u1 = SpectralField.zeros(grid)
+        model = semilinear._make_model((u0, u1), sym, b, m)
+        back = forward_transform(synthesize_on_grid(u0, synth_box), grid,
+                                 boundary_tol=None)
+        loss = model.l2(back.coefficients - u0.coefficients) / model.l2(u0.coefficients)
+        want = evolve_linear(u0, u1, b, m - c, sym, [0.0, T]).fields[-1].coefficients
+        traj, diag = picard_solve(u0, u1, GeneralNonlinearity(lambda U: c * U[0]),
+                                  b, m, sym, cfg, tol=1e-12, synth=synth_box)
+        assert diag.status is PicardStatus.CONVERGED
+        error = model.l2(traj.fields[-1].coefficients - want) / model.l2(want)
+        assert 0.5 * loss <= error <= loss, (lambda_min, loss, error)
+        errors[lambda_min] = error
+    assert errors[0.25] < 0.05
 
 
 @pytest.mark.parametrize("nl", [_POWER, _GENERAL], ids=["power", "general"])
