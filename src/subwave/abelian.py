@@ -160,7 +160,8 @@ def abelian_forward(field: AbelianField) -> AbelianCoefficients:
 
 
 def abelian_inverse(coeffs: AbelianCoefficients, work=None) -> AbelianField:
-    """The samples of coeffs, bit for bit (i)rfftn / cell_volume.
+    """The samples of coeffs, bit for bit (i)rfftn / cell_volume; they are
+    finite when the coefficients are, and are not checked again.
 
     From the half layout these are irfftn's passes, one axis at a time: the
     leading axes in place in work, a complex array of the coefficients'
@@ -180,7 +181,15 @@ def abelian_inverse(coeffs: AbelianCoefficients, work=None) -> AbelianField:
         out = np.fft.ifftn(coeffs.coefficients, out=np.empty(grid.shape, dtype=complex))
     # NumPy divides complex by real as this product, bit for bit, but slower
     out *= 1.0 / grid.cell_volume
-    return AbelianField(grid, out)
+    return _field(grid, out)
+
+
+def _field(grid: AbelianGrid, samples: np.ndarray) -> AbelianField:
+    """The field of float64 or complex samples of the grid's shape whose
+    finiteness the caller vouches for: no pass over them."""
+    field = object.__new__(AbelianField)
+    field.grid, field.samples = grid, samples
+    return field
 
 
 def _reflect(a: np.ndarray) -> np.ndarray:

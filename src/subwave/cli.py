@@ -5,7 +5,7 @@ Subcommands
 calibrate          fit the Plancherel constant on a reference packet
 evolve-linear      linear trajectory + decay-rate fit
 verify-decay       decay-rate fit only (same inputs as evolve-linear)
-evolve-semilinear  Picard solve + diagnostics + decay fit
+evolve-semilinear  mild solution + contraction quotient + decay fit
 gn-check           exponent tables and inequality ratio sweeps
 oracle-compare     spectral evolution against the finite-difference oracle
 

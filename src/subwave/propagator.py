@@ -39,15 +39,17 @@ mass m and the dynamics:
 
     factors(t)        closed-form (A0, A1, D0, D1): u(t) = A0 u0 + A1 u1,
                       u'(t) = D0 u0 + D1 u1
+    steps             factors(gap) per gap, kept for the model's lifetime
     trajectory(times, values, derivs)  a LinearTrajectory of wrapped fields
 
 The mild solution u(t) = P(t)(u0, u1) + int_0^t K(t - s) f(u(s)) ds, with
 P the propagator and K its velocity column, comes from one recursion,
 `_history`: it steps P from node to node and adds the composite-trapezoid
-kicks of the source f, so the linear evolution, every Picard sweep and the
-Richardson estimate share its arithmetic, its in-place buffers (a yielded
-node is valid until the next is pulled) and its error bound against the
-closed form, stated on `_history`.
+kicks of the source f, made from each node's value as soon as it exists.
+So the linear evolution, the semilinear march and the Richardson estimate
+share its arithmetic, its in-place buffers (a yielded node is valid until
+the next is pulled), the one-step tables in `steps` and its error bound
+against the closed form, stated on `_history`.
 """
 
 from __future__ import annotations
@@ -300,6 +302,7 @@ class _Model(_Norms):
         super().__init__(data, provider, real)
         self.b, self.m = float(b), float(m)
         self.total = self.sym + self.m
+        self.steps = {}  # factors(gap) per gap, shared by every recursion
 
     def factors(self, t):
         return _mode_factors(self.total, self.b, t)
@@ -309,28 +312,29 @@ class _Model(_Norms):
                                 [self.wrap(d) for d in derivs], self.b, self.m)
 
 
-def _history(model, gaps, start, sources=None):
+def _history(model, gaps, start, source=None, work=None):
     """Yield node k = 0, 1, ... of the mild solution at t_k = g_0 + ... + g_k
     for the gaps g_k >= 0, from the Cauchy data start = (c0, c1).
 
-    With P the closed-form propagator, e_2 the velocity slot and f_k the k-th
-    item of sources, the composite trapezoid rule for the Duhamel integral
+    With P the closed-form propagator, e_2 the velocity slot and f_k the
+    source of node k, the composite trapezoid rule for the Duhamel integral
     becomes the semigroup recursion
 
         Y_{-1} = start,  Y_k = P(g_k) (Y_{k-1} + (g_{k-1} + g_k)/2 e_2 f_{k-1}),
 
-    and node k is Y_k + (0, g_k/2 f_k), since P(0) e_2 = e_2.  Without sources
-    the kicks are skipped and node k is P(t_k) start.  P is evaluated once
-    per distinct nonzero gap; a zero gap takes no step.
+    and node k is Y_k + (0, g_k/2 f_k), since P(0) e_2 = e_2.  Without a
+    source the kicks are skipped and node k is P(t_k) start.  P is evaluated
+    once per distinct nonzero gap per model; a zero gap takes no step.
 
-    Pull before yield: source k is pulled before node k is yielded.  A
-    caller whose source k reads slot k of some array may therefore write
-    over that slot once node k is yielded; `subwave.semilinear.picard_solve`
-    relies on this.
+    Source of node k from node k's value: f_k = source(val_k) is called as
+    soon as val_k exists, before the derivative's half-kick, so a source
+    that reads its argument marches to the discrete mild solution in one
+    pass.  f_k is read again in the step to node k + 1, and not after.
 
     Four arrays are updated in place and nothing is allocated per node: the
     yielded pair is valid only until the next node is pulled, and must not
-    be written to.
+    be written to.  Recursions pulled in lockstep may share work = (tmp,
+    out), which hold only a sourced node's derivative (out) between steps.
 
     Error bound: the powers of P stay bounded for b > 0, m >= 0, so node k
     carries about k rounding errors of one step.  Against the closed form
@@ -339,28 +343,25 @@ def _history(model, gaps, start, sources=None):
     model: the second term is the closed form's own rounding of its phase.
     On uniform grids whose step is exact in binary the tests hold 4 H eps.
     """
-    factors = {}
     val, der = start[0].copy(), start[1].copy()
-    tmp, out = np.empty_like(val), np.empty_like(val)
-    if sources is not None:
-        sources = iter(sources)
+    tmp, out = work or (np.empty_like(val), np.empty_like(val))
     src = last = None
     for gap in map(float, gaps):
         if src is not None:
             der += np.multiply(0.5 * (last + gap), src, out=tmp)
         if gap != 0.0:
-            if gap not in factors:
-                factors[gap] = model.factors(gap)
-            A0, A1, D0, D1 = factors[gap]
+            if gap not in model.steps:
+                model.steps[gap] = model.factors(gap)
+            A0, A1, D0, D1 = model.steps[gap]
             np.multiply(D0, val, out=tmp)
             val *= A0
             val += np.multiply(A1, der, out=out)
             der *= D1
             der += tmp
-        if sources is None:
+        if source is None:
             yield val, der
         else:
-            src, last = next(sources), gap
+            src, last = source(val), gap
             np.multiply(0.5 * gap, src, out=out)
             out += der
             yield val, out

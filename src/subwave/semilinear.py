@@ -1,64 +1,53 @@
-"""Picard fixed-point machinery for the semilinear damped wave equation.
+"""The semilinear damped wave equation: its discrete mild solution and the
+contraction behind small-data global existence.
 
 The mild-solution map is Gamma[u](t) = u_lin(t) + int_0^t K(t-s) f(u(s)) ds,
 where u_lin is the linear evolution and K is the Duhamel kernel of the damped
-mode system.  Both terms come from one semigroup, and one recursion,
-`subwave.propagator._history`, computes them together: on the uniform time
-grid it steps the one-step propagator from the Cauchy data and adds the
-composite-trapezoid kicks of the sources (O(H) time, four arrays of N
-coefficients of extra memory, and the error bound stated there).
-This module iterates Gamma with it and measures contraction in a weighted
-sup-in-time Z norm.
+mode system.  One recursion, `subwave.propagator._history`, computes both
+terms on the uniform time grid: it steps the one-step propagator from the
+Cauchy data and adds the composite-trapezoid kicks of the sources (O(H)
+time, four arrays of extra memory, the error bound stated there).  Node k's
+own source enters it only through the derivative's half-kick, so the
+discrete equation u = Gamma[u] is explicit in time and one causal pass
+solves it (the step-by-step trapezoid rule for Volterra equations of the
+second kind; Linz, Analytical and Numerical Methods for Volterra Equations,
+SIAM 1985, ch. 7).  `picard_solve` makes three passes:
 
-A Picard solve holds one iterate, values and derivatives: 2H arrays on the
-data's coefficient layout, in place, plus the recursion's four arrays, the
-source it holds and, on the abelian backend, the model's work array for
-the inverse FFT.  On the abelian backend real data
-(with a real mu, if f is a PowerNonlinearity) take the half spectrum of
-`subwave.abelian`, N_1...N_{d-1}(N_d/2 + 1) entries per array instead of
-N, and the solve stays real: a GeneralNonlinearity that returns non-real
-samples for real data is a ValueError, mended by passing the data as
-complex samples.  On the Heisenberg backend the transform of real samples
-is an exactly Hermitian field, whose synthesis is float64 samples
-(`subwave.transform`), so with a real f every sweep from real data stays
-real.
+1. the linear part: Z(u_lin) in the weighted sup-in-time norm of
+   ZNormConfig, and the divergence threshold 4 Z(u_lin), twice the radius
+   L = 2 C1 (data norm) of the contraction ball, C1 measured, not assumed;
+2. the march, whose source at node k is f of node k's value: the discrete
+   fixed point u* that Picard sweeps converge to, in H calls to f, kept as
+   2H arrays.  It stops at the first node that leaves the ball or is not
+   finite, and the Richardson recursion runs in lockstep on its f(u*_k);
+3. the contraction quotient q = Z(Gamma[u_lin] - u*) / Z(u_lin - u*), H
+   more calls to f, against the stored u*.
 
-Iterate 0 is the recursion without sources, and each sweep yields the whole
-new iterate node by node: the sources f(u_k) are made one node at a time as
-the recursion pulls them.  As it yields node k, old - new is written into
-the old iterate's slot k, the Z-norm terms of that difference and of the
-new value are taken, and the new node is copied over the slot before the
-next node is pulled.  No source list, difference list, second iterate or
-stored linear part is ever held.  The Richardson estimate of the quadrature
-error is one more pass of the same recursion.
+No pass allocates per node beyond u*, and pass 2's buffers are freed
+before pass 3.  A node's f skips the boundary-decay gate when its L^2 norm
+is below 1e-2 of the pass's running peak: such values synthesize to the
+noise floor, where the relative boundary measure is meaningless.
 
-Two coefficient backends are supported through one code path: SpectralField
-histories on a Heisenberg mode grid (nonlinearity applied by synthesis to a
-spatial box and re-analysis), and AbelianCoefficients on an FFT grid with a
-homogeneous symbol of arbitrary even order nu (nonlinearity applied through
-the inverse FFT, with the tuple U = (u, R^{1/nu}u, ...) built from spectral
-multipliers).  Divergence is declared against a threshold proportional to
-the Z norm of the linear part, mirroring the contraction-ball radius
-L = r * C1 * (data norm) with r = 2 and C1 measured, not assumed.
-
-The solver sees a backend only through the model of `subwave.propagator`
-(symbol, factors, norms, wrap/unwrap; see its module docstring), to which
-`_make_model` adds the backend's nonlinearity(c, nl, strict): the
-coefficients of f(u).  On the abelian backend the R^{j/nu} factors of a
-GeneralNonlinearity's tuple come from the model's cached norm multipliers.
-A synthesized field that fails the boundary-decay gate, or a nonlinearity
-that produces non-finite samples, raises NumericalFailure.
+Both backends take one code path through the model of `subwave.propagator`,
+to which `_make_model` adds nonlinearity(c, nl, strict), the coefficients of
+f(u): on a Heisenberg mode grid by synthesis to a box and re-analysis; on
+an FFT grid (symbol of even order nu) through the inverse FFT, with the
+tuple U = (u, R^{1/nu}u, ...) of a GeneralNonlinearity from the model's
+multipliers.  Real abelian data (and a real mu) stay on the half spectrum
+of `subwave.abelian`, where non-real f samples are a ValueError; real
+Heisenberg data synthesize to float64 samples.  A failed boundary-decay
+gate, or non-finite f samples, raise NumericalFailure.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import AbelianField, abelian_forward, abelian_inverse
+from .abelian import _field, abelian_forward, abelian_inverse
 from .propagator import _history, _Model, _Norms
 from .spectral import SpectralField
 from .transform import SpatialField, SpatialGrid, forward_transform, synthesize_on_grid
@@ -157,11 +146,18 @@ class NumericalFailure(ValueError, FloatingPointError):
 class PicardStatus(enum.Enum):
     CONVERGED = "Converged"
     DIVERGED = "Diverged"
-    MAX_ITER = "MaxIter"
 
 
 @dataclass
 class PicardDiagnostics:
+    """What `picard_solve` measured.  iterations is 1 when the one Picard
+    iterate Gamma[u_lin] was formed, 0 when the march stopped; z_norms is
+    [Z(u_lin), Z(u*)], after a stop the stopping node's Z-norm term;
+    increments is [Z(Gamma[u_lin] - u_lin)]; ratios is [q]; threshold is
+    4 Z(u_lin), c1 Z(u_lin) over the H^{nu/2} x L^2 data_norm.  The
+    Richardson quadrature_error at the horizon is NaN unless the solve
+    converged over an even number of steps."""
+
     iterations: int
     z_norms: list
     increments: list
@@ -205,7 +201,8 @@ class _AbelianModel(_Model):
                 raise ValueError("the nonlinearity returned non-real samples for "
                                  "real data; pass the data as complex samples")
             out = out.real
-        return abelian_forward(AbelianField(self.grid, out)).coefficients
+        # _evaluate has checked the samples: one pass over them per call
+        return abelian_forward(_field(self.grid, out)).coefficients
 
 
 def _evaluate(nl, samples, count):
@@ -259,54 +256,92 @@ def apply_nonlinearity(u: SpectralField, nl, synth: SpatialGrid,
     return forward_transform(SpatialField(synth, g), u.grid, boundary_tol=None)
 
 
-def _uniform_step(times: np.ndarray) -> float:
-    steps = np.diff(times)
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("history times must be uniformly spaced")
-    return float(steps[0])
+def _richardson(model, gaps, zero, source, work=None):
+    """The recursion from zero data whose last value is T_h - T_2h, three
+    times the Richardson error, at the last of an odd number of uniform
+    nodes: minus T_h of source() with alternating signs, free of the rounding
+    of two large T.  Odd sources go negated into zero, copied by then."""
+    odd = itertools.cycle((False, True))
+    return _history(model, gaps, (zero, zero), lambda _: (
+        np.negative(source(), out=zero) if next(odd) else source()), work)
 
 
-def _richardson_error(model, gaps, sources, zero):
-    """Richardson estimate ||T_h - T_2h|| / 3 at the last of an odd number
-    of nodes, T_h being the trapezoid Duhamel value on the uniform gaps
-    [0, h, h, ...] and zero an array of zero coefficients.
-
-    T_h - T_2h is minus the T_h value of the sources with alternating
-    signs, so one sweep from zero data forms the difference directly;
-    subtracting two separate sweeps would leave each one's rounding, which
-    is relative to the much larger T_h, in the small difference.
-    """
-    flipped = (-src if k % 2 else src for k, src in enumerate(sources))
-    val, _ = deque(_history(model, gaps, (zero, zero), flipped), maxlen=1)[0]
-    return model.l2(val) / 3.0
+def _znorm_node(model, znorm, t, val, der, l2=None):
+    """The weighted Z-norm term at time t of one node; l2 is ||val|| if known."""
+    l2 = model.l2(val) if l2 is None else l2
+    return znorm.weight(t) * (l2 + model.frac(val, 1) + model.l2(der))
 
 
-def _znorm_node(model, znorm, t, val, der):
-    """(weighted Z-norm terms at time t, L^2 norm of val) for one node."""
-    l2 = model.l2(val)
-    return znorm.weight(t) * (l2 + model.frac(val, 1) + model.l2(der)), l2
+def _march(model, nl, gaps, start, znorm, threshold):
+    """Pass 2 of `picard_solve`: (values, derivatives, Z norm, Richardson
+    estimate) of u*.  After the first node whose Z-norm term is above the
+    threshold or not finite, it returns the nodes so far and that term."""
+    times = znorm.sample_times
+    # made before any temporary, u*'s arrays leave the temporaries memory to
+    # reuse: peak RSS 128 MB, not 112, on `abelian-picard` if made per node
+    vals, ders = ([np.empty_like(start[0]) for _ in times] for _ in range(2))
+    l2, peak, z, f = 0.0, 0.0, 0.0, None
+
+    def source(val):
+        nonlocal l2, peak, f
+        l2 = model.l2(val)
+        peak = max(peak, l2)
+        f = model.nonlinearity(val, nl, strict=l2 >= 1e-2 * peak)
+        return f
+
+    work = (np.empty_like(start[0]), np.empty_like(start[0]))
+    rich = (_richardson(model, gaps, np.zeros_like(start[0]), lambda: f, work)
+            if len(times) % 2 else None)
+    for k, (t, (val, der)) in enumerate(zip(times, _history(model, gaps, start,
+                                                             source, work))):
+        vals[k][...], ders[k][...] = val, der
+        z_k = _znorm_node(model, znorm, t, val, der, l2)
+        if rich:  # its source is this node's f; its step overwrites der
+            last, _ = next(rich)
+        if not z_k <= threshold:
+            return vals[:k + 1], ders[:k + 1], z_k, float("nan")
+        z = max(z, z_k)
+    return vals, ders, z, (model.l2(last) / 3.0 if rich else float("nan"))
 
 
-def _znorm_arrays(model, znorm, values, derivs, times):
-    """Z norm from raw coefficient arrays (values/derivs lists), and the
-    L^2 norm of every value."""
-    best, l2s = 0.0, []
-    for t, val, der in zip(times, values, derivs):
-        z, l2 = _znorm_node(model, znorm, t, val, der)
-        best = max(best, z)
-        l2s.append(l2)
-    return best, l2s
+def _quotient(model, nl, gaps, start, znorm, lin_l2, vals, ders):
+    """Pass 3 of `picard_solve`: (Z(Gamma[u_lin] - u_lin), q) with
+    q = Z(Gamma[u_lin] - u*) / Z(u_lin - u*), u* = (vals, ders), or 0 when
+    u_lin is u*.  The linear recursion and the zero-start Duhamel recursion
+    of f(u_lin,k), which add up to Gamma[u_lin], run in lockstep and share
+    their work arrays, the first of which then holds u_lin - u*."""
+    work = dv, _ = (np.empty_like(start[0]), np.empty_like(start[0]))
+    dd = np.zeros_like(start[0])
+    peak = inc = num = den = 0.0
+
+    def source(_):
+        nonlocal peak  # f of the linear node k that the loop below holds
+        peak = max(peak, lin_l2[k])
+        return model.nonlinearity(lin_val, nl, strict=lin_l2[k] >= 1e-2 * peak)
+
+    # the recursion copies its zero start before the loop writes dd
+    duhamel = _history(model, gaps, (dd, dd), source, work)
+    for k, (t, (lin_val, lin_der)) in enumerate(zip(
+            znorm.sample_times, _history(model, gaps, start, None, work))):
+        gv, gd = next(duhamel)
+        np.subtract(lin_val, vals[k], out=dv)
+        np.subtract(lin_der, ders[k], out=dd)
+        den = max(den, _znorm_node(model, znorm, t, dv, dd))
+        dv += gv
+        dd += gd
+        num = max(num, _znorm_node(model, znorm, t, dv, dd))
+        inc = max(inc, _znorm_node(model, znorm, t, gv, gd))
+    return inc, (num / den if den > 0 else 0.0)
 
 
-def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
-                 tol: float = 1e-8, max_iter: int = 25, synth=None):
-    """Iterate the mild-solution map to a fixed point on the Z-norm ball.
+def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig, synth=None):
+    """Solve the discrete mild equation u = Gamma[u] by one causal march and
+    measure the contraction of Gamma about its solution u*.
 
     u0, u1 are SpectralField (synth: SpatialGrid required) or
-    AbelianCoefficients.  Returns (trajectory, diagnostics); the
-    trajectory holds values and exact-derivative fields at the sample times.
-    Divergence is flagged when the iterate Z norm exceeds twice the measured
-    threshold L = 2 * Z(linear part); it is a diagnostic, not an exception.
+    AbelianCoefficients.  Returns (trajectory, diagnostics): u* with exact
+    derivatives up to the node where the march stopped, and Converged when
+    every node is finite, Z(u*) <= 4 Z(u_lin) and q < 1, else Diverged.
     """
     # a complex mu makes f(u) complex for real u: the solve stays on the
     # full layout of the abelian backend
@@ -322,75 +357,28 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig,
     times = np.asarray(znorm.sample_times, dtype=float)
     if times[0] != 0.0:
         raise ValueError("sample times must start at t = 0")
-    H = times.size
-    gaps = [0.0] + [_uniform_step(times)] * (H - 1)
+    steps = np.diff(times)
+    if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
+        raise ValueError("history times must be uniformly spaced")
+    gaps = [0.0] + [float(steps[0])] * (times.size - 1)
 
-    # iterate 0 is the linear part; each sweep starts from (c0, c1), so it
-    # yields whole new iterates, copied node by node into these arrays
-    cur_val, cur_der = zip(*((v.copy(), d.copy())
-                             for v, d in _history(model, gaps, (c0, c1))))
+    # pass 1: the linear part's Z norm and L^2 norms; no node is kept
+    lin_l2, z_lin = [], 0.0
+    for t, (val, der) in zip(times, _history(model, gaps, (c0, c1))):
+        lin_l2.append(model.l2(val))
+        z_lin = max(z_lin, _znorm_node(model, znorm, t, val, der, lin_l2[-1]))
     data_norm = model.data_norm(c0, c1)
-    z_lin, norms = _znorm_arrays(model, znorm, cur_val, cur_der, times)
-    c1_const = z_lin / data_norm if data_norm > 0 else 0.0
-    threshold = 4.0 * z_lin  # 2 * L with L = 2 * C1 * (data norm) = 2 * Z(u_lin)
-
-    diagnostics = PicardDiagnostics(0, [z_lin], [], [], PicardStatus.MAX_ITER,
-                                    threshold, data_norm, c1_const)
-    if data_norm == 0.0:
-        diagnostics.status = PicardStatus.CONVERGED
-        diagnostics.iterations = 1
-        diagnostics.increments.append(0.0)
-        return model.trajectory(times, cur_val, cur_der), diagnostics
-
-    def sources(l2s):
-        # Boundary-decay vetting only matters for fields that carry weight.
-        # Entries far below the history peak synthesize to the noise floor,
-        # where the relative boundary measure is meaningless; their |u|^p
-        # contribution is below quadrature resolution either way.  The sweep
-        # pulls source k before it yields node k, so f is applied to the
-        # iterate cur_val[k] holds before the loop below replaces it.
-        ref = max(l2s)
-        return (model.nonlinearity(cur_val[k], nl, strict=(nv >= 1e-2 * ref))
-                for k, nv in enumerate(l2s))
-
-    prev_inc = None
-    status = PicardStatus.MAX_ITER
-    for it in range(1, max_iter + 1):
-        inc = z_cur = 0.0
-        new_norms = []
-        sweep = _history(model, gaps, (c0, c1), sources(norms))
-        for k, (new_val, new_der) in enumerate(sweep):
-            # source k is made, so slot k is free: it takes old - new for
-            # the increment's norms (negation is exact), then the new node
-            old_val, old_der = cur_val[k], cur_der[k]
-            old_val -= new_val
-            old_der -= new_der
-            z_diff, _ = _znorm_node(model, znorm, times[k], old_val, old_der)
-            z_new, l2 = _znorm_node(model, znorm, times[k], new_val, new_der)
-            inc, z_cur = max(inc, z_diff), max(z_cur, z_new)
-            new_norms.append(l2)
-            old_val[...] = new_val
-            old_der[...] = new_der
-        norms = new_norms
-        diagnostics.increments.append(inc)
-        diagnostics.z_norms.append(z_cur)
-        if prev_inc is not None and prev_inc > 0:
-            diagnostics.ratios.append(inc / prev_inc)
-        prev_inc = inc
-        diagnostics.iterations = it
-        if not np.isfinite(z_cur) or z_cur > threshold:
-            status = PicardStatus.DIVERGED
-            break
-        if inc <= tol * max(z_cur, 1e-300):
-            status = PicardStatus.CONVERGED
-            break
-
-    diagnostics.status = status
-    # Richardson half-step estimate of the Duhamel quadrature at the horizon
-    if status is PicardStatus.CONVERGED and (H - 1) >= 2 and (H - 1) % 2 == 0:
-        diagnostics.quadrature_error = _richardson_error(
-            model, gaps, sources(norms), np.zeros_like(c0))
-    return model.trajectory(times, cur_val, cur_der), diagnostics
+    diag = PicardDiagnostics(0, [z_lin], [], [], PicardStatus.DIVERGED, 4.0 * z_lin,
+                             data_norm, z_lin / data_norm if data_norm > 0 else 0.0)
+    vals, ders, z_star, quad = _march(model, nl, gaps, (c0, c1), znorm,
+                                      diag.threshold)
+    diag.z_norms.append(z_star)
+    if len(vals) == times.size and z_star <= diag.threshold:
+        inc, q = _quotient(model, nl, gaps, (c0, c1), znorm, lin_l2, vals, ders)
+        diag.iterations, diag.increments, diag.ratios = 1, [inc], [q]
+        if q < 1.0:
+            diag.status, diag.quadrature_error = PicardStatus.CONVERGED, quad
+    return model.trajectory(times[:len(vals)], vals, ders), diag
 
 
 @dataclass
@@ -407,8 +395,10 @@ def verify_semilinear_decay(trajectory, b, m, provider=None) -> SemilinearDecayR
     The middle seminorm uses the homogeneous multiplier of order nu/2 (the
     square root of the operator), matching the gradient-type quantity of the
     linear decay statement.  Slopes are fitted on the trailing 60% of the
-    samples; passed means all three are negative.  The slopes do not depend
-    on b and m, which must be the trajectory's own (ValueError otherwise).
+    samples; passed means all three are finite and negative, so a fit from
+    fewer than 3 usable tail points (slope -inf) fails.  The slopes do not
+    depend on b and m, which must be the trajectory's own (ValueError
+    otherwise).
     """
     if (b, m) != (trajectory.b, trajectory.m):
         raise ValueError(f"(b, m) = ({b}, {m}) is not the trajectory's "
@@ -437,5 +427,5 @@ def verify_semilinear_decay(trajectory, b, m, provider=None) -> SemilinearDecayR
             slopes[name] = float("-inf")
             continue
         slopes[name] = float(np.polyfit(tt[good], np.log(tail[good]), 1)[0])
-    passed = all(s < 0 for s in slopes.values())
+    passed = all(np.isfinite(s) and s < 0 for s in slopes.values())
     return SemilinearDecayReport(slopes, float(times[start]), passed, False)

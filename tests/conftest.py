@@ -16,10 +16,12 @@ from subwave.spectral import build_grid
 from subwave.transform import SpatialGrid, calibrate_plancherel, from_function
 
 
-def packet(carrier=1.6, sigma_xy=0.8, sigma_tau=1.35, scale=1.0):
-    """Modulated Gaussian wave packet; broadcastable over grid axes."""
+def packet(carrier=1.6, sigma_xy=0.8, sigma_tau=1.35, scale=1.0, center=0.0):
+    """Modulated Gaussian wave packet centred at t = center; broadcastable
+    over grid axes."""
 
     def fn(x, y, t):
+        t = t - center
         env = np.exp(-(x * x + y * y) / (2 * sigma_xy ** 2)
                      - t * t / (2 * sigma_tau ** 2))
         return scale * np.cos(carrier * t) * env

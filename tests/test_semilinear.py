@@ -91,11 +91,10 @@ def test_znorm_validation():
 
 
 def z_of(traj, cfg, provider=None):
-    """Z norm of a trajectory, by the solver's own `_znorm_arrays`."""
+    """Z norm of a trajectory, by the solver's own `_znorm_node`."""
     model = propagator._Model(traj.fields[0], provider, traj.b, traj.m)
-    return semilinear._znorm_arrays(
-        model, cfg, [model.unwrap(f) for f in traj.fields],
-        [model.unwrap(d) for d in traj.derivatives], traj.times)[0]
+    return max(semilinear._znorm_node(model, cfg, t, model.unwrap(f), model.unwrap(d))
+               for t, f, d in zip(traj.times, traj.fields, traj.derivatives))
 
 
 def test_znorm_single_mode_by_hand():
@@ -137,17 +136,25 @@ def uniform_gaps(hh, H):
     return [0.0] + [hh] * (H - 1)
 
 
+def listed(sources):
+    """A `_history` source that hands out the listed sources in turn."""
+    it = iter(sources)
+    return lambda _: next(it)
+
+
 def last_node(model, hh, sources):
     """(value, derivative) of the zero-start trapezoid Duhamel sweep of
     `_history` at its last node."""
     zero = np.zeros_like(sources[0])
     return deque(propagator._history(model, uniform_gaps(hh, len(sources)),
-                                     (zero, zero), sources), maxlen=1)[0]
+                                     (zero, zero), listed(sources)), maxlen=1)[0]
 
 
 def richardson(model, hh, sources):
-    return semilinear._richardson_error(model, uniform_gaps(hh, len(sources)),
-                                        sources, np.zeros_like(sources[0]))
+    it = iter(sources)
+    nodes = semilinear._richardson(model, uniform_gaps(hh, len(sources)),
+                                   np.zeros_like(sources[0]), lambda: next(it))
+    return model.l2(deque(nodes, maxlen=1)[0][0]) / 3.0
 
 
 def test_duhamel_sweep_constant_source():
@@ -281,12 +288,12 @@ def test_general_nonlinearity_tuple_length(rng):
     cfg = ZNormConfig(delta=0.5 * decay_rate(2.0, 1.0),
                       sample_times=tuple(np.linspace(0.0, 1.0, 5)))
     nl = GeneralNonlinearity(probe)
-    picard_solve(u0, zero, nl, 2.0, 1.0, sym4, cfg, tol=1e-6, max_iter=2)
+    picard_solve(u0, zero, nl, 2.0, 1.0, sym4, cfg)
     assert recorded and set(recorded) == {2}  # nu=4 passes (u, R^{1/4}u)
 
     recorded.clear()
     sym2 = AbelianSymbol(np.ones(3), order=2, radial=True)
-    picard_solve(u0, zero, nl, 2.0, 1.0, sym2, cfg, tol=1e-6, max_iter=2)
+    picard_solve(u0, zero, nl, 2.0, 1.0, sym2, cfg)
     assert recorded and set(recorded) == {1}
 
 
@@ -380,7 +387,8 @@ def test_evolve_linear_abelian_matches_propagate_mode(rng):
 
 @pytest.mark.parametrize("backend", ["heisenberg", "abelian"])
 def test_znorm_of_linear_picard_trajectory_is_its_first_z_norm(backend):
-    # iterate 0 of the Picard solve is the linear evolution, bit for bit
+    # z_norms[0] is Z of the linear evolution, bit for bit: the solve's
+    # pass 1 is the same recursion
     box = None
     if backend == "heisenberg":
         # the packet and box of the endpoint test, which pass the
@@ -395,7 +403,7 @@ def test_znorm_of_linear_picard_trajectory_is_its_first_z_norm(backend):
         _, sym, u0, u1 = abelian_setup(1e-3)
     cfg = ZNormConfig(delta=0.9, sample_times=tuple(np.linspace(0.0, 4.0, 9)))
     _, diag = picard_solve(u0, u1, PowerNonlinearity(1.0, 2.0), 2.0, 1.0, sym,
-                           cfg, max_iter=1, synth=box)
+                           cfg, synth=box)
     lin = evolve_linear(u0, u1, 2.0, 1.0, sym, cfg.sample_times)
     assert z_of(lin, cfg, sym) == diag.z_norms[0]
 
@@ -405,10 +413,13 @@ def test_picard_small_data_converges():
     cfg = ZNormConfig(delta=0.999 * decay_rate(2.0, 1.0),
                       sample_times=tuple(np.linspace(0.0, 5.0, 21)))
     traj, diag = picard_solve(u0, u1, PowerNonlinearity(1.0, 2.0),
-                              2.0, 1.0, sym, cfg, tol=1e-10)
-    assert diag.status is PicardStatus.CONVERGED
-    assert all(r < 1.0 for r in diag.ratios)
-    assert diag.increments == sorted(diag.increments, reverse=True)
+                              2.0, 1.0, sym, cfg)
+    assert diag.status is PicardStatus.CONVERGED and diag.iterations == 1
+    # one measured quotient, and the first increment small against Z(u*):
+    # the data sit deep inside the contraction ball
+    assert len(diag.ratios) == 1 and 0 < diag.ratios[0] < 1e-2
+    assert 0 < diag.increments[0] < 1e-2 * diag.z_norms[-1]
+    assert diag.z_norms[-1] <= diag.threshold
     assert diag.threshold == pytest.approx(4.0 * diag.z_norms[0], rel=1e-12)
     assert diag.data_norm > 0 and diag.c1 > 0
     report = verify_semilinear_decay(traj, 2.0, 1.0, sym)
@@ -417,28 +428,46 @@ def test_picard_small_data_converges():
 
 
 def test_picard_from_rest_position_converges():
-    # u(0) = 0 with u_t(0) != 0: every sweep's first source is f(0)
+    # u(0) = 0 with u_t(0) != 0: each pass's first source is f(0)
     grid, sym, u1, _ = abelian_setup(1e-3)
     u0 = AbelianCoefficients(grid, np.zeros_like(u1.coefficients))
     cfg = ZNormConfig(delta=0.999 * decay_rate(2.0, 1.0),
                       sample_times=tuple(np.linspace(0.0, 5.0, 21)))
     traj, diag = picard_solve(u0, u1, PowerNonlinearity(1.0, 2.0),
-                              2.0, 1.0, sym, cfg, tol=1e-10)
-    assert diag.status is PicardStatus.CONVERGED and diag.iterations >= 2
+                              2.0, 1.0, sym, cfg)
+    assert diag.status is PicardStatus.CONVERGED and diag.iterations == 1
     assert not traj.fields[0].coefficients.any()
     assert traj.fields[-1].coefficients.any()
 
 
-def test_picard_large_data_diverges():
-    # data scale 5 sends the first iterates past the 4 Z(u_lin) threshold
+def test_picard_large_data_diverges(monkeypatch):
+    # data scale 5 sends the march past the 4 Z(u_lin) threshold (run on, it
+    # reaches Z = 3e38); it stops at the first node out of the ball, having
+    # made one f per node up to and including that one, and no more
+    calls = []
+    nonlinearity = semilinear._AbelianModel.nonlinearity
+
+    def counting(self, c, nl, strict=True):
+        calls.append(c.copy())
+        return nonlinearity(self, c, nl, strict)
+
+    monkeypatch.setattr(semilinear._AbelianModel, "nonlinearity", counting)
     grid, sym, u0, u1 = abelian_setup(5.0)
     cfg = ZNormConfig(delta=0.999 * decay_rate(2.0, 1.0),
                       sample_times=tuple(np.linspace(0.0, 5.0, 21)))
-    _, diag = picard_solve(u0, u1, PowerNonlinearity(1.0, 2.0),
-                           2.0, 1.0, sym, cfg)
-    assert diag.status is PicardStatus.DIVERGED
+    traj, diag = picard_solve(u0, u1, PowerNonlinearity(1.0, 2.0),
+                              2.0, 1.0, sym, cfg)
+    assert diag.status is PicardStatus.DIVERGED and diag.iterations == 0
     assert diag.z_norms[-1] > diag.threshold
+    assert diag.ratios == diag.increments == []
     assert np.isnan(diag.quadrature_error)
+    n = len(traj.times)
+    assert 2 <= n < 21 and len(calls) == n
+    assert all(np.array_equal(c, f.coefficients) for c, f in zip(calls, traj.fields))
+    head = LinearTrajectory(traj.times[:-1], traj.fields[:-1],
+                            traj.derivatives[:-1], 2.0, 1.0)
+    assert z_of(head, cfg, sym) <= diag.threshold < z_of(traj, cfg, sym)
+    assert z_of(traj, cfg, sym) == diag.z_norms[-1]
 
 
 def test_heisenberg_picard_converges_at_the_endpoint_power():
@@ -457,7 +486,7 @@ def test_heisenberg_picard_converges_at_the_endpoint_power():
     traj, diag = picard_solve(u0, SpectralField.zeros(grid),
                               PowerNonlinearity(1.0, 2.0), 2.0, 2.0, sym, cfg,
                               synth=box)
-    assert diag.status is PicardStatus.CONVERGED and diag.iterations == 4
+    assert diag.status is PicardStatus.CONVERGED and diag.iterations == 1
     assert diag.increments[0] > 1e-3 * diag.z_norms[-1]  # f(u) is not negligible
     assert all(r < 1e-2 for r in diag.ratios)
     assert 0 < diag.quadrature_error < 1e-5
@@ -498,7 +527,7 @@ def abelian_first_ratio(nl):
         u0 = abelian_forward(abelian_from_function(
             grid, lambda x, y, z: eps * np.exp(-(x * x + y * y + z * z) / 2.0)))
         u1 = AbelianCoefficients(grid, np.zeros_like(u0.coefficients))
-        _, diag = picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg, tol=0.0, max_iter=2)
+        _, diag = picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg)
         return diag.ratios[0]
 
     return ratio_at
@@ -531,7 +560,7 @@ def test_heisenberg_first_contraction_ratio_scales_like_eps():
         u0 = forward_transform(from_function(box, packet(scale=eps)), grid)
         _, diag = picard_solve(u0, SpectralField.zeros(grid),
                                PowerNonlinearity(1.0, 2.0), 2.0, 2.0, sym, cfg,
-                               tol=0.0, max_iter=2, synth=box)
+                               synth=box)
         return diag.ratios[0]
 
     orders = first_ratio_orders(ratio_at)
@@ -539,11 +568,12 @@ def test_heisenberg_first_contraction_ratio_scales_like_eps():
 
 
 def test_picard_factor_work_is_linear_in_samples(monkeypatch):
-    # iterate 0, every Duhamel sweep and the Richardson pass evaluate the
-    # one-step propagator once each; per-lag factor tables would make 2H
-    # kernel calls, a closed-form linear part H, and a linear part stepped
-    # through the rounded gaps t_k - t_{k-1} one per distinct rounded value
-    # (the step 0.15 of the order-4 grid at H = 41 is inexact: 13 calls)
+    # the solve's passes share one table of the one-step propagator: one
+    # kernel call in all, whatever H.  Per-pass tables would make one call
+    # per recursion (six), per-lag tables 2H, a closed-form linear part H,
+    # and a linear part stepped through the rounded gaps t_k - t_{k-1} one
+    # per distinct rounded value (the step 0.15 of the order-4 grid at
+    # H = 41 is inexact: 13 calls)
     calls = []
     kernel = propagator._mode_factors
 
@@ -560,10 +590,10 @@ def test_picard_factor_work_is_linear_in_samples(monkeypatch):
     for sym, u0, u1, cfg, m in cases:
         calls.clear()
         _, diag = picard_solve(u0, u1, PowerNonlinearity(1.0, 2.0),
-                               2.0, m, sym, cfg, tol=1e-10)
+                               2.0, m, sym, cfg)
         assert diag.status is PicardStatus.CONVERGED
         assert np.isfinite(diag.quadrature_error)
-        assert len(calls) == diag.iterations + 2
+        assert len(calls) == 1
 
 
 def full_layout(grid, c):
@@ -589,10 +619,14 @@ def abelian_l2(grid, c, mult=1.0):
 def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol, closed_form=False):
     """Reference: the Picard loop that holds every sweep's sources, both
     iterates and both difference lists, with each Z norm taken from the
-    reference norms.  By default it forms each new iterate as the solver
-    does, by the sweep started at (c0, c1) from the linear part of
-    `_history` without sources; with closed_form=True it adds the
-    zero-start sweep to the closed-form linear part P(t) (c0, c1) instead."""
+    reference norms, iterated until the increment is at most tol Z.  By
+    default it forms each new iterate by the sweep started at (c0, c1) from
+    the linear part of `_history` without sources; with closed_form=True it
+    adds the zero-start sweep to the closed-form linear part P(t) (c0, c1)
+    instead.  Returns the last iterate (values, derivatives), the Z norms
+    and increments of every sweep, the Richardson estimate on the last
+    iterate's sources and the contraction quotient
+    q = Z(u_1 - u_last) / Z(u_lin - u_last), u_1 being the first iterate."""
     grid = u0.grid
     model = semilinear._make_model((u0, u1), sym, b, m)
     c0, c1 = model.unwrap(u0), model.unwrap(u1)
@@ -618,8 +652,9 @@ def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol, closed_form=False):
 
     def sweep(sources, start=(zero, zero)):
         # the recursion's yielded buffers live until the next pull: copy them
+        source = None if sources is None else listed(sources)
         return [(v.copy(), d.copy())
-                for v, d in propagator._history(model, gaps, start, sources)]
+                for v, d in propagator._history(model, gaps, start, source)]
 
     if closed_form:
         lin_val, lin_der = [], []
@@ -630,8 +665,8 @@ def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol, closed_form=False):
     else:
         lin_val, lin_der = zip(*sweep(None, (c0, c1)))
     cur_val, cur_der = [v.copy() for v in lin_val], [d.copy() for d in lin_der]
-    z_norms, incs = [znorm_of(lin_val, lin_der)], []
-    for _ in range(25):
+    z_norms, incs, first = [znorm_of(lin_val, lin_der)], [], None
+    for _ in range(40):
         if closed_form:
             nodes = sweep(source_sweep(cur_val))
             new_val = [lv + dv for lv, (dv, _) in zip(lin_val, nodes)]
@@ -643,11 +678,16 @@ def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol, closed_form=False):
                              [a - c for a, c in zip(new_der, cur_der)]))
         z_norms.append(znorm_of(new_val, new_der))
         cur_val, cur_der = new_val, new_der
+        first = first or (new_val, new_der)
         if incs[-1] <= tol * z_norms[-1]:
             break
     flipped = [-s if k % 2 else s for k, s in enumerate(source_sweep(cur_val))]
     val, _ = sweep(flipped)[-1]
-    return cur_val, cur_der, z_norms, incs, l2(val) / 3.0
+    q = (znorm_of([a - c for a, c in zip(first[0], cur_val)],
+                  [a - c for a, c in zip(first[1], cur_der)])
+         / znorm_of([a - c for a, c in zip(lin_val, cur_val)],
+                    [a - c for a, c in zip(lin_der, cur_der)]))
+    return cur_val, cur_der, z_norms, incs, l2(val) / 3.0, q
 
 
 def order4_setup(scale, H, dtype=float):
@@ -670,25 +710,33 @@ _GENERAL = GeneralNonlinearity(lambda U: np.abs(U[0]) * U[0]
                                + 0.5 * np.abs(U[1]) * U[1])
 
 
+def assert_march_meets_the_list_based_loop(nl, H, closed_form):
+    """The march against `list_based_picard` iterated to an increment of
+    1e-14 Z.  Measured on order4_setup(0.2, H), H = 25, 41, 81: values and
+    derivatives within 1.1e-14 relative L^2 (H eps of carrying the linear
+    part in the recursion or not), the Z norms, the first increment and the
+    Richardson estimate within 1.4e-15 relative, q within 7.7e-13."""
+    sym, u0, u1, cfg = order4_setup(0.2, H)
+    traj, diag = picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg)
+    vals, ders, z_norms, incs, quad, q = list_based_picard(
+        u0, u1, nl, 2.0, 2.0, sym, cfg, tol=1e-14, closed_form=closed_form)
+    assert diag.status is PicardStatus.CONVERGED and diag.iterations == 1
+    assert len(incs) >= 5  # the loop took sweeps to get where the march went
+    assert diag.increments[0] > 1e-3 * diag.z_norms[-1]  # f(u) is not negligible
+    for got, want in zip(traj.fields + traj.derivatives, list(vals) + list(ders)):
+        assert np.linalg.norm(got.coefficients - want) <= 1e-13 * np.linalg.norm(want)
+    assert diag.z_norms == pytest.approx([z_norms[0], z_norms[-1]], rel=1e-12, abs=0)
+    assert diag.increments == pytest.approx(incs[:1], rel=0,
+                                            abs=1e-12 * diag.z_norms[-1])
+    assert diag.ratios == pytest.approx([q], rel=1e-11, abs=0)
+    assert diag.quadrature_error == pytest.approx(quad, rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("nl", [_POWER, _GENERAL], ids=["power", "general"])
 def test_streaming_picard_matches_the_list_based_loop(nl):
-    sym, u0, u1, cfg = order4_setup(0.2, 25)
-    traj, diag = picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg, tol=1e-10)
-    vals, ders, z_norms, incs, quad = list_based_picard(u0, u1, nl, 2.0, 2.0,
-                                                        sym, cfg, tol=1e-10)
-    assert diag.status is PicardStatus.CONVERGED
-    assert diag.iterations == len(incs) >= 3
-    assert diag.increments[0] > 1e-3 * diag.z_norms[-1]  # f(u) is not negligible
-    for got, want in zip(traj.fields, vals):
-        assert np.linalg.norm(got.coefficients - want) <= 1e-13 * np.linalg.norm(want)
-    for got, want in zip(traj.derivatives, ders):
-        assert np.linalg.norm(got.coefficients - want) <= 1e-13 * np.linalg.norm(want)
-    assert diag.z_norms == pytest.approx(z_norms, rel=1e-12, abs=0)
-    assert diag.ratios == pytest.approx([b / a for a, b in zip(incs, incs[1:])],
-                                        rel=1e-12, abs=0)
-    assert diag.quadrature_error == pytest.approx(quad, rel=1e-12, abs=0)
-    assert diag.increments == pytest.approx(incs, rel=0,
-                                            abs=1e-12 * diag.z_norms[-1])
+    # the loop forms each iterate as the march does, by the recursion from
+    # (c0, c1)
+    assert_march_meets_the_list_based_loop(nl, 25, closed_form=False)
 
 
 @pytest.mark.parametrize("nl, H", [
@@ -701,40 +749,20 @@ def test_streaming_picard_matches_the_list_based_loop(nl):
     pytest.param(_GENERAL, 81, id="general-81"),
 ])
 def test_recursive_picard_matches_the_closed_form_linear_part(nl, H):
-    # the solver carries the linear part in the sweep's recursion; the old
-    # arithmetic added the zero-start sweep to the closed form P(t) (c0, c1).
-    # The two differ by rounding of order H eps in every node, so the
-    # increments agree to 1e-12 z, and a ratio of two increments is compared
-    # only where both exceed 1e-6 z, which bounds its relative error by
-    # about 2e-12 / 1e-6; below that the increments are rounding-bound.
-    sym, u0, u1, cfg = order4_setup(0.2, H)
-    traj, diag = picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg, tol=1e-10)
-    vals, ders, z_norms, incs, quad = list_based_picard(
-        u0, u1, nl, 2.0, 2.0, sym, cfg, tol=1e-10, closed_form=True)
-    assert diag.status is PicardStatus.CONVERGED
-    assert diag.iterations == len(incs) >= 3
-    for got, want in zip(traj.fields + traj.derivatives, vals + ders):
-        assert np.linalg.norm(got.coefficients - want) <= 1e-13 * np.linalg.norm(want)
-    assert diag.z_norms == pytest.approx(z_norms, rel=1e-12, abs=0)
-    z = diag.z_norms[-1]
-    assert diag.increments == pytest.approx(incs, rel=0, abs=1e-12 * z)
-    resolved = [(r, b / a) for r, a, b in zip(diag.ratios, incs, incs[1:])
-                if min(a, b) > 1e-6 * z]
-    assert len(resolved) >= 2
-    for got, want in resolved:
-        assert got == pytest.approx(want, rel=2.5e-6)
-    assert diag.quadrature_error == pytest.approx(quad, rel=1e-12, abs=0)
+    # the march carries the linear part in its recursion; the loop adds
+    # the zero-start sweep to the closed form P(t) (c0, c1)
+    assert_march_meets_the_list_based_loop(nl, H, closed_form=True)
 
 
 @pytest.mark.parametrize("H", [41, 81])
 def test_picard_holds_one_iterate(H):
-    # 2H coefficient arrays: values and derivatives of the one iterate,
-    # which starts as the linear part; the sweep's state, sources and
-    # differences are a bounded number of arrays on top
+    # 2H coefficient arrays: values and derivatives of u*; the passes'
+    # recursions, sources and differences are a bounded number of arrays
+    # on top
     sym, u0, u1, cfg = order4_setup(0.2, H)
     diag, peak = traced_peak(lambda: picard_solve(
-        u0, u1, PowerNonlinearity(1.0, 2.0), 2.0, 2.0, sym, cfg, tol=1e-10)[1])
-    assert diag.status is PicardStatus.CONVERGED and diag.iterations >= 3
+        u0, u1, PowerNonlinearity(1.0, 2.0), 2.0, 2.0, sym, cfg)[1])
+    assert diag.status is PicardStatus.CONVERGED and diag.iterations == 1
     assert np.isfinite(diag.quadrature_error)
     assert peak <= (2 * H + 24) * u0.coefficients.nbytes
 
@@ -754,28 +782,31 @@ def counting(fn, calls):
 
 
 def test_each_sweep_makes_one_source_per_node():
-    # H per Picard sweep and H for the Richardson sweep
+    # H for the march, whose Richardson recursion reuses its sources, and H
+    # for the quotient's Gamma[u_lin]: H (iterations + 1) = 2H
     sym, u0, u1, cfg = order4_setup(0.2, 25)
     calls = []
     _, diag = picard_solve(u0, u1, counting(_GENERAL.callback, calls), 2.0, 2.0,
-                           sym, cfg, tol=1e-10)
+                           sym, cfg)
     assert diag.status is PicardStatus.CONVERGED
     assert np.isfinite(diag.quadrature_error)
-    assert len(calls) == 25 * (diag.iterations + 1)
+    assert len(calls) == 25 * (diag.iterations + 1) == 50
 
 
 def test_a_non_finite_source_fails_the_solve_when_pulled():
-    # call 37 is node 11 of the second sweep; no source is made past it
+    # call 11 is node 10 of the march, call 37 node 11 of the quotient pass;
+    # no source is made past either
     sym, u0, u1, cfg = order4_setup(0.2, 25)
-    calls = []
+    for bad in (11, 37):
+        calls = []
 
-    def fn(U):
-        out = _GENERAL.callback(U)
-        return np.full_like(out, np.inf) if len(calls) == 37 else out
+        def fn(U):
+            out = _GENERAL.callback(U)
+            return np.full_like(out, np.inf) if len(calls) == bad else out
 
-    with pytest.raises(semilinear.NumericalFailure, match="non-finite"):
-        picard_solve(u0, u1, counting(fn, calls), 2.0, 2.0, sym, cfg, tol=1e-10)
-    assert len(calls) == 37
+        with pytest.raises(semilinear.NumericalFailure, match="non-finite"):
+            picard_solve(u0, u1, counting(fn, calls), 2.0, 2.0, sym, cfg)
+        assert len(calls) == bad
 
 
 def test_heisenberg_boundary_failure_fails_the_solve(calibrated_grid, synth_box):
@@ -818,7 +849,7 @@ def test_mass_shift_oracle_has_time_order_2_on_both_layouts():
         for H in (9, 17, 33, 65):
             cfg = ZNormConfig(delta=0.999 * decay_rate(b, m),
                               sample_times=tuple(np.linspace(0.0, T, H)))
-            traj, diag = picard_solve(u0, u1, shift, b, m, sym, cfg, tol=1e-13)
+            traj, diag = picard_solve(u0, u1, shift, b, m, sym, cfg)
             assert diag.status is PicardStatus.CONVERGED
             got = traj.fields[-1].coefficients
             errors[layout].append(model.l2(got - want) / model.l2(want))
@@ -845,7 +876,7 @@ def test_richardson_estimate_tracks_the_true_horizon_error():
         cfg = ZNormConfig(delta=0.999 * decay_rate(b, m),
                           sample_times=tuple(np.linspace(0.0, T, H)))
         traj, diag = picard_solve(u0, u1, GeneralNonlinearity(lambda U: c * U[0]),
-                                  b, m, sym, cfg, tol=1e-13)
+                                  b, m, sym, cfg)
         assert diag.status is PicardStatus.CONVERGED
         error = model.l2(model.unwrap(traj.fields[-1]) - want)
         ratios.append(diag.quadrature_error / error)
@@ -858,30 +889,38 @@ def test_heisenberg_mass_shift_error_is_bounded_by_the_grid_loss(synth_box):
     # of one round trip of the data through the mode grid.  Measured on 48
     # nodes: loss 0.0279, error 0.0246 (0.0204 at H = 17: the grid, not the
     # time step, sets it); with lambda_min = 1 loss 0.169, error 0.141.  The
-    # conftest's 24-node grid fails the nonlinearity's boundary gate here
+    # conftest's 24-node grid fails the nonlinearity's boundary gate here.
+    # The packet is real and even in tau, so a source with the lambda nodes
+    # reversed gives the same field; moved to tau = 0.3, the most the
+    # transform's 1e-8 boundary gate allows on this box (edge 8.5e-9), it
+    # is not: loss 0.0280, error 0.0246 with the right order, 0.425 (15
+    # times the loss) reversed; 0.1687, 0.1413 and 0.471 at lambda_min = 1
     b, m, c, T, H = 2.0, 2.0, 0.5, 4.0, 9
     sym = SubLaplacianSymbol(1)
-    f = from_function(synth_box, packet())
     cfg = ZNormConfig(delta=0.999 * decay_rate(b, m),
                       sample_times=tuple(np.linspace(0.0, T, H)))
-    errors = {}
-    for lambda_min in (0.25, 1.0):
-        grid = build_grid(lambda_min, 6.0, 48, 15.0)
-        calibrate_plancherel(f, grid)
-        u0 = forward_transform(f, grid)
-        u1 = SpectralField.zeros(grid)
-        model = semilinear._make_model((u0, u1), sym, b, m)
-        back = forward_transform(synthesize_on_grid(u0, synth_box), grid,
-                                 boundary_tol=None)
-        loss = model.l2(back.coefficients - u0.coefficients) / model.l2(u0.coefficients)
-        want = evolve_linear(u0, u1, b, m - c, sym, [0.0, T]).fields[-1].coefficients
-        traj, diag = picard_solve(u0, u1, GeneralNonlinearity(lambda U: c * U[0]),
-                                  b, m, sym, cfg, tol=1e-12, synth=synth_box)
-        assert diag.status is PicardStatus.CONVERGED
-        error = model.l2(traj.fields[-1].coefficients - want) / model.l2(want)
-        assert 0.5 * loss <= error <= loss, (lambda_min, loss, error)
-        errors[lambda_min] = error
-    assert errors[0.25] < 0.05
+    for center in (0.0, 0.3):
+        f = from_function(synth_box, packet(center=center))
+        assert f.boundary_decay() < 1e-8
+        errors = {}
+        for lambda_min in (0.25, 1.0):
+            grid = build_grid(lambda_min, 6.0, 48, 15.0)
+            calibrate_plancherel(f, grid)
+            u0 = forward_transform(f, grid)
+            u1 = SpectralField.zeros(grid)
+            model = semilinear._make_model((u0, u1), sym, b, m)
+            back = forward_transform(synthesize_on_grid(u0, synth_box), grid,
+                                     boundary_tol=None)
+            loss = (model.l2(back.coefficients - u0.coefficients)
+                    / model.l2(u0.coefficients))
+            want = evolve_linear(u0, u1, b, m - c, sym, [0.0, T]).fields[-1].coefficients
+            traj, diag = picard_solve(u0, u1, GeneralNonlinearity(lambda U: c * U[0]),
+                                      b, m, sym, cfg, synth=synth_box)
+            assert diag.status is PicardStatus.CONVERGED
+            error = model.l2(traj.fields[-1].coefficients - want) / model.l2(want)
+            assert 0.5 * loss <= error <= loss, (center, lambda_min, loss, error)
+            errors[lambda_min] = error
+        assert errors[0.25] < 0.05
 
 
 @pytest.mark.parametrize("nl", [_POWER, _GENERAL], ids=["power", "general"])
@@ -893,13 +932,13 @@ def test_real_data_and_their_complex_twin_agree(nl):
     runs = []
     for dtype in (float, complex):
         sym, u0, u1, cfg = order4_setup(0.2, 25, dtype)
-        runs.append(picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg, tol=1e-10))
+        runs.append(picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg))
     (traj, diag), (twin, tdiag) = runs
     grid = u0.grid
     assert traj.fields[0].coefficients.shape == grid.half_shape
     assert twin.fields[0].coefficients.shape == grid.shape
     assert diag.status is tdiag.status is PicardStatus.CONVERGED
-    assert diag.iterations == tdiag.iterations >= 3
+    assert diag.iterations == tdiag.iterations == 1
     for got, want in zip(traj.fields + traj.derivatives,
                          twin.fields + twin.derivatives):
         err = full_layout(grid, got.coefficients) - want.coefficients
@@ -910,12 +949,7 @@ def test_real_data_and_their_complex_twin_agree(nl):
                                                   rel=1e-12, abs=0)
     z = tdiag.z_norms[-1]
     assert diag.increments == pytest.approx(tdiag.increments, rel=0, abs=1e-12 * z)
-    incs = tdiag.increments
-    resolved = [(r, t) for r, t, a, b in zip(diag.ratios, tdiag.ratios, incs, incs[1:])
-                if min(a, b) > 1e-6 * z]
-    assert len(resolved) >= 2
-    for got, want in resolved:
-        assert got == pytest.approx(want, rel=2.5e-6)
+    assert diag.ratios == pytest.approx(tdiag.ratios, rel=1e-11, abs=0)
 
 
 def test_zero_velocity_on_either_layout_gives_the_same_bits():
@@ -925,7 +959,7 @@ def test_zero_velocity_on_either_layout_gives_the_same_bits():
     grid = u0.grid
     (traj, diag), (other, odiag) = (
         picard_solve(u0, AbelianCoefficients(grid, np.zeros(shape, dtype=complex)),
-                     _POWER, 2.0, 2.0, sym, cfg, tol=1e-10)
+                     _POWER, 2.0, 2.0, sym, cfg)
         for shape in (grid.shape, grid.half_shape))
     assert diag.status is PicardStatus.CONVERGED and diag == odiag
     for a, b in zip(traj.fields + traj.derivatives, other.fields + other.derivatives):
@@ -940,7 +974,7 @@ def test_real_data_take_under_0_6_of_the_complex_twins_peak():
     for dtype in (float, complex):
         sym, u0, u1, cfg = order4_setup(0.2, 41, dtype)
         diag, peak = traced_peak(lambda: picard_solve(
-            u0, u1, _POWER, 2.0, 2.0, sym, cfg, tol=1e-10)[1])
+            u0, u1, _POWER, 2.0, 2.0, sym, cfg)[1])
         assert diag.status is PicardStatus.CONVERGED
         peaks.append(peak)
     assert peaks[0] <= 0.6 * peaks[1]
@@ -984,7 +1018,8 @@ def test_duhamel_sweep_memory_does_not_grow_with_the_nodes(start):
 
     def sweep_pass(H):
         gaps = uniform_gaps(6.0 / (H - 1), H)
-        deque(propagator._history(model, gaps, init, sources[:H]), maxlen=0)
+        deque(propagator._history(model, gaps, init, listed(sources[:H])),
+              maxlen=0)
 
     _, short = traced_peak(lambda: sweep_pass(17))
     _, long = traced_peak(lambda: sweep_pass(65))
@@ -1060,8 +1095,8 @@ def test_norm_multipliers_are_built_once_per_key(monkeypatch):
     monkeypatch.setattr(propagator, "_norm_multiplier", counting)
     sym, u0, u1, cfg = order4_setup(0.2, 25)
     nl = GeneralNonlinearity(lambda U: np.abs(U[0]) * U[1])
-    _, diag = picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg, tol=1e-10)
-    assert diag.iterations >= 3 and np.isfinite(diag.quadrature_error)
+    _, diag = picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg)
+    assert diag.iterations == 1 and np.isfinite(diag.quadrature_error)
     # data norm (nu/2, mass 1), Z norm R^{2/nu}, tuple factor R^{1/nu}
     assert sorted(built, key=str) == sorted([(2.0, 1.0), (1.0, None), (0.5, None)],
                                             key=str)
@@ -1144,7 +1179,7 @@ def test_heisenberg_picard_commutes_with_i(monkeypatch):
         assert dtypes and set(dtypes) == {np.dtype(float if unit == 1.0 else complex)}
     (traj, diag), (twin, tdiag) = runs
     assert diag.status is tdiag.status is PicardStatus.CONVERGED
-    assert diag.iterations == tdiag.iterations >= 3
+    assert diag.iterations == tdiag.iterations == 1
     for got, want in zip(twin.fields + twin.derivatives, traj.fields + traj.derivatives):
         err = got.coefficients - 1j * want.coefficients
         assert np.linalg.norm(err) <= 1e-14 * np.linalg.norm(want.coefficients)
@@ -1163,6 +1198,21 @@ def test_verify_semilinear_decay_trivial():
     assert report.trivial and report.passed
 
 
+def test_verify_semilinear_decay_fails_a_slope_that_is_not_finite():
+    # three samples from rest: ||u_t|| is 0 at t = 0, which leaves two
+    # usable tail points for the dt fit, whose slope is then -inf
+    _, sym, u0, u1 = abelian_setup(1e-3)
+    traj = evolve_linear(u0, u1, 2.0, 1.0, sym, np.linspace(0.0, 6.0, 3))
+    report = verify_semilinear_decay(traj, 2.0, 1.0, sym)
+    assert report.slopes["dt"] == -np.inf and not report.trivial
+    assert np.isfinite(report.slopes["l2"]) and report.slopes["l2"] < 0
+    assert not report.passed
+    # five samples leave four usable points: finite slopes, and a pass
+    traj = evolve_linear(u0, u1, 2.0, 1.0, sym, np.linspace(0.0, 6.0, 5))
+    report = verify_semilinear_decay(traj, 2.0, 1.0, sym)
+    assert all(np.isfinite(s) for s in report.slopes.values()) and report.passed
+
+
 def test_verify_semilinear_decay_rejects_b_and_m_not_the_trajectorys():
     # the slopes read only the norms, so b and m other than the
     # trajectory's would be accepted silently with the same slopes
@@ -1175,6 +1225,5 @@ def test_verify_semilinear_decay_rejects_b_and_m_not_the_trajectorys():
 
 
 def test_picard_status_labels():
-    assert PicardStatus.CONVERGED.value == "Converged"
-    assert PicardStatus.DIVERGED.value == "Diverged"
-    assert PicardStatus.MAX_ITER.value == "MaxIter"
+    # no iteration cap, so no third status
+    assert [s.value for s in PicardStatus] == ["Converged", "Diverged"]
