@@ -19,20 +19,29 @@ Parseval identity
 
 is exact for the DFT pair, so no calibration step is needed here.
 
-Layouts: real samples are analyzed by `numpy.fft.rfftn` onto the half
-spectrum, shape `grid.half_shape` = shape[:-1] + (N_d // 2 + 1,), which
-holds every coefficient once up to the Hermitian symmetry
-f^(-xi) = conj f^(xi) of real data; complex samples keep the full DFT
-layout, shape `grid.shape`.  A coefficient array's shape is its layout, and
-the inverse transform returns real samples from the half layout.  The
-backend model of `subwave.propagator` takes one layout for a whole solve:
-the half one when every datum is real, that is on the half layout or on
-the full layout and exactly Hermitian; else the full one, onto which a half
-datum is completed.  `_relayout` is the one conversion between the two.
+Layouts: a coefficient array's layout is its shape and dtype.  Complex
+samples take the full DFT layout, shape `grid.shape`.  Real samples take
+the `rfftn` half spectrum, complex of shape `grid.half_shape` =
+shape[:-1] + (N_d // 2 + 1,), which holds each coefficient once up to the
+Hermitian symmetry f^(-xi) = conj f^(xi).  Real samples exactly equal to
+their reflection s_j = s_{(N_i - j) mod N_i} on every axis (a centred
+Gaussian on a grid whose step is exact in binary) take the even layout:
+their DFT is real and even, and its octant, float64 of shape
+`grid.even_shape` = (N_i // 2 + 1 per axis), holds each coefficient once.
+Its transforms are the DCT-I as one small real matmul per axis, octant to
+octant (Martucci, IEEE Trans. Signal Process. 42(5), 1994).  In 1-D the
+even and half shapes agree and the dtype tells them apart.  The inverse
+transform returns the whole grid's samples, real from the half and even
+layouts.  Each layout holds the one before it (even < half < full):
+`_relayout` expands a datum exactly, and a zero datum fits any layout.  The
+backend model of `subwave.propagator` takes the most general layout of its
+nonzero data for a whole solve; every AbelianSymbol and every pointwise f
+keep the parity of the data, so a solve stays on that layout.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,6 +107,11 @@ class AbelianGrid:
         """The half-spectrum (rfftn) layout of real fields."""
         return self.shape[:-1] + (self.shape[-1] // 2 + 1,)
 
+    @property
+    def even_shape(self) -> tuple:
+        """The octant (even) layout of fields even on every axis."""
+        return tuple(n // 2 + 1 for n in self.shape)
+
     def freq_stack(self) -> np.ndarray:
         """Frequency vectors, shape grid.shape + (dim,)."""
         mesh = np.meshgrid(*(self.freq_axis(i) for i in range(self.dim)), indexing="ij")
@@ -125,22 +139,27 @@ class AbelianField:
 
 
 class AbelianCoefficients:
-    """Continuum-normalized DFT coefficients on the dual grid, on the full
-    layout (shape grid.shape) or the half spectrum of a real field (shape
-    grid.half_shape)."""
+    """Continuum-normalized DFT coefficients on the dual grid, on one of the
+    layouts of the module docstring: complex on the full one (shape
+    grid.shape) or the half spectrum (grid.half_shape), float64 on the
+    octant of an even field (grid.even_shape).  A real array of the octant's
+    shape is even; any other array is taken as complex."""
 
     def __init__(self, grid: AbelianGrid, coefficients: np.ndarray):
-        coefficients = np.asarray(coefficients, dtype=complex)
-        if coefficients.shape not in (grid.shape, grid.half_shape):
-            raise ValueError(f"coefficient shape {coefficients.shape} is neither "
-                             f"grid shape {grid.shape} nor its half {grid.half_shape}")
+        c = np.asarray(coefficients)
+        even = np.isrealobj(c) and c.shape == grid.even_shape
+        c = c.astype(float if even else complex, copy=False)
+        if not even and c.shape not in (grid.shape, grid.half_shape):
+            raise ValueError(f"coefficient shape {c.shape} is neither grid shape "
+                             f"{grid.shape}, its half {grid.half_shape} nor, "
+                             f"real, its octant {grid.even_shape}")
         self.grid = grid
-        self.coefficients = coefficients
+        self.coefficients = c
 
     @property
-    def real(self) -> bool:
-        """Whether the coefficients are the half spectrum of a real field."""
-        return self.coefficients.shape != self.grid.shape
+    def layout(self) -> str:
+        """"even", "half" or "full"."""
+        return _layout(self.coefficients, self.grid)
 
 
 def abelian_from_function(grid: AbelianGrid, fn) -> AbelianField:
@@ -148,20 +167,83 @@ def abelian_from_function(grid: AbelianGrid, fn) -> AbelianField:
 
 
 def abelian_forward(field: AbelianField) -> AbelianCoefficients:
-    # out= (NumPy >= 2.0) keeps the FFT to one array for all axes; scaling
-    # it in place gives the bits of (r)fftn(samples) * cell_volume
-    grid = field.grid
-    if np.isrealobj(field.samples):
-        out = np.fft.rfftn(field.samples, out=np.empty(grid.half_shape, dtype=complex))
+    grid, s = field.grid, field.samples
+    if np.iscomplexobj(s):
+        layout = "full"
+    elif all(np.array_equal(t := s[(slice(None),) * i + (slice(1, None),)],
+                            np.flip(t, i)) for i in range(grid.dim)):
+        # s_j = s_{N - j} for j = 1 .. N - 1 on every axis
+        layout, s = "even", s[tuple(slice(h) for h in grid.even_shape)]
     else:
-        out = np.fft.fftn(field.samples, out=np.empty(grid.shape, dtype=complex))
-    out *= grid.cell_volume
-    return AbelianCoefficients(grid, out)
+        layout = "half"
+    return AbelianCoefficients(grid, _forward(s, grid, layout))
 
 
 def abelian_inverse(coeffs: AbelianCoefficients, work=None) -> AbelianField:
-    """The samples of coeffs, bit for bit (i)rfftn / cell_volume; they are
-    finite when the coefficients are, and are not checked again.
+    """The samples of coeffs on the whole grid.  They are finite when the
+    coefficients are, and are not checked again.  From the full and half
+    layouts they are the bits of (i)rfftn / cell_volume; see `_samples`."""
+    grid, layout = coeffs.grid, coeffs.layout
+    out = _samples(coeffs.coefficients, grid, layout, work)
+    if layout == "even":
+        out = _unfold(out, grid, range(grid.dim))
+    return _field(grid, out)
+
+
+def _layout(c: np.ndarray, grid: AbelianGrid) -> str:
+    return "even" if c.dtype == float else "full" if c.shape == grid.shape else "half"
+
+
+# the layouts, each holding the ones before it
+_LAYOUTS = ("even", "half", "full")
+
+
+def _multiplicities(n: int) -> np.ndarray:
+    """How many of the n indices of an axis the octant index k stands for: 1
+    at k = 0 and at the Nyquist index n / 2 of an even n, else 2 (k and
+    n - k)."""
+    k = np.arange(n // 2 + 1)
+    return np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _cosine_matrix(n: int) -> np.ndarray:
+    """The transpose of M[j, k] = mult_k cos(2 pi (jk mod n) / n) on the
+    octant: the DFT of an even sequence of n points, octant to octant, and
+    n times its inverse, since that DFT is real and even."""
+    k = np.arange(n // 2 + 1)
+    return _multiplicities(n)[:, None] * np.cos((2.0 * np.pi / n) * (np.outer(k, k) % n))
+
+
+def _cosine(a: np.ndarray, grid: AbelianGrid, scale: float) -> np.ndarray:
+    """scale times the DFT of the even array whose octant is a, on the
+    octant: one matmul per axis, each of which moves its axis last, so the
+    axes are back in order at the end."""
+    for n in grid.shape:
+        rest = a.shape[1:]
+        a = (a.reshape(a.shape[0], -1).T @ _cosine_matrix(n)).reshape(
+            rest + (n // 2 + 1,))
+    a *= scale
+    return a
+
+
+def _forward(s: np.ndarray, grid: AbelianGrid, layout: str) -> np.ndarray:
+    """The coefficients on the layout of the samples s, the octant of them
+    for even.  out= (NumPy >= 2.0) keeps the FFT to one array for all axes;
+    scaling it in place gives the bits of (r)fftn(s) * cell_volume."""
+    if layout == "even":
+        return _cosine(s, grid, grid.cell_volume)
+    if layout == "half":
+        out = np.fft.rfftn(s, out=np.empty(grid.half_shape, dtype=complex))
+    else:
+        out = np.fft.fftn(s, out=np.empty(grid.shape, dtype=complex))
+    out *= grid.cell_volume
+    return out
+
+
+def _samples(c: np.ndarray, grid: AbelianGrid, layout: str, work=None) -> np.ndarray:
+    """The samples of the coefficients c on the layout: the octant of the
+    samples for even, else the whole grid's, real from the half layout.
 
     From the half layout these are irfftn's passes, one axis at a time: the
     leading axes in place in work, a complex array of the coefficients'
@@ -169,19 +251,19 @@ def abelian_inverse(coeffs: AbelianCoefficients, work=None) -> AbelianField:
     caller that passes the same work on every call keeps those passes in
     one hot array.
     """
-    grid = coeffs.grid
-    if coeffs.real:
-        c = coeffs.coefficients
+    if layout == "even":
+        return _cosine(c, grid, 1.0 / grid.volume)
+    if layout == "half":
         if work is None:
             work = np.empty(c.shape, dtype=complex)
         for axis in range(grid.dim - 1):
             c = np.fft.ifft(c, axis=axis, out=work)
         out = np.fft.irfft(c, n=grid.shape[-1], axis=-1, out=np.empty(grid.shape))
     else:
-        out = np.fft.ifftn(coeffs.coefficients, out=np.empty(grid.shape, dtype=complex))
+        out = np.fft.ifftn(c, out=np.empty(grid.shape, dtype=complex))
     # NumPy divides complex by real as this product, bit for bit, but slower
     out *= 1.0 / grid.cell_volume
-    return _field(grid, out)
+    return out
 
 
 def _field(grid: AbelianGrid, samples: np.ndarray) -> AbelianField:
@@ -192,27 +274,33 @@ def _field(grid: AbelianGrid, samples: np.ndarray) -> AbelianField:
     return field
 
 
-def _reflect(a: np.ndarray) -> np.ndarray:
-    """a at -xi: index i -> -i mod N_i on every axis."""
-    return np.roll(np.flip(a), 1, axis=tuple(range(a.ndim)))
+def _unfold(a: np.ndarray, grid: AbelianGrid, axes) -> np.ndarray:
+    """The octant a reflected out to the whole grid on the given axes: index
+    j reads octant index min(j, N - j)."""
+    return a[np.ix_(*(np.minimum(np.arange(n), n - np.arange(n)) if i in axes
+                      else np.arange(a.shape[i]) for i, n in enumerate(grid.shape)))]
 
 
-def _relayout(c: np.ndarray, grid: AbelianGrid, real: bool):
-    """The coefficient array c on the half layout when real, else on the
-    full one; c itself when it is on that layout already.
-
-    Half to full is the Hermitian completion c(-xi) = conj c(xi).  Full to
-    half keeps the first N_d // 2 + 1 columns, and only of an exactly
-    Hermitian c (zeros are): otherwise the result is None, since dropping
-    the other columns would change the field.
-    """
-    if (c.shape == grid.half_shape) == real:
+def _relayout(c: np.ndarray, grid: AbelianGrid, layout: str) -> np.ndarray:
+    """The coefficient array c on the layout: c itself when it is there
+    already, and zeros there when c is zero.  Else it expands exactly,
+    even -> half by reflection of the leading axes and half -> full by the
+    Hermitian completion c(-xi) = conj c(xi); a nonzero c on a more general
+    layout is a ValueError, since no fold keeps its field."""
+    have = _layout(c, grid)
+    if have != layout and not c.any():  # expand the zero octant
+        c, have = np.zeros(grid.even_shape), "even"
+    if have == layout:
         return c
+    if _LAYOUTS.index(have) > _LAYOUTS.index(layout):
+        raise ValueError(f"a field on the {have} layout does not fit the "
+                         f"{layout} layout: pass it among the model's data")
+    if have == "even":
+        c = _unfold(c, grid, range(grid.dim - 1)).astype(complex)
+        if layout == "half":
+            return c
     h = grid.half_shape[-1]
-    if real:
-        return c[..., :h].copy() if np.array_equal(c, np.conj(_reflect(c))) else None
     full = np.zeros(grid.shape, dtype=complex)
     full[..., :h] = c
-    full[..., h:] = np.conj(_reflect(full)[..., h:])
+    full[..., h:] = np.conj(np.roll(np.flip(full), 1, axis=tuple(range(grid.dim)))[..., h:])
     return full
-

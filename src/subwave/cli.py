@@ -18,7 +18,10 @@ backend       {"kind": "heisenberg", "n": 1}
               | {"kind": "abelian", "half_widths": [..], "shape": [..],
                  "coefficients": [..], "order", "radial": true};
               the abelian backend serves evolve-linear, verify-decay and
-              evolve-semilinear
+              evolve-semilinear on one of the three coefficient layouts of
+              `subwave.abelian`: its centred Gaussian is the even octant
+              when its samples are exactly even (a grid step exact in
+              binary), else the real half spectrum
 grid          heisenberg only: {"lambda_min", "lambda_max", "nodes", "mu_max"}
 synth         heisenberg only: {"half_widths": [x,y,tau], "shape": [nx,ny,nt]}
 b, m          damping and mass, positive numbers
@@ -39,8 +42,8 @@ znorm         evolve-semilinear only: {"delta_fraction": 0.999,
 gn            gn-check only: {"n", "q_values": ["2","8/3",..],
               "tuples": [[Q,a,r,p,q], ..] (default none), "abelian_widths":
               [..] (default none)}; q gives theta(q), the tuple (2n+2, 1, 2,
-              2, q); a tuple's ok column reports GNExponents' own check of s,
-              which raises on failure
+              2, q); only a ratio row's ok column carries a verdict (the
+              ratio is finite), and an exponent row leaves it empty
 oracle        oracle-compare only: {"shape": [nx,ny,nt], "tolerance",
               "safety": 0.4, "snapshot_every": max(1, steps // 8)}, shape three
               integers >= 4, tolerance > 0, safety in (0, 1]
@@ -471,15 +474,15 @@ def _semilinear_run(v, tol_factor):
 def _gn_check(v, tol_factor):
     gn = v["gn"]
     thetas, graded = v["gn_exponents"]
-    rows = [(str(e.q), str(e.s), float(e.s), 1) for e in thetas]
-    # ok is GNExponents' check: its constructor raises on a bad s
+    # an exponent row has no verdict: GNExponents raises on a bad s
+    rows = [(str(e.q), str(e.s), float(e.s), "") for e in thetas]
     for tup, exps in zip(gn["tuples"], graded):
         if exps.degenerate:
             rows.append(("/".join(str(v) for v in tup), "degenerate",
-                         float("nan"), 1))
+                         float("nan"), ""))
             continue
         rows.append(("/".join(str(v) for v in tup), str(exps.s),
-                     float(exps.s), 1))
+                     float(exps.s), ""))
     ratios = []
     for w in gn["abelian_widths"]:
         agrid = AbelianGrid((8.0, 8.0, 8.0), (32, 32, 32))

@@ -25,7 +25,8 @@ on an FFT grid, each symbol giving its values on its own layout.  It is the
 only code that reads a backend's norm weighting, and the package's one home
 for the homogeneous Sobolev norms ||R^{a/nu} u||.  It works on raw
 coefficient arrays c on one layout, which on the abelian backend is the
-half spectrum when the data are real (see `subwave.abelian`).  The first
+half spectrum or, for data even on every axis, the octant of real cosine
+coefficients when the data are real (see `subwave.abelian`).  The first
 half, `_Norms(data, provider)`, is the function space:
 
     l2(c)             L^2 norm
@@ -54,12 +55,13 @@ against the closed form, stated on `_history`.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import AbelianCoefficients, _relayout
+from .abelian import _LAYOUTS, AbelianCoefficients, _layout, _multiplicities, _relayout
 from .spectral import SpectralField, SubLaplacianSymbol
 
 __all__ = [
@@ -186,47 +188,49 @@ class _Norms:
     holds its grid and its coefficients.  Heisenberg (SpectralField): the
     sub-Laplacian by default, and each lambda node's Plancherel weight in
     the norms.  Abelian (AbelianCoefficients): provider required, and the
-    norms divided by the box volume.  Each norm multiplier, and its product
-    with the weights, is built once per (order, mass) and kept for the
-    object's lifetime.
+    norms divided by the box volume.  Each norm multiplier times the
+    weights, and each multiplier() asked for, is built once per (order,
+    mass) and kept for the object's lifetime.
 
     data is one field or the Cauchy data (u0, u1); the model's grid and type
     are those of its first field.  The abelian layout is taken once, from
-    all of data, by the rule of `subwave.abelian`: the half spectrum when
-    real is true and every datum is real, else the full DFT layout.  On the
-    half layout the weights slot holds the Hermitian multiplicities, 2 for
-    a column xi_d that stands for itself and for -xi_d, 1 for xi_d = 0 and,
-    at even N_d, the Nyquist column; the symbol is R at the rfft
-    frequencies, the first columns of the full values since every
-    AbelianSymbol is even in each coordinate.  `unwrap` puts any field on
-    the model's layout.
+    all of data, by the rule of `subwave.abelian`: the most general layout
+    of the nonzero data, or the full one when real is false.  The half
+    layout folds the last axis, the even one every axis; there the weights
+    slot holds the outer product of the folded axes' multiplicities (2 for
+    an index k that stands for k and -k, 1 for k = 0 and, at even N, the
+    Nyquist index), and the symbol is R on the folded indices, the first
+    of the full values since every AbelianSymbol is even in each
+    coordinate.  `unwrap` puts any field on the model's layout.
     """
 
     def __init__(self, data, provider, real=True):
         data = data if isinstance(data, tuple) else (data,)
         state = data[0]
         self.grid, self.field = state.grid, type(state)
-        self.real = None  # the abelian layout; None on the Heisenberg backend
+        self.layout = None  # the abelian layout; None on the Heisenberg backend
         if isinstance(state, SpectralField):
             provider = provider or SubLaplacianSymbol(power=1)
             self.weights, self.volume = state.grid.weights[:, None, None], 1.0
         elif isinstance(state, AbelianCoefficients):
             if provider is None:
                 raise ValueError("abelian trajectories need an explicit symbol provider")
-            self.real = real and all(_relayout(self._coefficients(u), self.grid, True)
-                                     is not None for u in data)
+            rank = max((bool(c.any()), _LAYOUTS.index(_layout(c, self.grid)))
+                       for c in map(self._coefficients, data))[1]
+            self.layout = _LAYOUTS[rank] if real else "full"
             self.weights, self.volume = None, state.grid.volume
         else:
             raise TypeError(f"unsupported state type {type(state).__name__}")
         self.nu = provider.nu
         self.sym = provider.values(self.grid)
-        if self.real:
-            h = self.grid.half_shape[-1]
-            self.sym = np.ascontiguousarray(self.sym[..., :h])
-            # the columns that stand for themselves: xi_d = 0, Nyquist if N_d is even
-            self._lone = (0, h - 1) if self.grid.shape[-1] % 2 == 0 else (0,)
-            self.weights = np.full(h, 2.0)
-            self.weights[list(self._lone)] = 1.0
+        if self.layout in ("even", "half"):
+            folded = [self.layout == "even" or i == self.grid.dim - 1
+                      for i in range(self.grid.dim)]
+            self.weights = math.prod(np.ix_(*(
+                _multiplicities(n) if f else np.ones(1)
+                for n, f in zip(self.grid.shape, folded))))
+            self.sym = np.ascontiguousarray(self.sym[tuple(
+                slice(n // 2 + 1 if f else n) for n, f in zip(self.grid.shape, folded))])
         self._mults, self._weighted_mults = {}, {}
 
     def wrap(self, c):
@@ -239,14 +243,9 @@ class _Norms:
 
     def unwrap(self, u):
         """The coefficients of u on the model's layout; u must be a field on
-        the model's grid, and real if the model is."""
+        the model's grid, on that layout or a less general one, or zero."""
         c = self._coefficients(u)
-        if self.real is not None:
-            c = _relayout(c, self.grid, self.real)
-            if c is None:
-                raise ValueError("a non-Hermitian field on a real model: "
-                                 "pass every datum as complex samples")
-        return c
+        return c if self.layout is None else _relayout(c, self.grid, self.layout)
 
     def multiplier(self, order, mass=None):
         """(mass + R)^{2 order/nu}, or R^{2 order/nu} when mass is None."""
@@ -259,18 +258,15 @@ class _Norms:
         """The weights times multiplier(order, mass), built once per key."""
         key = (float(order), mass)
         if key not in self._weighted_mults:
-            mult = self.multiplier(order, mass)
-            self._weighted_mults[key] = (mult if self.weights is None
-                                         else self.weights * mult)
+            if self.weights is None:
+                self._weighted_mults[key] = self.multiplier(order, mass)
+            else:  # the multiplier itself is kept only if multiplier() made it
+                mult = self._mults.get(key)
+                self._weighted_mults[key] = self.weights * (
+                    _norm_multiplier(self.sym, self.nu, *key) if mult is None else mult)
         return self._weighted_mults[key]
 
     def _norm(self, c, mult=None):
-        if mult is None and self.real:
-            # the weighted sum without a product pass: every column twice,
-            # less the lone columns once
-            sq = 2.0 * np.vdot(c, c).real - sum(np.vdot(c[..., k], c[..., k]).real
-                                                for k in self._lone)
-            return float(np.sqrt(sq / self.volume))
         if self.weights is not None:
             mult = self.weights if mult is None else self.weights * mult
         return self._reduce(c, mult)
@@ -301,11 +297,10 @@ class _Model(_Norms):
         _check_damping(b, m)
         super().__init__(data, provider, real)
         self.b, self.m = float(b), float(m)
-        self.total = self.sym + self.m
         self.steps = {}  # factors(gap) per gap, shared by every recursion
 
     def factors(self, t):
-        return _mode_factors(self.total, self.b, t)
+        return _mode_factors(self.sym + self.m, self.b, t)
 
     def trajectory(self, times, values, derivs):
         return LinearTrajectory(times, [self.wrap(v) for v in values],

@@ -31,12 +31,13 @@ noise floor, where the relative boundary measure is meaningless.
 Both backends take one code path through the model of `subwave.propagator`,
 to which `_make_model` adds nonlinearity(c, nl, strict), the coefficients of
 f(u): on a Heisenberg mode grid by synthesis to a box and re-analysis; on
-an FFT grid (symbol of even order nu) through the inverse FFT, with the
-tuple U = (u, R^{1/nu}u, ...) of a GeneralNonlinearity from the model's
-multipliers.  Real abelian data (and a real mu) stay on the half spectrum
-of `subwave.abelian`, where non-real f samples are a ValueError; real
-Heisenberg data synthesize to float64 samples.  A failed boundary-decay
-gate, or non-finite f samples, raise NumericalFailure.
+an FFT grid (symbol of even order nu) through the inverse transform of the
+model's layout, with the tuple U = (u, R^{1/nu}u, ...) of a
+GeneralNonlinearity from the model's multipliers.  Real abelian data (and a
+real mu) stay on the half or even layout of `subwave.abelian` (on the even
+one f acts on the octant of the samples), where non-real f samples are a
+ValueError; real Heisenberg data synthesize to float64 samples.  A failed
+boundary-decay gate, or non-finite f samples, raise NumericalFailure.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import _field, abelian_forward, abelian_inverse
+from .abelian import _forward, _samples
 from .propagator import _history, _Model, _Norms
 from .spectral import SpectralField
 from .transform import SpatialField, SpatialGrid, forward_transform, synthesize_on_grid
@@ -95,8 +96,9 @@ class GeneralNonlinearity:
     """Pointwise callback on the tuple U = (u, R^{1/nu}u, ..., R^{(h-1)/nu}u).
 
     The callback receives h = ceil(nu/2) sample arrays and must return one
-    array of the same shape with F(0) = 0.  The Heisenberg backend takes
-    nu = 2 only, where U = (u,).
+    array of the same shape with F(0) = 0, acting pointwise: on the abelian
+    even layout the arrays are the octant of the samples.  The Heisenberg
+    backend takes nu = 2 only, where U = (u,).
     """
 
     callback: object
@@ -183,17 +185,18 @@ class _HeisenbergModel(_Model):
 class _AbelianModel(_Model):
     def __init__(self, data, provider, b, m, real=True):
         super().__init__(data, provider, b, m, real)
-        # the passes of the inverse FFT over the leading axes, in place
-        self._work = np.empty(self.sym.shape, dtype=complex)
+        # the half layout's inverse FFT passes over the leading axes, in place
+        self._work = (np.empty(self.sym.shape, dtype=complex)
+                      if self.layout == "half" else None)
 
     def nonlinearity(self, c, nl, strict: bool = True):
         def samples(j):
             # R^{j/nu} is the multiplier of order j/2
             cj = c if j == 0 else self.multiplier(0.5 * j) * c
-            return abelian_inverse(self.wrap(cj), work=self._work).samples
+            return _samples(cj, self.grid, self.layout, self._work)
 
         out = _evaluate(nl, samples, max(1, (self.nu + 1) // 2))
-        if not self.real:
+        if self.layout == "full":
             out = out.astype(complex, copy=False)
         elif np.iscomplexobj(out):
             # a real mu typed complex gives zero imaginary parts
@@ -202,7 +205,7 @@ class _AbelianModel(_Model):
                                  "real data; pass the data as complex samples")
             out = out.real
         # _evaluate has checked the samples: one pass over them per call
-        return abelian_forward(_field(self.grid, out)).coefficients
+        return _forward(out, self.grid, self.layout)
 
 
 def _evaluate(nl, samples, count):
@@ -277,9 +280,11 @@ def _march(model, nl, gaps, start, znorm, threshold):
     estimate) of u*.  After the first node whose Z-norm term is above the
     threshold or not finite, it returns the nodes so far and that term."""
     times = znorm.sample_times
-    # made before any temporary, u*'s arrays leave the temporaries memory to
-    # reuse: peak RSS 128 MB, not 112, on `abelian-picard` if made per node
-    vals, ders = ([np.empty_like(start[0]) for _ in times] for _ in range(2))
+    # u* in two blocks of H nodes, made before any temporary, which reuses
+    # memory freed below them (arrays made per node once took the half
+    # layout's `abelian-picard` peak RSS from 112 to 128 MB)
+    vals, ders = (np.empty((len(times),) + start[0].shape, start[0].dtype)
+                  for _ in range(2))
     l2, peak, z, f = 0.0, 0.0, 0.0, None
 
     def source(val):
@@ -294,7 +299,7 @@ def _march(model, nl, gaps, start, znorm, threshold):
             if len(times) % 2 else None)
     for k, (t, (val, der)) in enumerate(zip(times, _history(model, gaps, start,
                                                              source, work))):
-        vals[k][...], ders[k][...] = val, der
+        vals[k], ders[k] = val, der
         z_k = _znorm_node(model, znorm, t, val, der, l2)
         if rich:  # its source is this node's f; its step overwrites der
             last, _ = next(rich)
@@ -367,6 +372,7 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig, synth=None):
     for t, (val, der) in zip(times, _history(model, gaps, (c0, c1))):
         lin_l2.append(model.l2(val))
         z_lin = max(z_lin, _znorm_node(model, znorm, t, val, der, lin_l2[-1]))
+    del val, der  # the recursion's buffers, not held through passes 2 and 3
     data_norm = model.data_norm(c0, c1)
     diag = PicardDiagnostics(0, [z_lin], [], [], PicardStatus.DIVERGED, 4.0 * z_lin,
                              data_norm, z_lin / data_norm if data_norm > 0 else 0.0)

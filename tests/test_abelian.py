@@ -92,6 +92,15 @@ def test_inverse_through_one_work_array_keeps_the_bits(shape, rng):
                               * (1.0 / grid.cell_volume))
 
 
+def even_samples(grid, rng):
+    """Random real samples exactly equal to their reflection j -> -j mod N on
+    every axis: a sum is the same bits in either order."""
+    x = rng.normal(size=grid.shape)
+    for axis in range(grid.dim):
+        x = x + np.roll(np.flip(x, axis), 1, axis)
+    return x
+
+
 @pytest.mark.parametrize("shape", [(16, 12, 20), (12, 10, 9)], ids=["even", "odd"])
 def test_layouts_convert_by_hermitian_completion(shape, rng):
     grid = AbelianGrid((3.0, 2.0, 4.0), shape)
@@ -99,19 +108,64 @@ def test_layouts_convert_by_hermitian_completion(shape, rng):
     half = abelian_forward(AbelianField(grid, x)).coefficients
     full = abelian_forward(AbelianField(grid, x.astype(complex))).coefficients
     assert half.shape == grid.half_shape and full.shape == grid.shape
-    completed = _relayout(half, grid, False)
+    completed = _relayout(half, grid, "full")
     assert np.array_equal(completed[..., :grid.half_shape[-1]], half)
     assert np.allclose(completed, full, rtol=0, atol=1e-13 * np.abs(full).max())
-    assert _relayout(half, grid, True) is half and _relayout(full, grid, False) is full
-    # only an exactly Hermitian array folds to the half layout, and back
+    assert _relayout(half, grid, "half") is half and _relayout(full, grid, "full") is full
+    # no array folds to a less general layout, not even an exactly
+    # Hermitian one; only zeros fit every layout
     a = random_field(grid, rng).samples
-    assert _relayout(a, grid, True) is None
     herm = 0.5 * (a + np.conj(np.roll(np.flip(a), 1, axis=(0, 1, 2))))
-    folded = _relayout(herm, grid, True)
-    assert np.array_equal(folded, herm[..., :grid.half_shape[-1]])
-    assert np.array_equal(_relayout(folded, grid, False), herm)
-    zero = _relayout(np.zeros(shape, dtype=complex), grid, True)
-    assert zero.shape == grid.half_shape and not zero.any()
+    for c, layouts in ((herm, ("half", "even")), (half, ("even",))):
+        for layout in layouts:
+            with pytest.raises(ValueError, match="does not fit"):
+                _relayout(c, grid, layout)
+    for layout, want in (("half", grid.half_shape), ("even", grid.even_shape)):
+        zero = _relayout(np.zeros(shape, dtype=complex), grid, layout)
+        assert zero.shape == want and not zero.any()
+        assert zero.dtype == (float if layout == "even" else complex)
+    # the octant expands to the half spectrum and on to the full layout
+    # exactly: every step copies entries, c(-xi) = c(xi) = conj c(xi)
+    e = even_samples(grid, rng)
+    octant = abelian_forward(AbelianField(grid, e)).coefficients
+    assert octant.dtype == float and octant.shape == grid.even_shape
+    as_half = _relayout(octant, grid, "half")
+    assert as_half.shape == grid.half_shape and not np.any(as_half.imag)
+    assert np.array_equal(_relayout(octant, grid, "full"), _relayout(as_half, grid, "full"))
+    ref = np.fft.rfftn(e) * grid.cell_volume
+    assert np.abs(as_half - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 16), (9, 12, 15), (32,)],
+                         ids=["even", "odd", "1d"])
+def test_even_layout_transforms_match_rfftn(shape, rng):
+    # the octant's three matmuls (one in 1-D) against rfftn and irfftn on
+    # exactly even samples
+    grid = AbelianGrid((3.0, 2.0, 4.0)[:len(shape)], shape)
+    e = even_samples(grid, rng)
+    coeffs = abelian_forward(AbelianField(grid, e))
+    assert coeffs.layout == "even" and coeffs.coefficients.shape == grid.even_shape
+    ref = (np.fft.rfftn(e) * grid.cell_volume)[tuple(slice(h) for h in grid.even_shape)]
+    assert np.abs(ref.imag).max() <= 1e-14 * np.abs(ref).max()
+    assert np.abs(coeffs.coefficients - ref.real).max() <= 1e-14 * np.abs(ref).max()
+    back = abelian_inverse(coeffs).samples
+    assert back.dtype == float and back.shape == grid.shape
+    want = np.fft.irfftn(_relayout(coeffs.coefficients, grid, "half"), s=shape,
+                         axes=tuple(range(grid.dim))) / grid.cell_volume
+    assert np.abs(back - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.abs(back - e).max() <= 1e-14 * np.abs(e).max()
+
+
+def test_forward_takes_the_layout_from_the_samples():
+    # exactly even real samples take the octant; a centred Gaussian on a
+    # grid whose step is exact in binary is one, an off-centre one is not,
+    # and the same samples typed complex take the full layout
+    grid = AbelianGrid((6.0,) * 3, (32,) * 3)
+    for centre, layout in ((0.0, "even"), (0.5, "half")):
+        f = abelian_from_function(grid, lambda x, y, z: np.exp(
+            -((x - centre) ** 2 + y * y + z * z) / 2.0))
+        assert abelian_forward(f).layout == layout
+        assert abelian_forward(AbelianField(grid, f.samples + 0j)).layout == "full"
 
 
 def test_plane_wave_multiplier_is_exact():
@@ -134,7 +188,7 @@ def test_homogeneous_norm_edge_cases(rng):
     coeffs = abelian_forward(random_field(grid, rng))
     norms, c = _Norms(coeffs, sym), coeffs.coefficients
     assert norms.frac(c, 0.0) == pytest.approx(norms.l2(c), rel=1e-13)
-    # a real constant has the half layout; the complex model completes it
+    # a real constant has the even layout; the complex model expands it
     const = abelian_forward(AbelianField(grid, np.ones(grid.shape)))
     assert norms.frac(norms.unwrap(const), 1.0) == pytest.approx(0.0, abs=1e-10)
     with pytest.raises(ValueError, match="singular"):
@@ -171,11 +225,17 @@ def test_field_and_coefficient_validation():
         AbelianField(grid, np.full(8, np.nan))
     with pytest.raises(ValueError, match="shape"):
         AbelianCoefficients(grid, np.zeros(9))
-    # the layout is the shape: N entries, or N // 2 + 1 for a real field
-    assert AbelianCoefficients(grid, np.zeros(5)).real
-    assert not AbelianCoefficients(grid, np.zeros(8)).real
+    # the layout is the shape and the dtype: N entries, or N // 2 + 1
+    # complex for a real field and real for an even one, which in 1-D hold
+    # the same field
+    assert AbelianCoefficients(grid, np.zeros(5)).layout == "even"
+    assert AbelianCoefficients(grid, np.zeros(5, dtype=complex)).layout == "half"
+    assert AbelianCoefficients(grid, np.zeros(8)).layout == "full"
+    assert AbelianCoefficients(grid, np.zeros(8)).coefficients.dtype == complex
     with pytest.raises(ValueError, match="shape"):
         AbelianCoefficients(grid, np.zeros(4))
+    with pytest.raises(ValueError, match="octant"):
+        AbelianCoefficients(AbelianGrid((1.0,) * 2, (8, 8)), np.zeros((5, 5), dtype=complex))
     assert AbelianField(grid, np.arange(8)).samples.dtype == float
     assert AbelianField(grid, np.ones(8, dtype=complex)).samples.dtype == complex
     f = AbelianField(grid, np.ones(8))

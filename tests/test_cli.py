@@ -215,7 +215,8 @@ def test_gn_check_tables_are_deterministic(tmp_path):
     assert [r[:2] for r in rows[:6]] == [
         ["2", "0"], ["8/3", "1/2"], ["3", "2/3"], ["4", "1"],
         ["4/1/2/2/4", "1"], ["4/1/2/4/4", "degenerate"]]
-    assert all(r[3] == "1" for r in rows)
+    # only the three ratio rows carry a verdict; the exponent rows' ok is empty
+    assert [r[3] for r in rows] == [""] * 6 + ["1"] * 3
     manifest = read_manifest(out1)
     assert set(manifest) == {"subcommand", "parameters", "tolerance_profile",
                              "results", "inputs", "outputs"}
@@ -236,6 +237,27 @@ def test_evolve_semilinear_abelian(tmp_path):
     assert 0 < results["quadrature_error"] < 1e-6
     lines = (out / "evolve-semilinear.csv").read_text().strip().splitlines()
     assert lines[0].startswith("iteration") and len(lines) == 2
+
+
+def test_abelian_semilinear_run_solves_on_the_even_layout(tmp_path, monkeypatch):
+    # the CLI's centred Gaussian is exactly even on this grid, so its solve
+    # runs on the octant of cosine coefficients; a fall back to the half
+    # spectrum would show only as lost speed without this check (an
+    # off-centre Gaussian keeps the half spectrum: test_abelian.py)
+    from subwave import semilinear
+
+    layouts, make = [], semilinear._make_model
+
+    def recording(*args, **kwargs):
+        model = make(*args, **kwargs)
+        layouts.append(model.layout)
+        return model
+
+    monkeypatch.setattr(semilinear, "_make_model", recording)
+    cfg = write_config(tmp_path, SEMILINEAR_CONFIG)
+    assert main(["evolve-semilinear", "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 0
+    assert layouts == ["even"]
 
 
 @pytest.mark.parametrize("subcommand", ["evolve-linear", "verify-decay"])

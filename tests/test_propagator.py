@@ -309,7 +309,7 @@ def test_evolve_linear_from_a_late_first_time_stays_near_the_closed_form(
     # sqrt|Delta|, enters too: on the order-4 benchmark symbol (omega t up
     # to 421 here) the error reaches 39 eps against 4 H eps = 16 eps
     model, sym, c0, c1 = _history_case(name, rng)
-    omega = np.sqrt(np.abs(model.total - 0.25 * model.b ** 2)).max()
+    omega = np.sqrt(np.abs(model.sym + model.m - 0.25 * model.b ** 2)).max()
     times = [0.7, 1.4, 1.4, 2.0]
     traj = evolve_linear(model.wrap(c0), model.wrap(c1), model.b, model.m,
                          sym, times)

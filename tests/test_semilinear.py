@@ -598,10 +598,13 @@ def test_picard_factor_work_is_linear_in_samples(monkeypatch):
 
 def full_layout(grid, c):
     """c on the full DFT layout: a half spectrum is completed entry by entry
-    by c(-xi) = conj c(xi), independent of `subwave.abelian`."""
+    by c(-xi) = conj c(xi), and the real octant of an even field by
+    c(xi) = c(|xi|) on every axis, independent of `subwave.abelian`."""
     if c.shape == grid.shape:
         return c
     idx = np.indices(grid.shape)
+    if c.dtype == float:
+        return c[tuple(np.minimum(i, n - i) for i, n in zip(idx, grid.shape))] + 0j
     own = idx[-1] < c.shape[-1]
     full = np.empty(grid.shape, dtype=complex)
     full[own] = c[tuple(i[own] for i in idx)]
@@ -690,14 +693,25 @@ def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol, closed_form=False):
     return cur_val, cur_der, z_norms, incs, l2(val) / 3.0, q
 
 
-def order4_setup(scale, H, dtype=float):
-    """Gaussian data on the half layout, or on the full one as the complex
-    twin with dtype=complex."""
+def centred_data(grid, samples, layout):
+    """The transform of real samples even on every axis on the layout: the
+    octant (even), the rfftn half spectrum passed as coefficients (half),
+    or the samples typed complex (full)."""
+    if layout == "half":
+        return AbelianCoefficients(grid, np.fft.rfftn(samples) * grid.cell_volume)
+    u = abelian_forward(AbelianField(grid, samples + 0j if layout == "full" else samples))
+    assert u.layout == layout
+    return u
+
+
+def order4_setup(scale, H, layout="even"):
+    """Gaussian data on the octant of an even field, or on the half or full
+    layout."""
     grid = AbelianGrid((6.0,) * 3, (16, 16, 16))
     sym = AbelianSymbol(np.ones(3), order=4, radial=True)
     gauss = abelian_from_function(
         grid, lambda x, y, z: scale * np.exp(-(x * x + y * y + z * z) / 2.0))
-    u0 = abelian_forward(AbelianField(grid, gauss.samples.astype(dtype)))
+    u0 = centred_data(grid, gauss.samples, layout)
     u1 = AbelianCoefficients(grid, 0.3 * u0.coefficients)
     cfg = ZNormConfig(delta=0.999 * decay_rate(2.0, 2.0),
                       sample_times=tuple(np.linspace(0.0, 6.0, H)))
@@ -822,16 +836,17 @@ def test_heisenberg_boundary_failure_fails_the_solve(calibrated_grid, synth_box)
 
 
 # --------------------------------------------------------------------------
-# the half-spectrum layout of real data on the abelian backend
+# the half-spectrum and even layouts of real data on the abelian backend
 
 
-def test_mass_shift_oracle_has_time_order_2_on_both_layouts():
+def test_mass_shift_oracle_has_time_order_2_on_all_three_layouts():
     # f(u) = c u makes the mild solution the linear evolution with mass
     # m - c, one closed-form step to T.  The trapezoid Duhamel rule is second
     # order in the step: measured errors at T 1.94e-2, 4.80e-3, 1.20e-3 and
-    # 2.99e-4 at H = 9, 17, 33, 65 (orders 2.01, 2.00, 2.00) on both layouts,
-    # which agree to 3e-15 relative; wrong Hermitian weights would move the
-    # half layout's norms by O(1)
+    # 2.99e-4 at H = 9, 17, 33, 65 (orders 2.01, 2.00, 2.00) on every layout,
+    # which agree to 6e-13 relative (2e-16 of the solution); wrong Hermitian
+    # or octant weights would move the norms of the half and even layouts by
+    # O(1)
     grid = AbelianGrid((6.0,) * 3, (16, 16, 16))
     sym = AbelianSymbol(np.ones(3), order=2, radial=True)
     b, m, c, T = 2.0, 2.0, 0.5, 4.0
@@ -839,12 +854,12 @@ def test_mass_shift_oracle_has_time_order_2_on_both_layouts():
     gauss = abelian_from_function(
         grid, lambda x, y, z: np.exp(-(x * x + y * y + z * z) / 2.0))
     errors = {}
-    for layout, dtype in (("half", float), ("full", complex)):
-        u0 = abelian_forward(AbelianField(grid, gauss.samples.astype(dtype)))
+    for layout in ("even", "half", "full"):
+        u0 = centred_data(grid, gauss.samples, layout)
         u1 = AbelianCoefficients(grid, np.zeros_like(u0.coefficients))
         model = semilinear._make_model((u0, u1), sym, b, m)
+        assert model.layout == layout
         want = model.unwrap(evolve_linear(u0, u1, b, m - c, sym, [0.0, T]).fields[-1])
-        assert want.shape == (grid.half_shape if layout == "half" else grid.shape)
         errors[layout] = []
         for H in (9, 17, 33, 65):
             cfg = ZNormConfig(delta=0.999 * decay_rate(b, m),
@@ -852,11 +867,13 @@ def test_mass_shift_oracle_has_time_order_2_on_both_layouts():
             traj, diag = picard_solve(u0, u1, shift, b, m, sym, cfg)
             assert diag.status is PicardStatus.CONVERGED
             got = traj.fields[-1].coefficients
+            assert got.shape == want.shape
             errors[layout].append(model.l2(got - want) / model.l2(want))
         errs = np.array(errors[layout])
         orders = np.log2(errs[:-1] / errs[1:])
         assert np.all(np.abs(orders - 2.0) <= 0.05), (layout, orders)
-    assert errors["half"] == pytest.approx(errors["full"], rel=1e-10, abs=0)
+    for layout in ("even", "half"):
+        assert errors[layout] == pytest.approx(errors["full"], rel=1e-10, abs=0)
 
 
 def test_richardson_estimate_tracks_the_true_horizon_error():
@@ -923,69 +940,92 @@ def test_heisenberg_mass_shift_error_is_bounded_by_the_grid_loss(synth_box):
         assert errors[0.25] < 0.05
 
 
+def assert_solves_agree(run, twin, shape):
+    """Two picard_solve results on the same data and two layouts agree to
+    rounding: the first on the layout of `shape`, the second on the full
+    one or compared there, bounded as in the closed-form comparison."""
+    (traj, diag), (other, odiag) = run, twin
+    grid = traj.fields[0].grid
+    assert traj.fields[0].coefficients.shape == shape
+    assert diag.status is odiag.status is PicardStatus.CONVERGED
+    assert diag.iterations == odiag.iterations == 1
+    for got, want in zip(traj.fields + traj.derivatives,
+                         other.fields + other.derivatives):
+        want = full_layout(grid, want.coefficients)
+        err = full_layout(grid, got.coefficients) - want
+        assert np.linalg.norm(err) <= 1e-13 * np.linalg.norm(want)
+    assert diag.z_norms == pytest.approx(odiag.z_norms, rel=1e-12, abs=0)
+    assert diag.data_norm == pytest.approx(odiag.data_norm, rel=1e-12, abs=0)
+    assert diag.quadrature_error == pytest.approx(odiag.quadrature_error,
+                                                  rel=1e-12, abs=0)
+    z = odiag.z_norms[-1]
+    assert diag.increments == pytest.approx(odiag.increments, rel=0, abs=1e-12 * z)
+    assert diag.ratios == pytest.approx(odiag.ratios, rel=1e-11, abs=0)
+
+
 @pytest.mark.parametrize("nl", [_POWER, _GENERAL], ids=["power", "general"])
 def test_real_data_and_their_complex_twin_agree(nl):
-    # real samples take the half spectrum, the same samples typed complex the
-    # full layout; the two solves differ by rounding (measured: Z norms 6e-16
-    # relative, increments 3e-17 z, trajectory 9e-16), bounded as in the
-    # closed-form comparison above
-    runs = []
-    for dtype in (float, complex):
-        sym, u0, u1, cfg = order4_setup(0.2, 25, dtype)
-        runs.append(picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg))
-    (traj, diag), (twin, tdiag) = runs
-    grid = u0.grid
-    assert traj.fields[0].coefficients.shape == grid.half_shape
-    assert twin.fields[0].coefficients.shape == grid.shape
-    assert diag.status is tdiag.status is PicardStatus.CONVERGED
-    assert diag.iterations == tdiag.iterations == 1
-    for got, want in zip(traj.fields + traj.derivatives,
-                         twin.fields + twin.derivatives):
-        err = full_layout(grid, got.coefficients) - want.coefficients
-        assert np.linalg.norm(err) <= 1e-13 * np.linalg.norm(want.coefficients)
-    assert diag.z_norms == pytest.approx(tdiag.z_norms, rel=1e-12, abs=0)
-    assert diag.data_norm == pytest.approx(tdiag.data_norm, rel=1e-12, abs=0)
-    assert diag.quadrature_error == pytest.approx(tdiag.quadrature_error,
-                                                  rel=1e-12, abs=0)
-    z = tdiag.z_norms[-1]
-    assert diag.increments == pytest.approx(tdiag.increments, rel=0, abs=1e-12 * z)
-    assert diag.ratios == pytest.approx(tdiag.ratios, rel=1e-11, abs=0)
+    # even real samples take the octant, the same samples typed complex the
+    # full layout; the two solves differ by rounding (measured: Z norms 9e-16
+    # relative, increments 3e-17 z, trajectory 1.5e-15, q 7e-14)
+    runs = [picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg)
+            for sym, u0, u1, cfg in (order4_setup(0.2, 25, layout)
+                                     for layout in ("even", "full"))]
+    assert_solves_agree(*runs, runs[0][0].fields[0].grid.even_shape)
 
 
-def test_zero_velocity_on_either_layout_gives_the_same_bits():
+@pytest.mark.parametrize("nl", [_POWER, _GENERAL], ids=["power", "general"])
+def test_even_and_half_layouts_agree(nl):
+    # the rfftn half spectrum of the same even samples, passed as
+    # coefficients, keeps the half layout: the two real solves differ by
+    # rounding alone (measured: Z norms 8e-16 relative, increments 3e-17 z,
+    # trajectory 1.5e-15, q 5e-14)
+    runs = [picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg)
+            for sym, u0, u1, cfg in (order4_setup(0.2, 25, layout)
+                                     for layout in ("even", "half"))]
+    assert runs[1][0].fields[0].coefficients.shape == runs[1][0].fields[0].grid.half_shape
+    assert_solves_agree(*runs, runs[0][0].fields[0].grid.even_shape)
+
+
+def test_zero_velocity_on_any_layout_gives_the_same_bits():
     # the benchmark passes a full-layout zero velocity, the CLI a zero on the
-    # data's half layout: zeros are Hermitian, so both solves are real
+    # data's layout: a zero datum fits any layout, so every solve takes the
+    # data's octant
     sym, u0, _, cfg = order4_setup(0.2, 25)
     grid = u0.grid
-    (traj, diag), (other, odiag) = (
-        picard_solve(u0, AbelianCoefficients(grid, np.zeros(shape, dtype=complex)),
-                     _POWER, 2.0, 2.0, sym, cfg)
-        for shape in (grid.shape, grid.half_shape))
-    assert diag.status is PicardStatus.CONVERGED and diag == odiag
-    for a, b in zip(traj.fields + traj.derivatives, other.fields + other.derivatives):
-        assert a.coefficients.shape == grid.half_shape
-        assert np.array_equal(a.coefficients, b.coefficients)
+    runs = [picard_solve(u0, AbelianCoefficients(grid, np.zeros(shape, dtype=dtype)),
+                         _POWER, 2.0, 2.0, sym, cfg)
+            for shape, dtype in ((grid.shape, complex), (grid.half_shape, complex),
+                                 (grid.even_shape, float))]
+    (traj, diag) = runs[0]
+    assert diag.status is PicardStatus.CONVERGED
+    for other, odiag in runs[1:]:
+        assert diag == odiag
+        for a, b in zip(traj.fields + traj.derivatives, other.fields + other.derivatives):
+            assert a.coefficients.shape == grid.even_shape
+            assert np.array_equal(a.coefficients, b.coefficients)
 
 
 def test_real_data_take_under_0_6_of_the_complex_twins_peak():
     # the iterate's 2H arrays and the nonlinearity's samples shrink to
-    # N_1 N_2 (N_3/2 + 1) of N entries, 9/16 on 16^3: measured 0.563
+    # N_1 N_2 (N_3/2 + 1) of N entries on the half layout, 9/16 on 16^3
+    # (measured 0.566), and to the octant on the even one (measured 0.115)
     peaks = []
-    for dtype in (float, complex):
-        sym, u0, u1, cfg = order4_setup(0.2, 41, dtype)
+    for layout in ("even", "half", "full"):
+        sym, u0, u1, cfg = order4_setup(0.2, 41, layout)
         diag, peak = traced_peak(lambda: picard_solve(
             u0, u1, _POWER, 2.0, 2.0, sym, cfg)[1])
         assert diag.status is PicardStatus.CONVERGED
         peaks.append(peak)
-    assert peaks[0] <= 0.6 * peaks[1]
+    assert peaks[0] <= peaks[1] <= 0.6 * peaks[2]
 
 
 def test_non_real_general_nonlinearity_on_real_data_is_rejected():
-    # a real solve stays on the half layout; complex data lift the limit
+    # a real solve stays on its real layout; complex data lift the limit
     rotate = GeneralNonlinearity(lambda U: 1j * np.abs(U[0]) * U[0])
-    for dtype in (float, complex):
-        sym, u0, u1, cfg = order4_setup(0.2, 9, dtype)
-        if dtype is float:
+    for layout in ("even", "half", "full"):
+        sym, u0, u1, cfg = order4_setup(0.2, 9, layout)
+        if layout != "full":
             with pytest.raises(ValueError, match="complex samples"):
                 picard_solve(u0, u1, rotate, 2.0, 2.0, sym, cfg)
         else:
@@ -993,9 +1033,29 @@ def test_non_real_general_nonlinearity_on_real_data_is_rejected():
             assert np.isfinite(diag.z_norms[-1])
 
 
+def test_complex_samples_solve_on_the_full_layout_even_where_fftn_is_hermitian(rng):
+    # fftn of real samples typed complex is exactly Hermitian on some grids
+    # (this 8^3 one) and not on others; the layout comes from the samples'
+    # dtype, never from the coefficients' values, so such data solve with a
+    # nonlinearity that returns non-real samples
+    grid = AbelianGrid((6.0,) * 3, (8, 8, 8))
+    sym = AbelianSymbol(np.ones(3), order=2, radial=True)
+    u0 = abelian_forward(AbelianField(grid, 0.1 * rng.normal(size=grid.shape) + 0j))
+    c = u0.coefficients
+    assert np.array_equal(c, np.conj(np.roll(np.flip(c), 1, axis=(0, 1, 2))))
+    u1 = AbelianCoefficients(grid, np.zeros_like(c))
+    cfg = ZNormConfig(delta=0.999 * decay_rate(2.0, 2.0),
+                      sample_times=tuple(np.linspace(0.0, 2.0, 9)))
+    rotate = GeneralNonlinearity(lambda U: 1j * np.abs(U[0]) * U[0])
+    traj, diag = picard_solve(u0, u1, rotate, 2.0, 2.0, sym, cfg)
+    assert traj.fields[-1].coefficients.shape == grid.shape
+    assert np.isfinite(diag.z_norms[-1])
+
+
 def test_complex_mu_keeps_real_data_on_the_full_layout():
-    # from rest: the trajectory's first value is zero, and Hermitian, while
-    # the later ones are complex; the decay report reads them all as they are
+    # from rest: the trajectory's first value is zero, and fits any layout,
+    # while the later ones are complex; the decay report reads them all as
+    # they are
     sym, u1, _, cfg = order4_setup(0.2, 9)
     u0 = AbelianCoefficients(u1.grid, np.zeros_like(u1.coefficients))
     traj, diag = picard_solve(u0, u1, PowerNonlinearity(1.0 + 0.5j, 2.0),
@@ -1211,6 +1271,25 @@ def test_verify_semilinear_decay_fails_a_slope_that_is_not_finite():
     traj = evolve_linear(u0, u1, 2.0, 1.0, sym, np.linspace(0.0, 6.0, 5))
     report = verify_semilinear_decay(traj, 2.0, 1.0, sym)
     assert all(np.isfinite(s) for s in report.slopes.values()) and report.passed
+
+
+def test_verify_semilinear_decay_fails_norms_that_end_growing():
+    # hand-built trajectories, every norm exp(g(t)) times one field's: g
+    # grows at slope +0.2 throughout, or falls at slope -3 over the first 40%
+    # of the samples and then grows at +0.2.  Both tails grow, so both fail.
+    # A verdict that passed slopes below +0.5 would pass both; one whose tail
+    # started at 10% of the samples would fit -0.648 to the second and pass it
+    _, sym, u0, _ = abelian_setup(1e-3)
+    times = np.linspace(0.0, 10.0, 41)
+    knee = times[16]  # the tail's first sample, floor(0.4 * 41)
+    for g in (0.2 * times,
+              np.where(times <= knee, -3.0 * times, -3.0 * knee + 0.2 * (times - knee))):
+        fields = [AbelianCoefficients(u0.grid, np.exp(v) * u0.coefficients) for v in g]
+        traj = LinearTrajectory(times, fields, fields, 2.0, 1.0)
+        report = verify_semilinear_decay(traj, 2.0, 1.0, sym)
+        assert report.tail_start == knee and not report.trivial
+        assert report.slopes == pytest.approx(dict.fromkeys(report.slopes, 0.2), rel=1e-9)
+        assert not report.passed
 
 
 def test_verify_semilinear_decay_rejects_b_and_m_not_the_trajectorys():
