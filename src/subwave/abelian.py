@@ -19,24 +19,22 @@ Parseval identity
 
 is exact for the DFT pair, so no calibration step is needed here.
 
-Layouts: a coefficient array's layout is its shape and dtype.  Complex
-samples take the full DFT layout, shape `grid.shape`.  Real samples take
-the `rfftn` half spectrum, complex of shape `grid.half_shape` =
-shape[:-1] + (N_d // 2 + 1,), which holds each coefficient once up to the
-Hermitian symmetry f^(-xi) = conj f^(xi).  Real samples exactly equal to
-their reflection s_j = s_{(N_i - j) mod N_i} on every axis (a centred
-Gaussian on a grid whose step is exact in binary) take the even layout:
-their DFT is real and even, and its octant, float64 of shape
-`grid.even_shape` = (N_i // 2 + 1 per axis), holds each coefficient once.
-Its transforms are the DCT-I as one small real matmul per axis, octant to
-octant (Martucci, IEEE Trans. Signal Process. 42(5), 1994).  In 1-D the
-even and half shapes agree and the dtype tells them apart.  The inverse
-transform returns the whole grid's samples, real from the half and even
-layouts.  Each layout holds the one before it (even < half < full):
-`_relayout` expands a datum exactly, and a zero datum fits any layout.  The
-backend model of `subwave.propagator` takes the most general layout of its
-nonzero data for a whole solve; every AbelianSymbol and every pointwise f
-keep the parity of the data, so a solve stays on that layout.
+Layouts: a coefficient array's layout is its dtype.  Real samples exactly
+equal to their reflection s_j = s_{(N_i - j) mod N_i} on every axis take
+the even layout: their DFT is real and even, and its octant, float64 of
+shape `grid.even_shape` = (N_i // 2 + 1 per axis), holds each coefficient
+once.  `AbelianGrid.axis` is exactly antisymmetric, so the samples of an
+even function, such as the centred Gaussian, are exactly even on every
+grid.  The even layout's transforms are the DCT-I as one small real matmul
+per axis, octant to octant (Martucci, IEEE Trans. Signal Process. 42(5),
+1994).  All other samples, complex or real, take the full DFT layout,
+complex of shape `grid.shape`.  The inverse transform returns the whole
+grid's samples, real from the even layout.  The full layout holds the even
+one: `_relayout` unfolds an octant exactly, and a zero datum fits either
+layout.  The backend model of `subwave.propagator` takes the full layout
+for a whole solve when a nonzero datum has it, else the even one; every
+AbelianSymbol and every pointwise f keep the parity of the data, so a
+solve stays on that layout.
 """
 
 from __future__ import annotations
@@ -81,8 +79,12 @@ class AbelianGrid:
         return len(self.shape)
 
     def axis(self, i: int) -> np.ndarray:
+        """The i-th axis, x_j = (2j - N) R / N: exactly antisymmetric,
+        x_{N - j} == -x_j bitwise, since the products (+-k) (R / N) round
+        alike.  Where the step 2R / N is exact in binary these are the bits
+        of -R + j (2R / N)."""
         r, n = self.half_widths[i], self.shape[i]
-        return -r + (2.0 * r / n) * np.arange(n)
+        return (2.0 * np.arange(n) - n) * (r / n)
 
     @property
     def spacings(self) -> tuple:
@@ -101,11 +103,6 @@ class AbelianGrid:
 
     def meshgrid(self):
         return np.meshgrid(*(self.axis(i) for i in range(self.dim)), indexing="ij")
-
-    @property
-    def half_shape(self) -> tuple:
-        """The half-spectrum (rfftn) layout of real fields."""
-        return self.shape[:-1] + (self.shape[-1] // 2 + 1,)
 
     @property
     def even_shape(self) -> tuple:
@@ -140,26 +137,25 @@ class AbelianField:
 
 class AbelianCoefficients:
     """Continuum-normalized DFT coefficients on the dual grid, on one of the
-    layouts of the module docstring: complex on the full one (shape
-    grid.shape) or the half spectrum (grid.half_shape), float64 on the
-    octant of an even field (grid.even_shape).  A real array of the octant's
-    shape is even; any other array is taken as complex."""
+    two layouts of the module docstring: float64 on the octant of an even
+    field (grid.even_shape), else complex on the full one (grid.shape).  A
+    real array of the octant's shape is even; an array of the grid's shape
+    is taken as complex."""
 
     def __init__(self, grid: AbelianGrid, coefficients: np.ndarray):
         c = np.asarray(coefficients)
         even = np.isrealobj(c) and c.shape == grid.even_shape
         c = c.astype(float if even else complex, copy=False)
-        if not even and c.shape not in (grid.shape, grid.half_shape):
+        if not even and c.shape != grid.shape:
             raise ValueError(f"coefficient shape {c.shape} is neither grid shape "
-                             f"{grid.shape}, its half {grid.half_shape} nor, "
-                             f"real, its octant {grid.even_shape}")
+                             f"{grid.shape} nor, real, its octant {grid.even_shape}")
         self.grid = grid
         self.coefficients = c
 
     @property
     def layout(self) -> str:
-        """"even", "half" or "full"."""
-        return _layout(self.coefficients, self.grid)
+        """"even" or "full"."""
+        return _layout(self.coefficients)
 
 
 def abelian_from_function(grid: AbelianGrid, fn) -> AbelianField:
@@ -168,34 +164,28 @@ def abelian_from_function(grid: AbelianGrid, fn) -> AbelianField:
 
 def abelian_forward(field: AbelianField) -> AbelianCoefficients:
     grid, s = field.grid, field.samples
-    if np.iscomplexobj(s):
-        layout = "full"
-    elif all(np.array_equal(t := s[(slice(None),) * i + (slice(1, None),)],
-                            np.flip(t, i)) for i in range(grid.dim)):
+    layout = "full"
+    if np.isrealobj(s) and all(
+            np.array_equal(t := s[(slice(None),) * i + (slice(1, None),)], np.flip(t, i))
+            for i in range(grid.dim)):
         # s_j = s_{N - j} for j = 1 .. N - 1 on every axis
         layout, s = "even", s[tuple(slice(h) for h in grid.even_shape)]
-    else:
-        layout = "half"
     return AbelianCoefficients(grid, _forward(s, grid, layout))
 
 
-def abelian_inverse(coeffs: AbelianCoefficients, work=None) -> AbelianField:
+def abelian_inverse(coeffs: AbelianCoefficients) -> AbelianField:
     """The samples of coeffs on the whole grid.  They are finite when the
-    coefficients are, and are not checked again.  From the full and half
-    layouts they are the bits of (i)rfftn / cell_volume; see `_samples`."""
+    coefficients are, and are not checked again.  From the full layout they
+    are the bits of ifftn / cell_volume."""
     grid, layout = coeffs.grid, coeffs.layout
-    out = _samples(coeffs.coefficients, grid, layout, work)
+    out = _samples(coeffs.coefficients, grid, layout)
     if layout == "even":
-        out = _unfold(out, grid, range(grid.dim))
+        out = _unfold(out, grid)
     return _field(grid, out)
 
 
-def _layout(c: np.ndarray, grid: AbelianGrid) -> str:
-    return "even" if c.dtype == float else "full" if c.shape == grid.shape else "half"
-
-
-# the layouts, each holding the ones before it
-_LAYOUTS = ("even", "half", "full")
+def _layout(c: np.ndarray) -> str:
+    return "even" if c.dtype == float else "full"
 
 
 def _multiplicities(n: int) -> np.ndarray:
@@ -230,37 +220,20 @@ def _cosine(a: np.ndarray, grid: AbelianGrid, scale: float) -> np.ndarray:
 def _forward(s: np.ndarray, grid: AbelianGrid, layout: str) -> np.ndarray:
     """The coefficients on the layout of the samples s, the octant of them
     for even.  out= (NumPy >= 2.0) keeps the FFT to one array for all axes;
-    scaling it in place gives the bits of (r)fftn(s) * cell_volume."""
+    scaling it in place gives the bits of fftn(s) * cell_volume."""
     if layout == "even":
         return _cosine(s, grid, grid.cell_volume)
-    if layout == "half":
-        out = np.fft.rfftn(s, out=np.empty(grid.half_shape, dtype=complex))
-    else:
-        out = np.fft.fftn(s, out=np.empty(grid.shape, dtype=complex))
+    out = np.fft.fftn(s, out=np.empty(grid.shape, dtype=complex))
     out *= grid.cell_volume
     return out
 
 
-def _samples(c: np.ndarray, grid: AbelianGrid, layout: str, work=None) -> np.ndarray:
+def _samples(c: np.ndarray, grid: AbelianGrid, layout: str) -> np.ndarray:
     """The samples of the coefficients c on the layout: the octant of the
-    samples for even, else the whole grid's, real from the half layout.
-
-    From the half layout these are irfftn's passes, one axis at a time: the
-    leading axes in place in work, a complex array of the coefficients'
-    shape (a new one if None), where irfftn makes a new array per axis.  A
-    caller that passes the same work on every call keeps those passes in
-    one hot array.
-    """
+    samples for even, else the whole grid's."""
     if layout == "even":
         return _cosine(c, grid, 1.0 / grid.volume)
-    if layout == "half":
-        if work is None:
-            work = np.empty(c.shape, dtype=complex)
-        for axis in range(grid.dim - 1):
-            c = np.fft.ifft(c, axis=axis, out=work)
-        out = np.fft.irfft(c, n=grid.shape[-1], axis=-1, out=np.empty(grid.shape))
-    else:
-        out = np.fft.ifftn(c, out=np.empty(grid.shape, dtype=complex))
+    out = np.fft.ifftn(c, out=np.empty(grid.shape, dtype=complex))
     # NumPy divides complex by real as this product, bit for bit, but slower
     out *= 1.0 / grid.cell_volume
     return out
@@ -274,33 +247,23 @@ def _field(grid: AbelianGrid, samples: np.ndarray) -> AbelianField:
     return field
 
 
-def _unfold(a: np.ndarray, grid: AbelianGrid, axes) -> np.ndarray:
-    """The octant a reflected out to the whole grid on the given axes: index
-    j reads octant index min(j, N - j)."""
-    return a[np.ix_(*(np.minimum(np.arange(n), n - np.arange(n)) if i in axes
-                      else np.arange(a.shape[i]) for i, n in enumerate(grid.shape)))]
+def _unfold(a: np.ndarray, grid: AbelianGrid) -> np.ndarray:
+    """The octant a reflected out to the whole grid on every axis: index j
+    reads octant index min(j, N - j)."""
+    return a[np.ix_(*(np.minimum(np.arange(n), n - np.arange(n)) for n in grid.shape))]
 
 
 def _relayout(c: np.ndarray, grid: AbelianGrid, layout: str) -> np.ndarray:
     """The coefficient array c on the layout: c itself when it is there
-    already, and zeros there when c is zero.  Else it expands exactly,
-    even -> half by reflection of the leading axes and half -> full by the
-    Hermitian completion c(-xi) = conj c(xi); a nonzero c on a more general
-    layout is a ValueError, since no fold keeps its field."""
-    have = _layout(c, grid)
-    if have != layout and not c.any():  # expand the zero octant
+    already, and zeros there when c is zero.  Else an octant unfolds to the
+    full layout, c(xi) = c(|xi|) on every axis; a nonzero full array on the
+    even layout is a ValueError, since no fold keeps its field."""
+    have = _layout(c)
+    if have != layout and not c.any():  # unfold the zero octant
         c, have = np.zeros(grid.even_shape), "even"
     if have == layout:
         return c
-    if _LAYOUTS.index(have) > _LAYOUTS.index(layout):
-        raise ValueError(f"a field on the {have} layout does not fit the "
-                         f"{layout} layout: pass it among the model's data")
-    if have == "even":
-        c = _unfold(c, grid, range(grid.dim - 1)).astype(complex)
-        if layout == "half":
-            return c
-    h = grid.half_shape[-1]
-    full = np.zeros(grid.shape, dtype=complex)
-    full[..., :h] = c
-    full[..., h:] = np.conj(np.roll(np.flip(full), 1, axis=tuple(range(grid.dim)))[..., h:])
-    return full
+    if have == "full":
+        raise ValueError("a field on the full layout does not fit the even "
+                         "layout: pass it among the model's data")
+    return _unfold(c, grid).astype(complex)

@@ -18,10 +18,9 @@ backend       {"kind": "heisenberg", "n": 1}
               | {"kind": "abelian", "half_widths": [..], "shape": [..],
                  "coefficients": [..], "order", "radial": true};
               the abelian backend serves evolve-linear, verify-decay and
-              evolve-semilinear on one of the three coefficient layouts of
+              evolve-semilinear on the coefficient layouts of
               `subwave.abelian`: its centred Gaussian is the even octant
-              when its samples are exactly even (a grid step exact in
-              binary), else the real half spectrum
+              on every grid
 grid          heisenberg only: {"lambda_min", "lambda_max", "nodes", "mu_max"}
 synth         heisenberg only: {"half_widths": [x,y,tau], "shape": [nx,ny,nt]}
 b, m          damping and mass, positive numbers

@@ -25,9 +25,9 @@ on an FFT grid, each symbol giving its values on its own layout.  It is the
 only code that reads a backend's norm weighting, and the package's one home
 for the homogeneous Sobolev norms ||R^{a/nu} u||.  It works on raw
 coefficient arrays c on one layout, which on the abelian backend is the
-half spectrum or, for data even on every axis, the octant of real cosine
-coefficients when the data are real (see `subwave.abelian`).  The first
-half, `_Norms(data, provider)`, is the function space:
+octant of real cosine coefficients for real data even on every axis, else
+the full DFT layout (see `subwave.abelian`).  The first half,
+`_Norms(data, provider)`, is the function space:
 
     l2(c)             L^2 norm
     sobolev(c, s)     inhomogeneous norm with multiplier (1 + R)^{2s/nu}
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .abelian import _LAYOUTS, AbelianCoefficients, _layout, _multiplicities, _relayout
+from .abelian import AbelianCoefficients, _layout, _multiplicities, _relayout
 from .spectral import SpectralField, SubLaplacianSymbol
 
 __all__ = [
@@ -194,13 +194,12 @@ class _Norms:
 
     data is one field or the Cauchy data (u0, u1); the model's grid and type
     are those of its first field.  The abelian layout is taken once, from
-    all of data, by the rule of `subwave.abelian`: the most general layout
-    of the nonzero data, or the full one when real is false.  The half
-    layout folds the last axis, the even one every axis; there the weights
-    slot holds the outer product of the folded axes' multiplicities (2 for
-    an index k that stands for k and -k, 1 for k = 0 and, at even N, the
-    Nyquist index), and the symbol is R on the folded indices, the first
-    of the full values since every AbelianSymbol is even in each
+    all of data, by the rule of `subwave.abelian`: full when a nonzero datum
+    is on it (any datum, when all are zero) or real is false, else even.  The even layout folds every
+    axis: the weights slot holds the outer product of the axes'
+    multiplicities (2 for an index k that stands for k and -k, 1 for k = 0
+    and, at even N, the Nyquist index), and the symbol is R on the octant,
+    the first of the full values since every AbelianSymbol is even in each
     coordinate.  `unwrap` puts any field on the model's layout.
     """
 
@@ -215,22 +214,18 @@ class _Norms:
         elif isinstance(state, AbelianCoefficients):
             if provider is None:
                 raise ValueError("abelian trajectories need an explicit symbol provider")
-            rank = max((bool(c.any()), _LAYOUTS.index(_layout(c, self.grid)))
+            full = max((bool(c.any()), _layout(c) == "full")
                        for c in map(self._coefficients, data))[1]
-            self.layout = _LAYOUTS[rank] if real else "full"
+            self.layout = "full" if full or not real else "even"
             self.weights, self.volume = None, state.grid.volume
         else:
             raise TypeError(f"unsupported state type {type(state).__name__}")
         self.nu = provider.nu
         self.sym = provider.values(self.grid)
-        if self.layout in ("even", "half"):
-            folded = [self.layout == "even" or i == self.grid.dim - 1
-                      for i in range(self.grid.dim)]
-            self.weights = math.prod(np.ix_(*(
-                _multiplicities(n) if f else np.ones(1)
-                for n, f in zip(self.grid.shape, folded))))
-            self.sym = np.ascontiguousarray(self.sym[tuple(
-                slice(n // 2 + 1 if f else n) for n, f in zip(self.grid.shape, folded))])
+        if self.layout == "even":
+            self.weights = math.prod(np.ix_(*map(_multiplicities, self.grid.shape)))
+            self.sym = np.ascontiguousarray(
+                self.sym[tuple(slice(h) for h in self.grid.even_shape)])
         self._mults, self._weighted_mults = {}, {}
 
     def wrap(self, c):
@@ -243,7 +238,7 @@ class _Norms:
 
     def unwrap(self, u):
         """The coefficients of u on the model's layout; u must be a field on
-        the model's grid, on that layout or a less general one, or zero."""
+        the model's grid, on that layout or the even one, or zero."""
         c = self._coefficients(u)
         return c if self.layout is None else _relayout(c, self.grid, self.layout)
 

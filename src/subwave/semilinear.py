@@ -33,9 +33,9 @@ to which `_make_model` adds nonlinearity(c, nl, strict), the coefficients of
 f(u): on a Heisenberg mode grid by synthesis to a box and re-analysis; on
 an FFT grid (symbol of even order nu) through the inverse transform of the
 model's layout, with the tuple U = (u, R^{1/nu}u, ...) of a
-GeneralNonlinearity from the model's multipliers.  Real abelian data (and a
-real mu) stay on the half or even layout of `subwave.abelian` (on the even
-one f acts on the octant of the samples), where non-real f samples are a
+GeneralNonlinearity from the model's multipliers.  Real abelian data even
+on every axis (and a real mu) stay on the even layout of `subwave.abelian`,
+where f acts on the octant of the samples and non-real f samples are a
 ValueError; real Heisenberg data synthesize to float64 samples.  A failed
 boundary-decay gate, or non-finite f samples, raise NumericalFailure.
 """
@@ -183,17 +183,11 @@ class _HeisenbergModel(_Model):
 
 
 class _AbelianModel(_Model):
-    def __init__(self, data, provider, b, m, real=True):
-        super().__init__(data, provider, b, m, real)
-        # the half layout's inverse FFT passes over the leading axes, in place
-        self._work = (np.empty(self.sym.shape, dtype=complex)
-                      if self.layout == "half" else None)
-
     def nonlinearity(self, c, nl, strict: bool = True):
         def samples(j):
             # R^{j/nu} is the multiplier of order j/2
             cj = c if j == 0 else self.multiplier(0.5 * j) * c
-            return _samples(cj, self.grid, self.layout, self._work)
+            return _samples(cj, self.grid, self.layout)
 
         out = _evaluate(nl, samples, max(1, (self.nu + 1) // 2))
         if self.layout == "full":

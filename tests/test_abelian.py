@@ -1,6 +1,8 @@
 """Periodic FFT backend: exact Parseval, round trips, and the backend model's
 norm multipliers."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,27 @@ def test_grid_axes_exclude_right_endpoint():
     assert grid.cell_volume == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("half_widths, shape", [
+    ((6.0,) * 3, (30,) * 3), ((7.3,) * 3, (33,) * 3), ((1.1,), (17,)),
+    ((6.0,) * 3, (32,) * 3), ((5.0, 8.5), (20, 34))],
+    ids=["30", "33", "1d", "binary-32", "binary-2d"])
+def test_grid_axis_is_exactly_antisymmetric(half_widths, shape):
+    # x_{N - j} == -x_j for j = 1 .. N - 1, also where the step 2R / N is
+    # not exact in binary, so a centred Gaussian's samples are exactly even
+    # and take the octant on every grid; where the step is exact the axis
+    # keeps the bits of -R + j (2R / N)
+    grid = AbelianGrid(half_widths, shape)
+    for i, (r, n) in enumerate(zip(half_widths, shape)):
+        ax, step = grid.axis(i), grid.spacings[i]
+        assert np.array_equal(ax[1:], -ax[:0:-1])
+        if Fraction(step) == Fraction(2 * r) / n:
+            assert np.array_equal(ax, -r + step * np.arange(n))
+        assert ax[0] == pytest.approx(-r, rel=1e-15)
+        assert np.diff(ax) == pytest.approx(step, rel=1e-13)
+    f = abelian_from_function(grid, lambda *x: np.exp(-sum(c * c for c in x) / 2.0))
+    assert abelian_forward(f).layout == "even"
+
+
 def random_field(grid, rng):
     return AbelianField(grid, rng.normal(size=grid.shape)
                         + 1j * rng.normal(size=grid.shape))
@@ -66,30 +89,11 @@ def test_fft_wrappers_are_bitwise_the_scaled_numpy_transforms(rng):
     c = AbelianCoefficients(grid, random_field(grid, rng).samples)
     assert np.array_equal(abelian_inverse(c).samples,
                           np.fft.ifftn(c.coefficients) / grid.cell_volume)
-    # real samples: the half spectrum, and real samples back
+    # real samples that are not even take the full layout, through fftn
     x = rng.normal(size=grid.shape)
-    assert np.array_equal(abelian_forward(AbelianField(grid, x)).coefficients,
-                          np.fft.rfftn(x) * grid.cell_volume)
-    half = rng.normal(size=grid.half_shape) + 1j * rng.normal(size=grid.half_shape)
-    back = abelian_inverse(AbelianCoefficients(grid, half)).samples
-    assert back.dtype == float
-    assert np.array_equal(back, np.fft.irfftn(half, s=grid.shape, axes=(0, 1, 2))
-                          * (1.0 / grid.cell_volume))
-
-
-@pytest.mark.parametrize("shape", [(16, 12, 20), (12, 10, 9), (18,)],
-                         ids=["even", "odd", "1d"])
-def test_inverse_through_one_work_array_keeps_the_bits(shape, rng):
-    # the passes over the leading axes run in the caller's work array, one
-    # array for every call; the samples are irfftn's bits all the same
-    grid = AbelianGrid((3.0, 2.0, 4.0)[:len(shape)], shape)
-    work = np.empty(grid.half_shape, dtype=complex)
-    for _ in range(2):
-        half = rng.normal(size=grid.half_shape) + 1j * rng.normal(size=grid.half_shape)
-        back = abelian_inverse(AbelianCoefficients(grid, half), work=work).samples
-        assert np.array_equal(back, np.fft.irfftn(half, s=grid.shape,
-                                                  axes=tuple(range(grid.dim)))
-                              * (1.0 / grid.cell_volume))
+    coeffs = abelian_forward(AbelianField(grid, x))
+    assert coeffs.layout == "full"
+    assert np.array_equal(coeffs.coefficients, np.fft.fftn(x) * grid.cell_volume)
 
 
 def even_samples(grid, rng):
@@ -104,64 +108,55 @@ def even_samples(grid, rng):
 @pytest.mark.parametrize("shape", [(16, 12, 20), (12, 10, 9)], ids=["even", "odd"])
 def test_layouts_convert_by_hermitian_completion(shape, rng):
     grid = AbelianGrid((3.0, 2.0, 4.0), shape)
-    x = rng.normal(size=shape)
-    half = abelian_forward(AbelianField(grid, x)).coefficients
-    full = abelian_forward(AbelianField(grid, x.astype(complex))).coefficients
-    assert half.shape == grid.half_shape and full.shape == grid.shape
-    completed = _relayout(half, grid, "full")
-    assert np.array_equal(completed[..., :grid.half_shape[-1]], half)
-    assert np.allclose(completed, full, rtol=0, atol=1e-13 * np.abs(full).max())
-    assert _relayout(half, grid, "half") is half and _relayout(full, grid, "full") is full
-    # no array folds to a less general layout, not even an exactly
-    # Hermitian one; only zeros fit every layout
-    a = random_field(grid, rng).samples
-    herm = 0.5 * (a + np.conj(np.roll(np.flip(a), 1, axis=(0, 1, 2))))
-    for c, layouts in ((herm, ("half", "even")), (half, ("even",))):
-        for layout in layouts:
-            with pytest.raises(ValueError, match="does not fit"):
-                _relayout(c, grid, layout)
-    for layout, want in (("half", grid.half_shape), ("even", grid.even_shape)):
-        zero = _relayout(np.zeros(shape, dtype=complex), grid, layout)
-        assert zero.shape == want and not zero.any()
-        assert zero.dtype == (float if layout == "even" else complex)
-    # the octant expands to the half spectrum and on to the full layout
-    # exactly: every step copies entries, c(-xi) = c(xi) = conj c(xi)
+    # the octant unfolds to the full layout exactly: every entry is a copy,
+    # c(-xi) = c(xi) = conj c(xi) on every axis
     e = even_samples(grid, rng)
     octant = abelian_forward(AbelianField(grid, e)).coefficients
     assert octant.dtype == float and octant.shape == grid.even_shape
-    as_half = _relayout(octant, grid, "half")
-    assert as_half.shape == grid.half_shape and not np.any(as_half.imag)
-    assert np.array_equal(_relayout(octant, grid, "full"), _relayout(as_half, grid, "full"))
-    ref = np.fft.rfftn(e) * grid.cell_volume
-    assert np.abs(as_half - ref).max() <= 1e-14 * np.abs(ref).max()
+    full = _relayout(octant, grid, "full")
+    assert full.dtype == complex and full.shape == grid.shape and not np.any(full.imag)
+    assert np.array_equal(full[tuple(slice(h) for h in grid.even_shape)], octant)
+    assert np.array_equal(full, np.conj(np.roll(np.flip(full), 1, axis=(0, 1, 2))))
+    ref = np.fft.fftn(e) * grid.cell_volume
+    assert np.abs(full - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert _relayout(octant, grid, "even") is octant and _relayout(full, grid, "full") is full
+    # no array folds to the octant, not even this exactly Hermitian and even
+    # one; only zeros fit either layout
+    with pytest.raises(ValueError, match="does not fit"):
+        _relayout(full, grid, "even")
+    for have, layout, want in ((np.zeros(shape, dtype=complex), "even", grid.even_shape),
+                               (np.zeros(grid.even_shape), "full", shape)):
+        zero = _relayout(have, grid, layout)
+        assert zero.shape == want and not zero.any()
+        assert zero.dtype == (float if layout == "even" else complex)
 
 
 @pytest.mark.parametrize("shape", [(16, 16, 16), (9, 12, 15), (32,)],
                          ids=["even", "odd", "1d"])
 def test_even_layout_transforms_match_rfftn(shape, rng):
-    # the octant's three matmuls (one in 1-D) against rfftn and irfftn on
+    # the octant's three matmuls (one in 1-D) against fftn and ifftn on
     # exactly even samples
     grid = AbelianGrid((3.0, 2.0, 4.0)[:len(shape)], shape)
     e = even_samples(grid, rng)
     coeffs = abelian_forward(AbelianField(grid, e))
     assert coeffs.layout == "even" and coeffs.coefficients.shape == grid.even_shape
-    ref = (np.fft.rfftn(e) * grid.cell_volume)[tuple(slice(h) for h in grid.even_shape)]
+    ref = np.fft.fftn(e) * grid.cell_volume
     assert np.abs(ref.imag).max() <= 1e-14 * np.abs(ref).max()
-    assert np.abs(coeffs.coefficients - ref.real).max() <= 1e-14 * np.abs(ref).max()
+    octant = ref[tuple(slice(h) for h in grid.even_shape)].real
+    assert np.abs(coeffs.coefficients - octant).max() <= 1e-14 * np.abs(ref).max()
     back = abelian_inverse(coeffs).samples
     assert back.dtype == float and back.shape == grid.shape
-    want = np.fft.irfftn(_relayout(coeffs.coefficients, grid, "half"), s=shape,
-                         axes=tuple(range(grid.dim))) / grid.cell_volume
+    want = np.fft.ifftn(_relayout(coeffs.coefficients, grid, "full")) / grid.cell_volume
     assert np.abs(back - want).max() <= 1e-14 * np.abs(want).max()
     assert np.abs(back - e).max() <= 1e-14 * np.abs(e).max()
 
 
 def test_forward_takes_the_layout_from_the_samples():
-    # exactly even real samples take the octant; a centred Gaussian on a
-    # grid whose step is exact in binary is one, an off-centre one is not,
-    # and the same samples typed complex take the full layout
+    # exactly even real samples take the octant; a centred Gaussian is one,
+    # an off-centre one is not and takes the full layout, as do the same
+    # samples typed complex
     grid = AbelianGrid((6.0,) * 3, (32,) * 3)
-    for centre, layout in ((0.0, "even"), (0.5, "half")):
+    for centre, layout in ((0.0, "even"), (0.5, "full")):
         f = abelian_from_function(grid, lambda x, y, z: np.exp(
             -((x - centre) ** 2 + y * y + z * z) / 2.0))
         assert abelian_forward(f).layout == layout
@@ -225,11 +220,11 @@ def test_field_and_coefficient_validation():
         AbelianField(grid, np.full(8, np.nan))
     with pytest.raises(ValueError, match="shape"):
         AbelianCoefficients(grid, np.zeros(9))
-    # the layout is the shape and the dtype: N entries, or N // 2 + 1
-    # complex for a real field and real for an even one, which in 1-D hold
-    # the same field
+    # the layout is the dtype: N // 2 + 1 real entries for an even field,
+    # else N, taken as complex; complex entries on the octant are no layout
     assert AbelianCoefficients(grid, np.zeros(5)).layout == "even"
-    assert AbelianCoefficients(grid, np.zeros(5, dtype=complex)).layout == "half"
+    with pytest.raises(ValueError, match="octant"):
+        AbelianCoefficients(grid, np.zeros(5, dtype=complex))
     assert AbelianCoefficients(grid, np.zeros(8)).layout == "full"
     assert AbelianCoefficients(grid, np.zeros(8)).coefficients.dtype == complex
     with pytest.raises(ValueError, match="shape"):

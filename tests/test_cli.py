@@ -240,10 +240,11 @@ def test_evolve_semilinear_abelian(tmp_path):
 
 
 def test_abelian_semilinear_run_solves_on_the_even_layout(tmp_path, monkeypatch):
-    # the CLI's centred Gaussian is exactly even on this grid, so its solve
-    # runs on the octant of cosine coefficients; a fall back to the half
-    # spectrum would show only as lost speed without this check (an
-    # off-centre Gaussian keeps the half spectrum: test_abelian.py)
+    # the CLI's centred Gaussian is exactly even on every grid, here one
+    # whose steps are exact in binary and one whose steps are not, so its
+    # solve runs on the octant of cosine coefficients; a fall back to the
+    # full layout would show only as lost speed without this check (an
+    # off-centre Gaussian takes the full layout: test_abelian.py)
     from subwave import semilinear
 
     layouts, make = [], semilinear._make_model
@@ -254,10 +255,14 @@ def test_abelian_semilinear_run_solves_on_the_even_layout(tmp_path, monkeypatch)
         return model
 
     monkeypatch.setattr(semilinear, "_make_model", recording)
-    cfg = write_config(tmp_path, SEMILINEAR_CONFIG)
-    assert main(["evolve-semilinear", "--config", cfg, "--out",
-                 str(tmp_path / "out")]) == 0
-    assert layouts == ["even"]
+    uneven = {**SEMILINEAR_CONFIG["backend"], "half_widths": [5.0, 6.0, 7.3],
+              "shape": [24, 20, 17]}
+    for k, backend in enumerate((SEMILINEAR_CONFIG["backend"], uneven)):
+        cfg = write_config(tmp_path, {**SEMILINEAR_CONFIG, "backend": backend},
+                           f"config{k}.json")
+        assert main(["evolve-semilinear", "--config", cfg, "--out",
+                     str(tmp_path / f"out{k}")]) == 0
+    assert layouts == ["even", "even"]
 
 
 @pytest.mark.parametrize("subcommand", ["evolve-linear", "verify-decay"])

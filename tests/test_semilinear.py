@@ -358,7 +358,7 @@ def test_cauchy_data_on_two_grids_is_rejected(backend):
 def test_evolve_linear_abelian_matches_propagate_mode(rng):
     # half width pi puts the frequencies on the integers, so with b = 2 and
     # m = 0 the modes |xi| = 0, 1, > 1 cover all three damping regimes; real
-    # samples take the half spectrum, complex ones the full layout
+    # samples that are not even take the full layout, as complex ones do
     grid = AbelianGrid((np.pi, np.pi), (8, 8))
     sym = AbelianSymbol(np.ones(2), order=2, radial=True)
     b, m = 2.0, 0.0
@@ -368,14 +368,14 @@ def test_evolve_linear_abelian_matches_propagate_mode(rng):
         x = rng.normal(size=grid.shape)
         return x + 1j * rng.normal(size=grid.shape) if imag else x
 
-    for imag, shape in ((False, grid.half_shape), (True, grid.shape)):
+    omega2 = sym.values(grid)
+    for imag in (False, True):
         u0, u1 = (abelian_forward(AbelianField(grid, samples(imag))) for _ in range(2))
-        assert u0.coefficients.shape == u1.coefficients.shape == shape
+        assert u0.layout == u1.layout == "full"
         traj = evolve_linear(u0, u1, b, m, sym, cfg.sample_times)
         vals = np.array([f.coefficients for f in traj.fields])
         ders = np.array([d.coefficients for d in traj.derivatives])
-        omega2 = sym.values(grid)[..., :shape[-1]]
-        for mode in np.ndindex(shape):
+        for mode in np.ndindex(grid.shape):
             val, der = propagate_mode(b, m, float(omega2[mode]), u0.coefficients[mode],
                                       u1.coefficients[mode], traj.times)
             scale = abs(u0.coefficients[mode]) + abs(u1.coefficients[mode])
@@ -597,19 +597,12 @@ def test_picard_factor_work_is_linear_in_samples(monkeypatch):
 
 
 def full_layout(grid, c):
-    """c on the full DFT layout: a half spectrum is completed entry by entry
-    by c(-xi) = conj c(xi), and the real octant of an even field by
+    """c on the full DFT layout: the real octant of an even field unfolds by
     c(xi) = c(|xi|) on every axis, independent of `subwave.abelian`."""
-    if c.shape == grid.shape:
+    if c.dtype == complex:
         return c
     idx = np.indices(grid.shape)
-    if c.dtype == float:
-        return c[tuple(np.minimum(i, n - i) for i, n in zip(idx, grid.shape))] + 0j
-    own = idx[-1] < c.shape[-1]
-    full = np.empty(grid.shape, dtype=complex)
-    full[own] = c[tuple(i[own] for i in idx)]
-    full[~own] = np.conj(c[tuple((-i[~own]) % n for i, n in zip(idx, grid.shape))])
-    return full
+    return c[tuple(np.minimum(i, n - i) for i, n in zip(idx, grid.shape))] + 0j
 
 
 def abelian_l2(grid, c, mult=1.0):
@@ -695,18 +688,14 @@ def list_based_picard(u0, u1, nl, b, m, sym, cfg, tol, closed_form=False):
 
 def centred_data(grid, samples, layout):
     """The transform of real samples even on every axis on the layout: the
-    octant (even), the rfftn half spectrum passed as coefficients (half),
-    or the samples typed complex (full)."""
-    if layout == "half":
-        return AbelianCoefficients(grid, np.fft.rfftn(samples) * grid.cell_volume)
+    octant (even), or the samples typed complex (full)."""
     u = abelian_forward(AbelianField(grid, samples + 0j if layout == "full" else samples))
     assert u.layout == layout
     return u
 
 
 def order4_setup(scale, H, layout="even"):
-    """Gaussian data on the octant of an even field, or on the half or full
-    layout."""
+    """Gaussian data on the octant of an even field, or on the full layout."""
     grid = AbelianGrid((6.0,) * 3, (16, 16, 16))
     sym = AbelianSymbol(np.ones(3), order=4, radial=True)
     gauss = abelian_from_function(
@@ -836,29 +825,33 @@ def test_heisenberg_boundary_failure_fails_the_solve(calibrated_grid, synth_box)
 
 
 # --------------------------------------------------------------------------
-# the half-spectrum and even layouts of real data on the abelian backend
+# the even and full layouts of real data on the abelian backend
 
 
-def test_mass_shift_oracle_has_time_order_2_on_all_three_layouts():
+def test_mass_shift_oracle_has_time_order_2_on_both_layouts():
     # f(u) = c u makes the mild solution the linear evolution with mass
     # m - c, one closed-form step to T.  The trapezoid Duhamel rule is second
     # order in the step: measured errors at T 1.94e-2, 4.80e-3, 1.20e-3 and
-    # 2.99e-4 at H = 9, 17, 33, 65 (orders 2.01, 2.00, 2.00) on every layout,
-    # which agree to 6e-13 relative (2e-16 of the solution); wrong Hermitian
-    # or octant weights would move the norms of the half and even layouts by
-    # O(1)
+    # 2.99e-4 at H = 9, 17, 33, 65 (orders 2.01, 2.00, 2.00) on both layouts,
+    # which agree to 6e-13 relative (2e-16 of the solution); wrong octant
+    # weights would move the norms of the even layout by O(1).  The real
+    # Gaussian moved by 0.3, not even, takes the full layout, with errors
+    # equal to 8 digits: a shift only turns each mode's phase
     grid = AbelianGrid((6.0,) * 3, (16, 16, 16))
     sym = AbelianSymbol(np.ones(3), order=2, radial=True)
     b, m, c, T = 2.0, 2.0, 0.5, 4.0
     shift = GeneralNonlinearity(lambda U: c * U[0])
     gauss = abelian_from_function(
         grid, lambda x, y, z: np.exp(-(x * x + y * y + z * z) / 2.0))
+    off = abelian_forward(abelian_from_function(
+        grid, lambda x, y, z: np.exp(-((x - 0.3) ** 2 + y * y + z * z) / 2.0)))
     errors = {}
-    for layout in ("even", "half", "full"):
-        u0 = centred_data(grid, gauss.samples, layout)
+    for layout, u0 in (("even", centred_data(grid, gauss.samples, "even")),
+                       ("full", centred_data(grid, gauss.samples, "full")),
+                       ("off-centre", off)):
         u1 = AbelianCoefficients(grid, np.zeros_like(u0.coefficients))
         model = semilinear._make_model((u0, u1), sym, b, m)
-        assert model.layout == layout
+        assert model.layout == ("even" if layout == "even" else "full")
         want = model.unwrap(evolve_linear(u0, u1, b, m - c, sym, [0.0, T]).fields[-1])
         errors[layout] = []
         for H in (9, 17, 33, 65):
@@ -872,8 +865,7 @@ def test_mass_shift_oracle_has_time_order_2_on_all_three_layouts():
         errs = np.array(errors[layout])
         orders = np.log2(errs[:-1] / errs[1:])
         assert np.all(np.abs(orders - 2.0) <= 0.05), (layout, orders)
-    for layout in ("even", "half"):
-        assert errors[layout] == pytest.approx(errors["full"], rel=1e-10, abs=0)
+    assert errors["even"] == pytest.approx(errors["full"], rel=1e-10, abs=0)
 
 
 def test_richardson_estimate_tracks_the_true_horizon_error():
@@ -974,19 +966,6 @@ def test_real_data_and_their_complex_twin_agree(nl):
     assert_solves_agree(*runs, runs[0][0].fields[0].grid.even_shape)
 
 
-@pytest.mark.parametrize("nl", [_POWER, _GENERAL], ids=["power", "general"])
-def test_even_and_half_layouts_agree(nl):
-    # the rfftn half spectrum of the same even samples, passed as
-    # coefficients, keeps the half layout: the two real solves differ by
-    # rounding alone (measured: Z norms 8e-16 relative, increments 3e-17 z,
-    # trajectory 1.5e-15, q 5e-14)
-    runs = [picard_solve(u0, u1, nl, 2.0, 2.0, sym, cfg)
-            for sym, u0, u1, cfg in (order4_setup(0.2, 25, layout)
-                                     for layout in ("even", "half"))]
-    assert runs[1][0].fields[0].coefficients.shape == runs[1][0].fields[0].grid.half_shape
-    assert_solves_agree(*runs, runs[0][0].fields[0].grid.even_shape)
-
-
 def test_zero_velocity_on_any_layout_gives_the_same_bits():
     # the benchmark passes a full-layout zero velocity, the CLI a zero on the
     # data's layout: a zero datum fits any layout, so every solve takes the
@@ -995,8 +974,7 @@ def test_zero_velocity_on_any_layout_gives_the_same_bits():
     grid = u0.grid
     runs = [picard_solve(u0, AbelianCoefficients(grid, np.zeros(shape, dtype=dtype)),
                          _POWER, 2.0, 2.0, sym, cfg)
-            for shape, dtype in ((grid.shape, complex), (grid.half_shape, complex),
-                                 (grid.even_shape, float))]
+            for shape, dtype in ((grid.shape, complex), (grid.even_shape, float))]
     (traj, diag) = runs[0]
     assert diag.status is PicardStatus.CONVERGED
     for other, odiag in runs[1:]:
@@ -1007,23 +985,22 @@ def test_zero_velocity_on_any_layout_gives_the_same_bits():
 
 
 def test_real_data_take_under_0_6_of_the_complex_twins_peak():
-    # the iterate's 2H arrays and the nonlinearity's samples shrink to
-    # N_1 N_2 (N_3/2 + 1) of N entries on the half layout, 9/16 on 16^3
-    # (measured 0.566), and to the octant on the even one (measured 0.115)
+    # the iterate's 2H arrays and the nonlinearity's samples shrink to the
+    # real octant on the even layout (measured 0.115)
     peaks = []
-    for layout in ("even", "half", "full"):
+    for layout in ("even", "full"):
         sym, u0, u1, cfg = order4_setup(0.2, 41, layout)
         diag, peak = traced_peak(lambda: picard_solve(
             u0, u1, _POWER, 2.0, 2.0, sym, cfg)[1])
         assert diag.status is PicardStatus.CONVERGED
         peaks.append(peak)
-    assert peaks[0] <= peaks[1] <= 0.6 * peaks[2]
+    assert peaks[0] <= 0.6 * peaks[1]
 
 
 def test_non_real_general_nonlinearity_on_real_data_is_rejected():
     # a real solve stays on its real layout; complex data lift the limit
     rotate = GeneralNonlinearity(lambda U: 1j * np.abs(U[0]) * U[0])
-    for layout in ("even", "half", "full"):
+    for layout in ("even", "full"):
         sym, u0, u1, cfg = order4_setup(0.2, 9, layout)
         if layout != "full":
             with pytest.raises(ValueError, match="complex samples"):
@@ -1100,18 +1077,18 @@ def test_model_norms_match_the_reference_norms(order, rng, calibrated_grid):
         abelian_l2(grid, c, (1.0 + R) ** (order / 2)), rel=1e-14)
     assert model.frac(c, order) == pytest.approx(
         abelian_l2(grid, c, R ** (order / 2)), rel=1e-14)
-    # the half spectrum, with and without a Nyquist column, against the
-    # reference norms of its completion
+    # the octant, with and without a Nyquist index on the last axis,
+    # against the reference norms of its unfolding
     for grid in (grid, AbelianGrid((5.0,) * 3, (12, 12, 11))):
-        half = (rng.normal(size=grid.half_shape)
-                + 1j * rng.normal(size=grid.half_shape))
+        octant = rng.normal(size=grid.even_shape)
         R = sym.values(grid)
-        model = propagator._Model(AbelianCoefficients(grid, half), sym, 2.0, 1.0)
-        assert model.l2(half) == pytest.approx(abelian_l2(grid, half), rel=1e-14)
-        assert model.sobolev(half, order) == pytest.approx(
-            abelian_l2(grid, half, (1.0 + R) ** (order / 2)), rel=1e-14)
-        assert model.frac(half, order) == pytest.approx(
-            abelian_l2(grid, half, R ** (order / 2)), rel=1e-14)
+        model = propagator._Model(AbelianCoefficients(grid, octant), sym, 2.0, 1.0)
+        assert model.layout == "even"
+        assert model.l2(octant) == pytest.approx(abelian_l2(grid, octant), rel=1e-14)
+        assert model.sobolev(octant, order) == pytest.approx(
+            abelian_l2(grid, octant, (1.0 + R) ** (order / 2)), rel=1e-14)
+        assert model.frac(octant, order) == pytest.approx(
+            abelian_l2(grid, octant, R ** (order / 2)), rel=1e-14)
 
     shape = calibrated_grid.field_shape()
     c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -1133,7 +1110,7 @@ def test_abelian_model_norms_at_the_zero_frequency():
     grid = AbelianGrid((5.0,) * 3, (12, 12, 12))
     sym = AbelianSymbol(np.ones(3), order=4, radial=True)
     c = np.zeros(grid.shape, dtype=complex)
-    c[0, 0, 0] = 2.0  # xi = 0: Hermitian, so the model takes the half layout
+    c[0, 0, 0] = 2.0  # xi = 0: even, but complex, so the model takes the full layout
     state = AbelianCoefficients(grid, c)
     model = semilinear._make_model(state, sym, 2.0, 1.0)
     c = model.unwrap(state)
