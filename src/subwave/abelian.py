@@ -92,7 +92,8 @@ class AbelianGrid:
 
     @property
     def cell_volume(self) -> float:
-        return math.prod(self.spacings)
+        # not `spacings`: tuple(generator) parks a block per call on a free list
+        return math.prod(2.0 * r / n for r, n in zip(self.half_widths, self.shape))
 
     @property
     def volume(self) -> float:

@@ -391,15 +391,23 @@ def _packet_transform(v):
     return packet, F, _calibrate_on(packet, F)
 
 
+def _gaussian(agrid, width, scale, section):
+    """scale exp(-|x|^2 / (2 width^2)); a width that squares to 0 makes 0/0
+    at the origin, a problem of the config section."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        try:
+            return abelian_from_function(agrid, lambda *xs: scale * np.exp(
+                -sum(c ** 2 for c in xs) / (2 * width ** 2)))
+        except ValueError:
+            raise ConfigError([f"{section}: width {width} squares to 0"]) from None
+
+
 def _cauchy_data(v):
     """(u0, u1, symbol): the configured data at rest, on either backend."""
     data = v["data"]
     if v["backend"]["kind"] == "abelian":
         agrid, symbol = v["abelian"]
-        width, scale = data["width"], data["scale"]
-        u0 = abelian_forward(abelian_from_function(
-            agrid, lambda *xs: scale
-            * np.exp(-sum(c ** 2 for c in xs) / (2 * width ** 2))))
+        u0 = abelian_forward(_gaussian(agrid, data["width"], data["scale"], "data"))
         return u0, AbelianCoefficients(agrid, np.zeros_like(u0.coefficients)), symbol
     grid = v["grid"]
     if data["kind"] == "packet":
@@ -484,9 +492,7 @@ def _gn_check(v, tol_factor):
                      float(exps.s), ""))
     ratios = []
     for w in gn["abelian_widths"]:
-        agrid = AbelianGrid((8.0, 8.0, 8.0), (32, 32, 32))
-        u = abelian_from_function(
-            agrid, lambda x, y, z: np.exp(-(x**2 + y**2 + z**2) / (2 * w**2)))
+        u = _gaussian(AbelianGrid((8.0, 8.0, 8.0), (32, 32, 32)), w, 1.0, "gn")
         exps = gn_exponent_graded(3, 1, 2, 2, 3)
         rep = verify_inequality_abelian(u, exps, f"gaussian w={w}")
         ratios.append(rep.ratio)

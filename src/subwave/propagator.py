@@ -261,18 +261,13 @@ class _Norms:
                     _norm_multiplier(self.sym, self.nu, *key) if mult is None else mult)
         return self._weighted_mults[key]
 
-    def _norm(self, c, mult=None):
-        if self.weights is not None:
-            mult = self.weights if mult is None else self.weights * mult
-        return self._reduce(c, mult)
-
     def _reduce(self, c, w):
         """sqrt(Re <c, w c> / volume); w None is 1."""
         return float(np.sqrt(np.vdot(c, c if w is None else w * c).real
                              / self.volume))
 
     def l2(self, c):
-        return self._norm(c)
+        return self._reduce(c, self.weights)
 
     def sobolev(self, c, s):
         return self._reduce(c, self._weighted(s, 1.0))

@@ -11,22 +11,23 @@ own source enters it only through the derivative's half-kick, so the
 discrete equation u = Gamma[u] is explicit in time and one causal pass
 solves it (the step-by-step trapezoid rule for Volterra equations of the
 second kind; Linz, Analytical and Numerical Methods for Volterra Equations,
-SIAM 1985, ch. 7).  `picard_solve` makes three passes:
-
-1. the linear part: Z(u_lin) in the weighted sup-in-time norm of
-   ZNormConfig, and the divergence threshold 4 Z(u_lin), twice the radius
-   L = 2 C1 (data norm) of the contraction ball, C1 measured, not assumed;
-2. the march, whose source at node k is f of node k's value: the discrete
-   fixed point u* that Picard sweeps converge to, in H calls to f, kept as
-   2H arrays.  It stops at the first node that leaves the ball or is not
-   finite, and the Richardson recursion runs in lockstep on its f(u*_k);
-3. the contraction quotient q = Z(Gamma[u_lin] - u*) / Z(u_lin - u*), H
-   more calls to f, against the stored u*.
-
-No pass allocates per node beyond u*, and pass 2's buffers are freed
-before pass 3.  A node's f skips the boundary-decay gate when its L^2 norm
-is below 1e-2 of the pass's running peak: such values synthesize to the
-noise floor, where the relative boundary measure is meaningless.
+SIAM 1985, ch. 7).  `picard_solve` makes one pass, four such recursions
+pulled in lockstep on one pair of work arrays: u*, whose source at node k
+is f of node k's value (the discrete fixed point that Picard sweeps
+converge to, in H calls to f, kept as 2H arrays); the Richardson recursion
+of the same sources; the linear part u_lin; and e = Gamma[u_lin] - u*, from
+zero data with the sources f(u_lin,k) - f(u*_k), in H more calls to f.  As
+the recursion is linear in data and sources, e gives the contraction
+quotient q = Z(e) / Z(u_lin - u*) (Z the weighted sup-in-time norm of
+ZNormConfig) and e - (u_lin - u*) the increment Gamma[u_lin] - u_lin, with
+no cancelling of arrays of the data's size.  The march stops at the first
+node that is not finite or whose Z-norm term exceeds 4 Z(u_lin) over the
+nodes so far, before its f(u_lin) is made: the bootstrap form of twice the
+radius L = 2 C1 (data norm) of the contraction ball, C1 measured, not
+assumed.  No array is made per node beyond u*.  A source skips the
+boundary-decay gate when its value's L^2 norm is below 1e-2 of its
+stream's running peak: such values synthesize to the noise floor, where
+the relative boundary measure is meaningless.
 
 Both backends take one code path through the model of `subwave.propagator`,
 to which `_make_model` adds nonlinearity(c, nl, strict), the coefficients of
@@ -154,11 +155,12 @@ class PicardStatus(enum.Enum):
 class PicardDiagnostics:
     """What `picard_solve` measured.  iterations is 1 when the one Picard
     iterate Gamma[u_lin] was formed, 0 when the march stopped; z_norms is
-    [Z(u_lin), Z(u*)], after a stop the stopping node's Z-norm term;
-    increments is [Z(Gamma[u_lin] - u_lin)]; ratios is [q]; threshold is
-    4 Z(u_lin), c1 Z(u_lin) over the H^{nu/2} x L^2 data_norm.  The
-    Richardson quadrature_error at the horizon is NaN unless the solve
-    converged over an even number of steps."""
+    [Z(u_lin), Z(u*)]; increments is [Z(Gamma[u_lin] - u_lin)]; ratios is
+    [q]; threshold is 4 Z(u_lin), c1 Z(u_lin) over the H^{nu/2} x L^2
+    data_norm.  After a stop at t_stop, Z(u_lin), and with it threshold
+    and c1, is over [0, t_stop], and Z(u*) is the stopping node's Z-norm
+    term.  The Richardson quadrature_error at the horizon is NaN unless
+    the solve converged over an even number of steps."""
 
     iterations: int
     z_norms: list
@@ -269,68 +271,70 @@ def _znorm_node(model, znorm, t, val, der, l2=None):
     return znorm.weight(t) * (l2 + model.frac(val, 1) + model.l2(der))
 
 
-def _march(model, nl, gaps, start, znorm, threshold):
-    """Pass 2 of `picard_solve`: (values, derivatives, Z norm, Richardson
-    estimate) of u*.  After the first node whose Z-norm term is above the
-    threshold or not finite, it returns the nodes so far and that term."""
+class _Gate:
+    """gate(l2) of one stream of sources: False, skipping the boundary-decay
+    gate, when l2 is below 1e-2 of the stream's running peak."""
+    peak = 0.0
+
+    def __call__(self, l2):
+        self.peak = max(self.peak, l2)
+        return l2 >= 1e-2 * self.peak
+
+
+def _march(model, nl, gaps, start, znorm):
+    """The pass of `picard_solve`: u*'s values and derivatives, Z(u_lin),
+    Z(u*) and (Z(Gamma[u_lin] - u_lin), q or 0 if u_lin is u*, Richardson
+    estimate), None after a stop at a Z term above 4 Z(u_lin) so far."""
     times = znorm.sample_times
     # u* in two blocks of H nodes, made before any temporary, which reuses
     # memory freed below them (arrays made per node once took the half
     # layout's `abelian-picard` peak RSS from 112 to 128 MB)
     vals, ders = (np.empty((len(times),) + start[0].shape, start[0].dtype)
                   for _ in range(2))
-    l2, peak, z, f = 0.0, 0.0, 0.0, None
+    work = (np.empty_like(start[0]), np.empty_like(start[0]))
+    dv, dd = np.empty_like(start[0]), np.zeros_like(start[0])
+    star_gate, lin_gate = _Gate(), _Gate()
+    l2 = f = None
 
     def source(val):
-        nonlocal l2, peak, f
+        nonlocal l2, f
         l2 = model.l2(val)
-        peak = max(peak, l2)
-        f = model.nonlinearity(val, nl, strict=l2 >= 1e-2 * peak)
+        f = model.nonlinearity(val, nl, strict=star_gate(l2))
         return f
 
-    work = (np.empty_like(start[0]), np.empty_like(start[0]))
+    def difference(_):  # f(u_lin,k) - f(u*_k), in f(u_lin,k)'s array
+        g = model.nonlinearity(lin_val, nl, strict=lin_gate(lin_l2))
+        g -= f
+        return g
+
+    star = _history(model, gaps, start, source, work)
     rich = (_richardson(model, gaps, np.zeros_like(start[0]), lambda: f, work)
             if len(times) % 2 else None)
-    for k, (t, (val, der)) in enumerate(zip(times, _history(model, gaps, start,
-                                                             source, work))):
+    lin = _history(model, gaps, start, None, work)
+    # e = Gamma[u_lin] - u*; the recursion copies dd before the loop writes it
+    error = _history(model, gaps, (dd, dd), difference, work)
+    z_lin = z_star = inc = num = den = 0.0
+    for k, t in enumerate(times):
+        val, der = next(star)
         vals[k], ders[k] = val, der
         z_k = _znorm_node(model, znorm, t, val, der, l2)
         if rich:  # its source is this node's f; its step overwrites der
             last, _ = next(rich)
-        if not z_k <= threshold:
-            return vals[:k + 1], ders[:k + 1], z_k, float("nan")
-        z = max(z, z_k)
-    return vals, ders, z, (model.l2(last) / 3.0 if rich else float("nan"))
-
-
-def _quotient(model, nl, gaps, start, znorm, lin_l2, vals, ders):
-    """Pass 3 of `picard_solve`: (Z(Gamma[u_lin] - u_lin), q) with
-    q = Z(Gamma[u_lin] - u*) / Z(u_lin - u*), u* = (vals, ders), or 0 when
-    u_lin is u*.  The linear recursion and the zero-start Duhamel recursion
-    of f(u_lin,k), which add up to Gamma[u_lin], run in lockstep and share
-    their work arrays, the first of which then holds u_lin - u*."""
-    work = dv, _ = (np.empty_like(start[0]), np.empty_like(start[0]))
-    dd = np.zeros_like(start[0])
-    peak = inc = num = den = 0.0
-
-    def source(_):
-        nonlocal peak  # f of the linear node k that the loop below holds
-        peak = max(peak, lin_l2[k])
-        return model.nonlinearity(lin_val, nl, strict=lin_l2[k] >= 1e-2 * peak)
-
-    # the recursion copies its zero start before the loop writes dd
-    duhamel = _history(model, gaps, (dd, dd), source, work)
-    for k, (t, (lin_val, lin_der)) in enumerate(zip(
-            znorm.sample_times, _history(model, gaps, start, None, work))):
-        gv, gd = next(duhamel)
+        lin_val, lin_der = next(lin)
+        lin_l2 = model.l2(lin_val)
+        z_lin = max(z_lin, _znorm_node(model, znorm, t, lin_val, lin_der, lin_l2))
+        if not z_k <= 4.0 * z_lin:
+            return vals[:k + 1], ders[:k + 1], z_lin, z_k, None
+        z_star = max(z_star, z_k)
+        e_val, e_der = next(error)
+        num = max(num, _znorm_node(model, znorm, t, e_val, e_der))
         np.subtract(lin_val, vals[k], out=dv)
         np.subtract(lin_der, ders[k], out=dd)
         den = max(den, _znorm_node(model, znorm, t, dv, dd))
-        dv += gv
-        dd += gd
-        num = max(num, _znorm_node(model, znorm, t, dv, dd))
-        inc = max(inc, _znorm_node(model, znorm, t, gv, gd))
-    return inc, (num / den if den > 0 else 0.0)
+        inc = max(inc, _znorm_node(model, znorm, t, np.subtract(e_val, dv, out=dv),
+                                   np.subtract(e_der, dd, out=dd)))
+    return vals, ders, z_lin, z_star, (inc, num / den if den > 0 else 0.0,
+                                       model.l2(last) / 3.0 if rich else float("nan"))
 
 
 def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig, synth=None):
@@ -361,20 +365,13 @@ def picard_solve(u0, u1, nl, b, m, provider, znorm: ZNormConfig, synth=None):
         raise ValueError("history times must be uniformly spaced")
     gaps = [0.0] + [float(steps[0])] * (times.size - 1)
 
-    # pass 1: the linear part's Z norm and L^2 norms; no node is kept
-    lin_l2, z_lin = [], 0.0
-    for t, (val, der) in zip(times, _history(model, gaps, (c0, c1))):
-        lin_l2.append(model.l2(val))
-        z_lin = max(z_lin, _znorm_node(model, znorm, t, val, der, lin_l2[-1]))
-    del val, der  # the recursion's buffers, not held through passes 2 and 3
+    vals, ders, z_lin, z_star, quotient = _march(model, nl, gaps, (c0, c1), znorm)
     data_norm = model.data_norm(c0, c1)
-    diag = PicardDiagnostics(0, [z_lin], [], [], PicardStatus.DIVERGED, 4.0 * z_lin,
-                             data_norm, z_lin / data_norm if data_norm > 0 else 0.0)
-    vals, ders, z_star, quad = _march(model, nl, gaps, (c0, c1), znorm,
-                                      diag.threshold)
-    diag.z_norms.append(z_star)
-    if len(vals) == times.size and z_star <= diag.threshold:
-        inc, q = _quotient(model, nl, gaps, (c0, c1), znorm, lin_l2, vals, ders)
+    diag = PicardDiagnostics(0, [z_lin, z_star], [], [], PicardStatus.DIVERGED,
+                             4.0 * z_lin, data_norm,
+                             z_lin / data_norm if data_norm > 0 else 0.0)
+    if quotient:
+        inc, q, quad = quotient
         diag.iterations, diag.increments, diag.ratios = 1, [inc], [q]
         if q < 1.0:
             diag.status, diag.quadrature_error = PicardStatus.CONVERGED, quad

@@ -172,7 +172,7 @@ def test_plane_wave_multiplier_is_exact():
     base = norms.l2(c)
     assert norms.sobolev(c, 1.0) == pytest.approx(np.sqrt(1.0 + xi0 ** 2) * base,
                                                   rel=1e-12)
-    got = norms._norm(c, norms.multiplier(1.0, 0.3))  # mass 0.3
+    got = norms._reduce(c, norms._weighted(1.0, 0.3))  # mass 0.3
     assert got == pytest.approx(np.sqrt(0.3 + xi0 ** 2) * base, rel=1e-12)
     assert norms.frac(c, 1.0) == pytest.approx(abs(xi0) * base, rel=1e-12)
 

@@ -521,20 +521,27 @@ def test_packet_set_up_transforms_the_packet_once(tmp_path, monkeypatch,
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("subcommand, config", [
-    ("calibrate", CALIBRATE_CONFIG),
-    ("oracle-compare", ORACLE_CONFIG),
+def _edit(config, section, **fields):
+    return config | {section: config[section] | fields}
+
+
+@pytest.mark.parametrize("subcommand, config, prefix", [
+    ("calibrate", _edit(CALIBRATE_CONFIG, "data", sigma_xy=1e-200), "data"),
+    ("oracle-compare", _edit(ORACLE_CONFIG, "data", sigma_xy=1e-200), "data"),
+    ("evolve-linear", _edit(ABELIAN_LINEAR_CONFIG, "data", width=1e-200), "data"),
+    ("gn-check", _edit(GN_CONFIG, "gn", abelian_widths=[1e-200]), "gn"),
 ])
 def test_underflowing_packet_is_a_config_error(tmp_path, capsys, subcommand,
-                                               config):
-    # sigma_xy is positive, so the schema accepts it, but every sample of the
-    # packet underflows to 0 on the box
-    cfg = write_config(tmp_path, _edit(config, "data", sigma_xy=1e-200))
+                                               config, prefix):
+    # the widths are positive, so the schema accepts them, but their squares
+    # underflow to 0: every packet sample is 0, and a Gaussian is 0/0 at the
+    # origin
+    cfg = write_config(tmp_path, config)
     code = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
     problems = [line for line in err.splitlines() if line.startswith("  - ")]
-    assert len(problems) == 1 and problems[0].startswith("  - data: ")
+    assert len(problems) == 1 and problems[0].startswith(f"  - {prefix}: ")
     assert not (tmp_path / "out").exists()
 
 
@@ -621,10 +628,6 @@ def test_malformed_semilinear_config_is_a_config_error(tmp_path, capsys, config,
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def _edit(config, section, **fields):
-    return config | {section: config[section] | fields}
 
 
 def _short_abelian(horizon):

@@ -388,7 +388,7 @@ def test_evolve_linear_abelian_matches_propagate_mode(rng):
 @pytest.mark.parametrize("backend", ["heisenberg", "abelian"])
 def test_znorm_of_linear_picard_trajectory_is_its_first_z_norm(backend):
     # z_norms[0] is Z of the linear evolution, bit for bit: the solve's
-    # pass 1 is the same recursion
+    # linear recursion is the same one
     box = None
     if backend == "heisenberg":
         # the packet and box of the endpoint test, which pass the
@@ -428,7 +428,7 @@ def test_picard_small_data_converges():
 
 
 def test_picard_from_rest_position_converges():
-    # u(0) = 0 with u_t(0) != 0: each pass's first source is f(0)
+    # u(0) = 0 with u_t(0) != 0: the first source of u* and of u_lin is f(0)
     grid, sym, u1, _ = abelian_setup(1e-3)
     u0 = AbelianCoefficients(grid, np.zeros_like(u1.coefficients))
     cfg = ZNormConfig(delta=0.999 * decay_rate(2.0, 1.0),
@@ -443,7 +443,8 @@ def test_picard_from_rest_position_converges():
 def test_picard_large_data_diverges(monkeypatch):
     # data scale 5 sends the march past the 4 Z(u_lin) threshold (run on, it
     # reaches Z = 3e38); it stops at the first node out of the ball, having
-    # made one f per node up to and including that one, and no more
+    # made f(u*_k) per node up to and including that one and f(u_lin,k) per
+    # node before it, in turn, and no more
     calls = []
     nonlinearity = semilinear._AbelianModel.nonlinearity
 
@@ -462,12 +463,37 @@ def test_picard_large_data_diverges(monkeypatch):
     assert diag.ratios == diag.increments == []
     assert np.isnan(diag.quadrature_error)
     n = len(traj.times)
-    assert 2 <= n < 21 and len(calls) == n
-    assert all(np.array_equal(c, f.coefficients) for c, f in zip(calls, traj.fields))
+    assert 2 <= n < 21 and len(calls) == 2 * n - 1
+    assert all(np.array_equal(c, f.coefficients)
+               for c, f in zip(calls[::2], traj.fields))
     head = LinearTrajectory(traj.times[:-1], traj.fields[:-1],
                             traj.derivatives[:-1], 2.0, 1.0)
     assert z_of(head, cfg, sym) <= diag.threshold < z_of(traj, cfg, sym)
     assert z_of(traj, cfg, sym) == diag.z_norms[-1]
+
+
+def test_a_stopped_march_reports_its_threshold_over_the_nodes_so_far():
+    # rest-position data at scale 60: the linear Z term peaks at node 8,
+    # past the node where u* leaves the ball.  The march stops at the first
+    # node whose Z term exceeds 4 Z(u_lin) over the nodes so far, and
+    # reports that bound, not the one over the whole horizon
+    sym, u1, _, cfg = order4_setup(60.0, 41)
+    u0 = AbelianCoefficients(u1.grid, np.zeros_like(u1.coefficients))
+    traj, diag = picard_solve(u0, u1, _POWER, 2.0, 2.0, sym, cfg)
+    assert diag.status is PicardStatus.DIVERGED and diag.iterations == 0
+    model = propagator._Model((u0, u1), sym, 2.0, 2.0)
+    times = cfg.sample_times
+    nodes = propagator._history(model, uniform_gaps(times[1], len(times)),
+                                (model.unwrap(u0), model.unwrap(u1)))
+    lin = np.maximum.accumulate([semilinear._znorm_node(model, cfg, t, v, d)
+                                 for t, (v, d) in zip(times, nodes)])
+    star = [semilinear._znorm_node(model, cfg, t, f.coefficients, d.coefficients)
+            for t, f, d in zip(traj.times, traj.fields, traj.derivatives)]
+    stop = len(star) - 1
+    assert all(z <= 4.0 * zl for z, zl in zip(star[:stop], lin))
+    assert star[stop] > 4.0 * lin[stop] == diag.threshold
+    assert diag.z_norms == [lin[stop], star[stop]]
+    assert lin[stop] < lin[-1]  # the horizon's bound would be larger
 
 
 def test_heisenberg_picard_converges_at_the_endpoint_power():
@@ -567,10 +593,26 @@ def test_heisenberg_first_contraction_ratio_scales_like_eps():
     assert within_band(orders, 2.0), orders
 
 
+def test_contraction_quotient_agrees_across_layouts():
+    # q = Z(Gamma[u_lin] - u*) / Z(u_lin - u*), whose numerator is 6e-9 of
+    # Z(u*) at data scale 1e-3: it comes from a recursion whose sources are
+    # the differences f(u_lin,k) - f(u*_k), so the even and full layouts
+    # agree to 7.8e-14 relative (1.2e-8 when the numerator cancelled arrays
+    # of the data's size)
+    ratios = []
+    for layout in ("even", "full"):
+        sym, u0, _, cfg = order4_setup(1e-3, 25, layout)
+        u1 = AbelianCoefficients(u0.grid, np.zeros_like(u0.coefficients))
+        _, diag = picard_solve(u0, u1, _POWER, 2.0, 2.0, sym, cfg)
+        assert diag.status is PicardStatus.CONVERGED
+        ratios += diag.ratios
+    assert ratios[1] == pytest.approx(ratios[0], rel=1e-12, abs=0)
+
+
 def test_picard_factor_work_is_linear_in_samples(monkeypatch):
-    # the solve's passes share one table of the one-step propagator: one
-    # kernel call in all, whatever H.  Per-pass tables would make one call
-    # per recursion (six), per-lag tables 2H, a closed-form linear part H,
+    # the solve's recursions share one table of the one-step propagator:
+    # one kernel call in all, whatever H.  Per-recursion tables would make
+    # four calls, per-lag tables 2H, a closed-form linear part H,
     # and a linear part stepped through the rounded gaps t_k - t_{k-1} one
     # per distinct rounded value (the step 0.15 of the order-4 grid at
     # H = 41 is inexact: 13 calls)
@@ -757,17 +799,30 @@ def test_recursive_picard_matches_the_closed_form_linear_part(nl, H):
     assert_march_meets_the_list_based_loop(nl, H, closed_form=True)
 
 
-@pytest.mark.parametrize("H", [41, 81])
+@pytest.mark.parametrize("H", [41, 81, 161])
 def test_picard_holds_one_iterate(H):
-    # 2H coefficient arrays: values and derivatives of u*; the passes'
-    # recursions, sources and differences are a bounded number of arrays
-    # on top
+    # The pass holds, in arrays of the data's size: u*'s 2H; two for each
+    # of its four recursions (u*, Richardson, u_lin, e); the shared work
+    # pair; the two differences; three live sources (f(u*_k), its negated
+    # copy, f(u_lin,k) - f(u*_k)); the model's symbol, weights and Z-norm
+    # multiplier: 2H + 18.  On top, the larger of the factor table (four)
+    # with a nonlinearity call's working arrays (three: the samples of f
+    # and two transform intermediates) and the table's build at the first
+    # step (at most nine while it runs): 2H + 27.  Interpreter objects (the
+    # generators, closures and model) stay below 32 KiB, and the time grid
+    # takes 24 B a node (times, steps, gaps).  The first solve of a process
+    # also sets up NumPy's lazy state, so the peak is a second solve's.
     sym, u0, u1, cfg = order4_setup(0.2, H)
-    diag, peak = traced_peak(lambda: picard_solve(
-        u0, u1, PowerNonlinearity(1.0, 2.0), 2.0, 2.0, sym, cfg)[1])
+
+    def solve():
+        return picard_solve(u0, u1, PowerNonlinearity(1.0, 2.0), 2.0, 2.0,
+                            sym, cfg)[1]
+
+    solve()
+    diag, peak = traced_peak(solve)
     assert diag.status is PicardStatus.CONVERGED and diag.iterations == 1
     assert np.isfinite(diag.quadrature_error)
-    assert peak <= (2 * H + 24) * u0.coefficients.nbytes
+    assert peak <= (2 * H + 27) * u0.coefficients.nbytes + 32 * 1024 + 24 * H
 
 
 # --------------------------------------------------------------------------
@@ -785,8 +840,8 @@ def counting(fn, calls):
 
 
 def test_each_sweep_makes_one_source_per_node():
-    # H for the march, whose Richardson recursion reuses its sources, and H
-    # for the quotient's Gamma[u_lin]: H (iterations + 1) = 2H
+    # H for u*, whose Richardson recursion reuses its sources, and H for
+    # the sources f(u_lin,k) of Gamma[u_lin]: H (iterations + 1) = 2H
     sym, u0, u1, cfg = order4_setup(0.2, 25)
     calls = []
     _, diag = picard_solve(u0, u1, counting(_GENERAL.callback, calls), 2.0, 2.0,
@@ -797,10 +852,10 @@ def test_each_sweep_makes_one_source_per_node():
 
 
 def test_a_non_finite_source_fails_the_solve_when_pulled():
-    # call 11 is node 10 of the march, call 37 node 11 of the quotient pass;
-    # no source is made past either
+    # call 2k + 1 is f(u*_k) and call 2k + 2 is f(u_lin,k): call 11 is
+    # u*'s node 5, call 38 u_lin's node 18; no source is made past either
     sym, u0, u1, cfg = order4_setup(0.2, 25)
-    for bad in (11, 37):
+    for bad in (11, 38):
         calls = []
 
         def fn(U):
@@ -810,6 +865,30 @@ def test_a_non_finite_source_fails_the_solve_when_pulled():
         with pytest.raises(semilinear.NumericalFailure, match="non-finite"):
             picard_solve(u0, u1, counting(fn, calls), 2.0, 2.0, sym, cfg)
         assert len(calls) == bad
+
+
+def test_each_stream_gates_its_sources_by_its_own_running_peak(monkeypatch):
+    # f skips the boundary-decay gate for a value whose L^2 norm is below
+    # 1e-2 of the running peak of its own stream, u* or u_lin.  From rest
+    # position at scale 20 the norm of u* peaks 1.2 times above that of
+    # u_lin, and one late linear node changes sides under a shared peak
+    calls = []
+    nonlinearity = semilinear._AbelianModel.nonlinearity
+
+    def recording(self, c, nl, strict=True):
+        calls.append((self.l2(c), strict))
+        return nonlinearity(self, c, nl, strict)
+
+    monkeypatch.setattr(semilinear._AbelianModel, "nonlinearity", recording)
+    sym, u1, _, cfg = order4_setup(20.0, 41)
+    u0 = AbelianCoefficients(u1.grid, np.zeros_like(u1.coefficients))
+    _, diag = picard_solve(u0, u1, _POWER, 2.0, 2.0, sym, cfg)
+    assert diag.status is PicardStatus.CONVERGED
+    norms, strict = (np.array(a) for a in zip(*calls))
+    # calls alternate f(u*_k), f(u_lin,k): one column per stream
+    peaks = np.maximum.accumulate(norms.reshape(-1, 2), axis=0).ravel()
+    assert np.array_equal(strict, norms >= 1e-2 * peaks)
+    assert not np.array_equal(strict, norms >= 1e-2 * np.maximum.accumulate(norms))
 
 
 def test_heisenberg_boundary_failure_fails_the_solve(calibrated_grid, synth_box):

@@ -155,7 +155,7 @@ def test_sobolev_norm_special_cases(grid, rng):
     # H^1 dominates L^2 with mass 1 since the multiplier exceeds 1
     assert norms.sobolev(c, 1.0) > norms.l2(c)
     # mass 0 is the homogeneous norm; the symbol never vanishes off lambda=0
-    assert norms._norm(c, norms.multiplier(1.0, 0.0)) == pytest.approx(
+    assert norms._reduce(c, norms._weighted(1.0, 0.0)) == pytest.approx(
         norms.frac(c, 1.0), rel=1e-14)
 
 
