@@ -414,9 +414,14 @@ def _cauchy_data(v):
         u0 = _packet_transform(v)[1]
     else:
         # analytic coefficient-space data: lambda-Gaussian on the Hermite diagonal
+        with np.errstate(all="ignore"):  # a width that squares to 0: x/0, 0/0
+            profile = np.exp(-(grid.lambda_nodes - data["center"]) ** 2
+                             / (2 * data["width"] ** 2))
+        if not (np.all(np.isfinite(profile)) and profile.any()):
+            raise ConfigError([f"data: width {data['width']} about center "
+                               f"{data['center']} gives no finite nonzero "
+                               "profile at the lambda nodes"])
         c = np.zeros(grid.field_shape(), dtype=complex)
-        profile = np.exp(-(grid.lambda_nodes - data["center"]) ** 2
-                         / (2 * data["width"] ** 2))
         for k in range(grid.block_size):
             c[:, k, k] = data["scale"] * profile * data["ladder"] ** k
         u0 = SpectralField(grid, c)

@@ -265,31 +265,33 @@ class ComparisonReport:
 
 
 def compare_with_spectral(traj, fd: LeapfrogResult, grid: SpatialGrid,
-                          horizon: float | None = None,
-                          tolerance: float = 1e-2) -> ComparisonReport:
+                          horizon: float, tolerance: float) -> ComparisonReport:
     """Relative L^2 discrepancy between a spectral trajectory and an fd run.
 
     Both runs must start from the same data, with the fd side initialized
     from the synthesis of the spectral data onto grid, where its snapshots
-    must live.  Every fd snapshot whose time also appears in the trajectory
-    (and lies within the horizon, when one is given) contributes one sample;
-    two identical zero runs give zero discrepancy.
+    must live.  The trajectory is sampled at the fd snapshot times, so
+    snapshot k pairs with trajectory node k; a trajectory of another length,
+    or with a time more than 1e-9 (relative beyond 1) from its snapshot's,
+    raises ValueError.  Every pair within the horizon contributes one
+    sample; two identical zero runs give zero discrepancy.
     """
     # the one deliberate bridge to the spectral side; stencils stay independent
     from .transform import synthesize_on_grid
 
     if any(field_fd.grid != grid for field_fd in fd.snapshots):
         raise ValueError("data live on different grids")
+    snap_t = np.asarray(fd.snapshot_times, dtype=float)
     times = np.asarray(traj.times, dtype=float)
+    if (times.shape != snap_t.shape
+            or np.any(np.abs(times - snap_t) > 1e-9 * np.maximum(1.0, np.abs(snap_t)))):
+        raise ValueError("the trajectory is not sampled at the fd snapshot times")
     w = grid.weight_cube()
     sample_t, disc = [], []
-    for field_fd, t in zip(fd.snapshots, fd.snapshot_times):
-        if horizon is not None and t > horizon + 1e-12:
+    for field_fd, field, t in zip(fd.snapshots, traj.fields, snap_t):
+        if t > horizon + 1e-12:
             continue
-        i = int(np.argmin(np.abs(times - t)))
-        if abs(times[i] - t) > 1e-9 * max(1.0, abs(t)):
-            continue
-        ref = synthesize_on_grid(traj.fields[i], grid)
+        ref = synthesize_on_grid(field, grid)
         delta = field_fd.samples - ref.samples
         num = np.sqrt(np.sum(w * np.abs(delta) ** 2))
         den = np.sqrt(np.sum(w * np.abs(ref.samples) ** 2))
@@ -298,8 +300,6 @@ def compare_with_spectral(traj, fd: LeapfrogResult, grid: SpatialGrid,
         else:
             disc.append(float(num / den))
         sample_t.append(float(t))
-    if not sample_t:
-        raise ValueError("no fd snapshot time matches a trajectory time")
     disc = np.asarray(disc)
     worst = float(disc.max())
     return ComparisonReport(np.asarray(sample_t), disc, worst, tolerance,

@@ -9,11 +9,13 @@ operator symbols answer `values(grid)` with their values on the coefficient
 layout of their backend: the sub-Laplacian's as multipliers along the row
 index k of each block, a symbol on R^d on the FFT dual grid.
 
-The overall Plancherel constant of the adopted transform convention is not
-hardcoded; it is measured once by `subwave.transform.calibrate_plancherel`
-and stored on the grid, entering every quadrature weight.  The norms weight
-the blocks with these quadrature weights; they are computed by the backend
-model of `subwave.propagator`, the one home of the package's norms.
+The overall Plancherel constant enters every quadrature weight.  It is
+analytic unless calibrated: (2 pi)^-(n+1), the Plancherel measure
+|lambda|^n d lambda of H^n (Fischer & Ruzhansky, Quantization on Nilpotent
+Lie Groups, 2016), until `subwave.transform.calibrate_plancherel` measures
+it on a reference and stores it on the grid.  The norms weight the blocks
+with these quadrature weights; they are computed by the backend model of
+`subwave.propagator`, the one home of the package's norms.
 """
 
 from __future__ import annotations
@@ -48,11 +50,12 @@ class ModeGrid:
         Nonzero nodes, ascending, symmetric about 0.
     base_weights : array
         Trapezoid weights including the |lambda|^n density but not the
-        calibration constant.
+        Plancherel constant.
     mu_max : float
         Hermite truncation; indices k with mu_k <= mu_max are retained.
     plancherel_constant : float
-        Multiplies base_weights; 1.0 until calibrated.
+        Multiplies base_weights; the analytic (2 pi)^-(n+1) of the Plancherel
+        measure |lambda|^n d lambda of H^n unless given or calibrated.
     multi_indices, stamp
         Computed: the retained Hermite indices, and a digest of the data
         above except the constant.  Grids are equal when their stamps and
@@ -64,7 +67,7 @@ class ModeGrid:
     lambda_nodes: np.ndarray
     base_weights: np.ndarray
     mu_max: float
-    plancherel_constant: float = 1.0
+    plancherel_constant: float | None = None
     multi_indices: tuple = field(init=False)
     stamp: str = field(init=False)
 
@@ -81,6 +84,8 @@ class ModeGrid:
             raise ValueError("weights and nodes must have matching shapes")
         if np.any(self.base_weights <= 0):
             raise ValueError("quadrature weights must be positive")
+        if self.plancherel_constant is None:
+            self.plancherel_constant = (2 * np.pi) ** -(self.n + 1)
         self.multi_indices = tuple(enumerate_multi_indices(self.n, self.mu_max))
         digest = hashlib.sha256()
         digest.update(np.int64(self.n).tobytes())

@@ -42,18 +42,22 @@ real and imaginary parts: `forward_transform` analyzes each part at
 exactly Hermitian field, and `synthesize_on_grid` returns float64 samples
 for an exactly Hermitian field.
 
-The Plancherel normalization of this convention is not hardcoded anywhere;
-`calibrate_plancherel` measures it once per grid and stores it on the grid.
+The Plancherel constant of this convention lives on the mode grid, analytic
+unless calibrated: (2 pi)^-(n+1) by default (`subwave.spectral.ModeGrid`),
+or the value `calibrate_plancherel` measures on a reference and stores.
+The grid transforms, their plan and the quadrature oracle are for H^1; the
+group law of `subwave.group` stays general in n.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupElement, enumerate_multi_indices
+from .group import GroupElement
 from .hermite import gauss_hermite_rule, hermite_polynomial_table
 from .spectral import ModeGrid, SpectralField
 
@@ -176,13 +180,7 @@ def from_function(grid: SpatialGrid, fn) -> SpatialField:
     return SpatialField(grid, np.broadcast_to(vals, grid.shape).copy())
 
 
-_RULE_CACHE: dict = {}
-
-
-def _rule(count: int):
-    if count not in _RULE_CACHE:
-        _RULE_CACHE[count] = gauss_hermite_rule(count)
-    return _RULE_CACHE[count]
+_rule = functools.lru_cache(maxsize=None)(gauss_hermite_rule)
 
 
 def _rule_size(gamma_max: float, order: int) -> int:
@@ -202,37 +200,22 @@ def _g_block(beta: float, gamma: float, rows: int, cols: int, rule) -> np.ndarra
 
 def representation_matrix(lam: float, g: GroupElement, K: int,
                           rows: int | None = None) -> np.ndarray:
-    """Matrix block M_{kl} = (pi_lambda(g) e_l, e_k) in the scaled Hermite basis.
-
-    For n=1 the indices are 0..K-1 (columns) and 0..rows-1; `rows` defaults
-    to K.  For n > 1 both run over the multi-indices of degree < K, in the
-    order of `enumerate_multi_indices`.  Extra rows let callers verify
-    column mass completeness, isolating quadrature error from truncation.
+    """Matrix block M_{kl} = (pi_lambda(g) e_l, e_k) in the scaled Hermite
+    basis of H^1, k < rows (default K) and l < K: e^{i lambda (t - xy/2)}
+    times G of `_g_block` by Gauss-Hermite quadrature.  Extra rows let
+    callers verify column mass completeness, isolating quadrature error from
+    truncation.  As the grid transforms, it is implemented for n = 1 only.
     """
+    if g.n != 1:
+        raise NotImplementedError("the quadrature oracle is implemented for n = 1")
     if lam == 0:
         raise ValueError("representation is undefined at lambda = 0")
-    n = g.n
+    rows = K if rows is None else rows
     alpha = np.sqrt(abs(lam))
-    sgn = 1.0 if lam > 0 else -1.0
-    if n == 1:
-        row_idx = [(k,) for k in range(rows if rows is not None else K)]
-        col_idx = [(k,) for k in range(K)]
-    else:
-        row_idx = col_idx = enumerate_multi_indices(n, 2 * (K - 1) + n)
-    max_order = 1 + max(max(k) for k in row_idx + col_idx)
-    gmax = alpha * float(np.max(np.abs(np.concatenate([g.x, g.y])))) if n else 0.0
-    rule = _rule(_rule_size(gmax, 2 * max_order))
-    blocks = [
-        _g_block(alpha * g.y[j], sgn * alpha * g.x[j], max_order, max_order, rule)
-        for j in range(n)
-    ]
-    rows_a = np.array(row_idx)
-    cols_a = np.array(col_idx)
-    M = np.ones((len(row_idx), len(col_idx)), dtype=complex)
-    for j in range(n):
-        M = M * blocks[j][np.ix_(rows_a[:, j], cols_a[:, j])]
-    phase = np.exp(1j * lam * (g.t - 0.5 * float(np.dot(g.x, g.y))))
-    return phase * M
+    x, y = float(g.x[0]), float(g.y[0])
+    rule = _rule(_rule_size(alpha * max(abs(x), abs(y)), 2 * max(rows, K)))
+    block = _g_block(alpha * y, np.sign(lam) * alpha * x, rows, K, rule)
+    return np.exp(1j * lam * (g.t - 0.5 * x * y)) * block
 
 
 def _triangle(K: int):
@@ -399,14 +382,14 @@ _PLAN_CACHE: dict = {}
 
 
 def _plan(grid: ModeGrid, spatial: SpatialGrid) -> _TransformPlan:
+    """The plan of the (grid, spatial) pair.  The cache holds the last pair's
+    plan alone, since every caller works on one pair at a time; a new pair
+    frees the old plan before it builds its own."""
     key = (grid.stamp, spatial)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = _TransformPlan(grid, spatial)
-        if len(_PLAN_CACHE) > 8:
-            _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
-        _PLAN_CACHE[key] = plan
-    return plan
+    if key not in _PLAN_CACHE:
+        _PLAN_CACHE.clear()
+        _PLAN_CACHE[key] = _TransformPlan(grid, spatial)
+    return _PLAN_CACHE[key]
 
 
 def clear_plan_cache():
@@ -481,7 +464,7 @@ def synthesize_on_grid(F: SpectralField, spatial: SpatialGrid) -> SpatialField:
     """Inverse transform sampled on a full spatial grid.
 
     Sum over lambda nodes of weight * Tr[F(lambda) M(lambda, g)] with the
-    calibrated grid weights.  Fold the weights in, G = w F, with a missing
+    grid's weights.  Fold the weights in, G = w F, with a missing
     mirror node read as zero.  Since M(-lambda, g) = conj M(lambda, g), the
     nodes +-lambda sum to Re Tr[A M] + i Re Tr[B M] at +|lambda|, where
     A = G(lambda) + conj G(-lambda) and B = (G(lambda) - conj G(-lambda)) / i.

@@ -277,6 +277,25 @@ def test_abelian_linear_runs_pass(tmp_path, subcommand):
         assert slope <= results["slope_bound"] < 0
 
 
+# modes data on H^2: mu_k <= 9 keeps the 10 multi-indices of degree <= 3
+H2_LINEAR_CONFIG = LINEAR_CONFIG | {
+    "backend": {"kind": "heisenberg", "n": 2},
+    "grid": LINEAR_CONFIG["grid"] | {"mu_max": 9.0}}
+
+
+@pytest.mark.parametrize("subcommand", ["evolve-linear", "verify-decay"])
+def test_linear_runs_pass_on_h2(tmp_path, subcommand):
+    # slopes -1.0068 (L2) and -1.0067 (H1) against delta0 = 1, within the
+    # gate's 5% of delta0 from both sides
+    cfg = write_config(tmp_path, H2_LINEAR_CONFIG)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 0
+    results = read_manifest(out)["results"]
+    assert results["passed"] is True and results["delta0"] == 1.0
+    for slope in results["slopes"].values():
+        assert -1.05 < slope <= results["slope_bound"]
+
+
 # the paper's own case: packet data on H^1 with p = 2 = 1 + 1/n, the endpoint
 # of the small-data existence range
 HEISENBERG_PICARD_CONFIG = {
@@ -317,10 +336,10 @@ HEISENBERG_SEMILINEAR_CONFIG = {
 }
 
 
-# the modes data at scale 0.05: the march's node 4 (t = 2) fails the gate,
-# decay 0.294.  From scale 0.1 up the march leaves the ball first (see the
-# test below).  The packet also overhangs the small box, which the
-# transform warns about
+# the modes data at scale 0.05: the march's node 7 (t = 3.5) fails the gate,
+# decay 0.409.  Up to scale 100 the gate fails first (decay 0.41 to 0.34);
+# from scale 150 up the march leaves the ball first (see the test below).
+# The packet also overhangs the small box, which the transform warns about
 @pytest.mark.filterwarnings("ignore:boundary decay")
 @pytest.mark.parametrize("config", [
     pytest.param(HEISENBERG_SEMILINEAR_CONFIG | {
@@ -341,13 +360,14 @@ def test_numerical_failure_exits_3(tmp_path, capsys, config):
 
 
 def test_large_data_leave_the_ball_before_the_box_fails(tmp_path):
-    # the modes data at scale 1: the march's Z-norm term reaches 395 against
-    # the 4 Z(u_lin) = 14.9 threshold at t = 0.5, where the synthesized
-    # nodes still pass the gate (decay at most 0.07); f is made at no later
-    # node, so the linear part's late nodes, which fail the gate (0.41 at
-    # t = 3.5), are never synthesized: Diverged, exit 1.  At scale 0.1 the
-    # march leaves the ball at t = 1.5 (Z-norm term 2.0 against 1.49)
-    cfg = write_config(tmp_path, HEISENBERG_SEMILINEAR_CONFIG)
+    # the modes data at scale 1500: the march's Z-norm term reaches 85252
+    # against the 4 Z(u_lin) = 3569.0 threshold at t = 0.5, where the
+    # synthesized nodes still pass the gate (decay at most 0.07); f is made
+    # at no later node, so the linear part's late nodes, which fail the gate
+    # (0.41 at t = 3.5), are never synthesized: Diverged, exit 1.  At scale
+    # 150 the march leaves the ball at t = 1.5 (Z-norm term 390 against 357)
+    cfg = write_config(tmp_path, HEISENBERG_SEMILINEAR_CONFIG | {
+        "data": {"kind": "modes", "scale": 1500.0}})
     assert main(["evolve-semilinear", "--config", cfg, "--out",
                  str(tmp_path / "out")]) == 1
     results = read_manifest(tmp_path / "out")["results"]
@@ -530,16 +550,21 @@ def _edit(config, section, **fields):
     ("oracle-compare", _edit(ORACLE_CONFIG, "data", sigma_xy=1e-200), "data"),
     ("evolve-linear", _edit(ABELIAN_LINEAR_CONFIG, "data", width=1e-200), "data"),
     ("gn-check", _edit(GN_CONFIG, "gn", abelian_widths=[1e-200]), "gn"),
+    ("evolve-linear", _edit(LINEAR_CONFIG, "data", width=1e-200, center=0.3),
+     "data"),
+    ("evolve-linear", _edit(LINEAR_CONFIG, "data", width=1e-200), "data"),
 ])
 def test_underflowing_packet_is_a_config_error(tmp_path, capsys, subcommand,
                                                config, prefix):
     # the widths are positive, so the schema accepts them, but their squares
-    # underflow to 0: every packet sample is 0, and a Gaussian is 0/0 at the
-    # origin
+    # underflow to 0: every packet sample is 0, a Gaussian is 0/0 at the
+    # origin, and the modes profile is 0/0 at a node on its centre (0.3) or
+    # zero at every node (centre 1.0)
     cfg = write_config(tmp_path, config)
     code = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
+    assert "warning" not in err
     problems = [line for line in err.splitlines() if line.startswith("  - ")]
     assert len(problems) == 1 and problems[0].startswith(f"  - {prefix}: ")
     assert not (tmp_path / "out").exists()

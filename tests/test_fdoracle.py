@@ -689,7 +689,8 @@ def zero_comparison_inputs(calibrated_grid, synth_box):
 
 def test_compare_with_spectral_zero_runs(calibrated_grid, synth_box):
     traj, fd = zero_comparison_inputs(calibrated_grid, synth_box)
-    report = compare_with_spectral(traj, fd, synth_box)
+    report = compare_with_spectral(traj, fd, synth_box, horizon=0.1,
+                                   tolerance=1e-2)
     assert isinstance(report, ComparisonReport)
     assert report.passed
     assert np.allclose(report.discrepancies, 0.0)
@@ -698,12 +699,16 @@ def test_compare_with_spectral_zero_runs(calibrated_grid, synth_box):
 
 
 def test_compare_with_spectral_requires_matching_times(calibrated_grid, synth_box):
+    # snapshot k pairs with trajectory node k: the trajectory must be sampled
+    # at the snapshot times (shifted here), as many as there are (fewer here)
     traj, fd = zero_comparison_inputs(calibrated_grid, synth_box)
-    shifted = LeapfrogResult(fd.times, fd.snapshots,
-                             np.array([0.531, 0.717]), fd.l2_history,
-                             fd.energy_history, 0.0)
-    with pytest.raises(ValueError):
-        compare_with_spectral(traj, shifted, synth_box)
+    for snapshot_times in (np.array([0.531, 0.717]), np.array([0.0])):
+        other = LeapfrogResult(fd.times, fd.snapshots[:snapshot_times.size],
+                               snapshot_times, fd.l2_history, fd.energy_history,
+                               0.0)
+        with pytest.raises(ValueError, match="not sampled at the fd snapshot times"):
+            compare_with_spectral(traj, other, synth_box, horizon=1.0,
+                                  tolerance=1e-2)
 
 
 def test_compare_with_spectral_rejects_snapshots_on_another_grid(
@@ -712,4 +717,4 @@ def test_compare_with_spectral_rejects_snapshots_on_another_grid(
     traj, fd = zero_comparison_inputs(calibrated_grid, synth_box)
     wider = SpatialGrid((6.0, 6.0, 9.0), synth_box.shape)
     with pytest.raises(ValueError, match="different grids"):
-        compare_with_spectral(traj, fd, wider)
+        compare_with_spectral(traj, fd, wider, horizon=0.1, tolerance=1e-2)
