@@ -370,7 +370,9 @@ def _emit(out_dir, name, header, rows, manifest, config_path):
 
 
 def _packet_field(data, synth):
-    w0, sxy, st, scale = (data[k] for k in
+    # NumPy floats: a width that squares to inf is a flat packet, not an
+    # OverflowError
+    w0, sxy, st, scale = (np.float64(data[k]) for k in
                           ("carrier", "sigma_xy", "sigma_tau", "scale"))
     return from_function(
         synth, lambda x, y, t: scale * np.cos(w0 * t)
@@ -380,7 +382,7 @@ def _packet_field(data, synth):
 def _packet_transform(v):
     """The packet data, its one forward transform, and the Plancherel
     constant calibrated on both and stored on the grid."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:  # a width that squares to 0 makes 0/0 at a grid point on an axis
             packet = _packet_field(v["data"], v["synth"])
         except ValueError:
@@ -393,8 +395,10 @@ def _packet_transform(v):
 
 def _gaussian(agrid, width, scale, section):
     """scale exp(-|x|^2 / (2 width^2)); a width that squares to 0 makes 0/0
-    at the origin, a problem of the config section."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    at the origin, a problem of the config section, and one that squares to
+    inf a flat profile."""
+    width = np.float64(width)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:
             return abelian_from_function(agrid, lambda *xs: scale * np.exp(
                 -sum(c ** 2 for c in xs) / (2 * width ** 2)))
@@ -413,17 +417,25 @@ def _cauchy_data(v):
     if data["kind"] == "packet":
         u0 = _packet_transform(v)[1]
     else:
-        # analytic coefficient-space data: lambda-Gaussian on the Hermite diagonal
+        # analytic coefficient-space data: lambda-Gaussian on the Hermite
+        # diagonal, in NumPy powers, which overflow to inf where Python's
+        # raise: a width that squares to inf is a flat profile
+        k = np.arange(grid.block_size)
+        width, ladder = np.float64(data["width"]), np.float64(data["ladder"])
         with np.errstate(all="ignore"):  # a width that squares to 0: x/0, 0/0
             profile = np.exp(-(grid.lambda_nodes - data["center"]) ** 2
-                             / (2 * data["width"] ** 2))
+                             / (2 * width ** 2))
+            diagonal = data["scale"] * profile[:, None] * ladder ** k
         if not (np.all(np.isfinite(profile)) and profile.any()):
             raise ConfigError([f"data: width {data['width']} about center "
                                f"{data['center']} gives no finite nonzero "
                                "profile at the lambda nodes"])
+        if not np.all(np.isfinite(diagonal)):
+            raise ConfigError([f"data: ladder {data['ladder']} at scale "
+                               f"{data['scale']} overflows by Hermite level "
+                               f"{grid.block_size - 1}"])
         c = np.zeros(grid.field_shape(), dtype=complex)
-        for k in range(grid.block_size):
-            c[:, k, k] = data["scale"] * profile * data["ladder"] ** k
+        c[:, k, k] = diagonal
         u0 = SpectralField(grid, c)
     return u0, SpectralField.zeros(grid), SubLaplacianSymbol(1)
 

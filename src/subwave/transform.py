@@ -21,14 +21,18 @@ G is the Fourier-Wigner transform of Hermite functions, in closed form
 Hermite and Laguerre Expansions, 1993): G~ = G e^{-i gamma beta/2} is a
 polynomial in z = (beta + i gamma)/sqrt(2) and conj(z) times exp(-|z|^2/2).
 For n = 1 the phase gamma beta/2 is lambda x y/2, so M(lambda, g) =
-e^{i lambda t} G~ and -lambda conjugates G~.  The closed form also gives
-G~_{lk} = (-1)^{k+l} conj(G~_{kl}), with a real diagonal, and
-G~_{kl}(-z) = (-1)^{k-l} G~_{kl}(z).  So the grid transforms run on exact
-tables of the triangle k >= l over half the (x, y) plane, one per |lambda|
-(`_TransformPlan`): (|lambda| count) * ceil(Nx Ny / 2) * K(K+1)/2 * 16
-bytes, rows even in k - l first, then odd.  They read the rest by the
-symmetries, the mirrored half through the row parity, on exactly
-antisymmetric axes (`SpatialGrid.axis`).  `representation_matrix`
+e^{i lambda t} G~ and -lambda conjugates G~.  The closed form is
+e^{i(k-l) arg z} times a real function of |z|, so it also gives
+G~_{lk} = (-1)^{k+l} conj(G~_{kl}), with a real diagonal, the point
+reflection G~_{kl}(-z) = (-1)^{k-l} G~_{kl}(z), and the conjugation
+G~_{kl}(conj z) = conj(G~_{kl}(z)) of the mirror x -> -x.  So the grid
+transforms run on exact tables of the triangle k >= l over the quarter
+ix < ceil(Nx/2), iy < ceil(Ny/2) of the (x, y) plane, one per |lambda|,
+held as two float64 planes Re G~ and Im G~ (`_TransformPlan`):
+(|lambda| count) * ceil(Nx/2) * ceil(Ny/2) * K(K+1)/2 * 16 bytes, rows even
+in k - l first, then odd.  They read the three mirrored quarters by the
+symmetries, through the plane and the row parity, on exactly antisymmetric
+axes (`SpatialGrid.axis`).  `representation_matrix`
 integrates G with a Gauss-Hermite rule centred at beta/2 instead (`_g_block`),
 and `inverse_transform` sums its traces against F: one quadrature oracle,
 independent of the tables.
@@ -228,25 +232,29 @@ def _triangle(K: int):
 
 def _closed_form_tables(alphas: np.ndarray, x: np.ndarray, y: np.ndarray,
                         K: int) -> np.ndarray:
-    """G~_{kl}(alpha y, alpha x) for l <= k < K at the points (x[j], y[j]),
-    by the ladder recurrences.
+    """Re G~_{kl} and Im G~_{kl} of G~_{kl}(alpha y, alpha x) for
+    l <= k < K at the points (x[j], y[j]), by the ladder recurrences.
 
     With z = alpha (y + i x) / sqrt(2): G~_00 = exp(-|z|^2 / 2),
     G~_{k+1,0} = z G~_{k0} / sqrt(k+1) and
     G~_{k,l+1} = (sqrt(k) G~_{k-1,l} - conj(z) G~_{kl}) / sqrt(l+1).
     The last reads only entries with k - 1 >= l, so the recurrence never
     leaves the lower triangle k >= l.  The closed form
-    sqrt(l!/k!) z^{k-l} L_l^{(k-l)}(|z|^2) e^{-|z|^2/2} gives the upper one,
-    G~_{lk} = (-1)^{k+l} conj(G~_{kl}) with a real diagonal, and the point
-    reflection G~_{kl}(-z) = (-1)^{k-l} G~_{kl}(z), which every step of the
-    recurrence keeps bitwise.
-    Shape (len(alphas), len(x), K(K+1)/2), the triangle last in the order of
-    `_triangle`.  (k, l+1) reads (k-1, l), of its own parity, and (k, l), of
-    the other, so each parity of column l+1 is one vectorized step over the
-    two parity blocks of column l.  The recurrence runs on chunks of
-    len(alphas) len(x) / (K(K+1)/2) points, each in a contiguous
+    sqrt(l!/k!) z^{k-l} L_l^{(k-l)}(|z|^2) e^{-|z|^2/2}, e^{i(k-l) arg z}
+    times a real function of |z|, gives the upper one,
+    G~_{lk} = (-1)^{k+l} conj(G~_{kl}) with a real diagonal, the point
+    reflection G~_{kl}(-z) = (-1)^{k-l} G~_{kl}(z) and the conjugation
+    G~_{kl}(conj z) = conj(G~_{kl}(z)) of the mirror x -> -x, which every
+    step of the recurrence keeps bitwise; at x = 0, z is real and Im G~ is
+    exactly 0.
+    Shape (2, len(alphas), len(x), K(K+1)/2), the real plane and the
+    imaginary one, the triangle last in the order of `_triangle`.
+    (k, l+1) reads (k-1, l), of its own parity, and (k, l), of the other, so
+    each parity of column l+1 is one vectorized step over the two parity
+    blocks of column l.  The recurrence runs on chunks of
+    len(alphas) len(x) / (K(K+1)/2) points, each in a contiguous complex
     (K(K+1)/2, chunk) scratch the size of one (alphas, x) slab, and writes
-    them transposed into place.
+    their real and imaginary parts transposed into the two planes.
     """
     k, l = _triangle(K)
     rows = k.size
@@ -254,8 +262,8 @@ def _closed_form_tables(alphas: np.ndarray, x: np.ndarray, y: np.ndarray,
     pos[k, l] = np.arange(rows)
     root = np.sqrt(np.arange(K))[:, None]
     points = ((alphas[:, None] / np.sqrt(2.0)) * (y + 1j * x)[None, :]).ravel()
-    out = np.empty((alphas.size, x.size, rows), dtype=complex)
-    flat = out.reshape(-1, rows)
+    out = np.empty((2, alphas.size, x.size, rows))
+    flat = out.reshape(2, -1, rows)
     size = -(-points.size // rows)
     tab = np.empty((rows, size), dtype=complex)
     scratch = np.empty((K // 2, size), dtype=complex)
@@ -278,7 +286,8 @@ def _closed_form_tables(alphas: np.ndarray, x: np.ndarray, y: np.ndarray,
                 np.multiply(root[k0::2], t[pos[k0 - 1, ll]:pos[k0 - 1, ll] + n], out=below)
                 dst += below
                 dst *= 1.0 / np.sqrt(ll + 1)
-        flat[start:start + z.size] = t.T
+        flat[0, start:start + z.size] = t.real.T
+        flat[1, start:start + z.size] = t.imag.T
     return out
 
 
@@ -289,36 +298,41 @@ class _TransformPlan:
     On a grid point g = (x, y, t), M(lambda, g)_{kl} = e^{i lambda t}
     G~_{kl}(sqrt|lambda| y, sign(lambda) sqrt|lambda| x), where G~ is the
     closed-form Fourier-Wigner transform of Hermite functions (Folland 1989;
-    Thangavelu 1993) of `_closed_form_tables`.  Three identities shrink what
+    Thangavelu 1993) of `_closed_form_tables`.  Four identities shrink what
     is stored: -lambda conjugates G~, so the nodes +-lambda share one table;
-    G~_{lk} = (-1)^{k+l} conj(G~_{kl}) leaves the triangle k >= l; and
-    G~_{kl}(-z) = (-1)^{k-l} G~_{kl}(z) leaves half the (x, y) plane, since
-    the exactly antisymmetric axes map the flattened point j to N - 1 - j,
-    N = Nx * Ny.  `table[p]` is the (ceil(N/2), K(K+1)/2) matrix of the p-th
-    |lambda|: points j < ceil(N/2), triangle rows (k, l) in the order of
-    `_triangle`, even k - l first (`even` real columns of `real`, the
-    table's real view), so that each parity is one column block.  The set
-    holds (|lambda| count) * ceil(N/2) * K(K+1)/2 * 16 bytes and no
-    quadrature rule.  Node q reads `table[group[q]]`; column[q] is 1 when
-    lambda < 0.
+    G~_{lk} = (-1)^{k+l} conj(G~_{kl}) leaves the triangle k >= l; and the
+    mirrors x -> -x, which conjugates G~, and (x, y) -> (-x, -y), which
+    multiplies it by (-1)^{k-l}, leave the quarter ix < ceil(Nx/2),
+    iy < ceil(Ny/2) of the (x, y) plane, since the exactly antisymmetric
+    axes map ix to Nx - 1 - ix and iy to Ny - 1 - iy.  `planes` holds
+    Re G~ and Im G~, each (|lambda| count, quarter, K(K+1)/2): points
+    (ix, iy) of the quarter, x major, triangle rows (k, l) in the order of
+    `_triangle`, the first `even` with k - l even, so that each parity is
+    one column block.  The two planes hold
+    (|lambda| count) * ceil(Nx/2) * ceil(Ny/2) * K(K+1)/2 * 16 bytes and no
+    quadrature rule.  Node q reads plane row `group[q]`; column[q] is 1
+    when lambda < 0.
 
-    A mirrored point j' = N - 1 - j reads the stored j with the sign
-    (-1)^{k-l}: a sum over all points is the even rows against
-    f(j) + f(j') and the odd rows against f(j) - f(j'), and a field on all
-    points is E + O at j and E - O at j'.  The odd rows vanish at the
-    centre point of an odd N, its own mirror, which is counted once.  Both
-    grid transforms contract the real view of the table against real
-    operands, which leaves out the products of the real parts of G~ with
-    the imaginary parts of the other factor that neither needs.
+    With s = (-1)^{k-l}, the four mirrors of a stored point read G~ at the
+    point, conj(G~) at the x-mirror, s conj(G~) at the y-mirror and s G~ at
+    the point mirror.  So a sum over all points of a real f against G~ is
+    the sum over the quarter of Re G~ against the folds S_x S_y f (even
+    rows) and S_x D_y f (odd rows), plus i Im G~ against D_x S_y f (odd) and
+    D_x D_y f (even), S the sum and D the difference of f and its mirror
+    along an axis.  An odd axis' centre line is its own mirror: its D
+    fold is 0 and its S fold counts it twice, so `fold_weights`, w_x w_y
+    on the quarter, is halved on it.  Im G~ vanishes at x = 0, and the odd
+    rows of Re G~ and the even ones of Im G~ at y = 0.  Both grid
+    transforms contract the planes against real operands, which leaves out
+    the products of the real parts of G~ with the imaginary parts of the
+    other factor that neither needs.
 
     Both treat a field as c = 1 or 2 real parts, interleaved as the real
     view of the samples, (point, t, part).  `rows[c]` takes the t axis:
     row (|lambda|, part, Re/Im) holds cos(|lambda| t), resp.
     -sin(|lambda| t), the real and imaginary parts of e^{-i |lambda| t}, on
     the columns of its own part.  The trapezoid weights factor as
-    w_x w_y w_t: `weighted_rows[c]` are the rows times w_t, and
-    `plane_weights` holds w_x w_y on the stored half plane, which the point
-    reflection leaves fixed.
+    w_x w_y w_t: `weighted_rows[c]` are the rows times w_t.
     """
 
     def __init__(self, grid: ModeGrid, spatial: SpatialGrid):
@@ -329,37 +343,39 @@ class _TransformPlan:
         self.column = (grid.lambda_nodes < 0).astype(int)
         k, l = self.lower = _triangle(K)
         self.sign = np.where(k > l, (-1.0) ** (k + l), 0.0)
-        self.even = 2 * np.count_nonzero((k - l) % 2 == 0)
+        self.even = np.count_nonzero((k - l) % 2 == 0)
         x, y, t = spatial.axes
-        self.points = x.size * y.size
-        half = -(-self.points // 2)
-        self.table = _closed_form_tables(np.sqrt(absl), np.repeat(x, y.size)[:half],
-                                         np.tile(y, x.size)[:half], K)
-        self.real = self.table.view(float)
+        self.plane = spatial.shape[:2]
+        qx, qy = self.quarter = tuple(-(-n // 2) for n in self.plane)
+        self.planes = _closed_form_tables(np.sqrt(absl), np.repeat(x[:qx], qy),
+                                          np.tile(y[:qy], qx), K)
         phase = np.outer(absl, t)
         rows = np.stack([np.cos(phase), -np.sin(phase)], axis=1)
         weighted = rows * spatial.axis_weights(2)
         self.rows = {c: _for_parts(rows, c) for c in (1, 2)}
         self.weighted_rows = {c: _for_parts(weighted, c) for c in (1, 2)}
-        self.plane_weights = np.outer(spatial.axis_weights(0),
-                                      spatial.axis_weights(1)).ravel()[:half]
+        wx, wy = (spatial.axis_weights(i)[:q] for i, q in enumerate(self.quarter))
+        # an odd axis' centre line is its own mirror: its S fold sums it twice
+        wx[x.size // 2:] *= 0.5
+        wy[y.size // 2:] *= 0.5
+        self.fold_weights = np.outer(wx, wy)[:, :, None]
 
     def operand(self, parts: np.ndarray) -> np.ndarray:
-        """The synthesis operand of the (c, |lambda| count, K, K) parts P,
-        real (|lambda| count, K(K+1), 2c).  Over the triangle,
+        """The synthesis operands of the (c, |lambda| count, K, K) parts P,
+        real (2, |lambda| count, K(K+1)/2, 2c).  Over the triangle,
         Tr[P G~] = lo . G~ + up . conj(G~), lo_{kl} = P_{lk},
         up_{kl} = (-1)^{k+l} P_{kl} (zero on the diagonal), that is
-        (lo + up) . Re G~ + i (lo - up) . Im G~.  Row 2r + c' pairs with
-        column 2r + c' of `real` (c' = 0 the real part, 1 the imaginary one)
-        and holds lo + up, resp. i (lo - up); columns 2p and 2p + 1 are the
-        real and imaginary parts of part p's trace."""
+        (lo + up) . Re G~ + i (lo - up) . Im G~.  The first operand holds
+        lo + up, against the Re plane, the second i (lo - up), against the
+        Im plane; columns 2p and 2p + 1 are the real and imaginary parts of
+        part p's trace."""
         k, l = self.lower
         lo = parts[..., l, k]
         up = self.sign * parts[..., k, l]
-        w = np.empty(lo.shape[1:] + (2, lo.shape[0]), dtype=complex)
-        w[..., 0, :] = np.moveaxis(lo + up, 0, -1)
-        w[..., 1, :] = np.moveaxis(1j * (lo - up), 0, -1)
-        return w.view(float).reshape(w.shape[0], -1, 2 * lo.shape[0])
+        w = np.empty((2,) + lo.shape[1:] + (lo.shape[0],), dtype=complex)
+        w[0] = np.moveaxis(lo + up, 0, -1)
+        w[1] = np.moveaxis(1j * (lo - up), 0, -1)
+        return w.view(float)
 
     def unfold(self, lo: np.ndarray, up: np.ndarray) -> np.ndarray:
         """The (..., K, K) blocks with B_{lk} = lo_{kl} (the diagonal too) and
@@ -373,9 +389,14 @@ class _TransformPlan:
 
 def _for_parts(rows: np.ndarray, c: int) -> np.ndarray:
     """The (|lambda| count, 2, Nt) rows for c real parts interleaved as
-    (t, part): (2c |lambda| count, c Nt), each row on its own part alone."""
-    nt = rows.shape[-1]
-    return (rows[:, None, :, :, None] * np.eye(c)[:, None, None, :]).reshape(-1, nt * c)
+    (t, part): (2c |lambda| count, c Nt), each row on its own part alone.
+    Written part by part: a broadcast product would take iterator buffers
+    larger than the result."""
+    groups, _, nt = rows.shape
+    out = np.zeros((groups, c, 2, nt, c))
+    for p in range(c):
+        out[:, p, :, :, p] = rows
+    return out.reshape(-1, nt * c)
 
 
 _PLAN_CACHE: dict = {}
@@ -405,13 +426,18 @@ def forward_transform(f: SpatialField, grid: ModeGrid,
     complex, its imaginary part, as c real parts.  Since
     M(-lambda, g) = conj M(lambda, g), a real part's transform is Hermitian:
     it is computed at +|lambda| alone and read at -lambda as its conjugate,
-    so float64 samples give an exactly Hermitian field.  The real view of
-    the samples is folded across the origin of the (x, y) plane into fresh
-    arrays, w_x w_y (f(j) + f(j')) for the even rows and
-    w_x w_y (f(j) - f(j')) for the odd ones; one real matmul per fold takes
+    so float64 samples give an exactly Hermitian field.  The plan's quarter
+    tables, (|lambda| count) * ceil(Nx/2) * ceil(Ny/2) * K(K+1)/2 * 16 bytes,
+    read G~ as conj(G~) at the x-mirror x -> -x of a stored point and as
+    (-1)^{k-l} G~ at its point mirror.  The real view of
+    the samples is folded across both mirrors of the (x, y) plane into four
+    fresh quarter arrays times the plan's `fold_weights`: S_x S_y f and
+    S_x D_y f for the Re plane's even and odd rows, D_x D_y f and D_x S_y f
+    for the Im plane's (`_TransformPlan`).  One real matmul per fold takes
     the t axis with the plan's `weighted_rows` (the real and imaginary parts
     of each part's t-transform ft at each |lambda|), and one batched real
-    matmul per parity contracts them with the half-plane tables.
+    matmul contracts it with its plane's column block; the Re and Im sums
+    give sum_j G~ ft over all points.
     sum_j G~ ft and sum_j G~ conj(ft) follow from the two parts of ft, so
     that the stored G~_{kl} and the mirrored G~_{lk} = (-1)^{k+l} conj(G~_{kl})
     both come out.
@@ -429,27 +455,35 @@ def forward_transform(f: SpatialField, grid: ModeGrid,
                 stacklevel=2,
             )
     plan = _plan(grid, f.grid)
-    table, e = plan.real, plan.even
-    groups, half, _ = table.shape
-    mirrored = plan.points - half
+    e = plan.even
+    _, groups, _, tri = plan.planes.shape
+    qx, qy = plan.quarter
     c = 2 if np.iscomplexobj(f.samples) else 1
-    # the parts interleaved, (point, t, part), folded into fresh arrays
-    parts = np.ascontiguousarray(f.samples).reshape(plan.points, -1).view(float)
-    mirror = parts[::-1][:mirrored]
-    even = np.empty((half, parts.shape[1]))
-    np.add(parts[:mirrored], mirror, out=even[:mirrored])
-    even[mirrored:] = parts[mirrored:half]
-    odd = parts[:mirrored] - mirror
-    even *= plan.plane_weights[:, None]
-    odd *= plan.plane_weights[:mirrored, None]
-    # p, q = sum_j G~ Re ft, sum_j G~ Im ft of each part: rows (part, Re/Im)
+    # the parts interleaved, (x, y, t, part), and the four mirrors of the quarter
+    parts = np.ascontiguousarray(f.samples).view(float).reshape(*plan.plane, -1)
+    point, x_mirror = parts[:qx, :qy], parts[::-1][:qx, :qy]
+    y_mirror, mirror = parts[:, ::-1][:qx, :qy], parts[::-1, ::-1][:qx, :qy]
+    folds = np.empty((4, qx, qy, parts.shape[2]))
+    ss, sd, dd, ds = folds
+    spare = np.empty_like(ss)
+    np.add(point, y_mirror, out=ss)
+    np.add(x_mirror, mirror, out=spare)
+    np.subtract(ss, spare, out=ds)
+    ss += spare
+    np.subtract(point, y_mirror, out=sd)
+    np.subtract(x_mirror, mirror, out=spare)
+    np.subtract(sd, spare, out=dd)
+    sd += spare
+    del spare
+    folds *= plan.fold_weights
+    # the Re and Im parts of p, q = sum_j G~ Re ft, sum_j G~ Im ft of each
+    # part: rows (part, Re/Im); the folds in the order of the planes' blocks
     rows = plan.weighted_rows[c]
-    pq = np.empty((groups, 2 * c, table.shape[2]))
-    np.matmul((rows @ even.T).reshape(groups, 2 * c, half), table[:, :, :e],
-              out=pq[:, :, :e])
-    np.matmul((rows @ odd.T).reshape(groups, 2 * c, mirrored), table[:, :mirrored, e:],
-              out=pq[:, :, e:])
-    pq = pq.view(complex).reshape(groups, c, 2, -1)
+    sums = np.empty((2, groups, 2 * c, tri))
+    for fold, plane, block in zip(folds, (0, 0, 1, 1), (slice(e), slice(e, None)) * 2):
+        ft = (rows @ fold.reshape(qx * qy, -1).T).reshape(groups, 2 * c, -1)
+        np.matmul(ft, plan.planes[plane][:, :, block], out=sums[plane][:, :, block])
+    pq = (sums[0] + 1j * sums[1]).reshape(groups, c, 2, -1)
     p, q = pq[:, :, 0], pq[:, :, 1]
     # f_hat_{kl} = sum_g w f(g) conj(M(lambda, g)_{lk}): at +|lambda| each
     # part's mirror f_hat_{lk} is conj(sum_j G~ conj(ft)) and f_hat_{kl} is
@@ -471,19 +505,29 @@ def synthesize_on_grid(F: SpectralField, spatial: SpatialGrid) -> SpatialField:
     An exactly Hermitian field has B = 0 and float64 samples; otherwise A
     and B are the c = 2 parts.  Tr[P G~] is the folded triangle of each
     part P against the stored G~_{kl} and their mirrors
-    G~_{lk} = (-1)^{k+l} conj(G~_{kl}) (`_TransformPlan.operand`): per
-    parity, one batched real matmul against the half-plane tables gives
-    every |lambda|'s (x, y) slab there, E for the even rows and O for the
-    odd ones, and one real matmul with the plan's `rows` takes each to the
-    t axis, into the real view of the samples; a point gets E + O and its
-    mirror E - O.
+    G~_{lk} = (-1)^{k+l} conj(G~_{kl}) (`_TransformPlan.operand`).  The
+    quarter tables, (|lambda| count) * ceil(Nx/2) * ceil(Ny/2) * K(K+1)/2 * 16
+    bytes, hold Re G~ and Im G~; the x-mirror x -> -x of a stored point
+    reads conj(G~) and its point mirror (-1)^{k-l} G~.  Per
+    plane and parity, one batched real matmul against the quarter tables
+    gives every |lambda|'s (x, y) slab there, and one real matmul with the
+    plan's `rows` takes it to the t axis: E and O from the Re plane's even
+    and odd rows, E~ and O~ from the Im plane's.  A stored point then takes
+    E + E~ + O + O~, its x-mirror E - E~ + O - O~, its y-mirror
+    E - E~ - O + O~ and its point mirror E + E~ - O - O~ (`_TransformPlan`).
+    The blocks land in the real view of the samples, E at the point, O at
+    the y-mirror, O~ at the x-mirror and E~ at the point mirror, which
+    leaves out only the exact zeros of O and E~ on y = 0 and of E~ and O~
+    on x = 0, and two butterflies, along y and then along x, form the sums
+    in place.
     `inverse_transform` evaluates the same sum pointwise by quadrature.
     """
     grid = F.grid
     plan = _plan(grid, spatial)
-    table, e = plan.real, plan.even
-    groups, half, _ = table.shape
-    mirrored = plan.points - half
+    e = plan.even
+    groups = plan.planes.shape[1]
+    (nx, ny), (qx, qy) = plan.plane, plan.quarter
+    mx, my = nx - qx, ny - qy
     g = np.zeros((2, groups) + F.coefficients.shape[1:], dtype=complex)
     g[plan.column, plan.group] = grid.weights[:, None, None] * F.coefficients
     mirror = np.conjugate(g[1])
@@ -492,17 +536,33 @@ def synthesize_on_grid(F: SpectralField, spatial: SpatialGrid) -> SpatialField:
     c = parts.shape[0]
     w = plan.operand(parts)
     rows = plan.rows[c]
-    slabs = np.empty((half, groups, 2 * c))
-    np.matmul(table[:, :, :e], w[:, :e], out=slabs.transpose(1, 0, 2))
-    # the parts interleaved, (point, t, part): the real view of the samples
-    samples = np.empty((plan.points, rows.shape[1]))
-    np.matmul(slabs.reshape(half, -1), rows, out=samples[:half])
-    # the odd rows reuse the first `mirrored` points of the slabs
-    slabs = slabs[:mirrored]
-    np.matmul(table[:, :mirrored, e:], w[:, e:], out=slabs.transpose(1, 0, 2))
-    odd = slabs.reshape(mirrored, -1) @ rows
-    np.subtract(samples[:mirrored], odd, out=samples[half:][::-1])
-    samples[:mirrored] += odd
+    slab = np.empty((qx * qy, groups, 2 * c))
+
+    def block(plane, cols, out):
+        # one |lambda| per batch, then the t axis of the quarter's first rows
+        np.matmul(plan.planes[plane][:, :, cols], w[plane][:, cols],
+                  out=slab.transpose(1, 0, 2))
+        np.matmul(slab.reshape(qx, qy, -1)[:len(out)], rows, out=out)
+
+    # the parts interleaved, (x, y, t, part): the real view of the samples;
+    # far[i] is the x-mirror of near[i], and a [:, ::-1] view the y-mirror
+    samples = np.empty((nx, ny, rows.shape[1]))
+    near, far = samples[:qx], samples[::-1][:mx]
+    spare = np.empty((qx, qy, rows.shape[1]))
+    block(0, slice(e), near[:, :qy])
+    block(0, slice(e, None), spare)
+    np.subtract(near[:, :my], spare[:, :my], out=near[:, ::-1][:, :my])
+    near[:, :my] += spare[:, :my]
+    block(1, slice(e, None), far[:, :qy])
+    block(1, slice(e), spare[:mx])
+    np.subtract(far[:, :my], spare[:mx, :my], out=far[:, ::-1][:, :my])
+    far[:, :my] += spare[:mx, :my]
+    # near holds E + O | E - O, far O~ + E~ | O~ - E~: near + far, near - far
+    for cols in (slice(qy), slice(qy, None)):
+        a, b = near[:mx, cols], far[:, cols]
+        diff = np.subtract(a, b, out=spare[:mx, :b.shape[1]])
+        a += b
+        b[...] = diff
     if c == 2:
         samples = samples.view(complex)
     return SpatialField(spatial, samples.reshape(spatial.shape))

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -567,6 +568,40 @@ def test_underflowing_packet_is_a_config_error(tmp_path, capsys, subcommand,
     assert "warning" not in err
     problems = [line for line in err.splitlines() if line.startswith("  - ")]
     assert len(problems) == 1 and problems[0].startswith(f"  - {prefix}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("subcommand, config, truncated", [
+    ("evolve-linear", _edit(LINEAR_CONFIG, "data", width=1e200), False),
+    ("evolve-linear", _edit(ABELIAN_LINEAR_CONFIG, "data", width=1e200), False),
+    ("calibrate", _edit(CALIBRATE_CONFIG, "data", sigma_xy=1e200), True),
+    ("gn-check", _edit(GN_CONFIG, "gn", abelian_widths=[1e200]), False),
+], ids=["modes", "gaussian", "packet", "gn"])
+def test_a_width_that_squares_to_inf_is_a_flat_profile(tmp_path, subcommand, config,
+                                                        truncated):
+    # valid data: the schema takes any finite positive width, and its square
+    # overflows to inf in NumPy, where a Python float power raises; the flat
+    # packet fails the box's boundary decay, its one warning
+    cfg = write_config(tmp_path, config)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([subcommand, "--config", cfg, "--out", str(tmp_path / "out")])
+    messages = [str(w.message) for w in caught]
+    assert code == 0
+    assert all(m.startswith("boundary decay") for m in messages)
+    assert bool(messages) == truncated
+    assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_overflowing_modes_ladder_is_a_config_error(tmp_path, capsys):
+    # ladder ** k overflows by the fourth Hermite level of the 24-node grid:
+    # one data problem, before any output
+    cfg = write_config(tmp_path, _edit(LINEAR_CONFIG, "data", ladder=1e200))
+    code = main(["evolve-linear", "--config", cfg, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    problems = [line for line in err.splitlines() if line.startswith("  - ")]
+    assert len(problems) == 1 and problems[0].startswith("  - data: ladder 1e+200")
     assert not (tmp_path / "out").exists()
 
 

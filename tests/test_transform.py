@@ -226,10 +226,17 @@ def _sparse_grid():
                     base_weights=np.array([0.5, 0.4, 0.3, 0.4, 0.5]), mu_max=7.0)
 
 
-# the half-plane tables on an odd Nx * Ny, whose centre point is its own
-# mirror, and on an even one
+# the quarter tables on each parity of the (x, y) axes: an odd axis has a
+# centre line that is its own mirror
 ODD_PLANE = SpatialGrid((4.0, 3.5, 5.0), (13, 11, 9))
 EVEN_PLANE = SpatialGrid((4.0, 3.5, 5.0), (12, 11, 9))
+EVEN_XY_PLANE = SpatialGrid((4.0, 3.5, 5.0), (12, 12, 9))
+ODD_X_EVEN_Y_PLANE = SpatialGrid((4.0, 3.5, 5.0), (13, 12, 9))
+PLANES = pytest.mark.parametrize(
+    "spatial", [ODD_PLANE, EVEN_PLANE, EVEN_XY_PLANE, ODD_X_EVEN_Y_PLANE],
+    ids=["odd", "even", "even-xy", "odd-x-even-y"])
+EVEN_Y_PLANES = pytest.mark.parametrize(
+    "spatial", [EVEN_XY_PLANE, ODD_X_EVEN_Y_PLANE], ids=["even-xy", "odd-x-even-y"])
 
 
 def check_grouped_synthesis(spatial, rng):
@@ -277,7 +284,7 @@ def hermitian_field(grid, rng):
     return SpectralField(grid, c)
 
 
-@pytest.mark.parametrize("spatial", [ODD_PLANE, EVEN_PLANE], ids=["odd", "even"])
+@PLANES
 def test_hermitian_fields_synthesize_to_float64(spatial, rng):
     F = hermitian_field(_sparse_grid(), rng)
     ref = per_node_synthesis(F, spatial)
@@ -286,7 +293,7 @@ def test_hermitian_fields_synthesize_to_float64(spatial, rng):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("spatial", [ODD_PLANE, EVEN_PLANE], ids=["odd", "even"])
+@PLANES
 def test_i_times_a_hermitian_field_synthesizes_to_i_times_its_samples(spatial, rng):
     # i F has a zero Hermitian part, so the real part of its samples is
     # exactly 0, and its anti-Hermitian part is F's Hermitian part
@@ -302,7 +309,7 @@ def test_i_times_a_hermitian_field_synthesizes_to_i_times_its_samples(spatial, r
     assert np.max(np.abs(got.imag - samples)) <= 1e-15 * np.max(np.abs(samples))
 
 
-@pytest.mark.parametrize("spatial", [ODD_PLANE, EVEN_PLANE], ids=["odd", "even"])
+@PLANES
 def test_forward_transform_of_real_samples_is_exactly_hermitian(spatial, rng):
     # so that a real Picard solve stays real from sweep to sweep: its
     # syntheses take the float64 path
@@ -329,6 +336,16 @@ def test_forward_matches_quadrature_on_an_even_plane():
     check_forward_on_an_asymmetric_field(EVEN_PLANE)
 
 
+@EVEN_Y_PLANES
+def test_grouped_synthesis_matches_per_node_loop_on_even_y_axes(spatial, rng):
+    check_grouped_synthesis(spatial, rng)
+
+
+@EVEN_Y_PLANES
+def test_forward_matches_quadrature_on_even_y_axes(spatial):
+    check_forward_on_an_asymmetric_field(spatial)
+
+
 # x carries gamma and y beta: both signs and |beta|, |gamma| up to 12.3
 TABLE_X = np.array([-12.3, -7.1, -2.2, -0.4, 0.0, 1.3, 5.6, 12.3])
 TABLE_Y = np.array([-12.3, -3.3, -0.9, 0.0, 0.7, 4.4, 9.8, 12.3])
@@ -352,7 +369,8 @@ def table_points():
 @pytest.mark.parametrize("K, bound", [(8, 1e-13), (16, 1e-10)])
 def test_closed_form_tables_match_quadrature(K, bound):
     # the triangle k >= l, last, in the order of `_triangle`
-    tab = _closed_form_tables(np.array([1.0]), *table_points(), K)[0]
+    re, im = _closed_form_tables(np.array([1.0]), *table_points(), K)[:, 0]
+    tab = re + 1j * im
     k, l = _triangle(K)
     assert tab.shape == (TABLE_X.size * TABLE_Y.size, k.size)
     ref = g_tilde_by_quadrature(K)[:, :, k, l].reshape(tab.shape)
@@ -379,6 +397,20 @@ def test_closed_form_tables_reflect_through_the_origin_bitwise(K):
     assert np.array_equal(mirrored, (-1.0) ** (k - l) * tab)
 
 
+@pytest.mark.parametrize("K", [1, 2, 8, 9])
+def test_closed_form_tables_conjugate_across_the_x_mirror_bitwise(K):
+    # G~_{kl}(conj z) = conj(G~_{kl}(z)): G~ is e^{i(k-l) arg z} times a real
+    # function of |z|, and every step of the recurrence keeps it; at x = 0,
+    # z is real and so is G~, which the plan's x-fold relies on
+    x, y = table_points()
+    alphas = np.array([0.5, 1.0, 2.45])
+    re, im = _closed_form_tables(alphas, x, y, K)
+    mirrored_re, mirrored_im = _closed_form_tables(alphas, -x, y, K)
+    assert np.array_equal(mirrored_re, re)
+    assert np.array_equal(mirrored_im, -im)
+    assert not np.any(im[:, x == 0.0])
+
+
 @pytest.mark.parametrize("K", [8, 16])
 def test_fourier_wigner_blocks_mirror_across_the_diagonal(K):
     # G~_{lk} = (-1)^{k+l} conj(G~_{kl}) with a real diagonal, the identity
@@ -393,13 +425,15 @@ def test_fourier_wigner_blocks_mirror_across_the_diagonal(K):
 
 @pytest.mark.parametrize("K", [8, 16])
 def test_fourier_wigner_blocks_reflect_through_the_origin(K):
-    # G~_{kl}(-z) = (-1)^{k-l} G~_{kl}(z), the identity that lets the plan
-    # store half the (x, y) plane, from the quadrature alone
+    # G~_{kl}(-z) = (-1)^{k-l} G~_{kl}(z) and G~_{kl}(conj z) = conj(G~_{kl}(z)),
+    # x -> -x, the identities that let the plan store a quarter of the
+    # (x, y) plane, from the quadrature alone
     g = g_tilde_by_quadrature(K)
     reflected = g_tilde_by_quadrature(K, -TABLE_X, -TABLE_Y)
     idx = np.arange(K)
     sign = (-1.0) ** (idx[:, None] - idx[None, :])
     assert np.max(np.abs(reflected - sign * g)) <= 1e-14
+    assert np.max(np.abs(g_tilde_by_quadrature(K, -TABLE_X) - g.conj())) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [4, 5, 36, 37])
@@ -415,28 +449,31 @@ def test_axes_are_exactly_antisymmetric(n):
 
 
 def test_plan_builds_and_holds_only_the_triangle(calibrated_grid, synth_box):
-    # K(K+1)/2 rows per |lambda| on the ceil(Nx Ny / 2) points of the half
-    # plane; the build's scratch is a few (|lambda|, half plane) slabs (2.5
-    # measured), never the K^2 rows or the full plane
+    # K(K+1)/2 rows per |lambda| on the ceil(Nx/2) ceil(Ny/2) points of the
+    # quarter plane, Re and Im in two float64 planes; the build's scratch is
+    # a few complex (|lambda|, quarter) slabs (2.5 measured), never the
+    # K^2 rows, a complex table or more than the quarter
     from subwave import transform
 
     K = calibrated_grid.block_size
     groups = np.unique(np.abs(calibrated_grid.lambda_nodes)).size
     nx, ny, _ = synth_box.shape
-    half = -(-nx * ny // 2)
-    half_slab = groups * half * 16
+    quarter = -(-nx // 2) * -(-ny // 2)
+    quarter_slab = groups * quarter * 16
     plan, peak = traced_peak(lambda: transform._TransformPlan(calibrated_grid, synth_box))
-    assert plan.table.nbytes == groups * K * (K + 1) // 2 * half * 16
-    assert peak <= plan.table.nbytes + 3 * half_slab
+    assert plan.planes.dtype == np.float64
+    assert plan.planes.nbytes == groups * K * (K + 1) // 2 * quarter * 16
+    assert peak <= plan.planes.nbytes + 3 * quarter_slab
 
 
 def test_grid_transforms_allocate_a_few_boxes(calibrated_grid, synth_box, rng):
-    # with the plan built, a synthesis holds the result, its half-plane
-    # slabs and the odd rows' t-contraction; a forward transform the two
-    # weighted folds of the samples and the folded t-transforms (a box is
-    # Nx Ny Nt complex; 24 nodes on 48 t points): 1.9 boxes measured for a
-    # synthesis, 1.3 for a forward transform, and a Hermitian field's
-    # float64 synthesis takes 1.0
+    # with the plan built, a synthesis holds the result, one quarter slab
+    # and one quarter block of the t-contraction, which the butterflies
+    # reuse; a forward transform the four weighted quarter folds of the
+    # samples, one spare fold and a folded t-transform (a box is Nx Ny Nt
+    # complex; 24 nodes on 48 t points): 1.66 boxes measured for a
+    # synthesis, 1.36 for a forward transform, and a Hermitian field's
+    # float64 synthesis takes 0.95
     from subwave import transform
 
     transform._plan(calibrated_grid, synth_box)
